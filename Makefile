@@ -6,10 +6,10 @@ GO ?= go
 
 .PHONY: check build vet vet-calsys fmt-check test race chaos chaos-fleet bench-smoke bench \
 	bench-json bench-compare bench-gate bench-cache profile fuzz-smoke staticcheck govulncheck \
-	serve-smoke calvet-corpus
+	serve-smoke calvet-corpus calbench-check
 
 check: build vet vet-calsys fmt-check test race chaos chaos-fleet bench-smoke fuzz-smoke \
-	serve-smoke calvet-corpus staticcheck govulncheck
+	serve-smoke calvet-corpus calbench-check staticcheck govulncheck
 
 build:
 	$(GO) build ./...
@@ -49,7 +49,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/store/... ./internal/rules/... ./internal/core/plan/... \
-		./internal/core/matcache/... ./internal/serve/...
+		./internal/core/matcache/... ./internal/caldb/... ./internal/serve/...
 
 # Crash-recovery fault injection: the seeded kill-and-recover suites, run
 # three times under the race detector. Set CHAOS_ARTIFACTS to a directory to
@@ -76,6 +76,15 @@ bench-smoke:
 # move them).
 serve-smoke:
 	./scripts/serve_smoke.sh
+
+# The repo's benchmark (BENCHMARK.json, bench/) is its own module, so
+# `go build ./... && go test ./...` never compile it. Vet and test it, then
+# run the smallest workload for two seconds through the same entry point the
+# benchmark driver uses; only the exit status matters (non-zero on a build
+# failure or any response that disagrees with the oracle).
+calbench-check:
+	cd bench && $(GO) vet . && $(GO) test .
+	./bench/run.sh -workload serve_hot -seed 1 -seconds 2 -trace 0 > /dev/null
 
 # Short fuzz runs: the calendar-language front end (parser + calvet) and the
 # sweep kernels against the naive foreach/set-op oracles. `go test -fuzz`
@@ -115,9 +124,11 @@ bench-compare:
 	$(MAKE) bench-gate
 
 # Hard benchmark gate: the scheduling kernel (including the symbolic-calculus
-# ablation arm), the warm materialized-calendar cache, the sweep join, and the
-# endpoint-index kernels are run at a real benchtime and must stay within
-# 1.25x of BENCH_baseline.json ns/op and allocs/op, or the build fails.
+# ablation arm), the warm materialized-calendar cache, the sweep join, the
+# endpoint-index kernels, the prepared-expression table (hit and miss) and a
+# warm expand through the HTTP handler are run at a real benchtime and must
+# stay within 1.25x of BENCH_baseline.json ns/op and allocs/op, or the build
+# fails.
 # A full second of measurement per benchmark averages out scheduler spikes,
 # and -count=3 makes the gate best-of-three (benchjson keeps the fastest run
 # per benchmark), so a regression must reproduce in every repetition — one
@@ -125,14 +136,15 @@ bench-compare:
 # only the sweep arms (the generic fallback arms take ~50ms/op and are not
 # gated). The two runs share one compare.
 bench-gate:
-	( $(GO) test -bench 'NextAfter|CacheColdVsWarm|EndpointSweepVsLinear' \
+	( $(GO) test -bench 'NextAfter|CacheColdVsWarm|EndpointSweepVsLinear|Prepared' \
 		-benchtime=1s -count=3 -benchmem . && \
+	  $(GO) test -run '^$$' -bench 'HandlerExpandWarm' -benchtime=1s -count=3 -benchmem ./internal/serve && \
 	  $(GO) test -bench 'ForeachSweepVsGeneric/sweep' -benchtime=1s -count=3 -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'TimingWheelVsHeap' -benchtime=1s -count=3 -benchmem ./internal/rules && \
 	  $(GO) test -run '^$$' -bench 'CacheParallelGet|CacheStampede' -benchtime=1s -count=3 -benchmem \
 		./internal/core/matcache ) | \
 		$(GO) run ./cmd/benchjson -compare BENCH_baseline.json \
-			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede' \
+			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm' \
 			-gate-threshold 1.25 -gate-allocs-threshold 1.25 -
 
 # Parallel cache benchmarks across GOMAXPROCS=1,4,8: the sharded read path

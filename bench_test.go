@@ -808,3 +808,47 @@ func BenchmarkNextAfterSymbolicAblation(b *testing.B) {
 		})
 	}
 }
+
+// The prepared-expression table (caldb.Prepared): what every request and
+// firing reads in place of parsing, vetting and lowering its source again.
+// A hit is one map lookup and must not allocate; a miss is the full first
+// use of a source — parse, calvet's symbolic analysis, inline + factorise —
+// for three recurrence shapes whose analysis costs span two orders of
+// magnitude.
+var preparedShapes = []struct{ name, src string }{
+	{"weekly", "[1,5]/(DAYS:during:WEEKS)"},
+	{"monthly", "[3]/(([5]/(DAYS:during:WEEKS)):during:MONTHS)"},
+	{"yearly", "[4]/(DAYS:during:([7]/(MONTHS:during:YEARS)))"},
+}
+
+var preparedSink *caldb.Prepared
+
+func BenchmarkPreparedHit(b *testing.B) {
+	_, mgr := benchEnv(b, DefaultEpoch)
+	src := preparedShapes[1].src
+	mgr.Prepared("", src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		preparedSink = mgr.Prepared("", src)
+	}
+}
+
+func BenchmarkPreparedMiss(b *testing.B) {
+	for _, shape := range preparedShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			_, mgr := benchEnv(b, DefaultEpoch)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// A fresh name makes a fresh entry of the same source.
+				p := mgr.Prepared(fmt.Sprintf("c%d", i), shape.src)
+				if p.Diags().HasErrors() {
+					b.Fatal(p.Diags())
+				}
+				if _, err := p.Lowered(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@
 package caldb
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -29,6 +30,10 @@ const TableName = "CALENDARS"
 // GranAuto asks DefineDerived to infer the calendar's granularity from its
 // derivation script.
 const GranAuto chronology.Granularity = -1
+
+// ErrAlreadyDefined is wrapped by DefineDerived and DefineStored when the
+// name is taken (including by a concurrent definition that won the race).
+var ErrAlreadyDefined = errors.New("already defined")
 
 // MaxDayTick stands in for the paper's ∞ lifespan bound (roughly the year
 // 10000 for a late-20th-century epoch). It equals plan.UnboundedDayTick, the
@@ -89,6 +94,12 @@ type Manager struct {
 	// the memo was computed at).
 	volatile map[string]bool
 	volGen   uint64
+
+	// prep is the current generation's prepared-expression table (see
+	// prepared.go), replaced wholesale under prepMu; the counters accumulate.
+	prepMu                           sync.RWMutex
+	prep                             *preparedTable
+	prepHits, prepMisses, prepResets atomic.Int64
 
 	// listeners are invoked (outside m.mu) after every successful catalog
 	// mutation; DBCRON uses this to schedule a mass next-trigger recompute.
@@ -188,6 +199,7 @@ func NewScoped(db *store.DB, chron *chronology.Chronology, scope string) (*Manag
 		db: db, chron: chron, cache: map[string]*Entry{},
 		mat:   matcache.Shared(),
 		scope: fmt.Sprintf("%s#%d|%v", scope, scopeCounter.Add(1), chron.Epoch()),
+		prep:  newPreparedTable(0),
 	}
 	m.gen.Store(1)
 	if err := m.reload(); err != nil {
@@ -205,7 +217,10 @@ func (m *Manager) CatalogGeneration() uint64 { return m.gen.Load() }
 // cache (the tenant-prefixed scope for managers built by the serving layer).
 func (m *Manager) MatScope() string { return m.scope }
 
-// bump advances the catalog generation and returns the new value.
+// bump advances the catalog generation and returns the new value. Callers
+// hold m.mu for writing and change m.cache in the same critical section: a
+// reader that sees the new generation also sees the new catalog, so nothing
+// computed from the old catalog is filed under the new generation.
 func (m *Manager) bump() uint64 { return m.gen.Add(1) }
 
 // DB exposes the underlying database.
@@ -245,11 +260,11 @@ func (m *Manager) reload() error {
 	if decodeErr != nil {
 		return decodeErr
 	}
+	m.mu.Lock()
 	gen := m.bump()
 	for _, e := range cache {
 		e.Version = gen
 	}
-	m.mu.Lock()
 	m.cache = cache
 	m.mu.Unlock()
 	return nil
@@ -312,11 +327,14 @@ func (m *Manager) DefineDerived(name, derivation string, lifespan Lifespan, gran
 		return err
 	}
 	if m.exists(name) {
-		return fmt.Errorf("caldb: calendar %q already defined", name)
+		return fmt.Errorf("caldb: calendar %q %w", name, ErrAlreadyDefined)
 	}
-	script, err := callang.ParseDerivation(derivation)
-	if err != nil {
-		return err
+	// A caller that vetted (name, derivation) first — the serving layer's
+	// vet-on-write — already parsed and analysed this entry.
+	p := m.Prepared(name, derivation)
+	script := p.Script
+	if script == nil {
+		return p.scriptErr
 	}
 	if gran == GranAuto {
 		gran = m.inferGran(script)
@@ -330,7 +348,7 @@ func (m *Manager) DefineDerived(name, derivation string, lifespan Lifespan, gran
 	// Static analysis before any plan work: undefined references, cycles and
 	// no-zero violations reject the definition with positioned diagnostics;
 	// warnings are recorded in the catalog row.
-	diags := calvet.AnalyzeScript(script, m, calvet.Options{SelfName: name, Chron: m.chron})
+	diags := p.Diags()
 	if diags.HasErrors() {
 		return fmt.Errorf("caldb: %q does not vet:\n%s", name, diags.Errors())
 	}
@@ -365,9 +383,10 @@ func diagLines(ds calvet.Diags) []string {
 
 // Vet statically analyzes a derivation source as if it were being defined
 // under name (which may be empty for anonymous expressions), without
-// touching the catalog. Parse failures surface as diagnostics.
+// touching the catalog. Parse failures surface as diagnostics. The analysis
+// runs once per catalog generation (see Prepared); the result is shared.
 func (m *Manager) Vet(name, derivation string) calvet.Diags {
-	return calvet.ParseAndAnalyze(derivation, m, calvet.Options{SelfName: name, Chron: m.chron})
+	return m.Prepared(name, derivation).Diags()
 }
 
 // VetDefined re-runs the static analyzer over an already-defined calendar's
@@ -389,7 +408,7 @@ func (m *Manager) DefineStored(name string, values *calendar.Calendar, lifespan 
 		return err
 	}
 	if m.exists(name) {
-		return fmt.Errorf("caldb: calendar %q already defined", name)
+		return fmt.Errorf("caldb: calendar %q %w", name, ErrAlreadyDefined)
 	}
 	if values == nil {
 		return fmt.Errorf("caldb: stored calendar %q needs values", name)
@@ -434,8 +453,8 @@ func (m *Manager) ReplaceStored(name string, values *calendar.Calendar) error {
 	}); err != nil {
 		return err
 	}
-	gen := m.bump()
 	m.mu.Lock()
+	gen := m.bump()
 	upd := *e
 	upd.Values = values
 	upd.Gran = values.Granularity()
@@ -469,10 +488,10 @@ func (o granOverride) ElemKindOf(name string) (chronology.Granularity, bool) {
 // had granularity g, returning each dependent's fresh warning set, or an
 // error if any dependent stops vetting clean.
 func (m *Manager) revetDependents(name string, g chronology.Granularity) (map[string][]string, error) {
-	m.mu.RLock()
 	var deps []*Entry
-	for _, e := range m.cache {
-		if e.script == nil {
+	for _, n := range m.Names() { // a snapshot: the analysis below re-enters m.mu
+		e, ok := m.Lookup(n)
+		if !ok || e.script == nil {
 			continue
 		}
 		for ref := range callang.AnalyzeScript(e.script, m).Refs {
@@ -482,7 +501,6 @@ func (m *Manager) revetDependents(name string, g chronology.Granularity) (map[st
 			}
 		}
 	}
-	m.mu.RUnlock()
 	if len(deps) == 0 {
 		return nil, nil
 	}
@@ -536,12 +554,12 @@ func (m *Manager) Drop(name string) error {
 	e, ok := m.cache[key]
 	if ok {
 		delete(m.cache, key)
+		m.bump()
 	}
 	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("caldb: no calendar %q", name)
 	}
-	m.bump()
 	tab, _ := m.db.Table(TableName)
 	rids, err := tab.LookupEq("name", store.NewText(e.Name))
 	if err != nil {
@@ -588,7 +606,6 @@ func (m *Manager) exists(name string) bool {
 }
 
 func (m *Manager) insert(e *Entry) error {
-	e.Version = m.bump()
 	values := store.Value{T: store.TCalendar}
 	if e.Values != nil {
 		values = store.NewCalendar(e.Values)
@@ -602,15 +619,23 @@ func (m *Manager) insert(e *Entry) error {
 		values,
 		store.NewText(strings.Join(e.Warnings, "\n")),
 	}
+	// Transactions are serialized and this one holds both the name check and
+	// the catalog update: of two racing definitions the second fails.
 	if err := m.db.RunTxn(func(tx *store.Txn) error {
-		_, err := tx.Append(TableName, row)
-		return err
+		if m.exists(e.Name) {
+			return fmt.Errorf("caldb: calendar %q %w", e.Name, ErrAlreadyDefined)
+		}
+		if _, err := tx.Append(TableName, row); err != nil {
+			return err
+		}
+		m.mu.Lock()
+		e.Version = m.bump()
+		m.cache[strings.ToLower(e.Name)] = e
+		m.mu.Unlock()
+		return nil
 	}); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.cache[strings.ToLower(e.Name)] = e
-	m.mu.Unlock()
 	m.notifyChanged()
 	return nil
 }
@@ -798,32 +823,42 @@ func (m *Manager) exprVolatile(e callang.Expr) bool {
 
 // --- evaluation conveniences -------------------------------------------
 
-// evalCached evaluates an expression, consulting the shared materialization
-// cache for the whole expression's result first. Expression results are
-// cached under their exact window only (derived windows have boundary
-// effects, so slicing a superset is unsound) and keyed by the catalog
-// generation, so any Define/Replace/Drop invalidates them. Volatile
-// expressions (reading `today`) and environments with any optimization
-// ablated bypass the cache so results and benchmarks stay honest.
-func (m *Manager) evalCached(env *plan.Env, e callang.Expr, from, to chronology.Civil) (*calendar.Calendar, error) {
+// EvalExpr parses and evaluates a calendar expression over a civil window.
+func (m *Manager) EvalExpr(src string, from, to chronology.Civil) (*calendar.Calendar, error) {
+	return m.EvalExprEnv(m.Env(), src, from, to)
+}
+
+// EvalExprEnv is EvalExpr with a caller-supplied environment (clock, wait
+// hook, optimization toggles). Parse, lowering and cache key come from the
+// source's Prepared entry; per call there is only the window.
+//
+// The shared materialization cache is consulted for the whole expression's
+// result first. Expression results are cached under their exact window only
+// (derived windows have boundary effects, so slicing a superset is unsound)
+// and keyed by the catalog generation, so any Define/Replace/Drop invalidates
+// them. Volatile expressions (reading `today`) and environments with any
+// optimization ablated bypass the cache so results and benchmarks stay honest.
+func (m *Manager) EvalExprEnv(env *plan.Env, src string, from, to chronology.Civil) (*calendar.Calendar, error) {
+	p := m.Prepared("", src)
+	if p.ExprErr != nil {
+		return nil, p.ExprErr
+	}
 	if env.Mat == nil || env.DisableSharing || env.DisableFactorization ||
-		env.DisableWindowInference || env.DisablePeriodic || m.exprVolatile(e) {
-		return plan.Evaluate(env, e, from, to)
+		env.DisableWindowInference || env.DisablePeriodic {
+		return plan.Evaluate(env, p.Expr, from, to)
 	}
-	prepped, gran, err := plan.Prepare(env, e, nil)
+	l, err := p.Lowered()
 	if err != nil {
 		return nil, err
 	}
-	win, err := plan.CivilWindow(env.Chron, gran, from, to)
+	if l.Volatile {
+		return plan.Evaluate(env, p.Expr, from, to)
+	}
+	win, err := plan.CivilWindow(env.Chron, l.Gran, from, to)
 	if err != nil {
 		return nil, err
 	}
-	key := matcache.Key{
-		Scope:   env.MatScope,
-		ID:      "E|" + e.String(),
-		Version: m.gen.Load(),
-		Gran:    gran,
-	}
+	key := matcache.Key{Scope: env.MatScope, ID: l.cacheID, Version: p.Gen, Gran: l.Gran}
 	if c, ok := env.Mat.Get(key, win); ok {
 		return c, nil
 	}
@@ -835,32 +870,13 @@ func (m *Manager) evalCached(env *plan.Env, e callang.Expr, from, to chronology.
 	// derived- or generate-level flights, never on other expression flights
 	// — so the wait graph stays acyclic.
 	return env.Mat.Do(key, win, func() (*calendar.Calendar, bool, error) {
-		p, err := plan.Compile(env, prepped, nil, gran, win)
+		pl, err := plan.Compile(env, l.Expr, nil, l.Gran, win)
 		if err != nil {
 			return nil, false, err
 		}
-		c, err := p.Exec(env, nil)
+		c, err := pl.Exec(env, nil)
 		return c, false, err
 	})
-}
-
-// EvalExpr parses and evaluates a calendar expression over a civil window.
-func (m *Manager) EvalExpr(src string, from, to chronology.Civil) (*calendar.Calendar, error) {
-	e, err := callang.ParseExpr(src)
-	if err != nil {
-		return nil, err
-	}
-	return m.evalCached(m.Env(), e, from, to)
-}
-
-// EvalExprEnv is EvalExpr with a caller-supplied environment (clock, wait
-// hook, optimization toggles).
-func (m *Manager) EvalExprEnv(env *plan.Env, src string, from, to chronology.Civil) (*calendar.Calendar, error) {
-	e, err := callang.ParseExpr(src)
-	if err != nil {
-		return nil, err
-	}
-	return m.evalCached(env, e, from, to)
 }
 
 // RunScript parses and runs a calendar script over a civil window.

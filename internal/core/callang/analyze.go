@@ -169,3 +169,15 @@ func walk(e Expr, fn func(Expr)) {
 		walk(c, fn)
 	}
 }
+
+// BasicOnly reports whether an expression references only basic calendars
+// (no catalog entries, no `today`): its value is then the same under every
+// catalog, so one prepared plan serves all of them.
+func BasicOnly(e Expr) bool {
+	for ref := range Analyze(e, KindMap{}).Refs {
+		if _, err := chronology.ParseGranularity(ref); err != nil {
+			return false
+		}
+	}
+	return true
+}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"calsys/internal/caldb"
-	"calsys/internal/core/callang"
 	"calsys/internal/core/plan"
 	"calsys/internal/faultinject"
 	"calsys/internal/store"
@@ -39,6 +38,9 @@ const (
 // The attempt counts as failed for retry purposes; if the straggler commits
 // later anyway, the retry detects it via RULE-TIME and does not re-execute.
 var ErrActionTimeout = errors.New("action deadline exceeded")
+
+// ErrAlreadyDefined is wrapped by every rule definition whose name is taken.
+var ErrAlreadyDefined = errors.New("already defined")
 
 // errAlreadyFired is returned inside the firing transaction when RULE-TIME
 // shows the firing already committed (a crashed or timed-out earlier attempt
@@ -79,27 +81,15 @@ type Condition func(tx *store.Txn, ev store.Event) (bool, error)
 type temporalRule struct {
 	name   string
 	src    string
-	expr   callang.Expr
 	action Action
-	// group is the shared plan group the rule was last resolved into, with
-	// the calendar-catalog generation it belongs to; next-trigger computation
-	// re-resolves when the catalog has changed, so redefined calendars are
-	// picked up on the next firing.
-	group    *planGroup
-	groupGen uint64
+	// sched is the rule's plan group: the scheduler of its expression's
+	// Prepared entry, shared by every rule that lowers to the same plan.
+	// schedGen is its catalog generation; next-trigger computation re-resolves
+	// when the catalog has changed, so the next firing sees redefinitions.
+	sched    *plan.Scheduler
+	schedGen uint64
 	// next trigger in epoch seconds; noTrigger when dormant.
 	next int64
-}
-
-// planGroup is one shared prepared plan: every temporal rule whose
-// expression prepares (inlines + factorizes) to the same canonical plan text
-// at the same catalog generation shares one Scheduler, so N rules over the
-// same calendar expression pay for one plan and one next-instant computation
-// per instant — the shared-plan fan-out.
-type planGroup struct {
-	key   string
-	gen   uint64
-	sched *plan.Scheduler
 }
 
 // eventRule is the in-memory form of one event rule.
@@ -132,11 +122,6 @@ type Engine struct {
 	mu       sync.Mutex
 	temporal map[string]*temporalRule
 	events   map[string]*eventRule
-	// groups shares one plan.Scheduler among all rules over the same
-	// prepared plan; groupsGen is the catalog generation the map was built
-	// at (a mismatch discards the whole map).
-	groups    map[string]*planGroup
-	groupsGen uint64
 	// orphans are rule names found in RULE-INFO at startup (e.g. after a
 	// snapshot restore) whose actions — which are code — have not been
 	// re-attached yet. Redefining an orphaned rule replaces its catalog
@@ -195,7 +180,6 @@ func NewEngine(cal *caldb.Manager) (*Engine, error) {
 		LookaheadDays: 730,
 		temporal:      map[string]*temporalRule{},
 		events:        map[string]*eventRule{},
-		groups:        map[string]*planGroup{},
 		orphans:       map[string]bool{},
 	}
 	if _, ok := e.db.Table(RuleInfoTable); !ok {
@@ -345,13 +329,9 @@ func (e *Engine) DefineTemporalRule(name, calExpr string, action Action, now int
 	_, dupE := e.events[strings.ToLower(name)]
 	e.mu.Unlock()
 	if dupT || dupE {
-		return fmt.Errorf("rules: rule %q already defined", name)
+		return fmt.Errorf("rules: rule %q %w", name, ErrAlreadyDefined)
 	}
-	expr, err := callang.ParseExpr(calExpr)
-	if err != nil {
-		return err
-	}
-	r := &temporalRule{name: name, src: calExpr, expr: expr, action: action}
+	r := &temporalRule{name: name, src: calExpr, action: action}
 	next, planText, err := e.nextTrigger(r, now)
 	if err != nil {
 		return err
@@ -423,17 +403,16 @@ func (e *Engine) DefineTemporalRules(now int64, defs []TemporalRuleDef) error {
 		_, dupE := e.events[key]
 		if dupT || dupE || seen[key] {
 			e.mu.Unlock()
-			return fmt.Errorf("rules: rule %q already defined", d.Name)
+			return fmt.Errorf("rules: rule %q %w", d.Name, ErrAlreadyDefined)
 		}
 		seen[key] = true
 	}
 	e.mu.Unlock()
 	for i, d := range defs {
-		expr, err := callang.ParseExpr(d.CalExpr)
-		if err != nil {
+		if err := e.cal.Prepared("", d.CalExpr).ExprErr; err != nil {
 			return fmt.Errorf("rules: rule %q: %w", d.Name, err)
 		}
-		rules[i] = &temporalRule{name: d.Name, src: d.CalExpr, expr: expr, action: d.Action}
+		rules[i] = &temporalRule{name: d.Name, src: d.CalExpr, action: d.Action}
 	}
 
 	// One representative rule per distinct raw expression; the worker pool
@@ -457,7 +436,7 @@ func (e *Engine) DefineTemporalRules(now int64, defs []TemporalRuleDef) error {
 		plans[i] = planText
 		for _, r := range peers {
 			r.next = next
-			r.group, r.groupGen = rep.group, rep.groupGen
+			r.sched, r.schedGen = rep.sched, rep.schedGen
 		}
 		return nil
 	})
@@ -639,7 +618,7 @@ func (e *Engine) DefineEventRule(name string, op store.EventOp, table string, co
 	_, dupE := e.events[strings.ToLower(name)]
 	e.mu.Unlock()
 	if dupT || dupE {
-		return fmt.Errorf("rules: rule %q already defined", name)
+		return fmt.Errorf("rules: rule %q %w", name, ErrAlreadyDefined)
 	}
 	wasOrphan := e.takeOrphan(name)
 	if err := e.db.RunTxn(func(tx *store.Txn) error {
@@ -738,40 +717,25 @@ func (e *Engine) dispatch(tx *store.Txn, ev store.Event) error {
 	return nil
 }
 
-// groupFor resolves the shared plan group for a rule at the current catalog
-// generation, preparing the expression and creating the group on first use.
-func (e *Engine) groupFor(r *temporalRule) (*planGroup, error) {
+// schedulerFor resolves a rule's plan group at the current catalog
+// generation; the catalog parses, lowers and builds it once per generation.
+func (e *Engine) schedulerFor(r *temporalRule) (*plan.Scheduler, error) {
 	gen := e.cal.CatalogGeneration()
 	e.mu.Lock()
-	if e.groupsGen != gen {
-		e.groups = map[string]*planGroup{}
-		e.groupsGen = gen
-	}
-	if r.group != nil && r.groupGen == gen {
-		g := r.group
-		e.mu.Unlock()
-		return g, nil
-	}
-	expr := r.expr
+	sched, schedGen := r.sched, r.schedGen
 	e.mu.Unlock()
-
-	// Prepare outside the engine lock: inlining consults the catalog.
-	env := e.cal.Env()
-	prepped, gran, err := plan.Prepare(env, expr, nil)
+	if sched != nil && schedGen == gen {
+		return sched, nil
+	}
+	p := e.cal.Prepared("", r.src)
+	sched, err := p.Scheduler()
 	if err != nil {
 		return nil, err
 	}
-	key := gran.String() + "|" + prepped.String()
-
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	g := e.groups[key]
-	if g == nil || g.gen != gen {
-		g = &planGroup{key: key, gen: gen, sched: plan.NewScheduler(env, prepped, gran)}
-		e.groups[key] = g
-	}
-	r.group, r.groupGen = g, gen
-	return g, nil
+	r.sched, r.schedGen = sched, p.Gen
+	e.mu.Unlock()
+	return sched, nil
 }
 
 // PlanGroupStats reports the shared-plan fan-out state: how many distinct
@@ -779,16 +743,11 @@ func (e *Engine) groupFor(r *temporalRule) (*planGroup, error) {
 // windowed evaluations (probes) their schedulers have run — the work the
 // kernel and the sharing amortize away.
 func (e *Engine) PlanGroupStats() (groups int, probes int64) {
-	e.mu.Lock()
-	gs := make([]*planGroup, 0, len(e.groups))
-	for _, g := range e.groups {
-		gs = append(gs, g)
+	scheds := e.cal.Schedulers()
+	for _, s := range scheds {
+		probes += s.Probes()
 	}
-	e.mu.Unlock()
-	for _, g := range gs {
-		probes += g.sched.Probes()
-	}
-	return len(gs), probes
+	return len(scheds), probes
 }
 
 // nextTrigger returns a temporal rule's first trigger instant strictly after
@@ -797,19 +756,19 @@ func (e *Engine) PlanGroupStats() (groups int, probes int64) {
 // pattern arithmetic, anchor-free ones from the group's probe cache, and
 // only genuinely aperiodic ones evaluate a lookahead window (see plan/next.go).
 func (e *Engine) nextTrigger(r *temporalRule, now int64) (int64, string, error) {
-	g, err := e.groupFor(r)
+	sched, err := e.schedulerFor(r)
 	if err != nil {
 		return 0, "", err
 	}
-	g.sched.Configure(e.LookaheadDays, e.DisableNextKernel)
-	next, ok, err := g.sched.NextAfter(now)
+	sched.Configure(e.LookaheadDays, e.DisableNextKernel)
+	next, ok, err := sched.NextAfter(now)
 	if err != nil {
 		return 0, "", err
 	}
 	if !ok {
 		next = noTrigger
 	}
-	return next, g.sched.PlanString(), nil
+	return next, sched.PlanString(), nil
 }
 
 // updateRuleTime persists a rule's recomputed next trigger. The rid lookup
@@ -1053,15 +1012,14 @@ func (e *Engine) ReattachAction(name string, action Action) error {
 		return fmt.Errorf("rules: %q is an event rule; redefine it to reattach", name)
 	}
 	src := row[4].S
-	expr, err := callang.ParseExpr(src)
-	if err != nil {
+	if err := e.cal.Prepared("", src).ExprErr; err != nil {
 		return fmt.Errorf("rules: reattaching %q: %w", name, err)
 	}
 	next := int64(noTrigger)
 	if stored, ok := e.storedNext(name); ok {
 		next = stored
 	}
-	r := &temporalRule{name: row[0].S, src: src, expr: expr, action: action, next: next}
+	r := &temporalRule{name: row[0].S, src: src, action: action, next: next}
 	e.mu.Lock()
 	delete(e.orphans, key)
 	e.temporal[key] = r

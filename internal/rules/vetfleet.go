@@ -56,16 +56,16 @@ func (e *Engine) VetFleet() []MergeGroup {
 	env := e.cal.Env()
 	byKey := map[string]*MergeGroup{}
 	for _, r := range rules {
-		prepped, gran, err := plan.Prepare(env, r.expr, nil)
+		l, err := e.cal.Prepared("", r.src).Lowered()
 		if err != nil {
 			continue
 		}
-		key := "plan|" + gran.String() + "|" + prepped.String()
+		key := "plan|" + l.PlanKey
 		exact := false
-		if p, ok := plan.SymbolicPattern(env, prepped, gran); ok {
+		if p, ok := plan.SymbolicPattern(env, l.Expr, l.Gran); ok {
 			if p == nil {
 				key, exact = "sym|never", true
-			} else if sp, sok := p.InSeconds(env.Chron, gran); sok {
+			} else if sp, sok := p.InSeconds(env.Chron, l.Gran); sok {
 				if sp == nil {
 					key, exact = "sym|never", true
 				} else {

@@ -9,10 +9,11 @@ import (
 	"strings"
 
 	"calsys"
+	"calsys/internal/caldb"
 	"calsys/internal/chronology"
-	"calsys/internal/core/callang"
 	"calsys/internal/core/matcache"
 	"calsys/internal/core/plan"
+	"calsys/internal/rules"
 )
 
 // DefaultMaxBodyBytes bounds request bodies (1 MiB): calendar definitions
@@ -229,7 +230,7 @@ func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 	t, err := s.reg.Create(req.Name)
 	if err != nil {
 		status, code := http.StatusBadRequest, ErrBadRequest
-		if strings.Contains(err.Error(), "already exists") {
+		if errors.Is(err, ErrTenantExists) {
 			status, code = http.StatusConflict, ErrConflict
 		}
 		writeError(w, status, ErrorBody{Code: code, Message: err.Error(), Position: "name"})
@@ -261,6 +262,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tenants":      len(s.reg.Names()),
 		"shared_plans": s.share.Stats(),
+		"prepared":     s.reg.preparedStats(),
 		"matcache":     matStats,
 	})
 }
@@ -393,23 +395,35 @@ func (s *Server) handleCalendarPut(w http.ResponseWriter, r *http.Request, t *Te
 		derivation = expr
 	}
 	if _, exists := mgr.Lookup(name); exists {
-		writeError(w, http.StatusConflict, ErrorBody{
-			Code: ErrConflict, Message: fmt.Sprintf("calendar %q already defined", name),
-		})
+		writeDefineError(w, name, caldb.ErrAlreadyDefined)
 		return
 	}
 	// Vet-on-write: reject with the analyzer's positioned CV-coded
-	// diagnostics before the catalog is touched.
+	// diagnostics before the catalog is touched (DefineCalendar reads the
+	// same Prepared entry: one analysis per write).
 	if diags := mgr.Vet(name, derivation); diags.HasErrors() {
 		writeVetError(w, fmt.Sprintf("calendar %q", name), diags)
 		return
 	}
 	if err := sys.DefineCalendar(name, derivation, calsys.GranAuto); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Code: ErrBadRequest, Message: err.Error()})
+		writeDefineError(w, name, err)
 		return
 	}
 	e, _ := mgr.Lookup(name)
 	writeJSON(w, http.StatusCreated, entryJSON(e))
+}
+
+// writeDefineError maps a calendar definition failure: 409 when the name is
+// taken (seen by the handler's lookup, or by the catalog when a concurrent
+// PUT won the race), 400 otherwise.
+func writeDefineError(w http.ResponseWriter, name string, err error) {
+	if errors.Is(err, caldb.ErrAlreadyDefined) {
+		writeError(w, http.StatusConflict, ErrorBody{
+			Code: ErrConflict, Message: fmt.Sprintf("calendar %q already defined", name),
+		})
+		return
+	}
+	writeError(w, http.StatusBadRequest, ErrorBody{Code: ErrBadRequest, Message: err.Error()})
 }
 
 // pointCalendar builds a stored DAYS calendar from ISO dates.
@@ -531,7 +545,8 @@ func (s *Server) handleRulePut(w http.ResponseWriter, r *http.Request, t *Tenant
 	// Vet-on-write for rules too: an undefined or cyclic reference is
 	// rejected here with positioned diagnostics, not at probe time.
 	// Warnings (provably-empty expressions, duplicates of existing
-	// calendars) ride along in the success envelope below.
+	// calendars) ride along in the success envelope below. The rule engine
+	// and the rendering read the same Prepared entry: one analysis per write.
 	diags := t.Manager().Vet("", src)
 	if diags.HasErrors() {
 		writeVetError(w, fmt.Sprintf("rule %q", name), diags)
@@ -544,7 +559,7 @@ func (s *Server) handleRulePut(w http.ResponseWriter, r *http.Request, t *Tenant
 	})
 	if err != nil {
 		status, code := http.StatusBadRequest, ErrBadRequest
-		if strings.Contains(err.Error(), "already defined") {
+		if errors.Is(err, rules.ErrAlreadyDefined) {
 			status, code = http.StatusConflict, ErrConflict
 		}
 		writeError(w, status, ErrorBody{Code: code, Message: err.Error()})
@@ -561,7 +576,7 @@ func (s *Server) handleRulePut(w http.ResponseWriter, r *http.Request, t *Tenant
 // ruleJSON renders a rule with its next firing instant.
 func (s *Server) ruleJSON(t *Tenant, info ruleInfo) ruleJSON {
 	out := ruleJSON{Name: info.Name, Expr: info.Expr, Fired: info.Fired}
-	if at, ok, err := s.nextInstant(t, info.Expr, t.System().Now()); err == nil && ok {
+	if at, ok, _, err := s.nextInstant(t, t.Manager().Prepared("", info.Expr), t.System().Now()); err == nil && ok {
 		out.Next = t.System().Chron().CivilOf(at).String()
 	}
 	return out
@@ -791,16 +806,17 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request, t *Tenant) {
 		after = sys.SecondsOf(c)
 		afterStr = c.String()
 	}
-	if diags := t.Manager().Vet("", src); diags.HasErrors() {
+	p := t.Manager().Prepared("", src)
+	if diags := p.Diags(); diags.HasErrors() {
 		writeVetError(w, "expression", diags)
 		return
 	}
-	at, ok, err := s.nextInstant(t, src, after)
+	at, ok, shared, err := s.nextInstant(t, p, after)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorBody{Code: ErrBadRequest, Message: err.Error()})
 		return
 	}
-	resp := nextResp{Expr: src, After: afterStr, SharedPlan: s.sharedPlanFor(src)}
+	resp := nextResp{Expr: src, After: afterStr, SharedPlan: shared}
 	if !ok {
 		resp.Dormant = true
 	} else {
@@ -810,29 +826,30 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// sharedPlanFor reports whether src rides the cross-tenant plan share.
-func (s *Server) sharedPlanFor(src string) bool {
-	e, err := callang.ParseExpr(src)
-	return err == nil && shareable(e)
-}
-
-// nextInstant answers a next-instant query, preferring the cross-tenant
-// shared scheduler for catalog-independent expressions and falling back to
-// the tenant's own catalog otherwise.
-func (s *Server) nextInstant(t *Tenant, src string, after int64) (int64, bool, error) {
-	e, err := callang.ParseExpr(src)
+// nextInstant answers a next-instant query from the source's Prepared entry:
+// catalog-independent expressions (shared reports one) by the cross-tenant
+// shared scheduler, the rest under the tenant's own catalog.
+func (s *Server) nextInstant(t *Tenant, p *caldb.Prepared, after int64) (at int64, ok, shared bool, err error) {
+	l, err := p.Lowered()
 	if err != nil {
-		return 0, false, err
+		return 0, false, false, err
 	}
-	if sched, ok, err := s.share.SchedulerFor(e); err == nil && ok {
-		return sched.NextAfter(after)
+	var sched *plan.Scheduler
+	switch {
+	case l.BasicOnly:
+		sched, err = s.share.scheduler(l.Canon)
+	case l.Volatile:
+		// `today` needs the tenant's clock, which the entry's scheduler does
+		// not carry: answer from a one-shot scheduler.
+		env := t.Manager().Env()
+		env.Now = t.System().Clock().Now
+		sched = plan.NewScheduler(env, l.Expr, l.Gran)
+	default:
+		sched, err = p.Scheduler()
 	}
-	sys := t.System()
-	env := t.Manager().Env()
-	env.Now = sys.Clock().Now
-	prepped, gran, err := plan.Prepare(env, e, nil)
 	if err != nil {
-		return 0, false, err
+		return 0, false, false, err
 	}
-	return plan.NextInstant(env, prepped, gran, after, 0)
+	at, ok, err = sched.NextAfter(after)
+	return at, ok, l.BasicOnly, err
 }

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"fmt"
-	"sync"
-
 	"calsys"
-	"calsys/internal/chronology"
+	"calsys/internal/caldb"
 	"calsys/internal/core/callang"
 	"calsys/internal/core/plan"
 )
@@ -18,14 +15,10 @@ import (
 // thousands of tenants: the Bettini-style "stay on the compiled/pattern
 // path" economics of the server. Tenant-dependent expressions never land
 // here; they are evaluated under the owning tenant's catalog.
-type PlanShare struct {
-	sys *calsys.System // dedicated empty-catalog system the schedulers run under
-
-	mu     sync.Mutex
-	scheds map[string]*plan.Scheduler // canonical prepped expr + gran -> scheduler
-	hits   int64
-	misses int64
-}
+//
+// The share keeps no state of its own: it is the prepared-expression table
+// of a dedicated empty-catalog system, whose generation never moves.
+type PlanShare struct{ mgr *caldb.Manager }
 
 // NewPlanShare builds the share over a dedicated system (empty catalog,
 // default epoch — basic calendars only, so the catalog never matters).
@@ -34,62 +27,40 @@ func NewPlanShare() (*PlanShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PlanShare{sys: sys, scheds: map[string]*plan.Scheduler{}}, nil
+	return &PlanShare{mgr: sys.Rules().Cal()}, nil
 }
 
 // Shareable reports whether a parsed expression references only basic
 // calendars (no catalog entries, no `today`), making its plan valid for
 // every tenant.
-func Shareable(e callang.Expr) bool { return shareable(e) }
-
-func shareable(e callang.Expr) bool {
-	for ref := range callang.Analyze(e, callang.KindMap{}).Refs {
-		if _, err := chronology.ParseGranularity(ref); err != nil {
-			return false
-		}
-	}
-	return true
-}
+func Shareable(e callang.Expr) bool { return callang.BasicOnly(e) }
 
 // SchedulerFor returns the shared scheduler for a basic-only expression,
 // building it on first use. ok=false means the expression is tenant-
 // dependent and the caller must evaluate it under the tenant's own catalog.
 func (p *PlanShare) SchedulerFor(e callang.Expr) (*plan.Scheduler, bool, error) {
-	if !shareable(e) {
+	if !callang.BasicOnly(e) {
 		return nil, false, nil
 	}
-	mgr := p.sys.Rules().Cal()
-	env := mgr.Env()
-	prepped, gran, err := plan.Prepare(env, e, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	key := fmt.Sprintf("%s|%v", prepped.String(), gran)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s, ok := p.scheds[key]; ok {
-		p.hits++
-		return s, true, nil
-	}
-	p.misses++
-	s := plan.NewScheduler(env, prepped, gran)
-	p.scheds[key] = s
-	return s, true, nil
+	s, err := p.scheduler(e.String())
+	return s, err == nil, err
 }
 
-// Chron exposes the chronology shared plans are anchored at.
-func (p *PlanShare) Chron() *chronology.Chronology { return p.sys.Chron() }
+// scheduler returns the shared scheduler for a basic-only expression's
+// canonical text.
+func (p *PlanShare) scheduler(canon string) (*plan.Scheduler, error) {
+	return p.mgr.Prepared("", canon).Scheduler()
+}
 
 // ShareStats is the /v1/stats rendering of the plan share.
 type ShareStats struct {
 	Plans  int   `json:"plans"`  // distinct shared schedulers
-	Hits   int64 `json:"hits"`   // scheduler reuses across requests/tenants
-	Misses int64 `json:"misses"` // scheduler builds
+	Hits   int64 `json:"hits"`   // lookups answered by an already prepared expression
+	Misses int64 `json:"misses"` // expressions prepared
 }
 
 // Stats snapshots the share counters.
 func (p *PlanShare) Stats() ShareStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return ShareStats{Plans: len(p.scheds), Hits: p.hits, Misses: p.misses}
+	st := p.mgr.PreparedStats()
+	return ShareStats{Plans: len(p.mgr.Schedulers()), Hits: st.Hits, Misses: st.Misses}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"regexp"
 	"sort"
@@ -13,6 +14,9 @@ import (
 	"calsys/internal/caldb"
 	"calsys/internal/chronology"
 )
+
+// ErrTenantExists is wrapped by Registry.Create when the name is taken.
+var ErrTenantExists = errors.New("already exists")
 
 // tenantNameRe bounds tenant names: URL-safe, case-insensitive, ≤ 64 runes.
 var tenantNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
@@ -137,7 +141,7 @@ func (r *Registry) Create(name string) (*Tenant, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.tenants[key]; ok {
-		return nil, fmt.Errorf("tenant %q already exists", name)
+		return nil, fmt.Errorf("tenant %q %w", name, ErrTenantExists)
 	}
 	clock := calsys.NewVirtualClock(0)
 	sys, err := calsys.Open(
@@ -200,6 +204,21 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// preparedStats sums the tenants' prepared-expression tables.
+func (r *Registry) preparedStats() caldb.PreparedStats {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var sum caldb.PreparedStats
+	for _, t := range r.tenants {
+		st := t.Manager().PreparedStats()
+		sum.Entries += st.Entries
+		sum.Hits += st.Hits
+		sum.Misses += st.Misses
+		sum.Resets += st.Resets
+	}
+	return sum
 }
 
 // Today is the civil date tenant clocks were anchored at.
