@@ -86,12 +86,14 @@ calbench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 	./bench/run.sh -workload serve_hot -seed 1 -seconds 2 -trace 0 > /dev/null
 
-# Short fuzz runs: the calendar-language front end (parser + calvet) and the
-# sweep kernels against the naive foreach/set-op oracles. `go test -fuzz`
-# takes one target per invocation, hence two commands.
+# Short fuzz runs: the calendar-language front end (parser + calvet), the
+# sweep kernels against the naive foreach/set-op oracles, and the streaming
+# /expand encoder against encoding/json. `go test -fuzz` takes one target per
+# invocation, hence three commands.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseAndVet -fuzztime=15s -run '^$$' ./internal/core/callang/
 	$(GO) test -fuzz=FuzzSweepVsNaive -fuzztime=15s -run '^$$' ./internal/core/calendar/
+	$(GO) test -fuzz=FuzzExpandEncode -fuzztime=15s -run '^$$' ./internal/serve/
 
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -125,8 +127,9 @@ bench-compare:
 
 # Hard benchmark gate: the scheduling kernel (including the symbolic-calculus
 # ablation arm), the warm materialized-calendar cache, the sweep join, the
-# endpoint-index kernels, the prepared-expression table (hit and miss) and a
-# warm expand through the HTTP handler are run at a real benchtime and must
+# endpoint-index kernels, the prepared-expression table (hit and miss) and
+# warm expands through the HTTP handler (a 12-interval one, a 5.8 k-interval
+# one and the encoder's date formatter) are run at a real benchtime and must
 # stay within 1.25x of BENCH_baseline.json ns/op and allocs/op, or the build
 # fails.
 # A full second of measurement per benchmark averages out scheduler spikes,
@@ -138,13 +141,13 @@ bench-compare:
 bench-gate:
 	( $(GO) test -bench 'NextAfter|CacheColdVsWarm|EndpointSweepVsLinear|Prepared' \
 		-benchtime=1s -count=3 -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'HandlerExpandWarm' -benchtime=1s -count=3 -benchmem ./internal/serve && \
+	  $(GO) test -run '^$$' -bench 'HandlerExpand|AppendCivil' -benchtime=1s -count=3 -benchmem ./internal/serve && \
 	  $(GO) test -bench 'ForeachSweepVsGeneric/sweep' -benchtime=1s -count=3 -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'TimingWheelVsHeap' -benchtime=1s -count=3 -benchmem ./internal/rules && \
 	  $(GO) test -run '^$$' -bench 'CacheParallelGet|CacheStampede' -benchtime=1s -count=3 -benchmem \
 		./internal/core/matcache ) | \
 		$(GO) run ./cmd/benchjson -compare BENCH_baseline.json \
-			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm' \
+			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkAppendCivil' \
 			-gate-threshold 1.25 -gate-allocs-threshold 1.25 -
 
 # Parallel cache benchmarks across GOMAXPROCS=1,4,8: the sharded read path

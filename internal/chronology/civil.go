@@ -81,7 +81,44 @@ func (c Civil) Valid() bool {
 
 // String formats the date as YYYY-MM-DD.
 func (c Civil) String() string {
-	return fmt.Sprintf("%04d-%02d-%02d", c.Year, c.Month, c.Day)
+	var b [32]byte
+	return string(AppendCivil(b[:0], c))
+}
+
+// AppendCivil appends c as YYYY-MM-DD to dst without allocating. The
+// rendering is that of "%04d-%02d-%02d": years outside 0..9999 keep their
+// sign and extra digits ("-044-03-15", "12345-01-01") and still round-trip
+// through ParseCivil.
+func AppendCivil(dst []byte, c Civil) []byte {
+	y, m, d := c.Year, c.Month, c.Day
+	if uint(y) <= 9999 && uint(m) <= 99 && uint(d) <= 99 {
+		return append(dst,
+			byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+			byte('0'+m/10), byte('0'+m%10), '-',
+			byte('0'+d/10), byte('0'+d%10))
+	}
+	dst = appendPadded(dst, y, 4)
+	dst = append(dst, '-')
+	dst = appendPadded(dst, m, 2)
+	dst = append(dst, '-')
+	return appendPadded(dst, d, 2)
+}
+
+// appendPadded appends v zero-padded to width bytes, a minus sign counting
+// towards the width (fmt's %0*d).
+func appendPadded(dst []byte, v, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = -u
+		width--
+	}
+	var b [20]byte
+	digits := strconv.AppendUint(b[:0], u, 10)
+	for n := len(digits); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // Rata returns the number of days from the civil epoch 1970-01-01 to c

@@ -1,6 +1,8 @@
 package chronology
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -204,5 +206,40 @@ func TestGranularityOrdering(t *testing.T) {
 	}
 	if Granularity(99).Valid() {
 		t.Error("granularity 99 should be invalid")
+	}
+}
+
+// TestAppendCivilMatchesSprintf pins AppendCivil and Civil.String to the
+// "%04d-%02d-%02d" rendering they replaced, over every year −10 000…20 000
+// (negative and 5-digit years included) and every month, and proves valid
+// dates still round-trip through ParseCivil.
+func TestAppendCivilMatchesSprintf(t *testing.T) {
+	check := func(c Civil, roundTrip bool) {
+		t.Helper()
+		want := fmt.Sprintf("%04d-%02d-%02d", c.Year, c.Month, c.Day)
+		if got := c.String(); got != want {
+			t.Fatalf("%+v: String() = %q, want %q", c, got, want)
+		}
+		if got := string(AppendCivil([]byte("x"), c)); got != "x"+want {
+			t.Fatalf("%+v: AppendCivil = %q, want %q", c, got, "x"+want)
+		}
+		if !roundTrip {
+			return
+		}
+		if back, err := ParseCivil(want); err != nil || back != c {
+			t.Fatalf("ParseCivil(%q) = %+v, %v; want %+v", want, back, err, c)
+		}
+	}
+	for y := -10000; y <= 20000; y++ {
+		for m := 1; m <= 12; m++ {
+			check(Civil{y, m, 1}, true)
+			check(Civil{y, m, DaysInMonth(y, m)}, true)
+		}
+	}
+	// Values no date has (or ParseCivil cannot read back) still render as fmt
+	// rendered them.
+	for _, c := range []Civil{{}, {0, 0, 0}, {1993, -1, 5}, {1993, 100, 123}, {-5, 13, -40},
+		{math.MaxInt64, 1, 1}, {math.MinInt64, 1, 1}} {
+		check(c, false)
 	}
 }

@@ -9,37 +9,53 @@ import (
 	"calsys/internal/chronology"
 )
 
-// BenchmarkHandlerExpandWarm is one warm POST /expand through the root
-// handler into a recorder: the third Friday of every month over a one-year
-// window, the kazoo-style request serve_hot replays. Decode, recurrence
-// compile, the Prepared table, a matcache hit, formatting and encoding are
-// all inside; the network is not.
-func BenchmarkHandlerExpandWarm(b *testing.B) {
-	today, _ := chronology.ParseCivil("1993-01-01")
-	srv, err := New(Config{AdminToken: testAdminToken, Today: today})
-	if err != nil {
-		b.Fatal(err)
+// benchExpand times one warm POST /expand through the root handler: decode,
+// recurrence compile, the Prepared table, a matcache hit and the streaming
+// encoder are all inside; the network is not. The warm-up goes into a recorder
+// and is checked; the timed requests go into a writer that keeps nothing, so
+// that a 400 KB body measures the handler and not the recorder's buffer.
+func benchExpand(b *testing.B, body, wantCount string) {
+	h, newReq := expandInProcess(b)
+	do := func(w http.ResponseWriter) { h.ServeHTTP(w, newReq(body)) }
+	rec := httptest.NewRecorder()
+	if do(rec); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(wantCount)) {
+		b.Fatalf("warm-up: %d %.300s", rec.Code, rec.Body)
 	}
-	if _, err := srv.Registry().Create("acme"); err != nil {
-		b.Fatal(err)
-	}
-	h := srv.Handler()
-	body := []byte(`{"recurrence":{"cycle":"monthly","ordinal":"third","wdays":["friday"]},"from":"1993-01-01","to":"1993-12-31"}`)
-	do := func() *httptest.ResponseRecorder {
-		req := httptest.NewRequest("POST", "/v1/tenants/acme/expand", bytes.NewReader(body))
-		req.Header.Set("Authorization", "Bearer "+testAdminToken)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-	if rec := do(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"count": 12`)) {
-		b.Fatalf("warm-up: %d %s", rec.Code, rec.Body)
-	}
+	w := &discardWriter{header: http.Header{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rec := do(); rec.Code != http.StatusOK {
-			b.Fatalf("%d %s", rec.Code, rec.Body)
+		if do(w); w.status != http.StatusOK || w.wrote != rec.Body.Len() {
+			b.Fatalf("status %d, %d bytes; want 200, %d bytes", w.status, w.wrote, rec.Body.Len())
 		}
+		w.wrote = 0
+	}
+}
+
+// BenchmarkHandlerExpandWarm is the third Friday of every month over a
+// one-year window, the kazoo-style request serve_hot replays.
+func BenchmarkHandlerExpandWarm(b *testing.B) {
+	benchExpand(b, `{"recurrence":{"cycle":"monthly","ordinal":"third","wdays":["friday"]},"from":"1993-01-01","to":"1993-12-31"}`,
+		`"count": 12,`)
+}
+
+// BenchmarkHandlerExpandBulk is every day of sixteen years grouped by week,
+// 5844 intervals and 400 KB out: the serve_bulk shape, where formatting and
+// encoding are the cost. Allocations must not follow the interval count.
+func BenchmarkHandlerExpandBulk(b *testing.B) {
+	benchExpand(b, `{"expr":"DAYS:during:WEEKS","from":"1990-01-01","to":"2005-12-31"}`, `"count": 5844,`)
+}
+
+// BenchmarkAppendCivil is the per-date cost inside the encoder: one civil
+// date to its ten ASCII bytes.
+func BenchmarkAppendCivil(b *testing.B) {
+	buf := make([]byte, 0, 16)
+	c := chronology.Civil{Year: 1993, Month: 11, Day: 19}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = chronology.AppendCivil(buf[:0], c)
+	}
+	if string(buf) != "1993-11-19" {
+		b.Fatalf("AppendCivil = %q", buf)
 	}
 }

@@ -1,0 +1,156 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"io"
+	"strconv"
+	"sync"
+
+	"calsys"
+	"calsys/internal/chronology"
+)
+
+// expandFlushBytes is how much of an /expand response is formatted before it
+// is handed to the ResponseWriter: the response bytes a request holds at any
+// time, and the most formatting a vanished client can still cost.
+const expandFlushBytes = 64 << 10
+
+// expandBufs recycles the encoders' buffers, sized so that the element that
+// crosses the flush mark still fits.
+var expandBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, expandFlushBytes+1<<10)
+	return &b
+}}
+
+// expandEncoder streams the success body of POST /expand: the indented JSON
+// object {expr, granularity, count, intervals: [{start, end}, …]} that
+// encoding/json printed for it before, byte for byte, appended into one
+// pooled buffer straight from the result's ticks.
+type expandEncoder struct {
+	ctx context.Context
+	w   io.Writer
+	buf []byte
+
+	ch *chronology.Chronology
+	g  chronology.Granularity
+	// The window. An interval is reported when it ends at or after the unit
+	// holding the window's first second and starts at or before the unit
+	// holding its last; its civil dates are clipped to [fromSec, toSec].
+	hiMin, loMax   chronology.Tick
+	fromSec, toSec int64
+
+	sep bool // an element has been written: the next one follows a comma
+}
+
+// encodeExpand writes the expansion of expr over the civil window [from, to]
+// to w. Selection inside a grouping unit can reach slightly outside the
+// requested window (the engine expands whole containing units), so intervals
+// are clipped to the window the client asked for and those wholly outside it
+// are dropped. It stops at the first failed Write, and at the first flush
+// that finds ctx done.
+func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
+	expr string, cal *calsys.Calendar, from, to chronology.Civil) error {
+	bp := expandBufs.Get().(*[]byte)
+	e := expandEncoder{ctx: ctx, w: w, buf: (*bp)[:0], ch: ch, g: cal.Granularity()}
+	defer func() {
+		// A long expr can have grown the buffer; the pool keeps the bounded ones.
+		if cap(e.buf) <= 2*expandFlushBytes {
+			*bp = e.buf
+			expandBufs.Put(bp)
+		}
+	}()
+	e.fromSec = ch.EpochSecondsOf(from)
+	e.toSec = ch.EpochSecondsOf(to) + chronology.SecondsPerDay - 1
+	e.hiMin, e.loMax = ch.TickAt(e.g, e.fromSec), ch.TickAt(e.g, e.toSec)
+
+	// The one value of the body that needs escaping (HTML-safe, as before) is
+	// left to encoding/json; a string always marshals.
+	exprJSON, _ := json.Marshal(expr)
+	e.buf = append(e.buf, "{\n  \"expr\": "...)
+	e.buf = append(e.buf, exprJSON...)
+	e.buf = append(e.buf, ",\n  \"granularity\": \""...)
+	e.buf = append(e.buf, e.g.String()...)
+	e.buf = append(e.buf, "\",\n  \"count\": "...)
+	// count precedes the intervals on the wire and depends on the clipping.
+	n := e.count(cal)
+	e.buf = strconv.AppendInt(e.buf, int64(n), 10)
+	if n == 0 {
+		e.buf = append(e.buf, ",\n  \"intervals\": []\n}\n"...)
+		return e.flush()
+	}
+	e.buf = append(e.buf, ",\n  \"intervals\": ["...)
+	if err := e.intervals(cal); err != nil {
+		return err
+	}
+	e.buf = append(e.buf, "\n  ]\n}\n"...)
+	return e.flush()
+}
+
+// inWindow is the clipping test in tick space.
+func (e *expandEncoder) inWindow(lo, hi chronology.Tick) bool {
+	return hi >= e.hiMin && lo <= e.loMax
+}
+
+// count returns how many of cal's leaf intervals fall in the window. Leaves
+// are walked in place (no Flatten copy) and in no assumed order.
+func (e *expandEncoder) count(cal *calsys.Calendar) int {
+	n := 0
+	if subs := cal.Subs(); len(subs) > 0 {
+		for _, s := range subs {
+			n += e.count(s)
+		}
+		return n
+	}
+	for _, iv := range cal.Intervals() {
+		if e.inWindow(iv.Lo, iv.Hi) {
+			n++
+		}
+	}
+	return n
+}
+
+// intervals appends one {start, end} element per leaf interval in the window,
+// flushing whenever the buffer passes expandFlushBytes.
+func (e *expandEncoder) intervals(cal *calsys.Calendar) error {
+	if subs := cal.Subs(); len(subs) > 0 {
+		for _, s := range subs {
+			if err := e.intervals(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, iv := range cal.Intervals() {
+		if !e.inWindow(iv.Lo, iv.Hi) {
+			continue
+		}
+		start := max(e.ch.UnitStart(e.g, iv.Lo), e.fromSec)
+		end := min(e.ch.UnitEndExcl(e.g, iv.Hi)-1, e.toSec)
+		if e.sep {
+			e.buf = append(e.buf, ',')
+		}
+		e.sep = true
+		e.buf = append(e.buf, "\n    {\n      \"start\": \""...)
+		e.buf = chronology.AppendCivil(e.buf, e.ch.CivilOf(start))
+		e.buf = append(e.buf, "\",\n      \"end\": \""...)
+		e.buf = chronology.AppendCivil(e.buf, e.ch.CivilOf(end))
+		e.buf = append(e.buf, "\"\n    }"...)
+		if len(e.buf) >= expandFlushBytes {
+			if err := e.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// flush hands the buffered bytes to the writer unless the client is gone.
+func (e *expandEncoder) flush() error {
+	if err := e.ctx.Err(); err != nil {
+		return err
+	}
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
+	return err
+}

@@ -17,16 +17,21 @@ import (
 	"calsys/internal/core/plan"
 )
 
-// rawCall issues one JSON request and returns the status and body bytes.
+// rawCall issues one JSON request and returns the status and body bytes. A
+// []byte body is sent as it is, so that malformed JSON can be sent too.
 func rawCall(t *testing.T, ts *httptest.Server, method, path, token string, body any) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
+	switch b := body.(type) {
+	case nil:
+	case []byte:
+		rd = bytes.NewReader(b)
+	default:
+		enc, err := json.Marshal(b)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		rd = bytes.NewReader(b)
+		rd = bytes.NewReader(enc)
 	}
 	req, err := http.NewRequest(method, ts.URL+path, rd)
 	if err != nil {
@@ -58,7 +63,7 @@ func renderedBadRequest(err error) (int, []byte) {
 
 // uncachedExpand is what POST /expand must answer on the tenant's current
 // catalog, derived without the Prepared table or the materialization cache:
-// calvet.ParseAndAnalyze, then plan.Evaluate, then the handler's clipping.
+// calvet.ParseAndAnalyze, then plan.Evaluate, then the marshalExpand oracle.
 func uncachedExpand(t *Tenant, src string, from, to chronology.Civil) (int, []byte) {
 	mgr, ch := t.Manager(), t.System().Chron()
 	if diags := calvet.ParseAndAnalyze(src, mgr, calvet.Options{Chron: ch}); diags.HasErrors() {
@@ -72,23 +77,7 @@ func uncachedExpand(t *Tenant, src string, from, to chronology.Civil) (int, []by
 	if err != nil {
 		return renderedBadRequest(err)
 	}
-	g := cal.Granularity()
-	resp := expandResp{Expr: src, Granularity: g.String(), Intervals: []intervalJSON{}}
-	for _, iv := range cal.Flatten().Intervals() {
-		start, end := ch.CivilOf(ch.UnitStart(g, iv.Lo)), ch.CivilOf(ch.UnitEndExcl(g, iv.Hi)-1)
-		if end.Before(from) || to.Before(start) {
-			continue
-		}
-		if start.Before(from) {
-			start = from
-		}
-		if to.Before(end) {
-			end = to
-		}
-		resp.Intervals = append(resp.Intervals, intervalJSON{Start: start.String(), End: end.String()})
-	}
-	resp.Count = len(resp.Intervals)
-	return rendered(func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, resp) })
+	return http.StatusOK, marshalExpand(ch, src, cal, from, to)
 }
 
 // uncachedNext is the same for POST /next with an explicit `after`.

@@ -501,6 +501,44 @@ func TestStructuredBodyErrors(t *testing.T) {
 	}
 }
 
+// TestTrailingDataAfterBody: nothing but whitespace may follow the JSON value
+// of a request body. A stray closing bracket used to slip through, because
+// json.Decoder.More reports false in front of `}` and `]`.
+func TestTrailingDataAfterBody(t *testing.T) {
+	ts, _ := newTestServer(t)
+	tok := mkTenant(t, ts, "acme")
+	const value = `{"expr":"DAYS","from":"1993-01-01","to":"1993-01-03"}`
+	for _, tc := range []struct {
+		name, trailer string
+		status        int
+	}{
+		{"nothing", "", http.StatusOK},
+		{"whitespace-only", " \n\t\r\n ", http.StatusOK},
+		{"closing-brace", "}", http.StatusBadRequest},
+		{"closing-bracket", "]", http.StatusBadRequest},
+		{"letter", "x", http.StatusBadRequest},
+		{"second-value", "{}", http.StatusBadRequest},
+		{"brace-after-whitespace", "\n }", http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, raw := rawCall(t, ts, "POST", "/v1/tenants/acme/expand", tok, []byte(value+tc.trailer))
+			if status != tc.status {
+				t.Fatalf("body %q: status %d, want %d (%s)", value+tc.trailer, status, tc.status, raw)
+			}
+			if status == http.StatusOK {
+				return
+			}
+			var env errorEnvelope
+			if err := json.Unmarshal(raw, &env); err != nil {
+				t.Fatalf("error body is not JSON: %q", raw)
+			}
+			if env.Error.Code != ErrBadJSON || !strings.Contains(env.Error.Message, "trailing data") {
+				t.Fatalf("error %+v, want %s \"trailing data\"", env.Error, ErrBadJSON)
+			}
+		})
+	}
+}
+
 // TestXAuthTokenHeader proves the alternate header spelling authenticates.
 func TestXAuthTokenHeader(t *testing.T) {
 	ts, _ := newTestServer(t)

@@ -184,26 +184,37 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
-				Code: ErrTooLarge, Message: fmt.Sprintf("request body over %d bytes", maxErr.Limit),
+		if !writeTooLarge(w, err) {
+			writeError(w, http.StatusBadRequest, ErrorBody{
+				Code: ErrBadJSON, Message: "bad JSON body: " + err.Error(),
 			})
-			return false
 		}
-		writeError(w, http.StatusBadRequest, ErrorBody{
-			Code: ErrBadJSON, Message: "bad JSON body: " + err.Error(),
-		})
 		return false
 	}
-	// Trailing garbage after the JSON value is a client bug.
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, ErrorBody{
-			Code: ErrBadJSON, Message: "trailing data after JSON body",
-		})
+	// Trailing garbage after the JSON value is a client bug: only whitespace
+	// may follow, so the next token must be the end of the body (More alone
+	// would let a stray `}` or `]` through).
+	if _, err := dec.Token(); err != io.EOF {
+		if !writeTooLarge(w, err) {
+			writeError(w, http.StatusBadRequest, ErrorBody{
+				Code: ErrBadJSON, Message: "trailing data after JSON body",
+			})
+		}
 		return false
 	}
-	_, _ = io.Copy(io.Discard, r.Body)
+	return true
+}
+
+// writeTooLarge answers 413 when err is the body cap tripping, and reports
+// whether it did.
+func writeTooLarge(w http.ResponseWriter, err error) bool {
+	var maxErr *http.MaxBytesError
+	if !errors.As(err, &maxErr) {
+		return false
+	}
+	writeError(w, http.StatusRequestEntityTooLarge, ErrorBody{
+		Code: ErrTooLarge, Message: fmt.Sprintf("request body over %d bytes", maxErr.Limit),
+	})
 	return true
 }
 
@@ -630,18 +641,6 @@ type expandReq struct {
 	To         string      `json:"to"`
 }
 
-type intervalJSON struct {
-	Start string `json:"start"`
-	End   string `json:"end"`
-}
-
-type expandResp struct {
-	Expr        string         `json:"expr"`
-	Granularity string         `json:"granularity"`
-	Count       int            `json:"count"`
-	Intervals   []intervalJSON `json:"intervals"`
-}
-
 // sourceExpr resolves the expr/recurrence pair every query request carries.
 func (s *Server) sourceExpr(w http.ResponseWriter, sys *calsys.System, expr string, rec *Recurrence) (string, bool) {
 	if (expr == "") == (rec == nil) {
@@ -711,36 +710,11 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request, t *Tenant)
 		writeError(w, http.StatusBadRequest, ErrorBody{Code: ErrBadRequest, Message: err.Error()})
 		return
 	}
-	flat := cal.Flatten()
-	ch, g := sys.Chron(), cal.Granularity()
-	ivs := flat.Intervals()
-	resp := expandResp{
-		Expr:        src,
-		Granularity: g.String(),
-		Count:       len(ivs),
-		Intervals:   make([]intervalJSON, 0, len(ivs)),
-	}
-	for _, iv := range ivs {
-		start := ch.CivilOf(ch.UnitStart(g, iv.Lo))
-		end := ch.CivilOf(ch.UnitEndExcl(g, iv.Hi) - 1)
-		// Selection inside a grouping unit can reach slightly outside the
-		// requested window (the engine expands whole containing units);
-		// clip to the window the client asked for.
-		if end.Before(from) || to.Before(start) {
-			continue
-		}
-		if start.Before(from) {
-			start = from
-		}
-		if to.Before(end) {
-			end = to
-		}
-		resp.Intervals = append(resp.Intervals, intervalJSON{
-			Start: start.String(), End: end.String(),
-		})
-	}
-	resp.Count = len(resp.Intervals)
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// The status is committed; an error here means the client is gone and
+	// there is no one left to tell.
+	_ = encodeExpand(r.Context(), w, sys.Chron(), src, cal, from, to)
 }
 
 // nextReq asks for the first instant after After (ISO date; empty means

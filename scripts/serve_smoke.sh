@@ -6,9 +6,10 @@
 # next-instant -> CRUD), the expand-heavy workload (multi-year
 # grouping/set-op expansions through the engine's sweep kernels), and the
 # stampede workload (every client hammering the same expressions against a
-# cold cache, through the matcache singleflight layer), converts the latency
-# reports to benchjson artifacts, then SIGTERMs the server and asserts a
-# graceful exit.
+# cold cache, through the matcache singleflight layer) and one bulk expand
+# read back whole (the streaming encoder's chunked multi-flush path over a
+# real socket), converts the latency reports to benchjson artifacts, then
+# SIGTERMs the server and asserts a graceful exit. Needs curl and jq.
 #
 # Artifacts (in $SMOKE_OUT, default ./smoke-out):
 #   calload.txt                mixed-workload latency table + Benchmark lines
@@ -17,6 +18,7 @@
 #   BENCH_serve_expand.json    benchjson rendering of the expand-heavy run
 #   calload_stampede.txt       stampede latency table + Benchmark lines
 #   BENCH_serve_stampede.json  benchjson rendering of the stampede run
+#   bulk_expand.json           the 5.8 k-interval expand response
 #   calserved.log              server log
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,6 +78,20 @@ echo "serve-smoke: running calload (stampede)"
 "$BIN/calload" -addr "$ADDR" -admin-token "$ADMIN_TOKEN" \
     -tenants 1 -clients 16 -requests 9 -mix stampede -tenant-prefix st \
     | tee "$OUT/calload_stampede.txt"
+
+echo "serve-smoke: bulk expand (5.8 k intervals, ~400 KB, several flushes)"
+# /expand streams its body in 64 KB flushes; what arrives must still be one
+# JSON document whose count is the number of intervals in it.
+curl -fsS -X POST "http://$ADDR/v1/tenants" -H "Authorization: Bearer $ADMIN_TOKEN" \
+    -d '{"name":"bulk0"}' >/dev/null
+curl -fsS -X POST "http://$ADDR/v1/tenants/bulk0/expand" -H "Authorization: Bearer $ADMIN_TOKEN" \
+    -d '{"expr":"DAYS:during:WEEKS","from":"1990-01-01","to":"2005-12-31"}' >"$OUT/bulk_expand.json"
+if ! jq -e '.count >= 5000 and .count == (.intervals | length)' "$OUT/bulk_expand.json" >/dev/null; then
+    echo "serve-smoke: bulk expand body is not JSON, or count != len(intervals)" >&2
+    head -c 400 "$OUT/bulk_expand.json" >&2
+    exit 1
+fi
+echo "serve-smoke: bulk expand OK ($(jq .count "$OUT/bulk_expand.json") intervals, $(wc -c <"$OUT/bulk_expand.json") bytes)"
 
 echo "serve-smoke: rendering benchjson artifacts"
 go run ./cmd/benchjson -o "$OUT/BENCH_serve.json" "$OUT/calload.txt"
