@@ -6,13 +6,18 @@ GO ?= go
 
 .PHONY: check build vet vet-calsys fmt-check test race chaos chaos-fleet bench-smoke bench \
 	bench-json bench-compare bench-gate bench-cache profile fuzz-smoke staticcheck govulncheck \
-	serve-smoke calvet-corpus calbench-check
+	serve-smoke calvet-corpus calbench-check loc
 
 check: build vet vet-calsys fmt-check test race chaos chaos-fleet bench-smoke fuzz-smoke \
 	serve-smoke calvet-corpus calbench-check staticcheck govulncheck
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines outside the benchmark module: the ROADMAP's tracked size
+# figure (history in EXPERIMENTS.md "Retired arms").
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 vet:
 	$(GO) vet ./...
@@ -114,9 +119,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Full benchmark sweep rendered as JSON (ns/op, B/op, allocs/op plus custom
-# metrics) — the committed BENCH_core.json is produced by this target.
+# metrics) — the committed ledger, BENCH_baseline.json, is produced by this
+# target.
 bench-json:
-	$(GO) test -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_core.json
+	$(GO) test -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_baseline.json
 
 # Warn-only drift check of a fresh smoke run against the committed baseline,
 # then the hard gate (what the CI bench-smoke job runs).
@@ -150,11 +156,12 @@ bench-gate:
 			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkAppendCivil' \
 			-gate-threshold 1.25 -gate-allocs-threshold 1.25 -
 
-# Parallel cache benchmarks across GOMAXPROCS=1,4,8: the sharded read path
-# against the preserved single-mutex arm, plus the 64-way stampede (which
-# fails outright if singleflight ever runs more than one generation per
-# (key, window)). The text report keeps the per-cpu lines; BENCH_cache.json
-# keeps the fastest instance of each arm (benchjson folds the -N suffixes).
+# Parallel cache benchmarks across GOMAXPROCS=1,4,8 (the sweep ROADMAP 1(d)
+# wants from a multicore runner): the sharded read path, plus the 64-way
+# stampede (which fails outright if singleflight ever runs more than one
+# generation per (key, window)). The text report keeps the per-cpu lines;
+# BENCH_cache.json keeps the fastest instance of each benchmark (benchjson
+# folds the -N suffixes).
 bench-cache:
 	$(GO) test -run '^$$' -bench 'CacheParallelGet|CacheStampede' \
 		-benchtime=1s -count=3 -cpu=1,4,8 -benchmem ./internal/core/matcache | \

@@ -1,9 +1,9 @@
 // Command benchjson converts `go test -bench` text output into a stable
-// JSON document (BENCH_core.json), and compares two such documents for the
-// CI regression smoke.
+// JSON document (the committed ledger is BENCH_baseline.json), and compares
+// a fresh run against such a document for the CI regression smoke.
 //
-//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_core.json
-//	go run ./cmd/benchjson -compare BENCH_baseline.json BENCH_core.json
+//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_baseline.json
+//	go run ./cmd/benchjson -compare BENCH_baseline.json bench-smoke.txt
 //
 // Compare mode prints a warning line per metric that regressed beyond the
 // threshold and by default exits 0: bench-smoke timings (one iteration,
@@ -47,7 +47,7 @@ type Benchmark struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// Report is the BENCH_core.json document.
+// Report is the benchmark JSON document.
 type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`

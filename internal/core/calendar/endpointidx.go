@@ -1,18 +1,12 @@
 package calendar
 
 import (
-	"errors"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/interval"
-)
-
-var (
-	errInvalidListOp = errors.New("calendar: invalid listop in foreach")
-	errSweepGran     = errors.New("calendar: sweep kernel granularity mismatch")
-	errSweepShape    = errors.New("calendar: sweep kernels need order-1 sorted disjoint operands")
 )
 
 // This file holds the endpoint-index sweep kernels: the hot path under every
@@ -41,7 +35,8 @@ type epIndex struct {
 	lo, hi []chronology.Tick
 
 	// cov lazily caches the fused point-set coverage (see covIndex); built
-	// on the first Diff/Intersect against this calendar as operand b.
+	// on the first Diff/Intersect against this calendar as operand b, or the
+	// first Contains.
 	cov atomic.Pointer[covIndex]
 }
 
@@ -105,6 +100,20 @@ func (c *Calendar) covindex() *covIndex {
 		cv = ix.cov.Load()
 	}
 	return cv
+}
+
+// Contains reports whether tick t lies inside some leaf interval of the
+// calendar (any order): ToSet().Contains(t) as a binary search over the
+// cached fused coverage, so a per-row membership test never re-flattens or
+// re-normalizes the calendar. Tick 0 does not exist and is never contained,
+// even by a span that crosses it.
+func (c *Calendar) Contains(t chronology.Tick) bool {
+	if t == 0 {
+		return false
+	}
+	cv := c.covindex()
+	i := sort.Search(len(cv.hi), func(i int) bool { return cv.hi[i] >= t })
+	return i < len(cv.hi) && cv.lo[i] <= t
 }
 
 func buildCovIndex(c *Calendar) *covIndex {
@@ -307,8 +316,8 @@ func foreachSweepEndpoint(c *Calendar, op interval.ListOp, strict bool, arg *Cal
 			// for the before operators that is the paper's shared prefix.
 			run = c.ivs[e.first : e.first+e.n : e.first+e.n]
 		case prefix:
-			// Strict before/<=: copy the prefix, rewriting its final
-			// element exactly as the linear kernel does.
+			// Strict before/<=: copy the prefix and rewrite its final
+			// element, the only one that can reach into y.
 			y := ys[k]
 			mark := len(slab)
 			slab = append(slab, c.ivs[:e.n]...)
@@ -388,45 +397,4 @@ func sameBacking(c, arg *Calendar) bool {
 		return true
 	}
 	return len(c.ivs) > 0 && len(c.ivs) == len(arg.ivs) && &c.ivs[0] == &arg.ivs[0]
-}
-
-// ForeachSweepEndpoint runs the endpoint-index sweep kernel directly. It is
-// exported for benchmarks and property tests (BenchmarkEndpointSweepVsLinear
-// and the sweep≡naive suite); production callers use Foreach, which routes
-// here whenever both operands are sorted disjoint.
-func ForeachSweepEndpoint(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) (*Calendar, error) {
-	if err := checkSweepOperands(c, op, arg); err != nil {
-		return nil, err
-	}
-	if arg.IsEmpty() {
-		return Empty(c.gran), nil
-	}
-	return foreachSweep(c, op, strict, arg), nil
-}
-
-// ForeachSweepLinear runs the pre-index linear merge kernel (one cursor over
-// the interval structs, per-group append). Retained as the measured baseline
-// for BenchmarkEndpointSweepVsLinear and as an independent oracle in the
-// property tests; no production path calls it.
-func ForeachSweepLinear(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) (*Calendar, error) {
-	if err := checkSweepOperands(c, op, arg); err != nil {
-		return nil, err
-	}
-	if arg.IsEmpty() {
-		return Empty(c.gran), nil
-	}
-	return foreachSweepLinear(c, op, strict, arg), nil
-}
-
-func checkSweepOperands(c *Calendar, op interval.ListOp, arg *Calendar) error {
-	if !op.Valid() {
-		return errInvalidListOp
-	}
-	if c.gran != arg.gran {
-		return errSweepGran
-	}
-	if c.Order() != 1 || arg.Order() != 1 || !c.sortedDisjoint || !arg.sortedDisjoint {
-		return errSweepShape
-	}
-	return nil
 }

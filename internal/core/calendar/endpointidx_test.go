@@ -8,10 +8,10 @@ import (
 	"calsys/internal/core/interval"
 )
 
-// TestEndpointSweepMatchesLinearAndNaive cross-checks the three foreach
-// evaluators — endpoint-index kernel, retained linear kernel, O(n·m) naive —
-// over randomized sorted disjoint operands for every listop, strict and
-// relaxed.
+// TestEndpointSweepMatchesLinearAndNaive cross-checks the endpoint-index
+// kernel (called directly, so the self-join shortcut never answers) against
+// the O(n·m) naive definition over randomized sorted disjoint operands for
+// every listop, strict and relaxed.
 func TestEndpointSweepMatchesLinearAndNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
@@ -26,21 +26,10 @@ func TestEndpointSweepMatchesLinearAndNaive(t *testing.T) {
 		for _, op := range allListOps {
 			for _, strict := range []bool{false, true} {
 				want := naiveForeach(c, op, strict, arg)
-				ep, err := ForeachSweepEndpoint(c, op, strict, arg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lin, err := ForeachSweepLinear(c, op, strict, arg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ep := foreachSweepEndpoint(c, op, strict, arg)
 				if !ep.Equal(want) {
 					t.Fatalf("trial %d op %v strict %v:\nc   = %v\narg = %v\nendpoint %v\nwant     %v",
 						trial, op, strict, c, arg, ep, want)
-				}
-				if !lin.Equal(want) {
-					t.Fatalf("trial %d op %v strict %v: linear kernel diverges:\ngot  %v\nwant %v",
-						trial, op, strict, lin, want)
 				}
 			}
 		}
@@ -178,9 +167,10 @@ func TestCovIndexFusesAdjacent(t *testing.T) {
 	}
 }
 
-// TestSetOpsMatchLinearOnAdjacentShapes pins Diff/Intersect/Union over the
-// fused cached coverage against the retained linear baselines on
-// adjacent-element operands, where fusing actually changes the merge input.
+// TestSetOpsMatchLinearOnAdjacentShapes pins Diff/Intersect over the fused
+// cached coverage against the naive per-element point-set definition, and
+// the disjoint Union merge against the general one, on adjacent-element
+// operands — where fusing actually changes the merge input.
 func TestSetOpsMatchLinearOnAdjacentShapes(t *testing.T) {
 	days := make([]interval.Interval, 0, 90)
 	for d := int64(1); d <= 90; d++ {
@@ -198,34 +188,22 @@ func TestSetOpsMatchLinearOnAdjacentShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantD, err := DiffLinear(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gotD.Equal(wantD) {
-			t.Fatalf("Diff diverges from linear: got %v want %v", gotD, wantD)
+		if wantD := naiveSetOp(x, y, true); !gotD.Equal(wantD) {
+			t.Fatalf("Diff diverges from naive: got %v want %v", gotD, wantD)
 		}
 		gotI, err := Intersect(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantI, err := IntersectLinear(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gotI.Equal(wantI) {
-			t.Fatalf("Intersect diverges from linear: got %v want %v", gotI, wantI)
+		if wantI := naiveSetOp(x, y, false); !gotI.Equal(wantI) {
+			t.Fatalf("Intersect diverges from naive: got %v want %v", gotI, wantI)
 		}
 		gotU, err := Union(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantU, err := UnionLinear(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gotU.Equal(wantU) {
-			t.Fatalf("Union diverges from linear: got %v want %v", gotU, wantU)
+		if wantU := unionGeneral(x, y); !gotU.Equal(wantU) {
+			t.Fatalf("Union diverges from the general merge: got %v want %v", gotU, wantU)
 		}
 	}
 }
@@ -298,6 +276,63 @@ func TestEndpointIndexConcurrentBuild(t *testing.T) {
 		}
 		if cov[w] != cov[0] {
 			t.Fatal("concurrent covindex builds published different coverage")
+		}
+	}
+}
+
+// TestContainsMatchesToSet checks Contains ≡ ToSet().Contains tick by tick
+// (tick 0 included) over random calendars: order-1 disjoint, overlapping and
+// adjacent lists, and order-2 calendars whose leaves are listed out of order
+// and overlap each other. Every generator starts below tick 1, so spans that
+// cross the missing tick 0 occur in most trials.
+func TestContainsMatchesToSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	adjacent := func(n int) []interval.Interval {
+		out := make([]interval.Interval, 0, n)
+		off := int64(rng.Intn(20)) - 15
+		for i := 0; i < n; i++ {
+			w := int64(rng.Intn(4))
+			out = append(out, interval.Interval{
+				Lo: chronology.TickFromOffset(off),
+				Hi: chronology.TickFromOffset(off + w),
+			})
+			off += w + 1 + int64(rng.Intn(2)) // touching, or one tick apart
+		}
+		return out
+	}
+	leaf := func() *Calendar {
+		var ivs []interval.Interval
+		switch rng.Intn(3) {
+		case 0:
+			ivs = randDisjointSorted(rng, rng.Intn(10))
+		case 1:
+			ivs = randSortedByLo(rng, rng.Intn(10))
+		default:
+			ivs = adjacent(rng.Intn(10))
+		}
+		c, err := FromIntervals(chronology.Day, ivs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for trial := 0; trial < 400; trial++ {
+		c := leaf()
+		if trial%2 == 1 {
+			subs := make([]*Calendar, rng.Intn(4)+2)
+			for i := range subs {
+				subs[i] = leaf()
+			}
+			var err error
+			if c, err = FromSubs(subs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		set := c.ToSet()
+		for off := int64(-30); off <= 110; off++ {
+			if got, want := c.Contains(off), set.Contains(off); got != want {
+				t.Fatalf("trial %d: Contains(%d) = %v, ToSet().Contains = %v\nc = %v", trial, off, got, want, c)
+			}
 		}
 	}
 }

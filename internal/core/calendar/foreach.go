@@ -123,110 +123,3 @@ func foreachSweep(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) *
 	}
 	return foreachSweepEndpoint(c, op, strict, arg)
 }
-
-// foreachSweepLinear is the pre-endpoint-index sweep: the same monotone
-// cursor walk, but over the 16-byte interval structs with a per-group append
-// loop. Kept as the measured baseline for BenchmarkEndpointSweepVsLinear and
-// as an independent oracle in the sweep property tests; Foreach never routes
-// here.
-//
-//   - overlaps/during: the run [first Hi ≥ y.Lo, last Lo ≤ y.Hi], filtered for
-//     containment when during;
-//   - meets: at most one candidate (upper bounds are strictly increasing, so
-//     only one element can end exactly at y.Lo);
-//   - < and <=: the matching elements are a prefix of c, which is shared with
-//     the result (capacity-clamped) instead of copied — strict trimming
-//     affects at most the final prefix element, the only one that can reach
-//     into y.
-func foreachSweepLinear(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) *Calendar {
-	subs := make([]*Calendar, 0, len(arg.ivs))
-	switch op {
-	case interval.Overlaps, interval.During:
-		start := 0
-		for _, y := range arg.ivs {
-			for start < len(c.ivs) && c.ivs[start].Hi < y.Lo {
-				start++
-			}
-			var out []interval.Interval
-			for i := start; i < len(c.ivs) && c.ivs[i].Lo <= y.Hi; i++ {
-				iv := c.ivs[i]
-				if op == interval.During && (iv.Lo < y.Lo || iv.Hi > y.Hi) {
-					continue
-				}
-				if strict {
-					if cut, ok := iv.Intersect(y); ok {
-						iv = cut
-					}
-				}
-				out = append(out, iv)
-			}
-			subs = append(subs, leafDisjoint(c.gran, out))
-		}
-
-	case interval.Meets:
-		m := 0
-		for _, y := range arg.ivs {
-			for m < len(c.ivs) && c.ivs[m].Hi < y.Lo {
-				m++
-			}
-			var out []interval.Interval
-			if m < len(c.ivs) && c.ivs[m].Hi == y.Lo {
-				iv := c.ivs[m]
-				if strict {
-					if cut, ok := iv.Intersect(y); ok {
-						iv = cut
-					}
-				}
-				out = []interval.Interval{iv}
-			}
-			subs = append(subs, leafDisjoint(c.gran, out))
-		}
-
-	case interval.Before:
-		j := 0
-		for _, y := range arg.ivs {
-			for j < len(c.ivs) && c.ivs[j].Hi <= y.Lo {
-				j++
-			}
-			// Every element of the prefix c.ivs[:j] satisfies Hi ≤ y.Lo. Only
-			// its final element can touch y (at exactly one tick, Hi == y.Lo),
-			// so strict trimming rewrites at most one interval.
-			if strict && j > 0 && c.ivs[j-1].Hi == y.Lo {
-				out := make([]interval.Interval, j)
-				copy(out, c.ivs[:j-1])
-				out[j-1] = interval.Interval{Lo: y.Lo, Hi: y.Lo}
-				subs = append(subs, leafDisjoint(c.gran, out))
-				continue
-			}
-			subs = append(subs, leafDisjoint(c.gran, c.ivs[:j:j]))
-		}
-
-	case interval.BeforeEquals:
-		jlo, jhi := 0, 0
-		for _, y := range arg.ivs {
-			for jlo < len(c.ivs) && c.ivs[jlo].Lo <= y.Lo {
-				jlo++
-			}
-			for jhi < len(c.ivs) && c.ivs[jhi].Hi <= y.Hi {
-				jhi++
-			}
-			// Matching elements need Lo ≤ y.Lo and Hi ≤ y.Hi; with both
-			// bounds monotone that is the prefix up to the lower boundary.
-			j := jlo
-			if jhi < j {
-				j = jhi
-			}
-			// Only the final prefix element can overlap y (any earlier one
-			// reaching y.Lo would overlap its successor).
-			if strict && j > 0 && c.ivs[j-1].Hi >= y.Lo {
-				out := make([]interval.Interval, j)
-				copy(out, c.ivs[:j-1])
-				out[j-1] = interval.Interval{Lo: y.Lo, Hi: c.ivs[j-1].Hi}
-				subs = append(subs, leafDisjoint(c.gran, out))
-				continue
-			}
-			subs = append(subs, leafDisjoint(c.gran, c.ivs[:j:j]))
-		}
-	}
-	return &Calendar{gran: c.gran, subs: subs}
-}

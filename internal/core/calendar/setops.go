@@ -41,7 +41,7 @@ func Union(a, b *Calendar) (*Calendar, error) {
 	if a.sortedDisjoint && b.sortedDisjoint {
 		return unionDisjoint(a, b), nil
 	}
-	return UnionLinear(a, b)
+	return unionGeneral(a, b), nil
 }
 
 func unionDisjoint(a, b *Calendar) *Calendar {
@@ -78,14 +78,9 @@ func unionDisjoint(a, b *Calendar) *Calendar {
 	return &Calendar{gran: a.gran, ivs: out, sortedDisjoint: sd}
 }
 
-// UnionLinear is the general element merge with the look-back duplicate
-// check, used when either operand lacks the sorted disjoint shape. Exported
-// so BenchmarkEndpointSweepVsLinear can hold it against the specialized
-// merge.
-func UnionLinear(a, b *Calendar) (*Calendar, error) {
-	if err := checkSetOperands("+", a, b); err != nil {
-		return nil, err
-	}
+// unionGeneral is the general element merge with the look-back duplicate
+// check, used when either operand lacks the sorted disjoint shape.
+func unionGeneral(a, b *Calendar) *Calendar {
 	out := make([]interval.Interval, 0, len(a.ivs)+len(b.ivs))
 	i, j := 0, 0
 	for i < len(a.ivs) || j < len(b.ivs) {
@@ -108,7 +103,7 @@ func UnionLinear(a, b *Calendar) (*Calendar, error) {
 			j++
 		}
 	}
-	return newLeaf(a.gran, out), nil
+	return newLeaf(a.gran, out)
 }
 
 func less(x, y interval.Interval) bool {
@@ -123,19 +118,6 @@ func appendUnlessDup(out []interval.Interval, iv interval.Interval) []interval.I
 		return out
 	}
 	return append(out, iv)
-}
-
-// coverageLinear is the pre-index coverage: b's covered ticks as a sorted
-// disjoint interval list, rebuilt (and, for messy operands, reallocated) on
-// every call. The production operators instead read the fused coverage
-// cached on b's endpoint index (covindex, endpointidx.go), which is built at
-// most once per calendar and collapses adjacent elements — a WEEKS operand
-// in day ticks becomes a single span. Kept only under the *Linear baselines.
-func coverageLinear(b *Calendar) []interval.Interval {
-	if b.sortedDisjoint {
-		return b.ivs
-	}
-	return b.ToSet().Intervals()
 }
 
 // Diff implements the calendar "-" operator: each element of a has b's
@@ -165,38 +147,6 @@ func Diff(a, b *Calendar) (*Calendar, error) {
 				break
 			}
 			lo = chronology.NextTick(covHi[k])
-		}
-		if !dead && lo <= iv.Hi {
-			out = append(out, interval.Interval{Lo: lo, Hi: iv.Hi})
-		}
-	}
-	return newLeaf(a.gran, out), nil
-}
-
-// DiffLinear is Diff over the per-call coverageLinear scan, retained as the
-// baseline arm of BenchmarkEndpointSweepVsLinear and as a property-test
-// oracle.
-func DiffLinear(a, b *Calendar) (*Calendar, error) {
-	if err := checkSetOperands("-", a, b); err != nil {
-		return nil, err
-	}
-	cov := coverageLinear(b)
-	out := make([]interval.Interval, 0, len(a.ivs))
-	j := 0
-	for _, iv := range a.ivs {
-		for j < len(cov) && cov[j].Hi < iv.Lo {
-			j++
-		}
-		lo, dead := iv.Lo, false
-		for k := j; k < len(cov) && cov[k].Lo <= iv.Hi; k++ {
-			if cov[k].Lo > lo {
-				out = append(out, interval.Interval{Lo: lo, Hi: chronology.PrevTick(cov[k].Lo)})
-			}
-			if cov[k].Hi >= iv.Hi {
-				dead = true
-				break
-			}
-			lo = chronology.NextTick(cov[k].Hi)
 		}
 		if !dead && lo <= iv.Hi {
 			out = append(out, interval.Interval{Lo: lo, Hi: iv.Hi})
@@ -237,36 +187,6 @@ func Intersect(a, b *Calendar) (*Calendar, error) {
 			if cut.Lo <= cut.Hi {
 				out = append(out, cut)
 			}
-		}
-	}
-	return newLeaf(a.gran, out), nil
-}
-
-// IntersectLinear is Intersect over the per-call coverageLinear scan with
-// the on-the-fly adjacent-cut fuse the unfused coverage requires; the
-// baseline arm of BenchmarkEndpointSweepVsLinear and a property-test oracle.
-func IntersectLinear(a, b *Calendar) (*Calendar, error) {
-	if err := checkSetOperands("intersects", a, b); err != nil {
-		return nil, err
-	}
-	cov := coverageLinear(b)
-	var out []interval.Interval
-	j := 0
-	for _, iv := range a.ivs {
-		for j < len(cov) && cov[j].Hi < iv.Lo {
-			j++
-		}
-		mark := len(out)
-		for k := j; k < len(cov) && cov[k].Lo <= iv.Hi; k++ {
-			cut, ok := iv.Intersect(cov[k])
-			if !ok {
-				continue
-			}
-			if n := len(out); n > mark && chronology.NextTick(out[n-1].Hi) == cut.Lo {
-				out[n-1].Hi = cut.Hi
-				continue
-			}
-			out = append(out, cut)
 		}
 	}
 	return newLeaf(a.gran, out), nil

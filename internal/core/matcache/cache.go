@@ -50,8 +50,7 @@
 // generation-bump storms; see flight.go).
 //
 // The cache is bounded by a byte budget with LRU eviction and exposes
-// expvar-style counters via Stats. LockedCache (locked.go) preserves the
-// pre-sharding single-mutex implementation as the benchmark ablation arm.
+// expvar-style counters via Stats.
 package matcache
 
 import (

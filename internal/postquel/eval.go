@@ -300,7 +300,7 @@ func (c *evalCtx) evalCalMember(n *calMemberExpr) (store.Value, error) {
 	default:
 		return store.Null, fmt.Errorf("postquel: incal argument must be a date or tick, got %v", v.T)
 	}
-	return store.NewBool(cal.ToSet().Contains(tick)), nil
+	return store.NewBool(cal.Contains(tick)), nil
 }
 
 // calendarFor evaluates a calendar expression over the statement's window,

@@ -336,7 +336,7 @@ func (e *Engine) execRetrieve(tx *store.Txn, n *retrieveStmt, binds map[string]b
 				return true
 			}
 			tick := ch.TickAt(onCal.Granularity(), ch.EpochSecondsOf(v.D))
-			if !onCal.ToSet().Contains(tick) {
+			if !onCal.Contains(tick) {
 				return true
 			}
 		}

@@ -123,3 +123,56 @@ func TestTemporalRuleActionWithCalendar(t *testing.T) {
 		t.Errorf("second snapshot on %v", res.Rows[1][0])
 	}
 }
+
+// The on clause and incal test each row's tick with Calendar.Contains. Both
+// must keep exactly the rows the per-row definition they replaced kept —
+// ToSet().Contains over the calendar evaluated on the rows' date span — for
+// a calendar of point elements (checked against the weekday too) and one of
+// multi-day elements.
+func TestOnClauseAndIncalKeepTheSameRows(t *testing.T) {
+	e, _ := newEngine(t)
+	mustExec(t, e, `create prices (day date, px int)`)
+	first := chronology.Civil{Year: 1993, Month: 1, Day: 1}
+	const days = int64(120)
+	for i := int64(0); i < days; i++ {
+		mustExec(t, e, `append prices (day = "`+first.AddDays(i).String()+`", px = `+itoa(100+int(i))+`)`)
+	}
+	mustExec(t, e, `define calendar Tuesdays as "[2]/DAYS:during:WEEKS"`)
+	mustExec(t, e, `define calendar FirstWeeks as "[1]/WEEKS:during:MONTHS"`)
+	ch := e.cal.Chron()
+	for _, name := range []string{"Tuesdays", "FirstWeeks"} {
+		cal, err := e.cal.EvalExpr(name, first, first.AddDays(days-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := cal.ToSet()
+		var want []chronology.Civil
+		for i := int64(0); i < days; i++ {
+			d := first.AddDays(i)
+			in := set.Contains(ch.TickAt(cal.Granularity(), ch.EpochSecondsOf(d)))
+			if name == "Tuesdays" && in != (d.Weekday() == chronology.Tuesday) {
+				t.Fatalf("%v: reference membership %v disagrees with its weekday %v", d, in, d.Weekday())
+			}
+			if in {
+				want = append(want, d)
+			}
+		}
+		if len(want) == 0 || int64(len(want)) == days {
+			t.Fatalf("%s selects %d of %d rows: the case tells nothing", name, len(want), days)
+		}
+		for _, q := range []string{
+			`retrieve (prices.day) on ` + name,
+			`retrieve (prices.day) where incal(prices.day, ` + name + `)`,
+		} {
+			res := mustExec(t, e, q)
+			if len(res.Rows) != len(want) {
+				t.Fatalf("%s: %d rows, want %d", q, len(res.Rows), len(want))
+			}
+			for i, row := range res.Rows {
+				if row[0].D != want[i] {
+					t.Fatalf("%s: row %d is %v, want %v", q, i, row[0].D, want[i])
+				}
+			}
+		}
+	}
+}

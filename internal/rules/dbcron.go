@@ -157,16 +157,12 @@ type CronOptions struct {
 	// convention wrapping ErrFenced) aborts the firing: a worker whose shard
 	// lease was stolen cannot commit stale firings.
 	Fence func(now int64) error
-	// DisableWheel falls back to the seed min-heap container with its
-	// per-probe schedule rescan — the ablation arm of
-	// BenchmarkTimingWheelVsHeap.
-	DisableWheel bool
 }
 
 // DBCron is the daemon of Figure 4, modeled on the UNIX cron utility: every
 // T time units it probes RULE-TIME for the temporal rules triggering within
-// the next T units, holds them in an in-memory min-heap, and fires each at
-// its trigger instant.
+// the next T units, holds them in an in-memory timing wheel, and fires each
+// at its trigger instant.
 //
 // DBCron is deliberately step-driven: AdvanceTo(now) performs every probe
 // and firing due up to `now`, so tests and benchmarks run years of rule
@@ -199,7 +195,7 @@ type DBCron struct {
 	kick chan struct{}
 
 	mu         sync.Mutex
-	queue      firingQueue
+	queue      *timingWheel
 	scheduled  map[string]bool // rules (lower-cased) currently armed
 	nextProbe  int64
 	recovering bool  // Recover in progress: it chains catch-up itself
@@ -257,13 +253,11 @@ func NewDBCronWith(eng *Engine, T int64, startAt int64, opts CronOptions) (*DBCr
 	c.durable = true
 	c.opts = opts
 	c.rng = rand.New(rand.NewSource(opts.Seed))
-	if opts.DisableWheel {
-		c.queue = &heapQueue{}
-	}
 	return c, nil
 }
 
-// pendingFiring is one heap entry: a firing plus its retry state.
+// pendingFiring is one armed attempt in the timing wheel: a firing plus its
+// retry state.
 type pendingFiring struct {
 	Firing
 	runAt   int64  // when to (re)attempt; equals At until a retry backs off
@@ -271,22 +265,7 @@ type pendingFiring struct {
 	seq     uint64 // journal sequence (0 when no journal)
 }
 
-// firingHeap is a min-heap of upcoming attempts ordered by runAt.
-type firingHeap []pendingFiring
-
-func (h firingHeap) Len() int           { return len(h) }
-func (h firingHeap) Less(i, j int) bool { return h[i].runAt < h[j].runAt }
-func (h firingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *firingHeap) Push(x any)        { *h = append(*h, x.(pendingFiring)) }
-func (h *firingHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	*h = old[:n-1]
-	return f
-}
-
-// newPending builds a heap entry for a trigger, journaling its acceptance.
+// newPending builds a wheel entry for a trigger, journaling its acceptance.
 func (c *DBCron) newPending(rule string, at int64) (pendingFiring, error) {
 	pf := pendingFiring{Firing: Firing{Rule: rule, At: at}, runAt: at}
 	if j := c.opts.Journal; j != nil {
@@ -299,14 +278,16 @@ func (c *DBCron) newPending(rule string, at int64) (pendingFiring, error) {
 	return pf, nil
 }
 
-// probe loads the rules due within the next T seconds into the heap.
+// probe loads the rules due within the next T seconds into the wheel. The
+// scheduled set is maintained incrementally (every pop site clears its key),
+// so a probe tick costs O(due), not O(pending).
 func (c *DBCron) probe(now int64) error {
 	if err := faultinject.Hit(c.opts.Faults, SiteProbe); err != nil {
 		return err
 	}
 	// A calendar catalog change invalidates every stored next trigger: run
 	// the batched recompute (one RULE-TIME transaction, worker pool across
-	// plan groups) before scheduling from the table. Heap entries whose
+	// plan groups) before scheduling from the table. Wheel entries whose
 	// instant moved are neutralized by the firing path's already-advanced
 	// check against RULE-TIME.
 	if c.catalogChanged.CompareAndSwap(true, false) {
@@ -317,17 +298,6 @@ func (c *DBCron) probe(now int64) error {
 	due, err := c.eng.DueWithin(now, c.T)
 	if err != nil {
 		return err
-	}
-	if c.opts.DisableWheel {
-		// Seed behavior: rebuild the scheduled set by scanning every armed
-		// entry on each window rollover — O(pending) per probe. The wheel
-		// path maintains the set incrementally instead (every pop site
-		// clears its key), which is what makes a probe tick O(due).
-		sched := make(map[string]bool, c.queue.size())
-		c.queue.each(func(pf pendingFiring) {
-			sched[strings.ToLower(pf.Rule)] = true
-		})
-		c.scheduled = sched
 	}
 	journaled := false
 	for _, f := range due {
@@ -489,10 +459,10 @@ func (c *DBCron) ruleDropped(key string) {
 }
 
 // NextWakeup returns the next instant the daemon must act (probe, firing or
-// retry). With the timing wheel the firing bound is conservative: it is
-// never later than the true next instant, so a wake can be early but never
-// sleeps through due work. It is re-derived from the wheel on every call,
-// so schedule changes from Recover/AdoptState are reflected immediately.
+// retry). The firing bound is conservative: it is never later than the true
+// next instant, so a wake can be early but never sleeps through due work. It
+// is re-derived from the wheel on every call, so schedule changes from
+// Recover/AdoptState are reflected immediately.
 func (c *DBCron) NextWakeup() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -516,7 +486,7 @@ type CronStats struct {
 	LateSum int64 // cumulative lateness seconds
 	Retries int64 // failed attempts rescheduled with backoff
 	Dead    int64 // firings moved to RULE-DEADLETTER
-	Pending int   // heap entries awaiting execution or retry
+	Pending int   // wheel entries awaiting execution or retry
 }
 
 // FullStats reports all daemon counters.
@@ -530,7 +500,7 @@ func (c *DBCron) FullStats() CronStats {
 // closed, sleeping between wakeups. Errors are delivered to errs (dropped
 // when full) and processing continues with the next event. On stop the
 // daemon drains: one final sweep fires everything already due, so a clean
-// shutdown leaves no accepted firing behind in the heap.
+// shutdown leaves no accepted firing behind in the wheel.
 func (c *DBCron) Run(clock Clock, stop <-chan struct{}, errs chan<- error) {
 	report := func(err error) {
 		if err != nil && errs != nil {

@@ -211,7 +211,7 @@ func TestActionDeadline(t *testing.T) {
 
 // Regression for the stale scheduled-set bug: dropping (or redefining) a
 // rule while it sits in the probe window must not suppress the successor's
-// firings, and the dropped rule's heap entries must go with it.
+// firings, and the dropped rule's wheel entries must go with it.
 func TestScheduledBookkeepingOnDropAndRedefine(t *testing.T) {
 	eng, cal := newEngine(t)
 	start := cal.Chron().EpochSecondsOf(d(1993, 1, 1))
@@ -235,7 +235,7 @@ func TestScheduledBookkeepingOnDropAndRedefine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := cron.FullStats().Pending; got != 0 {
-		t.Fatalf("heap not purged on drop: %d entries", got)
+		t.Fatalf("wheel not purged on drop: %d entries", got)
 	}
 	if err := eng.DefineTemporalRule("DAILY", "DAYS", countingAction("new", &newHits), start+3600); err != nil {
 		t.Fatal(err)
@@ -252,34 +252,6 @@ func TestScheduledBookkeepingOnDropAndRedefine(t *testing.T) {
 	// until the next window rollover.
 	if len(newHits) != 7 {
 		t.Errorf("redefined rule fired %d times in 7 days, want 7", len(newHits))
-	}
-}
-
-// Satellite: the seed heap container rebuilds the scheduled set by scanning
-// the heap each window, so entries cannot leak across rollovers. (The
-// timing-wheel container instead maintains the set incrementally at every
-// queue boundary — covered by TestScheduledBookkeepingOnDropAndRedefine and
-// the wheel property tests.)
-func TestScheduledSetRebuiltOnRollover(t *testing.T) {
-	eng, cal := newEngine(t)
-	start := cal.Chron().EpochSecondsOf(d(1993, 1, 1))
-	var hits []int64
-	if err := eng.DefineTemporalRule("daily", "DAYS", countingAction("n", &hits), start); err != nil {
-		t.Fatal(err)
-	}
-	cron, err := NewDBCronWith(eng, chronology.SecondsPerDay, start, CronOptions{DisableWheel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inject a stale entry directly (models any bookkeeping leak).
-	cron.mu.Lock()
-	cron.scheduled["daily"] = true
-	cron.mu.Unlock()
-	if _, err := cron.AdvanceTo(start + 2*chronology.SecondsPerDay); err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Errorf("fired %d times with stale scheduled entry, want 2", len(hits))
 	}
 }
 

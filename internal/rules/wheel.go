@@ -1,78 +1,9 @@
 package rules
 
 import (
-	"container/heap"
 	"math/bits"
 	"strings"
 )
-
-// firingQueue is the container of armed firing attempts inside DBCron. Two
-// implementations exist: the seed min-heap (heapQueue, kept as the
-// DisableWheel ablation and benchmark oracle) and the hierarchical timing
-// wheel (timingWheel), which makes a probe tick O(due) instead of
-// O(pending·log pending) at million-rule scale.
-type firingQueue interface {
-	// add arms one attempt.
-	add(pf pendingFiring)
-	// popDue removes and returns the earliest attempt with runAt <= limit.
-	popDue(limit int64) (pendingFiring, bool)
-	// next returns a lower bound on the earliest armed runAt (noTrigger when
-	// empty). The bound is exact for the heap; the wheel may return the start
-	// of an occupied slot, which is never later than the true next instant —
-	// waking early is safe, the wake just re-derives a tighter bound.
-	next() int64
-	// removeRule unarms every attempt of the rule (lower-cased key) and
-	// returns the removed entries so the caller can journal skips.
-	removeRule(key string) []pendingFiring
-	// each visits every armed attempt in unspecified order.
-	each(fn func(pendingFiring))
-	// size is the number of armed attempts.
-	size() int
-}
-
-// heapQueue is the seed container: a binary min-heap ordered by runAt.
-type heapQueue struct {
-	h firingHeap
-}
-
-func (q *heapQueue) add(pf pendingFiring) { heap.Push(&q.h, pf) }
-
-func (q *heapQueue) popDue(limit int64) (pendingFiring, bool) {
-	if len(q.h) == 0 || q.h[0].runAt > limit {
-		return pendingFiring{}, false
-	}
-	return heap.Pop(&q.h).(pendingFiring), true
-}
-
-func (q *heapQueue) next() int64 {
-	if len(q.h) == 0 {
-		return noTrigger
-	}
-	return q.h[0].runAt
-}
-
-func (q *heapQueue) removeRule(key string) []pendingFiring {
-	var removed []pendingFiring
-	kept := q.h[:0]
-	for _, pf := range q.h {
-		if strings.ToLower(pf.Rule) == key {
-			removed = append(removed, pf)
-			continue
-		}
-		kept = append(kept, pf)
-	}
-	q.h = kept
-	heap.Init(&q.h)
-	return removed
-}
-
-func (q *heapQueue) each(fn func(pendingFiring)) {
-	for _, pf := range q.h {
-		fn(pf)
-	}
-}
-
-func (q *heapQueue) size() int { return len(q.h) }
 
 // Timing-wheel geometry: 64 slots per level, 6 bits of the instant per
 // level. Level l buckets instants by runAt >> (6·l); eleven levels cover the
@@ -104,16 +35,17 @@ type wheelLevel struct {
 type timingWheel struct {
 	base  int64 // every wheel-resident entry has runAt > base
 	count int
-	due   firingHeap
+	due   []pendingFiring
 	level [wheelLevels]wheelLevel
 	// scratch is the cascade's reusable move buffer.
 	scratch []pendingFiring
 }
 
-// duePush and duePop are container/heap push/pop specialized to firingHeap's
-// runAt ordering: going through heap.Interface boxes every pendingFiring in
-// an any, which at million-entry scale is an allocation per armed firing.
-func duePush(h *firingHeap, pf pendingFiring) {
+// duePush and duePop are container/heap's push and pop specialized to a
+// []pendingFiring ordered by runAt: going through heap.Interface boxes every
+// pendingFiring in an any, which at million-entry scale is an allocation per
+// armed firing.
+func duePush(h *[]pendingFiring, pf pendingFiring) {
 	*h = append(*h, pf)
 	s := *h
 	i := len(s) - 1
@@ -127,7 +59,7 @@ func duePush(h *firingHeap, pf pendingFiring) {
 	}
 }
 
-func duePop(h *firingHeap) pendingFiring {
+func duePop(h *[]pendingFiring) pendingFiring {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
@@ -232,6 +164,7 @@ func (w *timingWheel) cascade(limit int64) {
 	w.scratch = moved[:0]
 }
 
+// popDue removes and returns the earliest attempt with runAt <= limit.
 func (w *timingWheel) popDue(limit int64) (pendingFiring, bool) {
 	w.cascade(limit)
 	if len(w.due) > 0 && w.due[0].runAt <= limit {
@@ -241,6 +174,10 @@ func (w *timingWheel) popDue(limit int64) (pendingFiring, bool) {
 	return pendingFiring{}, false
 }
 
+// next returns a lower bound on the earliest armed runAt (noTrigger when
+// empty): exact while the due heap is non-empty, otherwise the start of an
+// occupied slot, which is never later than the true next instant — waking
+// early is safe, the wake just re-derives a tighter bound.
 func (w *timingWheel) next() int64 {
 	if len(w.due) > 0 {
 		return w.due[0].runAt
@@ -271,18 +208,21 @@ func (w *timingWheel) next() int64 {
 	return best
 }
 
+// removeRule unarms every attempt of the rule (lower-cased key) and returns
+// the removed entries so the caller can journal skips.
 func (w *timingWheel) removeRule(key string) []pendingFiring {
 	var removed []pendingFiring
-	kept := w.due[:0]
-	for _, pf := range w.due {
+	// Re-push the survivors into the same backing array: a push never
+	// touches a position past the one just read.
+	due := w.due
+	w.due = due[:0]
+	for _, pf := range due {
 		if strings.ToLower(pf.Rule) == key {
 			removed = append(removed, pf)
 			continue
 		}
-		kept = append(kept, pf)
+		duePush(&w.due, pf)
 	}
-	w.due = kept
-	heap.Init(&w.due)
 	for l := range w.level {
 		lv := &w.level[l]
 		occ := lv.occ
@@ -308,23 +248,6 @@ func (w *timingWheel) removeRule(key string) []pendingFiring {
 	}
 	w.count -= len(removed)
 	return removed
-}
-
-func (w *timingWheel) each(fn func(pendingFiring)) {
-	for _, pf := range w.due {
-		fn(pf)
-	}
-	for l := range w.level {
-		lv := &w.level[l]
-		occ := lv.occ
-		for occ != 0 {
-			i := bits.TrailingZeros64(occ)
-			occ &^= 1 << uint(i)
-			for _, pf := range lv.slot[i] {
-				fn(pf)
-			}
-		}
-	}
 }
 
 func (w *timingWheel) size() int { return w.count }

@@ -1,16 +1,57 @@
 package rules
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
 )
 
+// heapQueue is the seed daemon's container — a container/heap binary
+// min-heap ordered by runAt — kept here as the reference the timing wheel is
+// held against.
+type heapQueue struct {
+	h firingHeap
+}
+
+func (q *heapQueue) add(pf pendingFiring) { heap.Push(&q.h, pf) }
+
+func (q *heapQueue) popDue(limit int64) (pendingFiring, bool) {
+	if len(q.h) == 0 || q.h[0].runAt > limit {
+		return pendingFiring{}, false
+	}
+	return heap.Pop(&q.h).(pendingFiring), true
+}
+
+func (q *heapQueue) next() int64 {
+	if len(q.h) == 0 {
+		return noTrigger
+	}
+	return q.h[0].runAt
+}
+
+func (q *heapQueue) size() int { return len(q.h) }
+
+// firingHeap is a min-heap of upcoming attempts ordered by runAt.
+type firingHeap []pendingFiring
+
+func (h firingHeap) Len() int           { return len(h) }
+func (h firingHeap) Less(i, j int) bool { return h[i].runAt < h[j].runAt }
+func (h firingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *firingHeap) Push(x any)        { *h = append(*h, x.(pendingFiring)) }
+func (h *firingHeap) Pop() any {
+	old := *h
+	n := len(old)
+	f := old[n-1]
+	*h = old[:n-1]
+	return f
+}
+
 // drain pops everything due at limit and returns the popped entries.
-func drain(q firingQueue, limit int64) []pendingFiring {
+func drain(popDue func(int64) (pendingFiring, bool), limit int64) []pendingFiring {
 	var out []pendingFiring
 	for {
-		pf, ok := q.popDue(limit)
+		pf, ok := popDue(limit)
 		if !ok {
 			return out
 		}
@@ -25,8 +66,8 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		base := int64(725846400) // 1993-01-01
-		w := firingQueue(newTimingWheel(base))
-		h := firingQueue(&heapQueue{})
+		w := newTimingWheel(base)
+		h := &heapQueue{}
 		now := base
 		n := 0
 		for step := 0; step < 200; step++ {
@@ -47,7 +88,7 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 				}
 			case 2: // advance and drain
 				now += rng.Int63n(40 * 86400)
-				wp, hp := drain(w, now), drain(h, now)
+				wp, hp := drain(w.popDue, now), drain(h.popDue, now)
 				if len(wp) != len(hp) {
 					t.Fatalf("seed %d step %d: wheel popped %d, heap popped %d", seed, step, len(wp), len(hp))
 				}
@@ -99,7 +140,7 @@ func TestWheelNextBoundStalePlacement(t *testing.T) {
 	if got := w.next(); got > 64 {
 		t.Fatalf("next() = %d, must bound the level-1 entry at 64", got)
 	}
-	got := drain(w, 100)
+	got := drain(w.popDue, 100)
 	if len(got) != 2 || got[0].Rule != "early" || got[1].Rule != "late" {
 		t.Fatalf("drain = %+v, want early then late", got)
 	}
@@ -113,7 +154,13 @@ func TestWheelRemoveRule(t *testing.T) {
 		rule  string
 		runAt int64
 	}{
-		{"a", 900},    // overdue → due heap
+		{"a", 900}, // overdue → due heap, which must stay a heap after removal
+		{"b", 950},
+		{"b", 700},
+		{"a", 650},
+		{"b", 990},
+		{"b", 800},
+		{"a", 750},
 		{"b", 1001},   // level 0
 		{"a", 1100},   // level ≥ 1
 		{"b", 90000},  // coarse level
@@ -123,15 +170,21 @@ func TestWheelRemoveRule(t *testing.T) {
 		w.add(pendingFiring{Firing: Firing{Rule: ad.rule, At: ad.runAt}, runAt: ad.runAt})
 	}
 	removed := w.removeRule("a")
-	if len(removed) != 3 {
-		t.Fatalf("removed %d entries of rule a, want 3", len(removed))
+	if len(removed) != 5 {
+		t.Fatalf("removed %d entries of rule a, want 5", len(removed))
 	}
-	if w.size() != 2 {
-		t.Fatalf("size = %d after removal, want 2", w.size())
+	if w.size() != 6 {
+		t.Fatalf("size = %d after removal, want 6", w.size())
 	}
-	rest := drain(w, 1<<40)
-	if len(rest) != 2 || rest[0].Rule != "b" || rest[1].Rule != "b" {
-		t.Fatalf("survivors = %+v, want b's two entries", rest)
+	rest := drain(w.popDue, 1<<40)
+	want := []int64{700, 800, 950, 990, 1001, 90000}
+	if len(rest) != len(want) {
+		t.Fatalf("survivors = %+v, want b's %d entries", rest, len(want))
+	}
+	for i, pf := range rest {
+		if pf.Rule != "b" || pf.runAt != want[i] {
+			t.Fatalf("survivor %d = %s@%d, want b@%d", i, pf.Rule, pf.runAt, want[i])
+		}
 	}
 }
 
@@ -146,7 +199,7 @@ func TestWheelYearJumpCascade(t *testing.T) {
 		at := base + int64(i)*7919 // spread over ~45 days
 		w.add(pendingFiring{Firing: Firing{Rule: "r", At: at}, runAt: at})
 	}
-	got := drain(w, base+10*365*86400)
+	got := drain(w.popDue, base+10*365*86400)
 	if len(got) != n {
 		t.Fatalf("popped %d, want %d", len(got), n)
 	}
