@@ -6,7 +6,7 @@ GO ?= go
 
 .PHONY: check build vet vet-calsys fmt-check test race chaos chaos-fleet bench-smoke bench \
 	bench-json bench-compare bench-gate bench-cache profile fuzz-smoke staticcheck govulncheck \
-	serve-smoke calvet-corpus calbench-check loc
+	serve-smoke calvet-corpus calbench-check reach loc
 
 check: build vet vet-calsys fmt-check test race chaos chaos-fleet bench-smoke fuzz-smoke \
 	serve-smoke calvet-corpus calbench-check staticcheck govulncheck
@@ -90,6 +90,13 @@ serve-smoke:
 calbench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 	./bench/run.sh -workload serve_hot -seed 1 -seconds 2 -trace 0 > /dev/null
+
+# Which functions calbench's traffic never executes: coverage-instrumented
+# calserved + calbench, every workload for 3 s, functions at 0.0 % printed
+# (about a minute). Not a gate — the instrument for "is this mechanism's
+# traffic verified" before a PR deletes or keeps it.
+reach:
+	./scripts/reach.sh
 
 # Short fuzz runs: the calendar-language front end (parser + calvet), the
 # sweep kernels against the naive foreach/set-op oracles, and the streaming

@@ -9,8 +9,6 @@ package calsys
 //	go test -bench=. -benchmem
 import (
 	"fmt"
-	"math"
-	"strings"
 	"testing"
 
 	"calsys/internal/caldb"
@@ -489,35 +487,6 @@ func BenchmarkCacheColdVsWarm(b *testing.B) {
 	})
 }
 
-// The parallel generate fan-out: one plan with sixteen independent,
-// comparable-cost generate ops (window inference gives each union branch its
-// own disjoint year window, so sharing cannot merge them), executed serially
-// vs on the bounded worker pool. The shared cache is detached so every
-// iteration pays real generation cost.
-func BenchmarkParallelPlanExecution(b *testing.B) {
-	_, mgr := benchEnv(b, DefaultEpoch)
-	var parts []string
-	for yr := 1990; yr < 2006; yr++ {
-		parts = append(parts, fmt.Sprintf("(DAYS:during:%d/YEARS)", yr))
-	}
-	e := benchExpr(b, strings.Join(parts, " + "))
-	from, to := MustDate(1990, 1, 1), MustDate(2005, 12, 31)
-	run := func(parallelism int) func(b *testing.B) {
-		return func(b *testing.B) {
-			env := mgr.Env()
-			env.Mat = nil
-			env.Parallelism = parallelism
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.Evaluate(env, e, from, to); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("serial", run(1))
-	b.Run("parallel", run(0)) // 0 = GOMAXPROCS workers
-}
-
 // §5 baseline: the paper's algebra vs hand-coded MultiCal-style event/span
 // iteration for "the third Friday of every month of 1993". The algebra
 // carries optimizer overhead; the baseline's cost is the code a user must
@@ -568,9 +537,11 @@ func BenchmarkMultiCalBaselineThirdFridays(b *testing.B) {
 // --- periodic compression (pattern-backed generation) -----------------------
 
 // Cold generation walks the chronology for every element of the window; warm
-// windowed expansion from a cached periodic pattern is two O(1) index
-// computations plus O(output) arithmetic. The gap is what the compressed
-// representation saves on every repeated generation of a basic calendar.
+// is what an environment with a cache does per generate op: fetch the pair's
+// all-time pattern and expand the window from it, two O(1) index computations
+// plus O(output) arithmetic. build is the one-time cost of that pattern — for
+// MONTHS in DAYS a walk of the 400-year Gregorian cycle — which is why a
+// cacheless environment, with nowhere to keep it, generates directly instead.
 func BenchmarkPeriodicGenerateColdVsWarm(b *testing.B) {
 	ch := chronology.MustNew(DefaultEpoch)
 	win := interval.Interval{Lo: 1, Hi: 3650} // ten years of day ticks
@@ -582,6 +553,13 @@ func BenchmarkPeriodicGenerateColdVsWarm(b *testing.B) {
 				}
 			}
 		})
+		b.Run(fmt.Sprintf("build/%v", g), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := periodic.ForBasicPair(ch, g, Day); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		b.Run(fmt.Sprintf("warm/%v", g), func(b *testing.B) {
 			cache := matcache.New(0)
 			k := matcache.Key{Scope: "bench", ID: "G|" + g.String(), Gran: Day}
@@ -589,45 +567,19 @@ func BenchmarkPeriodicGenerateColdVsWarm(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cache.PutPattern(k, matcache.AllTime, pat, math.MinInt64, math.MaxInt64)
+			cache.PutPattern(k, pat)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := cache.Get(k, win); !ok {
+				p, ok := cache.GetPattern(k)
+				if !ok {
 					b.Fatal("pattern entry missed")
+				}
+				if calendar.ExpandPattern(Day, p, win).IsEmpty() {
+					b.Fatal("empty expansion")
 				}
 			}
 		})
 	}
-}
-
-// Resident cache bytes per basic calendar over a forty-year day-tick window
-// (long enough that every granularity clears the compression threshold): the
-// materializedB/cal metric is what each calendar costs as an interval list,
-// cachedB/cal what it costs as the pattern entry Put now stores.
-func BenchmarkMatcacheFootprint(b *testing.B) {
-	ch := chronology.MustNew(DefaultEpoch)
-	grans := []Granularity{Day, Week, Month, Year}
-	win := interval.Interval{Lo: 1, Hi: 14600}
-	var cachedBytes, matBytes int64
-	for i := 0; i < b.N; i++ {
-		cache := matcache.New(0)
-		matBytes = 0
-		for _, g := range grans {
-			cal, err := calendar.GenerateFull(ch, g, Day, win.Lo, win.Hi)
-			if err != nil {
-				b.Fatal(err)
-			}
-			matBytes += matcache.SizeOf(cal)
-			cache.Put(matcache.Key{Scope: "bench", ID: "G|" + g.String(), Gran: Day}, win, cal, true)
-		}
-		st := cache.Stats()
-		if st.Patterns != len(grans) {
-			b.Fatalf("only %d of %d basic calendars compressed: %v", st.Patterns, len(grans), st)
-		}
-		cachedBytes = st.Bytes
-	}
-	b.ReportMetric(float64(cachedBytes)/float64(len(grans)), "cachedB/cal")
-	b.ReportMetric(float64(matBytes)/float64(len(grans)), "materializedB/cal")
 }
 
 // Every foreach listop over disjoint sorted operands takes the linear sweep;

@@ -844,7 +844,7 @@ func (m *Manager) EvalExprEnv(env *plan.Env, src string, from, to chronology.Civ
 		return nil, p.ExprErr
 	}
 	if env.Mat == nil || env.DisableSharing || env.DisableFactorization ||
-		env.DisableWindowInference || env.DisablePeriodic {
+		env.DisableWindowInference {
 		return plan.Evaluate(env, p.Expr, from, to)
 	}
 	l, err := p.Lowered()
@@ -867,15 +867,14 @@ func (m *Manager) EvalExprEnv(env *plan.Env, src string, from, to chronology.Civ
 	// at once, and without coalescing each would compile and execute the
 	// same plan (the classic cache stampede). Expression flights sit at the
 	// top of the materialization hierarchy — their leaders may wait on
-	// derived- or generate-level flights, never on other expression flights
-	// — so the wait graph stays acyclic.
-	return env.Mat.Do(key, win, func() (*calendar.Calendar, bool, error) {
+	// derived-level flights, never on other expression flights — so the wait
+	// graph stays acyclic.
+	return env.Mat.Do(key, win, func() (*calendar.Calendar, error) {
 		pl, err := plan.Compile(env, l.Expr, nil, l.Gran, win)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		c, err := pl.Exec(env, nil)
-		return c, false, err
+		return pl.Exec(env, nil)
 	})
 }
 

@@ -307,7 +307,8 @@ func TestBoundedLifespanBlocksInlining(t *testing.T) {
 // Periodic compression reaches catalog evaluation end to end: the generates
 // behind a derived calendar are answered by patterns in the process-wide
 // shared cache, re-evaluation over a distant window reuses them, and the
-// results match the fully materialized (DisablePeriodic) path.
+// results match a cacheless environment, which generates every window
+// directly (calendar.GenerateFull, the definition).
 func TestPeriodicCompressionThroughCatalog(t *testing.T) {
 	m := newManager(t)
 	if err := m.DefineDerived("Paydays", "{[n]/DAYS:during:MONTHS;}", lifespanFrom1985(), GranAuto); err != nil {
@@ -323,7 +324,7 @@ func TestPeriodicCompressionThroughCatalog(t *testing.T) {
 		t.Fatalf("catalog evaluation stored no patterns: before %+v, after %+v", before, after)
 	}
 	envOff := m.Env()
-	envOff.DisablePeriodic = true
+	envOff.Mat = nil
 	want, err := m.EvalExprEnv(envOff, "Paydays", d(1990, 1, 1), d(1999, 12, 31))
 	if err != nil {
 		t.Fatal(err)

@@ -64,9 +64,10 @@ func (c *Calendar) epindex() *epIndex {
 }
 
 // PrimeIndex eagerly builds the endpoint index of an order-1 calendar so
-// later sweeps over it never pay the lowering pass. The materialization
-// cache primes entries at Put time: a cached calendar keeps its index
-// alongside the interval slice for as long as it lives.
+// later sweeps over it never pay the lowering pass. The plan executor primes
+// a derived calendar before publishing it to the materialization cache: the
+// cached value keeps its index alongside the interval slice for as long as it
+// lives.
 func (c *Calendar) PrimeIndex() {
 	if c != nil && len(c.subs) == 0 {
 		c.epindex()

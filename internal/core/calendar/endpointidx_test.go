@@ -208,45 +208,6 @@ func TestSetOpsMatchLinearOnAdjacentShapes(t *testing.T) {
 	}
 }
 
-// TestSliceOverlappingInheritsIndex checks that slicing a primed calendar
-// (the matcache subset-window path) carries the matching sub-range of the
-// endpoint index instead of dropping it, and that sweeps over the slice
-// agree with a freshly built index.
-func TestSliceOverlappingInheritsIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	c, err := FromIntervals(chronology.Day, randDisjointSorted(rng, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.PrimeIndex()
-	hull := c.ivs[40].Lo
-	win := interval.Interval{Lo: hull, Hi: c.ivs[160].Hi}
-	s := SliceOverlapping(c, win)
-	ix := s.idx.Load()
-	if ix == nil {
-		t.Fatal("slice of a primed calendar lost its endpoint index")
-	}
-	if len(ix.lo) != len(s.ivs) {
-		t.Fatalf("inherited index has %d bounds for %d elements", len(ix.lo), len(s.ivs))
-	}
-	for i, iv := range s.ivs {
-		if ix.lo[i] != iv.Lo || ix.hi[i] != iv.Hi {
-			t.Fatalf("inherited index misaligned at %d: (%d,%d) vs %v", i, ix.lo[i], ix.hi[i], iv)
-		}
-	}
-	arg, err := FromIntervals(chronology.Day, randDisjointSorted(rng, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range allListOps {
-		got := foreachSweepEndpoint(s, op, true, arg)
-		want := naiveForeach(s, op, true, arg)
-		if !got.Equal(want) {
-			t.Fatalf("op %v over inherited-index slice diverges from naive", op)
-		}
-	}
-}
-
 // TestEndpointIndexConcurrentBuild hammers the lazy builders from many
 // goroutines; under -race this proves the benign-CAS publication is clean,
 // and every caller must observe the same index.

@@ -1,8 +1,6 @@
 package calendar
 
 import (
-	"math"
-
 	"calsys/internal/chronology"
 	"calsys/internal/core/interval"
 	"calsys/internal/core/periodic"
@@ -12,15 +10,7 @@ import (
 // win as an order-1 calendar — the pattern-backed equivalent of GenerateFull
 // over that window, in O(output) time.
 func ExpandPattern(gran chronology.Granularity, p *periodic.Pattern, win interval.Interval) *Calendar {
-	return ExpandPatternBetween(gran, p, win, math.MinInt64, math.MaxInt64)
-}
-
-// ExpandPatternBetween is ExpandPattern clamped to pattern element indices
-// within [qmin, qmax]: detected patterns are valid only over the element
-// range actually observed, so the materialization cache re-expands them with
-// the observed bounds.
-func ExpandPatternBetween(gran chronology.Granularity, p *periodic.Pattern, win interval.Interval, qmin, qmax int64) *Calendar {
-	ivs := p.ExpandBetween(win, qmin, qmax)
+	ivs := p.Expand(win)
 	if p.Disjoint() {
 		// A disjoint pattern's expansion is sorted disjoint by construction;
 		// skip the classification scan.

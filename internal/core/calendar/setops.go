@@ -2,7 +2,6 @@ package calendar
 
 import (
 	"fmt"
-	"sort"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/interval"
@@ -200,30 +199,4 @@ func ClipToInterval(c *Calendar, iv interval.Interval) (*Calendar, error) {
 		return nil, err
 	}
 	return ForeachInterval(c, interval.Overlaps, true, iv)
-}
-
-// SliceOverlapping returns the order-1 sub-calendar of c whose elements
-// overlap win, untruncated. When c's intervals are sorted with
-// non-decreasing upper bounds — the shape of every generated calendar, whose
-// units partition time — the result is exactly what generating c's calendar
-// over win directly would produce, which is what lets the materialization
-// cache serve subset windows from a superset materialization by slicing.
-// The backing array is shared; calendars are immutable.
-func SliceOverlapping(c *Calendar, win interval.Interval) *Calendar {
-	ivs := c.Intervals()
-	lo := sort.Search(len(ivs), func(i int) bool { return ivs[i].Hi >= win.Lo })
-	hi := sort.Search(len(ivs), func(i int) bool { return ivs[i].Lo > win.Hi })
-	if hi < lo {
-		hi = lo
-	}
-	out := &Calendar{gran: c.gran, ivs: ivs[lo:hi], sortedDisjoint: c.sortedDisjoint}
-	// A cached materialization keeps its endpoint index (matcache primes it
-	// at Put time); the sliced view inherits the matching sub-range of the
-	// flat bound arrays so subset-window hits never re-lower the list. The
-	// fused coverage is not sliceable (spans fuse across the cut points) and
-	// is left to rebuild lazily if a set op needs it.
-	if ix := c.idx.Load(); ix != nil && ix.lo != nil && hi > lo {
-		out.idx.Store(&epIndex{lo: ix.lo[lo:hi:hi], hi: ix.hi[lo:hi:hi]})
-	}
-	return out
 }

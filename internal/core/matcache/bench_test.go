@@ -26,7 +26,7 @@ func BenchmarkCacheParallelGet(b *testing.B) {
 		keys := make([]Key, nkeys)
 		for i := range keys {
 			keys[i] = Key{Scope: "b", ID: fmt.Sprintf("E|k%d", i), Gran: chronology.Day}
-			c.Put(keys[i], hull, cal, false)
+			c.Put(keys[i], hull, cal)
 		}
 		var missed atomic.Int64
 		b.ReportAllocs()
@@ -61,16 +61,15 @@ func BenchmarkCacheStampede(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := New(0) // cold cache every iteration: the herd always misses
-		k := Key{Scope: "b", ID: "G|weeks", Gran: chronology.Day}
+		k := Key{Scope: "b", ID: "D|weeks", Gran: chronology.Day}
 		var wg sync.WaitGroup
 		for g := 0; g < 64; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, err := c.Do(k, win, func() (*calendar.Calendar, bool, error) {
+				_, err := c.Do(k, win, func() (*calendar.Calendar, error) {
 					gens.Add(1)
-					cc, err := calendar.GenerateFull(ch, chronology.Week, chronology.Day, win.Lo, win.Hi)
-					return cc, true, err
+					return calendar.GenerateFull(ch, chronology.Week, chronology.Day, win.Lo, win.Hi)
 				})
 				if err != nil {
 					failures.Add(1)

@@ -6,23 +6,24 @@
 // queries, rule firings and timeseries probes, which overwhelmingly re-ask
 // for the same periodic calendars over overlapping windows.
 //
-// Entries are keyed by (scope, calendar identity, version, granularity) and
-// hold one or more materialized windows. Window coalescing means a cached
-// superset window serves any subset request by slicing: generated basic
-// calendars are consecutive sorted interval runs, so the slice of a larger
-// materialization over a smaller window is byte-for-byte what generating the
-// smaller window would produce. Versions implement invalidation: the catalog
-// bumps its generation on Define/Replace/Drop, so stale entries stop being
-// addressable and age out of the LRU.
+// The cache holds two kinds of entry, keyed by (scope, calendar identity,
+// version, granularity):
 //
-// Periodic calendars are stored as patterns rather than materialized lists:
-// a pattern entry costs a few dozen bytes regardless of how many centuries of
-// windows it can serve, any covered window is a hit (expanded on demand in
-// O(output)), and under LRU pressure basic calendars effectively never evict.
-// Pattern entries arrive explicitly via PutPattern (the generate fast path
-// knows its calendar is periodic) or implicitly: Put runs periodic.Detect
-// over sliceable materializations and keeps the compressed form when a true
-// cycle is found, clamped to the element range actually observed.
+//   - One all-time pattern per generated basic calendar ("G|" keys). Every
+//     valid basic pair is exactly periodic (periodic.ForBasicPair), so the
+//     pattern is the calendar: it costs a few dozen bytes however many
+//     centuries of windows it serves, every window of the pair is a hit, and
+//     under LRU pressure basic calendars effectively never evict. The plan
+//     executor reads it with GetPattern and expands, counts or selects from
+//     it by arithmetic.
+//   - Materialized calendars of derived catalog entries ("D|") and whole
+//     expressions ("E|"), one per exact window. These are not periodic in
+//     general and their value depends on the window they were evaluated over,
+//     so Get serves an exact window match or nothing.
+//
+// Versions implement invalidation: the catalog bumps its generation on
+// Define/Replace/Drop, so stale entries stop being addressable and age out of
+// the LRU.
 //
 // # Concurrency
 //
@@ -30,19 +31,18 @@
 // power-of-two array of shards, each with its own RWMutex, bucket map, LRU
 // list and byte sub-budget, so readers of different keys never contend and
 // readers of one key share an RLock. The read path never takes an exclusive
-// lock: Get/GetPattern find the covering entry under RLock, capture its
-// immutable payload, release, and run all expansion/slicing outside any
-// lock. LRU recency is tracked by a per-entry atomic access stamp; the list
+// lock: Get/GetPattern find the entry under RLock and hand out its immutable
+// payload. LRU recency is tracked by a per-entry atomic access stamp; the list
 // position is only reconciled lazily on the next write-side operation
 // (second-chance promotion at eviction time), so a read costs two atomic
 // adds beyond the RLock. All counters are atomics, so Stats never blocks
 // the data path.
 //
-// Entry payloads (the *Calendar / *Pattern and their window bounds) are
-// immutable from the moment an entry is published: eviction and Reset only
-// detach entries, they never mutate them, so a pointer handed out by Get
-// stays valid — and exact-window hits return the cached calendar itself
-// with no copy. Callers must treat cached calendars as read-only.
+// Entry payloads (the *Calendar or *Pattern) are immutable from the moment an
+// entry is published: eviction and Reset only detach entries, they never
+// mutate them, so a pointer handed out by Get stays valid — a hit returns the
+// cached calendar itself with no copy. Callers must treat cached calendars as
+// read-only.
 //
 // Miss coalescing is layered on top: Do runs one materialization per
 // (key, window) no matter how many goroutines miss concurrently, and shares
@@ -56,7 +56,6 @@ package matcache
 import (
 	"container/list"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -66,8 +65,9 @@ import (
 	"calsys/internal/core/periodic"
 )
 
-// Key identifies one cached calendar materialization line (all windows of
-// one calendar identity at one granularity).
+// Key identifies one cached calendar: the pattern of a basic calendar, or all
+// materialized windows of one derived calendar or expression, at one
+// granularity.
 type Key struct {
 	// Scope namespaces keys by owner (one catalog manager, including its
 	// epoch), so unrelated databases in one process never cross-serve.
@@ -89,13 +89,11 @@ func (k Key) String() string {
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	Hits        int64 `json:"hits"`         // requests served from a cached window
-	Misses      int64 `json:"misses"`       // requests that found no covering window
+	Hits        int64 `json:"hits"`         // lookups served from a resident entry
+	Misses      int64 `json:"misses"`       // lookups that found no entry
 	Puts        int64 `json:"puts"`         // materializations inserted
 	Rejected    int64 `json:"rejected"`     // materializations too large for the budget
 	Evictions   int64 `json:"evictions"`    // entries evicted by LRU pressure
-	Coalesced   int64 `json:"coalesced"`    // entries dropped because a superset window subsumed them
-	Compressed  int64 `json:"compressed"`   // materializations stored as detected patterns instead
 	Flights     int64 `json:"flights"`      // coalesced materializations run by Do leaders
 	FlightWaits int64 `json:"flight_waits"` // Do callers that waited on another goroutine's flight
 	Patterns    int   `json:"patterns"`     // resident pattern entries
@@ -103,12 +101,6 @@ type Stats struct {
 	Bytes       int64 `json:"bytes"`        // resident bytes (estimated)
 	Budget      int64 `json:"budget"`       // configured byte budget
 	Shards      int   `json:"shards"`       // lock stripes the budget is split across
-}
-
-// String renders the counters in expvar style.
-func (s Stats) String() string {
-	return fmt.Sprintf(`{"hits": %d, "misses": %d, "puts": %d, "rejected": %d, "evictions": %d, "coalesced": %d, "compressed": %d, "flights": %d, "flightWaits": %d, "patterns": %d, "entries": %d, "bytes": %d, "budget": %d, "shards": %d}`,
-		s.Hits, s.Misses, s.Puts, s.Rejected, s.Evictions, s.Coalesced, s.Compressed, s.Flights, s.FlightWaits, s.Patterns, s.Entries, s.Bytes, s.Budget, s.Shards)
 }
 
 // ShardStat is one shard's resident footprint (per-shard counters would
@@ -121,14 +113,8 @@ type ShardStat struct {
 	Budget   int64 `json:"budget"`
 }
 
-// AllTime is the validity window of pattern entries that hold for every
-// window — the truly periodic basic calendars, whose pattern serves any
-// request.
-var AllTime = interval.Interval{Lo: math.MinInt64, Hi: math.MaxInt64}
-
-// entry is one materialized window of one key: either a materialized
-// calendar (cal) or a periodic pattern (pat) with the element-index range it
-// is valid over. Pattern entries serve any sub-window of win by expansion.
+// entry is one resident value: the all-time pattern of a basic calendar
+// (pat), or a calendar materialized over exactly win (cal).
 //
 // All payload fields are written once, before the entry is published into a
 // bucket under the shard's write lock, and never mutated after — the
@@ -137,24 +123,20 @@ var AllTime = interval.Interval{Lo: math.MinInt64, Hi: math.MaxInt64}
 // atomic clock stamp); placed is the stamp at the entry's current list
 // position, reconciled under the write lock at eviction time.
 type entry struct {
-	key        Key
-	win        interval.Interval
-	cal        *calendar.Calendar
-	pat        *periodic.Pattern
-	qmin, qmax int64
-	sliceable  bool
-	bytes      int64
-	elem       *list.Element
-	accessed   atomic.Int64
-	placed     int64
+	key      Key
+	win      interval.Interval // zero on pattern entries
+	cal      *calendar.Calendar
+	pat      *periodic.Pattern
+	bytes    int64
+	elem     *list.Element
+	accessed atomic.Int64
+	placed   int64
 }
 
-// covers reports whether the entry can serve the requested window.
-func (e *entry) covers(win interval.Interval) bool {
-	if e.win == win {
-		return true
-	}
-	return (e.sliceable || e.pat != nil) && e.win.Lo <= win.Lo && win.Hi <= e.win.Hi
+// holds reports whether e occupies the slot (win, pattern) of its key: the
+// key's one pattern entry (win zero), or its calendar over exactly win.
+func (e *entry) holds(win interval.Interval, pattern bool) bool {
+	return (e.pat != nil) == pattern && e.win == win
 }
 
 // shard is one lock stripe: a private bucket map, LRU list, byte sub-budget
@@ -185,9 +167,9 @@ type Cache struct {
 	// path never contends on this cache line.
 	clock atomic.Int64
 
-	puts, rejected, evictions, coalesced, compressed atomic.Int64
-	flights, flightWaits                             atomic.Int64
-	patterns                                         atomic.Int64
+	puts, rejected, evictions atomic.Int64
+	flights, flightWaits      atomic.Int64
+	patterns                  atomic.Int64
 
 	flightMu sync.Mutex
 	inflight map[flightKey]*flight
@@ -287,177 +269,99 @@ func (c *Cache) touch(e *entry) {
 	e.accessed.Store(c.clock.Load() + 1)
 }
 
-// Get returns the calendar materialized for key over exactly win, served
-// from any cached window that covers it. Sliceable entries (sorted
-// consecutive interval runs, the shape of every generated calendar) serve
-// subset windows by slicing; other entries serve exact window matches only.
+// lookup finds the resident entry of k holding (win, pattern) and stamps it as
+// read. It touches no hit/miss counter.
+func (c *Cache) lookup(sh *shard, k Key, win interval.Interval, pattern bool) *entry {
+	sh.mu.RLock()
+	var found *entry
+	for _, e := range sh.buckets[k] {
+		if e.holds(win, pattern) {
+			found = e
+			break
+		}
+	}
+	sh.mu.RUnlock()
+	if found != nil {
+		c.touch(found)
+	}
+	return found
+}
+
+// count settles the hit/miss accounting of one lookup.
+func (sh *shard) count(e *entry) bool {
+	if e == nil {
+		sh.misses.Add(1)
+		return false
+	}
+	sh.hits.Add(1)
+	return true
+}
+
+// Get returns the calendar materialized for key over exactly win.
 //
-// Exact-window hits return the cached *calendar.Calendar itself (no copy).
-// Cached calendars are immutable: concurrent Put/Reset/eviction can detach
-// the entry but never mutates the calendar, so the returned value stays
+// A hit returns the cached *calendar.Calendar itself (no copy). Cached
+// calendars are immutable: concurrent Put/Reset/eviction can detach the
+// entry but never mutates the calendar, so the returned value stays
 // coherent; callers must not modify it.
 func (c *Cache) Get(k Key, win interval.Interval) (*calendar.Calendar, bool) {
 	sh := c.shardOf(k)
-	sh.mu.RLock()
-	var found *entry
-	for _, e := range sh.buckets[k] {
-		if e.covers(win) {
-			found = e
-			break
-		}
-	}
-	sh.mu.RUnlock()
-	if found == nil {
-		sh.misses.Add(1)
+	e := c.lookup(sh, k, win, false)
+	if !sh.count(e) {
 		return nil, false
 	}
-	c.touch(found)
-	sh.hits.Add(1)
-	// Expansion and slicing run outside any lock: the payload fields are
-	// immutable once the entry is published, so concurrent eviction cannot
-	// invalidate them.
-	if found.pat != nil {
-		return calendar.ExpandPatternBetween(k.Gran, found.pat, win, found.qmin, found.qmax), true
-	}
-	if found.win == win {
-		return found.cal, true
-	}
-	return calendar.SliceOverlapping(found.cal, win), true
+	return e.cal, true
 }
 
-// GetPattern returns a cached pattern valid over win, with the element-index
-// range to clamp expansions to. The plan executor uses this to answer
-// cardinality and selection over periodic values in O(log spans) arithmetic,
-// never materializing at all. Unlike Get, a miss here is not counted — the
-// caller falls through to Get, which settles the hit/miss accounting.
-func (c *Cache) GetPattern(k Key, win interval.Interval) (*periodic.Pattern, int64, int64, bool) {
+// GetPattern returns the all-time pattern cached for key. The plan executor
+// answers expansion, cardinality and selection over a basic calendar from it
+// in O(log spans) arithmetic, never materializing more than a consumer asks
+// for.
+func (c *Cache) GetPattern(k Key) (*periodic.Pattern, bool) {
 	sh := c.shardOf(k)
-	sh.mu.RLock()
-	var found *entry
-	for _, e := range sh.buckets[k] {
-		if e.pat != nil && e.covers(win) {
-			found = e
-			break
-		}
+	e := c.lookup(sh, k, interval.Interval{}, true)
+	if !sh.count(e) {
+		return nil, false
 	}
-	sh.mu.RUnlock()
-	if found == nil {
-		return nil, 0, 0, false
-	}
-	c.touch(found)
-	sh.hits.Add(1)
-	return found.pat, found.qmin, found.qmax, true
+	return e.pat, true
 }
 
-// Put records a materialization of key over win. sliceable promises that cal
-// is an order-1 calendar whose intervals are sorted with non-decreasing
-// upper bounds (generated runs), so subset windows may later be sliced out
-// of it; it is ignored for higher-order calendars. Entries whose windows the
-// new one subsumes are coalesced away; if a cached sliceable window already
-// covers win, the insert is a no-op. The calendar becomes shared the moment
-// it is inserted and must not be mutated afterwards.
-func (c *Cache) Put(k Key, win interval.Interval, cal *calendar.Calendar, sliceable bool) {
+// Put records a materialization of key over exactly win; if that window is
+// already resident the insert is a no-op. The calendar becomes shared the
+// moment it is inserted and must not be mutated afterwards.
+func (c *Cache) Put(k Key, win interval.Interval, cal *calendar.Calendar) {
 	if cal == nil {
 		return
 	}
-	if sliceable && cal.Order() != 1 {
-		sliceable = false
-	}
-	size := SizeOf(cal)
-	// Detection runs outside the lock (it is pure): a sliceable
-	// materialization with a true cycle is stored as its pattern — a fraction
-	// of the bytes, and any covered window stays servable via ExpandBetween
-	// clamped to the observed element range.
-	if sliceable {
-		if ivs := cal.Intervals(); len(ivs) >= compressMinLen {
-			if pat, qmin, qmax, ok := periodic.Detect(ivs); ok && pat.SizeBytes()*2 <= size {
-				c.putPattern(k, win, pat, qmin, qmax, true)
-				return
-			}
-		}
-		// Lower the endpoint index once at insert time (outside the lock —
-		// the build is pure): a cached calendar keeps its flat bound arrays
-		// alongside the interval slice for as long as it lives, and
-		// SliceOverlapping hands subset windows an index view, so no query
-		// against this entry ever re-lowers the list.
-		cal.PrimeIndex()
-	}
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if size > sh.budget {
-		c.rejected.Add(1)
-		return
-	}
-	bucket := sh.buckets[k]
-	for _, e := range bucket {
-		if e.covers(win) {
-			// Already covered by an equal or wider materialization.
-			return
-		}
-	}
-	kept := bucket[:0]
-	for _, e := range bucket {
-		if sliceable && e.pat == nil && e.win.Lo >= win.Lo && e.win.Hi <= win.Hi {
-			// The new window subsumes this one: coalesce. Pattern entries are
-			// kept — they are smaller than any materialization that covers
-			// them.
-			sh.removeLocked(c, e)
-			c.coalesced.Add(1)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	e := &entry{key: k, win: win, cal: cal, sliceable: sliceable, bytes: size}
-	c.insertLocked(sh, kept, e)
+	c.insert(&entry{key: k, win: win, cal: cal, bytes: SizeOf(cal)})
 }
 
-// compressMinLen is the smallest materialization Put tries to compress:
-// below it the detection scan outweighs the byte savings.
-const compressMinLen = 32
-
-// PutPattern records a periodic pattern for key, valid over any sub-window
-// of win (pass AllTime for truly periodic calendars) and clamped to pattern
-// element indices [qmin, qmax] (pass math.MinInt64, math.MaxInt64 when
-// unbounded). Materialized entries whose windows the pattern covers are
-// coalesced away — the pattern serves them in O(output) at a fraction of the
-// bytes.
-func (c *Cache) PutPattern(k Key, win interval.Interval, pat *periodic.Pattern, qmin, qmax int64) {
+// PutPattern records the all-time pattern of key: the exact periodic form of
+// a basic calendar, valid over every window. A key keeps one pattern; a
+// second insert is a no-op.
+func (c *Cache) PutPattern(k Key, pat *periodic.Pattern) {
 	if pat == nil {
 		return
 	}
-	c.putPattern(k, win, pat, qmin, qmax, false)
+	c.insert(&entry{key: k, pat: pat, bytes: pat.SizeBytes()})
 }
 
-func (c *Cache) putPattern(k Key, win interval.Interval, pat *periodic.Pattern, qmin, qmax int64, compressed bool) {
-	size := pat.SizeBytes()
-	if compressed {
-		c.compressed.Add(1)
-	}
-	sh := c.shardOf(k)
+// insert publishes e unless its shard cannot hold it or its slot is already
+// occupied.
+func (c *Cache) insert(e *entry) {
+	sh := c.shardOf(e.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if size > sh.budget {
+	if e.bytes > sh.budget {
 		c.rejected.Add(1)
 		return
 	}
-	bucket := sh.buckets[k]
-	for _, e := range bucket {
-		if e.pat != nil && e.covers(win) {
-			return // an equal-or-wider pattern already serves this
+	bucket := sh.buckets[e.key]
+	for _, x := range bucket {
+		if x.holds(e.win, e.pat != nil) {
+			return
 		}
 	}
-	kept := bucket[:0]
-	for _, e := range bucket {
-		if e.win.Lo >= win.Lo && e.win.Hi <= win.Hi {
-			sh.removeLocked(c, e)
-			c.coalesced.Add(1)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	e := &entry{key: k, win: win, pat: pat, qmin: qmin, qmax: qmax, sliceable: true, bytes: size}
-	c.insertLocked(sh, kept, e)
+	c.insertLocked(sh, bucket, e)
 }
 
 // insertLocked adds e to its bucket and the shard LRU, then enforces the
@@ -504,8 +408,7 @@ func (sh *shard) removeLocked(c *Cache, e *entry) {
 }
 
 // dropFromBucket removes e from its bucket slice by swap-remove: bucket
-// order carries no meaning (covers scans the whole bucket), so the O(n)
-// shift the old append-based removal paid is pure waste.
+// order carries no meaning (lookup scans the whole bucket).
 func (sh *shard) dropFromBucket(e *entry) {
 	bucket := sh.buckets[e.key]
 	for i, x := range bucket {
@@ -543,7 +446,6 @@ func (c *Cache) Stats() Stats {
 	st := Stats{
 		Puts:     c.puts.Load(),
 		Rejected: c.rejected.Load(), Evictions: c.evictions.Load(),
-		Coalesced: c.coalesced.Load(), Compressed: c.compressed.Load(),
 		Flights: c.flights.Load(), FlightWaits: c.flightWaits.Load(),
 		Patterns: int(c.patterns.Load()),
 		Budget:   c.budget, Shards: len(c.shards),
@@ -591,39 +493,4 @@ func SizeOf(c *calendar.Calendar) int64 {
 		size += SizeOf(s)
 	}
 	return size
-}
-
-// minChunk and maxChunk bound the window-alignment grid (in ticks).
-const (
-	minChunk = 1 << 6
-	maxChunk = 1 << 22
-)
-
-// AlignedWindow pads a requested generation window outward to a power-of-two
-// chunk grid, so that the shifted, overlapping windows of successive queries
-// (a rule's advancing lookahead, a series' growing horizon) land on the same
-// materialization instead of each missing by a few ticks. The chunk is the
-// smallest power of two covering the request, clamped to [minChunk,
-// maxChunk], so a cold padded generation costs at most a small constant
-// factor over the request itself.
-func AlignedWindow(win interval.Interval) interval.Interval {
-	lo := chronology.OffsetFromTick(win.Lo)
-	hi := chronology.OffsetFromTick(win.Hi)
-	n := hi - lo + 1
-	chunk := int64(minChunk)
-	for chunk < n && chunk < maxChunk {
-		chunk <<= 1
-	}
-	alo := floorDiv(lo, chunk) * chunk
-	ahi := (floorDiv(hi, chunk)+1)*chunk - 1
-	return interval.Interval{Lo: chronology.TickFromOffset(alo), Hi: chronology.TickFromOffset(ahi)}
-}
-
-// floorDiv is integer division rounding toward negative infinity.
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }

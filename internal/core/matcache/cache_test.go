@@ -1,19 +1,16 @@
 package matcache
 
 import (
-	"math"
+	"encoding/json"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/interval"
 	"calsys/internal/core/periodic"
-)
-
-const (
-	minInt64 = math.MinInt64
-	maxInt64 = math.MaxInt64
 )
 
 // periodicForTest builds the MONTHS-in-DAYS pattern.
@@ -31,8 +28,8 @@ func gen(t testing.TB, ch *chronology.Chronology, of, in chronology.Granularity,
 }
 
 // aperiodic builds an n-element sorted disjoint calendar with irregular gaps
-// and widths, so Put cannot compress it to a pattern. Tests of the byte
-// budget machinery use it to stay on the materialized path.
+// and widths — the shape of the derived calendars and expression results the
+// cache holds materialized.
 func aperiodic(t testing.TB, seed int64, n int) *calendar.Calendar {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -52,39 +49,22 @@ func aperiodic(t testing.TB, seed int64, n int) *calendar.Calendar {
 	return c
 }
 
-func TestSubsetServedFromSupersetWindow(t *testing.T) {
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	c := New(0)
-	k := Key{Scope: "t", ID: "G|weeks", Gran: chronology.Day}
-	super := interval.Interval{Lo: 1, Hi: 3650}
-	c.Put(k, super, gen(t, ch, chronology.Week, chronology.Day, super.Lo, super.Hi), true)
-
-	sub := interval.Interval{Lo: 100, Hi: 400}
-	got, ok := c.Get(k, sub)
-	if !ok {
-		t.Fatalf("subset window %v not served from cached superset %v", sub, super)
-	}
-	want := gen(t, ch, chronology.Week, chronology.Day, sub.Lo, sub.Hi)
-	if !got.Equal(want) {
-		t.Fatalf("sliced subset differs from direct generation:\n got %v\nwant %v", got, want)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("stats = %v, want 1 hit 0 misses", st)
-	}
-}
-
-func TestExactMatchOnlyForUnsliceable(t *testing.T) {
+func TestGetServesExactWindowOnly(t *testing.T) {
 	ch := chronology.MustNew(chronology.DefaultEpoch)
 	c := New(0)
 	k := Key{Scope: "t", ID: "E|expr", Gran: chronology.Day}
 	win := interval.Interval{Lo: 1, Hi: 100}
-	c.Put(k, win, gen(t, ch, chronology.Week, chronology.Day, 1, 100), false)
+	c.Put(k, win, gen(t, ch, chronology.Week, chronology.Day, 1, 100))
 	if _, ok := c.Get(k, interval.Interval{Lo: 10, Hi: 50}); ok {
-		t.Fatal("unsliceable entry served a subset window")
+		t.Fatal("a materialized entry served a subset window")
 	}
 	if _, ok := c.Get(k, win); !ok {
-		t.Fatal("unsliceable entry did not serve its exact window")
+		t.Fatal("a materialized entry did not serve its exact window")
+	}
+	// Re-putting a resident window is a no-op.
+	c.Put(k, win, gen(t, ch, chronology.Week, chronology.Day, 1, 100))
+	if st := c.Stats(); st.Entries != 1 || st.Puts != 1 {
+		t.Fatalf("second Put of a resident window was not a no-op: %+v", st)
 	}
 }
 
@@ -93,7 +73,7 @@ func TestVersionMiss(t *testing.T) {
 	c := New(0)
 	win := interval.Interval{Lo: 1, Hi: 100}
 	cal := gen(t, ch, chronology.Week, chronology.Day, 1, 100)
-	c.Put(Key{Scope: "t", ID: "D|paydays", Version: 1, Gran: chronology.Day}, win, cal, false)
+	c.Put(Key{Scope: "t", ID: "D|paydays", Version: 1, Gran: chronology.Day}, win, cal)
 	if _, ok := c.Get(Key{Scope: "t", ID: "D|paydays", Version: 2, Gran: chronology.Day}, win); ok {
 		t.Fatal("entry served across a version bump")
 	}
@@ -102,40 +82,15 @@ func TestVersionMiss(t *testing.T) {
 	}
 }
 
-func TestCoalescingDropsSubsumedWindows(t *testing.T) {
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	c := New(0)
-	k := Key{Scope: "t", ID: "G|days", Gran: chronology.Day}
-	for _, w := range []interval.Interval{{Lo: 1, Hi: 100}, {Lo: 200, Hi: 300}} {
-		c.Put(k, w, gen(t, ch, chronology.Day, chronology.Day, w.Lo, w.Hi), true)
-	}
-	// A window subsuming both replaces them.
-	big := interval.Interval{Lo: 1, Hi: 400}
-	c.Put(k, big, gen(t, ch, chronology.Day, chronology.Day, big.Lo, big.Hi), true)
-	st := c.Stats()
-	if st.Entries != 1 {
-		t.Fatalf("entries = %d after coalescing, want 1", st.Entries)
-	}
-	if st.Coalesced != 2 {
-		t.Fatalf("coalesced = %d, want 2", st.Coalesced)
-	}
-	// Re-putting a covered window is a no-op.
-	c.Put(k, interval.Interval{Lo: 50, Hi: 60}, gen(t, ch, chronology.Day, chronology.Day, 50, 60), true)
-	if got := c.Stats().Entries; got != 1 {
-		t.Fatalf("entries = %d after covered put, want 1", got)
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
-	// Each 100-element aperiodic materialization is ~64 + 16*100 bytes
-	// (uncompressible, so it stays materialized); budget fits ~3.
+	// Each 100-element materialization is ~64 + 16*100 bytes; budget fits ~3.
 	c := New(5000)
 	mk := func(id string) Key { return Key{Scope: "t", ID: id, Gran: chronology.Day} }
 	cal := aperiodic(t, 7, 100)
 	hull, _ := cal.Hull()
 	win := hull
 	for _, id := range []string{"a", "b", "c", "d", "e"} {
-		c.Put(mk(id), win, cal, true)
+		c.Put(mk(id), win, cal)
 	}
 	st := c.Stats()
 	if st.Evictions == 0 {
@@ -159,41 +114,10 @@ func TestOversizeRejected(t *testing.T) {
 	k := Key{Scope: "t", ID: "E|expr", Gran: chronology.Day}
 	cal := aperiodic(t, 9, 1000)
 	hull, _ := cal.Hull()
-	c.Put(k, hull, cal, true)
+	c.Put(k, hull, cal)
 	st := c.Stats()
 	if st.Rejected != 1 || st.Entries != 0 {
 		t.Fatalf("oversize entry not rejected: %v", st)
-	}
-}
-
-func TestPutCompressesPeriodicMaterializations(t *testing.T) {
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	c := New(0)
-	k := Key{Scope: "t", ID: "G|weeks", Gran: chronology.Day}
-	win := interval.Interval{Lo: 1, Hi: 3650}
-	cal := gen(t, ch, chronology.Week, chronology.Day, win.Lo, win.Hi)
-	c.Put(k, win, cal, true)
-	st := c.Stats()
-	if st.Compressed != 1 || st.Patterns != 1 {
-		t.Fatalf("periodic materialization not compressed: %v", st)
-	}
-	if st.Bytes >= SizeOf(cal)/10 {
-		t.Fatalf("compressed entry costs %d bytes, materialized was %d — want ≥10× drop", st.Bytes, SizeOf(cal))
-	}
-	// Any sub-window is a hit and re-expansion matches direct generation.
-	for _, sub := range []interval.Interval{{Lo: 100, Hi: 400}, {Lo: 1, Hi: 3650}, {Lo: 2000, Hi: 2001}} {
-		got, ok := c.Get(k, sub)
-		if !ok {
-			t.Fatalf("sub-window %v missed after compression", sub)
-		}
-		if want := gen(t, ch, chronology.Week, chronology.Day, sub.Lo, sub.Hi); !got.Equal(want) {
-			t.Fatalf("window %v: compressed expansion %v != direct %v", sub, got, want)
-		}
-	}
-	// Windows past the observed element range miss (the clamp refuses to
-	// extrapolate a detected cycle).
-	if got, ok := c.Get(k, interval.Interval{Lo: 4000, Hi: 4100}); ok && !got.IsEmpty() {
-		t.Fatalf("detected pattern extrapolated beyond its observed range: %v", got)
 	}
 }
 
@@ -201,66 +125,91 @@ func TestPutPatternServesEveryWindow(t *testing.T) {
 	ch := chronology.MustNew(chronology.DefaultEpoch)
 	c := New(0)
 	k := Key{Scope: "t", ID: "G|months", Gran: chronology.Day}
+	if _, ok := c.GetPattern(k); ok {
+		t.Fatal("GetPattern hit on an empty cache")
+	}
 	pat, err := periodicForTest(ch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PutPattern(k, AllTime, pat, minInt64, maxInt64)
+	c.PutPattern(k, pat)
+	c.PutPattern(k, pat) // a key keeps one pattern
 	for _, win := range []interval.Interval{{Lo: 1, Hi: 365}, {Lo: -40000, Hi: -36000}, {Lo: 100000, Hi: 100400}} {
-		got, ok := c.Get(k, win)
-		if !ok {
-			t.Fatalf("window %v missed on an all-time pattern entry", win)
+		p, ok := c.GetPattern(k)
+		if !ok || p != pat {
+			t.Fatal("GetPattern did not return the stored pattern")
 		}
+		got := calendar.ExpandPattern(k.Gran, p, win)
 		if want := gen(t, ch, chronology.Month, chronology.Day, win.Lo, win.Hi); !got.Equal(want) {
 			t.Fatalf("window %v: pattern expansion != direct generation", win)
 		}
 	}
-	if p, _, _, ok := c.GetPattern(k, interval.Interval{Lo: 5, Hi: 50}); !ok || p != pat {
-		t.Fatal("GetPattern did not return the stored pattern")
+	// A pattern entry is not a materialization of any window, and the
+	// reverse.
+	if _, ok := c.Get(k, interval.Interval{Lo: 1, Hi: 365}); ok {
+		t.Fatal("Get served a calendar from a pattern entry")
 	}
-	if st := c.Stats(); st.Patterns != 1 || st.Bytes != pat.SizeBytes() {
-		t.Fatalf("pattern entry accounting off: %v", st)
+	st := c.Stats()
+	if st.Patterns != 1 || st.Entries != 1 || st.Bytes != pat.SizeBytes() {
+		t.Fatalf("pattern entry accounting off: %+v", st)
 	}
-}
-
-func TestAlignedWindowCoversAndAligns(t *testing.T) {
-	cases := []interval.Interval{
-		{Lo: 1, Hi: 10},
-		{Lo: 100, Hi: 500},
-		{Lo: -300, Hi: 200},
-		{Lo: -5, Hi: -1},
-		{Lo: 1, Hi: 3_000_000},
-	}
-	for _, win := range cases {
-		a := AlignedWindow(win)
-		if a.Lo > win.Lo || a.Hi < win.Hi {
-			t.Fatalf("AlignedWindow(%v) = %v does not cover the request", win, a)
-		}
-		if err := a.Check(); err != nil {
-			t.Fatalf("AlignedWindow(%v) = %v invalid: %v", win, a, err)
-		}
-		n := win.Length()
-		if got := a.Length(); got > 4*n+2*maxChunk {
-			t.Fatalf("AlignedWindow(%v) = %v over-pads: %d ticks for a %d-tick request", win, a, got, n)
-		}
-		// Stability: any subwindow of the request aligns inside a.
-		subAligned := AlignedWindow(interval.Interval{Lo: win.Lo, Hi: win.Lo})
-		if subAligned.Lo < a.Lo-maxChunk {
-			t.Fatalf("alignment grid unstable: %v vs %v", subAligned, a)
-		}
+	if st.Hits != 3 || st.Misses != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 3/2", st.Hits, st.Misses)
 	}
 }
 
-func TestSliceOverlappingMatchesDirectGeneration(t *testing.T) {
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	for _, of := range []chronology.Granularity{chronology.Week, chronology.Month, chronology.Year} {
-		super := gen(t, ch, of, chronology.Day, -700, 3650)
-		for _, win := range []interval.Interval{{Lo: 1, Hi: 365}, {Lo: -100, Hi: 40}, {Lo: 500, Hi: 501}} {
-			direct := gen(t, ch, of, chronology.Day, win.Lo, win.Hi)
-			sliced := calendar.SliceOverlapping(super, win)
-			if !sliced.Equal(direct) {
-				t.Fatalf("%v over %v: slice %v != direct %v", of, win, sliced, direct)
-			}
-		}
+// TestColdGetThenDoCountsOneMiss pins the accounting of the production
+// calling sequence — Get, then Do on a miss: one cold request is one miss and
+// one flight (the leader's re-check is not a second request), and a leader
+// whose re-check finds the entry returns it without flying or counting.
+func TestColdGetThenDoCountsOneMiss(t *testing.T) {
+	c := New(0)
+	k := Key{Scope: "t", ID: "E|expr", Gran: chronology.Day}
+	cal := aperiodic(t, 13, 50)
+	win, _ := cal.Hull()
+	if _, ok := c.Get(k, win); ok {
+		t.Fatal("hit on an empty cache")
+	}
+	got, err := c.Do(k, win, func() (*calendar.Calendar, error) { return cal, nil })
+	if err != nil || got != cal {
+		t.Fatalf("Do = %v, %v; want the materialized calendar", got, err)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Flights != 1 || st.Hits != 0 {
+		t.Fatalf("one cold Get-then-Do: misses=%d flights=%d hits=%d, want 1/1/0", st.Misses, st.Flights, st.Hits)
+	}
+	// The entry landed between a caller's miss and its Do: the re-check
+	// serves it.
+	got, err = c.Do(k, win, func() (*calendar.Calendar, error) {
+		t.Error("materialize ran although the entry was resident")
+		return nil, nil
+	})
+	if err != nil || got != cal {
+		t.Fatalf("Do over a resident entry = %v, %v; want the cached calendar", got, err)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Flights != 1 || st.Hits != 0 {
+		t.Fatalf("re-check moved a counter: misses=%d flights=%d hits=%d, want 1/1/0", st.Misses, st.Flights, st.Hits)
+	}
+}
+
+// TestStatsFieldNames pins the keys /debug/cachestats serves (and calbench
+// decodes): the struct's json tags are the one spelling of each counter.
+func TestStatsFieldNames(t *testing.T) {
+	raw, err := json.Marshal(Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range m {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{"budget", "bytes", "entries", "evictions", "flight_waits", "flights",
+		"hits", "misses", "patterns", "puts", "rejected", "shards"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stats marshals keys\n %v\nwant\n %v", got, want)
 	}
 }

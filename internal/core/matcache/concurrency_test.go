@@ -23,7 +23,7 @@ func TestConcurrentGetPut(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				id := fmt.Sprintf("G|cal%d", i%5)
+				id := fmt.Sprintf("D|cal%d", i%5)
 				k := Key{Scope: "t", ID: id, Version: uint64(i % 3), Gran: chronology.Day}
 				lo := chronology.Tick(1 + (i%7)*50)
 				win := interval.Interval{Lo: lo, Hi: lo + 199}
@@ -34,13 +34,12 @@ func TestConcurrentGetPut(t *testing.T) {
 					}
 					continue
 				}
-				padded := AlignedWindow(win)
-				cal, err := calendar.GenerateFull(ch, chronology.Week, chronology.Day, padded.Lo, padded.Hi)
+				cal, err := calendar.GenerateFull(ch, chronology.Week, chronology.Day, win.Lo, win.Hi)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				c.Put(k, padded, cal, true)
+				c.Put(k, win, cal)
 				if i%50 == 0 {
 					_ = c.Stats()
 				}
@@ -60,17 +59,17 @@ func TestConcurrentGetPut(t *testing.T) {
 	}
 }
 
-// Concurrent readers of one cached superset must all see correct slices.
+// Concurrent readers of one cached pattern must all see correct expansions
+// of whatever window they ask for.
 func TestConcurrentSubsetReads(t *testing.T) {
 	ch := chronology.MustNew(chronology.DefaultEpoch)
 	c := New(0)
 	k := Key{Scope: "t", ID: "G|months", Gran: chronology.Day}
-	super := interval.Interval{Lo: 1, Hi: 36500}
-	cal, err := calendar.GenerateFull(ch, chronology.Month, chronology.Day, super.Lo, super.Hi)
+	pat, err := periodicForTest(ch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put(k, super, cal, true)
+	c.PutPattern(k, pat)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -79,9 +78,9 @@ func TestConcurrentSubsetReads(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				lo := chronology.Tick(1 + (w*211+i*97)%30000)
 				win := interval.Interval{Lo: lo, Hi: lo + 364}
-				got, ok := c.Get(k, win)
+				p, ok := c.GetPattern(k)
 				if !ok {
-					t.Errorf("superset stopped serving %v", win)
+					t.Errorf("pattern entry stopped serving %v", win)
 					return
 				}
 				want, err := calendar.GenerateFull(ch, chronology.Month, chronology.Day, win.Lo, win.Hi)
@@ -89,8 +88,8 @@ func TestConcurrentSubsetReads(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !got.Equal(want) {
-					t.Errorf("slice mismatch over %v", win)
+				if !calendar.ExpandPattern(k.Gran, p, win).Equal(want) {
+					t.Errorf("expansion mismatch over %v", win)
 					return
 				}
 			}

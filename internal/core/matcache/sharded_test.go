@@ -60,14 +60,14 @@ func TestShardBudgetFairness(t *testing.T) {
 	}
 	perShard := budget / int64(len(c.shards))
 
-	cal := aperiodic(t, 3, 1000) // ~16 KiB, uncompressible
+	cal := aperiodic(t, 3, 1000) // ~16 KiB
 	hull, _ := cal.Hull()
-	anchor := Key{Scope: "t", ID: "G|hot", Gran: chronology.Day}
+	anchor := Key{Scope: "t", ID: "D|hot", Gran: chronology.Day}
 	target := c.shardOf(anchor)
 	// Enough hot-shard entries to overflow the sub-budget several times.
 	n := int(3*perShard/SizeOf(cal)) + 2
 	for _, k := range keysInShard(c, anchor, n) {
-		c.Put(k, hull, cal, true)
+		c.Put(k, hull, cal)
 	}
 
 	st := c.Stats()
@@ -102,15 +102,15 @@ func TestDeferredPromotionSurvivesEviction(t *testing.T) {
 	cal := aperiodic(t, 7, 100)
 	hull, _ := cal.Hull()
 	mk := func(id string) Key { return Key{Scope: "t", ID: id, Gran: chronology.Day} }
-	c.Put(mk("a"), hull, cal, true)
-	c.Put(mk("b"), hull, cal, true)
-	c.Put(mk("c"), hull, cal, true)
+	c.Put(mk("a"), hull, cal)
+	c.Put(mk("b"), hull, cal)
+	c.Put(mk("c"), hull, cal)
 	// Read "a" — the LRU back — then storm the shard with new entries.
 	if _, ok := c.Get(mk("a"), hull); !ok {
 		t.Fatal("entry a missing before the storm")
 	}
-	c.Put(mk("d"), hull, cal, true)
-	c.Put(mk("e"), hull, cal, true)
+	c.Put(mk("d"), hull, cal)
+	c.Put(mk("e"), hull, cal)
 	if c.Stats().Evictions == 0 {
 		t.Fatal("storm caused no evictions")
 	}
@@ -123,15 +123,15 @@ func TestDeferredPromotionSurvivesEviction(t *testing.T) {
 }
 
 // TestGetImmutableUnderPutResetStorm is the immutability-contract hammer:
-// exact-window Gets return the cached *Calendar with no copy, so while
-// eviction, coalescing and Reset detach entries concurrently, the returned
+// Gets return the cached *Calendar with no copy, so while eviction and Reset
+// detach entries concurrently, the returned
 // value must stay equal to what was inserted (and -race must stay quiet).
 func TestGetImmutableUnderPutResetStorm(t *testing.T) {
 	c := New(5000) // tiny budget: every Put evicts
 	k := Key{Scope: "t", ID: "E|hot", Gran: chronology.Day}
 	cal := aperiodic(t, 11, 100)
 	hull, _ := cal.Hull()
-	c.Put(k, hull, cal, false) // unsliceable: exact-window hits alias the cached value
+	c.Put(k, hull, cal) // hits alias the cached value
 
 	churn := make([]*calendar.Calendar, 8)
 	for i := range churn {
@@ -151,11 +151,11 @@ func TestGetImmutableUnderPutResetStorm(t *testing.T) {
 				}
 				ev := churn[(w+i)%len(churn)]
 				h, _ := ev.Hull()
-				c.Put(Key{Scope: "t", ID: fmt.Sprintf("E|churn%d-%d", w, i%16), Gran: chronology.Day}, h, ev, false)
+				c.Put(Key{Scope: "t", ID: fmt.Sprintf("E|churn%d-%d", w, i%16), Gran: chronology.Day}, h, ev)
 				if i%64 == 0 {
 					c.Reset()
 				}
-				c.Put(k, hull, cal, false)
+				c.Put(k, hull, cal)
 			}
 		}(w)
 	}
@@ -183,7 +183,7 @@ func TestGetImmutableUnderPutResetStorm(t *testing.T) {
 func TestSingleflightDedup(t *testing.T) {
 	ch := chronology.MustNew(chronology.DefaultEpoch)
 	c := New(0)
-	k := Key{Scope: "t", ID: "G|weeks", Gran: chronology.Day}
+	k := Key{Scope: "t", ID: "D|weeks", Gran: chronology.Day}
 	win := interval.Interval{Lo: 1, Hi: 3650}
 	want := gen(t, ch, chronology.Week, chronology.Day, win.Lo, win.Hi)
 	fresh := gen(t, ch, chronology.Week, chronology.Day, win.Lo, win.Hi)
@@ -197,10 +197,10 @@ func TestSingleflightDedup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			got, err := c.Do(k, win, func() (*calendar.Calendar, bool, error) {
+			got, err := c.Do(k, win, func() (*calendar.Calendar, error) {
 				calls.Add(1)
 				time.Sleep(20 * time.Millisecond) // hold the flight open so the herd piles up
-				return fresh, true, nil
+				return fresh, nil
 			})
 			if err != nil {
 				errs <- err
@@ -237,7 +237,7 @@ func TestSingleflightDedup(t *testing.T) {
 func TestSingleflightErrorPropagates(t *testing.T) {
 	ch := chronology.MustNew(chronology.DefaultEpoch)
 	c := New(0)
-	k := Key{Scope: "t", ID: "G|bad", Gran: chronology.Day}
+	k := Key{Scope: "t", ID: "D|bad", Gran: chronology.Day}
 	win := interval.Interval{Lo: 1, Hi: 100}
 	boom := errors.New("boom")
 
@@ -248,10 +248,10 @@ func TestSingleflightErrorPropagates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Do(k, win, func() (*calendar.Calendar, bool, error) {
+			_, err := c.Do(k, win, func() (*calendar.Calendar, error) {
 				calls.Add(1)
 				time.Sleep(10 * time.Millisecond)
-				return nil, false, boom
+				return nil, boom
 			})
 			if !errors.Is(err, boom) {
 				wrongErr.Add(1)
@@ -267,9 +267,9 @@ func TestSingleflightErrorPropagates(t *testing.T) {
 	}
 	// Failures are not cached: the next Do must materialize again.
 	before := calls.Load()
-	if _, err := c.Do(k, win, func() (*calendar.Calendar, bool, error) {
+	if _, err := c.Do(k, win, func() (*calendar.Calendar, error) {
 		calls.Add(1)
-		return gen(t, ch, chronology.Week, chronology.Day, win.Lo, win.Hi), true, nil
+		return gen(t, ch, chronology.Week, chronology.Day, win.Lo, win.Hi), nil
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ package periodic
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -249,45 +248,11 @@ func (p *Pattern) NextAfter(t chronology.Tick) (q int64, start chronology.Tick) 
 	return q, chronology.TickFromOffset(lo)
 }
 
-// NextAfterBetween is NextAfter restricted to element indices within
-// [qmin, qmax] — the validity range of a detected pattern, mirroring
-// ExpandBetween. ok is false when the next element lies past qmax; an index
-// below qmin clamps up to qmin (the earliest observed element).
-func (p *Pattern) NextAfterBetween(t chronology.Tick, qmin, qmax int64) (start chronology.Tick, ok bool) {
-	q, start := p.NextAfter(t)
-	if q < qmin {
-		q = qmin
-		lo, _ := p.element(q)
-		start = chronology.TickFromOffset(lo)
-	}
-	if q > qmax {
-		return 0, false
-	}
-	return start, true
-}
-
 // Expand materializes the elements overlapping the tick window, in order, in
 // O(output) time — the pattern-backed equivalent of generating the window.
 func (p *Pattern) Expand(win interval.Interval) []interval.Interval {
-	return p.ExpandBetween(win, math.MinInt64, math.MaxInt64)
-}
-
-// ExpandBetween is Expand restricted to element indices within [qmin, qmax]:
-// detected patterns are only valid over the element range actually observed,
-// so their windowed expansions clamp to it. Pass the full int64 range for
-// truly infinite patterns.
-func (p *Pattern) ExpandBetween(win interval.Interval, qmin, qmax int64) []interval.Interval {
 	first, last, ok := p.IndexRange(win)
 	if !ok {
-		return nil
-	}
-	if first < qmin {
-		first = qmin
-	}
-	if last > qmax {
-		last = qmax
-	}
-	if first > last {
 		return nil
 	}
 	out := make([]interval.Interval, last-first+1)

@@ -142,100 +142,6 @@ func TestCardSelectMatchExpansion(t *testing.T) {
 	}
 }
 
-// TestDetectRoundTrip materializes basic calendars, detects their pattern, and
-// checks that windowed re-expansion reproduces exactly the slice of the
-// original list overlapping any sub-window.
-func TestDetectRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	pairs := [][2]chronology.Granularity{
-		{chronology.Day, chronology.Day},
-		{chronology.Week, chronology.Day},
-		{chronology.Hour, chronology.Minute},
-		{chronology.Month, chronology.Day},
-		{chronology.Year, chronology.Month},
-	}
-	for _, pair := range pairs {
-		of, in := pair[0], pair[1]
-		base, err := calendar.GenerateFull(ch, of, in,
-			chronology.TickFromOffset(-400), chronology.TickFromOffset(3000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ivs := base.Intervals()
-		pat, qmin, qmax, ok := periodic.Detect(ivs)
-		// Note MONTHS in DAYS is detected too: over a window inside one
-		// century the 4-year leap cycle is a true local period, and the
-		// [qmin, qmax] clamp keeps re-expansion honest at the edges.
-		if !ok {
-			t.Fatalf("Detect(%v in %v): not detected (%d intervals)", of, in, len(ivs))
-		}
-		if got := pat.ExpandBetween(interval.Interval{Lo: ivs[0].Lo, Hi: ivs[len(ivs)-1].Hi}, qmin, qmax); len(got) != len(ivs) {
-			t.Fatalf("Detect(%v in %v): full re-expansion has %d intervals, want %d", of, in, len(got), len(ivs))
-		}
-		for trial := 0; trial < 50; trial++ {
-			lo := rng.Int63n(3600) - 500
-			hi := lo + rng.Int63n(800)
-			win := interval.Interval{Lo: chronology.TickFromOffset(lo), Hi: chronology.TickFromOffset(hi)}
-			got := pat.ExpandBetween(win, qmin, qmax)
-			var want []interval.Interval
-			for _, iv := range ivs {
-				if iv.Hi >= win.Lo && iv.Lo <= win.Hi {
-					want = append(want, iv)
-				}
-			}
-			sameIntervals(t, got, want, of.String()+" in "+in.String())
-		}
-	}
-}
-
-// TestDetectRefusesCenturyBreak checks honest fallback: months in days across
-// the non-leap year 2100 have no local period, so detection must refuse.
-func TestDetectRefusesCenturyBreak(t *testing.T) {
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	ts := ch.DayTick(chronology.Civil{Year: 2096, Month: 1, Day: 1})
-	te := ch.DayTick(chronology.Civil{Year: 2104, Month: 1, Day: 1})
-	cal, err := calendar.GenerateFull(ch, chronology.Month, chronology.Day, ts, te)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, ok := periodic.Detect(cal.Intervals()); ok {
-		t.Fatal("Detect accepted months-in-days across the 2100 leap break")
-	}
-}
-
-// TestDetectRejectsNoise checks that near-periodic lists are not mistaken for
-// periodic ones.
-func TestDetectRejectsNoise(t *testing.T) {
-	// Periodic except for one perturbed width in the middle.
-	var ivs []interval.Interval
-	for i := int64(0); i < 60; i++ {
-		lo := i * 7
-		hi := lo + 6
-		if i == 31 {
-			hi = lo + 5
-		}
-		ivs = append(ivs, interval.Interval{
-			Lo: chronology.TickFromOffset(lo), Hi: chronology.TickFromOffset(hi)})
-	}
-	if _, _, _, ok := periodic.Detect(ivs); ok {
-		t.Fatal("Detect accepted a perturbed list")
-	}
-	// Too short.
-	if _, _, _, ok := periodic.Detect(ivs[:8]); ok {
-		t.Fatal("Detect accepted a too-short list")
-	}
-	// Unsorted.
-	bad := []interval.Interval{}
-	for i := int64(20); i > 0; i-- {
-		bad = append(bad, interval.Interval{
-			Lo: chronology.TickFromOffset(i * 7), Hi: chronology.TickFromOffset(i*7 + 6)})
-	}
-	if _, _, _, ok := periodic.Detect(bad); ok {
-		t.Fatal("Detect accepted an unsorted list")
-	}
-}
-
 // mustPattern builds a pattern or fails the test.
 func mustPattern(t *testing.T, period, phase int64, spans []periodic.Span) *periodic.Pattern {
 	t.Helper()
@@ -471,44 +377,6 @@ func TestNextAfterMatchesExpansion(t *testing.T) {
 			if start != want {
 				t.Fatalf("pattern %d: NextAfter(%d) = tick %d, expansion says %d", pi, x, start, want)
 			}
-		}
-	}
-}
-
-// TestNextAfterBetweenClamps checks the [qmin, qmax] restriction used with
-// detected patterns: queries before the observed range clamp up to element
-// qmin, queries at or past element qmax's start report no next element.
-func TestNextAfterBetweenClamps(t *testing.T) {
-	pat := mustPattern(t, 10, 2, []periodic.Span{{Lo: 0, Hi: 1}, {Lo: 4, Hi: 5}})
-	const qmin, qmax = -3, 5
-	period := pat.Period()
-	wide := interval.Interval{
-		Lo: chronology.TickFromOffset((qmin - 2) * period),
-		Hi: chronology.TickFromOffset((qmax + 2) * period),
-	}
-	elems := pat.ExpandBetween(wide, qmin, qmax)
-	if len(elems) != int(qmax-qmin+1) {
-		t.Fatalf("setup: ExpandBetween yielded %d elements, want %d", len(elems), qmax-qmin+1)
-	}
-	first, last := elems[0].Lo, elems[len(elems)-1].Lo
-	for x := chronology.OffsetFromTick(first) - 2*period; x <= chronology.OffsetFromTick(last)+period; x++ {
-		tk := chronology.TickFromOffset(x)
-		start, ok := pat.NextAfterBetween(tk, qmin, qmax)
-		var want chronology.Tick
-		wantOK := false
-		for _, iv := range elems {
-			if chronology.OffsetFromTick(iv.Lo) > x {
-				want, wantOK = iv.Lo, true
-				break
-			}
-		}
-		// Below the range the answer clamps to element qmin even though
-		// NextAfter alone would name an earlier (unobserved) element.
-		if x < chronology.OffsetFromTick(first) {
-			want, wantOK = first, true
-		}
-		if ok != wantOK || (ok && start != want) {
-			t.Fatalf("NextAfterBetween(%d) = %d,%v, want %d,%v", x, start, ok, want, wantOK)
 		}
 	}
 }

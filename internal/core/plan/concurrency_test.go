@@ -12,13 +12,13 @@ import (
 )
 
 // Concurrent evaluations sharing one materialization cache must agree with a
-// serial, uncached evaluation — the shared cache and the parallel generate
-// fan-out may change how values are produced, never which values.
+// serial, uncached evaluation — the shared cache may change how values are
+// produced, never which values.
 func TestConcurrentEvaluateSharedCache(t *testing.T) {
 	ch := chronology.MustNew(chronology.DefaultEpoch)
 	cat := NewMapCatalog()
 	mat := matcache.New(1 << 20)
-	baseline := &Env{Chron: ch, Cat: cat, Parallelism: 1}
+	baseline := &Env{Chron: ch, Cat: cat}
 	shared := &Env{Chron: ch, Cat: cat, Mat: mat, MatScope: "test"}
 
 	exprs := []string{
@@ -85,30 +85,6 @@ func TestConcurrentEvaluateSharedCache(t *testing.T) {
 		}
 	}
 	if st := mat.Stats(); st.Hits == 0 {
-		t.Fatalf("shared cache never hit across %d evaluations: %v", workers*len(want), st)
-	}
-}
-
-// The parallel fan-out must produce exactly what the serial executor does,
-// including when generation fails mid-plan.
-func TestParallelPrefetchMatchesSerial(t *testing.T) {
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	cat := NewMapCatalog()
-	e, err := callang.ParseExpr("DAYS + WEEKS + MONTHS + YEARS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	from := chronology.Civil{Year: 1990, Month: 1, Day: 1}
-	to := chronology.Civil{Year: 1995, Month: 12, Day: 31}
-	serial, err := Evaluate(&Env{Chron: ch, Cat: cat, Parallelism: 1}, e, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Evaluate(&Env{Chron: ch, Cat: cat, Parallelism: 4}, e, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parallel.Equal(serial) {
-		t.Fatal("parallel fan-out result differs from serial execution")
+		t.Fatalf("shared cache never hit across %d evaluations: %+v", workers*len(want), st)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
@@ -14,27 +13,25 @@ import (
 	"calsys/internal/core/periodic"
 )
 
-// regVal is one register value: an eagerly materialized calendar, or a
-// periodic pattern standing for the generation it came from. Pattern-backed
-// values stay unexpanded until a consumer needs the interval list; a
-// selection consumer never expands them at all, answering by index
-// arithmetic on the pattern.
+// regVal is one register value: an eagerly materialized calendar, or the
+// exact periodic pattern of a basic calendar standing for its generation over
+// win. Pattern-backed values stay unexpanded until a consumer needs the
+// interval list; a selection consumer never expands them at all, answering by
+// index arithmetic on the pattern.
 type regVal struct {
-	cal        *calendar.Calendar
-	pat        *periodic.Pattern
-	qmin, qmax int64             // element-index validity range of pat
-	win        interval.Interval // the inferred generation window pat stands over
-	gran       chronology.Granularity
+	cal  *calendar.Calendar
+	pat  *periodic.Pattern
+	win  interval.Interval // the inferred generation window pat stands over
+	gran chronology.Granularity
 }
 
 func eager(c *calendar.Calendar) *regVal { return &regVal{cal: c} }
 
 // materialize expands a pattern-backed value over exactly its inferred
-// generation window (no chunk padding: expansion is O(output), so there is
-// nothing to amortize), memoizing the result for later consumers.
+// generation window, memoizing the result for later consumers.
 func (v *regVal) materialize() *calendar.Calendar {
 	if v.cal == nil {
-		v.cal = calendar.ExpandPatternBetween(v.gran, v.pat, v.win, v.qmin, v.qmax)
+		v.cal = calendar.ExpandPattern(v.gran, v.pat, v.win)
 	}
 	return v.cal
 }
@@ -43,7 +40,7 @@ func (v *regVal) materialize() *calendar.Calendar {
 // script run, so that a calendar referenced by several statements is
 // generated once (the paper's shared-calendar marking).
 type execState struct {
-	genCache map[string]*regVal
+	genCache map[genKey]*regVal
 	depth    int
 	// deriving is the stack of opaque derivations currently being evaluated,
 	// used to report the full path of a reference cycle (A → B → A).
@@ -54,7 +51,7 @@ type execState struct {
 const maxDerivedDepth = 16
 
 func newExecState() *execState {
-	return &execState{genCache: map[string]*regVal{}}
+	return &execState{genCache: map[genKey]*regVal{}}
 }
 
 // Exec runs the plan and returns the result calendar. vars supplies script
@@ -64,7 +61,6 @@ func (p *Plan) Exec(env *Env, vars map[string]*calendar.Calendar) (*calendar.Cal
 }
 
 func (p *Plan) exec(env *Env, vars map[string]*calendar.Calendar, st *execState) (*calendar.Calendar, error) {
-	p.prefetchGenerates(env, st)
 	regs := make([]*regVal, len(p.Ops))
 	getVal := func(r Reg) (*regVal, error) {
 		if r < 0 || int(r) >= len(regs) || regs[r] == nil {
@@ -93,8 +89,11 @@ func (p *Plan) exec(env *Env, vars map[string]*calendar.Calendar, st *execState)
 	return v.materialize(), nil
 }
 
-func genKey(op Op, g chronology.Granularity) string {
-	return fmt.Sprintf("G|%v|%v|%v", op.Of, g, op.Win)
+// genKey identifies one generation within a run: basic calendar, tick
+// granularity, window.
+type genKey struct {
+	of, gran chronology.Granularity
+	win      interval.Interval
 }
 
 // execVal evaluates ops whose results can stay pattern-backed — OpGenerate
@@ -103,21 +102,21 @@ func genKey(op Op, g chronology.Granularity) string {
 func (p *Plan) execVal(env *Env, vars map[string]*calendar.Calendar, st *execState, op Op, getVal func(Reg) (*regVal, error), get func(Reg) (*calendar.Calendar, error)) (*regVal, error) {
 	switch op.Kind {
 	case OpGenerate:
-		key := genKey(op, p.Gran)
-		if !env.DisableSharing {
-			if v, ok := st.genCache[key]; ok {
-				return v, nil
-			}
-		}
-		if v, ok := p.patternValue(env, op); ok {
-			st.genCache[key] = v
+		key := genKey{op.Of, p.Gran, op.Win}
+		if v, ok := st.genCache[key]; ok && !env.DisableSharing {
 			return v, nil
 		}
-		c, err := p.generateShared(env, op)
-		if err != nil {
-			return nil, err
+		v, ok := p.patternValue(env, op)
+		if !ok {
+			// No cache to keep a pattern in (or an invalid pair, which
+			// GenerateFull reports): generate the window directly — the
+			// definition the patterns are tested against.
+			c, err := calendar.GenerateFull(env.Chron, op.Of, p.Gran, op.Win.Lo, op.Win.Hi)
+			if err != nil {
+				return nil, err
+			}
+			v = eager(c)
 		}
-		v := eager(c)
 		st.genCache[key] = v
 		return v, nil
 	case OpSelect:
@@ -143,25 +142,27 @@ func (p *Plan) execVal(env *Env, vars map[string]*calendar.Calendar, st *execSta
 	return eager(c), nil
 }
 
-// patternValue answers an OpGenerate with a periodic pattern instead of a
-// materialized list, when the environment shares periodic values and the
-// (of, gran) pair is exactly periodic. Patterns are stored in the shared
-// cache under an all-time window, so every later window of the same pair —
-// from any evaluation in the process — is a hit.
+// patternValue answers an OpGenerate with the pair's exact all-time pattern,
+// left unexpanded for the consumer, when the environment has a shared cache
+// to keep it in: the pattern is built once per (of, gran) and process, and
+// every later window of the pair — from any evaluation — is a cache hit. A
+// self-contained environment gets ok=false rather than a pattern per run:
+// building MONTHS in DAYS walks the 400-year Gregorian cycle, far more than
+// generating a typical window.
 func (p *Plan) patternValue(env *Env, op Op) (*regVal, bool) {
-	if env.Mat == nil || env.DisableSharing || env.DisablePeriodic {
+	if env.Mat == nil || env.DisableSharing {
 		return nil, false
 	}
 	key := matcache.Key{Scope: env.MatScope, ID: "G|" + op.Of.String(), Gran: p.Gran}
-	if pat, qmin, qmax, ok := env.Mat.GetPattern(key, op.Win); ok {
-		return &regVal{pat: pat, qmin: qmin, qmax: qmax, win: op.Win, gran: p.Gran}, true
+	pat, ok := env.Mat.GetPattern(key)
+	if !ok {
+		var err error
+		if pat, err = periodic.ForBasicPair(env.Chron, op.Of, p.Gran); err != nil {
+			return nil, false
+		}
+		env.Mat.PutPattern(key, pat)
 	}
-	pat, err := periodic.ForBasicPair(env.Chron, op.Of, p.Gran)
-	if err != nil {
-		return nil, false
-	}
-	env.Mat.PutPattern(key, matcache.AllTime, pat, math.MinInt64, math.MaxInt64)
-	return &regVal{pat: pat, qmin: math.MinInt64, qmax: math.MaxInt64, win: op.Win, gran: p.Gran}, true
+	return &regVal{pat: pat, win: op.Win, gran: p.Gran}, true
 }
 
 // selectPattern answers a selection over a pattern-backed generation by
@@ -175,15 +176,6 @@ func selectPattern(sel calendar.Selection, v *regVal) (*calendar.Calendar, bool)
 	}
 	first, last, ok := v.pat.IndexRange(v.win)
 	if !ok {
-		return calendar.Empty(v.gran), true
-	}
-	if first < v.qmin {
-		first = v.qmin
-	}
-	if last > v.qmax {
-		last = v.qmax
-	}
-	if first > last {
 		return calendar.Empty(v.gran), true
 	}
 	n := last - first + 1
@@ -256,42 +248,41 @@ func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execStat
 				return c, nil
 			}
 		}
-		eval := func() (*calendar.Calendar, bool, error) {
+		eval := func() (*calendar.Calendar, error) {
 			st.depth++
 			st.deriving = append(st.deriving, op.Name)
 			v, err := runScript(env, script, p.Gran, win, st)
 			st.deriving = st.deriving[:len(st.deriving)-1]
 			st.depth--
 			if err != nil {
-				return nil, false, fmt.Errorf("evaluating %q: %w", op.Name, err)
+				return nil, fmt.Errorf("evaluating %q: %w", op.Name, err)
 			}
 			if v.Cal == nil {
-				return nil, false, fmt.Errorf("derived calendar %q returned an alert string, not a calendar", op.Name)
+				return nil, fmt.Errorf("derived calendar %q returned an alert string, not a calendar", op.Name)
 			}
 			out, err := calendar.ConvertGran(env.Chron, v.Cal, p.Gran)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
-			// Derived materializations are served back verbatim (not
-			// sliced), so prime the endpoint index now: every later foreach
-			// or set op against the cached value sweeps the flat bound
-			// arrays instead of re-lowering the interval list.
+			// Derived materializations are served back verbatim, so prime
+			// the endpoint index now: every later foreach or set op against
+			// the cached value sweeps the flat bound arrays instead of
+			// re-lowering the interval list.
 			out.PrimeIndex()
-			return out, false, nil
+			return out, nil
 		}
 		if !cacheable {
-			out, _, err := eval()
-			return out, err
+			return eval()
 		}
 		if st.depth > 0 {
 			// Nested derived references evaluate inline rather than flying:
 			// depth is only incremented inside a flight leader's eval, so
 			// keeping nested refs out of Do means a leader never waits on
 			// another flight at its own level — the wait graph stays acyclic
-			// (expression → derived → generate).
-			out, _, err := eval()
+			// (expression → derived).
+			out, err := eval()
 			if err == nil {
-				env.Mat.Put(dkey, win, out, false)
+				env.Mat.Put(dkey, win, out)
 			}
 			return out, err
 		}
@@ -336,42 +327,6 @@ func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execStat
 	return nil, fmt.Errorf("unimplemented op kind %d", int(op.Kind))
 }
 
-// generateShared evaluates one OpGenerate, consulting the process-wide
-// materialization cache when the environment carries one. Cache misses
-// generate a chunk-aligned superset of the requested window and store that,
-// so the shifted, overlapping windows of later evaluations are served by
-// slicing; the value returned for this request is always the exact slice
-// over op.Win, which for the consecutive sorted runs of a generated basic
-// calendar is identical to generating op.Win directly.
-func (p *Plan) generateShared(env *Env, op Op) (*calendar.Calendar, error) {
-	if env.Mat == nil || env.DisableSharing {
-		return calendar.GenerateFull(env.Chron, op.Of, p.Gran, op.Win.Lo, op.Win.Hi)
-	}
-	key := matcache.Key{Scope: env.MatScope, ID: "G|" + op.Of.String(), Gran: p.Gran}
-	if c, ok := env.Mat.Get(key, op.Win); ok {
-		return c, nil
-	}
-	// Coalesce concurrent misses on the aligned chunk: N goroutines (the
-	// prefetch pool, parallel rule probes, concurrent tenants) missing on
-	// one popular calendar run exactly one padded generation between them.
-	padded := matcache.AlignedWindow(op.Win)
-	c, err := env.Mat.Do(key, padded, func() (*calendar.Calendar, bool, error) {
-		return generated(calendar.GenerateFull(env.Chron, op.Of, p.Gran, padded.Lo, padded.Hi))
-	})
-	if err != nil {
-		// Padding pushed the window somewhere generation rejects; fall back
-		// to the exact request.
-		return calendar.GenerateFull(env.Chron, op.Of, p.Gran, op.Win.Lo, op.Win.Hi)
-	}
-	return calendar.SliceOverlapping(c, op.Win), nil
-}
-
-// generated adapts GenerateFull's result to a flight's materialize shape:
-// generated basic calendars are always sliceable runs.
-func generated(c *calendar.Calendar, err error) (*calendar.Calendar, bool, error) {
-	return c, true, err
-}
-
 // derivedKey returns the shared-cache key for a derived calendar's
 // materialization at this plan's granularity, and whether caching is sound:
 // the catalog must report a generation (for invalidation) and must vouch
@@ -395,67 +350,6 @@ func (p *Plan) derivedKey(env *Env, name string) (matcache.Key, bool) {
 		Version: vc.CatalogGeneration(),
 		Gran:    p.Gran,
 	}, true
-}
-
-// prefetchGenerates evaluates the distinct generate ops of a plan on a
-// bounded worker pool before the sequential pass, so independent generations
-// overlap on multicore hardware. Results land in the per-run cache; workers
-// swallow errors, which the sequential pass then reproduces with the proper
-// op context.
-func (p *Plan) prefetchGenerates(env *Env, st *execState) {
-	if env.DisableSharing || env.parallelism() <= 1 {
-		return
-	}
-	type job struct {
-		key string
-		op  Op
-	}
-	var jobs []job
-	seen := map[string]bool{}
-	for _, op := range p.Ops {
-		if op.Kind != OpGenerate {
-			continue
-		}
-		key := genKey(op, p.Gran)
-		if seen[key] || st.genCache[key] != nil {
-			continue
-		}
-		seen[key] = true
-		// Periodic pairs need no worker: building the pattern is O(1)-ish
-		// and expansion is deferred to the consumer.
-		if v, ok := p.patternValue(env, op); ok {
-			st.genCache[key] = v
-			continue
-		}
-		jobs = append(jobs, job{key, op})
-	}
-	if len(jobs) < 2 {
-		return
-	}
-	workers := env.parallelism()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]*calendar.Calendar, len(jobs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if c, err := p.generateShared(env, jobs[i].op); err == nil {
-				results[i] = c
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, j := range jobs {
-		if results[i] != nil {
-			st.genCache[j.key] = eager(results[i])
-		}
-	}
 }
 
 // lifespanIn converts a calendar's day-tick lifespan to granularity g, when

@@ -4,15 +4,16 @@
 //
 // Strategy, in order of preference:
 //
-//  1. Infinite pattern. A prepared expression that is a single basic
-//     calendar maps to its exact periodic.Pattern; NextAfter answers in
-//     O(log spans) arithmetic for any instant, forever.
-//  2. Detected pattern / cached probe. Window-anchor-free expressions
-//     (Tuesdays, third Fridays, month ends…) evaluate once over the full
-//     horizon; the result is cached — compressed to a detected Pattern when
-//     periodic — and subsequent queries answer by O(log n) search until
-//     they near the cached window's end, where generation-edge effects
-//     begin and a fresh probe re-anchors the cache.
+//  1. Infinite pattern. A prepared expression the symbolic calculus lowers
+//     — a basic calendar, or a composition of them — maps to its exact
+//     periodic.Pattern; NextAfter answers in O(log spans) arithmetic for
+//     any instant, forever.
+//  2. Cached probe. Window-anchor-free expressions with no symbolic form
+//     (anything over a stored calendar such as HOLIDAYS) evaluate once over
+//     the full horizon; the sorted element starts are cached and subsequent
+//     queries answer by O(log n) search until they near the cached window's
+//     end, where generation-edge effects begin and a fresh probe re-anchors
+//     the cache.
 //  3. Exponential doubling. Anchor-sensitive but end-stable expressions
 //     (positive order-1 selections over stable operands) evaluate over a
 //     window that starts small and doubles out to the horizon, stopping at
@@ -221,24 +222,21 @@ type Scheduler struct {
 	planText      string
 	probes        int64 // windowed evaluations performed
 
-	// exact is the infinite-pattern fast path: the prepared expression is a
-	// single basic calendar — or a composition the symbolic calculus lowered
-	// to closed form — answered by arithmetic with no evaluation ever.
+	// exact is the infinite-pattern fast path: the symbolic calculus lowered
+	// the prepared expression (a basic calendar, or a composition of them)
+	// to closed form, answered by arithmetic with no evaluation ever.
 	exact *periodic.Pattern
 
 	// dormant marks an expression the symbolic calculus proved empty on
 	// every window: NextAfter answers ok=false without ever evaluating.
 	dormant bool
 
-	// Anchor-free probe cache: the materialized horizon starting at anchor,
-	// compressed to a detected pattern valid on [qmin, qmax] when periodic,
-	// else kept as the sorted element start ticks.
-	pat        *periodic.Pattern
-	qmin, qmax int64
-	starts     []chronology.Tick
-	anchor     int64 // epoch second the cached probe was anchored at
-	safeThru   int64 // serve cached answers at or before this instant
-	haveCache  bool
+	// Anchor-free probe cache: the sorted element start ticks of the horizon
+	// materialized at anchor.
+	starts    []chronology.Tick
+	anchor    int64 // epoch second the cached probe was anchored at
+	safeThru  int64 // serve cached answers at or before this instant
+	haveCache bool
 }
 
 // NewScheduler builds a scheduler for a prepared expression (the output of
@@ -254,17 +252,10 @@ func NewScheduler(env *Env, prepped callang.Expr, gran chronology.Granularity) *
 	}
 	s.prof = profileExpr(env.Cat, prepped)
 	s.slack = 2 * exprSlack(prepped)
-	if id, ok := prepped.(*callang.Ident); ok && !env.DisablePeriodic {
-		if g, err := chronology.ParseGranularity(id.Name); err == nil {
-			if p, perr := periodic.ForBasicPair(env.Chron, g, gran); perr == nil {
-				s.exact = p
-			}
-		}
-	}
-	if s.exact == nil && !env.DisablePeriodic && !env.DisableSymbolic {
-		// Whole-expression symbolic lowering: compositions (selections over
-		// groupings, unions, differences) get the same arithmetic-only path
-		// as basic calendars, and provably-empty expressions never probe.
+	if !env.DisableSymbolic {
+		// Whole-expression symbolic lowering: basic calendars and their
+		// compositions (selections over groupings, unions, differences) get
+		// an arithmetic-only path, and provably-empty expressions never probe.
 		if p, ok := SymbolicPattern(env, prepped, gran); ok {
 			if p == nil {
 				s.dormant = true
@@ -284,7 +275,7 @@ func (s *Scheduler) Configure(horizonDays int64, forceWindowed bool) {
 	defer s.mu.Unlock()
 	if horizonDays > 0 && horizonDays != s.horizonDays {
 		s.horizonDays = horizonDays
-		s.haveCache, s.pat, s.starts = false, nil, nil
+		s.haveCache, s.starts = false, nil
 	}
 	s.forceWindowed = forceWindowed
 }
@@ -362,21 +353,11 @@ func (s *Scheduler) cachedNext(after int64, afterTick chronology.Tick) (at int64
 	if !s.haveCache || after < s.anchor {
 		return 0, false, false
 	}
-	var t chronology.Tick
-	if s.pat != nil {
-		nt, found := s.pat.NextAfterBetween(afterTick, s.qmin, s.qmax)
-		if !found {
-			return 0, false, false
-		}
-		t = nt
-	} else {
-		i := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] > afterTick })
-		if i == len(s.starts) {
-			return 0, false, false
-		}
-		t = s.starts[i]
+	i := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] > afterTick })
+	if i == len(s.starts) {
+		return 0, false, false
 	}
-	at = s.env.Chron.UnitStart(s.gran, t)
+	at = s.env.Chron.UnitStart(s.gran, s.starts[i])
 	if at > s.safeThru {
 		// Too close to the cached window's end: edge effects possible.
 		return 0, false, false
@@ -419,31 +400,16 @@ func (s *Scheduler) eval(win interval.Interval) (*calendar.Calendar, error) {
 	return p.Exec(s.env, nil)
 }
 
-// fillCache stores a probe's materialization, compressed to a detected
-// pattern when the element list is periodic.
+// fillCache stores the sorted element starts of a probe's materialization.
 func (s *Scheduler) fillCache(after int64, win interval.Interval, ivs []interval.Interval) {
-	sorted := make([]interval.Interval, len(ivs))
-	copy(sorted, ivs)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Lo != sorted[j].Lo {
-			return sorted[i].Lo < sorted[j].Lo
-		}
-		return sorted[i].Hi < sorted[j].Hi
-	})
-	s.pat, s.starts, s.haveCache = nil, nil, true
-	s.anchor = after
-	s.safeThru = s.env.Chron.UnitStart(s.gran, win.Hi) - s.slack
-	if !s.env.DisablePeriodic {
-		if p, qmin, qmax, ok := periodic.Detect(sorted); ok {
-			s.pat, s.qmin, s.qmax = p, qmin, qmax
-			return
-		}
-	}
-	starts := make([]chronology.Tick, len(sorted))
-	for i, iv := range sorted {
+	starts := make([]chronology.Tick, len(ivs))
+	for i, iv := range ivs {
 		starts[i] = iv.Lo
 	}
-	s.starts = starts
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	s.starts, s.haveCache = starts, true
+	s.anchor = after
+	s.safeThru = s.env.Chron.UnitStart(s.gran, win.Hi) - s.slack
 }
 
 // probeDoubling evaluates anchor-sensitive but end-stable expressions over

@@ -8,7 +8,6 @@ package plan
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"calsys/internal/chronology"
@@ -110,10 +109,6 @@ type Env struct {
 	// MatScope namespaces this environment's entries in the shared cache
 	// (one scope per catalog manager).
 	MatScope string
-	// Parallelism bounds the worker pool that evaluates independent
-	// generate ops of one plan concurrently: 0 means GOMAXPROCS, 1 runs
-	// serially.
-	Parallelism int
 	// Now returns the current instant in epoch seconds; nil makes `today`
 	// unavailable.
 	Now func() int64
@@ -135,11 +130,6 @@ type Env struct {
 	// generating values of the calendar unnecessarily") and the per-run
 	// generation cache; used by the ablation benchmarks.
 	DisableSharing bool
-	// DisablePeriodic turns off the compressed periodic representation of
-	// generate ops (pattern lookup in the shared cache, O(1) selection
-	// arithmetic, lazy windowed expansion), forcing full materialization;
-	// used by the ablation benchmarks.
-	DisablePeriodic bool
 	// DisableSymbolic turns off the whole-expression symbolic pattern
 	// calculus in the scheduler (compositions answered by closed-form
 	// arithmetic instead of windowed probes); used by the ablation
@@ -152,14 +142,6 @@ func (e *Env) maxWhile() int {
 		return e.MaxWhileIters
 	}
 	return 100000
-}
-
-// parallelism resolves the generate-op worker-pool bound.
-func (e *Env) parallelism() int {
-	if e.Parallelism > 0 {
-		return e.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Reg identifies a plan temporary (the %t_i of the procedural statements).

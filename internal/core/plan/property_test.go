@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -12,11 +11,6 @@ import (
 	"calsys/internal/core/interval"
 	"calsys/internal/core/matcache"
 	"calsys/internal/core/periodic"
-)
-
-const (
-	minI64 = math.MinInt64
-	maxI64 = math.MaxInt64
 )
 
 // genExpr builds a random calendar expression over the basic calendars and
@@ -195,17 +189,16 @@ func TestSharingEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// The compressed periodic path (pattern-backed generate ops, selection by
-// index arithmetic, lazy clamped expansion) must preserve evaluation results
-// on arbitrary expressions. Both environments share materializations; only
-// the periodic representation differs.
+// The periodic path (pattern-backed generate ops, selection by index
+// arithmetic, lazy expansion) must preserve evaluation results on arbitrary
+// expressions: an environment with a cache answers every generate op from the
+// pair's pattern, a cacheless one from calendar.GenerateFull — the
+// definition.
 func TestPeriodicEquivalenceProperty(t *testing.T) {
 	env := propEnv(t)
+	envOff := *env
 	env.Mat = matcache.New(0)
 	env.MatScope = "prop-periodic"
-	envOff := *env
-	envOff.Mat = matcache.New(0)
-	envOff.DisablePeriodic = true
 	from, to := d(1990, 1, 1), d(1995, 12, 31)
 
 	rng := rand.New(rand.NewSource(2026))
@@ -233,11 +226,59 @@ func TestPeriodicEquivalenceProperty(t *testing.T) {
 		t.Fatalf("only %d of 400 generated expressions evaluated", checked)
 	}
 	if st := env.Mat.Stats(); st.Patterns == 0 {
-		t.Fatalf("periodic run stored no patterns in the shared cache: %v", st)
+		t.Fatalf("periodic run stored no patterns in the shared cache: %+v", st)
 	}
-	// Note the DisablePeriodic cache still compresses storage (Put-side
-	// detection is a cache property, not a plan property); only the
-	// executor's pattern-backed evaluation is ablated.
+}
+
+// Every generate op a compiled plan can hold — whatever window inference made
+// of the request, before the epoch and across the no-zero tick boundary
+// included — must expand from its pair's pattern to exactly what
+// calendar.GenerateFull walks, interval for interval.
+func TestGenerateOpsMatchGenerateFull(t *testing.T) {
+	env := propEnv(t)
+	rng := rand.New(rand.NewSource(15))
+	plans, ops, preEpoch, crossing := 0, 0, 0, 0
+	for i := 0; plans < 250 && i < 2000; i++ {
+		e, err := callang.ParseExpr(genExpr(rng, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Windows of one month to six years starting 1975–1994 around the
+		// 1987 epoch.
+		from := d(1975+rng.Intn(20), 1+rng.Intn(12), 1)
+		p, err := CompileExpr(env, e, nil, from, from.AddDays(int64(30+rng.Intn(2200))))
+		if err != nil {
+			continue // granularity mixes etc.
+		}
+		plans++
+		for _, op := range p.Ops {
+			if op.Kind != OpGenerate {
+				continue
+			}
+			ops++
+			switch {
+			case op.Win.Hi < 0:
+				preEpoch++
+			case op.Win.Lo < 0:
+				crossing++
+			}
+			pat, err := periodic.ForBasicPair(env.Chron, op.Of, p.Gran)
+			if err != nil {
+				t.Fatalf("%v in %v: %v", op.Of, p.Gran, err)
+			}
+			want, err := calendar.GenerateFull(env.Chron, op.Of, p.Gran, op.Win.Lo, op.Win.Hi)
+			if err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+			if got := calendar.ExpandPattern(p.Gran, pat, op.Win); !got.Equal(want) {
+				t.Fatalf("%s:\n pattern      %v\n GenerateFull %v", op, got, want)
+			}
+		}
+	}
+	if plans < 200 || ops < plans || preEpoch == 0 || crossing == 0 {
+		t.Fatalf("thin coverage: %d plans, %d generate ops, %d pre-epoch, %d zero-crossing windows",
+			plans, ops, preEpoch, crossing)
+	}
 }
 
 // selectPattern must agree with materialize-then-Select for every predicate
@@ -268,7 +309,7 @@ func TestSelectPatternMatchesMaterializedSelect(t *testing.T) {
 				Lo: chronology.TickFromOffset(lo),
 				Hi: chronology.TickFromOffset(lo + int64(rng.Intn(900))),
 			}
-			v := &regVal{pat: pat, qmin: minI64, qmax: maxI64, win: win, gran: pr[1]}
+			v := &regVal{pat: pat, win: win, gran: pr[1]}
 			mat := calendar.ExpandPattern(pr[1], pat, win)
 			for _, sel := range sels {
 				got, ok := selectPattern(sel, v)
