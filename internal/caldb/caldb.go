@@ -35,6 +35,10 @@ const GranAuto chronology.Granularity = -1
 // name is taken (including by a concurrent definition that won the race).
 var ErrAlreadyDefined = errors.New("already defined")
 
+// ErrNotDefined is wrapped by Drop when the catalog has no such calendar, so
+// callers can tell "nothing to drop" from a failed catalog transaction.
+var ErrNotDefined = errors.New("not defined")
+
 // MaxDayTick stands in for the paper's ∞ lifespan bound (roughly the year
 // 10000 for a late-20th-century epoch). It equals plan.UnboundedDayTick, the
 // threshold below which a derivation's lifespan forces opaque evaluation.
@@ -558,7 +562,7 @@ func (m *Manager) Drop(name string) error {
 	}
 	m.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("caldb: no calendar %q", name)
+		return fmt.Errorf("caldb: calendar %q %w", name, ErrNotDefined)
 	}
 	tab, _ := m.db.Table(TableName)
 	rids, err := tab.LookupEq("name", store.NewText(e.Name))

@@ -264,14 +264,12 @@ func ListKey(ch *chronology.Chronology, cat Catalog, e callang.Expr, gran chrono
 }
 
 // FiringKey returns a cross-granularity key for the instants at which a
-// temporal rule over the expression fires: the canonical seconds pattern of
-// the element starts. Rules with equal firing keys fire at identical
-// instants and can be merged.
-func FiringKey(ch *chronology.Chronology, cat Catalog, e callang.Expr, gran chronology.Granularity) (string, bool) {
-	p, ok := Eval(ch, cat, e, gran)
-	if !ok {
-		return "", false
-	}
+// temporal rule over the lowered element list p (tick offsets of gran) fires:
+// the canonical seconds pattern of the element starts. Rules with equal
+// firing keys fire at identical instants and can be merged. It takes the
+// pattern, not the expression, so the caller chooses the lowering (the rule
+// engine's keeps lifespan-bounded names opaque).
+func FiringKey(ch *chronology.Chronology, p *periodic.Pattern, gran chronology.Granularity) (string, bool) {
 	return secondsKey(ch, p, gran, true)
 }
 

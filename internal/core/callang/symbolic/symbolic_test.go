@@ -246,7 +246,11 @@ func TestKeys(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prepare %q: %v", src, err)
 		}
-		k, ok := symbolic.FiringKey(ch, cat, e, gran)
+		p, ok := symbolic.Eval(ch, cat, e, gran)
+		if !ok {
+			t.Fatalf("%q: no symbolic form", src)
+		}
+		k, ok := symbolic.FiringKey(ch, p, gran)
 		if !ok {
 			t.Fatalf("%q: no firing key", src)
 		}

@@ -56,9 +56,12 @@ func (p *Pattern) firstWithLoGE(x int64) int64 { return p.lastWithLoLE(x-1) + 1 
 func (p *Pattern) lastWithHiLE(x int64) int64 { return p.firstWithHiGE(x+1) - 1 }
 
 // SetUnion is the calendar "+" over possibly-empty symbolic element lists:
-// the merged ordered elements of both, exact duplicates kept once. ok=false
-// means the operands have no compact common cycle and the caller must fall
-// back to materialization.
+// the merged ordered elements of both, exact duplicates kept once — matching
+// calendar.Union on any common expansion window. ok=false means the caller
+// must fall back to materialization: the operands have no compact common
+// cycle, an element of each phase-alignment candidate would straddle the
+// merged cycle boundary, or the merged list is not expressible as a pattern
+// (upper bounds must stay monotone across the merged cycle).
 func SetUnion(p, q *Pattern) (*Pattern, bool) {
 	if p == nil {
 		return q, true
@@ -66,13 +69,50 @@ func SetUnion(p, q *Pattern) (*Pattern, bool) {
 	if q == nil {
 		return p, true
 	}
-	return compacted(p.Union(q))
+	L, ok := setopCycle(p, q)
+	if !ok {
+		return nil, false
+	}
+	anchor, ok := unionAnchor(p, q, L)
+	if !ok {
+		return nil, false
+	}
+	a := p.rephased(anchor, L)
+	b := q.rephased(anchor, L)
+	merged := make([]Span, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var s Span
+		switch {
+		case i >= len(a):
+			s, j = b[j], j+1
+		case j >= len(b):
+			s, i = a[i], i+1
+		case a[i] == b[j]:
+			s, i, j = a[i], i+1, j+1
+		case a[i].Lo < b[j].Lo || (a[i].Lo == b[j].Lo && a[i].Hi < b[j].Hi):
+			s, i = a[i], i+1
+		default:
+			s, j = b[j], j+1
+		}
+		if n := len(merged); n > 0 && merged[n-1] == s {
+			continue
+		}
+		merged = append(merged, s)
+	}
+	u, err := New(L, anchor, merged)
+	if err != nil {
+		return nil, false
+	}
+	return compacted(u, true)
 }
 
 // SetDiff is the calendar "-" over symbolic element lists: each element of p
 // with q's covered points removed, split where necessary, surviving pieces
-// staying separate elements. A nil result with ok=true is a proof that the
-// difference is empty everywhere on the timeline.
+// staying separate elements. The subtraction uses q's full periodic coverage,
+// so it matches calendar.Diff on materialized operands only when q's
+// materialization window covers every q element near p's. A nil result with
+// ok=true is a proof that the difference is empty everywhere on the timeline.
 func SetDiff(p, q *Pattern) (*Pattern, bool) {
 	if p == nil {
 		return nil, true

@@ -35,44 +35,6 @@ func randomPattern(rng *rand.Rand) *periodic.Pattern {
 	}
 }
 
-func TestParsePatternRoundTrip(t *testing.T) {
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	pats := []*periodic.Pattern{
-		mustPattern(t, 1, 0, []periodic.Span{{Lo: 0, Hi: 0}}),
-		mustPattern(t, 7, -3, []periodic.Span{{Lo: 0, Hi: 0}, {Lo: 2, Hi: 4}, {Lo: 5, Hi: 7}}),
-	}
-	// Long cycles exercised what the old String elided: months expressed in
-	// days carry 4800 spans per Gregorian cycle.
-	for _, g := range []chronology.Granularity{chronology.Month, chronology.Year} {
-		p, err := periodic.ForBasicPair(ch, g, chronology.Day)
-		if err != nil {
-			t.Fatalf("ForBasicPair(%v, day): %v", g, err)
-		}
-		pats = append(pats, p)
-	}
-	for _, p := range pats {
-		got, err := periodic.ParsePattern(p.String())
-		if err != nil {
-			t.Fatalf("ParsePattern(%q): %v", p.String(), err)
-		}
-		if !got.Equal(p) {
-			t.Fatalf("round trip changed pattern:\n in  %v\n out %v", p, got)
-		}
-	}
-	for _, bad := range []string{
-		"",
-		"period=7 phase=0 spans=2{(0,1)}",      // count mismatch
-		"period=7 phase=0 spans=1{(0,1)",       // unterminated
-		"period=0 phase=0 spans=1{(0,0)}",      // invalid period
-		"period=7 phase=x spans=1{(0,0)}",      // bad integer
-		"period=7 phase=0 spans=1{(0,1)(2,3)}", // missing comma
-	} {
-		if _, err := periodic.ParsePattern(bad); err == nil {
-			t.Errorf("ParsePattern(%q) unexpectedly succeeded", bad)
-		}
-	}
-}
-
 // unroll re-represents p with its cycle repeated k times (a non-minimal but
 // equivalent form).
 func unroll(t *testing.T, p *periodic.Pattern, k int) *periodic.Pattern {

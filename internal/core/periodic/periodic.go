@@ -6,9 +6,14 @@
 // Following Bettini & Mascetti ("Supporting Temporal Reasoning by Mapping
 // Calendar Expressions to Minimal Periodic Sets"), such a calendar is stored
 // as a Pattern — {period, phase, offset spans} — of constant size, from which
-// any window expands in O(output) time and cardinality/selection queries
-// answer in O(log spans) integer arithmetic, with no materialized list at
-// all.
+// any window expands in O(output) time and cardinality and index-range
+// queries (IndexRange + Interval are what the planner selects through) answer
+// in O(log spans) integer arithmetic, with no materialized list at all.
+//
+// The calendar operators on patterns are one family, the symbolic calculus of
+// algebra.go: SetUnion, SetDiff, SetIntersect and the Foreach* groupings,
+// all over possibly-empty (nil) element lists and all returning canonical
+// forms. setops.go holds the lcm-cycle machinery they share.
 //
 // All Pattern arithmetic runs in offset space (a plain zero-based signed
 // count of granularity units); conversion to and from the paper's no-zero
@@ -100,9 +105,8 @@ func (p *Pattern) NumSpans() int { return len(p.spans) }
 // Spans returns the cycle's spans. The slice is shared; do not modify it.
 func (p *Pattern) Spans() []Span { return p.spans }
 
-// String renders the pattern in full; ParsePattern inverts it, so canonical
-// forms can be asserted as literals in table-driven tests and used as
-// equivalence-class keys.
+// String renders the pattern in full, so canonical forms can be asserted as
+// literals in table-driven tests and used as equivalence-class keys.
 func (p *Pattern) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "period=%d phase=%d spans=%d{", p.period, p.phase, len(p.spans))
@@ -198,40 +202,6 @@ func (p *Pattern) Card(win interval.Interval) int64 {
 		return 0
 	}
 	return last - first + 1
-}
-
-// Select returns element k (1-based, per the paper's selection predicate) of
-// the window's expansion in O(log spans) arithmetic: negative k counts from
-// the end (-1 is the last element) and honors the no-zero convention — k = 0
-// selects nothing. ok is false when k is out of range.
-func (p *Pattern) Select(win interval.Interval, k int) (interval.Interval, bool) {
-	first, last, ok := p.IndexRange(win)
-	if !ok {
-		return interval.Interval{}, false
-	}
-	n := last - first + 1
-	var q int64
-	switch {
-	case k > 0:
-		if int64(k) > n {
-			return interval.Interval{}, false
-		}
-		q = first + int64(k) - 1
-	case k < 0:
-		if int64(-k) > n {
-			return interval.Interval{}, false
-		}
-		q = last + int64(k) + 1
-	default:
-		return interval.Interval{}, false
-	}
-	return p.Interval(q), true
-}
-
-// SelectLast returns the window's final element (the paper's [n]) in
-// O(log spans) arithmetic.
-func (p *Pattern) SelectLast(win interval.Interval) (interval.Interval, bool) {
-	return p.Select(win, -1)
 }
 
 // NextAfter returns the index and start tick of the first element whose

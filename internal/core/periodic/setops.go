@@ -60,8 +60,8 @@ func gcd(a, b int64) int64 {
 // offset anchor, sorted by (Lo, Hi). L must be a multiple of p.period and p
 // cycle-contained. A span that straddles the anchored cycle's end is split
 // into a tail piece and a wrapped head piece — sound for point-set coverage
-// (Diff) but not for element lists (Union), whose anchors are chosen via
-// straddles so no split ever occurs.
+// (SetDiff, SetIntersect) but not for element lists (SetUnion), whose anchors
+// are chosen via straddles so no split ever occurs.
 func (p *Pattern) rephased(anchor, L int64) []Span {
 	reps := L / p.period
 	base := floorMod(p.phase-anchor, p.period)
@@ -87,52 +87,6 @@ func (p *Pattern) rephased(anchor, L int64) []Span {
 		return out[i].Hi < out[j].Hi
 	})
 	return out
-}
-
-// Union returns the pattern denoting the calendar "+" of the two patterns'
-// element lists: the merged, ordered elements of both, exact duplicates
-// kept once — matching calendar.Union on any common expansion window. ok is
-// false when the patterns cannot be merged compactly, an element of each
-// phase-alignment candidate would straddle the merged cycle boundary, or the
-// merged list is not expressible as a pattern (upper bounds must stay
-// monotone across the merged cycle).
-func (p *Pattern) Union(q *Pattern) (*Pattern, bool) {
-	L, ok := setopCycle(p, q)
-	if !ok {
-		return nil, false
-	}
-	anchor, ok := unionAnchor(p, q, L)
-	if !ok {
-		return nil, false
-	}
-	a := p.rephased(anchor, L)
-	b := q.rephased(anchor, L)
-	merged := make([]Span, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var s Span
-		switch {
-		case i >= len(a):
-			s, j = b[j], j+1
-		case j >= len(b):
-			s, i = a[i], i+1
-		case a[i] == b[j]:
-			s, i, j = a[i], i+1, j+1
-		case a[i].Lo < b[j].Lo || (a[i].Lo == b[j].Lo && a[i].Hi < b[j].Hi):
-			s, i = a[i], i+1
-		default:
-			s, j = b[j], j+1
-		}
-		if n := len(merged); n > 0 && merged[n-1] == s {
-			continue
-		}
-		merged = append(merged, s)
-	}
-	u, err := New(L, anchor, merged)
-	if err != nil {
-		return nil, false
-	}
-	return u, true
 }
 
 // unionAnchor finds an anchor at which no element of either operand straddles
@@ -169,26 +123,6 @@ func straddles(p *Pattern, a int64) bool {
 		}
 	}
 	return false
-}
-
-// Diff returns the pattern denoting the calendar "-" of the two patterns:
-// each element of p with q's covered points removed, split where necessary.
-// Because the subtraction uses q's full periodic coverage, it matches
-// calendar.Diff on materialized operands only when q's materialization
-// window covers every q element near p's — true when both expand over a
-// common window and p's elements stay inside it. ok is false when the
-// patterns cannot be merged compactly or the difference is empty (the null
-// calendar has no periodic form).
-func (p *Pattern) Diff(q *Pattern) (*Pattern, bool) {
-	out, L, ok := diffCycle(p, q)
-	if !ok || len(out) == 0 {
-		return nil, false
-	}
-	d, err := New(L, p.phase, out)
-	if err != nil {
-		return nil, false
-	}
-	return d, true
 }
 
 // normalizeSpans sorts and merges overlapping or adjacent spans in place.

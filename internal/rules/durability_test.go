@@ -2,6 +2,7 @@ package rules
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -280,6 +281,100 @@ func TestDefineTemporalRuleAtomicUnderFault(t *testing.T) {
 	}
 	if _, err := eng.DueWithin(start, 2*chronology.SecondsPerDay); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// DefineTemporalRule is DefineTemporalRules of one def: the same script —
+// a definition, its refusals, and an orphan redefinition that fails once in
+// the transaction and then succeeds — leaves the same catalog rows, errors
+// and orphan set through either entry point.
+func TestDefineOneEqualsBatchOfOne(t *testing.T) {
+	type definer func(e *Engine, name, expr string, a Action, now int64) error
+	one := func(e *Engine, name, expr string, a Action, now int64) error {
+		return e.DefineTemporalRule(name, expr, a, now)
+	}
+	batch := func(e *Engine, name, expr string, a Action, now int64) error {
+		return e.DefineTemporalRules(now, []TemporalRuleDef{{Name: name, CalExpr: expr, Action: a}})
+	}
+	run := func(t *testing.T, define definer) []string {
+		eng, cal := newEngine(t)
+		start := cal.Chron().EpochSecondsOf(d(1993, 1, 1))
+		var hits []int64
+		act := countingAction("Proc_X", &hits)
+		var log []string
+		note := func(step string, e *Engine, err error) {
+			log = append(log, fmt.Sprintf("%s: err=%v", step, err))
+			for _, table := range []string{RuleInfoTable, RuleTimeTable} {
+				tab, _ := e.db.Table(table)
+				tab.Scan(func(_ int64, row store.Row) bool {
+					log = append(log, fmt.Sprintf("  %s %v", table, row))
+					return true
+				})
+			}
+			log = append(log, "  orphans="+strings.Join(e.Orphans(), ","))
+		}
+
+		err := define(eng, "tue", "[2]/DAYS:during:WEEKS", act, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		note("define", eng, err)
+		if err = define(eng, "TUE", "DAYS", act, start); !errors.Is(err, ErrAlreadyDefined) {
+			t.Errorf("duplicate name: err = %v, want ErrAlreadyDefined", err)
+		}
+		note("duplicate", eng, err)
+		for _, bad := range []struct {
+			step, name, expr string
+			act              Action
+		}{
+			{"nil action", "x", "DAYS", nil},
+			{"empty name", " ", "DAYS", act},
+			{"unparsable", "x", "DAYS:during:", act},
+			{"undefined calendar", "x", "[1]/NOSUCH:during:WEEKS", act},
+		} {
+			if err = define(eng, bad.name, bad.expr, bad.act, start); err == nil {
+				t.Errorf("%s: accepted", bad.step)
+			}
+			note(bad.step, eng, err)
+		}
+
+		// A restarted engine sees tue's rows as an orphan. A redefinition
+		// that dies between its RULE-INFO and RULE-TIME appends must put the
+		// claim back and leave the old rows; the retry replaces them.
+		eng2, err := NewEngine(cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := faultinject.New(1)
+		inj.FailAt(SiteDefineRuleTime, 1)
+		eng2.SetFaults(inj)
+		later := start + 10*chronology.SecondsPerDay
+		if err = define(eng2, "tue", "[3]/DAYS:during:WEEKS", act, later); !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("faulted redefinition: err = %v, want injected", err)
+		}
+		if got := eng2.Orphans(); len(got) != 1 || got[0] != "tue" {
+			t.Errorf("orphans after failed redefinition = %v, want [tue]", got)
+		}
+		note("orphan redefinition, faulted", eng2, err)
+		if err = define(eng2, "tue", "[3]/DAYS:during:WEEKS", act, later); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng2.Orphans(); len(got) != 0 {
+			t.Errorf("orphans after redefinition = %v, want none", got)
+		}
+		note("orphan redefinition", eng2, err)
+		return log
+	}
+	a, b := run(t, one), run(t, batch)
+	if strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Errorf("DefineTemporalRule and a batch of one diverge:\n--- one\n%s\n--- batch\n%s",
+			strings.Join(a, "\n"), strings.Join(b, "\n"))
+	}
+	// No step leaves a partial or stray row: one of each table at all 8 steps.
+	for _, table := range []string{RuleInfoTable, RuleTimeTable} {
+		if n := strings.Count(strings.Join(a, "\n"), "\n  "+table+" "); n != 8 {
+			t.Errorf("transcript has %d %s rows over 8 steps, want one a step:\n%s", n, table, strings.Join(a, "\n"))
+		}
 	}
 }
 

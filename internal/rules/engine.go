@@ -309,63 +309,10 @@ func (e *Engine) deleteCatalogRows(tx *store.Txn, name string) error {
 // Cal exposes the calendar catalog.
 func (e *Engine) Cal() *caldb.Manager { return e.cal }
 
-// DefineTemporalRule declares a rule "On <calendar expression> do <action>".
-// The expression is parsed, its plan stored in RULE-INFO, and the rule's
-// first trigger strictly after `now` recorded in RULE-TIME.
-//
-// The definition is atomic: parsing and next-trigger computation happen
-// before any catalog mutation, and the orphan cleanup plus both catalog
-// appends run in one transaction, so a mid-definition failure leaves no
-// partial rows and an orphaned rule stays reattachable.
+// DefineTemporalRule declares a rule "On <calendar expression> do <action>":
+// a DefineTemporalRules batch of one.
 func (e *Engine) DefineTemporalRule(name, calExpr string, action Action, now int64) error {
-	if strings.TrimSpace(name) == "" {
-		return fmt.Errorf("rules: empty rule name")
-	}
-	if action == nil {
-		return fmt.Errorf("rules: rule %q needs an action", name)
-	}
-	e.mu.Lock()
-	_, dupT := e.temporal[strings.ToLower(name)]
-	_, dupE := e.events[strings.ToLower(name)]
-	e.mu.Unlock()
-	if dupT || dupE {
-		return fmt.Errorf("rules: rule %q %w", name, ErrAlreadyDefined)
-	}
-	r := &temporalRule{name: name, src: calExpr, action: action}
-	next, planText, err := e.nextTrigger(r, now)
-	if err != nil {
-		return err
-	}
-	r.next = next
-
-	wasOrphan := e.takeOrphan(name)
-	if err := e.db.RunTxn(func(tx *store.Txn) error {
-		if wasOrphan {
-			if err := e.deleteCatalogRows(tx, name); err != nil {
-				return err
-			}
-		}
-		if _, err := tx.Append(RuleInfoTable, store.Row{
-			store.NewText(name), store.NewText("temporal"), store.NewText(""), store.NewText(""),
-			store.NewText(calExpr), store.NewText(planText), store.NewText(action.Describe()),
-		}); err != nil {
-			return err
-		}
-		if err := faultinject.Hit(e.injector(), SiteDefineRuleTime); err != nil {
-			return err
-		}
-		_, err := tx.Append(RuleTimeTable, store.Row{store.NewText(name), store.NewInt(next)})
-		return err
-	}); err != nil {
-		if wasOrphan {
-			e.restoreOrphan(name)
-		}
-		return err
-	}
-	e.mu.Lock()
-	e.temporal[strings.ToLower(name)] = r
-	e.mu.Unlock()
-	return nil
+	return e.DefineTemporalRules(now, []TemporalRuleDef{{name, calExpr, action}})
 }
 
 // TemporalRuleDef is one rule of a DefineTemporalRules batch.

@@ -76,9 +76,6 @@ func (c *Coordinator) SetFaults(in *faultinject.Injector) {
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return len(c.leases) }
 
-// TTL returns the lease TTL in seconds.
-func (c *Coordinator) TTL() int64 { return c.ttl }
-
 // Heartbeat marks the worker live through now+TTL without touching leases
 // (a worker with no shards still counts toward fair shares).
 func (c *Coordinator) Heartbeat(worker string, now int64) {

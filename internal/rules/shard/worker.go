@@ -28,9 +28,6 @@ type Options struct {
 	// SyncJournals enables fsync-on-commit on the per-shard journals
 	// (production on, virtual-time tests off for speed).
 	SyncJournals bool
-	// HeartbeatEvery is the wall seconds between Run's ticks (default
-	// TTL/3, min 1). Step-driven tests call Tick directly instead.
-	HeartbeatEvery int64
 }
 
 // WorkerStats is a worker's lifetime counter snapshot.
@@ -54,8 +51,9 @@ type ownedShard struct {
 // Worker is one dbcrond process of a sharded fleet. It heartbeats the
 // Coordinator, acquires shards up to its fair share (stealing expired
 // leases of crashed peers), releases down to it when peers join, and drives
-// one DBCron per owned shard. Tick is the step-driven core (virtual-time
-// tests and the demo); Run wraps it for wall-clock operation.
+// one DBCron per owned shard. Tick is the driver: the caller (dbcrond, the
+// virtual-time tests, calbench) decides when a round happens and what a
+// crash error means. DBCron.Run is the one wall-clock loop in the system.
 type Worker struct {
 	name  string
 	coord *Coordinator
@@ -74,12 +72,6 @@ type Worker struct {
 func New(name string, coord *Coordinator, eng *rules.Engine, T int64, dir string, opts Options) *Worker {
 	if opts.Retry.MaxAttempts <= 0 {
 		opts.Retry = rules.DefaultRetryPolicy
-	}
-	if opts.HeartbeatEvery <= 0 {
-		opts.HeartbeatEvery = coord.TTL() / 3
-	}
-	if opts.HeartbeatEvery < 1 {
-		opts.HeartbeatEvery = 1
 	}
 	return &Worker{name: name, coord: coord, eng: eng, T: T, dir: dir, opts: opts, owned: map[int]*ownedShard{}}
 }
@@ -303,22 +295,6 @@ func (w *Worker) Stats() WorkerStats {
 	return st
 }
 
-// NextWakeup returns the next instant the worker must act: the earliest
-// per-shard daemon wakeup (re-derived from each timing wheel, so a shard
-// granted or stolen since the last tick is reflected immediately) capped by
-// the heartbeat deadline.
-func (w *Worker) NextWakeup(now int64) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	next := now + w.opts.HeartbeatEvery
-	for _, os := range w.owned {
-		if wk := os.cron.NextWakeup(); wk < next {
-			next = wk
-		}
-	}
-	return next
-}
-
 // Shutdown is the graceful exit (SIGTERM): every shard is drained,
 // compacted and released, so a clean shutdown never opens a steal window —
 // peers can re-acquire the shards immediately.
@@ -333,48 +309,4 @@ func (w *Worker) Shutdown(now int64) error {
 	}
 	w.coord.Depart(w.name)
 	return firstErr
-}
-
-// Run drives the worker against a real (or virtual) clock until stop is
-// closed, then shuts down gracefully. Errors are delivered to errs (dropped
-// when full); an injected crash stops the worker dead — no release, no
-// drain — so its leases expire and peers steal them.
-func (w *Worker) Run(clock rules.Clock, stop <-chan struct{}, errs chan<- error) {
-	report := func(err error) {
-		if err != nil && errs != nil {
-			select {
-			case errs <- err:
-			default:
-			}
-		}
-	}
-	for {
-		select {
-		case <-stop:
-			report(w.Shutdown(clock.Now()))
-			return
-		default:
-		}
-		now := clock.Now()
-		if err := w.Tick(now); err != nil {
-			report(err)
-			if faultinject.IsCrash(err) {
-				return
-			}
-		}
-		wake := w.NextWakeup(clock.Now())
-		sleep := wake - clock.Now()
-		if sleep < 1 {
-			sleep = 1
-		}
-		if sleep > w.opts.HeartbeatEvery {
-			sleep = w.opts.HeartbeatEvery
-		}
-		select {
-		case <-stop:
-			report(w.Shutdown(clock.Now()))
-			return
-		case <-time.After(time.Duration(sleep) * time.Second):
-		}
-	}
 }

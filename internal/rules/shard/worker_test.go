@@ -175,28 +175,6 @@ func TestGracefulShutdownNoStealWindow(t *testing.T) {
 	}
 }
 
-// TestNextWakeupReflectsGrantedShard: before owning anything the worker
-// sleeps to its heartbeat; after a grant the wakeup is re-derived from the
-// adopted shard's timing wheel.
-func TestNextWakeupReflectsGrantedShard(t *testing.T) {
-	eng, start := newTestEngine(t)
-	counts := map[string]map[int64]int{}
-	defineDailies(t, eng, 3, start, counts)
-	coord := NewCoordinator(1, 40*day)
-	w := New("w", coord, eng, day, t.TempDir(), Options{CatchUp: rules.FireAll, HeartbeatEvery: 20 * day})
-
-	if wake := w.NextWakeup(start); wake != start+20*day {
-		t.Fatalf("idle NextWakeup = %d, want heartbeat cap %d", wake, start+20*day)
-	}
-	if err := w.Tick(start); err != nil {
-		t.Fatal(err)
-	}
-	wake := w.NextWakeup(start)
-	if wake > start+day {
-		t.Fatalf("NextWakeup after grant = %d, want <= next probe %d", wake, start+day)
-	}
-}
-
 // TestZombieFencedEndToEnd: a worker that stops heartbeating keeps its cron
 // state; after a peer steals and catches up, the zombie's next firing
 // attempt is fenced inside the transaction — the action never runs, the

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"calsys/internal/core/callang/symbolic"
 	"calsys/internal/core/plan"
 )
 
@@ -63,14 +64,8 @@ func (e *Engine) VetFleet() []MergeGroup {
 		key := "plan|" + l.PlanKey
 		exact := false
 		if p, ok := plan.SymbolicPattern(env, l.Expr, l.Gran); ok {
-			if p == nil {
-				key, exact = "sym|never", true
-			} else if sp, sok := p.InSeconds(env.Chron, l.Gran); sok {
-				if sp == nil {
-					key, exact = "sym|never", true
-				} else {
-					key, exact = "sym|"+sp.Starts().Canonical().String(), true
-				}
+			if k, kok := symbolic.FiringKey(env.Chron, p, l.Gran); kok {
+				key, exact = "sym|"+k, true
 			}
 		}
 		g := byKey[key]

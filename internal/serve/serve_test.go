@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"calsys"
+	"calsys/internal/caldb"
 	"calsys/internal/chronology"
 )
 
@@ -149,6 +152,63 @@ func TestTenantLifecycleAndAuth(t *testing.T) {
 	status, body = call(t, ts, "GET", "/v1/tenants/globex/calendars", globex, nil)
 	if status != http.StatusNotFound {
 		t.Fatalf("dropped tenant namespace: %d %v", status, body)
+	}
+}
+
+// TestTokenComparison pins the bearer-token check (one constant-time helper
+// behind both the tenant and the admin gate): only the whole token matches.
+func TestTokenComparison(t *testing.T) {
+	ts, _ := newTestServer(t)
+	tok := mkTenant(t, ts, "acme")
+	sameLen := strings.Repeat("z", len(tok)) // tokens are hex: never equal
+	for _, tc := range []struct {
+		name, path, token string
+		want              int
+	}{
+		{"right token", "/v1/tenants/acme/calendars", tok, http.StatusOK},
+		{"wrong token of equal length", "/v1/tenants/acme/calendars", sameLen, http.StatusForbidden},
+		{"prefix of the token", "/v1/tenants/acme/calendars", tok[:len(tok)-1], http.StatusForbidden},
+		{"token plus a byte", "/v1/tenants/acme/calendars", tok + "0", http.StatusForbidden},
+		{"empty", "/v1/tenants/acme/calendars", "", http.StatusUnauthorized},
+		{"admin token on a tenant route", "/v1/tenants/acme/calendars", testAdminToken, http.StatusOK},
+		{"prefix of the admin token on a tenant route", "/v1/tenants/acme/calendars", testAdminToken[:5], http.StatusForbidden},
+		{"admin token on an admin route", "/v1/tenants", testAdminToken, http.StatusOK},
+		{"prefix of the admin token on an admin route", "/v1/tenants", testAdminToken[:5], http.StatusUnauthorized},
+		{"tenant token on an admin route", "/v1/tenants", tok, http.StatusUnauthorized},
+		{"empty on an admin route", "/v1/tenants", "", http.StatusUnauthorized},
+	} {
+		if status, body := call(t, ts, "GET", tc.path, tc.token, nil); status != tc.want {
+			t.Errorf("%s: status %d, want %d (%v)", tc.name, status, tc.want, body)
+		}
+	}
+}
+
+// TestCalendarDeleteStatus: only "no such calendar" is a 404; a catalog
+// transaction that fails (here an event rule vetoing deletes on CALENDARS)
+// is a 500, not a claim that the calendar does not exist.
+func TestCalendarDeleteStatus(t *testing.T) {
+	ts, srv := newTestServer(t)
+	tok := mkTenant(t, ts, "acme")
+
+	status, body := call(t, ts, "DELETE", "/v1/tenants/acme/calendars/nope", tok, nil)
+	if status != http.StatusNotFound || errCode(body) != ErrNotFound {
+		t.Fatalf("delete of an undefined calendar: %d %v", status, body)
+	}
+
+	status, body = call(t, ts, "PUT", "/v1/tenants/acme/calendars/weekdays", tok,
+		map[string]any{"derivation": "[1,2,3,4,5]/DAYS:during:WEEKS"})
+	if status != http.StatusCreated {
+		t.Fatalf("put: %d %v", status, body)
+	}
+	tn, _ := srv.reg.Get("acme")
+	err := tn.System().OnEvent("veto-drops", calsys.EvDelete, caldb.TableName, nil,
+		func(*calsys.Txn, *calsys.Event) error { return errors.New("vetoed") })
+	if err != nil {
+		t.Fatalf("OnEvent: %v", err)
+	}
+	status, body = call(t, ts, "DELETE", "/v1/tenants/acme/calendars/weekdays", tok, nil)
+	if status != http.StatusInternalServerError || errCode(body) != ErrInternal {
+		t.Fatalf("delete with a failing catalog transaction: %d %v", status, body)
 	}
 }
 

@@ -168,7 +168,7 @@ func (s *Server) tenant(h func(w http.ResponseWriter, r *http.Request, t *Tenant
 			})
 			return
 		}
-		if tok != t.Token && !s.reg.IsAdmin(tok) {
+		if !tokenEqual(tok, t.Token) && !s.reg.IsAdmin(tok) {
 			writeError(w, http.StatusForbidden, ErrorBody{
 				Code: ErrForbidden, Message: fmt.Sprintf("token does not grant access to tenant %q", name),
 			})
@@ -504,7 +504,11 @@ func (s *Server) handleCalendarGet(w http.ResponseWriter, r *http.Request, t *Te
 func (s *Server) handleCalendarDelete(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	name := r.PathValue("name")
 	if err := t.System().DropCalendar(name); err != nil {
-		writeError(w, http.StatusNotFound, ErrorBody{Code: ErrNotFound, Message: err.Error()})
+		status, code := http.StatusInternalServerError, ErrInternal
+		if errors.Is(err, caldb.ErrNotDefined) {
+			status, code = http.StatusNotFound, ErrNotFound
+		}
+		writeError(w, status, ErrorBody{Code: code, Message: err.Error()})
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -537,21 +541,10 @@ func (s *Server) handleRulePut(w http.ResponseWriter, r *http.Request, t *Tenant
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if (req.Expr == "") == (req.Recurrence == nil) {
-		writeError(w, http.StatusBadRequest, ErrorBody{
-			Code: ErrBadRequest, Message: "exactly one of expr or recurrence must be set",
-		})
-		return
-	}
 	sys := t.System()
-	src := req.Expr
-	if req.Recurrence != nil {
-		expr, err := req.Recurrence.Compile(sys.Chron())
-		if err != nil {
-			writeSchemaError(w, err)
-			return
-		}
-		src = expr
+	src, ok := s.sourceExpr(w, sys, req.Expr, req.Recurrence)
+	if !ok {
+		return
 	}
 	// Vet-on-write for rules too: an undefined or cyclic reference is
 	// rejected here with positioned diagnostics, not at probe time.
@@ -641,7 +634,8 @@ type expandReq struct {
 	To         string      `json:"to"`
 }
 
-// sourceExpr resolves the expr/recurrence pair every query request carries.
+// sourceExpr resolves the expr/recurrence pair every query and rule-PUT
+// request carries.
 func (s *Server) sourceExpr(w http.ResponseWriter, sys *calsys.System, expr string, rec *Recurrence) (string, bool) {
 	if (expr == "") == (rec == nil) {
 		writeError(w, http.StatusBadRequest, ErrorBody{

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"crypto/rand"
+	"crypto/subtle"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -191,7 +192,14 @@ func (r *Registry) Auth(token string) (*Tenant, bool) {
 
 // IsAdmin reports whether token is the admin token.
 func (r *Registry) IsAdmin(token string) bool {
-	return token != "" && token == r.adminToken
+	return tokenEqual(token, r.adminToken)
+}
+
+// tokenEqual reports whether a presented bearer token is the expected one,
+// in time independent of where they first differ. An empty presented token
+// never matches.
+func tokenEqual(presented, want string) bool {
+	return presented != "" && subtle.ConstantTimeCompare([]byte(presented), []byte(want)) == 1
 }
 
 // Names lists tenants, sorted.

@@ -1,25 +1,20 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end smoke gate for the serving layer.
 #
-# Builds calserved and calload, boots the server on an ephemeral port,
-# drives the mixed workload (tenant create -> recurrence rule -> expand ->
-# next-instant -> CRUD), the expand-heavy workload (multi-year
-# grouping/set-op expansions through the engine's sweep kernels), and the
-# stampede workload (every client hammering the same expressions against a
-# cold cache, through the matcache singleflight layer) and one bulk expand
-# read back whole (the streaming encoder's chunked multi-flush path over a
-# real socket), converts the latency reports to benchjson artifacts, then
-# SIGTERMs the server and asserts a graceful exit. Needs curl and jq.
+# Builds calserved, boots it on an ephemeral port and walks one tenant through
+# the API with curl, asserting each response with jq: tenant -> stored days ->
+# derived calendar -> rule -> /next -> /expand -> one 4xx error envelope ->
+# drops. Then one bulk expand is read back whole (the streaming encoder's
+# chunked multi-flush path over a real socket) and the server is SIGTERMed
+# and must exit gracefully. Load is calbench's job: the script ends with a 2 s
+# serve_churn run (writes, invalidation, concurrent cold flights, every
+# response checked against the oracle; it boots its own calserved and exits
+# non-zero on any failed response). Needs curl and jq.
 #
 # Artifacts (in $SMOKE_OUT, default ./smoke-out):
-#   calload.txt                mixed-workload latency table + Benchmark lines
-#   BENCH_serve.json           benchjson rendering of the mixed run
-#   calload_expand.txt         expand-heavy latency table + Benchmark lines
-#   BENCH_serve_expand.json    benchjson rendering of the expand-heavy run
-#   calload_stampede.txt       stampede latency table + Benchmark lines
-#   BENCH_serve_stampede.json  benchjson rendering of the stampede run
-#   bulk_expand.json           the 5.8 k-interval expand response
 #   calserved.log              server log
+#   bulk_expand.json           the 5.8 k-interval expand response
+#   calbench_serve_churn.json  calbench's result line for the load run
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,7 +27,6 @@ ADMIN_TOKEN="${CALSERVED_ADMIN_TOKEN:-smoke-admin-token}"
 
 echo "serve-smoke: building"
 go build -o "$BIN/calserved" ./cmd/calserved
-go build -o "$BIN/calload" ./cmd/calload
 
 echo "serve-smoke: booting calserved"
 "$BIN/calserved" -addr 127.0.0.1:0 -admin-token "$ADMIN_TOKEN" -today 1993-01-01 \
@@ -62,22 +56,51 @@ if [ -z "$ADDR" ]; then
 fi
 echo "serve-smoke: server at $ADDR"
 
-echo "serve-smoke: running calload (mixed)"
-"$BIN/calload" -addr "$ADDR" -admin-token "$ADMIN_TOKEN" \
-    -tenants 4 -clients 8 -requests 40 | tee "$OUT/calload.txt"
+# api METHOD PATH TOKEN [BODY]: one request; the body lands in $OUT/resp.json
+# and the status code on stdout.
+api() {
+    curl -sS -o "$OUT/resp.json" -w '%{http_code}' -X "$1" "http://$ADDR$2" \
+        -H "Authorization: Bearer $3" ${4:+-d "$4"}
+}
+# expect WHAT WANT_STATUS GOT_STATUS [JQ_FILTER]: status must match and, when
+# a filter is given, it must hold on the response body.
+expect() {
+    if [ "$3" != "$2" ] || { [ -n "${4:-}" ] && ! jq -e "$4" "$OUT/resp.json" >/dev/null; }; then
+        echo "serve-smoke: $1: status $3 (want $2)${4:+, or body fails: $4}" >&2
+        cat "$OUT/resp.json" >&2
+        exit 1
+    fi
+}
 
-echo "serve-smoke: running calload (expand-heavy)"
-"$BIN/calload" -addr "$ADDR" -admin-token "$ADMIN_TOKEN" \
-    -tenants 4 -clients 8 -requests 25 -mix expand -tenant-prefix exp \
-    | tee "$OUT/calload_expand.txt"
-
-echo "serve-smoke: running calload (stampede)"
-# One tenant, many clients, a fresh tenant prefix (fresh catalog generation
-# = cold cache keys): every client misses on the same expressions at once,
-# exercising the singleflight stampede control end to end.
-"$BIN/calload" -addr "$ADDR" -admin-token "$ADMIN_TOKEN" \
-    -tenants 1 -clients 16 -requests 9 -mix stampede -tenant-prefix st \
-    | tee "$OUT/calload_stampede.txt"
+echo "serve-smoke: CRUD walk (tenant -> calendars -> rule -> next -> expand -> errors)"
+T=/v1/tenants/smoke0
+expect "healthz" 200 "$(api GET /healthz "")" '.status == "ok"'
+expect "create tenant" 201 "$(api POST /v1/tenants "$ADMIN_TOKEN" '{"name":"smoke0"}')" '.token | length > 0'
+TOKEN=$(jq -r .token "$OUT/resp.json")
+expect "tenant route without a token" 401 "$(api GET $T/calendars "")" '.error.code == "unauthorized"'
+expect "put stored days" 201 "$(api PUT $T/calendars/holidays "$TOKEN" \
+    '{"days":["1993-01-01","1993-07-05","1993-12-24"]}')" '.stored == true'
+expect "replace stored days" 200 "$(api PUT $T/calendars/holidays "$TOKEN" \
+    '{"days":["1993-01-01","1993-07-05","1993-12-24","1993-12-31"]}')" '.replaced == true'
+expect "put derived calendar" 201 "$(api PUT $T/calendars/bizdays "$TOKEN" \
+    '{"derivation":"([1,2,3,4,5]/DAYS:during:WEEKS) - holidays"}')" '.stored == false and .granularity == "DAYS"'
+expect "list calendars" 200 "$(api GET $T/calendars "$TOKEN")" '[.calendars[].name] == ["bizdays","holidays"]'
+expect "put rule" 201 "$(api PUT $T/rules/eom "$TOKEN" '{"expr":"[n]/bizdays:during:MONTHS"}')" \
+    '.name == "eom" and .next == "1993-01-29"'
+expect "put rule twice" 409 "$(api PUT $T/rules/eom "$TOKEN" '{"expr":"DAYS"}')" '.error.code == "conflict"'
+expect "next by rule" 200 "$(api POST $T/next "$TOKEN" '{"rule":"eom","after":"1993-12-01"}')" \
+    '.next == "1993-12-30"'
+expect "expand" 200 "$(api POST $T/expand "$TOKEN" \
+    '{"expr":"[n]/bizdays:during:MONTHS","from":"1993-01-01","to":"1993-12-31"}')" \
+    '.count == 12 and (.intervals | length) == 12 and .intervals[11].start == "1993-12-30"'
+expect "expand by recurrence" 200 "$(api POST $T/expand "$TOKEN" \
+    '{"recurrence":{"cycle":"monthly","days":[15,-1]},"from":"1993-01-01","to":"1993-03-31"}')" '.count == 6'
+expect "vet-on-write refusal" 400 "$(api PUT $T/calendars/bad "$TOKEN" '{"derivation":"[1]/NOSUCH:during:WEEKS"}')" \
+    '.error.code == "vet_failed" and (.error.diagnostics | length) > 0'
+expect "drop rule" 204 "$(api DELETE $T/rules/eom "$TOKEN")"
+expect "drop calendar" 204 "$(api DELETE $T/calendars/bizdays "$TOKEN")"
+expect "drop calendar twice" 404 "$(api DELETE $T/calendars/bizdays "$TOKEN")" '.error.code == "not_found"'
+rm -f "$OUT/resp.json"
 
 echo "serve-smoke: bulk expand (5.8 k intervals, ~400 KB, several flushes)"
 # /expand streams its body in 64 KB flushes; what arrives must still be one
@@ -93,11 +116,6 @@ if ! jq -e '.count >= 5000 and .count == (.intervals | length)' "$OUT/bulk_expan
 fi
 echo "serve-smoke: bulk expand OK ($(jq .count "$OUT/bulk_expand.json") intervals, $(wc -c <"$OUT/bulk_expand.json") bytes)"
 
-echo "serve-smoke: rendering benchjson artifacts"
-go run ./cmd/benchjson -o "$OUT/BENCH_serve.json" "$OUT/calload.txt"
-go run ./cmd/benchjson -o "$OUT/BENCH_serve_expand.json" "$OUT/calload_expand.txt"
-go run ./cmd/benchjson -o "$OUT/BENCH_serve_stampede.json" "$OUT/calload_stampede.txt"
-
 echo "serve-smoke: draining server (SIGTERM)"
 kill -TERM "$SERVER_PID"
 WAIT_STATUS=0
@@ -111,6 +129,14 @@ fi
 grep -q "calserved: stopped" "$OUT/calserved.log" || {
     echo "serve-smoke: no graceful-stop line in server log" >&2
     cat "$OUT/calserved.log" >&2
+    exit 1
+}
+
+echo "serve-smoke: load (calbench serve_churn, 2 s, every response checked against the oracle)"
+./bench/run.sh -workload serve_churn -seed 1 -seconds 2 -trace 0 | tee /dev/stderr |
+    tail -n 1 >"$OUT/calbench_serve_churn.json"
+jq -e '.correct and .failed == 0' "$OUT/calbench_serve_churn.json" >/dev/null || {
+    echo "serve-smoke: calbench result line is not a clean report" >&2
     exit 1
 }
 
