@@ -9,6 +9,7 @@ package calsys
 //	go test -bench=. -benchmem
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"calsys/internal/caldb"
@@ -626,12 +627,11 @@ func BenchmarkForeachSweepVsGeneric(b *testing.B) {
 
 // The endpoint-index sweep kernels over ten years of DAYS/WEEKS at day ticks
 // — the paper's standard workload shape. foreach runs During strict (the
-// most common grouping), the set ops run DAYS-vs-WEEKS both ways. Union has
-// no arm here: the disjoint union is a straight output-writing merge the
-// endpoint index cannot shrink. The sub-benchmarks are CI-gated on both ns/op
-// and allocs/op (see cmd/benchjson -gate); the linear-merge kernels they
-// replaced are retired (EXPERIMENTS.md "Retired arms") and the name is kept
-// so the gated baseline rows carry over.
+// most common grouping), the set ops run DAYS-vs-WEEKS both ways (union is a
+// straight output-writing merge of the two slabs). The sub-benchmarks are
+// CI-gated on both ns/op and allocs/op (see cmd/benchjson -gate); the
+// linear-merge kernels they replaced are retired (EXPERIMENTS.md "Retired
+// arms") and the name is kept so the gated baseline rows carry over.
 func BenchmarkEndpointSweepVsLinear(b *testing.B) {
 	ch := chronology.MustNew(DefaultEpoch)
 	days, err := calendar.GenerateFull(ch, Day, Day, 1, 3650)
@@ -642,8 +642,6 @@ func BenchmarkEndpointSweepVsLinear(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	days.PrimeIndex()
-	weeks.PrimeIndex()
 	setop := func(f func(a, b *calendar.Calendar) (*calendar.Calendar, error)) func() error {
 		return func() error {
 			if _, err := f(days, weeks); err != nil {
@@ -660,6 +658,7 @@ func BenchmarkEndpointSweepVsLinear(b *testing.B) {
 		{"endpoint/foreach", func() error { _, err := calendar.Foreach(days, During, true, weeks); return err }},
 		{"endpoint/diff", setop(calendar.Diff)},
 		{"endpoint/intersect", setop(calendar.Intersect)},
+		{"endpoint/union", setop(calendar.Union)},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -797,4 +796,65 @@ func BenchmarkPreparedMiss(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- derived-calendar materialization (serve_wide's two operations) --------
+
+// derivedRuns numbers the calls of BenchmarkDerivedMaterialize: the testing
+// package calls it once per -count and per b.N round, and a catalog scope of
+// its own keeps a round from hitting the last one's entries in the shared
+// cache.
+var derivedRuns int
+
+// BenchmarkDerivedMaterialize evaluates, through System.EvalCalendar with 500
+// seeded holidays 1990–2039, the two operations that dominate serve_wide:
+// cold — the script derivation bizdays over a 35-year window that differs
+// every iteration (a D| miss each time: foreach, selection, difference);
+// warm — a selection of bizdays grouped by month, with a predicate that
+// differs every iteration, over one resident D| window (foreach + selection
+// only). Both rows are CI-gated on ns/op and allocs/op.
+func BenchmarkDerivedMaterialize(b *testing.B) {
+	derivedRuns++
+	sys := MustOpen(WithCatalogScope(fmt.Sprintf("bench/derived/%d", derivedRuns)))
+	rng := rand.New(rand.NewSource(18))
+	var ticks []Tick
+	for y := 1990; y <= 2039; y++ {
+		for n := 0; n < 10; n++ {
+			ticks = append(ticks, sys.DayTickOf(MustDate(y, 1+rng.Intn(12), 1+rng.Intn(28))))
+		}
+	}
+	hol, err := CalendarFromPoints(Day, ticks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.DefineStoredCalendar("holidays", hol); err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.DefineCalendar("bizdays", "{wd = [1,2,3,4,5]/DAYS:during:WEEKS; return (wd - holidays);}", Day); err != nil {
+		b.Fatal(err)
+	}
+	start := sys.DayTickOf(MustDate(1990, 1, 1))
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			from := start + Tick(i%5000)
+			if _, err := sys.EvalCalendar("bizdays", sys.CivilOfDayTick(from), sys.CivilOfDayTick(from+35*365)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		from, to := MustDate(1990, 1, 1), MustDate(2024, 12, 31)
+		if _, err := sys.EvalCalendar("bizdays", from, to); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			src := fmt.Sprintf("[%d,%d,%d,%d]/bizdays:during:MONTHS", 1+i%23, 1+i/23%23, 1+i/529%23, 1+i/12167%23)
+			if _, err := sys.EvalCalendar(src, from, to); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -45,6 +45,9 @@ type Benchmark struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	// Host stamps a row re-recorded apart from the file's sweep: cpu model,
+	// nproc and GOMAXPROCS of the machine that measured it.
+	Host string `json:"host,omitempty"`
 }
 
 // Report is the benchmark JSON document.

@@ -3,13 +3,24 @@
 // intervals, the strict and relaxed foreach operators (dicing), the selection
 // operator (slicing), calendar set operators, and the generate / caloperate
 // functions that relate the basic calendars.
+//
+// The representation is flat. An order-1 calendar is one interval slice; an
+// order-2 calendar — the result of every foreach, the operand of nearly every
+// selection — is one interval slab plus one extent per group, so dicing
+// writes offsets, slicing is index arithmetic over them, and flattening a
+// grouping whose extents tile the slab is a view. Only order 3 and above are
+// trees of sub-calendars. Calendars are immutable, which is what makes it
+// safe for a grouping, its Flatten view and the operand they were cut from to
+// share one slab.
 package calendar
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/interval"
@@ -22,34 +33,45 @@ import (
 // Calendars are immutable once built; operators return new calendars.
 type Calendar struct {
 	gran chronology.Granularity
-	ivs  []interval.Interval // populated iff order == 1
-	subs []*Calendar         // populated iff order > 1
 
-	// sortedDisjoint caches whether ivs is sorted by lower bound and
-	// pairwise disjoint — the shape of every generated calendar, and the
-	// precondition for the foreach merge-sweep kernels. Computed once at
-	// construction so per-call operators never re-scan; conservative (true
-	// implies the property, false only means it was not established).
+	// ivs is the element list of an order-1 calendar and the interval slab
+	// of an order-2 one (a foreach result's slab is its operand's own slice,
+	// not a copy); ext holds one extent per group at order 2 and is nil at
+	// every other order.
+	ivs []interval.Interval
+	ext []extent
+	// rewritten holds, back to back, the groups of a strict foreach whose
+	// boundary elements were cut to the group's interval; an extent whose
+	// first is at or past len(ivs) indexes it at first-len(ivs).
+	rewritten []interval.Interval
+	// subs is populated iff order >= 3; every sub then has order >= 2.
+	subs []*Calendar
+
+	// sortedDisjoint caches whether ivs (and, at order 2, rewritten) is
+	// sorted by lower bound and pairwise disjoint — the shape of every
+	// generated calendar, and the precondition for the foreach merge-sweep
+	// kernels. Computed once at construction so per-call operators never
+	// re-scan; conservative (true implies the property, false only means it
+	// was not established).
 	sortedDisjoint bool
 
-	// idx lazily caches the flat endpoint index (and, inside it, the fused
-	// point-set coverage) the sweep kernels run over; see endpointidx.go.
-	// Built at most once per calendar — cached materializations keep it for
-	// as long as they live, so repeated queries never re-lower the list.
-	idx atomic.Pointer[epIndex]
+	// cov lazily caches the fused point-set coverage (see covIndex) — built
+	// on the first Diff/Intersect against this calendar as operand b, or the
+	// first Contains, and kept for as long as the calendar lives.
+	cov atomic.Pointer[covIndex]
 }
 
-// newLeaf builds an order-1 calendar around ivs (not copied), classifying its
-// shape once at construction.
-func newLeaf(gran chronology.Granularity, ivs []interval.Interval) *Calendar {
-	return &Calendar{gran: gran, ivs: ivs, sortedDisjoint: disjointSorted(ivs)}
+// extent locates one group of an order-2 calendar: n intervals starting at
+// index first of the slab (or of rewritten, see Calendar).
+type extent struct {
+	first, n int
 }
 
-// leafDisjoint builds an order-1 calendar around ivs (not copied) that the
-// caller knows to be sorted disjoint — e.g. a prefix of a sorted disjoint
-// list — skipping the classification scan.
-func leafDisjoint(gran chronology.Granularity, ivs []interval.Interval) *Calendar {
-	return &Calendar{gran: gran, ivs: ivs, sortedDisjoint: true}
+// newLeaf builds an order-1 calendar around ivs (not copied). Its shape is
+// classified once, here — by one scan, unless the caller knows ivs to be
+// sorted disjoint (the pieces of a sorted disjoint list, say).
+func newLeaf(gran chronology.Granularity, ivs []interval.Interval, sortedDisjoint bool) *Calendar {
+	return &Calendar{gran: gran, ivs: ivs, sortedDisjoint: sortedDisjoint || disjointSorted(ivs)}
 }
 
 // FromIntervals builds an order-1 calendar. Intervals must individually be
@@ -107,13 +129,9 @@ func FromPoints(gran chronology.Granularity, ticks []chronology.Tick) (*Calendar
 	return FromIntervals(gran, ivs)
 }
 
-// FromSet builds an order-1 calendar from a normalized interval set.
-func FromSet(gran chronology.Granularity, s interval.Set) (*Calendar, error) {
-	return FromIntervals(gran, s.Intervals())
-}
-
 // FromSubs builds an order n+1 calendar from order-n sub-calendars, which
-// must all share a granularity and order.
+// must all share a granularity and order. Order-1 subs are copied into one
+// slab.
 func FromSubs(subs []*Calendar) (*Calendar, error) {
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("calendar: order>1 calendar needs at least one sub-calendar")
@@ -131,9 +149,28 @@ func FromSubs(subs []*Calendar) (*Calendar, error) {
 			return nil, fmt.Errorf("calendar: sub-calendar %d has order %d, want %d", i, s.Order(), ord)
 		}
 	}
-	cp := make([]*Calendar, len(subs))
-	copy(cp, subs)
-	return &Calendar{gran: g, subs: cp}, nil
+	return treeOf(g, slices.Clone(subs)), nil
+}
+
+// treeOf builds the calendar whose elements are subs (not copied), which
+// share granularity g and one order: order-1 subs are packed into one slab
+// with an extent each — the only order-2 form — and higher orders keep the
+// tree.
+func treeOf(g chronology.Granularity, subs []*Calendar) *Calendar {
+	if subs[0].Order() > 1 {
+		return &Calendar{gran: g, subs: subs}
+	}
+	total := 0
+	for _, s := range subs {
+		total += len(s.ivs)
+	}
+	out := &Calendar{gran: g, ivs: make([]interval.Interval, 0, total), ext: make([]extent, len(subs))}
+	for k, s := range subs {
+		out.ext[k] = extent{first: len(out.ivs), n: len(s.ivs)}
+		out.ivs = append(out.ivs, s.ivs...)
+	}
+	out.sortedDisjoint = disjointSorted(out.ivs)
+	return out
 }
 
 // Empty returns an empty order-1 calendar of the given granularity.
@@ -147,27 +184,71 @@ func (c *Calendar) Granularity() chronology.Granularity { return c.gran }
 // Order returns the depth of the collection: 1 for a list of intervals, n+1
 // for a list of order-n calendars.
 func (c *Calendar) Order() int {
-	if len(c.subs) == 0 {
-		return 1
+	switch {
+	case len(c.subs) > 0:
+		return 1 + c.subs[0].Order()
+	case c.ext != nil:
+		return 2
 	}
-	return 1 + c.subs[0].Order()
+	return 1
 }
 
-// Len returns the number of top-level elements (intervals or sub-calendars).
+// Len returns the number of top-level elements (intervals, groups or
+// sub-calendars).
 func (c *Calendar) Len() int {
-	if len(c.subs) > 0 {
+	switch {
+	case len(c.subs) > 0:
 		return len(c.subs)
+	case c.ext != nil:
+		return len(c.ext)
 	}
 	return len(c.ivs)
 }
 
-// IsEmpty reports whether the calendar has no elements. An order-1 calendar
-// with zero intervals is the null calendar; conditions in the expression
-// language treat it as false.
-func (c *Calendar) IsEmpty() bool { return len(c.ivs) == 0 && len(c.subs) == 0 }
+// Group returns the k-th (0-based) group of an order-2 calendar: a
+// capacity-clamped view of the slab, which must not be modified. It is how
+// every reader walks an order-2 calendar, and allocates nothing.
+func (c *Calendar) Group(k int) []interval.Interval {
+	return c.run(c.ext[k].first, c.ext[k].n)
+}
+
+// run resolves n slab positions starting at first, which must all lie in ivs
+// or all in rewritten.
+func (c *Calendar) run(first, n int) []interval.Interval {
+	if i := first - len(c.ivs); i >= 0 {
+		return c.rewritten[i : i+n : i+n]
+	}
+	return c.ivs[first : first+n : first+n]
+}
+
+// Leaves calls yield with each run of leaf intervals, in order — the element
+// list of an order-1 calendar, each group of an order-2 one, recursively
+// above that — until yield returns false, and reports whether it never did.
+// Runs are views and must not be modified.
+func (c *Calendar) Leaves(yield func(run []interval.Interval) bool) bool {
+	for _, s := range c.subs {
+		if !s.Leaves(yield) {
+			return false
+		}
+	}
+	for k := range c.ext {
+		if !yield(c.Group(k)) {
+			return false
+		}
+	}
+	return c.Order() > 1 || yield(c.ivs)
+}
+
+// IsEmpty reports whether the calendar has no leaf interval: the null
+// calendar, which conditions in the expression language treat as false
+// (§3.3). Foreach drops the paper's ε, so a grouping whose groups are all
+// empty — {{},{}} — is as null as {}.
+func (c *Calendar) IsEmpty() bool {
+	return c.Leaves(func(run []interval.Interval) bool { return len(run) == 0 })
+}
 
 // Intervals returns the intervals of an order-1 calendar. It panics on
-// higher-order calendars; use Subs or Flatten first.
+// higher-order calendars; use Group, Leaves or Flatten.
 func (c *Calendar) Intervals() []interval.Interval {
 	if c.Order() != 1 {
 		panic(fmt.Sprintf("calendar: Intervals on order-%d calendar", c.Order()))
@@ -175,38 +256,44 @@ func (c *Calendar) Intervals() []interval.Interval {
 	return c.ivs
 }
 
-// Subs returns the sub-calendars of an order>1 calendar (nil for order 1).
-func (c *Calendar) Subs() []*Calendar { return c.subs }
-
 // Interval returns the i-th (0-based) interval of an order-1 calendar.
 func (c *Calendar) Interval(i int) interval.Interval { return c.Intervals()[i] }
 
 // Flatten concatenates all leaf intervals into a single order-1 calendar,
-// preserving order.
+// preserving order. When the groups of an order-2 calendar tile a contiguous
+// range of its slab in order — every during/overlaps grouping of generated
+// calendars, every selection result — the result is a view of that range, not
+// a copy.
 func (c *Calendar) Flatten() *Calendar {
 	if c.Order() == 1 {
 		return c
 	}
-	var ivs []interval.Interval
-	c.appendLeaves(&ivs)
-	return newLeaf(c.gran, ivs)
-}
-
-func (c *Calendar) appendLeaves(out *[]interval.Interval) {
-	if len(c.subs) == 0 {
-		*out = append(*out, c.ivs...)
-		return
+	// Where the groups start, and whether each begins where the last ended.
+	start, next, total, tiles := 0, 0, 0, c.ext != nil
+	for _, e := range c.ext {
+		if e.n == 0 {
+			continue
+		}
+		if total == 0 {
+			start = e.first
+		}
+		tiles = tiles && e.first == start+total
+		next, total = e.first+e.n, total+e.n
 	}
-	for _, s := range c.subs {
-		s.appendLeaves(out)
+	if tiles && (start >= len(c.ivs) || next <= len(c.ivs)) {
+		return &Calendar{gran: c.gran, ivs: c.run(start, total), sortedDisjoint: c.sortedDisjoint}
 	}
+	ivs := make([]interval.Interval, 0, c.Cardinality())
+	c.Leaves(func(run []interval.Interval) bool {
+		ivs = append(ivs, run...)
+		return true
+	})
+	return newLeaf(c.gran, ivs, false)
 }
 
 // ToSet returns the normalized point set covered by the calendar's leaves.
 func (c *Calendar) ToSet() interval.Set {
-	var ivs []interval.Interval
-	c.appendLeaves(&ivs)
-	return interval.NewSet(ivs...)
+	return interval.NewSet(c.Flatten().ivs...)
 }
 
 // Hull returns the smallest interval covering every leaf.
@@ -216,12 +303,27 @@ func (c *Calendar) Hull() (interval.Interval, bool) {
 
 // Cardinality returns the total number of leaf intervals.
 func (c *Calendar) Cardinality() int {
-	if len(c.subs) == 0 {
-		return len(c.ivs)
-	}
 	n := 0
+	c.Leaves(func(run []interval.Interval) bool {
+		n += len(run)
+		return true
+	})
+	return n
+}
+
+// SizeBytes returns the bytes the calendar keeps reachable: its header, its
+// interval slab, its extents and its rewritten groups, each at capacity — O(1)
+// at orders 1 and 2, plus the same for every sub-calendar above that. A slab
+// shared with another calendar is charged to each holder — whichever outlives
+// the other does retain it — and a view is charged for the range it spans.
+// The lazily built coverage index is not counted.
+func (c *Calendar) SizeBytes() int64 {
+	n := int64(unsafe.Sizeof(*c)) +
+		int64(unsafe.Sizeof(interval.Interval{}))*int64(cap(c.ivs)+cap(c.rewritten)) +
+		int64(unsafe.Sizeof(extent{}))*int64(cap(c.ext)) +
+		int64(unsafe.Sizeof(c))*int64(cap(c.subs))
 	for _, s := range c.subs {
-		n += s.Cardinality()
+		n += s.SizeBytes()
 	}
 	return n
 }
@@ -231,18 +333,24 @@ func (c *Calendar) Equal(d *Calendar) bool {
 	if c == nil || d == nil {
 		return c == d
 	}
-	if c.gran != d.gran || len(c.ivs) != len(d.ivs) || len(c.subs) != len(d.subs) {
+	if c.gran != d.gran || c.Order() != d.Order() || c.Len() != d.Len() {
 		return false
 	}
-	for i := range c.ivs {
-		if c.ivs[i] != d.ivs[i] {
-			return false
+	switch {
+	case len(c.subs) > 0:
+		for i := range c.subs {
+			if !c.subs[i].Equal(d.subs[i]) {
+				return false
+			}
 		}
-	}
-	for i := range c.subs {
-		if !c.subs[i].Equal(d.subs[i]) {
-			return false
+	case c.ext != nil:
+		for k := range c.ext {
+			if !slices.Equal(c.Group(k), d.Group(k)) {
+				return false
+			}
 		}
+	default:
+		return slices.Equal(c.ivs, d.ivs)
 	}
 	return true
 }
@@ -257,22 +365,36 @@ func (c *Calendar) String() string {
 
 func (c *Calendar) render(b *strings.Builder) {
 	b.WriteByte('{')
-	if len(c.subs) > 0 {
+	switch {
+	case len(c.subs) > 0:
 		for i, s := range c.subs {
 			if i > 0 {
 				b.WriteByte(',')
 			}
 			s.render(b)
 		}
-	} else {
-		for i, iv := range c.ivs {
-			if i > 0 {
+	case c.ext != nil:
+		for k := range c.ext {
+			if k > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(iv.String())
+			b.WriteByte('{')
+			renderRun(b, c.Group(k))
+			b.WriteByte('}')
 		}
+	default:
+		renderRun(b, c.ivs)
 	}
 	b.WriteByte('}')
+}
+
+func renderRun(b *strings.Builder, run []interval.Interval) {
+	for i, iv := range run {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(iv.String())
+	}
 }
 
 // SingleInterval reports whether c is an order-1 calendar containing exactly

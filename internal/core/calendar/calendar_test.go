@@ -340,7 +340,7 @@ func TestSelectionMultiKeepsOrder(t *testing.T) {
 	if got.Order() != 2 {
 		t.Fatalf("order = %d, want 2", got.Order())
 	}
-	if got.Subs()[0].String() != "{(4,10),(11,17)}" {
-		t.Errorf("first month = %v", got.Subs()[0])
+	if first := MustFromIntervals(chronology.Day, got.Group(0)...); first.String() != "{(4,10),(11,17)}" {
+		t.Errorf("first month = %v", first)
 	}
 }

@@ -40,7 +40,7 @@ func GenerateFull(ch *chronology.Chronology, of, in chronology.Granularity, ts, 
 			break
 		}
 	}
-	return newLeaf(in, ivs), nil
+	return newLeaf(in, ivs, false), nil
 }
 
 // Unit returns the order-1 calendar holding the single unit t of granularity
@@ -80,11 +80,15 @@ func convertRec(ch *chronology.Chronology, c *Calendar, to chronology.Granularit
 		}
 		return &Calendar{gran: to, subs: subs}
 	}
-	ivs := make([]interval.Interval, 0, len(c.ivs))
-	for _, iv := range c.ivs {
-		lo, _ := ch.UnitSpanIn(c.gran, iv.Lo, to)
-		_, hi := ch.UnitSpanIn(c.gran, iv.Hi, to)
-		ivs = append(ivs, interval.Interval{Lo: lo, Hi: hi})
+	// Units map onto disjoint, ordered spans of finer ticks, so the shape —
+	// extents included — carries over.
+	conv := func(in []interval.Interval) []interval.Interval {
+		out := make([]interval.Interval, len(in))
+		for i, iv := range in {
+			out[i].Lo, _ = ch.UnitSpanIn(c.gran, iv.Lo, to)
+			_, out[i].Hi = ch.UnitSpanIn(c.gran, iv.Hi, to)
+		}
+		return out
 	}
-	return newLeaf(to, ivs)
+	return &Calendar{gran: to, ivs: conv(c.ivs), ext: c.ext, rewritten: conv(c.rewritten), sortedDisjoint: c.sortedDisjoint}
 }

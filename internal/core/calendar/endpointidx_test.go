@@ -83,12 +83,11 @@ func TestSweepExtentsZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := c.epindex()
-	ext := make([]runExtent, len(arg.ivs))
+	ext := make([]extent, len(arg.ivs))
 	for _, op := range allListOps {
 		for _, strict := range []bool{false, true} {
 			allocs := testing.AllocsPerRun(100, func() {
-				sweepExtents(ix.lo, ix.hi, op, strict, arg.ivs, ext)
+				sweepExtents(c.ivs, op, strict, arg.ivs, ext)
 			})
 			if allocs != 0 {
 				t.Errorf("op %v strict %v: merge loop allocates %.1f/op, want 0", op, strict, allocs)
@@ -97,9 +96,9 @@ func TestSweepExtentsZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestForeachSweepAllocBound pins the whole endpoint sweep (index built,
-// arena warm) to its small constant allocation profile: slab + leaf block +
-// sub list + result, with slack for an occasional pool refill.
+// TestForeachSweepAllocBound pins the whole sweep to its constant allocation
+// profile whatever the group count: the extents, the slab of rewritten groups
+// and the result.
 func TestForeachSweepAllocBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	c, err := FromIntervals(chronology.Day, randDisjointSorted(rng, 1024))
@@ -110,26 +109,23 @@ func TestForeachSweepAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PrimeIndex()
 	for _, op := range allListOps {
 		for _, strict := range []bool{false, true} {
-			foreachSweepEndpoint(c, op, strict, arg) // warm the arena pool
 			allocs := testing.AllocsPerRun(50, func() {
 				foreachSweepEndpoint(c, op, strict, arg)
 			})
-			if allocs > 5 {
-				t.Errorf("op %v strict %v: endpoint sweep allocates %.1f/op, want ≤ 5", op, strict, allocs)
+			if allocs > 3 {
+				t.Errorf("op %v strict %v: sweep allocates %.1f/op, want ≤ 3", op, strict, allocs)
 			}
 		}
 	}
-	// The self-join closed form shares everything: leaf block + sub list +
-	// result only.
+	// The self-join closed form rewrites nothing: extents + result.
 	for _, op := range allListOps {
 		allocs := testing.AllocsPerRun(50, func() {
-			foreachSelfJoin(c, op, true)
+			foreachSelfJoin(c, op)
 		})
-		if allocs > 3 {
-			t.Errorf("op %v: self-join allocates %.1f/op, want ≤ 3", op, allocs)
+		if allocs > 2 {
+			t.Errorf("op %v: self-join allocates %.1f/op, want ≤ 2", op, allocs)
 		}
 	}
 }
@@ -151,9 +147,6 @@ func TestCovIndexFusesAdjacent(t *testing.T) {
 	if again := c.covindex(); again != cv {
 		t.Fatal("covindex rebuilt on second call")
 	}
-	if ix := c.epindex(); c.epindex() != ix {
-		t.Fatal("epindex rebuilt on second call")
-	}
 
 	// Messy (overlapping) operands fall back to the normalized point set.
 	m := MustFromIntervals(chronology.Day,
@@ -169,7 +162,7 @@ func TestCovIndexFusesAdjacent(t *testing.T) {
 
 // TestSetOpsMatchLinearOnAdjacentShapes pins Diff/Intersect over the fused
 // cached coverage against the naive per-element point-set definition, and
-// the disjoint Union merge against the general one, on adjacent-element
+// the Union merge against the sorted concatenation, on adjacent-element
 // operands — where fusing actually changes the merge input.
 func TestSetOpsMatchLinearOnAdjacentShapes(t *testing.T) {
 	days := make([]interval.Interval, 0, 90)
@@ -202,15 +195,15 @@ func TestSetOpsMatchLinearOnAdjacentShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantU := unionGeneral(x, y); !gotU.Equal(wantU) {
-			t.Fatalf("Union diverges from the general merge: got %v want %v", gotU, wantU)
+		if wantU := naiveUnion(x, y); !gotU.Equal(wantU) {
+			t.Fatalf("Union diverges from the sorted concatenation: got %v want %v", gotU, wantU)
 		}
 	}
 }
 
-// TestEndpointIndexConcurrentBuild hammers the lazy builders from many
-// goroutines; under -race this proves the benign-CAS publication is clean,
-// and every caller must observe the same index.
+// TestEndpointIndexConcurrentBuild hammers the lazy coverage builder from
+// many goroutines; under -race this proves the benign-CAS publication is
+// clean, and every caller must observe the same index.
 func TestEndpointIndexConcurrentBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	c, err := FromIntervals(chronology.Day, randDisjointSorted(rng, 300))
@@ -218,12 +211,10 @@ func TestEndpointIndexConcurrentBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers = 8
-	got := make([]*epIndex, workers)
 	cov := make([]*covIndex, workers)
 	done := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			got[w] = c.epindex()
 			cov[w] = c.covindex()
 			done <- w
 		}(w)
@@ -232,9 +223,6 @@ func TestEndpointIndexConcurrentBuild(t *testing.T) {
 		<-done
 	}
 	for w := 1; w < workers; w++ {
-		if got[w] != got[0] {
-			t.Fatal("concurrent epindex builds published different indexes")
-		}
 		if cov[w] != cov[0] {
 			t.Fatal("concurrent covindex builds published different coverage")
 		}

@@ -32,29 +32,44 @@ func foreachIntervalRec(c *Calendar, op interval.ListOp, strict bool, ival inter
 		}
 		return &Calendar{gran: c.gran, subs: subs}
 	}
-	out := make([]interval.Interval, 0, len(c.ivs))
-	for _, iv := range c.ivs {
-		if !op.Eval(iv, ival) {
-			continue
-		}
-		if strict {
-			// Strict foreach keeps the part of c inside I. For the
-			// non-overlapping listops (<, meets with disjoint spans) the
-			// intersection is empty (the paper's ε) and the untrimmed
-			// interval is kept instead, since the operator's point is
-			// ordering rather than containment.
-			if cut, ok := iv.Intersect(ival); ok {
-				out = append(out, cut)
-			} else {
-				out = append(out, iv)
+	out := &Calendar{gran: c.gran, ivs: make([]interval.Interval, 0, c.Cardinality())}
+	keep := func(run []interval.Interval) {
+		for _, iv := range run {
+			if !op.Eval(iv, ival) {
+				continue
 			}
-		} else {
-			out = append(out, iv)
+			if strict {
+				iv = cutTo(iv, ival)
+			}
+			out.ivs = append(out.ivs, iv)
 		}
 	}
-	// Selecting (and trimming, each cut staying inside its element) preserves
-	// the sorted disjoint shape.
-	return &Calendar{gran: c.gran, ivs: out, sortedDisjoint: c.sortedDisjoint}
+	if c.ext == nil {
+		// Selecting (and trimming, each cut staying inside its element)
+		// preserves the sorted disjoint shape.
+		keep(c.ivs)
+		out.sortedDisjoint = c.sortedDisjoint
+		return out
+	}
+	out.ext = make([]extent, len(c.ext))
+	for k := range c.ext {
+		mark := len(out.ivs)
+		keep(c.Group(k))
+		out.ext[k] = extent{first: mark, n: len(out.ivs) - mark}
+	}
+	out.sortedDisjoint = disjointSorted(out.ivs)
+	return out
+}
+
+// cutTo is strict foreach's element rule: the part of x inside y. For the
+// non-overlapping listops (<, meets with disjoint spans) that part is empty
+// (the paper's ε) and x is kept whole, since the operator's point is ordering
+// rather than containment.
+func cutTo(x, y interval.Interval) interval.Interval {
+	if cut, ok := x.Intersect(y); ok {
+		return cut
+	}
+	return x
 }
 
 // Foreach applies the foreach operator with a calendar third argument. Per
@@ -89,13 +104,9 @@ func Foreach(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) (*Cale
 	}
 	subs := make([]*Calendar, 0, len(arg.ivs))
 	for _, iv := range arg.ivs {
-		sub, err := ForeachInterval(c, op, strict, iv)
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, sub)
+		subs = append(subs, foreachIntervalRec(c, op, strict, iv))
 	}
-	return FromSubs(subs)
+	return treeOf(c.gran, subs), nil
 }
 
 // disjointSorted reports whether the intervals are sorted by lower bound
@@ -112,14 +123,10 @@ func disjointSorted(ivs []interval.Interval) bool {
 // foreachSweep evaluates foreach over two disjoint sorted interval lists.
 // Both bounds of such a list strictly increase, so for each arg element y the
 // matching c elements are a contiguous run whose boundaries only move forward
-// as y advances — O(n + m + output) total. The work happens in the
-// endpoint-index kernels of endpointidx.go: a zero-allocation merge loop over
-// flat []Tick bound arrays cached on c, a fill pass that shares untrimmed
-// runs, and a closed-form diagonal fast path when both operands are views
-// over the same backing array.
+// as y advances — O(n + m + output) total, in the kernels of endpointidx.go.
 func foreachSweep(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) *Calendar {
 	if sameBacking(c, arg) {
-		return foreachSelfJoin(c, op, strict)
+		return foreachSelfJoin(c, op)
 	}
 	return foreachSweepEndpoint(c, op, strict, arg)
 }

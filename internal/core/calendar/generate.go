@@ -50,7 +50,7 @@ func Generate(ch *chronology.Chronology, of, in chronology.Granularity, ts, te c
 			break
 		}
 	}
-	return newLeaf(in, ivs), nil
+	return newLeaf(in, ivs, false), nil
 }
 
 // GenerateCivil is Generate with a civil-date window. The end date is
@@ -126,5 +126,5 @@ func caloperate(c *Calendar, counts []int, te chronology.Tick, bounded bool) (*C
 		out = append(out, iv)
 		i = j
 	}
-	return newLeaf(c.gran, out), nil
+	return newLeaf(c.gran, out, false), nil
 }

@@ -155,7 +155,7 @@ func TestCalendarSetLawsProperty(t *testing.T) {
 			return false
 		}
 		// Point-set semantics: union covers both; diff+intersect = a.
-		if !u.ToSet().Equal(a.ToSet().Union(b.ToSet())) {
+		if !u.ToSet().Equal(a.ToSet().Union(b.ToSet())) || u.sortedDisjoint != disjointSorted(u.ivs) {
 			return false
 		}
 		if !d.ToSet().Union(x.ToSet()).Equal(a.ToSet()) {

@@ -107,9 +107,9 @@ func randomCalendar(rng *rand.Rand, order int) *Calendar {
 }
 
 func forceGran(c *Calendar, g chronology.Granularity) *Calendar {
-	out := &Calendar{gran: g, ivs: c.ivs}
-	for _, s := range c.subs {
-		out.subs = append(out.subs, forceGran(s, g))
+	out, err := Parse(g, c.String())
+	if err != nil {
+		panic(err)
 	}
 	return out
 }

@@ -88,67 +88,73 @@ func (s Selection) Check() error {
 // resolve maps a signed 1-based position onto a 0-based index in a list of
 // length ln, returning ok=false when out of range.
 func resolvePos(pos, ln int) (int, bool) {
-	if pos > 0 {
-		if pos > ln {
-			return 0, false
-		}
+	switch {
+	case pos > 0 && pos <= ln:
 		return pos - 1, true
-	}
-	if pos < 0 {
-		if -pos > ln {
-			return 0, false
-		}
+	case pos < 0 && -pos <= ln:
 		return ln + pos, true
 	}
 	return 0, false
 }
 
-// indices expands the predicate against a list of length ln. Out-of-range
-// positions select nothing (the paper's examples silently drop months with
-// fewer weeks, e.g. the missing 4-week February entry in §3.1).
-func (s Selection) indices(ln int) []int {
-	var out []int
+// span resolves one term against a list of length ln to the inclusive
+// 0-based index range it selects. Out-of-range positions select nothing (the
+// paper's examples silently drop months with fewer weeks, e.g. the missing
+// 4-week February entry in §3.1); a range is clamped to the list.
+func (it SelItem) span(ln int) (from, to int, ok bool) {
+	switch {
+	case it.Last:
+		return ln - 1, ln - 1, ln > 0
+	case it.Range:
+		from, ok1 := resolvePos(it.From, ln)
+		to, ok2 := resolvePos(it.To, ln)
+		if !ok1 && it.From > 0 {
+			return 0, 0, false // starts past the end
+		}
+		if !ok2 && it.To > 0 {
+			to, ok2 = ln-1, true // clamp open-ended ranges
+		}
+		// A negative From reaching before the start resolved to 0.
+		return from, to, ok2 && from <= to
+	}
+	i, ok := resolvePos(it.Pos, ln)
+	return i, i, ok
+}
+
+// resolve appends to spans the index ranges the predicate selects from a
+// list of length ln, in predicate order, and returns them with the number of
+// elements they hold; a term that continues the one before it extends its
+// range ([1,2,3] is one range of three).
+func (s Selection) resolve(ln int, spans []extent) (_ []extent, n int) {
 	for _, it := range s.Items {
-		switch {
-		case it.Last:
-			if ln > 0 {
-				out = append(out, ln-1)
-			}
-		case it.Range:
-			from, ok1 := resolvePos(it.From, ln)
-			to, ok2 := resolvePos(it.To, ln)
-			if !ok1 && it.From > 0 {
-				continue // starts past the end
-			}
-			if !ok1 {
-				from = 0
-			}
-			if !ok2 && it.To > 0 {
-				to = ln - 1 // clamp open-ended ranges
-				ok2 = true
-			}
-			if !ok2 {
-				continue
-			}
-			for i := from; i <= to && i < ln; i++ {
-				if i >= 0 {
-					out = append(out, i)
-				}
-			}
-		default:
-			if i, ok := resolvePos(it.Pos, ln); ok {
-				out = append(out, i)
-			}
+		from, to, ok := it.span(ln)
+		if !ok {
+			continue
+		}
+		n += to - from + 1
+		if k := len(spans) - 1; k >= 0 && spans[k].first+spans[k].n == from {
+			spans[k].n += to - from + 1
+		} else {
+			spans = append(spans, extent{first: from, n: to - from + 1})
 		}
 	}
-	return out
+	return spans, n
 }
 
 // Indices expands the predicate against a list of length ln, returning the
 // selected 0-based indices in predicate order. Plan execution uses this to
 // answer selections over pattern-backed values by index arithmetic, without
 // materializing the list being selected from.
-func (s Selection) Indices(ln int) []int { return s.indices(ln) }
+func (s Selection) Indices(ln int) []int {
+	spans, n := s.resolve(ln, make([]extent, 0, 8))
+	out := make([]int, 0, n)
+	for _, e := range spans {
+		for i := e.first; i < e.first+e.n; i++ {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
 // Single reports whether the predicate selects at most one element (a single
 // index or [n]); in that case selection on an order-n calendar reduces the
@@ -171,29 +177,58 @@ func Select(s Selection, c *Calendar) (*Calendar, error) {
 	return selectRec(s, c), nil
 }
 
+// selectRec answers an order-1 or order-2 selection in two passes — count,
+// then fill one exact-size slab (and one extent array when the order is
+// kept) — with no index list and no calendar per group. The predicate is
+// resolved again only when a group's length differs from the last one's: the
+// groups of a grouping by a basic calendar nearly all share one length, so
+// most cost one copy per range and no arithmetic.
 func selectRec(s Selection, c *Calendar) *Calendar {
-	if c.Order() == 1 {
-		idx := s.indices(len(c.ivs))
-		out := make([]interval.Interval, 0, len(idx))
-		for _, i := range idx {
-			out = append(out, c.ivs[i])
-		}
-		return newLeaf(c.gran, out)
-	}
-	if c.Order() == 2 && s.Single() {
-		// Collapse: pick one interval from each sub-calendar.
-		var out []interval.Interval
+	if len(c.subs) > 0 {
+		subs := make([]*Calendar, 0, len(c.subs))
 		for _, sub := range c.subs {
-			idx := s.indices(len(sub.ivs))
-			for _, i := range idx {
-				out = append(out, sub.ivs[i])
-			}
+			subs = append(subs, selectRec(s, sub))
 		}
-		return newLeaf(c.gran, out)
+		// Order-2 subs a single-index predicate collapsed are packed here.
+		return treeOf(c.gran, subs)
 	}
-	subs := make([]*Calendar, 0, len(c.subs))
-	for _, sub := range c.subs {
-		subs = append(subs, selectRec(s, sub))
+	spans := make([]extent, 0, 8)
+	if c.ext == nil {
+		spans, n := s.resolve(len(c.ivs), spans)
+		return newLeaf(c.gran, appendRanges(make([]interval.Interval, 0, n), c.ivs, spans), false)
 	}
-	return &Calendar{gran: c.gran, subs: subs}
+	total, ln, n := 0, -1, 0
+	for _, e := range c.ext {
+		if e.n != ln {
+			ln = e.n
+			spans, n = s.resolve(ln, spans[:0])
+		}
+		total += n
+	}
+	out := &Calendar{gran: c.gran, ivs: make([]interval.Interval, 0, total)}
+	if !s.Single() {
+		out.ext = make([]extent, len(c.ext))
+	}
+	ln = -1
+	for k, e := range c.ext {
+		if e.n != ln {
+			ln = e.n
+			spans, _ = s.resolve(ln, spans[:0])
+		}
+		mark := len(out.ivs)
+		out.ivs = appendRanges(out.ivs, c.Group(k), spans)
+		if out.ext != nil {
+			out.ext[k] = extent{first: mark, n: len(out.ivs) - mark}
+		}
+	}
+	out.sortedDisjoint = disjointSorted(out.ivs)
+	return out
+}
+
+// appendRanges appends the given index ranges of src to out.
+func appendRanges(out, src []interval.Interval, spans []extent) []interval.Interval {
+	for _, e := range spans {
+		out = append(out, src[e.first:e.first+e.n]...)
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package calendar
 
 import (
 	"fmt"
+	"slices"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/interval"
@@ -29,25 +30,17 @@ func checkSetOperands(opName string, a, b *Calendar) error {
 
 // Union implements the calendar "+" operator: the merged, ordered element
 // list of both calendars, with exact duplicates kept once (see the EMP-DAYS
-// script of §3.3). When both operands are sorted disjoint — the common case
-// for generated calendars — duplicates can only meet head-to-head, so the
-// merge needs no look-back dup check and classifies the result's shape as it
+// script of §3.3). Between sorted disjoint operands — the common case for
+// generated calendars — duplicates can only meet head to head, so the merge
+// looks back for one only otherwise; it classifies the result's shape as it
 // goes instead of rescanning.
 func Union(a, b *Calendar) (*Calendar, error) {
 	if err := checkSetOperands("+", a, b); err != nil {
 		return nil, err
 	}
-	if a.sortedDisjoint && b.sortedDisjoint {
-		return unionDisjoint(a, b), nil
-	}
-	return unionGeneral(a, b), nil
-}
-
-func unionDisjoint(a, b *Calendar) *Calendar {
 	out := make([]interval.Interval, 0, len(a.ivs)+len(b.ivs))
-	i, j := 0, 0
-	sd := true
-	var prevHi chronology.Tick
+	i, j, sd, prevHi := 0, 0, true, chronology.Tick(0)
+	lookBack := !a.sortedDisjoint || !b.sortedDisjoint
 	for i < len(a.ivs) || j < len(b.ivs) {
 		var iv interval.Interval
 		switch {
@@ -59,8 +52,7 @@ func unionDisjoint(a, b *Calendar) *Calendar {
 			i++
 		case a.ivs[i] == b.ivs[j]:
 			iv = a.ivs[i]
-			i++
-			j++
+			i, j = i+1, j+1
 		case less(a.ivs[i], b.ivs[j]):
 			iv = a.ivs[i]
 			i++
@@ -68,55 +60,20 @@ func unionDisjoint(a, b *Calendar) *Calendar {
 			iv = b.ivs[j]
 			j++
 		}
+		if lookBack && len(out) > 0 && out[len(out)-1] == iv {
+			continue
+		}
 		if len(out) > 0 && iv.Lo <= prevHi {
 			sd = false
 		}
 		prevHi = iv.Hi
 		out = append(out, iv)
 	}
-	return &Calendar{gran: a.gran, ivs: out, sortedDisjoint: sd}
-}
-
-// unionGeneral is the general element merge with the look-back duplicate
-// check, used when either operand lacks the sorted disjoint shape.
-func unionGeneral(a, b *Calendar) *Calendar {
-	out := make([]interval.Interval, 0, len(a.ivs)+len(b.ivs))
-	i, j := 0, 0
-	for i < len(a.ivs) || j < len(b.ivs) {
-		switch {
-		case i >= len(a.ivs):
-			out = appendUnlessDup(out, b.ivs[j])
-			j++
-		case j >= len(b.ivs):
-			out = appendUnlessDup(out, a.ivs[i])
-			i++
-		case a.ivs[i] == b.ivs[j]:
-			out = appendUnlessDup(out, a.ivs[i])
-			i++
-			j++
-		case less(a.ivs[i], b.ivs[j]):
-			out = appendUnlessDup(out, a.ivs[i])
-			i++
-		default:
-			out = appendUnlessDup(out, b.ivs[j])
-			j++
-		}
-	}
-	return newLeaf(a.gran, out)
+	return &Calendar{gran: a.gran, ivs: out, sortedDisjoint: sd}, nil
 }
 
 func less(x, y interval.Interval) bool {
-	if x.Lo != y.Lo {
-		return x.Lo < y.Lo
-	}
-	return x.Hi < y.Hi
-}
-
-func appendUnlessDup(out []interval.Interval, iv interval.Interval) []interval.Interval {
-	if n := len(out); n > 0 && out[n-1] == iv {
-		return out
-	}
-	return append(out, iv)
+	return x.Lo < y.Lo || x.Lo == y.Lo && x.Hi < y.Hi
 }
 
 // Diff implements the calendar "-" operator: each element of a has b's
@@ -151,7 +108,19 @@ func Diff(a, b *Calendar) (*Calendar, error) {
 			out = append(out, interval.Interval{Lo: lo, Hi: iv.Hi})
 		}
 	}
-	return newLeaf(a.gran, out), nil
+	return piecesOf(a, out), nil
+}
+
+// piecesOf wraps the output of Diff or Intersect, grown from a guess of one
+// piece per element of a. The result is retained — cached — at its capacity,
+// so when more than an eighth of that is unused it moves to a slab that fits.
+// The pieces come in a's order: a sorted disjoint a needs no classification
+// scan.
+func piecesOf(a *Calendar, out []interval.Interval) *Calendar {
+	if cap(out)-len(out) > cap(out)/8 {
+		out = slices.Clone(out)
+	}
+	return newLeaf(a.gran, out, a.sortedDisjoint)
 }
 
 // Intersect implements the "intersects" operator of the calendar scripts:
@@ -188,7 +157,7 @@ func Intersect(a, b *Calendar) (*Calendar, error) {
 			}
 		}
 	}
-	return newLeaf(a.gran, out), nil
+	return piecesOf(a, out), nil
 }
 
 // ClipToInterval restricts an order-1 calendar to the parts of its elements

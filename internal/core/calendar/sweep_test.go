@@ -2,6 +2,8 @@ package calendar
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"calsys/internal/chronology"
@@ -33,10 +35,28 @@ func randDisjointSorted(rng *rand.Rand, n int) []interval.Interval {
 // naiveForeach is the O(n·m) reference evaluator: the generic per-element
 // path applied literally, with no sweep shortcuts.
 func naiveForeach(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) *Calendar {
-	subs := make([]*Calendar, 0, len(arg.ivs))
-	for _, y := range arg.ivs {
+	return fromGroups(c.gran, naiveGroups(c.ivs, op, strict, arg.ivs))
+}
+
+// fromGroups builds the order-2 calendar holding exactly the given groups,
+// each copied into one slab.
+func fromGroups(gran chronology.Granularity, groups [][]interval.Interval) *Calendar {
+	out := &Calendar{gran: gran, ext: make([]extent, len(groups))}
+	for k, g := range groups {
+		out.ext[k] = extent{first: len(out.ivs), n: len(g)}
+		out.ivs = append(out.ivs, g...)
+	}
+	return out
+}
+
+// naiveGroups is the paper's definition of foreach on plain slices: one group
+// per element of ys, each the elements of xs satisfying op (cut to y under
+// strict where the cut is not empty).
+func naiveGroups(xs []interval.Interval, op interval.ListOp, strict bool, ys []interval.Interval) [][]interval.Interval {
+	groups := make([][]interval.Interval, 0, len(ys))
+	for _, y := range ys {
 		var out []interval.Interval
-		for _, iv := range c.ivs {
+		for _, iv := range xs {
 			if !op.Eval(iv, y) {
 				continue
 			}
@@ -48,9 +68,9 @@ func naiveForeach(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) *
 			}
 			out = append(out, iv)
 		}
-		subs = append(subs, &Calendar{gran: c.gran, ivs: out})
+		groups = append(groups, out)
 	}
-	return &Calendar{gran: c.gran, subs: subs}
+	return groups
 }
 
 // TestForeachSweepMatchesNaive checks every sweep kernel, strict and relaxed,
@@ -107,9 +127,9 @@ func TestForeachSweepSharedPrefixIsolated(t *testing.T) {
 		interval.Interval{Lo: 9, Hi: 10},
 	)
 	got := foreachSweep(c, interval.Before, false, arg)
-	// Appending to a sub-calendar's intervals slice must not clobber c.
-	for _, sub := range got.Subs() {
-		_ = append(sub.Intervals(), interval.Interval{Lo: 99, Hi: 99}) //nolint:staticcheck
+	// Appending to a group's slice must not clobber c.
+	for k := 0; k < got.Len(); k++ {
+		_ = append(got.Group(k), interval.Interval{Lo: 99, Hi: 99}) //nolint:staticcheck
 	}
 	want := MustFromIntervals(chronology.Day,
 		interval.Interval{Lo: 1, Hi: 2},
@@ -134,6 +154,14 @@ func naiveSetOp(a, b *Calendar, diff bool) *Calendar {
 		}
 	}
 	return &Calendar{gran: a.gran, ivs: out}
+}
+
+// naiveUnion is the reference for Union on operands sorted by (lo, hi): the
+// sorted concatenation, exact duplicates kept once.
+func naiveUnion(a, b *Calendar) *Calendar {
+	all := append(append([]interval.Interval{}, a.ivs...), b.ivs...)
+	sort.SliceStable(all, func(i, j int) bool { return less(all[i], all[j]) })
+	return &Calendar{gran: a.gran, ivs: slices.Compact(all)}
 }
 
 // randSortedByLo builds a random list sorted by lower bound only — elements

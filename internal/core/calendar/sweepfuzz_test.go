@@ -1,6 +1,7 @@
 package calendar
 
 import (
+	"sort"
 	"testing"
 
 	"calsys/internal/chronology"
@@ -38,16 +39,35 @@ func fuzzDecodeIntervals(b []byte, forceDisjoint bool) []interval.Interval {
 	return out
 }
 
-// FuzzSweepVsNaive drives the endpoint-index kernels and the set operators
-// from fuzz-shaped interval lists, checking all five listops in both strict
-// and relaxed form against the naive references. Run by the CI fuzz-smoke
-// job.
+// fuzzDecodeSelection turns one fuzz byte into a predicate: the low two bits
+// pick the shape ([k], [n], a range, a list with a repeat), bit 2 the sign of
+// k, the rest k itself and the range's far end.
+func fuzzDecodeSelection(b byte) Selection {
+	k := int(b>>3)%9 + 1
+	if b&4 != 0 {
+		k = -k
+	}
+	switch b & 3 {
+	case 0:
+		return SelectIndex(k)
+	case 1:
+		return SelectLast()
+	case 2:
+		return SelectRange(k, int(b>>5)+1)
+	}
+	return SelectList(k, 1, k)
+}
+
+// FuzzSweepVsNaive drives the sweep kernels, the selection over their extents
+// and the set operators from fuzz-shaped interval lists and a fuzz-shaped
+// predicate, checking all five listops in both strict and relaxed form
+// against the naive references. Run by the CI fuzz-smoke job.
 func FuzzSweepVsNaive(f *testing.F) {
-	f.Add([]byte{}, []byte{}, false)
-	f.Add([]byte{1, 2, 3, 4, 5, 6}, []byte{2, 2, 0, 5}, false)
-	f.Add([]byte{0, 0, 0, 0, 3, 1}, []byte{0, 4, 0, 4, 0, 4}, true)
-	f.Add([]byte{7, 5, 1, 0, 2, 2, 9, 9}, []byte{1, 1, 1, 1}, true)
-	f.Fuzz(func(t *testing.T, cb, ab []byte, messy bool) {
+	f.Add([]byte{}, []byte{}, false, byte(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6}, []byte{2, 2, 0, 5}, false, byte(1))
+	f.Add([]byte{0, 0, 0, 0, 3, 1}, []byte{0, 4, 0, 4, 0, 4}, true, byte(0x4e))
+	f.Add([]byte{7, 5, 1, 0, 2, 2, 9, 9}, []byte{1, 1, 1, 1}, true, byte(0x13))
+	f.Fuzz(func(t *testing.T, cb, ab []byte, messy bool, selb byte) {
 		if len(cb) > 64 || len(ab) > 64 {
 			return // keep each execution cheap; shape variety needs no scale
 		}
@@ -66,6 +86,7 @@ func FuzzSweepVsNaive(f *testing.F) {
 					t.Fatalf("op %v strict %v: endpoint kernel diverges\nc   = %v\narg = %v\ngot  %v\nwant %v",
 						op, strict, c, arg, ep, want)
 				}
+				checkColumnar(t, c, op, strict, arg, fuzzDecodeSelection(selb))
 			}
 		}
 
@@ -96,8 +117,15 @@ func FuzzSweepVsNaive(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantU := unionGeneral(c, b); !gotU.Equal(wantU) {
+		// A messy b can list equal lower bounds in any order of upper bound;
+		// the naive definition covers operands sorted by both.
+		sorted := sort.SliceIsSorted(b.ivs, func(i, j int) bool { return less(b.ivs[i], b.ivs[j]) })
+		if wantU := naiveUnion(c, b); sorted && !gotU.Equal(wantU) {
 			t.Fatalf("Union(%v, %v) = %v, want %v", c, b, gotU, wantU)
+		}
+		// The merge classifies as it goes: the flag is exact, not conservative.
+		if gotU.sortedDisjoint != disjointSorted(gotU.ivs) {
+			t.Fatalf("Union(%v, %v) = %v carries sortedDisjoint = %v", c, b, gotU, gotU.sortedDisjoint)
 		}
 	})
 }

@@ -35,8 +35,9 @@
 // payload. LRU recency is tracked by a per-entry atomic access stamp; the list
 // position is only reconciled lazily on the next write-side operation
 // (second-chance promotion at eviction time), so a read costs two atomic
-// adds beyond the RLock. All counters are atomics, so Stats never blocks
-// the data path.
+// adds beyond the RLock. All counters are atomics; the resident census Stats
+// adds to them takes each shard's read lock in turn, so it never blocks a
+// reader (and holds up an insert for one shard's walk at most).
 //
 // Entry payloads (the *Calendar or *Pattern) are immutable from the moment an
 // entry is published: eviction and Reset only detach entries, they never
@@ -101,7 +102,21 @@ type Stats struct {
 	Bytes       int64 `json:"bytes"`        // resident bytes (estimated)
 	Budget      int64 `json:"budget"`       // configured byte budget
 	Shards      int   `json:"shards"`       // lock stripes the budget is split across
+
+	// The resident footprint by kind of key (see Key.ID): Derived.Bytes over
+	// Derived.Entries is what one materialized derived calendar costs.
+	Generated   KindStat `json:"generated"`   // "G|" patterns of basic calendars
+	Derived     KindStat `json:"derived"`     // "D|" derived catalog entries
+	Expressions KindStat `json:"expressions"` // "E|" whole-expression results
 }
+
+// KindStat is the resident footprint of the keys of one kind.
+type KindStat struct {
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
+}
+
+func (k *KindStat) add(bytes int64) { k.Entries, k.Bytes = k.Entries+1, k.Bytes+bytes }
 
 // ShardStat is one shard's resident footprint (per-shard counters would
 // double the atomic traffic for no operational signal; the aggregate
@@ -441,7 +456,9 @@ func (c *Cache) Reset() {
 }
 
 // Stats snapshots the counters. The monotone counters are lock-free atomics;
-// only the resident entry/byte census takes each shard's read lock briefly.
+// the per-kind entry/byte census walks each shard's LRU list under its read
+// lock, as ShardStats does, so no write or read path keeps per-kind counts —
+// and a call costs O(resident entries), not O(shards).
 func (c *Cache) Stats() Stats {
 	st := Stats{
 		Puts:     c.puts.Load(),
@@ -457,6 +474,16 @@ func (c *Cache) Stats() Stats {
 		sh.mu.RLock()
 		st.Entries += sh.lru.Len()
 		st.Bytes += sh.bytes
+		for e := sh.lru.Front(); e != nil; e = e.Next() {
+			switch en := e.Value.(*entry); en.key.ID[:min(2, len(en.key.ID))] {
+			case "G|":
+				st.Generated.add(en.bytes)
+			case "D|":
+				st.Derived.add(en.bytes)
+			case "E|":
+				st.Expressions.add(en.bytes)
+			}
+		}
 		sh.mu.RUnlock()
 	}
 	return st
@@ -481,16 +508,7 @@ func (c *Cache) ShardStats() []ShardStat {
 	return out
 }
 
-// SizeOf estimates a calendar's resident bytes: 16 per leaf interval plus a
-// fixed overhead per calendar node.
-func SizeOf(c *calendar.Calendar) int64 {
-	const nodeOverhead = 64
-	if c.Order() == 1 {
-		return nodeOverhead + 16*int64(len(c.Intervals()))
-	}
-	size := int64(nodeOverhead)
-	for _, s := range c.Subs() {
-		size += SizeOf(s)
-	}
-	return size
-}
+// SizeOf returns the bytes a cached calendar keeps reachable, in O(1) below
+// order 3: see calendar.SizeBytes for what is charged (a slab two entries
+// share is charged to both).
+func SizeOf(c *calendar.Calendar) int64 { return c.SizeBytes() }

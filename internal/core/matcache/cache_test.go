@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestVersionMiss(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// Each 100-element materialization is ~64 + 16*100 bytes; budget fits ~3.
+	// Each 100-element materialization is a header + 16*100 bytes; budget fits 2.
 	c := New(5000)
 	mk := func(id string) Key { return Key{Scope: "t", ID: id, Gran: chronology.Day} }
 	cal := aperiodic(t, 7, 100)
@@ -207,9 +208,121 @@ func TestStatsFieldNames(t *testing.T) {
 		got = append(got, k)
 	}
 	sort.Strings(got)
-	want := []string{"budget", "bytes", "entries", "evictions", "flight_waits", "flights",
-		"hits", "misses", "patterns", "puts", "rejected", "shards"}
+	want := []string{"budget", "bytes", "derived", "entries", "evictions", "expressions", "flight_waits",
+		"flights", "generated", "hits", "misses", "patterns", "puts", "rejected", "shards"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Stats marshals keys\n %v\nwant\n %v", got, want)
+	}
+}
+
+// TestStatsByKind: the per-kind census adds up to the resident totals and
+// follows eviction, without any write-path counter.
+func TestStatsByKind(t *testing.T) {
+	ch := chronology.MustNew(chronology.DefaultEpoch)
+	c := New(0)
+	pat, err := periodicForTest(ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PutPattern(Key{Scope: "t", ID: "G|MONTHS", Gran: chronology.Day}, pat)
+	cal := aperiodic(t, 3, 100)
+	win, _ := cal.Hull()
+	c.Put(Key{Scope: "t", ID: "D|bizdays", Version: 1, Gran: chronology.Day}, win, cal)
+	c.Put(Key{Scope: "t", ID: "D|bizdays", Version: 2, Gran: chronology.Day}, win, cal)
+	c.Put(Key{Scope: "t", ID: "E|[n]/bizdays:during:MONTHS", Version: 2, Gran: chronology.Day}, win, cal)
+	st := c.Stats()
+	want := Stats{
+		Generated:   KindStat{Entries: 1, Bytes: pat.SizeBytes()},
+		Derived:     KindStat{Entries: 2, Bytes: 2 * SizeOf(cal)},
+		Expressions: KindStat{Entries: 1, Bytes: SizeOf(cal)},
+	}
+	if st.Generated != want.Generated || st.Derived != want.Derived || st.Expressions != want.Expressions {
+		t.Fatalf("census = %+v %+v %+v, want %+v %+v %+v",
+			st.Generated, st.Derived, st.Expressions, want.Generated, want.Derived, want.Expressions)
+	}
+	if st.Generated.Entries+st.Derived.Entries+st.Expressions.Entries != st.Entries ||
+		st.Generated.Bytes+st.Derived.Bytes+st.Expressions.Bytes != st.Bytes {
+		t.Fatalf("kinds do not add up to entries=%d bytes=%d: %+v", st.Entries, st.Bytes, st)
+	}
+	c.Reset()
+	if st := c.Stats(); st.Derived != (KindStat{}) || st.Expressions != (KindStat{}) || st.Generated != (KindStat{}) {
+		t.Fatalf("census after Reset: %+v", st)
+	}
+}
+
+// TestSizeOfIsWhatAnEntryRetains builds 200 copies of a 35-year bizdays the
+// way its derivation does — weekdays of every week, less 350 holidays — and 40
+// of an order-3 tree, and holds SizeOf to within 10 % of the heap each
+// retained copy really costs.
+func TestSizeOfIsWhatAnEntryRetains(t *testing.T) {
+	ch := chronology.MustNew(chronology.DefaultEpoch)
+	const last = 35*365 + 8
+	days, weeks := gen(t, ch, chronology.Day, chronology.Day, 1, last), gen(t, ch, chronology.Week, chronology.Day, 1, last)
+	rng := rand.New(rand.NewSource(18))
+	hol := make([]chronology.Tick, 350)
+	for i := range hol {
+		hol[i] = chronology.Tick(1 + rng.Intn(last))
+	}
+	holidays, err := calendar.FromPoints(chronology.Day, hol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bizdays := func() *calendar.Calendar {
+		byWeek, err := calendar.Foreach(days, interval.During, true, weeks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wd, err := calendar.Select(calendar.SelectList(1, 2, 3, 4, 5), byWeek)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := calendar.Diff(wd.Flatten(), holidays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// An order-3 tree: two years of weeks, diced again by month. Every
+	// sub-calendar owns a slab, and SizeOf descends to charge it.
+	months := gen(t, ch, chronology.Month, chronology.Day, 1, 730)
+	byWeek2y, err := calendar.Foreach(gen(t, ch, chronology.Day, chronology.Day, 1, 730), interval.During, true, gen(t, ch, chronology.Week, chronology.Day, 1, 730))
+	if err != nil {
+		t.Fatal(err)
+	}
+	order3 := func() *calendar.Calendar {
+		out, err := calendar.Foreach(byWeek2y, interval.Overlaps, true, months)
+		if err != nil || out.Order() != 3 {
+			t.Fatalf("order-%d tree, err %v", out.Order(), err)
+		}
+		return out
+	}
+	bizdays() // builds the holidays' coverage index outside the measurement
+
+	for _, tc := range []struct {
+		name   string
+		copies int
+		build  func() *calendar.Calendar
+	}{
+		{"35-year bizdays", 200, bizdays},
+		{"order-3 tree", 40, order3},
+	} {
+		copies := make([]*calendar.Calendar, tc.copies)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range copies {
+			copies[i] = tc.build()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		measured := float64(after.HeapAlloc-before.HeapAlloc) / float64(len(copies))
+		charged := float64(SizeOf(copies[0]))
+		if charged < 0.9*measured || charged > 1.1*measured {
+			t.Errorf("SizeOf charges %.0f B for a %s of %d leaves that retains %.0f B", charged, tc.name, copies[0].Cardinality(), measured)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { SizeOf(copies[0]) }); allocs != 0 {
+			t.Errorf("SizeOf of a %s allocates %.0f/op", tc.name, allocs)
+		}
+		runtime.KeepAlive(copies)
 	}
 }

@@ -95,11 +95,11 @@ func TestShardBudgetFairness(t *testing.T) {
 // promoted (second chance) and an unread peer placed after it is evicted
 // instead.
 func TestDeferredPromotionSurvivesEviction(t *testing.T) {
-	c := New(5000) // single shard, fits ~3 of the ~1.7 KiB entries below
+	cal := aperiodic(t, 7, 100)
+	c := New(3*SizeOf(cal) + SizeOf(cal)/2) // single shard, fits 3 of the ~1.7 KiB entries
 	if len(c.shards) != 1 {
 		t.Fatalf("want a single-shard cache, got %d shards", len(c.shards))
 	}
-	cal := aperiodic(t, 7, 100)
 	hull, _ := cal.Hull()
 	mk := func(id string) Key { return Key{Scope: "t", ID: id, Gran: chronology.Day} }
 	c.Put(mk("a"), hull, cal)

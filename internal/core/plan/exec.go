@@ -260,16 +260,7 @@ func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execStat
 			if v.Cal == nil {
 				return nil, fmt.Errorf("derived calendar %q returned an alert string, not a calendar", op.Name)
 			}
-			out, err := calendar.ConvertGran(env.Chron, v.Cal, p.Gran)
-			if err != nil {
-				return nil, err
-			}
-			// Derived materializations are served back verbatim, so prime
-			// the endpoint index now: every later foreach or set op against
-			// the cached value sweeps the flat bound arrays instead of
-			// re-lowering the interval list.
-			out.PrimeIndex()
-			return out, nil
+			return calendar.ConvertGran(env.Chron, v.Cal, p.Gran)
 		}
 		if !cacheable {
 			return eval()
@@ -377,7 +368,8 @@ func binSet(op Op, get func(Reg) (*calendar.Calendar, error), f func(a, b *calen
 	}
 	// The set operators require order-1 operands; foreach chains can leave
 	// order-2 results whose sub-structure is no longer meaningful to a
-	// point-set operation, so flatten first.
+	// point-set operation, so flatten first (a view, for a grouping or a
+	// selection result).
 	return f(a.Flatten(), b.Flatten())
 }
 

@@ -109,8 +109,8 @@ func TestSecondsGranularity(t *testing.T) {
 	if got.Order() != 2 || got.Len() != 2 {
 		t.Fatalf("shape = order %d len %d", got.Order(), got.Len())
 	}
-	if got.Subs()[0].Len() != 60 {
-		t.Errorf("first minute has %d seconds", got.Subs()[0].Len())
+	if len(got.Group(0)) != 60 {
+		t.Errorf("first minute has %d seconds", len(got.Group(0)))
 	}
 }
 

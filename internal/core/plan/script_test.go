@@ -249,3 +249,43 @@ func TestDerivedReturningStringFails(t *testing.T) {
 		t.Error("derived calendar returning a string must fail in expressions")
 	}
 }
+
+// A condition is false iff the calendar has no leaf interval (§3.3's null
+// calendar; foreach drops ε): a foreach over a multi-element argument whose
+// groups are all empty — {{},{}} — is as false as {}.
+func TestScriptConditionOverEmptyGroups(t *testing.T) {
+	ifScript := script(t, `{ if (today:during:HOLIDAYS) return ("HOLIDAY"); else return ("WORK");}`)
+	whileScript := script(t, `{ while (today:during:HOLIDAYS) ; return ("BACK AT WORK");}`)
+	for _, tc := range []struct {
+		today     chronology.Civil
+		want      string
+		wantWaits int
+	}{
+		{d(1993, 1, 18), "WORK", 0},
+		{d(1993, 1, 31), "HOLIDAY", 1}, // day 31 is in HOLIDAYS = {(31,31),(90,90)}
+	} {
+		env, _ := env1993(t)
+		now := env.Chron.EpochSecondsOf(tc.today)
+		waits := 0
+		env.Now = func() int64 { return now }
+		env.Wait = func() error {
+			waits++
+			now += chronology.SecondsPerDay
+			return nil
+		}
+		v, err := RunScript(env, ifScript, d(1993, 1, 1), d(1993, 4, 30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Str != tc.want {
+			t.Errorf("if on %v = %v, want %q", tc.today, v, tc.want)
+		}
+		v, err = RunScript(env, whileScript, d(1993, 1, 1), d(1993, 4, 30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Str != "BACK AT WORK" || waits != tc.wantWaits {
+			t.Errorf("while on %v = %v after %d waits, want %d", tc.today, v, waits, tc.wantWaits)
+		}
+	}
+}

@@ -96,53 +96,45 @@ func (e *expandEncoder) inWindow(lo, hi chronology.Tick) bool {
 // are walked in place (no Flatten copy) and in no assumed order.
 func (e *expandEncoder) count(cal *calsys.Calendar) int {
 	n := 0
-	if subs := cal.Subs(); len(subs) > 0 {
-		for _, s := range subs {
-			n += e.count(s)
+	cal.Leaves(func(run []calsys.Interval) bool {
+		for _, iv := range run {
+			if e.inWindow(iv.Lo, iv.Hi) {
+				n++
+			}
 		}
-		return n
-	}
-	for _, iv := range cal.Intervals() {
-		if e.inWindow(iv.Lo, iv.Hi) {
-			n++
-		}
-	}
+		return true
+	})
 	return n
 }
 
 // intervals appends one {start, end} element per leaf interval in the window,
 // flushing whenever the buffer passes expandFlushBytes.
-func (e *expandEncoder) intervals(cal *calsys.Calendar) error {
-	if subs := cal.Subs(); len(subs) > 0 {
-		for _, s := range subs {
-			if err := e.intervals(s); err != nil {
-				return err
+func (e *expandEncoder) intervals(cal *calsys.Calendar) (err error) {
+	cal.Leaves(func(run []calsys.Interval) bool {
+		for _, iv := range run {
+			if !e.inWindow(iv.Lo, iv.Hi) {
+				continue
+			}
+			start := max(e.ch.UnitStart(e.g, iv.Lo), e.fromSec)
+			end := min(e.ch.UnitEndExcl(e.g, iv.Hi)-1, e.toSec)
+			if e.sep {
+				e.buf = append(e.buf, ',')
+			}
+			e.sep = true
+			e.buf = append(e.buf, "\n    {\n      \"start\": \""...)
+			e.buf = chronology.AppendCivil(e.buf, e.ch.CivilOf(start))
+			e.buf = append(e.buf, "\",\n      \"end\": \""...)
+			e.buf = chronology.AppendCivil(e.buf, e.ch.CivilOf(end))
+			e.buf = append(e.buf, "\"\n    }"...)
+			if len(e.buf) >= expandFlushBytes {
+				if err = e.flush(); err != nil {
+					return false
+				}
 			}
 		}
-		return nil
-	}
-	for _, iv := range cal.Intervals() {
-		if !e.inWindow(iv.Lo, iv.Hi) {
-			continue
-		}
-		start := max(e.ch.UnitStart(e.g, iv.Lo), e.fromSec)
-		end := min(e.ch.UnitEndExcl(e.g, iv.Hi)-1, e.toSec)
-		if e.sep {
-			e.buf = append(e.buf, ',')
-		}
-		e.sep = true
-		e.buf = append(e.buf, "\n    {\n      \"start\": \""...)
-		e.buf = chronology.AppendCivil(e.buf, e.ch.CivilOf(start))
-		e.buf = append(e.buf, "\",\n      \"end\": \""...)
-		e.buf = chronology.AppendCivil(e.buf, e.ch.CivilOf(end))
-		e.buf = append(e.buf, "\"\n    }"...)
-		if len(e.buf) >= expandFlushBytes {
-			if err := e.flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		return true
+	})
+	return err
 }
 
 // flush hands the buffered bytes to the writer unless the client is gone.

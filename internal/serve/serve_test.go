@@ -645,7 +645,8 @@ func TestCacheStatsEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("no matcache aggregate in %v", body)
 	}
-	for _, field := range []string{"hits", "misses", "flights", "flight_waits", "bytes", "budget", "shards"} {
+	for _, field := range []string{"hits", "misses", "flights", "flight_waits", "bytes", "budget", "shards",
+		"generated", "derived", "expressions"} {
 		if _, ok := agg[field]; !ok {
 			t.Fatalf("aggregate missing %q: %v", field, agg)
 		}
