@@ -22,7 +22,7 @@ loc:
 # The figure is a ratchet: a PR that grows the tree past the budget raises
 # LOC_BUDGET in the same diff, where a reviewer sees it; a PR that shrinks it
 # lowers the budget to its own figure.
-LOC_BUDGET = 25022
+LOC_BUDGET = 24690
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -67,7 +67,8 @@ test:
 
 race:
 	$(GO) test -race ./internal/store/... ./internal/rules/... ./internal/core/plan/... \
-		./internal/core/matcache/... ./internal/caldb/... ./internal/serve/...
+		./internal/core/matcache/... ./internal/core/calendar/... ./internal/core/interval/... \
+		./internal/caldb/... ./internal/serve/...
 
 # Crash-recovery fault injection: the seeded kill-and-recover suites, run
 # three times under the race detector. Set CHAOS_ARTIFACTS to a directory to

@@ -272,6 +272,39 @@ func TestFacadeWindowCosts(t *testing.T) {
 	}
 }
 
+// `today` is one reserved word however it is spelled: the three spellings vet
+// to the same diagnostics and evaluate to the same value under a clock, and
+// none of them can be assigned to.
+func TestTodayIsOneReservedWord(t *testing.T) {
+	clock := NewVirtualClock(0)
+	s := MustOpen(WithClock(clock))
+	clock.Set(s.SecondsOf(MustDate(1993, 1, 6)))
+	var wantDiags, wantVal string
+	for i, word := range []string{"today", "Today", "TODAY"} {
+		src := "{return (" + word + ":during:WEEKS);}"
+		diags := s.VetCalendar("", src)
+		if diags.HasErrors() || !strings.Contains(diags.String(), "CV008") {
+			t.Fatalf("%s vets to:\n%s\nwant the CV008 warning and no error", src, diags)
+		}
+		v, err := s.RunCalendarScript(src, MustDate(1993, 1, 1), MustDate(1993, 1, 31))
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if i == 0 {
+			wantDiags, wantVal = diags.String(), v.String()
+			if v.Cal.IsEmpty() {
+				t.Fatalf("%s = %s, want the current day", src, v)
+			}
+		} else if diags.String() != wantDiags || v.String() != wantVal {
+			t.Errorf("%s: diagnostics %q, value %s; `today` gives %q, %s", src, diags, v, wantDiags, wantVal)
+		}
+	}
+	err := s.DefineCalendar("Shadow", "{today = [1]/DAYS:during:WEEKS; return (today);}", GranAuto)
+	if err == nil || !strings.Contains(err.Error(), "1:2: cannot assign to today") {
+		t.Errorf("DefineCalendar accepted an assignment to today: %v", err)
+	}
+}
+
 func TestFacadeScriptWithWait(t *testing.T) {
 	clock := NewVirtualClock(0)
 	s := MustOpen(WithClock(clock))

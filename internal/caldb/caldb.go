@@ -316,7 +316,7 @@ func checkName(name string) error {
 	if _, err := chronology.ParseGranularity(name); err == nil {
 		return fmt.Errorf("caldb: %q shadows a basic calendar", name)
 	}
-	if strings.EqualFold(name, "today") {
+	if callang.IsToday(name) {
 		return fmt.Errorf("caldb: %q is a reserved name", name)
 	}
 	return nil
@@ -750,7 +750,7 @@ func (m *Manager) VolatileOf(name string) bool {
 		return v
 	}
 	m.mu.Unlock()
-	v := m.computeVolatile(key, map[string]bool{})
+	v := callang.DerivedClockRead(key, m, map[string]bool{})
 	m.mu.Lock()
 	if m.volGen == gen {
 		m.volatile[key] = v
@@ -759,70 +759,12 @@ func (m *Manager) VolatileOf(name string) bool {
 	return v
 }
 
-// computeVolatile walks a calendar's derivation graph; visiting guards
-// against reference cycles (which evaluation rejects separately).
-func (m *Manager) computeVolatile(key string, visiting map[string]bool) bool {
-	if key == "today" {
-		return true
-	}
-	if visiting[key] {
-		return false
-	}
-	visiting[key] = true
-	e, ok := m.Lookup(key)
-	if !ok || e.script == nil {
-		return false
-	}
-	if scriptWaits(e.script) {
-		return true
-	}
-	for ref := range callang.AnalyzeScript(e.script, m).Refs {
-		lower := strings.ToLower(ref)
-		if lower == "today" {
-			return true
-		}
-		if _, err := chronology.ParseGranularity(ref); err == nil {
-			continue
-		}
-		if m.computeVolatile(lower, visiting) {
-			return true
-		}
-	}
-	return false
-}
-
-// scriptWaits reports whether a script contains an empty-bodied while loop
-// (the paper's "do nothing" wait), whose result depends on when it runs.
-func scriptWaits(s *callang.Script) bool {
-	var walk func([]callang.Stmt) bool
-	walk = func(ss []callang.Stmt) bool {
-		for _, st := range ss {
-			switch n := st.(type) {
-			case *callang.IfStmt:
-				if walk(n.Then) || walk(n.Else) {
-					return true
-				}
-			case *callang.WhileStmt:
-				if len(n.Body) == 0 || walk(n.Body) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(s.Stmts)
-}
-
 // exprVolatile reports whether an expression's value can change between
 // evaluations at one catalog generation (it reads `today`, directly or via a
 // referenced derived calendar).
 func (m *Manager) exprVolatile(e callang.Expr) bool {
-	for ref := range callang.Analyze(e, m).Refs {
-		if strings.EqualFold(ref, "today") || m.VolatileOf(ref) {
-			return true
-		}
-	}
-	return false
+	_, clock := callang.ClockRead(callang.ExprScript(e), m.VolatileOf)
+	return clock
 }
 
 // --- evaluation conveniences -------------------------------------------

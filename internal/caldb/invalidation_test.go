@@ -5,6 +5,8 @@ import (
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
+	"calsys/internal/core/callang"
+	calvet "calsys/internal/core/callang/vet"
 	"calsys/internal/core/plan"
 )
 
@@ -128,23 +130,120 @@ func TestVolatileTodayNeverCached(t *testing.T) {
 	}
 }
 
-// VolatileOf must see through derivation references: a calendar defined in
-// terms of another calendar that reads `today` is itself volatile.
-func TestVolatilityIsTransitive(t *testing.T) {
+// TestClockReadAgreement holds the three answers to "does this calendar read
+// the clock?" to one another: calvet's CV008, Manager.VolatileOf (what makes
+// a calendar cacheable), and what the compiler actually emits — an OpToday
+// op, or an empty-bodied while, reachable from the script through the
+// OpDerived references the compiler itself resolves. Entries go in below
+// DefineDerived so that reference cycles can exist.
+func TestClockReadAgreement(t *testing.T) {
 	m := newManager(t)
-	ls := lifespanFrom1985()
-	if err := m.DefineDerived("ANCHOR", "{today;}", ls, chronology.Day); err != nil {
+	hols, _ := calendar.FromPoints(chronology.Day, []chronology.Tick{2223})
+	if err := m.DefineStored("HOLS", hols, lifespanFrom1985()); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.DefineDerived("WRAPPED", "{ANCHOR + ([1]/DAYS:during:WEEKS);}", ls, chronology.Day); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, src string
+		clock     bool
+	}{
+		{"NOW", "{today;}", true},
+		{"MIXED", "ToDay:during:WEEKS", true},
+		{"UPPER", "{x = TODAY; return (x);}", true},
+		{"ARG", "caloperate(today, 2)", true},
+		{"VIA_SINGLE", "NOW + ([1]/DAYS:during:WEEKS)", true},
+		{"LATER", "{x = today:during:WEEKS; return (x);}", true},
+		{"VIA_SCRIPT", "LATER:during:MONTHS", true},
+		{"WAITS", "{t = [1]/DAYS:during:WEEKS; while (t:intersects:HOLS) ; return (t);}", true},
+		{"WAITS_NESTED", "{if (HOLS) { while (HOLS) ; } return (DAYS);}", true},
+		{"SHADOWED", "{NOW = DAYS:during:WEEKS; return (NOW);}", false},
+		{"READ_THEN_SHADOWED", "{x = NOW; NOW = DAYS:during:WEEKS; return (x);}", true},
+		{"CYC_A", "CYC_B:during:MONTHS", true},
+		{"CYC_B", "CYC_A + today", true},
+		{"LOOP_A", "LOOP_B:during:MONTHS", false},
+		{"LOOP_B", "LOOP_A + DAYS", false},
+		{"STEADY", "([1,2,3,4,5]/DAYS:during:WEEKS) - HOLS", false},
+		{"HOLS", "", false},
 	}
-	if err := m.DefineDerived("STEADY", "{[1]/DAYS:during:WEEKS;}", ls, GranAuto); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		if c.src == "" {
+			continue // the stored calendar, defined above
+		}
+		script, err := callang.ParseDerivation(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		e := &Entry{Name: c.name, Derivation: script.String(), Lifespan: lifespanFrom1985(), Gran: chronology.Day, script: script}
+		if err := m.insert(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for name, want := range map[string]bool{"ANCHOR": true, "WRAPPED": true, "STEADY": false} {
-		if got := m.VolatileOf(name); got != want {
-			t.Errorf("VolatileOf(%s) = %v, want %v", name, got, want)
+
+	// compiled reports what the compiler emits for name, resolving each
+	// identifier exactly as plan.Compile does (no inlining, so every catalog
+	// reference surfaces as an OpDerived to follow) under the temporaries
+	// bound so far, as plan.RunScript would.
+	win, _ := plan.CivilWindow(m.chron, chronology.Day, d(1993, 1, 1), d(1993, 3, 31))
+	var compiled func(name string, seen map[string]bool) bool
+	compiled = func(name string, seen map[string]bool) bool {
+		script, ok := m.DerivationOf(name)
+		if !ok || seen[name] {
+			return false
+		}
+		seen[name] = true
+		vars := map[string]bool{}
+		var stmts func(ss []callang.Stmt) bool
+		expr := func(x callang.Expr) bool {
+			if _, isAlert := x.(*callang.StringLit); isAlert {
+				return false
+			}
+			p, err := plan.Compile(m.Env(), x, vars, chronology.Day, win)
+			if err != nil {
+				t.Fatalf("%s: %s does not compile: %v", name, x, err)
+			}
+			clock := false
+			for _, op := range p.Ops {
+				clock = clock || op.Kind == plan.OpToday || op.Kind == plan.OpDerived && compiled(op.Name, seen)
+			}
+			return clock
+		}
+		stmts = func(ss []callang.Stmt) bool {
+			clock := false
+			for _, st := range ss {
+				switch n := st.(type) {
+				case *callang.AssignStmt:
+					clock = expr(n.X) || clock
+					vars[n.Name] = true
+				case *callang.ReturnStmt:
+					clock = expr(n.X) || clock
+				case *callang.ExprStmt:
+					clock = expr(n.X) || clock
+				case *callang.IfStmt:
+					clock = expr(n.Cond) || clock
+					clock = stmts(n.Then) || clock
+					clock = stmts(n.Else) || clock
+				case *callang.WhileStmt:
+					clock = expr(n.Cond) || len(n.Body) == 0 || clock
+					clock = stmts(n.Body) || clock
+				}
+			}
+			return clock
+		}
+		return stmts(script.Stmts)
+	}
+
+	for _, c := range cases {
+		diags, err := m.VetDefined(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cv008 := false
+		for _, dg := range diags {
+			cv008 = cv008 || dg.Code == calvet.CodeVolatile
+		}
+		volatile, emitted := m.VolatileOf(c.name), compiled(c.name, map[string]bool{})
+		if cv008 != c.clock || volatile != c.clock || emitted != c.clock {
+			t.Errorf("%s = %s: CV008 %v, VolatileOf %v, compiled clock read %v; want all %v",
+				c.name, c.src, cv008, volatile, emitted, c.clock)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func newPrepared(m *Manager, gen uint64, name, src string) *Prepared {
 	// expression ends at EOF and a script in ';' or '}', so at most one
 	// succeeds and the common case parses once.
 	if p.Expr, p.ExprErr = callang.ParseExpr(src); p.ExprErr == nil {
-		p.Script = &callang.Script{Stmts: []callang.Stmt{&callang.ExprStmt{X: p.Expr}}}
+		p.Script = callang.ExprScript(p.Expr)
 	} else {
 		p.Script, p.scriptErr = callang.ParseScript(src)
 	}

@@ -63,6 +63,28 @@ func (g Granularity) Finer(h Granularity) bool { return g < h }
 // Coarser reports whether g is strictly coarser than h.
 func (g Granularity) Coarser(h Granularity) bool { return g > h }
 
+var maxUnitSeconds = [...]int64{
+	Second:  1,
+	Minute:  60,
+	Hour:    3600,
+	Day:     SecondsPerDay,
+	Week:    7 * SecondsPerDay,
+	Month:   31 * SecondsPerDay,
+	Year:    366 * SecondsPerDay,
+	Decade:  3653 * SecondsPerDay,
+	Century: 36525 * SecondsPerDay,
+}
+
+// MaxUnitSeconds is the longest span of one unit of g, in seconds (0 for an
+// invalid g): how many finer units can lie in it at most, and how far a
+// window-straddling unit can reach past a window edge.
+func MaxUnitSeconds(g Granularity) int64 {
+	if !g.Valid() {
+		return 0
+	}
+	return maxUnitSeconds[g]
+}
+
 // Granularities returns all basic granularities from finest to coarsest.
 func Granularities() []Granularity {
 	gs := make([]Granularity, 0, numGranularities)

@@ -55,10 +55,10 @@ type Calendar struct {
 	// was not established).
 	sortedDisjoint bool
 
-	// cov lazily caches the fused point-set coverage (see covIndex) — built
-	// on the first Diff/Intersect against this calendar as operand b, or the
-	// first Contains, and kept for as long as the calendar lives.
-	cov atomic.Pointer[covIndex]
+	// cov lazily caches the point-set coverage (see coverage) — built on the
+	// first Diff/Intersect against this calendar as operand b, or the first
+	// Contains, and kept for as long as the calendar lives.
+	cov atomic.Pointer[interval.Set]
 }
 
 // extent locates one group of an order-2 calendar: n intervals starting at
@@ -291,9 +291,15 @@ func (c *Calendar) Flatten() *Calendar {
 	return newLeaf(c.gran, ivs, false)
 }
 
-// ToSet returns the normalized point set covered by the calendar's leaves.
+// ToSet returns the normalized point set covered by the calendar's leaves. A
+// sorted disjoint calendar needs no sort, and shares its slab with the set
+// when no two elements are adjacent.
 func (c *Calendar) ToSet() interval.Set {
-	return interval.NewSet(c.Flatten().ivs...)
+	flat := c.Flatten()
+	if flat.sortedDisjoint {
+		return interval.SortedSet(flat.ivs)
+	}
+	return interval.NewSet(flat.ivs...)
 }
 
 // Hull returns the smallest interval covering every leaf.
@@ -316,7 +322,7 @@ func (c *Calendar) Cardinality() int {
 // at orders 1 and 2, plus the same for every sub-calendar above that. A slab
 // shared with another calendar is charged to each holder — whichever outlives
 // the other does retain it — and a view is charged for the range it spans.
-// The lazily built coverage index is not counted.
+// The lazily built coverage set is not counted.
 func (c *Calendar) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*c)) +
 		int64(unsafe.Sizeof(interval.Interval{}))*int64(cap(c.ivs)+cap(c.rewritten)) +

@@ -1,8 +1,6 @@
 package calendar
 
 import (
-	"sort"
-
 	"calsys/internal/chronology"
 	"calsys/internal/core/interval"
 )
@@ -16,73 +14,31 @@ import (
 // of the bounds. The result is extents over that same slab; only the groups
 // strict trimming rewrites are copied, into one exact-size slab.
 
-// covIndex is a calendar's covered ticks as flat sorted bound arrays with
-// adjacent-in-tick-space spans fused — the point-set normal form the set
-// operators merge against. For a calendar of adjacent units (WEEKS in day
-// ticks) this collapses to a single span, so a Diff/Intersect against it is
-// O(len(a)) instead of O(len(a)+len(b)).
-type covIndex struct {
-	lo, hi []chronology.Tick
-}
-
-// covindex returns the calendar's fused coverage, building and caching it on
-// first use. The double-build race is benign: both goroutines construct
-// identical immutable indexes and CompareAndSwap keeps exactly one.
-func (c *Calendar) covindex() *covIndex {
-	if cv := c.cov.Load(); cv != nil {
-		return cv
+// coverage returns the calendar's covered ticks as an interval.Set — the
+// point-set normal form the set operators merge against — building and caching
+// it on first use. For a calendar of adjacent units (WEEKS in day ticks) it
+// collapses to a single span, so a Diff/Intersect against it is O(len(a))
+// instead of O(len(a)+len(b)); a sorted disjoint calendar with no adjacent
+// elements (HOLIDAYS) shares its own slab with the set. The double-build race
+// is benign: both goroutines construct identical immutable sets and
+// CompareAndSwap keeps exactly one.
+func (c *Calendar) coverage() *interval.Set {
+	if s := c.cov.Load(); s != nil {
+		return s
 	}
-	cv := buildCovIndex(c)
-	if !c.cov.CompareAndSwap(nil, cv) {
-		cv = c.cov.Load()
+	set := c.ToSet()
+	if !c.cov.CompareAndSwap(nil, &set) {
+		return c.cov.Load()
 	}
-	return cv
+	return &set
 }
 
 // Contains reports whether tick t lies inside some leaf interval of the
-// calendar (any order): ToSet().Contains(t) as a binary search over the
-// cached fused coverage, so a per-row membership test never re-flattens or
-// re-normalizes the calendar. Tick 0 does not exist and is never contained,
-// even by a span that crosses it.
-func (c *Calendar) Contains(t chronology.Tick) bool {
-	if t == 0 {
-		return false
-	}
-	cv := c.covindex()
-	i := sort.Search(len(cv.hi), func(i int) bool { return cv.hi[i] >= t })
-	return i < len(cv.hi) && cv.lo[i] <= t
-}
-
-func buildCovIndex(c *Calendar) *covIndex {
-	flat := c.Flatten()
-	ivs := flat.ivs
-	if !flat.sortedDisjoint {
-		ivs = flat.ToSet().Intervals()
-	}
-	// Count fused spans, then fill two flat arrays from one allocation.
-	// (The ToSet path is already fused; the loop is then a straight copy.)
-	spans := 0
-	for i := range ivs {
-		if i == 0 || ivs[i].Lo != chronology.NextTick(ivs[i-1].Hi) {
-			spans++
-		}
-	}
-	cv := &covIndex{}
-	if spans > 0 {
-		buf := make([]chronology.Tick, 2*spans)
-		lo, hi := buf[:spans:spans], buf[spans:]
-		k := -1
-		for i, iv := range ivs {
-			if i == 0 || iv.Lo != chronology.NextTick(ivs[i-1].Hi) {
-				k++
-				lo[k] = iv.Lo
-			}
-			hi[k] = iv.Hi
-		}
-		cv.lo, cv.hi = lo, hi
-	}
-	return cv
-}
+// calendar (any order): a binary search over the cached coverage, so a
+// per-row membership test never re-flattens or re-normalizes the calendar.
+// Tick 0 does not exist and is never contained, even by a span that crosses
+// it.
+func (c *Calendar) Contains(t chronology.Tick) bool { return c.coverage().Contains(t) }
 
 // sweepExtents is the merge loop: one pass over c's intervals xs computing,
 // for each arg element ys[k], the extent of its matching run under op. Every

@@ -132,7 +132,7 @@ func TestForeachSweepAllocBound(t *testing.T) {
 
 // TestCovIndexFusesAdjacent checks that the cached coverage fuses elements
 // adjacent in tick space (the WEEKS-in-day-ticks shape) into single spans,
-// and that the index is built exactly once.
+// and that the set is built exactly once.
 func TestCovIndexFusesAdjacent(t *testing.T) {
 	c := MustFromIntervals(chronology.Day,
 		interval.Interval{Lo: 1, Hi: 7},
@@ -140,12 +140,12 @@ func TestCovIndexFusesAdjacent(t *testing.T) {
 		interval.Interval{Lo: 15, Hi: 21},
 		interval.Interval{Lo: 30, Hi: 33},
 	)
-	cv := c.covindex()
-	if len(cv.lo) != 2 || cv.lo[0] != 1 || cv.hi[0] != 21 || cv.lo[1] != 30 || cv.hi[1] != 33 {
-		t.Fatalf("fused coverage = lo %v hi %v, want [1 30] [21 33]", cv.lo, cv.hi)
+	cv := c.coverage()
+	if got := cv.String(); got != "{(1,21),(30,33)}" {
+		t.Fatalf("fused coverage = %s, want {(1,21),(30,33)}", got)
 	}
-	if again := c.covindex(); again != cv {
-		t.Fatal("covindex rebuilt on second call")
+	if again := c.coverage(); again != cv {
+		t.Fatal("coverage rebuilt on second call")
 	}
 
 	// Messy (overlapping) operands fall back to the normalized point set.
@@ -154,9 +154,14 @@ func TestCovIndexFusesAdjacent(t *testing.T) {
 		interval.Interval{Lo: 3, Hi: 9},
 		interval.Interval{Lo: 11, Hi: 12},
 	)
-	cv = m.covindex()
-	if len(cv.lo) != 2 || cv.lo[0] != 1 || cv.hi[0] != 9 || cv.lo[1] != 11 || cv.hi[1] != 12 {
-		t.Fatalf("messy coverage = lo %v hi %v, want [1 11] [9 12]", cv.lo, cv.hi)
+	if got := m.coverage().String(); got != "{(1,9),(11,12)}" {
+		t.Fatalf("messy coverage = %s, want {(1,9),(11,12)}", got)
+	}
+
+	// Nothing to fuse: the set is the calendar's own slab, not a copy.
+	h := MustFromIntervals(chronology.Day, interval.Interval{Lo: 3, Hi: 3}, interval.Interval{Lo: 9, Hi: 10})
+	if &h.coverage().Intervals()[0] != &h.ivs[0] {
+		t.Fatal("coverage of a non-adjacent sorted disjoint calendar copied its slab")
 	}
 }
 
@@ -211,11 +216,11 @@ func TestEndpointIndexConcurrentBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers = 8
-	cov := make([]*covIndex, workers)
+	cov := make([]*interval.Set, workers)
 	done := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			cov[w] = c.covindex()
+			cov[w] = c.coverage()
 			done <- w
 		}(w)
 	}
@@ -224,15 +229,16 @@ func TestEndpointIndexConcurrentBuild(t *testing.T) {
 	}
 	for w := 1; w < workers; w++ {
 		if cov[w] != cov[0] {
-			t.Fatal("concurrent covindex builds published different coverage")
+			t.Fatal("concurrent coverage builds published different sets")
 		}
 	}
 }
 
-// TestContainsMatchesToSet checks Contains ≡ ToSet().Contains tick by tick
-// (tick 0 included) over random calendars: order-1 disjoint, overlapping and
-// adjacent lists, and order-2 calendars whose leaves are listed out of order
-// and overlap each other. Every generator starts below tick 1, so spans that
+// TestContainsMatchesToSet checks Contains ≡ ToSet().Contains ≡ "some leaf
+// holds the tick" (a scan that touches neither the cached coverage nor
+// interval.Set) tick by tick (tick 0 included) over random calendars:
+// order-1 disjoint, overlapping and adjacent lists, and order-2 calendars
+// whose leaves are listed out of order and overlap each other. Every generator starts below tick 1, so spans that
 // cross the missing tick 0 occur in most trials.
 func TestContainsMatchesToSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
@@ -279,8 +285,16 @@ func TestContainsMatchesToSet(t *testing.T) {
 		}
 		set := c.ToSet()
 		for off := int64(-30); off <= 110; off++ {
-			if got, want := c.Contains(off), set.Contains(off); got != want {
-				t.Fatalf("trial %d: Contains(%d) = %v, ToSet().Contains = %v\nc = %v", trial, off, got, want, c)
+			want := !c.Leaves(func(run []interval.Interval) bool {
+				for _, iv := range run {
+					if off != 0 && iv.Lo <= off && off <= iv.Hi {
+						return false
+					}
+				}
+				return true
+			})
+			if got, viaSet := c.Contains(off), set.Contains(off); got != want || viaSet != want {
+				t.Fatalf("trial %d: Contains(%d) = %v, ToSet().Contains = %v, leaf scan = %v\nc = %v", trial, off, got, viaSet, want, c)
 			}
 		}
 	}

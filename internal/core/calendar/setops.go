@@ -78,36 +78,13 @@ func less(x, y interval.Interval) bool {
 
 // Diff implements the calendar "-" operator: each element of a has b's
 // covered ticks removed, splitting where necessary; surviving pieces stay
-// separate elements. One linear merge of a's elements (non-decreasing lower
-// bounds, so the first coverage span that can cut an element only moves
-// forward) against b's cached fused coverage.
+// separate elements. One linear merge (interval.Set.Without) of a's elements
+// against b's cached coverage.
 func Diff(a, b *Calendar) (*Calendar, error) {
 	if err := checkSetOperands("-", a, b); err != nil {
 		return nil, err
 	}
-	cv := b.covindex()
-	covLo, covHi := cv.lo, cv.hi
-	out := make([]interval.Interval, 0, len(a.ivs))
-	j := 0
-	for _, iv := range a.ivs {
-		for j < len(covLo) && covHi[j] < iv.Lo {
-			j++
-		}
-		lo, dead := iv.Lo, false
-		for k := j; k < len(covLo) && covLo[k] <= iv.Hi; k++ {
-			if covLo[k] > lo {
-				out = append(out, interval.Interval{Lo: lo, Hi: chronology.PrevTick(covLo[k])})
-			}
-			if covHi[k] >= iv.Hi {
-				dead = true
-				break
-			}
-			lo = chronology.NextTick(covHi[k])
-		}
-		if !dead && lo <= iv.Hi {
-			out = append(out, interval.Interval{Lo: lo, Hi: iv.Hi})
-		}
-	}
+	out := b.coverage().Without(make([]interval.Interval, 0, len(a.ivs)), a.ivs)
 	return piecesOf(a, out), nil
 }
 
@@ -125,38 +102,14 @@ func piecesOf(a *Calendar, out []interval.Interval) *Calendar {
 
 // Intersect implements the "intersects" operator of the calendar scripts:
 // the pieces of each element of a covered by b, via the same merge as Diff
-// against b's cached fused coverage. Note this is distinct from the overlaps
-// listop — {LDOM:intersects:HOLIDAYS} in §3.3 yields the order-1 calendar of
-// days that are both. The operator has point-set semantics, so cuts of one
-// element that touch must merge; with the coverage already fused, distinct
-// spans are separated by uncovered ticks and cuts can never touch, so no
-// fuse check is needed in the loop (the same invariant periodic.SetIntersect
-// relies on).
+// (interval.Set.Within) against b's cached coverage. Note this is distinct
+// from the overlaps listop — {LDOM:intersects:HOLIDAYS} in §3.3 yields the
+// order-1 calendar of days that are both.
 func Intersect(a, b *Calendar) (*Calendar, error) {
 	if err := checkSetOperands("intersects", a, b); err != nil {
 		return nil, err
 	}
-	cv := b.covindex()
-	covLo, covHi := cv.lo, cv.hi
-	out := make([]interval.Interval, 0, len(a.ivs))
-	j := 0
-	for _, iv := range a.ivs {
-		for j < len(covLo) && covHi[j] < iv.Lo {
-			j++
-		}
-		for k := j; k < len(covLo) && covLo[k] <= iv.Hi; k++ {
-			cut := iv
-			if covLo[k] > cut.Lo {
-				cut.Lo = covLo[k]
-			}
-			if covHi[k] < cut.Hi {
-				cut.Hi = covHi[k]
-			}
-			if cut.Lo <= cut.Hi {
-				out = append(out, cut)
-			}
-		}
-	}
+	out := b.coverage().Within(make([]interval.Interval, 0, len(a.ivs)), a.ivs)
 	return piecesOf(a, out), nil
 }
 

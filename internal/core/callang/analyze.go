@@ -2,6 +2,7 @@ package callang
 
 import (
 	"sort"
+	"strings"
 
 	"calsys/internal/chronology"
 )
@@ -55,7 +56,7 @@ func GranFor(kinds map[chronology.Granularity]bool) chronology.Granularity {
 // Analyze computes the Analysis of an expression.
 func Analyze(e Expr, kinds KindResolver) Analysis {
 	a := Analysis{Refs: map[string]int{}, Kinds: map[chronology.Granularity]bool{}}
-	walk(e, func(x Expr) {
+	Walk(e, func(x Expr) {
 		switch n := x.(type) {
 		case *Ident:
 			a.Refs[n.Name]++
@@ -99,54 +100,21 @@ func Analyze(e Expr, kinds KindResolver) Analysis {
 // the results.
 func AnalyzeScript(s *Script, kinds KindResolver) Analysis {
 	merged := Analysis{Refs: map[string]int{}, Kinds: map[chronology.Granularity]bool{}}
-	var visitStmts func(ss []Stmt)
-	visit := func(e Expr) {
-		sub := Analyze(e, kinds)
+	WalkStmts(s.Stmts, func(_ Stmt, x Expr) {
+		sub := Analyze(x, kinds)
 		for g := range sub.Kinds {
 			merged.Kinds[g] = true
 		}
 		for k, v := range sub.Refs {
 			merged.Refs[k] += v
 		}
-	}
-	visitStmts = func(ss []Stmt) {
-		for _, st := range ss {
-			switch n := st.(type) {
-			case *AssignStmt:
-				visit(n.X)
-			case *ReturnStmt:
-				visit(n.X)
-			case *ExprStmt:
-				visit(n.X)
-			case *IfStmt:
-				visit(n.Cond)
-				visitStmts(n.Then)
-				visitStmts(n.Else)
-			case *WhileStmt:
-				visit(n.Cond)
-				visitStmts(n.Body)
-			}
-		}
-	}
-	visitStmts(s.Stmts)
+	})
 	merged.TickGran = GranFor(merged.Kinds)
 	// Temporaries assigned anywhere in the script (including if/while
 	// branches) are not external references.
-	var stripAssigned func(ss []Stmt)
-	stripAssigned = func(ss []Stmt) {
-		for _, st := range ss {
-			switch n := st.(type) {
-			case *AssignStmt:
-				delete(merged.Refs, n.Name)
-			case *IfStmt:
-				stripAssigned(n.Then)
-				stripAssigned(n.Else)
-			case *WhileStmt:
-				stripAssigned(n.Body)
-			}
-		}
+	for name := range AssignedNames(s.Stmts) {
+		delete(merged.Refs, name)
 	}
-	stripAssigned(s.Stmts)
 	for name, n := range merged.Refs {
 		if n > 1 {
 			merged.Shared = append(merged.Shared, name)
@@ -162,12 +130,54 @@ func AnalyzeScript(s *Script, kinds KindResolver) Analysis {
 	return merged
 }
 
-// walk visits e and all descendants in preorder.
-func walk(e Expr, fn func(Expr)) {
-	fn(e)
-	for _, c := range e.Children() {
-		walk(c, fn)
+// ClockRead is the one answer to "can evaluating this script read the
+// clock?": it reports the first identifier that is `today`, the first
+// identifier the compiler would resolve in the catalog that volatile calls
+// clock-reading, or the first empty-bodied while (the paper's wait loop,
+// which spins until the clock satisfies its condition) — whichever comes
+// first in source order, with its position. Names resolve in the compiler's
+// order: `today`, then the script's temporaries (which shadow the catalog
+// once assigned), then the catalog.
+func ClockRead(s *Script, volatile func(name string) bool) (pos Pos, found bool) {
+	temps := map[string]bool{}
+	hit := func(p Pos) {
+		if !found {
+			pos, found = p, true
+		}
 	}
+	WalkStmts(s.Stmts, func(st Stmt, x Expr) {
+		if w, ok := st.(*WhileStmt); ok && len(w.Body) == 0 {
+			hit(w.Pos)
+		}
+		Walk(x, func(e Expr) {
+			id, ok := e.(*Ident)
+			if !ok || found {
+				return
+			}
+			if IsToday(id.Name) || !temps[id.Name] && volatile(id.Name) {
+				hit(id.Pos)
+			}
+		})
+		if a, ok := st.(*AssignStmt); ok {
+			temps[a.Name] = true
+		}
+	})
+	return pos, found
+}
+
+// DerivedClockRead reports whether the derived calendar name reads the clock:
+// ClockRead over its derivation, following catalog references depth first.
+// visiting holds the lower-cased names already entered, which cuts reference
+// cycles (rejected elsewhere) and visits a shared dependency once.
+func DerivedClockRead(name string, lookup ScriptLookup, visiting map[string]bool) bool {
+	key := strings.ToLower(name)
+	script, ok := lookup.DerivationOf(name)
+	if !ok || visiting[key] {
+		return false
+	}
+	visiting[key] = true
+	_, clock := ClockRead(script, func(ref string) bool { return DerivedClockRead(ref, lookup, visiting) })
+	return clock
 }
 
 // BasicOnly reports whether an expression references only basic calendars

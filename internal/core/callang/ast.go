@@ -2,6 +2,7 @@ package callang
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"calsys/internal/core/calendar"
@@ -18,6 +19,11 @@ type Expr interface {
 	// Label is the node's own caption in a parse tree (Figures 2-3).
 	Label() string
 }
+
+// IsToday reports whether name is the reserved word `today`, the runtime
+// binding of the evaluation clock. Like basic and catalog calendar names it
+// is matched without regard to case, and nothing can shadow it.
+func IsToday(name string) bool { return strings.EqualFold(name, "today") }
 
 // Ident references a calendar by name: a basic calendar (DAYS), a derived
 // calendar (Tuesdays), a stored calendar (HOLIDAYS), a script temporary, or
@@ -209,13 +215,89 @@ func (e *LabelSelExpr) Label() string  { return fmt.Sprintf("select label %d", e
 func (e *BinExpr) Label() string       { return string(e.Op) }
 func (e *CallExpr) Label() string      { return e.Name + "()" }
 
+// Walk calls fn with e and then with every descendant, in preorder — source
+// order for the identifiers of a parsed expression.
+func Walk(e Expr, fn func(Expr)) {
+	fn(e)
+	switch n := e.(type) {
+	case *ForeachExpr:
+		Walk(n.X, fn)
+		Walk(n.Y, fn)
+	case *IntersectExpr:
+		Walk(n.X, fn)
+		Walk(n.Y, fn)
+	case *SelectExpr:
+		Walk(n.X, fn)
+	case *LabelSelExpr:
+		Walk(n.X, fn)
+	case *BinExpr:
+		Walk(n.X, fn)
+		Walk(n.Y, fn)
+	case *CallExpr:
+		for _, a := range n.Args {
+			Walk(a, fn)
+		}
+	}
+}
+
+// MapChildren applies f to each child of e and returns e itself when f
+// changed none of them, else a copy of e holding the new children.
+func MapChildren(e Expr, f func(Expr) Expr) Expr {
+	switch n := e.(type) {
+	case *ForeachExpr:
+		if x, y := f(n.X), f(n.Y); x != n.X || y != n.Y {
+			c := *n
+			c.X, c.Y = x, y
+			return &c
+		}
+	case *IntersectExpr:
+		if x, y := f(n.X), f(n.Y); x != n.X || y != n.Y {
+			c := *n
+			c.X, c.Y = x, y
+			return &c
+		}
+	case *SelectExpr:
+		if x := f(n.X); x != n.X {
+			c := *n
+			c.X = x
+			return &c
+		}
+	case *LabelSelExpr:
+		if x := f(n.X); x != n.X {
+			c := *n
+			c.X = x
+			return &c
+		}
+	case *BinExpr:
+		if x, y := f(n.X), f(n.Y); x != n.X || y != n.Y {
+			c := *n
+			c.X, c.Y = x, y
+			return &c
+		}
+	case *CallExpr:
+		var args []Expr
+		for i, a := range n.Args {
+			if x := f(a); x != a {
+				if args == nil {
+					args = slices.Clone(n.Args)
+				}
+				args[i] = x
+			}
+		}
+		if args != nil {
+			c := *n
+			c.Args = args
+			return &c
+		}
+	}
+	return e
+}
+
 // NodeCount returns the number of nodes in the expression tree; the paper's
 // factorization claim (Figures 2-3) is that it shrinks this count.
 func NodeCount(e Expr) int {
-	n := 1
-	for _, c := range e.Children() {
-		n += NodeCount(c)
-	}
+	n := 0
+	Walk(e, func(Expr) { n++ })
 	return n
 }
 
@@ -319,6 +401,41 @@ func StmtPos(s Stmt) Pos {
 	return ExprPos(x)
 }
 
+// WalkStmts calls fn with every statement of ss, nested blocks included, in
+// source order, together with the statement's own expression (the assigned,
+// returned or evaluated one, or the condition of an if or while).
+func WalkStmts(ss []Stmt, fn func(st Stmt, x Expr)) {
+	for _, st := range ss {
+		switch n := st.(type) {
+		case *AssignStmt:
+			fn(n, n.X)
+		case *ReturnStmt:
+			fn(n, n.X)
+		case *ExprStmt:
+			fn(n, n.X)
+		case *IfStmt:
+			fn(n, n.Cond)
+			WalkStmts(n.Then, fn)
+			WalkStmts(n.Else, fn)
+		case *WhileStmt:
+			fn(n, n.Cond)
+			WalkStmts(n.Body, fn)
+		}
+	}
+}
+
+// AssignedNames collects every temporary assigned anywhere in a statement
+// tree.
+func AssignedNames(ss []Stmt) map[string]bool {
+	out := map[string]bool{}
+	WalkStmts(ss, func(st Stmt, _ Expr) {
+		if a, ok := st.(*AssignStmt); ok {
+			out[a.Name] = true
+		}
+	})
+	return out
+}
+
 func (*AssignStmt) stmtNode() {}
 func (*IfStmt) stmtNode()     {}
 func (*WhileStmt) stmtNode()  {}
@@ -369,6 +486,9 @@ func (s *Script) String() string {
 	}
 	return "{" + strings.Join(parts, " ") + "}"
 }
+
+// ExprScript wraps one expression as a script, the inverse of SingleExpr.
+func ExprScript(e Expr) *Script { return &Script{Stmts: []Stmt{&ExprStmt{X: e}}} }
 
 // SingleExpr reports whether the script consists of exactly one expression
 // (optionally a single return), in which case derived-calendar references to

@@ -91,68 +91,23 @@ func SubsetOf(z, y Expr) bool {
 // [3]/WEEKS.
 func Factorize(e Expr, kinds KindResolver) Expr {
 	for {
-		out, changed := factorizeOnce(e, kinds)
-		if !changed {
-			return out
+		out := factorizeOnce(e, kinds)
+		if out == e {
+			return e
 		}
 		e = out
 	}
 }
 
-func factorizeOnce(e Expr, kinds KindResolver) (Expr, bool) {
-	switch n := e.(type) {
-	case *Ident, *Number, *StringLit:
-		return e, false
-	case *SelectExpr:
-		x, ch := factorizeOnce(n.X, kinds)
-		if ch {
-			return &SelectExpr{Pred: n.Pred, X: x, Pos: n.Pos}, true
-		}
-		return n, false
-	case *LabelSelExpr:
-		x, ch := factorizeOnce(n.X, kinds)
-		if ch {
-			return &LabelSelExpr{Num: n.Num, X: x, Pos: n.Pos}, true
-		}
-		return n, false
-	case *IntersectExpr:
-		x, chx := factorizeOnce(n.X, kinds)
-		y, chy := factorizeOnce(n.Y, kinds)
-		if chx || chy {
-			return &IntersectExpr{X: x, Y: y, Pos: n.Pos}, true
-		}
-		return n, false
-	case *BinExpr:
-		x, chx := factorizeOnce(n.X, kinds)
-		y, chy := factorizeOnce(n.Y, kinds)
-		if chx || chy {
-			return &BinExpr{Op: n.Op, X: x, Y: y, Pos: n.Pos}, true
-		}
-		return n, false
-	case *CallExpr:
-		changed := false
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			fa, ch := factorizeOnce(a, kinds)
-			args[i] = fa
-			changed = changed || ch
-		}
-		if changed {
-			return &CallExpr{Name: n.Name, Args: args, Pos: n.Pos}, true
-		}
-		return n, false
-	case *ForeachExpr:
+// factorizeOnce applies the rule at the outermost foreach nodes where it
+// matches, returning e itself when it matches nowhere.
+func factorizeOnce(e Expr, kinds KindResolver) Expr {
+	if n, ok := e.(*ForeachExpr); ok {
 		if out, ok := applyRule(n, kinds); ok {
-			return out, true
+			return out
 		}
-		x, chx := factorizeOnce(n.X, kinds)
-		y, chy := factorizeOnce(n.Y, kinds)
-		if chx || chy {
-			return &ForeachExpr{X: x, Op: n.Op, Strict: n.Strict, Y: y, Pos: n.Pos}, true
-		}
-		return n, false
 	}
-	return e, false
+	return MapChildren(e, func(c Expr) Expr { return factorizeOnce(c, kinds) })
 }
 
 // peelWrappers strips selection wrappers off an expression, returning the
@@ -239,12 +194,8 @@ func applyRule(outer *ForeachExpr, kinds KindResolver) (Expr, bool) {
 	rewritten := Expr(&ForeachExpr{X: inner.X, Op: op, Strict: inner.Strict, Y: z, Pos: inner.Pos})
 	// Re-apply the peeled selection wrappers innermost-first.
 	for i := len(wrappers) - 1; i >= 0; i-- {
-		switch w := wrappers[i].(type) {
-		case *SelectExpr:
-			rewritten = &SelectExpr{Pred: w.Pred, X: rewritten, Pos: w.Pos}
-		case *LabelSelExpr:
-			rewritten = &LabelSelExpr{Num: w.Num, X: rewritten, Pos: w.Pos}
-		}
+		core := rewritten
+		rewritten = MapChildren(wrappers[i], func(Expr) Expr { return core })
 	}
 	return rewritten, true
 }

@@ -176,28 +176,6 @@ func TestInlineDetectsRecursion(t *testing.T) {
 	}
 }
 
-func TestInlineWalksAllNodes(t *testing.T) {
-	scripts := parseScriptMap(t, map[string]string{"Zq": "[1]/MONTHS;"})
-	srcs := []string{
-		"Zq + Zq",
-		"Zq - Zq",
-		"Zq:intersects:Zq",
-		"[2]/Zq",
-		"1993/Zq",
-		"caloperate(Zq, 3)",
-	}
-	for _, src := range srcs {
-		inlined, err := Inline(mustExpr(t, src), scripts)
-		if err != nil {
-			t.Errorf("%q: %v", src, err)
-			continue
-		}
-		if strings.Contains(inlined.String(), "Zq") {
-			t.Errorf("%q: Zq not inlined: %s", src, inlined)
-		}
-	}
-}
-
 func TestElemKind(t *testing.T) {
 	kinds := KindMap{"HOLIDAYS": chronology.Day, "Expiration-Month": chronology.Month}
 	cases := map[string]chronology.Granularity{

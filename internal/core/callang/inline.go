@@ -2,6 +2,7 @@ package callang
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -41,24 +42,12 @@ func Inline(e Expr, lookup ScriptLookup) (Expr, error) {
 // name.
 func CyclePath(path []string) string { return strings.Join(path, " → ") }
 
-// onPath reports whether name is already on the in-progress derivation
-// chain.
-func onPath(path []string, name string) bool {
-	for _, p := range path {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
-
 func inlineRec(e Expr, lookup ScriptLookup, path []string, depth int) (Expr, error) {
 	if depth > maxInlineDepth {
 		return nil, fmt.Errorf("callang: derivation chain deeper than %d (recursive calendar definition?): %s",
 			maxInlineDepth, CyclePath(path))
 	}
-	switch n := e.(type) {
-	case *Ident:
+	if n, ok := e.(*Ident); ok {
 		script, ok := lookup.DerivationOf(n.Name)
 		if !ok {
 			return n, nil
@@ -67,65 +56,24 @@ func inlineRec(e Expr, lookup ScriptLookup, path []string, depth int) (Expr, err
 		if !single {
 			return n, nil
 		}
-		if onPath(path, n.Name) {
+		if slices.Contains(path, n.Name) {
 			return nil, fmt.Errorf("callang: calendar %q is defined in terms of itself: %s",
 				n.Name, CyclePath(append(path, n.Name)))
 		}
 		return inlineRec(body, lookup, append(path, n.Name), depth+1)
-	case *Number, *StringLit:
-		return e, nil
-	case *ForeachExpr:
-		x, err := inlineRec(n.X, lookup, path, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		y, err := inlineRec(n.Y, lookup, path, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return &ForeachExpr{X: x, Op: n.Op, Strict: n.Strict, Y: y, Pos: n.Pos}, nil
-	case *IntersectExpr:
-		x, err := inlineRec(n.X, lookup, path, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		y, err := inlineRec(n.Y, lookup, path, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return &IntersectExpr{X: x, Y: y, Pos: n.Pos}, nil
-	case *SelectExpr:
-		x, err := inlineRec(n.X, lookup, path, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return &SelectExpr{Pred: n.Pred, X: x, Pos: n.Pos}, nil
-	case *LabelSelExpr:
-		x, err := inlineRec(n.X, lookup, path, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return &LabelSelExpr{Num: n.Num, X: x, Pos: n.Pos}, nil
-	case *BinExpr:
-		x, err := inlineRec(n.X, lookup, path, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		y, err := inlineRec(n.Y, lookup, path, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		return &BinExpr{Op: n.Op, X: x, Y: y, Pos: n.Pos}, nil
-	case *CallExpr:
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			ia, err := inlineRec(a, lookup, path, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ia
-		}
-		return &CallExpr{Name: n.Name, Args: args, Pos: n.Pos}, nil
 	}
-	return nil, fmt.Errorf("callang: inline: unknown expression node %T", e)
+	var err error
+	out := MapChildren(e, func(c Expr) Expr {
+		if err == nil {
+			var x Expr
+			if x, err = inlineRec(c, lookup, path, depth+1); err == nil {
+				return x
+			}
+		}
+		return c
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -69,7 +69,7 @@ func ParseDerivation(src string) (*Script, error) {
 	if eerr != nil {
 		return nil, serr
 	}
-	return &Script{Stmts: []Stmt{&ExprStmt{X: e}}}, nil
+	return ExprScript(e), nil
 }
 
 // ParseScript parses src as a calendar script (the derivation-script of a
@@ -166,6 +166,11 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseWhile()
 	case IDENT:
 		if p.peek().Kind == ASSIGN {
+			if IsToday(p.cur().Text) {
+				// The compiler resolves today before temporaries: the
+				// assignment could never be read.
+				return nil, p.errf("cannot assign to %s: reserved name", p.cur().Text)
+			}
 			tok := p.next()
 			p.next() // '='
 			x, err := p.parseExpr()

@@ -256,6 +256,19 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("ParseScript(%q) should fail", src)
 		}
 	}
+	// `today` is reserved in every spelling: the compiler resolves it before
+	// temporaries, so an assignment to it could never be read. The error sits
+	// on the name, also when the assignment is nested.
+	for src, at := range map[string]string{
+		"{today = [1]/DAYS:during:WEEKS; return (today);}": "1:2",
+		"{if (DAYS) { x = DAYS; Today = x; } return (x);}": "1:24",
+		"TODAY = DAYS;": "1:1",
+	} {
+		_, err := ParseDerivation(src)
+		if err == nil || !strings.Contains(err.Error(), at+": cannot assign to") {
+			t.Errorf("ParseDerivation(%q) = %v, want a \"cannot assign to\" error at %s", src, err, at)
+		}
+	}
 	if _, err := ParseExpr("A B"); err == nil {
 		t.Error("trailing tokens after expression should fail")
 	}

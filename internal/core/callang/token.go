@@ -2,6 +2,12 @@
 // paper: a lexer, a recursive-descent parser producing printable parse trees
 // (Figures 2 and 3), the derived-calendar inliner, and the factorization
 // optimizer of §3.4.
+//
+// The shape of the tree — nine expression nodes, five statement nodes — is
+// spelled once, in ast.go: Walk and WalkStmts visit it, MapChildren rebuilds
+// it. A pass that only traverses or rewrites is a callback over those three;
+// a new node type is added there (and to the per-node methods beside them),
+// not to the passes.
 package callang
 
 import "fmt"

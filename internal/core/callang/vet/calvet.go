@@ -209,14 +209,14 @@ var builtins = map[string]bool{
 
 // AnalyzeExpr vets a single calendar expression.
 func AnalyzeExpr(e callang.Expr, cat Catalog, opts Options) Diags {
-	return AnalyzeScript(&callang.Script{Stmts: []callang.Stmt{&callang.ExprStmt{X: e}}}, cat, opts)
+	return AnalyzeScript(callang.ExprScript(e), cat, opts)
 }
 
 // AnalyzeScript runs every pass over a calendar script and returns the
 // diagnostics sorted by position.
 func AnalyzeScript(s *callang.Script, cat Catalog, opts Options) Diags {
 	v := &vetter{cat: cat, opts: opts, used: map[string]bool{}}
-	v.temps = assignedNames(s.Stmts)
+	v.temps = callang.AssignedNames(s.Stmts)
 	v.vetStmts(s.Stmts)
 	v.checkUnused(s.Stmts)
 	v.checkCycles(s)
@@ -241,36 +241,15 @@ type vetter struct {
 	cat   Catalog
 	opts  Options
 	diags Diags
-	temps map[string]bool // names assigned anywhere in the script
+	// temps are the names assigned anywhere in the script. CV001 treats all
+	// of them as defined, which never false-positives on use-before-assignment
+	// orderings the interpreter accepts.
+	temps map[string]bool
 	used  map[string]bool // names referenced in any expression
 }
 
 func (v *vetter) report(pos callang.Pos, sev Severity, code, format string, args ...any) {
 	v.diags = append(v.diags, Diag{Pos: pos, Severity: sev, Code: code, Msg: fmt.Sprintf(format, args...)})
-}
-
-// assignedNames collects every temporary assigned anywhere in a statement
-// tree. The analyzer treats all of them as defined for CV001, which never
-// false-positives on use-before-assignment orderings the interpreter
-// accepts.
-func assignedNames(ss []callang.Stmt) map[string]bool {
-	out := map[string]bool{}
-	var walk func([]callang.Stmt)
-	walk = func(ss []callang.Stmt) {
-		for _, st := range ss {
-			switch n := st.(type) {
-			case *callang.AssignStmt:
-				out[n.Name] = true
-			case *callang.IfStmt:
-				walk(n.Then)
-				walk(n.Else)
-			case *callang.WhileStmt:
-				walk(n.Body)
-			}
-		}
-	}
-	walk(ss)
-	return out
 }
 
 // --- statement pass (CV006, CV007, expression checks) -------------------
@@ -304,17 +283,19 @@ func (v *vetter) vetStmts(ss []callang.Stmt) {
 // is not clock-driven and whose body cannot change the condition's value
 // never makes progress.
 func (v *vetter) checkWhile(n *callang.WhileStmt) {
-	if v.exprVolatile(n.Cond, map[string]bool{}) {
+	if _, clock := callang.ClockRead(callang.ExprScript(n.Cond), func(name string) bool {
+		return !v.temps[name] && v.nameVolatile(name)
+	}); clock {
 		// The paper's wait loops: the condition reads `today` (directly or
 		// through a volatile derivation), so the clock drives progress.
 		return
 	}
 	condVars := map[string]bool{}
-	for name := range refNames(n.Cond) {
-		if v.temps[name] {
-			condVars[name] = true
+	callang.Walk(n.Cond, func(e callang.Expr) {
+		if id, ok := e.(*callang.Ident); ok && v.temps[id.Name] {
+			condVars[id.Name] = true
 		}
-	}
+	})
 	if len(n.Body) == 0 {
 		v.report(n.Pos, Warning, CodeLoopNoProgress,
 			"while-loop with an empty body and a non-volatile condition never terminates")
@@ -325,7 +306,7 @@ func (v *vetter) checkWhile(n *callang.WhileStmt) {
 			"while-loop condition never changes (no temporaries, no clock reads)")
 		return
 	}
-	for name := range assignedNames(n.Body) {
+	for name := range callang.AssignedNames(n.Body) {
 		if condVars[name] {
 			return
 		}
@@ -337,24 +318,12 @@ func (v *vetter) checkWhile(n *callang.WhileStmt) {
 // checkUnused reports CV006 for top-level and nested assignments whose name
 // is never read by any expression of the script.
 func (v *vetter) checkUnused(ss []callang.Stmt) {
-	var walk func([]callang.Stmt)
-	walk = func(ss []callang.Stmt) {
-		for _, st := range ss {
-			switch n := st.(type) {
-			case *callang.AssignStmt:
-				if !v.used[n.Name] {
-					v.report(n.Pos, Warning, CodeDeadCode,
-						"calendar %q is assigned but never used", n.Name)
-				}
-			case *callang.IfStmt:
-				walk(n.Then)
-				walk(n.Else)
-			case *callang.WhileStmt:
-				walk(n.Body)
-			}
+	callang.WalkStmts(ss, func(st callang.Stmt, _ callang.Expr) {
+		if n, ok := st.(*callang.AssignStmt); ok && !v.used[n.Name] {
+			v.report(n.Pos, Warning, CodeDeadCode,
+				"calendar %q is assigned but never used", n.Name)
 		}
-	}
-	walk(ss)
+	})
 }
 
 // --- expression pass (CV001, CV003, CV004, CV005, CV009) ----------------
@@ -392,7 +361,7 @@ func (v *vetter) vetExpr(e callang.Expr) {
 // a basic calendar, a catalog calendar, or the name being defined (whose
 // cycles CV002 reports separately).
 func (v *vetter) checkRef(n *callang.Ident) {
-	if v.temps[n.Name] || strings.EqualFold(n.Name, "today") {
+	if callang.IsToday(n.Name) || v.temps[n.Name] {
 		return
 	}
 	if _, ok := v.cat.ElemKindOf(n.Name); ok {
@@ -554,31 +523,6 @@ func (v *vetter) maxSelectable(x callang.Expr) (int, bool) {
 	return n, true
 }
 
-// maxSeconds is the longest span of one unit of g, in seconds.
-func maxSeconds(g chronology.Granularity) int64 {
-	switch g {
-	case chronology.Second:
-		return 1
-	case chronology.Minute:
-		return 60
-	case chronology.Hour:
-		return 3600
-	case chronology.Day:
-		return 86400
-	case chronology.Week:
-		return 7 * 86400
-	case chronology.Month:
-		return 31 * 86400
-	case chronology.Year:
-		return 366 * 86400
-	case chronology.Decade:
-		return 3653 * 86400
-	case chronology.Century:
-		return 36525 * 86400
-	}
-	return 0
-}
-
 // minSeconds is the shortest span of one unit of g, in seconds.
 func minSeconds(g chronology.Granularity) int64 {
 	switch g {
@@ -591,13 +535,13 @@ func minSeconds(g chronology.Granularity) int64 {
 	case chronology.Century:
 		return 36524 * 86400
 	}
-	return maxSeconds(g)
+	return chronology.MaxUnitSeconds(g)
 }
 
 // maxUnitsPer bounds how many units of fine can lie during one unit of
 // coarse (generous: longest coarse unit, shortest fine unit).
 func maxUnitsPer(fine, coarse chronology.Granularity) int {
-	fs, cs := minSeconds(fine), maxSeconds(coarse)
+	fs, cs := minSeconds(fine), chronology.MaxUnitSeconds(coarse)
 	if fs == 0 || cs == 0 {
 		return 0
 	}

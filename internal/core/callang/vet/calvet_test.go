@@ -307,6 +307,12 @@ func TestVolatile(t *testing.T) {
 		Kinds:   map[string]chronology.Granularity{"NOW": chronology.Day},
 	}
 	wantCode(t, vet(t, "NOW:during:MONTHS", cat, calvet.Options{}), calvet.CodeVolatile)
+	// A temporary shadows the catalog's calendar of the same name, as in the
+	// compiler — from its assignment on.
+	wantNoCode(t, vet(t, "{NOW = DAYS:during:WEEKS; return (NOW);}", cat, calvet.Options{}), calvet.CodeVolatile)
+	if d := wantCode(t, vet(t, "{x = NOW; NOW = DAYS:during:WEEKS; return (x);}", cat, calvet.Options{}), calvet.CodeVolatile); d.Pos.Col != 6 {
+		t.Errorf("CV008 at %v, want the read of NOW at 1:6", d.Pos)
+	}
 
 	wantNoCode(t, vet(t, "DAYS:during:MONTHS", nil, calvet.Options{}), calvet.CodeVolatile)
 }

@@ -7,37 +7,6 @@ import (
 	"calsys/internal/core/callang"
 )
 
-// refNames collects the identifier names referenced by an expression.
-func refNames(e callang.Expr) map[string]bool {
-	out := map[string]bool{}
-	collectRefs(e, out)
-	return out
-}
-
-func collectRefs(e callang.Expr, out map[string]bool) {
-	switch n := e.(type) {
-	case *callang.Ident:
-		out[n.Name] = true
-	case *callang.ForeachExpr:
-		collectRefs(n.X, out)
-		collectRefs(n.Y, out)
-	case *callang.IntersectExpr:
-		collectRefs(n.X, out)
-		collectRefs(n.Y, out)
-	case *callang.SelectExpr:
-		collectRefs(n.X, out)
-	case *callang.LabelSelExpr:
-		collectRefs(n.X, out)
-	case *callang.BinExpr:
-		collectRefs(n.X, out)
-		collectRefs(n.Y, out)
-	case *callang.CallExpr:
-		for _, a := range n.Args {
-			collectRefs(a, out)
-		}
-	}
-}
-
 // scriptRef is one external calendar reference of a script, with the
 // position of its first occurrence.
 type scriptRef struct {
@@ -49,68 +18,26 @@ type scriptRef struct {
 // temporaries, `today`, and the basic calendars, ordered by first
 // occurrence.
 func externalRefs(s *callang.Script) []scriptRef {
-	temps := assignedNames(s.Stmts)
+	temps := callang.AssignedNames(s.Stmts)
 	var refs []scriptRef
 	seen := map[string]bool{}
-	add := func(n *callang.Ident) {
-		if temps[n.Name] || strings.EqualFold(n.Name, "today") {
-			return
-		}
-		if _, err := chronology.ParseGranularity(n.Name); err == nil {
-			return
-		}
-		key := strings.ToLower(n.Name)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		refs = append(refs, scriptRef{name: n.Name, pos: n.Pos})
-	}
-	var walkExpr func(callang.Expr)
-	walkExpr = func(e callang.Expr) {
-		switch n := e.(type) {
-		case *callang.Ident:
-			add(n)
-		case *callang.ForeachExpr:
-			walkExpr(n.X)
-			walkExpr(n.Y)
-		case *callang.IntersectExpr:
-			walkExpr(n.X)
-			walkExpr(n.Y)
-		case *callang.SelectExpr:
-			walkExpr(n.X)
-		case *callang.LabelSelExpr:
-			walkExpr(n.X)
-		case *callang.BinExpr:
-			walkExpr(n.X)
-			walkExpr(n.Y)
-		case *callang.CallExpr:
-			for _, a := range n.Args {
-				walkExpr(a)
+	callang.WalkStmts(s.Stmts, func(_ callang.Stmt, x callang.Expr) {
+		callang.Walk(x, func(e callang.Expr) {
+			n, ok := e.(*callang.Ident)
+			if !ok || callang.IsToday(n.Name) || temps[n.Name] {
+				return
 			}
-		}
-	}
-	var walkStmts func([]callang.Stmt)
-	walkStmts = func(ss []callang.Stmt) {
-		for _, st := range ss {
-			switch n := st.(type) {
-			case *callang.AssignStmt:
-				walkExpr(n.X)
-			case *callang.ReturnStmt:
-				walkExpr(n.X)
-			case *callang.ExprStmt:
-				walkExpr(n.X)
-			case *callang.IfStmt:
-				walkExpr(n.Cond)
-				walkStmts(n.Then)
-				walkStmts(n.Else)
-			case *callang.WhileStmt:
-				walkExpr(n.Cond)
-				walkStmts(n.Body)
+			if _, err := chronology.ParseGranularity(n.Name); err == nil {
+				return
 			}
-		}
-	}
-	walkStmts(s.Stmts)
+			key := strings.ToLower(n.Name)
+			if seen[key] {
+				return
+			}
+			seen[key] = true
+			refs = append(refs, scriptRef{name: n.Name, pos: n.Pos})
+		})
+	})
 	return refs
 }
 
@@ -188,9 +115,10 @@ func indexFold(path []string, name string) int {
 
 // checkVolatile is CV008: a derivation that reads `today` (directly, or
 // through a volatile catalog calendar, or via a clock-wait while-loop) is
-// re-evaluated on every use and bypasses the materialization cache.
+// re-evaluated on every use and bypasses the materialization cache. The
+// diagnostic sits at the first clock read in the vetted source.
 func (v *vetter) checkVolatile(s *callang.Script) {
-	pos, volatile := v.scriptVolatile(s, map[string]bool{})
+	pos, volatile := callang.ClockRead(s, v.nameVolatile)
 	if !volatile {
 		return
 	}
@@ -198,109 +126,11 @@ func (v *vetter) checkVolatile(s *callang.Script) {
 		"derivation reads the clock (`today` or a volatile calendar): results bypass the materialization cache and change from day to day")
 }
 
-// scriptVolatile reports whether a script reads the clock, and the position
-// of the first clock read found in the vetted source (zero for reads inside
-// catalog scripts).
-func (v *vetter) scriptVolatile(s *callang.Script, visiting map[string]bool) (callang.Pos, bool) {
-	var found *callang.Pos
-	var exprVol func(e callang.Expr) bool
-	exprVol = func(e callang.Expr) bool {
-		switch n := e.(type) {
-		case *callang.Ident:
-			if strings.EqualFold(n.Name, "today") {
-				if found == nil {
-					p := n.Pos
-					found = &p
-				}
-				return true
-			}
-			if v.nameVolatile(n.Name, visiting) {
-				if found == nil {
-					p := n.Pos
-					found = &p
-				}
-				return true
-			}
-			return false
-		case *callang.ForeachExpr:
-			return exprVol(n.X) || exprVol(n.Y)
-		case *callang.IntersectExpr:
-			return exprVol(n.X) || exprVol(n.Y)
-		case *callang.SelectExpr:
-			return exprVol(n.X)
-		case *callang.LabelSelExpr:
-			return exprVol(n.X)
-		case *callang.BinExpr:
-			return exprVol(n.X) || exprVol(n.Y)
-		case *callang.CallExpr:
-			vol := false
-			for _, a := range n.Args {
-				vol = exprVol(a) || vol
-			}
-			return vol
-		}
-		return false
-	}
-	vol := false
-	var walkStmts func(ss []callang.Stmt)
-	walkStmts = func(ss []callang.Stmt) {
-		for _, st := range ss {
-			switch n := st.(type) {
-			case *callang.AssignStmt:
-				vol = exprVol(n.X) || vol
-			case *callang.ReturnStmt:
-				vol = exprVol(n.X) || vol
-			case *callang.ExprStmt:
-				vol = exprVol(n.X) || vol
-			case *callang.IfStmt:
-				vol = exprVol(n.Cond) || vol
-				walkStmts(n.Then)
-				walkStmts(n.Else)
-			case *callang.WhileStmt:
-				// The paper's wait loop: an empty while body spins until the
-				// clock satisfies the condition, so the result depends on
-				// evaluation time.
-				if len(n.Body) == 0 {
-					if found == nil {
-						p := n.Pos
-						found = &p
-					}
-					vol = true
-				}
-				vol = exprVol(n.Cond) || vol
-				walkStmts(n.Body)
-			}
-		}
-	}
-	walkStmts(s.Stmts)
-	if found != nil {
-		return *found, vol
-	}
-	return callang.Pos{}, vol
-}
-
-// exprVolatile reports whether a single expression reads the clock.
-func (v *vetter) exprVolatile(e callang.Expr, visiting map[string]bool) bool {
-	_, vol := v.scriptVolatile(&callang.Script{Stmts: []callang.Stmt{&callang.ExprStmt{X: e}}}, visiting)
-	return vol
-}
-
 // nameVolatile reports whether a catalog calendar is volatile, preferring
 // the catalog's own memoized answer when it offers one.
-func (v *vetter) nameVolatile(name string, visiting map[string]bool) bool {
+func (v *vetter) nameVolatile(name string) bool {
 	if vc, ok := v.cat.(volatilityCatalog); ok {
 		return vc.VolatileOf(name)
 	}
-	key := strings.ToLower(name)
-	if visiting[key] {
-		return false // cycle: CV002's problem, not CV008's
-	}
-	script, ok := v.cat.DerivationOf(name)
-	if !ok {
-		return false
-	}
-	visiting[key] = true
-	defer delete(visiting, key)
-	_, vol := v.scriptVolatile(script, visiting)
-	return vol
+	return callang.DerivedClockRead(name, v.cat, map[string]bool{})
 }

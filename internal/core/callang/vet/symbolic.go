@@ -41,9 +41,13 @@ func (v *vetter) granOf(e callang.Expr) chronology.Granularity {
 // single-expression scripts, and CV013 (subsumed union arm) on every union
 // node of every statement.
 func (v *vetter) checkSymbolic(s *callang.Script) {
-	for _, st := range s.Stmts {
-		v.walkUnions(st)
-	}
+	callang.WalkStmts(s.Stmts, func(_ callang.Stmt, x callang.Expr) {
+		callang.Walk(x, func(e callang.Expr) {
+			if b, ok := e.(*callang.BinExpr); ok && b.Op == '+' {
+				v.checkUnionArms(b)
+			}
+		})
+	})
 	e, ok := s.SingleExpr()
 	if !ok {
 		return
@@ -58,43 +62,6 @@ func (v *vetter) checkSymbolic(s *callang.Script) {
 		return
 	}
 	v.checkEquivalent(e, pat)
-}
-
-// walkUnions visits every expression of a statement and checks its "+" nodes.
-func (v *vetter) walkUnions(st callang.Stmt) {
-	var exprs []callang.Expr
-	switch n := st.(type) {
-	case *callang.AssignStmt:
-		exprs = []callang.Expr{n.X}
-	case *callang.ReturnStmt:
-		exprs = []callang.Expr{n.X}
-	case *callang.ExprStmt:
-		exprs = []callang.Expr{n.X}
-	case *callang.IfStmt:
-		exprs = []callang.Expr{n.Cond}
-		for _, s := range append(append([]callang.Stmt{}, n.Then...), n.Else...) {
-			v.walkUnions(s)
-		}
-	case *callang.WhileStmt:
-		exprs = []callang.Expr{n.Cond}
-		for _, s := range n.Body {
-			v.walkUnions(s)
-		}
-	}
-	for _, e := range exprs {
-		walkExpr(e, func(x callang.Expr) {
-			if b, ok := x.(*callang.BinExpr); ok && b.Op == '+' {
-				v.checkUnionArms(b)
-			}
-		})
-	}
-}
-
-func walkExpr(e callang.Expr, fn func(callang.Expr)) {
-	fn(e)
-	for _, c := range e.Children() {
-		walkExpr(c, fn)
-	}
 }
 
 // checkUnionArms is CV013: when both arms of a "+" lower symbolically and

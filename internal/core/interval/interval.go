@@ -2,6 +2,10 @@
 // algebra: closed integer-tick intervals under the no-zero convention, the
 // relationship operators of Allen (1985) used by the paper, and normalized
 // interval sets used for calendar union, difference and intersection.
+//
+// Set is the one coverage type and Set.Without / Set.Within its two merge
+// kernels: Set.Diff, Set.Intersect, calendar.Diff and calendar.Intersect are
+// calls to them, and a new point-set operator is a kernel beside them.
 package interval
 
 import (

@@ -1,6 +1,8 @@
 package interval
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -8,44 +10,55 @@ import (
 )
 
 // A Set is a normalized list of intervals: sorted by lower bound, pairwise
-// disjoint and non-adjacent (adjacent intervals are coalesced). Sets give the
-// calendar operators +, - and intersects their point-set semantics.
+// disjoint and non-adjacent (adjacent intervals are coalesced), so distinct
+// intervals are separated by at least one uncovered tick. Sets give the
+// calendar operators +, - and intersects their point-set semantics, and a
+// calendar caches its coverage as one.
 type Set struct {
 	ivs []Interval
 }
 
 // NewSet builds a normalized set from arbitrary intervals.
-func NewSet(ivs ...Interval) Set {
-	s := Set{ivs: normalize(ivs)}
-	return s
+func NewSet(ivs ...Interval) Set { return sortOwned(slices.Clone(ivs)) }
+
+// sortOwned normalizes a slice the caller hands over.
+func sortOwned(ivs []Interval) Set {
+	slices.SortFunc(ivs, func(a, b Interval) int {
+		return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi))
+	})
+	return SortedSet(ivs)
 }
 
-// normalize sorts, merges overlapping and adjacent intervals, and returns a
-// fresh slice.
-func normalize(in []Interval) []Interval {
-	if len(in) == 0 {
-		return nil
-	}
-	ivs := make([]Interval, len(in))
-	copy(ivs, in)
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Lo != ivs[j].Lo {
-			return ivs[i].Lo < ivs[j].Lo
+// touches reports whether an interval starting at lo overlaps or is adjacent
+// to coverage that ends at hi and starts no later than lo.
+func touches(hi, lo chronology.Tick) bool { return lo <= chronology.NextTick(hi) }
+
+// SortedSet builds the set covered by intervals already in non-decreasing
+// order of lower bound, without sorting. Input that is already normal is
+// shared, not copied, and must not be modified afterwards; anything else is
+// fused into one exact-size slice.
+func SortedSet(ivs []Interval) Set {
+	spans, hi := 0, chronology.Tick(0)
+	for i, iv := range ivs {
+		if i == 0 || !touches(hi, iv.Lo) {
+			spans++
+			hi = iv.Hi
+		} else if iv.Hi > hi {
+			hi = iv.Hi
 		}
-		return ivs[i].Hi < ivs[j].Hi
-	})
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if iv.Lo <= last.Hi || chronology.NextTick(last.Hi) == iv.Lo {
-			if iv.Hi > last.Hi {
-				last.Hi = iv.Hi
-			}
-			continue
-		}
-		out = append(out, iv)
 	}
-	return out
+	if spans == len(ivs) {
+		return Set{ivs: ivs}
+	}
+	out := make([]Interval, 0, spans)
+	for _, iv := range ivs {
+		if n := len(out); n == 0 || !touches(out[n-1].Hi, iv.Lo) {
+			out = append(out, iv)
+		} else if iv.Hi > out[n-1].Hi {
+			out[n-1].Hi = iv.Hi
+		}
+	}
+	return Set{ivs: out}
 }
 
 // Intervals returns the set's intervals in order. The slice is shared; do
@@ -76,60 +89,76 @@ func (s Set) Contains(t chronology.Tick) bool {
 	return i < len(s.ivs) && s.ivs[i].Contains(t)
 }
 
-// Union returns the point-set union (the calendar "+" operator).
-func (s Set) Union(other Set) Set {
-	merged := make([]Interval, 0, len(s.ivs)+len(other.ivs))
-	merged = append(merged, s.ivs...)
-	merged = append(merged, other.ivs...)
-	return Set{ivs: normalize(merged)}
+// Without appends to dst, in order, the pieces of each interval of xs that s
+// does not cover. xs must be in non-decreasing order of lower bound (its
+// intervals may overlap): the first span of s that can cut an interval then
+// only moves forward, so the call is one linear merge.
+func (s Set) Without(dst, xs []Interval) []Interval {
+	cov := s.ivs
+	j := 0
+	for _, iv := range xs {
+		for j < len(cov) && cov[j].Hi < iv.Lo {
+			j++
+		}
+		lo, dead := iv.Lo, false
+		for k := j; k < len(cov) && cov[k].Lo <= iv.Hi; k++ {
+			if cov[k].Lo > lo {
+				dst = append(dst, Interval{Lo: lo, Hi: chronology.PrevTick(cov[k].Lo)})
+			}
+			if cov[k].Hi >= iv.Hi {
+				dead = true
+				break
+			}
+			lo = chronology.NextTick(cov[k].Hi)
+		}
+		if !dead && lo <= iv.Hi {
+			dst = append(dst, Interval{Lo: lo, Hi: iv.Hi})
+		}
+	}
+	return dst
 }
+
+// Within appends to dst, in order, the pieces of each interval of xs that s
+// covers, by the same merge as Without. Cuts of one interval that touch would
+// have to merge; the spans of s are separated by uncovered ticks, so cuts
+// never touch and the loop needs no fuse check (the invariant
+// periodic.SetIntersect relies on too).
+func (s Set) Within(dst, xs []Interval) []Interval {
+	cov := s.ivs
+	j := 0
+	for _, iv := range xs {
+		for j < len(cov) && cov[j].Hi < iv.Lo {
+			j++
+		}
+		for k := j; k < len(cov) && cov[k].Lo <= iv.Hi; k++ {
+			cut := iv
+			if cov[k].Lo > cut.Lo {
+				cut.Lo = cov[k].Lo
+			}
+			if cov[k].Hi < cut.Hi {
+				cut.Hi = cov[k].Hi
+			}
+			if cut.Lo <= cut.Hi {
+				dst = append(dst, cut)
+			}
+		}
+	}
+	return dst
+}
+
+// Union returns the point-set union (the calendar "+" operator).
+func (s Set) Union(other Set) Set { return sortOwned(append(slices.Clip(s.ivs), other.ivs...)) }
 
 // Intersect returns the point-set intersection (the calendar "intersects"
 // operator).
 func (s Set) Intersect(other Set) Set {
-	var out []Interval
-	i, j := 0, 0
-	for i < len(s.ivs) && j < len(other.ivs) {
-		if iv, ok := s.ivs[i].Intersect(other.ivs[j]); ok {
-			out = append(out, iv)
-		}
-		if s.ivs[i].Hi < other.ivs[j].Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	return Set{ivs: out}
+	return Set{ivs: other.Within(make([]Interval, 0, len(s.ivs)), s.ivs)}
 }
 
 // Diff returns the point-set difference s minus other (the calendar "-"
 // operator).
 func (s Set) Diff(other Set) Set {
-	var out []Interval
-	j := 0
-	for _, iv := range s.ivs {
-		lo := iv.Lo
-		for j < len(other.ivs) && other.ivs[j].Hi < lo {
-			j++
-		}
-		k := j
-		for k < len(other.ivs) && other.ivs[k].Lo <= iv.Hi {
-			cut := other.ivs[k]
-			if cut.Lo > lo {
-				out = append(out, Interval{Lo: lo, Hi: chronology.PrevTick(cut.Lo)})
-			}
-			if cut.Hi >= iv.Hi {
-				lo = 0 // fully consumed
-				break
-			}
-			lo = chronology.NextTick(cut.Hi)
-			k++
-		}
-		if lo != 0 && lo <= iv.Hi {
-			out = append(out, Interval{Lo: lo, Hi: iv.Hi})
-		}
-	}
-	return Set{ivs: out}
+	return Set{ivs: other.Without(make([]Interval, 0, len(s.ivs)), s.ivs)}
 }
 
 // Equal reports whether two sets cover exactly the same ticks.

@@ -1,6 +1,8 @@
 package interval
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +142,69 @@ func TestSetAlgebraProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSetKernelsMatchPointwise pins Without and Within — the one merge behind
+// Set.Diff/Intersect and calendar.Diff/Intersect — against tick-by-tick
+// membership: for each element of xs, exactly the maximal runs of its ticks
+// that the coverage does not (does) hold, in order. xs is any list in
+// non-decreasing order of lower bound (disjoint, adjacent or overlapping),
+// the coverage is built by SortedSet from another such list, and every list
+// starts below tick 1, so runs that cross the missing tick 0 occur in most
+// trials — where a kernel that stepped by ±1 would go wrong.
+func TestSetKernelsMatchPointwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	sortedByLo := func(n int) []Interval {
+		out := make([]Interval, 0, n)
+		off := int64(rng.Intn(12)) - 10
+		for i := 0; i < n; i++ {
+			w := int64(rng.Intn(5))
+			out = append(out, Interval{Lo: chronology.TickFromOffset(off), Hi: chronology.TickFromOffset(off + w)})
+			switch rng.Intn(4) {
+			case 0: // next one overlaps this one (or repeats its lower bound)
+				off += int64(rng.Intn(int(w) + 1))
+			case 1: // touching
+				off += w + 1
+			default: // a gap
+				off += w + 2 + int64(rng.Intn(3))
+			}
+		}
+		return out
+	}
+	naive := func(xs, raw []Interval, want bool) []Interval {
+		var out []Interval
+		for _, x := range xs {
+			open := false
+			for t := x.Lo; t <= x.Hi; t = chronology.NextTick(t) {
+				in := false
+				for _, c := range raw {
+					in = in || c.Contains(t)
+				}
+				switch {
+				case in != want:
+					open = false
+				case open:
+					out[len(out)-1].Hi = t
+				default:
+					out, open = append(out, Interval{Lo: t, Hi: t}), true
+				}
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 500; trial++ {
+		xs, raw := sortedByLo(rng.Intn(8)), sortedByLo(rng.Intn(8))
+		cov := SortedSet(raw)
+		if !cov.Equal(NewSet(raw...)) {
+			t.Fatalf("trial %d: SortedSet(%v) = %v, NewSet gives %v", trial, raw, cov, NewSet(raw...))
+		}
+		if got, want := cov.Without(nil, xs), naive(xs, raw, false); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %v.Without(%v) = %v, want %v", trial, cov, xs, got, want)
+		}
+		if got, want := cov.Within(nil, xs), naive(xs, raw, true); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %v.Within(%v) = %v, want %v", trial, cov, xs, got, want)
+		}
 	}
 }
 

@@ -180,6 +180,11 @@ func SetIntersect(p, q *Pattern) (*Pattern, bool) {
 	return compacted(r, true)
 }
 
+// The cut loops of SetIntersect and diffCycle are interval.Set.Within and
+// Without in offset space, kept as separate copies on purpose: 0-based offsets
+// step by ±1 where ticks skip 0, and the tick kernels are the hottest loop of
+// serve_wide — not the place for a parameterised successor.
+
 // diffCycle computes the span list of p − q over one common cycle anchored at
 // p's phase. ok=false means no compact common cycle; an empty span list with
 // ok=true means the difference is provably empty.

@@ -378,7 +378,7 @@ func (c *compiler) compile(e callang.Expr, win interval.Interval) (Reg, error) {
 
 func (c *compiler) compileIdent(n *callang.Ident, win interval.Interval) (Reg, error) {
 	name := n.Name
-	if name == "today" {
+	if callang.IsToday(name) {
 		return c.emit(Op{Kind: OpToday}), nil
 	}
 	if c.vars[name] {

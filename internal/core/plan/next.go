@@ -71,7 +71,7 @@ func profileExpr(cat Catalog, e callang.Expr) nextProfile {
 	pinned := nextProfile{}
 	switch n := e.(type) {
 	case *callang.Ident:
-		if n.Name == "today" {
+		if callang.IsToday(n.Name) {
 			return pinned
 		}
 		if _, err := chronology.ParseGranularity(n.Name); err == nil {
@@ -165,21 +165,6 @@ func selEndRelative(s calendar.Selection) bool {
 	return false
 }
 
-// granSlack is the maximum width of one unit, in seconds — how far a
-// window-straddling element of that granularity can reach past a window
-// edge.
-var granSlack = map[chronology.Granularity]int64{
-	chronology.Second:  1,
-	chronology.Minute:  60,
-	chronology.Hour:    3600,
-	chronology.Day:     chronology.SecondsPerDay,
-	chronology.Week:    7 * chronology.SecondsPerDay,
-	chronology.Month:   31 * chronology.SecondsPerDay,
-	chronology.Year:    366 * chronology.SecondsPerDay,
-	chronology.Decade:  3653 * chronology.SecondsPerDay,
-	chronology.Century: 36525 * chronology.SecondsPerDay,
-}
-
 // exprSlack bounds the generation-edge effects of one windowed evaluation:
 // elements within this many seconds of the window's end may differ from what
 // a longer window yields (straddling units, groups cut short), so cached
@@ -187,14 +172,14 @@ var granSlack = map[chronology.Granularity]int64{
 func exprSlack(e callang.Expr) int64 {
 	if id, ok := e.(*callang.Ident); ok {
 		if g, err := chronology.ParseGranularity(id.Name); err == nil {
-			return granSlack[g]
+			return chronology.MaxUnitSeconds(g)
 		}
-		if id.Name == "today" {
+		if callang.IsToday(id.Name) {
 			return 0
 		}
 		// Stored or derived calendars hold absolute values; allow a year of
 		// straddle for their elements.
-		return granSlack[chronology.Year]
+		return chronology.MaxUnitSeconds(chronology.Year)
 	}
 	var max int64
 	for _, c := range e.Children() {

@@ -359,6 +359,18 @@ func TestVetOnWrite(t *testing.T) {
 	if status != http.StatusBadRequest || errCode(body) != ErrVetFailed {
 		t.Fatalf("parse error: %d %v", status, body)
 	}
+
+	// So does an assignment to the reserved word `today`.
+	status, body = call(t, ts, "PUT", "/v1/tenants/acme/calendars/shadow", tok,
+		map[string]any{"derivation": "{today = [1]/DAYS:during:WEEKS; return (today);}"})
+	e, _ = body["error"].(map[string]any)
+	diags, _ = e["diagnostics"].([]any)
+	if status != http.StatusBadRequest || errCode(body) != ErrVetFailed || len(diags) != 1 {
+		t.Fatalf("assignment to today: %d %v", status, body)
+	}
+	if m, _ := diags[0].(map[string]any); m["code"] != "PARSE" || !strings.Contains(fmt.Sprint(m["message"]), "cannot assign to today") {
+		t.Fatalf("assignment to today: diagnostic %v", diags[0])
+	}
 }
 
 // TestRecurrenceSchemaErrors proves invalid recurrence schemas come back as

@@ -149,8 +149,8 @@ func (s *Server) admin(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // tenant wraps a handler with tenant auth: the path tenant's own token or
-// the admin token. The resolved tenant rides in the request context-free
-// way: handlers re-resolve via pathTenant.
+// the admin token, each compared in constant time. The resolved tenant is
+// handed to the handler as an argument.
 func (s *Server) tenant(h func(w http.ResponseWriter, r *http.Request, t *Tenant)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("tenant")

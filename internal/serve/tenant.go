@@ -107,7 +107,6 @@ type Registry struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant // lower-case name -> tenant
-	byToken map[string]*Tenant
 }
 
 // NewRegistry creates a registry; adminToken authorizes tenant lifecycle
@@ -118,7 +117,6 @@ func NewRegistry(adminToken string, today chronology.Civil) *Registry {
 		adminToken: adminToken,
 		today:      today,
 		tenants:    map[string]*Tenant{},
-		byToken:    map[string]*Tenant{},
 	}
 }
 
@@ -155,7 +153,6 @@ func (r *Registry) Create(name string) (*Tenant, error) {
 	clock.Set(sys.SecondsOf(r.today))
 	t := &Tenant{Name: name, Token: newToken(), sys: sys, rules: map[string]*ruleInfo{}}
 	r.tenants[key] = t
-	r.byToken[t.Token] = t
 	return t, nil
 }
 
@@ -165,13 +162,9 @@ func (r *Registry) Drop(name string) bool {
 	key := strings.ToLower(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.tenants[key]
-	if !ok {
-		return false
-	}
+	_, ok := r.tenants[key]
 	delete(r.tenants, key)
-	delete(r.byToken, t.Token)
-	return true
+	return ok
 }
 
 // Get resolves a tenant by name.
@@ -179,14 +172,6 @@ func (r *Registry) Get(name string) (*Tenant, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	t, ok := r.tenants[strings.ToLower(name)]
-	return t, ok
-}
-
-// Auth resolves a tenant by bearer token.
-func (r *Registry) Auth(token string) (*Tenant, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t, ok := r.byToken[token]
 	return t, ok
 }
 
