@@ -22,7 +22,12 @@ loc:
 # The figure is a ratchet: a PR that grows the tree past the budget raises
 # LOC_BUDGET in the same diff, where a reviewer sees it; a PR that shrinks it
 # lowers the budget to its own figure.
-LOC_BUDGET = 24690
+# PR 21 raised it by 38 (24 690 -> 24 728; 263 lines in, 225 out): the three
+# mirrors of the inlining eligibility rule, Script.SingleExpr and
+# plan/symbolic.go went; the substitution of a straight-line script's
+# temporaries, the one eligibility function with its lifespan rule, the
+# factorizer's selection-subject guard and /expand's Content-Length came.
+LOC_BUDGET = 24728
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -113,13 +118,15 @@ reach:
 	./scripts/reach.sh
 
 # Short fuzz runs: the calendar-language front end (parser + calvet), the
-# sweep kernels against the naive foreach/set-op oracles, and the streaming
-# /expand encoder against encoding/json. `go test -fuzz` takes one target per
-# invocation, hence three commands.
+# sweep kernels against the naive foreach/set-op oracles, the streaming
+# /expand encoder against encoding/json, and generated straight-line scripts
+# as one expression against the script runner. `go test -fuzz` takes one
+# target per invocation, hence four commands.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseAndVet -fuzztime=15s -run '^$$' ./internal/core/callang/
 	$(GO) test -fuzz=FuzzSweepVsNaive -fuzztime=15s -run '^$$' ./internal/core/calendar/
 	$(GO) test -fuzz=FuzzExpandEncode -fuzztime=15s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzStraightLineScripts -fuzztime=15s -run '^$$' ./internal/serve/
 
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -154,8 +161,9 @@ bench-compare:
 
 # Hard benchmark gate: the scheduling kernel (including the symbolic-calculus
 # ablation arm), the warm materialized-calendar cache, the sweep join, the
-# slab-and-extents kernels (sweep, selection, a derived calendar's cold and
-# warm materialization), the prepared-expression table (hit and miss) and
+# slab-and-extents kernels (sweep, selection, an opaque derived calendar's
+# cold and warm materialization), the cold path (a first evaluation of each
+# serve_wide shape), the prepared-expression table (hit and miss) and
 # warm expands through the HTTP handler (a 12-interval one, a 5.8 k-interval
 # one and the encoder's date formatter) are run at a real benchtime and must
 # stay within 1.25x of BENCH_baseline.json ns/op and allocs/op, or the build
@@ -167,7 +175,7 @@ bench-compare:
 # only the sweep arms (the generic fallback arms take ~50ms/op and are not
 # gated). The two runs share one compare.
 bench-gate:
-	( $(GO) test -bench 'NextAfter|CacheColdVsWarm|EndpointSweepVsLinear|Prepared|E1Selection|DerivedMaterialize' \
+	( $(GO) test -bench 'NextAfter|CacheColdVsWarm|EndpointSweepVsLinear|Prepared|E1Selection|DerivedMaterialize|ExpandCold' \
 		-benchtime=1s -count=3 -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'HandlerExpand|AppendCivil' -benchtime=1s -count=3 -benchmem ./internal/serve && \
 	  $(GO) test -bench 'ForeachSweepVsGeneric/sweep' -benchtime=1s -count=3 -benchmem . && \
@@ -175,7 +183,7 @@ bench-gate:
 	  $(GO) test -run '^$$' -bench 'CacheParallelGet|CacheStampede' -benchtime=1s -count=3 -benchmem \
 		./internal/core/matcache ) | \
 		$(GO) run ./cmd/benchjson -compare BENCH_baseline.json \
-			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkE1Selection|BenchmarkDerivedMaterialize|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkAppendCivil' \
+			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkE1Selection|BenchmarkDerivedMaterialize|BenchmarkExpandCold|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkAppendCivil' \
 			-gate-threshold 1.25 -gate-allocs-threshold 1.25 -
 
 # Parallel cache benchmarks across GOMAXPROCS=1,4,8 (the sweep ROADMAP 1(d)

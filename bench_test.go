@@ -798,24 +798,19 @@ func BenchmarkPreparedMiss(b *testing.B) {
 	}
 }
 
-// --- derived-calendar materialization (serve_wide's two operations) --------
+// --- first evaluations and opaque derivations (serve_wide's operations) -----
 
-// derivedRuns numbers the calls of BenchmarkDerivedMaterialize: the testing
-// package calls it once per -count and per b.N round, and a catalog scope of
-// its own keeps a round from hitting the last one's entries in the shared
-// cache.
-var derivedRuns int
+// benchRuns numbers the systems benchHolidaySystem builds: the testing
+// package calls a benchmark once per -count and per b.N round, and a catalog
+// scope of its own keeps a round from hitting the last one's entries in the
+// shared cache.
+var benchRuns int
 
-// BenchmarkDerivedMaterialize evaluates, through System.EvalCalendar with 500
-// seeded holidays 1990–2039, the two operations that dominate serve_wide:
-// cold — the script derivation bizdays over a 35-year window that differs
-// every iteration (a D| miss each time: foreach, selection, difference);
-// warm — a selection of bizdays grouped by month, with a predicate that
-// differs every iteration, over one resident D| window (foreach + selection
-// only). Both rows are CI-gated on ns/op and allocs/op.
-func BenchmarkDerivedMaterialize(b *testing.B) {
-	derivedRuns++
-	sys := MustOpen(WithCatalogScope(fmt.Sprintf("bench/derived/%d", derivedRuns)))
+// benchHolidaySystem is a system with 500 seeded holidays 1990–2039 and
+// bizdays derived from them by the given script.
+func benchHolidaySystem(b *testing.B, bizdays string) *System {
+	benchRuns++
+	sys := MustOpen(WithCatalogScope(fmt.Sprintf("bench/holidays/%d", benchRuns)))
 	rng := rand.New(rand.NewSource(18))
 	var ticks []Tick
 	for y := 1990; y <= 2039; y++ {
@@ -830,9 +825,50 @@ func BenchmarkDerivedMaterialize(b *testing.B) {
 	if err := sys.DefineStoredCalendar("holidays", hol); err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.DefineCalendar("bizdays", "{wd = [1,2,3,4,5]/DAYS:during:WEEKS; return (wd - holidays);}", Day); err != nil {
+	if err := sys.DefineCalendar("bizdays", bizdays, Day); err != nil {
 		b.Fatal(err)
 	}
+	return sys
+}
+
+// BenchmarkExpandCold is the cold path's row in the ledger: a first
+// evaluation, through System.EvalCalendar, of the four serve_wide shapes over
+// a 35-year window that starts a day later every iteration (always after the
+// epoch), so that nothing but the basic calendars' patterns is ever resident.
+// bizdays is the workload's straight-line script, hence one expression with
+// each shape: what is timed is compile + execute of the whole expression.
+// All four rows are CI-gated on ns/op and allocs/op.
+func BenchmarkExpandCold(b *testing.B) {
+	sys := benchHolidaySystem(b, "{wd = [1,2,3,4,5]/DAYS:during:WEEKS; return (wd - holidays);}")
+	start := sys.DayTickOf(MustDate(1990, 1, 1))
+	for _, shape := range []struct{ name, src string }{
+		{"eom", "[n]/bizdays:during:MONTHS"},
+		{"qtr", "[n]/bizdays:during:caloperate(MONTHS, 3)"},
+		{"intersects", "bizdays:intersects:([1]/WEEKS:overlaps:MONTHS)"},
+		{"bizdays", "bizdays"},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				from := start + Tick(i%5000)
+				if _, err := sys.EvalCalendar(shape.src, sys.CivilOfDayTick(from), sys.CivilOfDayTick(from+35*365)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDerivedMaterialize keeps the opaque path measured: bizdays here
+// branches (the shape of the paper's EMP-DAYS and option scripts), so it is
+// run by the script runner and materialised as a D| entry. cold — bizdays
+// over a 35-year window that differs every iteration (a D| miss each time:
+// foreach, selection, difference); warm — a selection of bizdays grouped by
+// month, with a predicate that differs every iteration, over one resident D|
+// window (foreach + selection only). Both rows are CI-gated on ns/op and
+// allocs/op.
+func BenchmarkDerivedMaterialize(b *testing.B) {
+	sys := benchHolidaySystem(b, "{wd = [1,2,3,4,5]/DAYS:during:WEEKS; if (holidays) return (wd - holidays); return (wd);}")
 	start := sys.DayTickOf(MustDate(1990, 1, 1))
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()

@@ -279,27 +279,12 @@ func (s *System) ParseTree(src string) (initial, factorized string, err error) {
 	if err != nil {
 		return "", "", err
 	}
-	inlined, err := callang.Inline(e, catScripts{s.cal})
+	inlined, err := callang.Inline(e, s.cal, nil)
 	if err != nil {
 		return "", "", err
 	}
 	factored := callang.Factorize(inlined, s.cal)
 	return callang.TreeString(inlined), callang.TreeString(factored), nil
-}
-
-// catScripts adapts the catalog to the inliner, exposing single-expression
-// derivations only.
-type catScripts struct{ m *caldb.Manager }
-
-func (c catScripts) DerivationOf(name string) (*callang.Script, bool) {
-	script, ok := c.m.DerivationOf(name)
-	if !ok {
-		return nil, false
-	}
-	if _, single := script.SingleExpr(); !single {
-		return nil, false
-	}
-	return script, true
 }
 
 // --- rules ---------------------------------------------------------------

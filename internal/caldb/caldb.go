@@ -40,9 +40,8 @@ var ErrAlreadyDefined = errors.New("already defined")
 var ErrNotDefined = errors.New("not defined")
 
 // MaxDayTick stands in for the paper's ∞ lifespan bound (roughly the year
-// 10000 for a late-20th-century epoch). It equals plan.UnboundedDayTick, the
-// threshold below which a derivation's lifespan forces opaque evaluation.
-const MaxDayTick = plan.UnboundedDayTick
+// 10000 for a late-20th-century epoch).
+const MaxDayTick = callang.UnboundedDayTick
 
 // Lifespan is the validity range of a calendar in day ticks; Hi = MaxDayTick
 // renders as ∞ (Figure 1 shows (1985, ∞)).
@@ -358,9 +357,7 @@ func (m *Manager) DefineDerived(name, derivation string, lifespan Lifespan, gran
 	}
 	warnings := diagLines(diags.Warnings())
 
-	// Compile the eval-plan column for the catalog. Single-expression
-	// derivations compile to a plan; multi-statement scripts store a
-	// per-statement rendering.
+	// Compile the eval-plan column for the catalog.
 	planText, err := m.renderPlan(script, lifespan)
 	if err != nil {
 		return fmt.Errorf("caldb: %q does not compile: %w", name, err)
@@ -645,10 +642,10 @@ func (m *Manager) insert(e *Entry) error {
 }
 
 // inferGran picks a calendar's element kind from its derivation: for a
-// single-expression script, the expression's kind; otherwise the script's
-// tick granularity.
+// script that is an expression, the expression's kind; otherwise the
+// script's tick granularity.
 func (m *Manager) inferGran(script *callang.Script) chronology.Granularity {
-	if e, ok := script.SingleExpr(); ok {
+	if e, ok := script.AsExpr(); ok {
 		if g, ok := callang.ElemKind(e, m); ok {
 			return g
 		}
@@ -656,10 +653,13 @@ func (m *Manager) inferGran(script *callang.Script) chronology.Granularity {
 	return callang.AnalyzeScript(script, m).TickGran
 }
 
-// renderPlan compiles a derivation for the eval-plan catalog column.
+// renderPlan compiles a derivation for the eval-plan catalog column, which
+// keeps the literal rule (Figure 1's rows are pinned): a plan for a
+// one-statement derivation, the script text for anything longer — even a
+// straight-line script, although that is evaluated as its expression.
 func (m *Manager) renderPlan(script *callang.Script, lifespan Lifespan) (string, error) {
 	env := m.Env()
-	if e, ok := script.SingleExpr(); ok {
+	if e, ok := script.AsExpr(); ok && len(script.Stmts) == 1 {
 		prepped, gran, err := plan.Prepare(env, e, nil)
 		if err != nil {
 			return "", err
@@ -671,9 +671,6 @@ func (m *Manager) renderPlan(script *callang.Script, lifespan Lifespan) (string,
 		}
 		return p.String(), nil
 	}
-	// Multi-statement script: validate it references resolvable calendars by
-	// compiling each assignable expression lazily at run time; the catalog
-	// stores the script rendering.
 	return "SCRIPT " + script.String(), nil
 }
 
@@ -710,7 +707,7 @@ func (m *Manager) ElemKindOf(name string) (chronology.Granularity, bool) {
 	return e.Gran, true
 }
 
-// LifespanOf implements plan.LifespanCatalog: the lifespan column of
+// LifespanOf implements callang.LifespanLookup: the lifespan column of
 // Figure 1, in day ticks.
 func (m *Manager) LifespanOf(name string) (lo, hi chronology.Tick, ok bool) {
 	m.mu.RLock()

@@ -6,6 +6,7 @@ import (
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
+	"calsys/internal/core/callang"
 	"calsys/internal/store"
 )
 
@@ -437,5 +438,62 @@ func TestReloadPositionsCorruptRowErrors(t *testing.T) {
 	_, err = New(db, m.Chron())
 	if err == nil || !strings.Contains(err.Error(), "empty name") {
 		t.Fatalf("blank name: err = %v, want empty-name error", err)
+	}
+}
+
+// A calendar's value must not depend on how its derivation is spelled: one
+// expression and the same expression behind a temporary are the same
+// calendar, under a lifespan bounded on either side (both stay opaque and
+// clipped) and under the open default (both inline, neither is clipped).
+func TestLifespanSpellingIndependence(t *testing.T) {
+	m := newManager(t)
+	define := func(name, src string, ls Lifespan) {
+		t.Helper()
+		if err := m.DefineDerived(name, src, ls, GranAuto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval := func(src string, from, to chronology.Civil) string {
+		t.Helper()
+		c, err := m.EvalExpr(src, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Flatten().String()
+	}
+	// Bounded below only (1988 on): nothing in early 1987, on either spelling.
+	from1988 := Lifespan{Lo: 366, Hi: MaxDayTick}
+	define("EOMA", "[n]/DAYS:during:MONTHS", from1988)
+	define("EOMAS", "{x = [n]/DAYS:during:MONTHS; return (x);}", from1988)
+	for _, name := range []string{"EOMA", "EOMAS"} {
+		if got := eval(name, d(1987, 1, 1), d(1987, 3, 31)); got != "{}" {
+			t.Errorf("%s before its lifespan = %s, want {}", name, got)
+		}
+		if got := eval(name, d(1988, 1, 1), d(1988, 3, 31)); got != "{(396,396),(425,425),(456,456)}" {
+			t.Errorf("%s inside its lifespan = %s", name, got)
+		}
+		if _, ok := callang.InlineBody(m, name); ok {
+			t.Errorf("%s has a bounded lifespan and must stay opaque", name)
+		}
+	}
+	// The open lifespan (1, ∞) clips nothing, before the epoch included.
+	open := Lifespan{Lo: 1, Hi: MaxDayTick}
+	define("WD", "[1,2,3,4,5]/DAYS:during:WEEKS", open)
+	define("WDS", "{x = [1,2,3,4,5]/DAYS:during:WEEKS; return (x);}", open)
+	hol, _ := calendar.FromPoints(chronology.Day, []chronology.Tick{-20, 31})
+	if err := m.DefineStored("HOL", hol, open); err != nil {
+		t.Fatal(err)
+	}
+	want := eval("[1,2,3,4,5]/DAYS:during:WEEKS", d(1986, 1, 1), d(1986, 1, 31))
+	for _, name := range []string{"WD", "WDS"} {
+		if got := eval(name, d(1986, 1, 1), d(1986, 1, 31)); got != want || strings.Count(got, "(") != 25 {
+			t.Errorf("%s over January 1986 = %s, want the expression's 25 leaves %s", name, got, want)
+		}
+		if _, ok := callang.InlineBody(m, name); !ok {
+			t.Errorf("%s has the open lifespan and must inline", name)
+		}
+	}
+	if got := eval("HOL", d(1986, 1, 1), d(1987, 12, 31)); got != "{(-20,-20),(31,31)}" {
+		t.Errorf("stored values under the open lifespan = %s, want both", got)
 	}
 }

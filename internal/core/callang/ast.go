@@ -106,7 +106,13 @@ func (*CallExpr) exprNode()      {}
 
 func (e *Ident) String() string     { return e.Name }
 func (e *Number) String() string    { return fmt.Sprintf("%d", e.Val) }
-func (e *StringLit) String() string { return fmt.Sprintf("%q", e.Val) }
+func (e *StringLit) String() string { return quote(e.Val) }
+
+// quote renders a string literal the way the lexer reads one: a backslash
+// makes the next byte literal, and nothing else is special.
+func quote(s string) string {
+	return `"` + strings.NewReplacer(`\`, `\\`, `"`, `\"`).Replace(s) + `"`
+}
 
 func (e *ForeachExpr) String() string {
 	sep := ":"
@@ -201,7 +207,7 @@ func (e *CallExpr) Children() []Expr      { return e.Args }
 
 func (e *Ident) Label() string     { return e.Name }
 func (e *Number) Label() string    { return fmt.Sprintf("%d", e.Val) }
-func (e *StringLit) Label() string { return fmt.Sprintf("%q", e.Val) }
+func (e *StringLit) Label() string { return quote(e.Val) }
 func (e *ForeachExpr) Label() string {
 	mode := "strict"
 	if !e.Strict {
@@ -473,9 +479,12 @@ func blockString(ss []Stmt) string {
 }
 
 // Script is a parsed calendar script: the derivation-script column of the
-// CALENDARS catalog.
+// CALENDARS catalog. Stmts is not to be modified once parsed.
 type Script struct {
 	Stmts []Stmt
+	// expr is the script as one expression (see AsExpr), decided when it is
+	// parsed; nil when it has to run statement by statement.
+	expr Expr
 }
 
 // String renders the script in canonical surface syntax.
@@ -487,21 +496,13 @@ func (s *Script) String() string {
 	return "{" + strings.Join(parts, " ") + "}"
 }
 
-// ExprScript wraps one expression as a script, the inverse of SingleExpr.
-func ExprScript(e Expr) *Script { return &Script{Stmts: []Stmt{&ExprStmt{X: e}}} }
+// ExprScript wraps one expression as a script, the inverse of AsExpr.
+func ExprScript(e Expr) *Script { return &Script{Stmts: []Stmt{&ExprStmt{X: e}}, expr: e} }
 
-// SingleExpr reports whether the script consists of exactly one expression
-// (optionally a single return), in which case derived-calendar references to
-// it can be inlined for factorization.
-func (s *Script) SingleExpr() (Expr, bool) {
-	if len(s.Stmts) != 1 {
-		return nil, false
-	}
-	switch st := s.Stmts[0].(type) {
-	case *ReturnStmt:
-		return st.X, true
-	case *ExprStmt:
-		return st.X, true
-	}
-	return nil, false
-}
+// AsExpr answers "is this script an expression, and which one?". A straight
+// line of assignments ended by `return (expr)` or a bare expression is that
+// expression with every temporary replaced by its right-hand side (see
+// substitute); references to such a derivation are inlined for factorization
+// and the script is never run. ok=false for a script that branches, loops,
+// waits, returns an alert string, or that substitution refuses.
+func (s *Script) AsExpr() (Expr, bool) { return s.expr, s.expr != nil }

@@ -91,7 +91,7 @@ func SubsetOf(z, y Expr) bool {
 // [3]/WEEKS.
 func Factorize(e Expr, kinds KindResolver) Expr {
 	for {
-		out := factorizeOnce(e, kinds)
+		out := factorizeOnce(e, kinds, false)
 		if out == e {
 			return e
 		}
@@ -100,14 +100,17 @@ func Factorize(e Expr, kinds KindResolver) Expr {
 }
 
 // factorizeOnce applies the rule at the outermost foreach nodes where it
-// matches, returning e itself when it matches nowhere.
-func factorizeOnce(e Expr, kinds KindResolver) Expr {
-	if n, ok := e.(*ForeachExpr); ok {
+// matches, returning e itself when it matches nowhere. The rewrite keeps a
+// grouping's elements, not how they nest (it can drop a level of grouping),
+// so the foreach a selection picks within — subject — is left as written.
+func factorizeOnce(e Expr, kinds KindResolver, subject bool) Expr {
+	if n, ok := e.(*ForeachExpr); ok && !subject {
 		if out, ok := applyRule(n, kinds); ok {
 			return out
 		}
 	}
-	return MapChildren(e, func(c Expr) Expr { return factorizeOnce(c, kinds) })
+	_, sel := e.(*SelectExpr)
+	return MapChildren(e, func(c Expr) Expr { return factorizeOnce(c, kinds, sel) })
 }
 
 // peelWrappers strips selection wrappers off an expression, returning the

@@ -33,7 +33,7 @@ func TestFigure2Factorization(t *testing.T) {
 		"Januarys": "[1]/MONTHS:during:YEARS;",
 	})
 	e := mustExpr(t, "Mondays:during:Januarys:during:1993/YEARS")
-	inlined, err := Inline(e, scripts)
+	inlined, err := Inline(e, scripts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFigure3Factorization(t *testing.T) {
 		"Januarys":    "[1]/MONTHS:during:YEARS;",
 	})
 	e := mustExpr(t, "Third_Weeks:during:Januarys:during:1993/YEARS")
-	inlined, err := Inline(e, scripts)
+	inlined, err := Inline(e, scripts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,17 +148,57 @@ func TestFactorizeNestedUnderSetOps(t *testing.T) {
 	}
 }
 
+// The rewrite keeps a grouping's elements, not how they nest — through a
+// selection wrapper it drops the outer grouping — so a selection's subject is
+// not rewritten: [n]/ of each month's first day is that day, month by month,
+// not the last element of one flat list.
+func TestFactorizeKeepsSelectionSubject(t *testing.T) {
+	inner := "([1]/(DAYS:during:MONTHS)):during:MONTHS"
+	if got := Factorize(mustExpr(t, inner), KindMap{}); got.String() != "[1]/(DAYS:during:MONTHS)" {
+		t.Fatalf("the rule no longer fires on %s: %s", inner, got)
+	}
+	for _, src := range []string{"[n]/(" + inner + ")", "([n]/(" + inner + ")) + WEEKS"} {
+		e := mustExpr(t, src)
+		if got := Factorize(e, KindMap{}); got.String() != e.String() {
+			t.Errorf("selection subject rewritten: %s -> %s", e, got)
+		}
+	}
+	// Below the subject the rule still applies.
+	e := mustExpr(t, "[n]/(((MONTHS:during:YEARS):during:(1993/YEARS)):during:DECADES)")
+	if got, want := Factorize(e, KindMap{}).String(), "[n]/((MONTHS:during:(1993/YEARS)):during:DECADES)"; got != want {
+		t.Errorf("factored = %s, want %s", got, want)
+	}
+}
+
 func TestInlineOpaqueAndMissing(t *testing.T) {
 	scripts := parseScriptMap(t, map[string]string{
-		"EMP_DAYS": "{x = [n]/DAYS:during:MONTHS; return (x);}", // multi-stmt: opaque
+		// Branches: opaque, a reference stays a reference.
+		"EMP_DAYS": "{x = [n]/DAYS:during:MONTHS; if (x:intersects:HOLIDAYS) return (x - HOLIDAYS); return (x);}",
+		// Straight-line: an expression, inlined like a one-statement one.
+		"EOM": "{x = [n]/DAYS:during:MONTHS; return (x);}",
 	})
 	e := mustExpr(t, "EMP_DAYS:during:1993/YEARS")
-	inlined, err := Inline(e, scripts)
+	inlined, err := Inline(e, scripts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inlined.String() != e.String() {
 		t.Errorf("opaque derivation should not inline: %s", inlined)
+	}
+	inlined, err = Inline(mustExpr(t, "EOM:during:MISSING"), scripts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "([n]/(DAYS:during:MONTHS)):during:MISSING"; inlined.String() != want {
+		t.Errorf("straight-line derivation: got %s, want %s", inlined, want)
+	}
+	// A script temporary in scope hides the catalog calendar of its name.
+	inlined, err = Inline(mustExpr(t, "EOM + x"), scripts, map[string]bool{"EOM": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inlined.String() != "EOM + x" {
+		t.Errorf("shadowed name was inlined: %s", inlined)
 	}
 }
 
@@ -167,11 +207,11 @@ func TestInlineDetectsRecursion(t *testing.T) {
 		"A": "B:during:YEARS;",
 		"B": "A:during:YEARS;",
 	})
-	if _, err := Inline(mustExpr(t, "A"), scripts); err == nil {
+	if _, err := Inline(mustExpr(t, "A"), scripts, nil); err == nil {
 		t.Error("mutually recursive derivations should fail")
 	}
 	self := parseScriptMap(t, map[string]string{"S": "S:during:YEARS;"})
-	if _, err := Inline(mustExpr(t, "S"), self); err == nil {
+	if _, err := Inline(mustExpr(t, "S"), self, nil); err == nil {
 		t.Error("self-recursive derivation should fail")
 	}
 }

@@ -31,6 +31,13 @@ func FuzzParseAndVet(f *testing.F) {
 			return // rejected input is fine; panics are not
 		}
 		checkWalkLaws(t, script, nil)
+		// Substitution ran when the script was parsed; what it yields is an
+		// expression of the language: it re-parses from its rendering.
+		if e, ok := script.AsExpr(); ok {
+			if re, err := callang.ParseExpr(e.String()); err != nil || re.String() != e.String() {
+				t.Fatalf("AsExpr of %q renders as %q, which re-parses as %v (%v)", src, e, re, err)
+			}
+		}
 		diags := calvet.AnalyzeScript(script, cat, calvet.Options{SelfName: "FUZZ"})
 		// Rendering must also be total.
 		_ = diags.String()
@@ -56,6 +63,7 @@ var fuzzSeeds = []string{
 	"caloperate(interval(1, 30, DAYS))",
 	"((((((((((DAYS))))))))))",
 	"{return (X); Y = Z;}",
+	"{wd = [1,2,3,4,5]/DAYS:during:WEEKS; wd = wd - HOL; return (wd:intersects:caloperate(wd, 3));}",
 	"-- comment\nDAYS",
 }
 
@@ -177,7 +185,7 @@ func TestWalkCoversEveryNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inlined, err := callang.Inline(e, scripts)
+		inlined, err := callang.Inline(e, scripts, nil)
 		if err != nil {
 			t.Errorf("%q: %v", src, err)
 			continue

@@ -106,7 +106,7 @@ func ParseScript(src string) (*Script, error) {
 	if len(stmts) == 0 {
 		return nil, p.errf("empty script")
 	}
-	return &Script{Stmts: stmts}, nil
+	return &Script{Stmts: stmts, expr: substitute(stmts)}, nil
 }
 
 func (p *Parser) cur() Token { return p.toks[p.i] }

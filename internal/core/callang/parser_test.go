@@ -1,8 +1,10 @@
 package callang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"calsys/internal/core/interval"
 )
@@ -321,17 +323,73 @@ func TestTreeString(t *testing.T) {
 	}
 }
 
+// A script is an expression when it is a straight line of assignments ended
+// by its result: AsExpr is that result with the temporaries substituted, in
+// statement order.
 func TestSingleExpr(t *testing.T) {
-	s := mustScript(t, "[2]/DAYS:during:WEEKS;")
-	if _, ok := s.SingleExpr(); !ok {
-		t.Error("bare expression script is single-expr")
+	for src, want := range map[string]string{
+		"[2]/DAYS:during:WEEKS;":          "[2]/(DAYS:during:WEEKS)",
+		"return ([2]/DAYS:during:WEEKS);": "[2]/(DAYS:during:WEEKS)",
+		"{x = A; return (x);}":            "A",
+		// The paper's running example.
+		"{wd = [1,2,3,4,5]/DAYS:during:WEEKS; return (wd - holidays);}": "([1,2,3,4,5]/(DAYS:during:WEEKS)) - holidays",
+		// Reuse, and reassignment reading the previous value.
+		"{x = A + B; x = x - C; return (x:intersects:x);}": "((A + B) - C):intersects:((A + B) - C)",
+		// A name read before it is assigned is still the catalog's.
+		"{x = HOL; HOL = x + B; return (HOL);}": "HOL + B",
+		// A temporary named like a basic calendar shadows it where a calendar
+		// is read, not where a basic calendar's name is spelled.
+		"{DAYS = A; return ((DAYS:during:1993/DAYS) + caloperate(DAYS, 3) + generate(DAYS, DAYS, \"1993-01-01\", \"1993-01-02\"));}": "((A:during:(1993/DAYS)) + caloperate(A, 3)) + generate(DAYS, DAYS, \"1993-01-01\", \"1993-01-02\")",
+		// `today` cannot be assigned, so it is always the clock.
+		"{x = today; return (x:during:WEEKS);}": "today:during:WEEKS",
+	} {
+		e, ok := mustScript(t, src).AsExpr()
+		if !ok {
+			t.Errorf("%s: not an expression", src)
+		} else if e.String() != want {
+			t.Errorf("%s:\n got  %s\n want %s", src, e, want)
+		}
 	}
-	s = mustScript(t, "return ([2]/DAYS:during:WEEKS);")
-	if _, ok := s.SingleExpr(); !ok {
-		t.Error("single return script is single-expr")
+	for _, src := range []string{
+		"{if (A) return (B); return (C);}",           // branches
+		"{while (A:intersects:today) ; return (B);}", // waits
+		"{x = A; while (x) x = x - B; return (x);}",  // loops
+		"{x = A; return (\"ALERT\");}",               // alert string
+		"return (\"ALERT\");",
+		"{x = A; y = B; return (x);}",   // y unread: the runner still evaluates it
+		"{x = A; x = B; return (x);}",   // first x unread
+		"{n = 3; return ([n]/DAYS);}",   // not a calendar
+		"{y = YEARS; return (1993/y);}", // a label selection spells a basic calendar
+		"{x = A; return (x); x = B;}",   // statements after the result
+		"{A; return (B);}",              // an expression evaluated for effect
+		"{x = A;}",                      // no result
+	} {
+		if e, ok := mustScript(t, src).AsExpr(); ok {
+			t.Errorf("%s: should stay a script, got %s", src, e)
+		}
 	}
-	s = mustScript(t, "{x = A; return (x);}")
-	if _, ok := s.SingleExpr(); ok {
-		t.Error("multi-statement script is not single-expr")
+}
+
+// The doubling script is linear to write and 2ⁿ to walk once substituted:
+// the node budget refuses it, in time linear in the source.
+func TestAsExprNodeBudget(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("{t0 = DAYS + WEEKS;")
+	for i := 1; i <= 60; i++ {
+		fmt.Fprintf(&b, " t%d = t%d + t%d;", i, i-1, i-1)
+	}
+	b.WriteString(" return (t60);}")
+	start := time.Now()
+	s := mustScript(t, b.String())
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("parsing the doubling script took %v", took)
+	}
+	if e, ok := s.AsExpr(); ok {
+		t.Errorf("doubling script passed the node budget with %d nodes", NodeCount(e))
+	}
+	// Eight doublings of a three-node sum stay under it.
+	short := mustScript(t, "{a = DAYS + WEEKS; b = a + a; c = b + b; d = c + c; return (d);}")
+	if e, ok := short.AsExpr(); !ok || NodeCount(e) != 31 {
+		t.Errorf("short doubling script: ok=%v %v", ok, e)
 	}
 }

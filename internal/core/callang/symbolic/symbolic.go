@@ -14,8 +14,8 @@
 //
 // The calculus is deliberately partial. Window-anchored constructs (`today`,
 // order-1 selections, flattened before/before-equals groupings, label
-// selections, stored calendars, multi-statement derivations) have no
-// window-independent element list, and some compositions have no compact
+// selections, stored calendars, derivations that branch, wait or alert) have
+// no window-independent element list, and some compositions have no compact
 // periodic form; Eval reports ok=false for these and callers fall back to
 // materialization. A nil pattern with ok=true is a proof that the expression
 // is empty everywhere. End-relative selections over before/before-equals
@@ -32,16 +32,6 @@ import (
 	"calsys/internal/core/periodic"
 )
 
-// Catalog resolves calendar names during lowering. Both the database manager
-// and the vet analyzer's catalogs satisfy it.
-type Catalog interface {
-	// DerivationOf returns the parsed derivation script of a derived
-	// calendar.
-	DerivationOf(name string) (*callang.Script, bool)
-	// ElemKindOf returns the element kind of a named calendar.
-	ElemKindOf(name string) (chronology.Granularity, bool)
-}
-
 // maxDepth bounds derivation-chain recursion (cyclic catalogs would
 // otherwise loop forever).
 const maxDepth = 32
@@ -50,25 +40,19 @@ const maxDepth = 32
 // gran — to the symbolic pattern of its flattened element list, in tick
 // offsets of gran. ok=false means the expression has no symbolic form and
 // the caller must materialize; a nil pattern with ok=true proves the
-// expression empty on every window.
-func Eval(ch *chronology.Chronology, cat Catalog, e callang.Expr, gran chronology.Granularity) (*periodic.Pattern, bool) {
-	return EvalOpaque(ch, cat, e, gran, nil)
-}
-
-// EvalOpaque is Eval with an opacity predicate: names for which opaque
-// returns true are never symbolically inlined even when their derivation is
-// a single expression (the plan layer passes lifespan-bounded calendars,
-// whose materialized value is clipped and therefore not periodic).
-func EvalOpaque(ch *chronology.Chronology, cat Catalog, e callang.Expr, gran chronology.Granularity, opaque func(name string) bool) (*periodic.Pattern, bool) {
-	l := &lowerer{ch: ch, cat: cat, gran: gran, opaque: opaque}
+// expression empty on every window. Derived-calendar names lower exactly
+// when the plan inliner would replace them (callang.InlineBody): a name with
+// a bounded lifespan is clipped when materialized and is therefore not the
+// periodic list its derivation alone denotes.
+func Eval(ch *chronology.Chronology, cat callang.ScriptLookup, e callang.Expr, gran chronology.Granularity) (*periodic.Pattern, bool) {
+	l := &lowerer{ch: ch, cat: cat, gran: gran}
 	return l.lower(e, 0)
 }
 
 type lowerer struct {
-	ch     *chronology.Chronology
-	cat    Catalog
-	gran   chronology.Granularity
-	opaque func(name string) bool
+	ch   *chronology.Chronology
+	cat  callang.ScriptLookup
+	gran chronology.Granularity
 }
 
 func (l *lowerer) lower(e callang.Expr, depth int) (*periodic.Pattern, bool) {
@@ -84,7 +68,7 @@ func (l *lowerer) lower(e callang.Expr, depth int) (*periodic.Pattern, bool) {
 			}
 			return p, true
 		}
-		inner, ok := l.inlined(n.Name)
+		inner, ok := callang.InlineBody(l.cat, n.Name)
 		if !ok {
 			return nil, false
 		}
@@ -194,15 +178,15 @@ func endOffsets(s calendar.Selection) ([]int, bool) {
 	return out, true
 }
 
-// resolveForeach peels single-expression derivation names off e until a
-// foreach grouping (or anything else) surfaces.
+// resolveForeach peels inlinable derivation names off e until a foreach
+// grouping (or anything else) surfaces.
 func (l *lowerer) resolveForeach(e callang.Expr, depth int) (*callang.ForeachExpr, bool) {
 	for d := depth; d <= maxDepth; d++ {
 		switch n := e.(type) {
 		case *callang.ForeachExpr:
 			return n, true
 		case *callang.Ident:
-			inner, ok := l.inlined(n.Name)
+			inner, ok := callang.InlineBody(l.cat, n.Name)
 			if !ok {
 				return nil, false
 			}
@@ -214,27 +198,11 @@ func (l *lowerer) resolveForeach(e callang.Expr, depth int) (*callang.ForeachExp
 	return nil, false
 }
 
-// inlined returns the single-expression derivation body of a non-opaque
-// derived calendar, mirroring the plan inliner's eligibility rules.
-func (l *lowerer) inlined(name string) (callang.Expr, bool) {
-	if l.cat == nil {
-		return nil, false
-	}
-	if l.opaque != nil && l.opaque(name) {
-		return nil, false
-	}
-	script, ok := l.cat.DerivationOf(name)
-	if !ok {
-		return nil, false
-	}
-	return script.SingleExpr()
-}
-
 // GroupCards returns the exact minimum and maximum group cardinality the
 // foreach grouping fe ever produces, when both operands lower symbolically.
 // A selection position beyond max provably never selects anything (CV012);
 // positions within [1, min] always do.
-func GroupCards(ch *chronology.Chronology, cat Catalog, fe *callang.ForeachExpr, gran chronology.Granularity) (min, max int, ok bool) {
+func GroupCards(ch *chronology.Chronology, cat callang.ScriptLookup, fe *callang.ForeachExpr, gran chronology.Granularity) (min, max int, ok bool) {
 	l := &lowerer{ch: ch, cat: cat, gran: gran}
 	x, ok := l.lower(fe.X, 0)
 	if !ok {
@@ -255,7 +223,7 @@ const EmptyKey = "empty"
 // seconds. Two expressions with equal keys cover the same elements on every
 // window, whatever granularities they were written in. ok=false means the
 // expression (or the seconds conversion) has no symbolic form.
-func ListKey(ch *chronology.Chronology, cat Catalog, e callang.Expr, gran chronology.Granularity) (string, bool) {
+func ListKey(ch *chronology.Chronology, cat callang.ScriptLookup, e callang.Expr, gran chronology.Granularity) (string, bool) {
 	p, ok := Eval(ch, cat, e, gran)
 	if !ok {
 		return "", false

@@ -108,9 +108,13 @@ func TestSymbolicMatchesMaterialized(t *testing.T) {
 		"[n]/WEEKS:<=:MONTHS",
 		"[n]/Tuesdays:<:MONTHS",
 		"[n]/(([1]/DAYS:during:WEEKS):<=:MONTHS)",
+		// A straight-line script is its expression: the name lowers exactly.
+		"Mondays",
+		"[n]/Mondays:during:MONTHS",
 	}
 	env, cat := testEnv(t)
 	define(t, cat, "Tuesdays", "[2]/DAYS:during:WEEKS;", chronology.Day)
+	define(t, cat, "Mondays", "{x = [1]/DAYS:during:WEEKS; return (x);}", chronology.Day)
 	define(t, cat, "Workweek", "DAYS:during:WEEKS;", chronology.Day)
 	rng := rand.New(rand.NewSource(59))
 	const margin = 64
@@ -189,13 +193,13 @@ func TestSymbolicProvesEmptiness(t *testing.T) {
 // misreport.
 func TestSymbolicFallsBack(t *testing.T) {
 	env, cat := testEnv(t)
-	define(t, cat, "Boot", "x = DAYS; return (x);", chronology.Day)
+	define(t, cat, "Boot", "x = DAYS; if (x) return (x); return (WEEKS);", chronology.Day)
 	for _, src := range []string{
 		"[2]/DAYS",                    // order-1 selection counts from the window edge
 		"today",                       // runtime binding
 		"today + DAYS",                // contaminated composition
 		"1993/YEARS",                  // label selection: one finite unit
-		"Boot",                        // multi-statement derivation
+		"Boot",                        // branching derivation
 		"HOLIDAYS",                    // stored calendar (not in catalog scripts)
 		"interval(1, 7)",              // literal calendar
 		"generate(DAYS, WEEKS, 1, 4)", // truncating surface call

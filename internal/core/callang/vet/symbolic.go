@@ -37,9 +37,9 @@ func (v *vetter) granOf(e callang.Expr) chronology.Granularity {
 }
 
 // checkSymbolic runs the whole-script symbolic checks: CV010 (provably empty
-// value) and CV011 (equivalent to an existing catalog definition) on
-// single-expression scripts, and CV013 (subsumed union arm) on every union
-// node of every statement.
+// value) and CV011 (equivalent to an existing catalog definition) on scripts
+// that are an expression (callang.Script.AsExpr), and CV013 (subsumed union
+// arm) on every union node of every statement.
 func (v *vetter) checkSymbolic(s *callang.Script) {
 	callang.WalkStmts(s.Stmts, func(_ callang.Stmt, x callang.Expr) {
 		callang.Walk(x, func(e callang.Expr) {
@@ -48,7 +48,7 @@ func (v *vetter) checkSymbolic(s *callang.Script) {
 			}
 		})
 	})
-	e, ok := s.SingleExpr()
+	e, ok := s.AsExpr()
 	if !ok {
 		return
 	}

@@ -139,12 +139,13 @@ func TestAnalyzeCatalog(t *testing.T) {
 			"Tuesdays":   mustScript(t, "[2]/DAYS:during:WEEKS;"),
 			"AllDays":    mustScript(t, "DAYS:during:WEEKS;"),
 			"Everyday":   mustScript(t, "DAYS;"),
-			"Opaque":     mustScript(t, "x = DAYS; return (x);"),
+			"Straight":   mustScript(t, "x = DAYS; return (x);"),
+			"Opaque":     mustScript(t, "x = DAYS; if (x) return (x); return (WEEKS);"),
 		},
 		Kinds: map[string]chronology.Granularity{
 			"Mondays": chronology.Day, "WeekStarts": chronology.Day,
 			"Tuesdays": chronology.Day, "AllDays": chronology.Day,
-			"Everyday": chronology.Day, "Opaque": chronology.Day,
+			"Everyday": chronology.Day, "Straight": chronology.Day, "Opaque": chronology.Day,
 		},
 	}
 	classes := calvet.AnalyzeCatalog(cat, calvet.Options{})
@@ -152,7 +153,7 @@ func TestAnalyzeCatalog(t *testing.T) {
 		t.Fatalf("got %d classes, want 2: %v", len(classes), classes)
 	}
 	wantNames := [][]string{
-		{"AllDays", "Everyday"},
+		{"AllDays", "Everyday", "Straight"}, // a straight-line script is its expression
 		{"Mondays", "WeekStarts"},
 	}
 	for i, c := range classes {

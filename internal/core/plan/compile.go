@@ -9,35 +9,12 @@ import (
 	"calsys/internal/core/interval"
 )
 
-// catalogScripts adapts a Catalog to callang.ScriptLookup, exposing only
-// single-expression derivations for inlining; opaque (multi-statement)
-// derivations stay as references compiled to OpDerived.
-type catalogScripts struct{ cat Catalog }
-
-func (c catalogScripts) DerivationOf(name string) (*callang.Script, bool) {
-	s, ok := c.cat.DerivationOf(name)
-	if !ok {
-		return nil, false
-	}
-	if _, single := s.SingleExpr(); !single {
-		return nil, false
-	}
-	// A derivation with a bounded lifespan must stay opaque: inlining would
-	// lose the lifespan clip applied by the derived-calendar path.
-	if lc, ok := c.cat.(LifespanCatalog); ok {
-		if _, hi, found := lc.LifespanOf(name); found && hi < UnboundedDayTick {
-			return nil, false
-		}
-	}
-	return s, true
-}
-
 // Prepare runs the front half of the §3.4 parsing algorithm on an
 // expression: inline derived calendars, factorize, and determine the
-// smallest time unit. vars names script temporaries whose kinds are unknown
-// statically.
+// smallest time unit. vars names the script temporaries in scope, which
+// shadow catalog calendars of the same name.
 func Prepare(env *Env, e callang.Expr, vars map[string]bool) (callang.Expr, chronology.Granularity, error) {
-	inlined, err := callang.Inline(e, catalogScripts{env.Cat})
+	inlined, err := callang.Inline(e, env.Cat, vars)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -344,13 +344,9 @@ func (p *Plan) derivedKey(env *Env, name string) (matcache.Key, bool) {
 }
 
 // lifespanIn converts a calendar's day-tick lifespan to granularity g, when
-// the catalog reports one.
+// the catalog declares one that bounds it (callang.BoundedLifespan).
 func lifespanIn(env *Env, name string, g chronology.Granularity) (interval.Interval, bool) {
-	lc, ok := env.Cat.(LifespanCatalog)
-	if !ok {
-		return interval.Interval{}, false
-	}
-	lo, hi, ok := lc.LifespanOf(name)
+	lo, hi, ok := callang.BoundedLifespan(env.Cat, name)
 	if !ok {
 		return interval.Interval{}, false
 	}

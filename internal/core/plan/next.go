@@ -33,6 +33,7 @@ import (
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
+	"calsys/internal/core/callang/symbolic"
 	"calsys/internal/core/interval"
 	"calsys/internal/core/periodic"
 )
@@ -80,8 +81,8 @@ func profileExpr(cat Catalog, e callang.Expr) nextProfile {
 		if _, ok := cat.StoredCalendar(n.Name); ok {
 			return free
 		}
-		// Opaque derived calendar (multi-statement script) or unknown name:
-		// its script may read today or wait on the clock.
+		// Opaque derived calendar (a script that branches, waits or alerts)
+		// or unknown name: its script may read today or wait on the clock.
 		return pinned
 	case *callang.Number, *callang.StringLit:
 		return free
@@ -241,7 +242,7 @@ func NewScheduler(env *Env, prepped callang.Expr, gran chronology.Granularity) *
 		// Whole-expression symbolic lowering: basic calendars and their
 		// compositions (selections over groupings, unions, differences) get
 		// an arithmetic-only path, and provably-empty expressions never probe.
-		if p, ok := SymbolicPattern(env, prepped, gran); ok {
+		if p, ok := symbolic.Eval(env.Chron, env.Cat, prepped, gran); ok {
 			if p == nil {
 				s.dormant = true
 			} else {

@@ -1,9 +1,8 @@
 // Package plan implements evaluation plans for calendar expressions (§3.4 of
 // the paper): a compiler from factorized ASTs to a procedural IR with
 // generation windows inferred by selection look-ahead, an executor that
-// generates each distinct calendar once, and an interpreter for calendar
-// scripts (assignments, if, while, return) used by derived calendars and
-// temporal rules.
+// generates each distinct calendar once, and an interpreter for the calendar
+// scripts that are not one expression (if, while, alert returns; script.go).
 package plan
 
 import (
@@ -30,19 +29,6 @@ type Catalog interface {
 	// such as HOLIDAYS.
 	StoredCalendar(name string) (*calendar.Calendar, bool)
 }
-
-// LifespanCatalog is an optional Catalog extension reporting the validity
-// range of a named calendar in day ticks (the lifespan column of Figure 1).
-// When implemented, stored values are clipped to the lifespan and derived
-// calendars are only evaluated inside it.
-type LifespanCatalog interface {
-	LifespanOf(name string) (lo, hi chronology.Tick, ok bool)
-}
-
-// UnboundedDayTick marks an open lifespan upper bound (the ∞ of Figure 1);
-// derivations bounded below it are never inlined, so the lifespan clip in
-// the derived-calendar path always applies to them.
-const UnboundedDayTick = 3_000_000
 
 // MapCatalog is an in-memory Catalog.
 type MapCatalog struct {

@@ -1,3 +1,13 @@
+// script.go is the script runner: it executes a script's statements one at a
+// time, each expression prepared, compiled and run over the whole requested
+// window with the temporaries assigned so far. It is what gives `if`, `while`
+// and alert returns their meaning, and the only evaluation of the scripts
+// that use them (the paper's EMP-DAYS and last-trading-day scripts) and of
+// derivations with a bounded lifespan. A straight-line script is never run
+// for a catalog reference: it is the expression callang.Script.AsExpr
+// substitutes it into, inlined where it is referenced. RunScript runs those
+// too, as the oracle that expression is tested against
+// (serve.TestStraightLineScriptsMatchRunner), not as a path a caller picks.
 package plan
 
 import (
@@ -69,7 +79,7 @@ func runScriptAt(env *Env, s *callang.Script, gran chronology.Granularity, win i
 	}
 	if !returned {
 		// A script whose final statement is a bare expression yields that
-		// expression's value (the form of single-expression derivations).
+		// expression's value (the form of one-expression derivations).
 		if r.lastExpr != nil {
 			return Value{Cal: r.lastExpr}, nil
 		}

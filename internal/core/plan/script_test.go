@@ -289,3 +289,29 @@ func TestScriptConditionOverEmptyGroups(t *testing.T) {
 		}
 	}
 }
+
+// A temporary shadows a catalog calendar of its name from its assignment on,
+// whatever kind of calendar that is: the inliner must not put the catalog's
+// derivation where the script reads its own variable.
+func TestTemporaryShadowsDerivedCalendar(t *testing.T) {
+	env, cat := env1987(t)
+	defineScript(t, cat, "Tuesdays", "[2]/DAYS:during:WEEKS;", chronology.Day)
+	s := script(t, `{x = Tuesdays; Tuesdays = [3]/DAYS:during:WEEKS; return (x + Tuesdays);}`)
+	v, err := RunScript(env, s, d(1993, 1, 4), d(1993, 1, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tuesday January 5 (the catalog's, read before the assignment) and
+	// Wednesday January 6 (the temporary).
+	if got := v.Cal.String(); got != "{(2197,2197),(2198,2198)}" {
+		t.Errorf("runner = %s", got)
+	}
+	e, ok := s.AsExpr()
+	if !ok {
+		t.Fatal("straight-line script is not an expression")
+	}
+	c, err := Evaluate(env, e, d(1993, 1, 4), d(1993, 1, 10))
+	if err != nil || !c.Equal(v.Cal) {
+		t.Errorf("expression form = %v, %v; runner %v", c, err, v.Cal)
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"calsys/internal/core/callang/symbolic"
-	"calsys/internal/core/plan"
 )
 
 // MergeGroup is one set of temporal rules that provably fire at identical
@@ -63,7 +62,7 @@ func (e *Engine) VetFleet() []MergeGroup {
 		}
 		key := "plan|" + l.PlanKey
 		exact := false
-		if p, ok := plan.SymbolicPattern(env, l.Expr, l.Gran); ok {
+		if p, ok := symbolic.Eval(env.Chron, env.Cat, l.Expr, l.Gran); ok {
 			if k, kok := symbolic.FiringKey(env.Chron, p, l.Gran); kok {
 				key, exact = "sym|"+k, true
 			}

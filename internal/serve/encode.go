@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
 	"strconv"
 	"sync"
 
@@ -40,7 +41,8 @@ type expandEncoder struct {
 	hiMin, loMax   chronology.Tick
 	fromSec, toSec int64
 
-	sep bool // an element has been written: the next one follows a comma
+	sep     bool // an element has been written: the next one follows a comma
+	flushed bool // a flush has gone out, and with it the status
 }
 
 // encodeExpand writes the expansion of expr over the civil window [from, to]
@@ -48,7 +50,8 @@ type expandEncoder struct {
 // requested window (the engine expands whole containing units), so intervals
 // are clipped to the window the client asked for and those wholly outside it
 // are dropped. It stops at the first failed Write, and at the first flush
-// that finds ctx done.
+// that finds ctx done. When w is a ResponseWriter the first flush commits the
+// 200, with a Content-Length when the whole body is in it (see flush).
 func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
 	expr string, cal *calsys.Calendar, from, to chronology.Civil) error {
 	bp := expandBufs.Get().(*[]byte)
@@ -77,14 +80,14 @@ func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
 	e.buf = strconv.AppendInt(e.buf, int64(n), 10)
 	if n == 0 {
 		e.buf = append(e.buf, ",\n  \"intervals\": []\n}\n"...)
-		return e.flush()
+		return e.flush(true)
 	}
 	e.buf = append(e.buf, ",\n  \"intervals\": ["...)
 	if err := e.intervals(cal); err != nil {
 		return err
 	}
 	e.buf = append(e.buf, "\n  ]\n}\n"...)
-	return e.flush()
+	return e.flush(true)
 }
 
 // inWindow is the clipping test in tick space.
@@ -127,7 +130,7 @@ func (e *expandEncoder) intervals(cal *calsys.Calendar) (err error) {
 			e.buf = chronology.AppendCivil(e.buf, e.ch.CivilOf(end))
 			e.buf = append(e.buf, "\"\n    }"...)
 			if len(e.buf) >= expandFlushBytes {
-				if err = e.flush(); err != nil {
+				if err = e.flush(false); err != nil {
 					return false
 				}
 			}
@@ -137,11 +140,21 @@ func (e *expandEncoder) intervals(cal *calsys.Calendar) (err error) {
 	return err
 }
 
-// flush hands the buffered bytes to the writer unless the client is gone.
-func (e *expandEncoder) flush() error {
+// flush hands the buffered bytes to the writer unless the client is gone;
+// last marks the end of the body. A body that ends in its first flush goes
+// out with its length: net/http then writes header and body at once instead
+// of a chunk header, the chunk and a terminator. Longer bodies stay chunked.
+func (e *expandEncoder) flush(last bool) error {
 	if err := e.ctx.Err(); err != nil {
 		return err
 	}
+	if rw, ok := e.w.(http.ResponseWriter); !e.flushed && ok {
+		if last {
+			rw.Header().Set("Content-Length", strconv.Itoa(len(e.buf)))
+		}
+		rw.WriteHeader(http.StatusOK)
+	}
+	e.flushed = true
 	_, err := e.w.Write(e.buf)
 	e.buf = e.buf[:0]
 	return err

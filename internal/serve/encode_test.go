@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -440,5 +441,47 @@ func TestExpandAllocsIndependentOfIntervalCount(t *testing.T) {
 	}
 	if large > 60 {
 		t.Errorf("a warm bulk expand allocates %.0f times, want at most 60", large)
+	}
+}
+
+// Over a socket, a body that fits the encoder's first flush carries its
+// Content-Length; a longer one is streamed chunked. The bytes are the
+// oracle's either way (TestExpandStreamMatchesMarshal).
+func TestExpandContentLength(t *testing.T) {
+	ts, _ := newTestServer(t)
+	tok := mkTenant(t, ts, "acme")
+	post := func(to string) (*http.Response, []byte) {
+		t.Helper()
+		body := `{"expr":"DAYS:during:WEEKS","from":"1990-01-01","to":"` + to + `"}`
+		req, err := http.NewRequest("POST", ts.URL+"/v1/tenants/acme/expand", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+tok)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("expand to %s: %d %v", to, resp.StatusCode, err)
+		}
+		return resp, raw
+	}
+	// 420 intervals, ≈ 29 KB — serve_wide's median response.
+	resp, raw := post("1991-02-24")
+	if len(raw) < 2048 || len(raw) >= expandFlushBytes {
+		t.Fatalf("small body is %d bytes; the test needs one between net/http's 2 KB and one flush", len(raw))
+	}
+	if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("one-flush body of %d bytes: Content-Length %d, Transfer-Encoding %v", len(raw), resp.ContentLength, resp.TransferEncoding)
+	}
+	resp, raw = post("1995-12-31")
+	if len(raw) <= expandFlushBytes {
+		t.Fatalf("large body is %d bytes; the test needs more than one flush", len(raw))
+	}
+	if resp.ContentLength != -1 || len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked" {
+		t.Errorf("multi-flush body: Content-Length %d, Transfer-Encoding %v; want chunked", resp.ContentLength, resp.TransferEncoding)
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // rawCall issues one JSON request and returns the status and body bytes. A
 // []byte body is sent as it is, so that malformed JSON can be sent too.
-func rawCall(t *testing.T, ts *httptest.Server, method, path, token string, body any) (int, []byte) {
+func rawCall(t testing.TB, ts *httptest.Server, method, path, token string, body any) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
 	switch b := body.(type) {

@@ -20,7 +20,7 @@ import (
 const testAdminToken = "test-admin-token"
 
 // newTestServer boots a server anchored at 1993-01-01 behind httptest.
-func newTestServer(t *testing.T) (*httptest.Server, *Server) {
+func newTestServer(t testing.TB) (*httptest.Server, *Server) {
 	t.Helper()
 	today, _ := chronology.ParseCivil("1993-01-01")
 	srv, err := New(Config{AdminToken: testAdminToken, Today: today})
@@ -33,7 +33,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 }
 
 // call issues one JSON request and decodes the response body.
-func call(t *testing.T, ts *httptest.Server, method, path, token string, body any) (int, map[string]any) {
+func call(t testing.TB, ts *httptest.Server, method, path, token string, body any) (int, map[string]any) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -73,7 +73,7 @@ func errCode(body map[string]any) string {
 }
 
 // mkTenant provisions a tenant and returns its token.
-func mkTenant(t *testing.T, ts *httptest.Server, name string) string {
+func mkTenant(t testing.TB, ts *httptest.Server, name string) string {
 	t.Helper()
 	status, body := call(t, ts, "POST", "/v1/tenants", testAdminToken, map[string]any{"name": name})
 	if status != http.StatusCreated {

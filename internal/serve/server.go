@@ -705,9 +705,8 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request, t *Tenant)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	// The status is committed; an error here means the client is gone and
-	// there is no one left to tell.
+	// The encoder commits the 200 with its first flush; an error means the
+	// client is gone and there is no one left to tell.
 	_ = encodeExpand(r.Context(), w, sys.Chron(), src, cal, from, to)
 }
 
