@@ -27,7 +27,10 @@ loc:
 # plan/symbolic.go went; the substitution of a straight-line script's
 # temporaries, the one eligibility function with its lifespan rule, the
 # factorizer's selection-subject guard and /expand's Content-Length came.
-LOC_BUDGET = 24728
+# PR 22 raised it by 67 (24 728 -> 24 795; 97 lines in, 30 out): the civil
+# month cursor, Chronology.DaySpan and /expand's element template came; the
+# per-date seconds round trip in the encoder and parseISO's Split went.
+LOC_BUDGET = 24795
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -119,14 +122,16 @@ reach:
 
 # Short fuzz runs: the calendar-language front end (parser + calvet), the
 # sweep kernels against the naive foreach/set-op oracles, the streaming
-# /expand encoder against encoding/json, and generated straight-line scripts
-# as one expression against the script runner. `go test -fuzz` takes one
-# target per invocation, hence four commands.
+# /expand encoder against encoding/json, generated straight-line scripts as
+# one expression against the script runner, and the civil month cursor against
+# AppendCivil. `go test -fuzz` takes one target per invocation, hence five
+# commands.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseAndVet -fuzztime=15s -run '^$$' ./internal/core/callang/
 	$(GO) test -fuzz=FuzzSweepVsNaive -fuzztime=15s -run '^$$' ./internal/core/calendar/
 	$(GO) test -fuzz=FuzzExpandEncode -fuzztime=15s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzStraightLineScripts -fuzztime=15s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzCivilCursor -fuzztime=15s -run '^$$' ./internal/chronology/
 
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -165,7 +170,8 @@ bench-compare:
 # cold and warm materialization), the cold path (a first evaluation of each
 # serve_wide shape), the prepared-expression table (hit and miss) and
 # warm expands through the HTTP handler (a 12-interval one, a 5.8 k-interval
-# one and the encoder's date formatter) are run at a real benchtime and must
+# one, a 420-interval one whose dates are a month apart, and the date
+# formatter that defines the encoder's output) are run at a real benchtime and must
 # stay within 1.25x of BENCH_baseline.json ns/op and allocs/op, or the build
 # fails.
 # A full second of measurement per benchmark averages out scheduler spikes,
@@ -183,7 +189,7 @@ bench-gate:
 	  $(GO) test -run '^$$' -bench 'CacheParallelGet|CacheStampede' -benchtime=1s -count=3 -benchmem \
 		./internal/core/matcache ) | \
 		$(GO) run ./cmd/benchjson -compare BENCH_baseline.json \
-			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkE1Selection|BenchmarkDerivedMaterialize|BenchmarkExpandCold|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkAppendCivil' \
+			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkE1Selection|BenchmarkDerivedMaterialize|BenchmarkExpandCold|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkHandlerExpandWide|BenchmarkAppendCivil' \
 			-gate-threshold 1.25 -gate-allocs-threshold 1.25 -
 
 # Parallel cache benchmarks across GOMAXPROCS=1,4,8 (the sweep ROADMAP 1(d)

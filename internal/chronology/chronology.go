@@ -102,6 +102,16 @@ func (c *Chronology) UnitEndExcl(g Granularity, t Tick) int64 {
 	return c.UnitStart(g, NextTick(t))
 }
 
+// DaySpan returns the rata days holding the first second of unit lo and the
+// last second of unit hi of granularity g. Day ticks are days already; the
+// other granularities go through epoch seconds.
+func (c *Chronology) DaySpan(g Granularity, lo, hi Tick) (first, last int64) {
+	if g == Day {
+		return c.epochRata + OffsetFromTick(lo), c.epochRata + OffsetFromTick(hi)
+	}
+	return c.rataOf(c.UnitStart(g, lo)), c.rataOf(c.UnitEndExcl(g, hi) - 1)
+}
+
 // TickAt returns the tick of the unit of granularity g containing the given
 // epoch second.
 func (c *Chronology) TickAt(g Granularity, sec int64) Tick {

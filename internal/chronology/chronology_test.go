@@ -186,6 +186,25 @@ func TestUnitRoundTripProperty(t *testing.T) {
 	}
 }
 
+// DaySpan is the civil days of a span's first and last second, at every
+// granularity; the day granularity takes its own path.
+func TestDaySpanProperty(t *testing.T) {
+	c := chron1987(t)
+	for _, g := range Granularities() {
+		g := g
+		f := func(off int16, length uint8) bool {
+			lo := TickFromOffset(int64(off))
+			hi := AddTicks(lo, int64(length))
+			first, last := c.DaySpan(g, lo, hi)
+			return CivilFromRata(first) == c.CivilOf(c.UnitStart(g, lo)) &&
+				CivilFromRata(last) == c.CivilOf(c.UnitEndExcl(g, hi)-1)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%v: %v", g, err)
+		}
+	}
+}
+
 func TestDayTickCivil(t *testing.T) {
 	c := chron1987(t)
 	if got := c.DayTick(Civil{1987, 1, 1}); got != 1 {

@@ -177,6 +177,48 @@ func CivilFromRata(z int64) Civil {
 	return Civil{Year: int(y), Month: int(m), Day: int(d)}
 }
 
+// A CivilCursor formats rata days as YYYY-MM-DD and remembers the month of the
+// last one: inside that month a date is the month's eight bytes plus an
+// offset, so a sorted run of days pays CivilFromRata once a month and not once
+// a date. AppendCivil(dst, CivilFromRata(z)) is the definition, and what a
+// month change costs. The cursor's state follows from the last day alone.
+type CivilCursor struct {
+	z0     int64   // rata day of the remembered month's first day
+	n      uint64  // its length in days; 0 when no month is remembered
+	prefix [8]byte // "YYYY-MM-"
+}
+
+// Put writes the ten bytes of rata day z into dst[:10] and reports true. A
+// year outside 0..9999 is not ten bytes wide ("-001-12-27", "10000-01-01"):
+// Put then writes nothing, forgets its month and reports false, and Append is
+// the way to format z.
+func (c *CivilCursor) Put(dst []byte, z int64) bool {
+	d := uint64(z - c.z0)
+	if d >= c.n {
+		civ := CivilFromRata(z)
+		if uint(civ.Year) > 9999 {
+			*c = CivilCursor{}
+			return false
+		}
+		d = uint64(civ.Day - 1)
+		c.z0, c.n = z-int64(d), uint64(DaysInMonth(civ.Year, civ.Month))
+		var b [10]byte
+		copy(c.prefix[:], AppendCivil(b[:0], civ))
+	}
+	dst[9], dst[8] = byte('0'+(d+1)%10), byte('0'+(d+1)/10)
+	*(*[8]byte)(dst) = c.prefix
+	return true
+}
+
+// Append appends rata day z as AppendCivil would, at any width.
+func (c *CivilCursor) Append(dst []byte, z int64) []byte {
+	var b [10]byte
+	if c.Put(b[:], z) {
+		return append(dst, b[:]...)
+	}
+	return AppendCivil(dst, CivilFromRata(z))
+}
+
 // WeekdayOfRata returns the weekday of the given rata day. 1970-01-01 was a
 // Thursday.
 func WeekdayOfRata(z int64) Weekday {
@@ -218,20 +260,19 @@ func ParseCivil(s string) (Civil, error) {
 	return Civil{}, fmt.Errorf("chronology: cannot parse date %q", s)
 }
 
+// parseISO reads three '-'-separated decimal fields as substrings of s: a
+// well-formed date allocates nothing.
 func parseISO(s string) (Civil, bool) {
-	parts := strings.Split(s, "-")
 	// Permit a leading minus for negative years: "-0044-03-15".
-	neg := false
-	if len(parts) > 0 && parts[0] == "" {
-		neg = true
-		parts = parts[1:]
-	}
-	if len(parts) != 3 {
+	s, neg := strings.CutPrefix(s, "-")
+	ys, s, ok1 := strings.Cut(s, "-")
+	ms, ds, ok2 := strings.Cut(s, "-")
+	if !ok1 || !ok2 || strings.Contains(ds, "-") {
 		return Civil{}, false
 	}
-	y, err1 := strconv.Atoi(parts[0])
-	m, err2 := strconv.Atoi(parts[1])
-	d, err3 := strconv.Atoi(parts[2])
+	y, err1 := strconv.Atoi(ys)
+	m, err2 := strconv.Atoi(ms)
+	d, err3 := strconv.Atoi(ds)
 	if err1 != nil || err2 != nil || err3 != nil {
 		return Civil{}, false
 	}

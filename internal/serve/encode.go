@@ -37,12 +37,13 @@ type expandEncoder struct {
 	g  chronology.Granularity
 	// The window. An interval is reported when it ends at or after the unit
 	// holding the window's first second and starts at or before the unit
-	// holding its last; its civil dates are clipped to [fromSec, toSec].
+	// holding its last; its dates are clipped to the rata days [fromDay, toDay].
 	hiMin, loMax   chronology.Tick
-	fromSec, toSec int64
+	fromDay, toDay int64
 
-	sep     bool // an element has been written: the next one follows a comma
-	flushed bool // a flush has gone out, and with it the status
+	cur     chronology.CivilCursor // the month of the last date written
+	sep     bool                   // an element has been written: the next one follows a comma
+	flushed bool                   // a flush has gone out, and with it the status
 }
 
 // encodeExpand writes the expansion of expr over the civil window [from, to]
@@ -63,9 +64,9 @@ func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
 			expandBufs.Put(bp)
 		}
 	}()
-	e.fromSec = ch.EpochSecondsOf(from)
-	e.toSec = ch.EpochSecondsOf(to) + chronology.SecondsPerDay - 1
-	e.hiMin, e.loMax = ch.TickAt(e.g, e.fromSec), ch.TickAt(e.g, e.toSec)
+	e.fromDay, e.toDay = from.Rata(), to.Rata()
+	e.hiMin = ch.TickAt(e.g, ch.EpochSecondsOf(from))
+	e.loMax = ch.TickAt(e.g, ch.EpochSecondsOf(to)+chronology.SecondsPerDay-1)
 
 	// The one value of the body that needs escaping (HTML-safe, as before) is
 	// left to encoding/json; a string always marshals.
@@ -110,31 +111,46 @@ func (e *expandEncoder) count(cal *calsys.Calendar) int {
 	return n
 }
 
-// intervals appends one {start, end} element per leaf interval in the window,
-// flushing whenever the buffer passes expandFlushBytes.
+// element is one interval on the wire, dateLen-byte dates (the years 0..9999)
+// at elementStart and elementEnd. The first one leaves the comma out.
+const element = ",\n    {\n      \"start\": \"YYYY-MM-DD\",\n      \"end\": \"YYYY-MM-DD\"\n    }"
+const elementStart, elementEnd, dateLen = 24, 51, 10
+
+// intervals appends one element per leaf interval in the window, flushing
+// whenever the buffer passes expandFlushBytes. It works in rata days: an
+// element is one copy of the constant text whose two dates the cursor then
+// overwrites. The buffer is a local for a leaf run: no write barrier.
 func (e *expandEncoder) intervals(cal *calsys.Calendar) (err error) {
 	cal.Leaves(func(run []calsys.Interval) bool {
+		buf := e.buf
 		for _, iv := range run {
 			if !e.inWindow(iv.Lo, iv.Hi) {
 				continue
 			}
-			start := max(e.ch.UnitStart(e.g, iv.Lo), e.fromSec)
-			end := min(e.ch.UnitEndExcl(e.g, iv.Hi)-1, e.toSec)
-			if e.sep {
-				e.buf = append(e.buf, ',')
+			start, end := e.ch.DaySpan(e.g, iv.Lo, iv.Hi)
+			start, end = max(start, e.fromDay), min(end, e.toDay)
+			text := element
+			if !e.sep {
+				e.sep, text = true, element[1:]
 			}
-			e.sep = true
-			e.buf = append(e.buf, "\n    {\n      \"start\": \""...)
-			e.buf = chronology.AppendCivil(e.buf, e.ch.CivilOf(start))
-			e.buf = append(e.buf, "\",\n      \"end\": \""...)
-			e.buf = chronology.AppendCivil(e.buf, e.ch.CivilOf(end))
-			e.buf = append(e.buf, "\"\n    }"...)
-			if len(e.buf) >= expandFlushBytes {
+			buf = append(buf, text...)
+			at := len(buf) - len(element)
+			if !e.cur.Put(buf[at+elementStart:], start) || !e.cur.Put(buf[at+elementEnd:], end) {
+				// A wider date: the element is put together piece by piece.
+				buf = e.cur.Append(buf[:at+elementStart], start)
+				buf = append(buf, element[elementStart+dateLen:elementEnd]...)
+				buf = e.cur.Append(buf, end)
+				buf = append(buf, element[elementEnd+dateLen:]...)
+			}
+			if len(buf) >= expandFlushBytes {
+				e.buf = buf
 				if err = e.flush(false); err != nil {
 					return false
 				}
+				buf = e.buf
 			}
 		}
+		e.buf = buf
 		return true
 	})
 	return err

@@ -173,6 +173,13 @@ func TestExpandStreamMatchesMarshal(t *testing.T) {
 		{"days", "DAYS", "1993-02-27", "1993-03-02", 1, 4, "", ""},
 		{"decades", "DECADES", "1985-06-01", "2001-06-01", 1, 3, "1985-06-01..1989-12-31", "2000-01-01..2001-06-01"},
 		{"century", "CENTURY", "1950-01-01", "2049-12-31", 1, 2, "1950-01-01..1999-12-31", "2000-01-01..2049-12-31"},
+		// Years outside 0..9999 are not ten bytes wide: both widths inside one
+		// body, the cut-over inside a buffer and across flushes.
+		{"five-digit-days", "DAYS", "9999-12-30", "10000-01-02", 1, 4, "9999-12-30..9999-12-30", "10000-01-02..10000-01-02"},
+		{"negative-weeks", "WEEKS", "-0001-12-20", "0000-01-10", 1, 4, "-001-12-20..-001-12-26", "0000-01-10..0000-01-10"},
+		{"five-digit-multi-flush", "DAYS:during:WEEKS", "9990-01-01", "10005-12-31", 2, 5844, "9990-01-01..9990-01-01", "10005-12-31..10005-12-31"},
+		{"five-digit-years", "YEARS", "9998-06-01", "10001-06-01", 1, 4, "9998-06-01..9998-12-31", "10001-01-01..10001-06-01"},
+		{"five-digit-century", "CENTURY", "9950-01-01", "10049-12-31", 1, 2, "9950-01-01..9999-12-31", "10000-01-01..10049-12-31"},
 		{"html-escapes", "DAYS:<:([1]/WEEKS)", "1993-01-01", "1993-01-10", -1, -1, "", ""},
 		{"hostile-comment", "WEEKS /* <b>&amp; \"q\" \\ \u00e9\u4e16 \u2028\u2029 \x01\x7f\t */", "1993-01-01", "1993-01-31", 1, 5, "", ""},
 	}
@@ -287,23 +294,28 @@ func fuzzCalendar(g chronology.Granularity, base int32, order2 bool, data []byte
 // arbitrary expr strings, granularities, windows and interval lists.
 func FuzzExpandEncode(f *testing.F) {
 	days := []byte{0, 0, 1, 0, 1, 4, 0, 30, 3, 1, 15, 0, 2, 2, 9, 9}
-	f.Add("DAYS", uint8(chronology.Day), int32(2190), int32(2200), int32(40), false, days)
-	f.Add("DAYS:during:WEEKS", uint8(chronology.Day), int32(-20), int32(-10), int32(60), true, days)
-	f.Add("<script>&\"\\\x00\x1f\x7f\b\f\n\r\t", uint8(chronology.Week), int32(0), int32(-30), int32(400), true, days)
-	f.Add("caf\u00e9 \u2028\u2029 \xff\xfe \xe2\x80 \ufffd", uint8(chronology.Month), int32(-5), int32(-200), int32(900), false, days)
-	f.Add("", uint8(chronology.Second), int32(86390), int32(0), int32(2), false, days)
-	f.Add("MINUTES", uint8(chronology.Minute), int32(-1450), int32(-1), int32(1), true, days)
-	f.Add("HOURS", uint8(chronology.Hour), int32(20), int32(0), int32(0), false, days)
-	f.Add("YEARS", uint8(chronology.Year), int32(-3), int32(-2000), int32(9000), true, days)
-	f.Add("DECADES", uint8(chronology.Decade), int32(-2), int32(-9000), int32(30000), false, days)
-	f.Add("CENTURY", uint8(chronology.Century), int32(-3), int32(-40000), int32(70000), true, days)
+	f.Add("DAYS", int16(1987), uint8(chronology.Day), int32(2190), int32(2200), int32(40), false, days)
+	f.Add("DAYS:during:WEEKS", int16(1987), uint8(chronology.Day), int32(-20), int32(-10), int32(60), true, days)
+	f.Add("<script>&\"\\\x00\x1f\x7f\b\f\n\r\t", int16(1987), uint8(chronology.Week), int32(0), int32(-30), int32(400), true, days)
+	f.Add("caf\u00e9 \u2028\u2029 \xff\xfe \xe2\x80 \ufffd", int16(1987), uint8(chronology.Month), int32(-5), int32(-200), int32(900), false, days)
+	f.Add("", int16(1987), uint8(chronology.Second), int32(86390), int32(0), int32(2), false, days)
+	f.Add("MINUTES", int16(1987), uint8(chronology.Minute), int32(-1450), int32(-1), int32(1), true, days)
+	f.Add("HOURS", int16(1987), uint8(chronology.Hour), int32(20), int32(0), int32(0), false, days)
+	f.Add("YEARS", int16(1987), uint8(chronology.Year), int32(-3), int32(-2000), int32(9000), true, days)
+	f.Add("DECADES", int16(1987), uint8(chronology.Decade), int32(-2), int32(-9000), int32(30000), false, days)
+	f.Add("CENTURY", int16(1987), uint8(chronology.Century), int32(-3), int32(-40000), int32(70000), true, days)
 	// The second leaf starts 116 days before the first: leaves out of order.
-	f.Add("unsorted leaves", uint8(chronology.Day), int32(100), int32(0), int32(200), true,
+	f.Add("unsorted leaves", int16(1987), uint8(chronology.Day), int32(100), int32(0), int32(200), true,
 		[]byte{60, 0, 0, 3, 2, 5, 40, 0, 200, 1, 1, 1, 9, 2, 0, 1})
-	f.Add("empty", uint8(chronology.Day), int32(5), int32(0), int32(10), false, []byte{})
-	f.Add("outside", uint8(chronology.Day), int32(5000), int32(0), int32(10), true, days)
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	f.Fuzz(func(t *testing.T, expr string, gran uint8, base, fromDay, spanDays int32, order2 bool, data []byte) {
+	f.Add("empty", int16(1987), uint8(chronology.Day), int32(5), int32(0), int32(10), false, []byte{})
+	f.Add("outside", int16(1987), uint8(chronology.Day), int32(5000), int32(0), int32(10), true, days)
+	// Far epochs: windows over the years whose dates are not ten bytes wide,
+	// entered and left inside one body.
+	f.Add("negative years", int16(-1), uint8(chronology.Day), int32(350), int32(340), int32(800), true, days)
+	f.Add("year 0 by week", int16(-1), uint8(chronology.Week), int32(40), int32(300), int32(200), false, days)
+	f.Add("five digits", int16(9999), uint8(chronology.Day), int32(340), int32(350), int32(60), false, days)
+	f.Add("year 10000 by month", int16(9998), uint8(chronology.Month), int32(15), int32(500), int32(900), true, days)
+	f.Fuzz(func(t *testing.T, expr string, epochYear int16, gran uint8, base, fromDay, spanDays int32, order2 bool, data []byte) {
 		g := chronology.Granularity(gran % 9)
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -312,7 +324,9 @@ func FuzzExpandEncode(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		from := chronology.DefaultEpoch.AddDays(int64(fromDay % 100000))
+		epoch := chronology.Civil{Year: int(epochYear), Month: 1, Day: 1}
+		ch := chronology.MustNew(epoch)
+		from := epoch.AddDays(int64(fromDay % 100000))
 		to := from.AddDays(int64(uint32(spanDays) % maxWindowDays))
 		got, want := streamExpand(t, ch, expr, cal, from, to), marshalExpand(ch, expr, cal, from, to)
 		if !bytes.Equal(got, want) {
