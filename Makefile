@@ -15,9 +15,11 @@ build:
 	$(GO) build ./...
 
 # Non-test Go lines outside the benchmark module: the ROADMAP's tracked size
-# figure (history in EXPERIMENTS.md "Retired arms").
+# figure (history in EXPERIMENTS.md "Retired arms"). PKG= narrows it to one
+# directory tree: make loc PKG=internal/core/calendar.
+PKG ?= .
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+	@find $(PKG) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # The figure is a ratchet: a PR that grows the tree past the budget raises
 # LOC_BUDGET in the same diff, where a reviewer sees it; a PR that shrinks it
@@ -30,7 +32,13 @@ loc:
 # PR 22 raised it by 67 (24 728 -> 24 795; 97 lines in, 30 out): the civil
 # month cursor, Chronology.DaySpan and /expand's element template came; the
 # per-date seconds round trip in the encoder and parseISO's Split went.
-LOC_BUDGET = 24795
+# PR 23 lowered it by 49 (24 795 -> 24 746; 215 lines in, 264 out): subs,
+# treeOf, foreachIntervalRec, convertRec, foreachSelfJoin, sameBacking, the
+# foreachSweep dispatcher and Generate's copy of GenerateFull's validation and
+# unit loop went; the levels above the extents (FromSubs packing them, String
+# walking them, Select dropping the innermost), foreachFilter and the set
+# kernels' cursor restart came.
+LOC_BUDGET = 24746
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \

@@ -328,3 +328,41 @@ func TestFacadeScriptWithWait(t *testing.T) {
 		t.Error("parse error should surface")
 	}
 }
+
+// A descending selection list yields its picks in predicate order, and the set
+// operators take such a calendar as their left operand: the holiday is cut
+// from (kept by) whichever element holds it, not only from those the merge
+// cursor had not yet passed.
+func TestSetOpsOnDescendingSelection(t *testing.T) {
+	s := MustOpen()
+	// Monday 4 January 1993 is day tick 2196.
+	hol, err := CalendarFromPoints(Day, []Tick{2196})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DefineStoredCalendar("HOL", hol); err != nil {
+		t.Fatal(err)
+	}
+	from, to := MustDate(1993, 1, 4), MustDate(1993, 1, 17)
+	eval := func(src string) string {
+		t.Helper()
+		c, err := s.EvalCalendar(src, from, to)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return c.String()
+	}
+	if got := eval("[3,1]/DAYS:during:WEEKS"); got != "{{(2198,2198),(2196,2196)},{(2205,2205),(2203,2203)}}" {
+		t.Fatalf("[3,1]/DAYS:during:WEEKS = %s", got)
+	}
+	if got, want := eval("([3,1]/DAYS:during:WEEKS) - HOL"), "{(2198,2198),(2205,2205),(2203,2203)}"; got != want {
+		t.Errorf("([3,1]/DAYS:during:WEEKS) - HOL = %s, want %s", got, want)
+	}
+	if got, want := eval("([3,1]/DAYS:during:WEEKS):intersects:HOL"), "{(2196,2196)}"; got != want {
+		t.Errorf("([3,1]/DAYS:during:WEEKS):intersects:HOL = %s, want %s", got, want)
+	}
+	// The ascending list gives the same elements.
+	if got, want := eval("([1,3]/DAYS:during:WEEKS) - HOL"), "{(2198,2198),(2203,2203),(2205,2205)}"; got != want {
+		t.Errorf("([1,3]/DAYS:during:WEEKS) - HOL = %s, want %s", got, want)
+	}
+}

@@ -4,14 +4,14 @@
 // operator (slicing), calendar set operators, and the generate / caloperate
 // functions that relate the basic calendars.
 //
-// The representation is flat. An order-1 calendar is one interval slice; an
-// order-2 calendar — the result of every foreach, the operand of nearly every
-// selection — is one interval slab plus one extent per group, so dicing
-// writes offsets, slicing is index arithmetic over them, and flattening a
-// grouping whose extents tile the slab is a view. Only order 3 and above are
-// trees of sub-calendars. Calendars are immutable, which is what makes it
-// safe for a grouping, its Flatten view and the operand they were cut from to
-// share one slab.
+// The representation is flat at every order. An order-1 calendar is one
+// interval slice; above that a calendar is one interval slab, one extent per
+// innermost group and, from order 3 up, one slice of element counts per level
+// of nesting — so dicing writes offsets, slicing is index arithmetic over
+// them, and flattening a grouping whose extents tile the slab is a view. There
+// is no tree of sub-calendars. Calendars are immutable, which is what makes it
+// safe for a grouping, its Flatten view, its selections and the operand they
+// were cut from to share a slab or a level.
 package calendar
 
 import (
@@ -35,19 +35,22 @@ type Calendar struct {
 	gran chronology.Granularity
 
 	// ivs is the element list of an order-1 calendar and the interval slab
-	// of an order-2 one (a foreach result's slab is its operand's own slice,
-	// not a copy); ext holds one extent per group at order 2 and is nil at
-	// every other order.
+	// of a higher-order one (a sweep's slab is its operand's own slice, not a
+	// copy); ext holds one extent per innermost group — a list of intervals —
+	// and is nil exactly at order 1.
 	ivs []interval.Interval
 	ext []extent
 	// rewritten holds, back to back, the groups of a strict foreach whose
 	// boundary elements were cut to the group's interval; an extent whose
 	// first is at or past len(ivs) indexes it at first-len(ivs).
 	rewritten []interval.Interval
-	// subs is populated iff order >= 3; every sub then has order >= 2.
-	subs []*Calendar
+	// up holds the nesting above the groups, outermost level first: up[j][i]
+	// is how many elements of the level below (up[j+1], or ext under the last)
+	// element i of level j holds. Each level tiles the one below in order, so
+	// a count is all an element needs; order n has n-2 levels.
+	up [][]int
 
-	// sortedDisjoint caches whether ivs (and, at order 2, rewritten) is
+	// sortedDisjoint caches whether ivs (and, above order 1, rewritten) is
 	// sorted by lower bound and pairwise disjoint — the shape of every
 	// generated calendar, and the precondition for the foreach merge-sweep
 	// kernels. Computed once at construction so per-call operators never
@@ -130,14 +133,15 @@ func FromPoints(gran chronology.Granularity, ticks []chronology.Tick) (*Calendar
 }
 
 // FromSubs builds an order n+1 calendar from order-n sub-calendars, which
-// must all share a granularity and order. Order-1 subs are copied into one
-// slab.
+// must all share a granularity and order. Their leaves are copied into one
+// slab, group by group, under one more level.
 func FromSubs(subs []*Calendar) (*Calendar, error) {
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("calendar: order>1 calendar needs at least one sub-calendar")
 	}
 	g := subs[0].gran
 	ord := subs[0].Order()
+	total, groups := 0, 0
 	for i, s := range subs {
 		if s == nil {
 			return nil, fmt.Errorf("calendar: nil sub-calendar at %d", i)
@@ -148,29 +152,28 @@ func FromSubs(subs []*Calendar) (*Calendar, error) {
 		if s.Order() != ord {
 			return nil, fmt.Errorf("calendar: sub-calendar %d has order %d, want %d", i, s.Order(), ord)
 		}
+		total += s.Cardinality()
+		groups += max(len(s.ext), 1) // an order-1 sub becomes one group
 	}
-	return treeOf(g, slices.Clone(subs)), nil
-}
-
-// treeOf builds the calendar whose elements are subs (not copied), which
-// share granularity g and one order: order-1 subs are packed into one slab
-// with an extent each — the only order-2 form — and higher orders keep the
-// tree.
-func treeOf(g chronology.Granularity, subs []*Calendar) *Calendar {
-	if subs[0].Order() > 1 {
-		return &Calendar{gran: g, subs: subs}
+	out := &Calendar{gran: g, ivs: make([]interval.Interval, 0, total), ext: make([]extent, 0, groups)}
+	if ord > 1 {
+		out.up = make([][]int, ord-1)
 	}
-	total := 0
 	for _, s := range subs {
-		total += len(s.ivs)
-	}
-	out := &Calendar{gran: g, ivs: make([]interval.Interval, 0, total), ext: make([]extent, len(subs))}
-	for k, s := range subs {
-		out.ext[k] = extent{first: len(out.ivs), n: len(s.ivs)}
-		out.ivs = append(out.ivs, s.ivs...)
+		s.Leaves(func(run []interval.Interval) bool {
+			out.ext = append(out.ext, extent{first: len(out.ivs), n: len(run)})
+			out.ivs = append(out.ivs, run...)
+			return true
+		})
+		if ord > 1 {
+			out.up[0] = append(out.up[0], s.Len())
+		}
+		for j, level := range s.up {
+			out.up[j+1] = append(out.up[j+1], level...)
+		}
 	}
 	out.sortedDisjoint = disjointSorted(out.ivs)
-	return out
+	return out, nil
 }
 
 // Empty returns an empty order-1 calendar of the given granularity.
@@ -184,30 +187,27 @@ func (c *Calendar) Granularity() chronology.Granularity { return c.gran }
 // Order returns the depth of the collection: 1 for a list of intervals, n+1
 // for a list of order-n calendars.
 func (c *Calendar) Order() int {
-	switch {
-	case len(c.subs) > 0:
-		return 1 + c.subs[0].Order()
-	case c.ext != nil:
-		return 2
+	if c.ext == nil {
+		return 1
 	}
-	return 1
+	return 2 + len(c.up)
 }
 
 // Len returns the number of top-level elements (intervals, groups or
 // sub-calendars).
 func (c *Calendar) Len() int {
 	switch {
-	case len(c.subs) > 0:
-		return len(c.subs)
+	case len(c.up) > 0:
+		return len(c.up[0])
 	case c.ext != nil:
 		return len(c.ext)
 	}
 	return len(c.ivs)
 }
 
-// Group returns the k-th (0-based) group of an order-2 calendar: a
-// capacity-clamped view of the slab, which must not be modified. It is how
-// every reader walks an order-2 calendar, and allocates nothing.
+// Group returns the k-th (0-based) innermost group — at order 2, the k-th
+// element: a capacity-clamped view of the slab, which must not be modified. It
+// is how every reader walks an order-2 calendar, and allocates nothing.
 func (c *Calendar) Group(k int) []interval.Interval {
 	return c.run(c.ext[k].first, c.ext[k].n)
 }
@@ -222,21 +222,19 @@ func (c *Calendar) run(first, n int) []interval.Interval {
 }
 
 // Leaves calls yield with each run of leaf intervals, in order — the element
-// list of an order-1 calendar, each group of an order-2 one, recursively
-// above that — until yield returns false, and reports whether it never did.
-// Runs are views and must not be modified.
+// list of an order-1 calendar, each innermost group of a higher-order one —
+// until yield returns false, and reports whether it never did. Runs are views
+// and must not be modified.
 func (c *Calendar) Leaves(yield func(run []interval.Interval) bool) bool {
-	for _, s := range c.subs {
-		if !s.Leaves(yield) {
-			return false
-		}
+	if c.ext == nil {
+		return yield(c.ivs)
 	}
 	for k := range c.ext {
 		if !yield(c.Group(k)) {
 			return false
 		}
 	}
-	return c.Order() > 1 || yield(c.ivs)
+	return true
 }
 
 // IsEmpty reports whether the calendar has no leaf interval: the null
@@ -260,8 +258,8 @@ func (c *Calendar) Intervals() []interval.Interval {
 func (c *Calendar) Interval(i int) interval.Interval { return c.Intervals()[i] }
 
 // Flatten concatenates all leaf intervals into a single order-1 calendar,
-// preserving order. When the groups of an order-2 calendar tile a contiguous
-// range of its slab in order — every during/overlaps grouping of generated
+// preserving order. When the groups of a calendar tile a contiguous range of
+// its slab in order — every during/overlaps grouping of generated
 // calendars, every selection result — the result is a view of that range, not
 // a copy.
 func (c *Calendar) Flatten() *Calendar {
@@ -269,7 +267,7 @@ func (c *Calendar) Flatten() *Calendar {
 		return c
 	}
 	// Where the groups start, and whether each begins where the last ended.
-	start, next, total, tiles := 0, 0, 0, c.ext != nil
+	start, next, total, tiles := 0, 0, 0, true
 	for _, e := range c.ext {
 		if e.n == 0 {
 			continue
@@ -318,18 +316,18 @@ func (c *Calendar) Cardinality() int {
 }
 
 // SizeBytes returns the bytes the calendar keeps reachable: its header, its
-// interval slab, its extents and its rewritten groups, each at capacity — O(1)
-// at orders 1 and 2, plus the same for every sub-calendar above that. A slab
-// shared with another calendar is charged to each holder — whichever outlives
-// the other does retain it — and a view is charged for the range it spans.
-// The lazily built coverage set is not counted.
+// interval slab, its extents, its levels and its rewritten groups, each at
+// capacity — O(levels) at every order. A slab or a level shared with another
+// calendar is charged to each holder — whichever outlives the other does
+// retain it — and a view is charged for the range it spans. The lazily built
+// coverage set is not counted.
 func (c *Calendar) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*c)) +
 		int64(unsafe.Sizeof(interval.Interval{}))*int64(cap(c.ivs)+cap(c.rewritten)) +
 		int64(unsafe.Sizeof(extent{}))*int64(cap(c.ext)) +
-		int64(unsafe.Sizeof(c))*int64(cap(c.subs))
-	for _, s := range c.subs {
-		n += s.SizeBytes()
+		int64(unsafe.Sizeof([]int(nil)))*int64(cap(c.up))
+	for _, level := range c.up {
+		n += int64(unsafe.Sizeof(int(0))) * int64(cap(level))
 	}
 	return n
 }
@@ -339,24 +337,21 @@ func (c *Calendar) Equal(d *Calendar) bool {
 	if c == nil || d == nil {
 		return c == d
 	}
-	if c.gran != d.gran || c.Order() != d.Order() || c.Len() != d.Len() {
+	if c.gran != d.gran || c.Order() != d.Order() || len(c.ext) != len(d.ext) {
 		return false
 	}
-	switch {
-	case len(c.subs) > 0:
-		for i := range c.subs {
-			if !c.subs[i].Equal(d.subs[i]) {
-				return false
-			}
+	for j := range c.up {
+		if !slices.Equal(c.up[j], d.up[j]) {
+			return false
 		}
-	case c.ext != nil:
-		for k := range c.ext {
-			if !slices.Equal(c.Group(k), d.Group(k)) {
-				return false
-			}
-		}
-	default:
+	}
+	if c.ext == nil {
 		return slices.Equal(c.ivs, d.ivs)
+	}
+	for k := range c.ext {
+		if !slices.Equal(c.Group(k), d.Group(k)) {
+			return false
+		}
 	}
 	return true
 }
@@ -370,28 +365,35 @@ func (c *Calendar) String() string {
 }
 
 func (c *Calendar) render(b *strings.Builder) {
-	b.WriteByte('{')
-	switch {
-	case len(c.subs) > 0:
-		for i, s := range c.subs {
+	if c.ext == nil {
+		b.WriteByte('{')
+		renderRun(b, c.ivs)
+		b.WriteByte('}')
+		return
+	}
+	// next[j] is the first element of level j not yet written; the level
+	// under the last of up is the groups.
+	next := make([]int, len(c.up)+1)
+	var list func(level, n int)
+	list = func(level, n int) {
+		b.WriteByte('{')
+		for i := 0; i < n; i++ {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			s.render(b)
-		}
-	case c.ext != nil:
-		for k := range c.ext {
-			if k > 0 {
-				b.WriteByte(',')
+			k := next[level]
+			next[level]++
+			if level < len(c.up) {
+				list(level+1, c.up[level][k])
+				continue
 			}
 			b.WriteByte('{')
 			renderRun(b, c.Group(k))
 			b.WriteByte('}')
 		}
-	default:
-		renderRun(b, c.ivs)
+		b.WriteByte('}')
 	}
-	b.WriteByte('}')
+	list(0, c.Len())
 }
 
 func renderRun(b *strings.Builder, run []interval.Interval) {

@@ -21,10 +21,10 @@ func GenerateFull(ch *chronology.Chronology, of, in chronology.Granularity, ts, 
 		return nil, fmt.Errorf("calendar: generate cannot express %v in coarser %v units", of, in)
 	}
 	if err := chronology.CheckTick(ts); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("calendar: generate window start: %w", err)
 	}
 	if err := chronology.CheckTick(te); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("calendar: generate window end: %w", err)
 	}
 	if ts > te {
 		return nil, fmt.Errorf("calendar: generate window (%d,%d) is reversed", ts, te)
@@ -69,19 +69,8 @@ func ConvertGran(ch *chronology.Chronology, c *Calendar, to chronology.Granulari
 	if c.gran.Finer(to) {
 		return nil, fmt.Errorf("calendar: cannot convert %v ticks to coarser %v units", c.gran, to)
 	}
-	return convertRec(ch, c, to), nil
-}
-
-func convertRec(ch *chronology.Chronology, c *Calendar, to chronology.Granularity) *Calendar {
-	if len(c.subs) > 0 {
-		subs := make([]*Calendar, 0, len(c.subs))
-		for _, s := range c.subs {
-			subs = append(subs, convertRec(ch, s, to))
-		}
-		return &Calendar{gran: to, subs: subs}
-	}
 	// Units map onto disjoint, ordered spans of finer ticks, so the shape —
-	// extents included — carries over.
+	// extents and levels included — carries over.
 	conv := func(in []interval.Interval) []interval.Interval {
 		out := make([]interval.Interval, len(in))
 		for i, iv := range in {
@@ -90,5 +79,5 @@ func convertRec(ch *chronology.Chronology, c *Calendar, to chronology.Granularit
 		}
 		return out
 	}
-	return &Calendar{gran: to, ivs: conv(c.ivs), ext: c.ext, rewritten: conv(c.rewritten), sortedDisjoint: c.sortedDisjoint}
+	return &Calendar{gran: to, ivs: conv(c.ivs), ext: c.ext, up: c.up, rewritten: conv(c.rewritten), sortedDisjoint: c.sortedDisjoint}, nil
 }

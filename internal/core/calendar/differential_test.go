@@ -124,6 +124,40 @@ func naiveSelectCal(s Selection, c naiveCal) naiveCal {
 	return out
 }
 
+// checkShape holds any calendar to the laws of the one representation that
+// need no oracle: String and Parse are inverses, converting to a finer
+// granularity keeps every count (the order, every level, every group's
+// length) and the leaf runs concatenated are Flatten.
+func checkShape(t *testing.T, name string, got *Calendar) {
+	t.Helper()
+	back, err := Parse(got.gran, got.String())
+	if err != nil || !back.Equal(got) || !got.Equal(back) {
+		t.Fatalf("%s: Parse(%v) = %v, err %v", name, got, back, err)
+	}
+	fine, err := ConvertGran(chron1987(t), got, chronology.Second)
+	if err != nil || fine.Order() != got.Order() || fine.Len() != got.Len() || len(fine.ext) != len(got.ext) {
+		t.Fatalf("%s: ConvertGran(%v) = %v, err %v", name, got, fine, err)
+	}
+	for k := range got.ext {
+		if len(fine.Group(k)) != len(got.Group(k)) {
+			t.Fatalf("%s: ConvertGran(%v) = %v: group %d changed length", name, got, fine, k)
+		}
+	}
+	for j := range got.up {
+		if !slices.Equal(fine.up[j], got.up[j]) {
+			t.Fatalf("%s: ConvertGran(%v) = %v: level %d changed", name, got, fine, j)
+		}
+	}
+	var leaves []interval.Interval
+	got.Leaves(func(run []interval.Interval) bool {
+		leaves = append(leaves, run...)
+		return true
+	})
+	if flat := got.Flatten(); flat.Order() != 1 || !slices.Equal(flat.ivs, leaves) {
+		t.Fatalf("%s: Flatten(%v) = %v, leaves %v", name, got, flat, leaves)
+	}
+}
+
 // checkColumnar runs Foreach, then Select, then Flatten on the columnar form
 // and on the oracle, comparing print forms at every step. A sortedDisjoint
 // flag must never be wrong, and when both operands are sorted disjoint — the
@@ -155,6 +189,7 @@ func checkColumnar(t *testing.T, c *Calendar, op interval.ListOp, strict bool, a
 		if got.Cardinality() != want.card() || got.IsEmpty() != (want.card() == 0) {
 			t.Fatalf("%s: Cardinality = %d, IsEmpty = %v on %v", name, got.Cardinality(), got.IsEmpty(), got)
 		}
+		checkShape(t, name, got)
 	}
 	diced, err := Foreach(c, op, strict, arg)
 	if err != nil {
@@ -173,10 +208,12 @@ func checkColumnar(t *testing.T, c *Calendar, op interval.ListOp, strict bool, a
 	step("Flatten of Select", sliced.Flatten(), want.flatten())
 }
 
-// checkOrder3 dices an order-2 calendar by a list — an order-3 tree, one
-// order-2 element per interval of arg — and slices it twice. A single-index
-// predicate takes the tree to order 2, which must be the slab-and-extents
-// form every order-2 reader expects, and a second one takes that to order 1.
+// checkOrder3 dices an order-2 calendar by a list — order 3, one order-2
+// element per interval of arg — and that by the list again, order 4, and
+// slices both. A single-index predicate drops the innermost level each time:
+// order 4 comes back to order 1 in three selections, and every calendar on the
+// way must be Equal to FromSubs of the oracle's elements, whichever operator
+// laid out its slab and levels.
 func checkOrder3(t *testing.T, c *Calendar, op interval.ListOp, strict bool, arg *Calendar, sel Selection) {
 	t.Helper()
 	base := naiveCal{order2: true}
@@ -190,19 +227,51 @@ func checkOrder3(t *testing.T, c *Calendar, op interval.ListOp, strict bool, arg
 		}
 		return "{" + strings.Join(strs, ",") + "}"
 	}
-	check := func(name string, got *Calendar, order int, want string, card int) {
+	// fromNaive builds the oracle's calendar through the public constructors
+	// alone: a leaf per group, FromSubs per level.
+	fromNaive := func(e naiveCal) *Calendar {
+		if !e.order2 {
+			return newLeaf(c.gran, e.groups[0], false) // picks from out-of-order leaves are out of order
+		}
+		leaves := make([]*Calendar, len(e.groups))
+		for i, g := range e.groups {
+			leaves[i] = newLeaf(c.gran, g, false)
+		}
+		return mustFromSubs(t, leaves)
+	}
+	fromElems := func(elems []naiveCal) *Calendar {
+		subs := make([]*Calendar, len(elems))
+		for i, e := range elems {
+			subs[i] = fromNaive(e)
+		}
+		return mustFromSubs(t, subs)
+	}
+	check := func(name string, got *Calendar, order int, want string, card int, fresh *Calendar) {
 		t.Helper()
 		if got.Order() != order || got.String() != want || got.Cardinality() != card ||
 			got.SizeBytes() < int64(card)*int64(unsafe.Sizeof(interval.Interval{})) {
 			t.Fatalf("%s: c = %v, %v strict=%v, arg = %v, sel = %v\ngot  order %d, %d leaves in %d B: %v\nwant order %d, %d leaves: %v",
 				name, c, op, strict, arg, sel, got.Order(), got.Cardinality(), got.SizeBytes(), got, order, card, want)
 		}
+		if !got.Equal(fresh) || !fresh.Equal(got) {
+			t.Fatalf("%s = %v is not Equal to FromSubs of its elements %v", name, got, fresh)
+		}
+		checkShape(t, name, got)
 	}
 	card := func(elems []naiveCal) (n int) {
 		for _, e := range elems {
 			n += e.card()
 		}
 		return n
+	}
+	// collapse is a single-index selection one level up: each element's
+	// picks, flattened by naiveSelectCal, become one group.
+	collapse := func(elems []naiveCal) naiveCal {
+		out := naiveCal{order2: true}
+		for _, e := range elems {
+			out.groups = append(out.groups, naiveSelectCal(sel, e).groups[0])
+		}
+		return out
 	}
 
 	diced, err := Foreach(c, op, strict, arg)
@@ -213,42 +282,87 @@ func checkOrder3(t *testing.T, c *Calendar, op interval.ListOp, strict bool, arg
 	for i, y := range arg.ivs {
 		elems[i] = naiveForeachCal(base, op, strict, []interval.Interval{y})
 	}
-	check("Foreach of order 2", diced, 3, tree(elems), card(elems))
+	check("Foreach of order 2", diced, 3, tree(elems), card(elems), fromElems(elems))
+
+	// Order 4: the order-3 result diced by the same list, and back down.
+	diced4, err := Foreach(diced, op, strict, arg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elems4 := make([][]naiveCal, len(arg.ivs))
+	var strs4 []string
+	var subs4 []*Calendar
+	card4 := 0
+	for i, y := range arg.ivs {
+		for _, e := range elems {
+			elems4[i] = append(elems4[i], naiveForeachCal(e, op, strict, []interval.Interval{y}))
+		}
+		strs4, subs4, card4 = append(strs4, tree(elems4[i])), append(subs4, fromElems(elems4[i])), card4+card(elems4[i])
+	}
+	check("Foreach of order 3", diced4, 4, "{"+strings.Join(strs4, ",")+"}", card4, mustFromSubs(t, subs4))
+	if sel.Single() {
+		down := make([]naiveCal, len(elems4))
+		for i := range elems4 {
+			down[i] = collapse(elems4[i])
+		}
+		got := diced4
+		for _, step := range []struct {
+			name string
+			want naiveCal // what one more selection leaves, at orders 2 and 1
+		}{
+			{"Select [k] on order 4", naiveCal{}},
+			{"Select [k] twice on order 4", collapse(down)},
+			{"Select [k] thrice on order 4", naiveSelectCal(sel, collapse(down))},
+		} {
+			if got, err = Select(sel, got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Order() == 3 {
+				check(step.name, got, 3, tree(down), card(down), fromElems(down))
+				continue
+			}
+			check(step.name, got, got.Order(), step.want.String(), step.want.card(), fromNaive(step.want))
+		}
+		if got.Order() != 1 {
+			t.Fatalf("three single-index selections left order 4 at order %d", got.Order())
+		}
+	}
 
 	sliced, err := Select(sel, diced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range elems {
-		elems[i] = naiveSelectCal(sel, elems[i])
-	}
 	if !sel.Single() {
-		check("Select on order 3", sliced, 3, tree(elems), card(elems))
+		for i := range elems {
+			elems[i] = naiveSelectCal(sel, elems[i])
+		}
+		check("Select on order 3", sliced, 3, tree(elems), card(elems), fromElems(elems))
 		return
 	}
-	want := naiveCal{order2: true}
-	packed := make([]*Calendar, len(elems))
-	for i, e := range elems {
-		want.groups = append(want.groups, e.groups[0])
-		packed[i] = newLeaf(c.gran, e.groups[0], false) // picks from out-of-order leaves are out of order
-	}
-	check("Select [k] on order 3", sliced, 2, want.String(), want.card())
-	if fresh, err := FromSubs(packed); err != nil || !sliced.Equal(fresh) || !fresh.Equal(sliced) {
-		t.Fatalf("Select [k] on order 3 = %v is not Equal to FromSubs of its groups %v (err %v)", sliced, fresh, err)
-	}
+	want := collapse(elems)
+	check("Select [k] on order 3", sliced, 2, want.String(), want.card(), fromNaive(want))
 	for k, g := range want.groups {
 		if !slices.Equal(sliced.Group(k), g) {
 			t.Fatalf("Select [k] on order 3: Group(%d) = %v, want %v", k, sliced.Group(k), g)
 		}
 	}
-	check("Flatten of Select [k] on order 3", sliced.Flatten(), 1, want.flatten().String(), want.card())
+	check("Flatten of Select [k] on order 3", sliced.Flatten(), 1, want.flatten().String(), want.card(), fromNaive(want.flatten()))
 
 	again, err := Select(sel, sliced)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want = naiveSelectCal(sel, want)
-	check("Select [k] twice on order 3", again, 1, want.String(), want.card())
+	check("Select [k] twice on order 3", again, 1, want.String(), want.card(), fromNaive(want))
+}
+
+func mustFromSubs(t *testing.T, subs []*Calendar) *Calendar {
+	t.Helper()
+	c, err := FromSubs(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // randSelection draws every predicate shape: [k], [n], [-k], lists (with
@@ -287,8 +401,8 @@ func randSelection(rng *rand.Rand) Selection {
 // TestColumnarMatchesNaive is the one differential test of the slab-and-
 // extents kernels: random operands of every shape × the five listops ×
 // strict/relaxed × every selection shape, through Foreach, Select and
-// Flatten — and, on the order-2 operands, through an order-3 tree and back
-// down — against the paper's definitions on plain slices. Print forms are
+// Flatten — and, on the order-2 operands, up to order 4 and back down to
+// order 1 — against the paper's definitions on plain slices. Print forms are
 // compared, so the §3.1 notation {{(4,10),…},{…}} is part of the oracle.
 func TestColumnarMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
@@ -330,7 +444,7 @@ func TestColumnarMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			arg = operand(1)
-			// The same operand diced by a list is an order-3 tree.
+			// The same operand diced by a list is order 3, and again order 4.
 			list := operand(rng.Intn(4) + 2)
 			sel := randSelection(rng)
 			if trial%16 == 0 {

@@ -118,8 +118,9 @@ func sweepExtents(xs []interval.Interval, op interval.ListOp, strict bool, ys []
 			}
 			ext[k] = extent{n: j}
 			// The prefix's final element is the only one that can touch y
-			// (at exactly the tick y.Lo); strict rewrites it to that point.
-			if strict && j > 0 && xs[j-1].Hi == y.Lo {
+			// (at exactly the tick y.Lo); strict rewrites it to that point,
+			// unless it already is that point.
+			if strict && j > 0 && xs[j-1].Hi == y.Lo && xs[j-1].Lo < y.Lo {
 				ext[k].first = ^0
 				need += j
 			}
@@ -136,8 +137,9 @@ func sweepExtents(xs []interval.Interval, op interval.ListOp, strict bool, ys []
 			}
 			j := min(jlo, jhi)
 			ext[k] = extent{n: j}
-			// Only the final prefix element can reach into y.
-			if strict && j > 0 && xs[j-1].Hi >= y.Lo {
+			// Only the final prefix element can reach into y, and one that
+			// starts with y is wholly inside it.
+			if strict && j > 0 && xs[j-1].Hi >= y.Lo && xs[j-1].Lo < y.Lo {
 				ext[k].first = ^0
 				need += j
 			}
@@ -176,44 +178,4 @@ func foreachSweepEndpoint(c *Calendar, op interval.ListOp, strict bool, arg *Cal
 	// prefixes repeat their elements.
 	out.sortedDisjoint = disjointSorted(out.rewritten)
 	return out
-}
-
-// foreachSelfJoin is the self-join fast path: both operands are the same
-// interval list (common when a grouping derives both sides from one cached
-// calendar). Under disjointness every group has a closed form on the
-// diagonal — no merge loop and no interval copies at all:
-//
-//   - overlaps/during: element i matches only itself;
-//   - meets: element i matches itself iff it is a point (hi == lo);
-//   - <: the prefix before i, plus i itself iff it is a point;
-//   - <=: the prefix through i.
-//
-// Strict trimming is the identity in every case (each match is inside, or
-// touches, its own group interval), so all groups are views of c's slab.
-func foreachSelfJoin(c *Calendar, op interval.ListOp) *Calendar {
-	ext := make([]extent, len(c.ivs))
-	for i, iv := range c.ivs {
-		point := 0
-		if iv.Point() {
-			point = 1
-		}
-		switch op {
-		case interval.Overlaps, interval.During:
-			ext[i] = extent{first: i, n: 1}
-		case interval.Meets:
-			ext[i] = extent{first: i, n: point}
-		case interval.Before:
-			ext[i] = extent{n: i + point}
-		case interval.BeforeEquals:
-			ext[i] = extent{n: i + 1}
-		}
-	}
-	return &Calendar{gran: c.gran, ivs: c.ivs, ext: ext, sortedDisjoint: true}
-}
-
-// sameBacking reports whether c and arg are the same calendar or order-1
-// views over the same backing interval array — the shapes the plan layer
-// produces when both foreach operands resolve to one cached materialization.
-func sameBacking(c, arg *Calendar) bool {
-	return c == arg || len(c.ivs) > 0 && len(c.ivs) == len(arg.ivs) && &c.ivs[0] == &arg.ivs[0]
 }

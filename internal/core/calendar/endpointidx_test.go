@@ -9,8 +9,7 @@ import (
 )
 
 // TestEndpointSweepMatchesLinearAndNaive cross-checks the endpoint-index
-// kernel (called directly, so the self-join shortcut never answers) against
-// the O(n·m) naive definition over randomized sorted disjoint operands for
+// kernel against the O(n·m) naive definition over randomized sorted disjoint operands for
 // every listop, strict and relaxed.
 func TestEndpointSweepMatchesLinearAndNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -36,10 +35,12 @@ func TestEndpointSweepMatchesLinearAndNaive(t *testing.T) {
 	}
 }
 
-// TestForeachSelfJoin checks the diagonal fast path — both when the operands
-// are the same *Calendar and when they are distinct views over one backing
-// array — against the naive reference.
-func TestForeachSelfJoin(t *testing.T) {
+// TestForeachSweepOnSharedBacking checks the sweep where both operands are
+// the same interval list — the same *Calendar, and distinct views over one
+// backing array (what the plan layer produces when both sides of a grouping
+// resolve to one cached calendar) — against the naive reference: the merge
+// cursors read one array twice and the result's slab is that array.
+func TestForeachSweepOnSharedBacking(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 200; trial++ {
 		c, err := FromIntervals(chronology.Day, randDisjointSorted(rng, rng.Intn(12)+1))
@@ -47,24 +48,14 @@ func TestForeachSelfJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		view := &Calendar{gran: c.gran, ivs: c.ivs, sortedDisjoint: true}
-		if !sameBacking(c, c) || !sameBacking(c, view) {
-			t.Fatal("sameBacking failed to recognize shared backing")
-		}
 		for _, op := range allListOps {
 			for _, strict := range []bool{false, true} {
 				want := naiveForeach(c, op, strict, c)
-				got := foreachSweep(c, op, strict, c)
-				if !got.Equal(want) {
-					t.Fatalf("trial %d op %v strict %v self-join:\nc = %v\ngot  %v\nwant %v",
-						trial, op, strict, c, got, want)
-				}
-				if gotView := foreachSweep(c, op, strict, view); !gotView.Equal(want) {
-					t.Fatalf("trial %d op %v strict %v shared-backing view diverges", trial, op, strict)
-				}
-				// The closed form must agree with the generic endpoint kernel
-				// run on the same operands without the fast path.
-				if ep := foreachSweepEndpoint(c, op, strict, view); !ep.Equal(want) {
-					t.Fatalf("trial %d op %v strict %v: endpoint kernel disagrees on self-join operands", trial, op, strict)
+				for _, arg := range []*Calendar{c, view} {
+					if got := foreachSweepEndpoint(c, op, strict, arg); !got.Equal(want) {
+						t.Fatalf("trial %d op %v strict %v on shared backing:\nc = %v\ngot  %v\nwant %v",
+							trial, op, strict, c, got, want)
+					}
 				}
 			}
 		}
@@ -117,15 +108,6 @@ func TestForeachSweepAllocBound(t *testing.T) {
 			if allocs > 3 {
 				t.Errorf("op %v strict %v: sweep allocates %.1f/op, want ≤ 3", op, strict, allocs)
 			}
-		}
-	}
-	// The self-join closed form rewrites nothing: extents + result.
-	for _, op := range allListOps {
-		allocs := testing.AllocsPerRun(50, func() {
-			foreachSelfJoin(c, op)
-		})
-		if allocs > 2 {
-			t.Errorf("op %v: self-join allocates %.1f/op, want ≤ 2", op, allocs)
 		}
 	}
 }

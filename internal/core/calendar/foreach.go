@@ -13,7 +13,7 @@ import (
 //	relaxed: {C . Op . I} ≡ { c   | c ∈ C ∧ Op(c,I) } \ {ε}
 //
 // The result preserves C's order: for an order-n C the operator is mapped
-// over the sub-calendars.
+// over its groups, under C's own levels.
 func ForeachInterval(c *Calendar, op interval.ListOp, strict bool, ival interval.Interval) (*Calendar, error) {
 	if !op.Valid() {
 		return nil, fmt.Errorf("calendar: invalid listop in foreach")
@@ -21,41 +21,49 @@ func ForeachInterval(c *Calendar, op interval.ListOp, strict bool, ival interval
 	if err := ival.Check(); err != nil {
 		return nil, fmt.Errorf("calendar: foreach interval argument: %w", err)
 	}
-	return foreachIntervalRec(c, op, strict, ival), nil
+	out := foreachFilter(c, op, strict, []interval.Interval{ival})
+	if c.ext == nil {
+		out.ext = nil // one group, the whole slab: an element list
+	}
+	out.up = c.up
+	return out, nil
 }
 
-func foreachIntervalRec(c *Calendar, op interval.ListOp, strict bool, ival interval.Interval) *Calendar {
-	if len(c.subs) > 0 {
-		subs := make([]*Calendar, 0, len(c.subs))
-		for _, s := range c.subs {
-			subs = append(subs, foreachIntervalRec(s, op, strict, ival))
-		}
-		return &Calendar{gran: c.gran, subs: subs}
+// foreachFilter is the definition above applied literally, for operands of
+// every shape — overlapping, out of order, of any order: for each y of ys in
+// turn, each group of c (its element list, at order 1) keeps the elements that
+// satisfy op. A count pass sizes one exact slab and one extent per (y, group);
+// the caller puts the levels over them. O(len(ys) · leaves of c).
+func foreachFilter(c *Calendar, op interval.ListOp, strict bool, ys []interval.Interval) *Calendar {
+	groups := c.ext
+	if groups == nil {
+		groups = []extent{{n: len(c.ivs)}}
 	}
-	out := &Calendar{gran: c.gran, ivs: make([]interval.Interval, 0, c.Cardinality())}
-	keep := func(run []interval.Interval) {
-		for _, iv := range run {
-			if !op.Eval(iv, ival) {
-				continue
+	total := 0
+	for _, y := range ys {
+		for _, e := range groups {
+			for _, x := range c.run(e.first, e.n) {
+				if op.Eval(x, y) {
+					total++
+				}
 			}
-			if strict {
-				iv = cutTo(iv, ival)
-			}
-			out.ivs = append(out.ivs, iv)
 		}
 	}
-	if c.ext == nil {
-		// Selecting (and trimming, each cut staying inside its element)
-		// preserves the sorted disjoint shape.
-		keep(c.ivs)
-		out.sortedDisjoint = c.sortedDisjoint
-		return out
-	}
-	out.ext = make([]extent, len(c.ext))
-	for k := range c.ext {
-		mark := len(out.ivs)
-		keep(c.Group(k))
-		out.ext[k] = extent{first: mark, n: len(out.ivs) - mark}
+	out := &Calendar{gran: c.gran, ivs: make([]interval.Interval, 0, total), ext: make([]extent, 0, len(ys)*len(groups))}
+	for _, y := range ys {
+		for _, e := range groups {
+			mark := len(out.ivs)
+			for _, x := range c.run(e.first, e.n) {
+				if !op.Eval(x, y) {
+					continue
+				}
+				if strict {
+					x = cutTo(x, y)
+				}
+				out.ivs = append(out.ivs, x)
+			}
+			out.ext = append(out.ext, extent{first: mark, n: len(out.ivs) - mark})
+		}
 	}
 	out.sortedDisjoint = disjointSorted(out.ivs)
 	return out
@@ -95,18 +103,26 @@ func Foreach(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) (*Cale
 	if !op.Valid() {
 		return nil, fmt.Errorf("calendar: invalid listop in foreach")
 	}
-	// Fast path: when both calendars are disjoint and sorted (the shape
-	// every generated calendar has, cached at construction), every listop
-	// admits a merge sweep in the style of Piatov et al.'s sweeping-based
-	// interval joins — O(n+m+output) instead of O(n·m).
+	// When both calendars are disjoint and sorted (the shape every generated
+	// calendar has, cached at construction), every listop admits a merge sweep
+	// in the style of Piatov et al.'s sweeping-based interval joins —
+	// O(n+m+output) instead of O(n·m). Every other operand gets the definition.
 	if c.Order() == 1 && c.sortedDisjoint && arg.sortedDisjoint {
-		return foreachSweep(c, op, strict, arg), nil
+		return foreachSweepEndpoint(c, op, strict, arg), nil
 	}
-	subs := make([]*Calendar, 0, len(arg.ivs))
-	for _, iv := range arg.ivs {
-		subs = append(subs, foreachIntervalRec(c, op, strict, iv))
+	out := foreachFilter(c, op, strict, arg.ivs)
+	if c.ext != nil {
+		// One element per y, each holding c's elements under c's levels.
+		levels := append([][]int{{c.Len()}}, c.up...)
+		out.up = make([][]int, len(levels))
+		for j, level := range levels {
+			out.up[j] = make([]int, 0, len(arg.ivs)*len(level))
+			for range arg.ivs {
+				out.up[j] = append(out.up[j], level...)
+			}
+		}
 	}
-	return treeOf(c.gran, subs), nil
+	return out, nil
 }
 
 // disjointSorted reports whether the intervals are sorted by lower bound
@@ -118,15 +134,4 @@ func disjointSorted(ivs []interval.Interval) bool {
 		}
 	}
 	return true
-}
-
-// foreachSweep evaluates foreach over two disjoint sorted interval lists.
-// Both bounds of such a list strictly increase, so for each arg element y the
-// matching c elements are a contiguous run whose boundaries only move forward
-// as y advances — O(n + m + output) total, in the kernels of endpointidx.go.
-func foreachSweep(c *Calendar, op interval.ListOp, strict bool, arg *Calendar) *Calendar {
-	if sameBacking(c, arg) {
-		return foreachSelfJoin(c, op)
-	}
-	return foreachSweepEndpoint(c, op, strict, arg)
 }

@@ -17,40 +17,15 @@ import (
 // te is a hard horizon: the final unit is truncated at te, as in
 // generate(YEARS, DAYS, [Jan 1 1987, Jan 3 1992]) ending with (1827,1829).
 func Generate(ch *chronology.Chronology, of, in chronology.Granularity, ts, te chronology.Tick) (*Calendar, error) {
-	if !of.Valid() || !in.Valid() {
-		return nil, fmt.Errorf("calendar: generate with invalid granularity")
+	c, err := GenerateFull(ch, of, in, ts, te)
+	if err != nil {
+		return nil, err
 	}
-	if of.Finer(in) {
-		return nil, fmt.Errorf("calendar: generate cannot express %v in coarser %v units", of, in)
+	// Only the unit holding te can reach past it.
+	if last := &c.ivs[len(c.ivs)-1]; last.Hi > te {
+		last.Hi = te
 	}
-	if err := chronology.CheckTick(ts); err != nil {
-		return nil, fmt.Errorf("calendar: generate window start: %w", err)
-	}
-	if err := chronology.CheckTick(te); err != nil {
-		return nil, fmt.Errorf("calendar: generate window end: %w", err)
-	}
-	if ts > te {
-		return nil, fmt.Errorf("calendar: generate window (%d,%d) is reversed", ts, te)
-	}
-
-	firstUnit := ch.TickAt(of, ch.UnitStart(in, ts))
-	lastUnit := ch.TickAt(of, ch.UnitEndExcl(in, te)-1)
-
-	n := chronology.TickDiff(firstUnit, lastUnit) + 1
-	ivs := make([]interval.Interval, 0, n)
-	for u := firstUnit; ; u = chronology.NextTick(u) {
-		lo, hi := ch.UnitSpanIn(of, u, in)
-		if hi > te {
-			hi = te
-		}
-		if lo <= hi {
-			ivs = append(ivs, interval.Interval{Lo: lo, Hi: hi})
-		}
-		if u == lastUnit {
-			break
-		}
-	}
-	return newLeaf(in, ivs, false), nil
+	return c, nil
 }
 
 // GenerateCivil is Generate with a civil-date window. The end date is

@@ -247,6 +247,20 @@ func TestSetOpsOnCalendars(t *testing.T) {
 	if got.String() != "{(30,30),(59,59),(88,88)}" {
 		t.Errorf("EMP-DAYS = %v", got)
 	}
+
+	// The pieces of an overlapping operand step back — {(1,4),(6,10),(2,3)} —
+	// and are themselves a left operand: the second cut reaches (2,3).
+	once, err := Diff(MustFromIntervals(chronology.Day, iv(1, 10), iv(2, 3)), MustFromIntervals(chronology.Day, iv(5, 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := Diff(once, MustFromIntervals(chronology.Day, iv(2, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if once.String() != "{(1,4),(6,10),(2,3)}" || twice.String() != "{(1,1),(3,4),(6,10),(3,3)}" {
+		t.Errorf("Diff of Diff over an overlapping operand = %v, then %v", once, twice)
+	}
 }
 
 func TestSetOpsValidation(t *testing.T) {

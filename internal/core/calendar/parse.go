@@ -99,7 +99,9 @@ func (p *calParser) parse(gran chronology.Granularity) (*Calendar, error) {
 		if err := p.expect('}'); err != nil {
 			return nil, err
 		}
-		return FromIntervals(gran, ivs)
+		// Not FromIntervals: its order check is for caller input, and String
+		// prints leaves in whatever order a selection or a grouping left them.
+		return newLeaf(gran, ivs, false), nil
 	}
 	return nil, fmt.Errorf("calendar: expected '(' or '{' at offset %d of %q", p.i, p.src)
 }

@@ -17,6 +17,12 @@ func TestParseBasics(t *testing.T) {
 		"{(-4,3),(4,10)}",
 		"{{(4,10),(11,17)},{(32,38)}}",
 		"{{{(1,1)},{(2,2)}},{{(3,3)}}}",
+		// What String prints for a descending selection, a flattened < grouping
+		// and a diced order-3 result: leaves out of order, repeated, or none.
+		"{(3,3),(1,1)}",
+		"{(1,2),(1,2),(4,5),(1,2)}",
+		"{{(9,9),(2,4)},{}}",
+		"{{{{(5,5),(1,2)},{}}},{{{}}}}",
 	}
 	for _, src := range cases {
 		c, err := Parse(chronology.Day, src)
@@ -56,11 +62,13 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// Property: String/Parse round-trips random calendars of orders 1-3.
+// Property: String/Parse round-trips random calendars of orders 1-4, leaves
+// in any order and empty groups included (TestColumnarMatchesNaive holds every
+// operator's output to the same law, through checkShape).
 func TestParseRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := randomCalendar(rng, rng.Intn(3)+1)
+		c := randomCalendar(rng, rng.Intn(4)+1)
 		got, err := Parse(c.Granularity(), c.String())
 		return err == nil && got.Equal(c)
 	}
@@ -73,7 +81,7 @@ func TestParseRoundTripProperty(t *testing.T) {
 func randomCalendar(rng *rand.Rand, order int) *Calendar {
 	gran := chronology.Granularity(rng.Intn(9))
 	if order == 1 {
-		n := rng.Intn(5) + 1
+		n := rng.Intn(6)
 		ivs := make([]interval.Interval, 0, n)
 		lo := int64(rng.Intn(40) - 20)
 		if lo == 0 {
@@ -83,6 +91,11 @@ func randomCalendar(rng *rand.Rand, order int) *Calendar {
 			hi := chronology.AddTicks(lo, int64(rng.Intn(5)))
 			ivs = append(ivs, interval.Interval{Lo: lo, Hi: hi})
 			lo = chronology.AddTicks(hi, int64(rng.Intn(3)+1))
+		}
+		if rng.Intn(2) == 0 {
+			// Predicate order, not tick order: what a selection list leaves.
+			rng.Shuffle(n, func(i, j int) { ivs[i], ivs[j] = ivs[j], ivs[i] })
+			return newLeaf(gran, ivs, false)
 		}
 		c, err := FromIntervals(gran, ivs)
 		if err != nil {

@@ -177,21 +177,13 @@ func Select(s Selection, c *Calendar) (*Calendar, error) {
 	return selectRec(s, c), nil
 }
 
-// selectRec answers an order-1 or order-2 selection in two passes — count,
-// then fill one exact-size slab (and one extent array when the order is
-// kept) — with no index list and no calendar per group. The predicate is
-// resolved again only when a group's length differs from the last one's: the
-// groups of a grouping by a basic calendar nearly all share one length, so
-// most cost one copy per range and no arithmetic.
+// selectRec answers a selection in two passes — count, then fill one
+// exact-size slab (and one extent array above order 1) — with no index list
+// and no calendar per group. The predicate is resolved again only when a
+// group's length differs from the last one's: the groups of a grouping by a
+// basic calendar nearly all share one length, so most cost one copy per range
+// and no arithmetic.
 func selectRec(s Selection, c *Calendar) *Calendar {
-	if len(c.subs) > 0 {
-		subs := make([]*Calendar, 0, len(c.subs))
-		for _, sub := range c.subs {
-			subs = append(subs, selectRec(s, sub))
-		}
-		// Order-2 subs a single-index predicate collapsed are packed here.
-		return treeOf(c.gran, subs)
-	}
 	spans := make([]extent, 0, 8)
 	if c.ext == nil {
 		spans, n := s.resolve(len(c.ivs), spans)
@@ -206,19 +198,35 @@ func selectRec(s Selection, c *Calendar) *Calendar {
 		total += n
 	}
 	out := &Calendar{gran: c.gran, ivs: make([]interval.Interval, 0, total)}
-	if !s.Single() {
-		out.ext = make([]extent, len(c.ext))
-	}
-	ln = -1
-	for k, e := range c.ext {
-		if e.n != ln {
-			ln = e.n
-			spans, _ = s.resolve(ln, spans[:0])
-		}
+	ln, k := -1, 0
+	// fill appends the picks of c's next n groups, back to back: one group of
+	// the result.
+	fill := func(n int) extent {
 		mark := len(out.ivs)
-		out.ivs = appendRanges(out.ivs, c.Group(k), spans)
-		if out.ext != nil {
-			out.ext[k] = extent{first: mark, n: len(out.ivs) - mark}
+		for ; n > 0; n, k = n-1, k+1 {
+			if c.ext[k].n != ln {
+				ln = c.ext[k].n
+				spans, _ = s.resolve(ln, spans[:0])
+			}
+			out.ivs = appendRanges(out.ivs, c.Group(k), spans)
+		}
+		return extent{first: mark, n: len(out.ivs) - mark}
+	}
+	switch last := len(c.up) - 1; {
+	case !s.Single():
+		// The order is kept: a group for each group, under the same levels.
+		out.ext, out.up = make([]extent, len(c.ext)), c.up
+		for i := range out.ext {
+			out.ext[i] = fill(1)
+		}
+	case last < 0:
+		fill(len(c.ext))
+	default:
+		// The last level goes: each of its elements becomes one group, the
+		// picks of the groups it held.
+		out.ext, out.up = make([]extent, len(c.up[last])), c.up[:last:last]
+		for i, n := range c.up[last] {
+			out.ext[i] = fill(n)
 		}
 	}
 	out.sortedDisjoint = disjointSorted(out.ivs)

@@ -92,7 +92,7 @@ func TestForeachSweepMatchesNaive(t *testing.T) {
 		}
 		for _, op := range allListOps {
 			for _, strict := range []bool{false, true} {
-				got := foreachSweep(c, op, strict, arg)
+				got := foreachSweepEndpoint(c, op, strict, arg)
 				want := naiveForeach(c, op, strict, arg)
 				if !got.Equal(want) {
 					t.Fatalf("trial %d op %v strict %v:\nc   = %v\narg = %v\ngot  %v\nwant %v",
@@ -126,7 +126,7 @@ func TestForeachSweepSharedPrefixIsolated(t *testing.T) {
 		interval.Interval{Lo: 6, Hi: 6},
 		interval.Interval{Lo: 9, Hi: 10},
 	)
-	got := foreachSweep(c, interval.Before, false, arg)
+	got := foreachSweepEndpoint(c, interval.Before, false, arg)
 	// Appending to a group's slice must not clobber c.
 	for k := 0; k < got.Len(); k++ {
 		_ = append(got.Group(k), interval.Interval{Lo: 99, Hi: 99}) //nolint:staticcheck

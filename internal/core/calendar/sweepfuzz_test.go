@@ -58,10 +58,12 @@ func fuzzDecodeSelection(b byte) Selection {
 	return SelectList(k, 1, k)
 }
 
-// FuzzSweepVsNaive drives the sweep kernels, the selection over their extents
-// and the set operators from fuzz-shaped interval lists and a fuzz-shaped
-// predicate, checking all five listops in both strict and relaxed form
-// against the naive references. Run by the CI fuzz-smoke job.
+// FuzzSweepVsNaive drives the sweep kernels, the foreach definition (on
+// overlapping and order-2 operands, up to order 4), the selection over their
+// extents and the set operators (on left operands in and out of order) from
+// fuzz-shaped interval lists and a fuzz-shaped predicate, checking all five
+// listops in both strict and relaxed form against the naive references. Run
+// by the CI fuzz-smoke job.
 func FuzzSweepVsNaive(f *testing.F) {
 	f.Add([]byte{}, []byte{}, false, byte(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6}, []byte{2, 2, 0, 5}, false, byte(1))
@@ -82,7 +84,7 @@ func FuzzSweepVsNaive(f *testing.F) {
 		for _, op := range allListOps {
 			for _, strict := range []bool{false, true} {
 				want := naiveForeach(c, op, strict, arg)
-				if ep := foreachSweep(c, op, strict, arg); !ep.Equal(want) {
+				if ep := foreachSweepEndpoint(c, op, strict, arg); !ep.Equal(want) {
 					t.Fatalf("op %v strict %v: endpoint kernel diverges\nc   = %v\narg = %v\ngot  %v\nwant %v",
 						op, strict, c, arg, ep, want)
 				}
@@ -90,8 +92,28 @@ func FuzzSweepVsNaive(f *testing.F) {
 			}
 		}
 
+		// The definition, on the operands the sweep cannot take: the same bytes
+		// decoded with overlaps, and an order-2 calendar of both decodings (its
+		// leaves out of order) — diced by a list that is order 3, and 4.
+		overlapping, err := FromIntervals(chronology.Day, fuzzDecodeIntervals(cb, false))
+		if err != nil {
+			t.Fatalf("messy decode produced invalid calendar: %v", err)
+		}
+		order2 := mustFromSubs(t, []*Calendar{overlapping, c})
+		few := &Calendar{gran: arg.gran, ivs: arg.ivs[:min(len(arg.ivs), 3)], sortedDisjoint: true} // order 4 is few³ × leaves
+		for _, op := range allListOps {
+			checkColumnar(t, overlapping, op, messy, arg, fuzzDecodeSelection(selb))
+			if few.Len() < 2 {
+				checkColumnar(t, order2, op, messy, few, fuzzDecodeSelection(selb))
+			} else {
+				checkOrder3(t, order2, op, messy, few, fuzzDecodeSelection(selb))
+			}
+		}
+
 		// Set operators: optionally re-decode b without the disjoint
-		// constraint so the fused-coverage fallback (ToSet) is exercised.
+		// constraint so the fused-coverage fallback (ToSet) is exercised. The
+		// left operand is c, then two that step back: a descending selection
+		// of c and the pieces Diff leaves of an overlapping operand.
 		b := arg
 		if messy {
 			b, err = FromIntervals(chronology.Day, fuzzDecodeIntervals(ab, false))
@@ -99,19 +121,29 @@ func FuzzSweepVsNaive(f *testing.F) {
 				t.Fatalf("messy decode produced invalid calendar: %v", err)
 			}
 		}
-		gotD, err := Diff(c, b)
+		descending, err := Select(SelectList(-1, 1, -2), c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := naiveSetOp(c, b, true); !gotD.Equal(want) {
-			t.Fatalf("Diff(%v, %v) = %v, want %v", c, b, gotD, want)
-		}
-		gotI, err := Intersect(c, b)
+		pieces, err := Diff(overlapping, arg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := naiveSetOp(c, b, false); !gotI.Equal(want) {
-			t.Fatalf("Intersect(%v, %v) = %v, want %v", c, b, gotI, want)
+		for _, a := range []*Calendar{c, descending, pieces} {
+			gotD, err := Diff(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naiveSetOp(a, b, true); !gotD.Equal(want) {
+				t.Fatalf("Diff(%v, %v) = %v, want %v", a, b, gotD, want)
+			}
+			gotI, err := Intersect(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naiveSetOp(a, b, false); !gotI.Equal(want) {
+				t.Fatalf("Intersect(%v, %v) = %v, want %v", a, b, gotI, want)
+			}
 		}
 		gotU, err := Union(c, b)
 		if err != nil {

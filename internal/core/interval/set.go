@@ -90,13 +90,18 @@ func (s Set) Contains(t chronology.Tick) bool {
 }
 
 // Without appends to dst, in order, the pieces of each interval of xs that s
-// does not cover. xs must be in non-decreasing order of lower bound (its
-// intervals may overlap): the first span of s that can cut an interval then
-// only moves forward, so the call is one linear merge.
+// does not cover. While lower bounds do not decrease (the intervals may
+// overlap) the first span of s that can cut an interval only moves forward, so
+// the call is one linear merge; an interval that steps back — a descending
+// selection, the output of a Diff over an overlapping operand — restarts the
+// cursor.
 func (s Set) Without(dst, xs []Interval) []Interval {
 	cov := s.ivs
 	j := 0
-	for _, iv := range xs {
+	for i, iv := range xs {
+		if i > 0 && iv.Lo < xs[i-1].Lo {
+			j = 0
+		}
 		for j < len(cov) && cov[j].Hi < iv.Lo {
 			j++
 		}
@@ -126,7 +131,10 @@ func (s Set) Without(dst, xs []Interval) []Interval {
 func (s Set) Within(dst, xs []Interval) []Interval {
 	cov := s.ivs
 	j := 0
-	for _, iv := range xs {
+	for i, iv := range xs {
+		if i > 0 && iv.Lo < xs[i-1].Lo {
+			j = 0
+		}
 		for j < len(cov) && cov[j].Hi < iv.Lo {
 			j++
 		}

@@ -219,18 +219,27 @@ func TestCalendarValueRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := encodeValue(NewCalendar(o2))
+	// So does one whose leaves are in predicate order, not tick order: what a
+	// descending selection stores.
+	desc, err := calendar.Select(calendar.SelectList(3, 1), calendar.MustFromIntervals(chronology.Week,
+		interval.Must(1, 1), interval.Must(2, 2), interval.Must(3, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := decodeValue(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Cal.Equal(o2) {
-		t.Errorf("round trip: %v != %v", dec.Cal, o2)
-	}
-	if dec.Cal.Granularity() != chronology.Week {
-		t.Errorf("granularity = %v", dec.Cal.Granularity())
+	for _, c := range []*calendar.Calendar{o2, desc} {
+		enc, err := encodeValue(NewCalendar(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := decodeValue(enc)
+		if err != nil {
+			t.Fatalf("decoding %v: %v", c, err)
+		}
+		if !dec.Cal.Equal(c) {
+			t.Errorf("round trip: %v != %v", dec.Cal, c)
+		}
+		if dec.Cal.Granularity() != chronology.Week {
+			t.Errorf("granularity = %v", dec.Cal.Granularity())
+		}
 	}
 }
