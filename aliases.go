@@ -313,7 +313,7 @@ var (
 	DefaultRetryPolicy = rules.DefaultRetryPolicy
 	// ParseCatchUpPolicy resolves "fireall" | "firelast" | "skip".
 	ParseCatchUpPolicy = rules.ParseCatchUpPolicy
-	// NewFaultInjector creates a seeded fault-injection harness.
+	// NewFaultInjector creates a fault-injection harness (its argument is ignored).
 	NewFaultInjector = faultinject.New
 	// IsInjectedCrash reports whether an error is an injected kill point.
 	IsInjectedCrash = faultinject.IsCrash

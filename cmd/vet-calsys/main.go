@@ -1,7 +1,8 @@
 // Command vet-calsys is the repository's multichecker: it runs the
 // project-specific Go vet passes (tickzero, the no-zero tick convention;
-// errcode, the structured error-envelope convention for HTTP handlers) over
-// the packages matched by its arguments.
+// errcode, the structured error-envelope convention for HTTP handlers;
+// layering, the service → reproduction dependency direction) over the
+// packages matched by its arguments.
 //
 //	vet-calsys [-tests] [pattern ...]       (default pattern: ./...)
 //
@@ -17,12 +18,14 @@ import (
 
 	"calsys/internal/analysis"
 	"calsys/internal/analysis/errcode"
+	"calsys/internal/analysis/layering"
 	"calsys/internal/analysis/tickzero"
 )
 
 // analyzers is the multichecker's pass registry.
 var analyzers = []*analysis.Analyzer{
 	errcode.Analyzer,
+	layering.Analyzer,
 	tickzero.Analyzer,
 }
 

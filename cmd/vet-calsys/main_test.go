@@ -33,6 +33,21 @@ var bad = interval.Interval{Lo: 0, Hi: 5}
 	if !strings.Contains(out.String(), "[tickzero]") || !strings.Contains(out.String(), "p.go:5:") {
 		t.Errorf("output:\n%s", out.String())
 	}
+
+	// A service package importing the reproduction fails the layering pass.
+	svc := filepath.Join(dir, "internal", "serve")
+	if err := os.MkdirAll(svc, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src = "package serve\n\nimport _ \"calsys/internal/postquel\"\n"
+	if err := os.WriteFile(filepath.Join(svc, "s.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if code := run([]string{svc}, &out, &errb); code != 1 || strings.Count(out.String(), "\n") != 1 ||
+		!strings.Contains(out.String(), "s.go:3:8: [layering]") {
+		t.Errorf("planted service → reproduction import: exit %d, output:\n%s", code, out.String())
+	}
 }
 
 func TestUsageAndBadPattern(t *testing.T) {

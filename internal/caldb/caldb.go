@@ -216,10 +216,6 @@ func NewScoped(db *store.DB, chron *chronology.Chronology, scope string) (*Manag
 // calendars are keyed by it, so any catalog mutation invalidates them.
 func (m *Manager) CatalogGeneration() uint64 { return m.gen.Load() }
 
-// MatScope returns this manager's namespace in the shared materialization
-// cache (the tenant-prefixed scope for managers built by the serving layer).
-func (m *Manager) MatScope() string { return m.scope }
-
 // bump advances the catalog generation and returns the new value. Callers
 // hold m.mu for writing and change m.cache in the same critical section: a
 // reader that sees the new generation also sees the new catalog, so nothing

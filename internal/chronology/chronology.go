@@ -158,11 +158,6 @@ func (c *Chronology) CivilOfDayTick(t Tick) Civil {
 	return CivilFromRata(c.epochRata + OffsetFromTick(t))
 }
 
-// WeekdayOfDayTick returns the weekday of the given day tick.
-func (c *Chronology) WeekdayOfDayTick(t Tick) Weekday {
-	return WeekdayOfRata(c.epochRata + OffsetFromTick(t))
-}
-
 // YearTick returns the year tick of the calendar year y ("1993/YEARS" selects
 // by label, not ordinal).
 func (c *Chronology) YearTick(y int) Tick {
@@ -188,33 +183,4 @@ func (c *Chronology) UnitSpanIn(g Granularity, t Tick, h Granularity) (lo, hi Ti
 	start := c.UnitStart(g, t)
 	endExcl := c.UnitEndExcl(g, t)
 	return c.TickAt(h, start), c.TickAt(h, endExcl-1)
-}
-
-// FormatTick renders a tick of granularity g as a human-readable instant or
-// unit label (used by the shell and examples, not by the algebra itself).
-func (c *Chronology) FormatTick(g Granularity, t Tick) string {
-	switch g {
-	case Second, Minute, Hour:
-		sec := c.UnitStart(g, t)
-		d := c.CivilOf(sec)
-		rem := floorMod(sec, SecondsPerDay)
-		return fmt.Sprintf("%s %02d:%02d:%02d", d, rem/3600, (rem%3600)/60, rem%60)
-	case Day:
-		return c.CivilOfDayTick(t).String()
-	case Week:
-		d := c.CivilOf(c.UnitStart(Week, t))
-		return fmt.Sprintf("week of %s", d)
-	case Month:
-		d := c.CivilOf(c.UnitStart(Month, t))
-		return fmt.Sprintf("%s %d", MonthName(d.Month), d.Year)
-	case Year:
-		return fmt.Sprintf("%d", c.YearOfTick(t))
-	case Decade:
-		d := c.CivilOf(c.UnitStart(Decade, t))
-		return fmt.Sprintf("%ds", d.Year)
-	case Century:
-		d := c.CivilOf(c.UnitStart(Century, t))
-		return fmt.Sprintf("century of %d", d.Year)
-	}
-	return fmt.Sprintf("%v#%d", g, t)
 }

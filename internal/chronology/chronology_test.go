@@ -219,7 +219,7 @@ func TestDayTickCivil(t *testing.T) {
 	if got := c.CivilOfDayTick(1829); got != (Civil{1992, 1, 3}) {
 		t.Errorf("CivilOfDayTick(1829) = %v", got)
 	}
-	if w := c.WeekdayOfDayTick(1); w != Thursday {
+	if w := c.CivilOfDayTick(1).Weekday(); w != Thursday {
 		t.Errorf("epoch weekday = %v, want Thursday", w)
 	}
 }
@@ -252,23 +252,6 @@ func TestRebase(t *testing.T) {
 	}
 	if got := c.Rebase(Day, 1, Year); got != 1 {
 		t.Errorf("Rebase(Day 1 -> Year) = %d, want 1", got)
-	}
-}
-
-func TestFormatTick(t *testing.T) {
-	c := chron1987(t)
-	cases := map[string]string{
-		c.FormatTick(Day, 1):    "1987-01-01",
-		c.FormatTick(Year, 7):   "1993",
-		c.FormatTick(Month, 73): "January 1993",
-		c.FormatTick(Hour, 25):  "1987-01-02 00:00:00",
-		c.FormatTick(Week, 1):   "week of 1986-12-29",
-		c.FormatTick(Decade, 1): "1980s",
-	}
-	for got, want := range cases {
-		if got != want {
-			t.Errorf("FormatTick = %q, want %q", got, want)
-		}
 	}
 }
 

@@ -42,14 +42,6 @@ func (w Weekday) String() string {
 var monthNames = [...]string{"", "January", "February", "March", "April", "May", "June",
 	"July", "August", "September", "October", "November", "December"}
 
-// MonthName returns the English name of month m (1..12).
-func MonthName(m int) string {
-	if m < 1 || m > 12 {
-		return fmt.Sprintf("Month(%d)", m)
-	}
-	return monthNames[m]
-}
-
 // IsLeap reports whether the Gregorian year y is a leap year.
 func IsLeap(y int) bool { return y%4 == 0 && (y%100 != 0 || y%400 == 0) }
 

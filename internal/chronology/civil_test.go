@@ -167,15 +167,6 @@ func TestFloorDivMod(t *testing.T) {
 	}
 }
 
-func TestMonthName(t *testing.T) {
-	if MonthName(1) != "January" || MonthName(12) != "December" {
-		t.Error("month names wrong")
-	}
-	if MonthName(0) == "January" {
-		t.Error("month 0 must not map to January")
-	}
-}
-
 func TestParseGranularity(t *testing.T) {
 	cases := map[string]Granularity{
 		"DAYS": Day, "days": Day, "DAY": Day, "WEEKS": Week, "CENTURY": Century,

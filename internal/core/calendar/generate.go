@@ -48,19 +48,6 @@ func GenerateCivil(ch *chronology.Chronology, of, in chronology.Granularity, fro
 // the result is the union (hull) of the next x_{i mod n} consecutive
 // elements of C. A final partial group is kept.
 func Caloperate(c *Calendar, counts []int) (*Calendar, error) {
-	return caloperate(c, counts, 0, false)
-}
-
-// CaloperateUntil is Caloperate with an end time Te: elements starting after
-// te are dropped and the final element is truncated at te.
-func CaloperateUntil(c *Calendar, counts []int, te chronology.Tick) (*Calendar, error) {
-	if err := chronology.CheckTick(te); err != nil {
-		return nil, fmt.Errorf("calendar: caloperate end time: %w", err)
-	}
-	return caloperate(c, counts, te, true)
-}
-
-func caloperate(c *Calendar, counts []int, te chronology.Tick, bounded bool) (*Calendar, error) {
 	if c.Order() != 1 {
 		return nil, fmt.Errorf("calendar: caloperate requires an order-1 calendar, got order %d", c.Order())
 	}
@@ -88,14 +75,6 @@ func caloperate(c *Calendar, counts []int, te chronology.Tick, bounded bool) (*C
 			}
 			if member.Hi > iv.Hi {
 				iv.Hi = member.Hi
-			}
-		}
-		if bounded {
-			if iv.Lo > te {
-				break
-			}
-			if iv.Hi > te {
-				iv.Hi = te
 			}
 		}
 		out = append(out, iv)

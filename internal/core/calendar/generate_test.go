@@ -88,21 +88,6 @@ func TestCaloperateCircularCounts(t *testing.T) {
 	}
 }
 
-func TestCaloperateUntil(t *testing.T) {
-	c := MustFromIntervals(chronology.Day,
-		iv(1, 10), iv(11, 20), iv(21, 30), iv(31, 40))
-	got, err := CaloperateUntil(c, []int{2}, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != "{(1,20),(21,25)}" {
-		t.Errorf("CaloperateUntil = %v", got)
-	}
-	if _, err := CaloperateUntil(c, []int{2}, 0); err == nil {
-		t.Error("tick-0 end time should be rejected")
-	}
-}
-
 func TestCaloperateValidation(t *testing.T) {
 	c := MustFromIntervals(chronology.Day, iv(1, 1))
 	if _, err := Caloperate(c, nil); err == nil {

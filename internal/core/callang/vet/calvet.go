@@ -124,16 +124,6 @@ func (ds Diags) filter(sev Severity) Diags {
 	return out
 }
 
-// Err returns nil when the list holds no errors, else an error rendering
-// every error diagnostic (one per line).
-func (ds Diags) Err() error {
-	errs := ds.Errors()
-	if len(errs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s", errs.String())
-}
-
 func (ds Diags) sorted() Diags {
 	sort.SliceStable(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
@@ -205,11 +195,6 @@ var builtins = map[string]bool{
 	"caloperate": true,
 	"interval":   true,
 	"points":     true,
-}
-
-// AnalyzeExpr vets a single calendar expression.
-func AnalyzeExpr(e callang.Expr, cat Catalog, opts Options) Diags {
-	return AnalyzeScript(callang.ExprScript(e), cat, opts)
 }
 
 // AnalyzeScript runs every pass over a calendar script and returns the

@@ -69,7 +69,7 @@ func TestUndefinedReference(t *testing.T) {
 	if d.Pos.Line != 1 || d.Pos.Col != 1 {
 		t.Errorf("pos = %v, want 1:1", d.Pos)
 	}
-	if !ds.HasErrors() || ds.Err() == nil {
+	if !ds.HasErrors() {
 		t.Error("undefined reference must be an error")
 	}
 }
@@ -173,7 +173,7 @@ func TestZeroSelectionIndexProgrammatic(t *testing.T) {
 		},
 		Pos: callang.Pos{Line: 1, Col: 1},
 	}
-	ds := calvet.AnalyzeExpr(e, &calvet.MapCatalog{}, calvet.Options{})
+	ds := calvet.AnalyzeScript(callang.ExprScript(e), &calvet.MapCatalog{}, calvet.Options{})
 	d := wantCode(t, ds, calvet.CodeZeroIndex)
 	if d.Severity != calvet.Error {
 		t.Errorf("severity = %v, want error", d.Severity)
@@ -183,10 +183,10 @@ func TestZeroSelectionIndexProgrammatic(t *testing.T) {
 		Pred: calendar.SelectRange(0, 3),
 		X:    &callang.Ident{Name: "DAYS"},
 	}
-	wantCode(t, calvet.AnalyzeExpr(rng, &calvet.MapCatalog{}, calvet.Options{}), calvet.CodeZeroIndex)
+	wantCode(t, calvet.AnalyzeScript(callang.ExprScript(rng), &calvet.MapCatalog{}, calvet.Options{}), calvet.CodeZeroIndex)
 
 	empty := &callang.SelectExpr{Pred: calendar.Selection{}, X: &callang.Ident{Name: "DAYS"}}
-	d = wantCode(t, calvet.AnalyzeExpr(empty, &calvet.MapCatalog{}, calvet.Options{}), calvet.CodeBadSelection)
+	d = wantCode(t, calvet.AnalyzeScript(callang.ExprScript(empty), &calvet.MapCatalog{}, calvet.Options{}), calvet.CodeBadSelection)
 	if d.Severity != calvet.Error {
 		t.Errorf("empty selection severity = %v, want error", d.Severity)
 	}

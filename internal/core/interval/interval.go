@@ -66,9 +66,6 @@ func (iv Interval) Contains(t chronology.Tick) bool {
 	return t != 0 && iv.Lo <= t && t <= iv.Hi
 }
 
-// Point reports whether the interval covers exactly one tick.
-func (iv Interval) Point() bool { return iv.Lo == iv.Hi }
-
 // Intersect returns the common span of two intervals, if any.
 func (iv Interval) Intersect(other Interval) (Interval, bool) {
 	lo := max64(iv.Lo, other.Lo)
@@ -83,15 +80,6 @@ func (iv Interval) Intersect(other Interval) (Interval, bool) {
 func (iv Interval) Hull(other Interval) Interval {
 	return Interval{Lo: min64(iv.Lo, other.Lo), Hi: max64(iv.Hi, other.Hi)}
 }
-
-// Adjacent reports whether the two intervals abut with no tick between them
-// (so their union is a single interval even though they do not overlap).
-func (iv Interval) Adjacent(other Interval) bool {
-	return chronology.NextTick(iv.Hi) == other.Lo || chronology.NextTick(other.Hi) == iv.Lo
-}
-
-// Equal reports endpoint equality.
-func (iv Interval) Equal(other Interval) bool { return iv == other }
 
 func min64(a, b int64) int64 {
 	if a < b {

@@ -56,7 +56,6 @@ package matcache
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -82,10 +81,6 @@ type Key struct {
 	Version uint64
 	// Gran is the tick granularity the values are expressed in.
 	Gran chronology.Granularity
-}
-
-func (k Key) String() string {
-	return fmt.Sprintf("%s/%s@v%d/%v", k.Scope, k.ID, k.Version, k.Gran)
 }
 
 // Stats is a snapshot of the cache counters.

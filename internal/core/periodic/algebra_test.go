@@ -80,7 +80,7 @@ func TestCanonicalIdentifiesEquivalentForms(t *testing.T) {
 			unroll(t, p, 1+rng.Intn(3)),
 			mustPattern(t, p.Period(), p.Phase()+p.Period()*int64(1+rng.Intn(4)), p.Spans()),
 		}
-		if r := rng.Intn(p.NumSpans()); r > 0 {
+		if r := rng.Intn(len(p.Spans())); r > 0 {
 			if q, ok := rotate(t, p, r); ok {
 				variants = append(variants, q)
 			}
@@ -101,7 +101,7 @@ func TestCanonicalMinimalForm(t *testing.T) {
 	if got, want := fortnight.Canonical(), week.Canonical(); !got.Equal(want) {
 		t.Fatalf("unrolled cycle did not minimize: got %v want %v", got, want)
 	}
-	if got := week.Canonical(); got.Period() != 7 || got.NumSpans() != 2 {
+	if got := week.Canonical(); got.Period() != 7 || len(got.Spans()) != 2 {
 		t.Fatalf("canonical form not minimal: %v", got)
 	}
 	// The canonical phase is reduced into [0, period).
@@ -331,7 +331,7 @@ func TestStarts(t *testing.T) {
 	p := mustPattern(t, 10, 4, []periodic.Span{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 5}, {Lo: 7, Hi: 8}})
 	s := p.Starts()
 	// Duplicate starts collapse to one firing point.
-	if s.NumSpans() != 2 {
+	if len(s.Spans()) != 2 {
 		t.Fatalf("Starts kept duplicate points: %v", s)
 	}
 	win := offWin(0, 40)

@@ -99,9 +99,6 @@ func (p *Pattern) Period() int64 { return p.period }
 // Phase returns the absolute offset of the start of cycle 0.
 func (p *Pattern) Phase() int64 { return p.phase }
 
-// NumSpans returns the number of elements per cycle.
-func (p *Pattern) NumSpans() int { return len(p.spans) }
-
 // Spans returns the cycle's spans. The slice is shared; do not modify it.
 func (p *Pattern) Spans() []Span { return p.spans }
 

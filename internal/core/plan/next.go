@@ -14,15 +14,13 @@
 //     queries answer by O(log n) search until they near the cached window's
 //     end, where generation-edge effects begin and a fresh probe re-anchors
 //     the cache.
-//  3. Exponential doubling. Anchor-sensitive but end-stable expressions
-//     (positive order-1 selections over stable operands) evaluate over a
-//     window that starts small and doubles out to the horizon, stopping at
-//     the first window that contains an instant.
-//  4. Full-window fallback. Everything else — caloperate grouping,
-//     end-relative selections, before/<= foreach, opaque derived calendars,
+//  3. Full window. Everything else — caloperate grouping, order-1
+//     selections (they index the windowed list itself, so they are anchored
+//     at the probe instant), before/<= foreach, opaque derived calendars,
 //     `today` — evaluates the full horizon window exactly like the seed
 //     nextTrigger path, so genuinely aperiodic calendars keep their
-//     semantics bit-for-bit.
+//     semantics bit-for-bit. This rung is the definition the other two are
+//     tested against.
 package plan
 
 import (
@@ -43,88 +41,50 @@ import (
 // LookaheadDays default).
 const DefaultHorizonDays = 730
 
-// initialProbeDays is the first window of the exponential-doubling fallback.
-const initialProbeDays = 64
-
-// nextProfile classifies a prepared expression for the kernel.
-//
-// anchorFree: the expression's elements are intrinsic to the timeline — the
-// materialization of a window is independent of where the window starts, so
-// one probe's result can serve queries at any later instant it covers.
-//
-// endStable: extending the window's end only appends elements; anything
-// found in a shorter window is exactly what a longer window would yield, so
-// the doubling fallback is sound.
-type nextProfile struct {
-	anchorFree bool
-	endStable  bool
-}
-
-func (a nextProfile) and(b nextProfile) nextProfile {
-	return nextProfile{a.anchorFree && b.anchorFree, a.endStable && b.endStable}
-}
-
-// profileExpr classifies a prepared (inlined + factorized) expression.
-// Anything unrecognized degrades to the pinned profile, which routes every
-// query through the seed full-window path.
-func profileExpr(cat Catalog, e callang.Expr) nextProfile {
-	free := nextProfile{anchorFree: true, endStable: true}
-	pinned := nextProfile{}
+// anchorFree reports whether a prepared (inlined + factorized) expression's
+// elements are intrinsic to the timeline — the materialization of a window is
+// independent of where the window starts, so one probe's result can serve
+// queries at any later instant it covers. Anything unrecognized is anchored,
+// which routes every query through the seed full-window path.
+func anchorFree(cat Catalog, e callang.Expr) bool {
 	switch n := e.(type) {
 	case *callang.Ident:
 		if callang.IsToday(n.Name) {
-			return pinned
+			return false
 		}
 		if _, err := chronology.ParseGranularity(n.Name); err == nil {
-			return free
+			return true
 		}
-		if _, ok := cat.StoredCalendar(n.Name); ok {
-			return free
-		}
-		// Opaque derived calendar (a script that branches, waits or alerts)
-		// or unknown name: its script may read today or wait on the clock.
-		return pinned
+		// Anything else is an opaque derived calendar (a script that
+		// branches, waits or alerts) or an unknown name: its script may read
+		// today or wait on the clock.
+		_, stored := cat.StoredCalendar(n.Name)
+		return stored
 	case *callang.Number, *callang.StringLit:
-		return free
+		return true
 	case *callang.LabelSelExpr:
-		return profileExpr(cat, n.X)
+		return anchorFree(cat, n.X)
 	case *callang.ForeachExpr:
 		switch n.Op {
 		case interval.Before, interval.BeforeEquals:
-			// Elements reach back to the window's start: anchored both ways.
-			return pinned
+			// Elements reach back to the window's start.
+			return false
 		}
-		return profileExpr(cat, n.X).and(profileExpr(cat, n.Y))
+		return anchorFree(cat, n.X) && anchorFree(cat, n.Y)
 	case *callang.IntersectExpr:
-		return profileExpr(cat, n.X).and(profileExpr(cat, n.Y))
+		return anchorFree(cat, n.X) && anchorFree(cat, n.Y)
 	case *callang.BinExpr:
-		return profileExpr(cat, n.X).and(profileExpr(cat, n.Y))
+		return anchorFree(cat, n.X) && anchorFree(cat, n.Y)
 	case *callang.SelectExpr:
-		p := profileExpr(cat, n.X)
-		if exprOrder(n.X) >= 2 {
-			// Per-group selection: each group is an intrinsic unit (the third
-			// Friday of a month does not care where the window starts).
-			return p
-		}
-		// An order-1 selection indexes the windowed list itself: anchored at
-		// the window start, and end-stable only while no index counts from
-		// the end of the list.
-		if !p.endStable || selEndRelative(n.Pred) {
-			return pinned
-		}
-		return nextProfile{endStable: true}
+		// Per-group selection: each group is an intrinsic unit (the third
+		// Friday of a month does not care where the window starts). An
+		// order-1 selection indexes the windowed list itself.
+		return exprOrder(n.X) >= 2 && anchorFree(cat, n.X)
 	case *callang.CallExpr:
-		switch n.Name {
-		case "interval", "points", "generate":
-			return free
-		case "caloperate":
-			// Groups count off from the window's first element, and a partial
-			// trailing group reshapes as the window end moves.
-			return pinned
-		}
-		return pinned
+		// caloperate groups count off from the window's first element.
+		return n.Name == "interval" || n.Name == "points" || n.Name == "generate"
 	}
-	return pinned
+	return false
 }
 
 // exprOrder estimates the order of an expression's value — whether selection
@@ -144,26 +104,6 @@ func exprOrder(e callang.Expr) int {
 		}
 	}
 	return 1
-}
-
-// selEndRelative reports whether any predicate item resolves against the end
-// of the list ([n], negative positions, or ranges touching either).
-func selEndRelative(s calendar.Selection) bool {
-	for _, it := range s.Items {
-		switch {
-		case it.Last:
-			return true
-		case it.Range:
-			if it.From <= 0 || it.To <= 0 {
-				return true
-			}
-		default:
-			if it.Pos < 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // exprSlack bounds the generation-edge effects of one windowed evaluation:
@@ -203,7 +143,7 @@ type Scheduler struct {
 	mu            sync.Mutex
 	horizonDays   int64
 	forceWindowed bool
-	prof          nextProfile
+	anchorFree    bool
 	slack         int64
 	planText      string
 	probes        int64 // windowed evaluations performed
@@ -236,7 +176,7 @@ func NewScheduler(env *Env, prepped callang.Expr, gran chronology.Granularity) *
 		gran:        gran,
 		horizonDays: DefaultHorizonDays,
 	}
-	s.prof = profileExpr(env.Cat, prepped)
+	s.anchorFree = anchorFree(env.Cat, prepped)
 	s.slack = 2 * exprSlack(prepped)
 	if !env.DisableSymbolic {
 		// Whole-expression symbolic lowering: basic calendars and their
@@ -320,17 +260,12 @@ func (s *Scheduler) NextAfter(after int64) (at int64, ok bool, err error) {
 		}
 		return ch.UnitStart(s.gran, t), true, nil
 	}
-	if s.prof.anchorFree {
-		afterTick := ch.TickAt(s.gran, after)
-		if at, ok, hit := s.cachedNext(after, afterTick); hit {
+	if s.anchorFree {
+		if at, ok, hit := s.cachedNext(after, ch.TickAt(s.gran, after)); hit {
 			return at, ok, nil
 		}
-		return s.probeWindow(after, hwin) // re-anchors the cache
 	}
-	if s.prof.endStable {
-		return s.probeDoubling(after, from, hwin)
-	}
-	return s.probeWindow(after, hwin)
+	return s.probeWindow(after, hwin) // re-anchors the cache when anchor-free
 }
 
 // cachedNext serves a query from the cached probe. hit=false falls through
@@ -352,8 +287,8 @@ func (s *Scheduler) cachedNext(after int64, afterTick chronology.Tick) (at int64
 }
 
 // probeWindow evaluates the expression over one window and scans for the
-// minimum start strictly after `after` — the seed path. On the anchor-free
-// profile the materialization is also cached for subsequent queries.
+// minimum start strictly after `after` — the seed path. For an anchor-free
+// expression the materialization is also cached for subsequent queries.
 func (s *Scheduler) probeWindow(after int64, win interval.Interval) (int64, bool, error) {
 	cal, err := s.eval(win)
 	if err != nil {
@@ -361,7 +296,7 @@ func (s *Scheduler) probeWindow(after int64, win interval.Interval) (int64, bool
 	}
 	ch := s.env.Chron
 	ivs := cal.Flatten().Intervals()
-	if !s.forceWindowed && s.prof.anchorFree {
+	if !s.forceWindowed && s.anchorFree {
 		s.fillCache(after, win, ivs)
 	}
 	best, ok := int64(math.MaxInt64), false
@@ -396,35 +331,6 @@ func (s *Scheduler) fillCache(after int64, win interval.Interval, ivs []interval
 	s.starts, s.haveCache = starts, true
 	s.anchor = after
 	s.safeThru = s.env.Chron.UnitStart(s.gran, win.Hi) - s.slack
-}
-
-// probeDoubling evaluates anchor-sensitive but end-stable expressions over
-// an exponentially growing window: the window start stays pinned to the
-// query (matching the seed path's anchoring) while the end doubles out to
-// the horizon. End-stability means an instant found safely inside a shorter
-// window is exactly what the full-horizon evaluation would return; finds
-// within the edge-effect slack of a short window's end are distrusted and
-// re-probed wider.
-func (s *Scheduler) probeDoubling(after int64, from chronology.Civil, hwin interval.Interval) (int64, bool, error) {
-	ch := s.env.Chron
-	for days := int64(initialProbeDays); ; days *= 2 {
-		last := days >= s.horizonDays
-		win := hwin
-		if !last {
-			w, err := CivilWindow(ch, s.gran, from, from.AddDays(days))
-			if err != nil {
-				return 0, false, err
-			}
-			win = w
-		}
-		at, ok, err := s.probeWindow(after, win)
-		if err != nil {
-			return 0, false, err
-		}
-		if last || (ok && at <= ch.UnitStart(s.gran, win.Hi)-s.slack) {
-			return at, ok, nil
-		}
-	}
 }
 
 // NextInstant answers "first instant strictly after `after`" for a prepared

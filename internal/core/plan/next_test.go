@@ -10,11 +10,11 @@ import (
 	"calsys/internal/core/callang"
 )
 
-// nextTestExprs covers every kernel path: exact infinite patterns (bare basic
-// calendars), detected-pattern caches (order-2 selections), doubling (order-1
-// positive selections), and the pinned full-window fallback (caloperate
-// grouping, end-relative selections, unions, intervals, derived and stored
-// calendars).
+// nextTestExprs covers every kernel path: exact infinite patterns (basic
+// calendars and the compositions that lower), the cached probe (anchor-free
+// expressions over a stored calendar), and the full-window rung (caloperate
+// grouping, end-relative selections, and order-1 selections over a basic
+// calendar, which are anchored at the probe instant and have no symbolic form).
 var nextTestExprs = []string{
 	"DAYS",
 	"WEEKS",
@@ -32,6 +32,11 @@ var nextTestExprs = []string{
 	"[2]/(DAYS:during:MONTHS)",
 	"Mondays",
 	"HOLS:during:YEARS",
+	"[3]/DAYS",
+	"[2]/WEEKS",
+	"[1,5]/DAYS",
+	"[40]/WEEKS",
+	"[30]/MONTHS",
 }
 
 // nextPropEnv is the catalog for the next-instant properties: one derived

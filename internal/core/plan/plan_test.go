@@ -56,7 +56,7 @@ func TestFigure1Tuesdays(t *testing.T) {
 	}
 	// Every selected day is in fact a Tuesday.
 	for _, iv := range got.Intervals() {
-		if w := env.Chron.WeekdayOfDayTick(iv.Lo); w != chronology.Tuesday {
+		if w := env.Chron.CivilOfDayTick(iv.Lo).Weekday(); w != chronology.Tuesday {
 			t.Errorf("day %d is %v, not Tuesday", iv.Lo, w)
 		}
 	}

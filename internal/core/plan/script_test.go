@@ -97,7 +97,7 @@ func TestPaperOptionExpirationScript(t *testing.T) {
 	if v.Cal.String() != "{(15,15)}" {
 		t.Errorf("expiration = %v, want {(15,15)} (Jan 15 1993)", v.Cal)
 	}
-	if w := env.Chron.WeekdayOfDayTick(15); w != chronology.Friday {
+	if w := env.Chron.CivilOfDayTick(15).Weekday(); w != chronology.Friday {
 		t.Fatalf("day 15 is %v, not Friday", w)
 	}
 

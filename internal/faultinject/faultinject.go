@@ -1,8 +1,7 @@
 // Package faultinject is a deterministic fault-injection harness for chaos
 // testing the durability layer. Code under test declares named sites
 // (faultinject.Hit(inj, "journal.append")); tests arm sites with a plan —
-// fail the nth call, panic, crash, delay, or fail with a seeded probability —
-// and the injector replays identically for a given seed.
+// fail or crash exactly the nth call — so a run replays identically.
 //
 // A nil *Injector is inert: every Hit returns nil at the cost of one branch,
 // so production code threads the injector through unconditionally.
@@ -11,40 +10,8 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
-	"time"
 )
-
-// Mode selects what an armed site does when its plan matches a call.
-type Mode int
-
-const (
-	// Fail makes Hit return an *InjectedError.
-	Fail Mode = iota
-	// Panic makes Hit panic with an InjectedPanic value.
-	Panic
-	// Crash makes Hit return an *InjectedError marked as a process crash:
-	// the caller is expected to abandon the component mid-operation, the
-	// way a killed daemon would.
-	Crash
-	// Delay makes Hit sleep for the armed duration, then return nil.
-	Delay
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Fail:
-		return "fail"
-	case Panic:
-		return "panic"
-	case Crash:
-		return "crash"
-	case Delay:
-		return "delay"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
 
 // ErrInjected is the sentinel all injected failures wrap; match with
 // errors.Is.
@@ -69,16 +36,6 @@ func (e *InjectedError) Error() string {
 // Is makes errors.Is(err, ErrInjected) true for injected errors.
 func (e *InjectedError) Is(target error) bool { return target == ErrInjected }
 
-// InjectedPanic is the value thrown by a Panic-mode site.
-type InjectedPanic struct {
-	Site string
-	Nth  int
-}
-
-func (p InjectedPanic) String() string {
-	return fmt.Sprintf("injected panic at %s (call %d)", p.Site, p.Nth)
-}
-
 // IsCrash reports whether err carries an injected crash, i.e. the harness
 // asked the component to die here rather than handle a failure.
 func IsCrash(err error) bool {
@@ -86,32 +43,30 @@ func IsCrash(err error) bool {
 	return errors.As(err, &ie) && ie.Crash
 }
 
-// plan is one armed behaviour at a site.
+// plan is one armed behaviour at a site: it fires on exactly the nth call
+// (1-based) and is then disarmed. A crash asks the caller to abandon the
+// component mid-operation, the way a killed daemon would.
 type plan struct {
-	mode  Mode
-	nth   int           // fire on exactly the nth call (0 = disabled)
-	prob  float64       // or fire with this probability per call
-	delay time.Duration // Delay mode
-	once  bool          // disarm after firing
+	nth   int
+	crash bool
 }
 
 type site struct {
 	calls int
-	plans []*plan
+	plans []plan
 }
 
-// Injector holds armed sites and a seeded PRNG. All methods are safe for
-// concurrent use.
+// Injector holds armed sites. All methods are safe for concurrent use.
 type Injector struct {
 	mu    sync.Mutex
-	rng   *rand.Rand
 	sites map[string]*site
-	log   []string
 }
 
-// New returns an injector whose probabilistic decisions replay for the seed.
-func New(seed int64) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), sites: map[string]*site{}}
+// New returns an injector with no site armed. The argument is ignored: it
+// seeded a probabilistic arming mode that had no caller, and stays only
+// because bench/cron.go, frozen beside BENCHMARK.json, still passes one.
+func New(_ int64) *Injector {
+	return &Injector{sites: map[string]*site{}}
 }
 
 func (in *Injector) site(name string) *site {
@@ -125,38 +80,15 @@ func (in *Injector) site(name string) *site {
 
 // FailAt arms site to fail exactly its nth call (1-based), once.
 func (in *Injector) FailAt(name string, nth int) {
-	in.arm(name, &plan{mode: Fail, nth: nth, once: true})
+	in.arm(name, plan{nth: nth})
 }
 
 // CrashAt arms site to crash exactly its nth call (1-based), once.
 func (in *Injector) CrashAt(name string, nth int) {
-	in.arm(name, &plan{mode: Crash, nth: nth, once: true})
+	in.arm(name, plan{nth: nth, crash: true})
 }
 
-// PanicAt arms site to panic exactly its nth call (1-based), once.
-func (in *Injector) PanicAt(name string, nth int) {
-	in.arm(name, &plan{mode: Panic, nth: nth, once: true})
-}
-
-// DelayAt arms site to sleep d on exactly its nth call (1-based), once.
-func (in *Injector) DelayAt(name string, nth int, d time.Duration) {
-	in.arm(name, &plan{mode: Delay, nth: nth, delay: d, once: true})
-}
-
-// FailProb arms site to fail each call with probability p under the seeded
-// PRNG, until disarmed.
-func (in *Injector) FailProb(name string, p float64) { in.arm(name, &plan{mode: Fail, prob: p}) }
-
-// Disarm removes every plan at site (pending ones included).
-func (in *Injector) Disarm(name string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if s, ok := in.sites[name]; ok {
-		s.plans = nil
-	}
-}
-
-func (in *Injector) arm(name string, p *plan) {
+func (in *Injector) arm(name string, p plan) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	s := in.site(name)
@@ -176,16 +108,6 @@ func (in *Injector) Count(name string) int {
 	return 0
 }
 
-// Log returns the faults fired so far, in order.
-func (in *Injector) Log() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]string(nil), in.log...)
-}
-
 // Hit is the injection point: code under test calls it with its site name.
 // It is nil-safe so production builds pay only a branch.
 func Hit(in *Injector, name string) error {
@@ -197,48 +119,14 @@ func Hit(in *Injector, name string) error {
 
 func (in *Injector) hit(name string) error {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	s := in.site(name)
 	s.calls++
-	nth := s.calls
-	var fired *plan
-	for _, p := range s.plans {
-		match := false
-		switch {
-		case p.nth > 0:
-			match = p.nth == nth
-		case p.prob > 0:
-			match = in.rng.Float64() < p.prob
+	for i, p := range s.plans {
+		if p.nth == s.calls {
+			s.plans = append(s.plans[:i], s.plans[i+1:]...)
+			return &InjectedError{Site: name, Nth: s.calls, Crash: p.crash}
 		}
-		if match {
-			fired = p
-			break
-		}
-	}
-	if fired != nil && fired.once {
-		for i, p := range s.plans {
-			if p == fired {
-				s.plans = append(s.plans[:i], s.plans[i+1:]...)
-				break
-			}
-		}
-	}
-	if fired != nil {
-		in.log = append(in.log, fmt.Sprintf("%s#%d:%s", name, nth, fired.mode))
-	}
-	in.mu.Unlock()
-
-	if fired == nil {
-		return nil
-	}
-	switch fired.mode {
-	case Fail:
-		return &InjectedError{Site: name, Nth: nth}
-	case Crash:
-		return &InjectedError{Site: name, Nth: nth, Crash: true}
-	case Panic:
-		panic(InjectedPanic{Site: name, Nth: nth})
-	case Delay:
-		time.Sleep(fired.delay)
 	}
 	return nil
 }

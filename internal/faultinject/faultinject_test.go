@@ -3,7 +3,6 @@ package faultinject
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestNilInjectorIsInert(t *testing.T) {
@@ -15,9 +14,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	}
 	if in.Count("anything") != 0 {
 		t.Error("nil injector counted hits")
-	}
-	if in.Log() != nil {
-		t.Error("nil injector logged")
 	}
 }
 
@@ -43,13 +39,10 @@ func TestFailAtNth(t *testing.T) {
 	if in.Count("s") != 5 {
 		t.Errorf("Count = %d", in.Count("s"))
 	}
-	if log := in.Log(); len(log) != 1 || log[0] != "s#3:fail" {
-		t.Errorf("Log = %v", log)
-	}
 }
 
 func TestCrashAtIsDetectable(t *testing.T) {
-	in := New(7)
+	in := New(1)
 	in.CrashAt("d", 1)
 	err := Hit(in, "d")
 	if !IsCrash(err) {
@@ -61,72 +54,5 @@ func TestCrashAtIsDetectable(t *testing.T) {
 	// one-shot: next hit passes
 	if err := Hit(in, "d"); err != nil {
 		t.Fatalf("second hit: %v", err)
-	}
-}
-
-func TestPanicAt(t *testing.T) {
-	in := New(1)
-	in.PanicAt("p", 1)
-	defer func() {
-		v := recover()
-		ip, ok := v.(InjectedPanic)
-		if !ok || ip.Site != "p" {
-			t.Fatalf("recovered %v", v)
-		}
-	}()
-	_ = Hit(in, "p")
-	t.Fatal("no panic")
-}
-
-func TestDelayAt(t *testing.T) {
-	in := New(1)
-	in.DelayAt("slow", 1, 10*time.Millisecond)
-	t0 := time.Now()
-	if err := Hit(in, "slow"); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(t0) < 10*time.Millisecond {
-		t.Error("no delay observed")
-	}
-}
-
-func TestProbDeterministicPerSeed(t *testing.T) {
-	pattern := func(seed int64) []bool {
-		in := New(seed)
-		in.FailProb("p", 0.5)
-		var out []bool
-		for i := 0; i < 64; i++ {
-			out = append(out, Hit(in, "p") != nil)
-		}
-		return out
-	}
-	a, b := pattern(42), pattern(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at call %d", i)
-		}
-	}
-	c := pattern(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical pattern (suspicious)")
-	}
-}
-
-func TestDisarm(t *testing.T) {
-	in := New(1)
-	in.FailProb("x", 1.0)
-	if Hit(in, "x") == nil {
-		t.Fatal("armed site did not fire")
-	}
-	in.Disarm("x")
-	if err := Hit(in, "x"); err != nil {
-		t.Fatalf("disarmed site fired: %v", err)
 	}
 }

@@ -2,20 +2,19 @@
 // working subset of Soo and Snodgrass's MultiCal proposal ([SS92], [SS93]).
 //
 // MultiCal models a calendar as "a system of dividing the time line" and
-// provides three temporal data types:
+// provides three temporal data types, of which the comparison needs two:
 //
 //   - Event: an isolated instant ("the time the option expired");
-//   - Interval: a set of contiguous chronons with known endpoints
-//     ("July 1993");
 //   - Span: an unanchored duration with a known length but unknown position
 //     ("a WEEK"), possibly of variable length ("a MONTH").
 //
-// plus multiple calendars (division systems) and multiple languages for
-// input/output. The two proposals overlap only at variable spans: MultiCal's
-// Month span captures the semantics of the paper's MONTHS calendar. What
-// MultiCal does not have is an object like the nested interval list, so the
-// paper's selection and foreach operators are inexpressible — the
-// comparison tests make that concrete.
+// (the third, Interval — contiguous chronons with known endpoints — plays no
+// part in §5's argument and is not reproduced), plus multiple calendars
+// (division systems) and multiple languages for output. The two proposals
+// overlap only at variable spans: MultiCal's Month span captures the
+// semantics of the paper's MONTHS calendar. What MultiCal does not have is an
+// object like the nested interval list, so the paper's selection and foreach
+// operators are inexpressible — the comparison tests make that concrete.
 package multical
 
 import (
@@ -35,31 +34,6 @@ type Event struct {
 	At Chronon
 }
 
-// Interval is an anchored set of contiguous chronons [From, To], with
-// From <= To.
-type Interval struct {
-	From, To Chronon
-}
-
-// NewInterval validates endpoint order (T_min <= T_max in [SS92]).
-func NewInterval(from, to Chronon) (Interval, error) {
-	if from > to {
-		return Interval{}, fmt.Errorf("multical: interval endpoints reversed")
-	}
-	return Interval{From: from, To: to}, nil
-}
-
-// Contains reports whether the event falls inside the interval.
-func (iv Interval) Contains(e Event) bool { return iv.From <= e.At && e.At <= iv.To }
-
-// Overlaps reports interval intersection.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.From <= other.To && other.From <= iv.To
-}
-
-// Duration returns the interval's length as a fixed span.
-func (iv Interval) Duration() Span { return Span{Seconds: iv.To - iv.From + 1} }
-
 // Span is an unanchored duration: a fixed number of seconds plus a variable
 // number of months whose length depends on where the span is anchored —
 // MultiCal's "variable span" (the Month span of the Gregorian calendar).
@@ -68,56 +42,23 @@ type Span struct {
 	Seconds int64
 }
 
-// Add combines spans.
-func (s Span) Add(other Span) Span {
-	return Span{Months: s.Months + other.Months, Seconds: s.Seconds + other.Seconds}
-}
-
-// Neg negates a span.
-func (s Span) Neg() Span { return Span{Months: -s.Months, Seconds: -s.Seconds} }
-
-// Fixed reports whether the span has no variable component.
-func (s Span) Fixed() bool { return s.Months == 0 }
-
-// String renders the span.
-func (s Span) String() string {
-	switch {
-	case s.Months != 0 && s.Seconds != 0:
-		return fmt.Sprintf("%d months %d seconds", s.Months, s.Seconds)
-	case s.Months != 0:
-		return fmt.Sprintf("%d months", s.Months)
-	default:
-		return fmt.Sprintf("%d seconds", s.Seconds)
-	}
-}
-
 // Common spans.
 var (
-	SpanSecond = Span{Seconds: 1}
-	SpanMinute = Span{Seconds: 60}
-	SpanHour   = Span{Seconds: 3600}
-	SpanDay    = Span{Seconds: 86400}
-	SpanWeek   = Span{Seconds: 7 * 86400}
-	SpanMonth  = Span{Months: 1} // variable
-	SpanYear   = Span{Months: 12}
+	SpanDay   = Span{Seconds: 86400}
+	SpanMonth = Span{Months: 1} // variable
+	SpanYear  = Span{Months: 12}
 )
 
 // FieldSet is an event decomposed under a calendar's division system.
 type FieldSet map[string]int
 
 // Calendar is MultiCal's notion of calendar: a system for dividing the time
-// line into named fields, with the arithmetic needed to anchor variable
-// spans. Multiple calendars coexist in one calendric system.
+// line into named fields. Multiple calendars coexist in one calendric system.
 type Calendar interface {
 	// Name identifies the calendar ("gregorian", "us-fiscal").
 	Name() string
 	// Fields decomposes an event into the calendar's divisions.
 	Fields(e Event) FieldSet
-	// FromFields composes an event from divisions (missing fine fields
-	// default to their minimum).
-	FromFields(f FieldSet) (Event, error)
-	// AddSpan anchors a (possibly variable) span at an event.
-	AddSpan(e Event, s Span) Event
 }
 
 // Gregorian divides the time line into civil years, months, days, hours,
@@ -139,7 +80,8 @@ func (g Gregorian) Fields(e Event) FieldSet {
 	}
 }
 
-// FromFields implements Calendar.
+// FromFields composes an event from divisions (missing fine fields default
+// to their minimum).
 func (g Gregorian) FromFields(f FieldSet) (Event, error) {
 	get := func(k string, def int) int {
 		if v, ok := f[k]; ok {
@@ -158,9 +100,9 @@ func (g Gregorian) FromFields(f FieldSet) (Event, error) {
 	return Event{At: g.Chron.EpochSecondsOf(d) + int64(h)*3600 + int64(m)*60 + int64(s)}, nil
 }
 
-// AddSpan implements Calendar: the variable month component moves through
-// civil months (clamping the day, like date arithmetic libraries), and the
-// fixed component adds seconds.
+// AddSpan anchors a (possibly variable) span at an event: the variable month
+// component moves through civil months (clamping the day, like date
+// arithmetic libraries), and the fixed component adds seconds.
 func (g Gregorian) AddSpan(e Event, s Span) Event {
 	at := e.At
 	if s.Months != 0 {
@@ -204,43 +146,6 @@ func (fc Fiscal) Fields(e Event) FieldSet {
 	}
 }
 
-// FromFields implements Calendar.
-func (fc Fiscal) FromFields(f FieldSet) (Event, error) {
-	fy, ok := f["fiscal-year"]
-	if !ok {
-		return Event{}, fmt.Errorf("multical: fiscal fields need fiscal-year")
-	}
-	fm := 1
-	if v, ok := f["fiscal-month"]; ok {
-		fm = v
-	}
-	if fm < 1 || fm > 12 {
-		return Event{}, fmt.Errorf("multical: fiscal-month %d out of range", fm)
-	}
-	day := 1
-	if v, ok := f["day"]; ok {
-		day = v
-	}
-	// Fiscal month 1 is October of the prior civil year.
-	cm := fm + 9
-	cy := fy - 1
-	if cm > 12 {
-		cm -= 12
-		cy++
-	}
-	d := chronology.Civil{Year: cy, Month: cm, Day: day}
-	if !d.Valid() {
-		return Event{}, fmt.Errorf("multical: invalid fiscal fields %v", f)
-	}
-	return Event{At: fc.Chron.EpochSecondsOf(d)}, nil
-}
-
-// AddSpan implements Calendar: fiscal months are civil months shifted, so
-// delegate to Gregorian arithmetic.
-func (fc Fiscal) AddSpan(e Event, s Span) Event {
-	return Gregorian{Chron: fc.Chron}.AddSpan(e, s)
-}
-
 // floorDiv / floorMod for month index arithmetic.
 func floorDiv(a, b int64) int64 {
 	q := a / b
@@ -258,7 +163,7 @@ func floorMod(a, b int64) int64 {
 	return m
 }
 
-// --- input/output: multiple languages and formats ------------------------
+// --- output: multiple languages and formats ------------------------
 
 // Language selects month names for formatting — MultiCal's multi-language
 // support.
@@ -337,27 +242,4 @@ func pick(f FieldSet, keys ...string) int {
 		}
 	}
 	return 0
-}
-
-// ParseEvent reads "YYYY-MM-DD[ HH:MM:SS]" under a calendar (field names per
-// the calendar's year/month division).
-func ParseEvent(cal Calendar, s string) (Event, error) {
-	var y, m, d, hh, mm, ss int
-	n, err := fmt.Sscanf(s, "%d-%d-%d %d:%d:%d", &y, &m, &d, &hh, &mm, &ss)
-	if err != nil && n < 3 {
-		if n, err = fmt.Sscanf(s, "%d-%d-%d", &y, &m, &d); err != nil || n != 3 {
-			return Event{}, fmt.Errorf("multical: cannot parse event %q", s)
-		}
-	}
-	fields := FieldSet{"hour": hh, "minute": mm, "second": ss}
-	if cal.Name() == "us-fiscal" {
-		fields["fiscal-year"] = y
-		fields["fiscal-month"] = m
-		fields["day"] = d
-	} else {
-		fields["year"] = y
-		fields["month"] = m
-		fields["day"] = d
-	}
-	return cal.FromFields(fields)
 }

@@ -22,23 +22,10 @@ type Engine struct {
 }
 
 // NewEngine wires a query engine to its substrates. clock may be nil, in
-// which case now() and temporal-rule definition are unavailable until
-// SetClock.
+// which case now() and temporal-rule definition are refused.
 func NewEngine(cal *caldb.Manager, re *rules.Engine, clock rules.Clock) *Engine {
 	return &Engine{db: cal.DB(), cal: cal, rules: re, clock: clock}
 }
-
-// SetClock installs the clock used by now() and temporal-rule definition.
-func (e *Engine) SetClock(c rules.Clock) { e.clock = c }
-
-// Cal exposes the calendar catalog.
-func (e *Engine) Cal() *caldb.Manager { return e.cal }
-
-// Rules exposes the rule engine.
-func (e *Engine) Rules() *rules.Engine { return e.rules }
-
-// DB exposes the store.
-func (e *Engine) DB() *store.DB { return e.db }
 
 // Result is the outcome of one statement.
 type Result struct {

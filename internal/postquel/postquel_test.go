@@ -201,7 +201,7 @@ func TestTemporalRuleThroughPostquel(t *testing.T) {
 	mustExec(t, e, `create alerts (msg text)`)
 	mustExec(t, e, `define temporal rule tuesday_alert on "[2]/DAYS:during:WEEKS"
 		do ( append alerts (msg = "it is tuesday") )`)
-	cron, err := rules.NewDBCron(e.Rules(), chronology.SecondsPerDay, clock.Now())
+	cron, err := rules.NewDBCron(e.rules, chronology.SecondsPerDay, clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestScalarFunctions(t *testing.T) {
 		t.Errorf("now() diff = %v", res.Rows[0][0])
 	}
 	// User-defined function through the store registry.
-	e.DB().RegisterFunc(store.UserFunc{Name: "twice", MinArgs: 1, MaxArgs: 1,
+	e.db.RegisterFunc(store.UserFunc{Name: "twice", MinArgs: 1, MaxArgs: 1,
 		Fn: func(args []store.Value) (store.Value, error) { return store.NewInt(args[0].I * 2), nil }})
 	res = mustExec(t, e, `retrieve (twice(day(t.d))) from t`)
 	if res.Rows[0][0].I != 10 {
@@ -437,17 +437,22 @@ func TestDateTextComparisonNormalization(t *testing.T) {
 	}
 }
 
+// now() reads the clock the engine was built with; an engine built without
+// one refuses now() and temporal rules instead of dereferencing nil.
 func TestEngineAccessorsAndSetClock(t *testing.T) {
 	e, _ := newEngine(t)
-	if e.Cal() == nil || e.DB() == nil || e.Rules() == nil {
-		t.Error("nil accessor")
-	}
-	clock2 := rules.NewVirtualClock(12345)
-	e.SetClock(clock2)
+	e = NewEngine(e.cal, e.rules, rules.NewVirtualClock(12345))
 	mustExec(t, e, `create s (k int)`)
 	mustExec(t, e, `append s (k = 1)`)
 	res := mustExec(t, e, `retrieve (now()) from s`)
 	if res.Rows[0][0].D != (chronology.Civil{Year: 1987, Month: 1, Day: 1}) {
-		t.Errorf("now() under replaced clock = %v", res.Rows[0][0])
+		t.Errorf("now() under the engine's clock = %v", res.Rows[0][0])
+	}
+	e = NewEngine(e.cal, e.rules, nil)
+	if _, err := e.ExecOne(`retrieve (now()) from s`); err == nil {
+		t.Error("now() without a clock should fail")
+	}
+	if _, err := e.ExecOne(`define temporal rule r on DAYS do ( append s (k = 2) )`); err == nil {
+		t.Error("a temporal rule without a clock should fail")
 	}
 }

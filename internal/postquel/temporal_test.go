@@ -103,7 +103,7 @@ func TestTemporalRuleActionWithCalendar(t *testing.T) {
 	// On each month end, copy that day's price into the monthly table.
 	mustExec(t, e, `define temporal rule snapshot on MonthEnds
 		do ( append monthly (day = now(), px = 0.0) )`)
-	cron, err := rules.NewDBCron(e.Rules(), chronology.SecondsPerDay, clock.Now())
+	cron, err := rules.NewDBCron(e.rules, chronology.SecondsPerDay, clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

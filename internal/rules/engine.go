@@ -767,11 +767,6 @@ type Firing struct {
 	At   int64 // epoch seconds
 }
 
-// fire executes a temporal rule's action and advances its next trigger.
-func (e *Engine) fire(name string, at int64) error {
-	return e.fireChecked(name, at, 0, nil)
-}
-
 // safeExecute runs an action with panic isolation: a panicking action is
 // converted into an error so one bad rule cannot take down the daemon.
 func safeExecute(a Action, tx *store.Txn, ev *store.Event, at int64) (err error) {

@@ -298,9 +298,6 @@ func (j *Journal) AckedThrough(rule string) int64 {
 	return j.state.AckedThrough[strings.ToLower(rule)]
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 func (j *Journal) appendLine(line string, sync bool) error {
 	if err := faultinject.Hit(j.faults, SiteAppend); err != nil {
 		return err

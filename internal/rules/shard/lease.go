@@ -76,14 +76,6 @@ func (c *Coordinator) SetFaults(in *faultinject.Injector) {
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return len(c.leases) }
 
-// Heartbeat marks the worker live through now+TTL without touching leases
-// (a worker with no shards still counts toward fair shares).
-func (c *Coordinator) Heartbeat(worker string, now int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beat[worker] = now + c.ttl
-}
-
 // Depart removes a worker from the liveness set (graceful exit, after its
 // leases are released) so fair shares redistribute to the survivors
 // immediately instead of after a TTL lapse.
@@ -93,13 +85,7 @@ func (c *Coordinator) Depart(worker string) {
 	delete(c.beat, worker)
 }
 
-// LiveWorkers counts workers whose liveness deadline has not passed.
-func (c *Coordinator) LiveWorkers(now int64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.liveLocked(now)
-}
-
+// liveLocked counts workers whose liveness deadline has not passed.
 func (c *Coordinator) liveLocked(now int64) int {
 	n := 0
 	for _, dl := range c.beat {
@@ -226,17 +212,6 @@ func (c *Coordinator) Validate(sh int, epoch uint64, now int64) error {
 		return fmt.Errorf("shard %d epoch %d: %w", sh, epoch, rules.ErrFenced)
 	}
 	return nil
-}
-
-// Owner returns the shard's current lease record.
-func (c *Coordinator) Owner(sh int) (Lease, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh < 0 || sh >= len(c.leases) {
-		return Lease{}, false
-	}
-	l := c.leases[sh]
-	return l, l.Owner != ""
 }
 
 // Stats returns the coordinator's lease-traffic counters.

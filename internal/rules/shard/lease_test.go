@@ -85,7 +85,7 @@ func TestLeaseReleaseFencing(t *testing.T) {
 	if err := c.Release("w2", 0, l2[0].Epoch); err != nil {
 		t.Fatalf("owner Release = %v, want ok", err)
 	}
-	if _, owned := c.Owner(0); owned {
+	if c.leases[0].Owner != "" {
 		t.Fatal("shard still owned after release")
 	}
 	if err := c.Release("w2", 5, l2[0].Epoch); err == nil {
@@ -100,22 +100,23 @@ func TestFairShareMath(t *testing.T) {
 	if fs := c.FairShare(0); fs != 10 {
 		t.Fatalf("FairShare with no workers = %d, want 10", fs)
 	}
-	c.Heartbeat("a", 0)
-	c.Heartbeat("b", 0)
-	c.Heartbeat("c", 0)
-	if lw := c.LiveWorkers(50); lw != 3 {
-		t.Fatalf("LiveWorkers = %d, want 3", lw)
+	// A worker with no shards still counts: renewing is its heartbeat.
+	for _, w := range []string{"a", "b", "c"} {
+		if _, _, err := c.Renew(w, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if fs := c.FairShare(50); fs != 4 { // ceil(10/3)
 		t.Fatalf("FairShare(3 live) = %d, want 4", fs)
 	}
-	// Liveness lapses at exactly now == deadline (now < deadline is live).
-	if lw := c.LiveWorkers(100); lw != 0 {
-		t.Fatalf("LiveWorkers at deadline = %d, want 0", lw)
-	}
-	c.Heartbeat("a", 100)
-	if fs := c.FairShare(101); fs != 10 {
-		t.Fatalf("FairShare(1 live) = %d, want 10", fs)
+	// Liveness lapses at exactly now == deadline (now < deadline is live):
+	// a and d beat at 1, so at 100 only b and c have lapsed.
+	c.Renew("a", 1)
+	c.Renew("d", 1)
+	for now, want := range map[int64]int{99: 3, 100: 5, 101: 10} {
+		if fs := c.FairShare(now); fs != want {
+			t.Fatalf("FairShare(%d) = %d, want %d", now, fs, want)
+		}
 	}
 }
 

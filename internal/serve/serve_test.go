@@ -630,6 +630,11 @@ func TestXAuthTokenHeader(t *testing.T) {
 // TestStatsEndpoint sanity-checks the admin stats surface.
 func TestStatsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
+	// The cache is process-wide: a server with no tenant yet reports it too.
+	_, fresh := call(t, ts, "GET", "/v1/stats", testAdminToken, nil)
+	if mat, ok := fresh["matcache"].(map[string]any); !ok || mat["budget"].(float64) <= 0 {
+		t.Fatalf("fresh server's matcache stats: %v", fresh["matcache"])
+	}
 	mkTenant(t, ts, "acme")
 	status, body := call(t, ts, "GET", "/v1/stats", testAdminToken, nil)
 	if status != http.StatusOK {

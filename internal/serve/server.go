@@ -266,15 +266,11 @@ func (s *Server) handleTenantDrop(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var matStats any
-	if t, ok := s.firstTenant(); ok {
-		matStats = t.System().MatStats()
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tenants":      len(s.reg.Names()),
 		"shared_plans": s.share.Stats(),
 		"prepared":     s.reg.preparedStats(),
-		"matcache":     matStats,
+		"matcache":     matcache.Shared().Stats(),
 	})
 }
 
@@ -287,16 +283,6 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 		"matcache": mat.Stats(),
 		"shards":   mat.ShardStats(),
 	})
-}
-
-// firstTenant returns any tenant (the shared cache's stats are process-wide,
-// so any manager reads the same counters).
-func (s *Server) firstTenant() (*Tenant, bool) {
-	names := s.reg.Names()
-	if len(names) == 0 {
-		return nil, false
-	}
-	return s.reg.Get(names[0])
 }
 
 // --- calendars -----------------------------------------------------------

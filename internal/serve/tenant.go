@@ -213,6 +213,3 @@ func (r *Registry) preparedStats() caldb.PreparedStats {
 	}
 	return sum
 }
-
-// Today is the civil date tenant clocks were anchored at.
-func (r *Registry) Today() chronology.Civil { return r.today }

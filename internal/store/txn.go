@@ -185,16 +185,6 @@ func (tx *Txn) Retrieve(table string, filter func(Row) bool, visit func(rid int6
 	return fireErr
 }
 
-// Get reads one row by id without firing events.
-func (tx *Txn) Get(table string, rid int64) (Row, bool, error) {
-	t, err := tx.table(table)
-	if err != nil {
-		return nil, false, err
-	}
-	row, ok := t.Get(rid)
-	return row, ok, nil
-}
-
 // RunTxn executes fn in a transaction, committing on nil error and rolling
 // back otherwise.
 func (db *DB) RunTxn(fn func(tx *Txn) error) error {

@@ -60,25 +60,10 @@ func NewRegular(mgr *caldb.Manager, name, calExpr string, from chronology.Civil)
 	return r, nil
 }
 
-// Name returns the series name.
-func (r *Regular) Name() string { return r.name }
-
-// CalendarExpr returns the valid-time calendar expression.
-func (r *Regular) CalendarExpr() string { return r.calSrc }
-
-// Len returns the number of observations.
-func (r *Regular) Len() int { return len(r.values) }
-
-// Granularity returns the tick unit of the generated spans.
-func (r *Regular) Granularity() chronology.Granularity { return r.gran }
-
 // Append records the next observation; its valid time is implicit.
 func (r *Regular) Append(vs ...float64) {
 	r.values = append(r.values, vs...)
 }
-
-// Values returns the raw values (shared slice; do not modify).
-func (r *Regular) Values() []float64 { return r.values }
 
 // spansFor evaluates the calendar far enough ahead to yield at least n
 // observation spans, doubling the horizon as needed. The evaluation runs
@@ -92,8 +77,8 @@ func (r *Regular) spansFor(n int) ([]interval.Interval, error) {
 	var spans []interval.Interval
 	for {
 		if r.horizonDays > maxHorizonDays {
-			return nil, fmt.Errorf("timeseries: calendar %q yields too few points (%d of %d) within %d days",
-				r.calSrc, len(spans), n, r.horizonDays)
+			return nil, fmt.Errorf("timeseries %s: calendar %q yields too few points (%d of %d) within %d days",
+				r.name, r.calSrc, len(spans), n, r.horizonDays)
 		}
 		to := r.from.AddDays(r.horizonDays)
 		cal, err := r.mgr.EvalExpr(r.calSrc, r.from, to)
@@ -129,18 +114,6 @@ func (r *Regular) Observations() ([]Obs, error) {
 		out[i] = Obs{Span: spans[i], Value: v}
 	}
 	return out, nil
-}
-
-// SpanOf returns the valid-time interval of observation i.
-func (r *Regular) SpanOf(i int) (interval.Interval, error) {
-	if i < 0 || i >= len(r.values) {
-		return interval.Interval{}, fmt.Errorf("timeseries: observation %d out of range", i)
-	}
-	spans, err := r.spansFor(i + 1)
-	if err != nil {
-		return interval.Interval{}, err
-	}
-	return spans[i], nil
 }
 
 // At returns the value valid at the given civil date, resolved through the

@@ -72,19 +72,6 @@ func TestSliceAndSpanOf(t *testing.T) {
 	if len(got) != 3 || got[0].Value != 2 || got[2].Value != 4 {
 		t.Errorf("slice = %v", got)
 	}
-	sp, err := s.SpanOf(0)
-	if err != nil || sp.Lo != 31 {
-		t.Errorf("SpanOf(0) = %v, %v", sp, err)
-	}
-	if _, err := s.SpanOf(99); err == nil {
-		t.Error("out-of-range span should fail")
-	}
-	if s.Name() != "EOM" || s.Len() != 6 || s.Granularity() != chronology.Day {
-		t.Error("metadata wrong")
-	}
-	if s.CalendarExpr() == "" || len(s.Values()) != 6 {
-		t.Error("accessors wrong")
-	}
 }
 
 func TestHorizonGrowth(t *testing.T) {
