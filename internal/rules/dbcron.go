@@ -190,7 +190,7 @@ type DBCron struct {
 	closed atomic.Bool
 	dropID int
 	// kick wakes a blocked Run immediately after the schedule gains entries
-	// out of band (Recover / AdoptState on a stolen or granted shard), so
+	// out of band (Recover, after a crash or on a stolen or granted shard), so
 	// the daemon never sleeps through newly-acquired due instants.
 	kick chan struct{}
 
@@ -334,12 +334,16 @@ func (c *DBCron) inShard(name string) bool {
 // whether the firing committed; a non-nil error means processing must stop
 // (legacy-mode action failure, injected crash, lost shard lease, or journal
 // I/O error) — durable-mode action failures are absorbed into retries or the
-// dead-letter table instead.
+// dead-letter table instead. Every return that leaves the entry out of the
+// wheel clears the rule's scheduled key, so the next probe re-arms it from
+// RULE-TIME: an uncommitted instant is overdue there, a committed one has
+// already advanced.
 func (c *DBCron) execute(pf *pendingFiring, now int64) (bool, error) {
 	key := strings.ToLower(pf.Rule)
 	j := c.opts.Journal
 	if j != nil {
 		if err := j.Begin(pf.seq, pf.attempt+1); err != nil {
+			delete(c.scheduled, key)
 			return false, err
 		}
 	}
@@ -350,6 +354,7 @@ func (c *DBCron) execute(pf *pendingFiring, now int64) (bool, error) {
 	err := c.eng.fireChecked(pf.Rule, pf.At, c.opts.ActionTimeout, fence)
 	pf.attempt++
 	if err == nil {
+		delete(c.scheduled, key)
 		if err := faultinject.Hit(c.opts.Faults, SiteAck); err != nil {
 			// The firing committed but its ack is lost with the crash;
 			// recovery deduplicates via RULE-TIME.
@@ -360,7 +365,6 @@ func (c *DBCron) execute(pf *pendingFiring, now int64) (bool, error) {
 				return true, err
 			}
 		}
-		delete(c.scheduled, key)
 		c.fired++
 		c.lateSum += now - pf.At
 		// If the rule re-armed inside the current probe window, schedule it
@@ -376,23 +380,18 @@ func (c *DBCron) execute(pf *pendingFiring, now int64) (bool, error) {
 		}
 		return true, nil
 	}
-	if errors.Is(err, ErrFenced) {
-		// The shard lease was lost mid-window: stop without retrying or
-		// dead-lettering (either would advance RULE-TIME under the new
-		// owner's feet). The new owner recovers and fires this instant.
-		return false, err
-	}
-	if faultinject.IsCrash(err) {
-		return false, err
-	}
-	if !c.durable {
+	if errors.Is(err, ErrFenced) || faultinject.IsCrash(err) || !c.durable {
+		// A lost shard lease stops without retrying or dead-lettering
+		// (either would advance RULE-TIME under the new owner's feet; the
+		// new owner recovers and fires this instant); a crash stops dead; a
+		// legacy daemon fails fast.
 		delete(c.scheduled, key)
 		return false, err
 	}
 	if pf.attempt >= c.opts.Retry.MaxAttempts {
+		delete(c.scheduled, key)
 		c.dead++
 		if derr := c.eng.deadLetter(pf.Rule, pf.At, pf.attempt, err.Error(), now); derr != nil {
-			delete(c.scheduled, key)
 			return false, derr
 		}
 		if j != nil {
@@ -400,7 +399,6 @@ func (c *DBCron) execute(pf *pendingFiring, now int64) (bool, error) {
 				return false, derr
 			}
 		}
-		delete(c.scheduled, key)
 		return false, nil
 	}
 	c.retries++
@@ -462,7 +460,7 @@ func (c *DBCron) ruleDropped(key string) {
 // retry). The firing bound is conservative: it is never later than the true
 // next instant, so a wake can be early but never sleeps through due work. It
 // is re-derived from the wheel on every call, so schedule changes from
-// Recover/AdoptState are reflected immediately.
+// Recover are reflected immediately.
 func (c *DBCron) NextWakeup() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

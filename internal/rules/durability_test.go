@@ -256,6 +256,67 @@ func TestScheduledBookkeepingOnDropAndRedefine(t *testing.T) {
 	}
 }
 
+// Regression for the stranded-rule bug: one failed journal write (or an
+// injected, non-crash fault in the ack window) surfaces once from AdvanceTo
+// and costs no firing — the rule's scheduled key is cleared, so the next
+// probe re-arms it from RULE-TIME and every day fires exactly once.
+func TestJournalWriteFailureDoesNotStrandRule(t *testing.T) {
+	cases := []struct {
+		name  string
+		site  string
+		ahead int // which upcoming hit of the site fails
+	}{
+		{"ack window", SiteAck, 1},
+		{"B record", journal.SiteAppend, 1},
+		{"A record", journal.SiteAppend, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, cal := newEngine(t)
+			start := cal.Chron().EpochSecondsOf(d(1993, 1, 1))
+			var hits []int64
+			if err := eng.DefineTemporalRule("daily", "DAYS", countingAction("n", &hits), start); err != nil {
+				t.Fatal(err)
+			}
+			inj := faultinject.New(1)
+			cron, err := NewDBCronWith(eng, chronology.SecondsPerDay, start, CronOptions{
+				Journal: openJournal(t, journal.WithFaults(inj)),
+				Faults:  inj,
+				Seed:    1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var errs []error
+			for day := int64(0); day <= 10; day++ {
+				if day == 4 {
+					// The probe at day 3 journaled day 4's S record; the
+					// next append is its B record, the one after its A.
+					inj.FailAt(tc.site, inj.Count(tc.site)+tc.ahead)
+				}
+				if _, err := cron.AdvanceTo(start + day*chronology.SecondsPerDay); err != nil {
+					errs = append(errs, err)
+				}
+			}
+			if len(errs) != 1 || !errors.Is(errs[0], faultinject.ErrInjected) {
+				t.Fatalf("AdvanceTo errors = %v, want the one injected fault", errs)
+			}
+			seen := map[int64]int{}
+			for _, at := range hits {
+				seen[at]++
+			}
+			for day := int64(1); day <= 10; day++ {
+				if n := seen[start+day*chronology.SecondsPerDay]; n != 1 {
+					t.Errorf("day %d fired %d times, want 1 (hits %d)", day, n, len(hits))
+				}
+			}
+			if len(hits) != 10 {
+				t.Errorf("fired %d times, want 10", len(hits))
+			}
+		})
+	}
+}
+
 // Satellite: DefineTemporalRule is atomic — a failure after the RULE-INFO
 // write must leave no partial catalog rows behind, and the name stays
 // definable.

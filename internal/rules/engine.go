@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1058,18 +1057,6 @@ func (e *Engine) canonicalName(name string) (string, bool) {
 		return "", false
 	}
 	return r.name, true
-}
-
-// temporalNames lists the live temporal rules (sorted, original casing).
-func (e *Engine) temporalNames() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	names := make([]string, 0, len(e.temporal))
-	for _, r := range e.temporal {
-		names = append(names, r.name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // nextOf reports a temporal rule's cached next trigger (noTrigger when

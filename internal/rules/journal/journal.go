@@ -11,7 +11,7 @@
 //	A <seq>                         firing committed (acked)
 //	D <seq> <attempts> <reason>     firing dead-lettered after retry budget
 //	K <seq>                         firing skipped by the catch-up policy
-//	T <at> <rule>                   acked high-water mark (written by Compact)
+//	T <at> <rule>                   acked high-water mark (written by Compact and Create)
 //
 // A firing is pending iff it has an S record and no A/D/K. Replay tolerates
 // a torn final line (a crash mid-write): the tail is dropped and Open
@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -362,20 +363,6 @@ func (j *Journal) Skip(seq uint64) error {
 	return j.appendLine(fmt.Sprintf("K %d", seq), true)
 }
 
-// HighWater records an acked high-water mark for a rule (a T record, the
-// same form Compact writes) without syncing; call Sync after a batch. A new
-// per-shard epoch journal is seeded with the merged high-waters of the
-// prior epochs' files before those are deleted (shard handoff).
-func (j *Journal) HighWater(rule string, at int64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	key := strings.ToLower(rule)
-	if at > j.state.AckedThrough[key] {
-		j.state.AckedThrough[key] = at
-	}
-	return j.appendLine(fmt.Sprintf("T %d %s", at, strconv.Quote(rule)), false)
-}
-
 // Sync flushes and fsyncs the journal.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
@@ -395,27 +382,24 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Compact rewrites the journal to its minimal replay form: the magic line,
-// one T high-water record per rule, and S/B records for still-pending
-// firings. Call it on clean shutdown or periodically to bound growth.
-func (j *Journal) Compact() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	st, err := Replay(j.f)
-	if err != nil {
-		return err
-	}
-	tmp := j.path + ".compact"
+// writeMinimal writes st to path in its minimal replay form — the magic
+// line, one T high-water record per rule, S/B records for still-pending
+// firings — through a temp file, fsync and rename, so a crash leaves either
+// the old file or the whole new one. The fsync is a journal.sync site.
+func writeMinimal(path string, st *State, faults *faultinject.Injector) error {
+	tmp := path + ".compact"
 	nf, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	bw := bufio.NewWriter(nf)
 	fmt.Fprintln(bw, magic)
-	for _, rule := range sortedKeys(st.AckedThrough) {
+	rules := make([]string, 0, len(st.AckedThrough))
+	for rule := range st.AckedThrough {
+		rules = append(rules, rule)
+	}
+	sort.Strings(rules)
+	for _, rule := range rules {
 		fmt.Fprintf(bw, "T %d %s\n", st.AckedThrough[rule], strconv.Quote(rule))
 	}
 	for _, p := range st.Pending {
@@ -428,6 +412,10 @@ func (j *Journal) Compact() error {
 		nf.Close()
 		return fmt.Errorf("journal: %w", err)
 	}
+	if err := faultinject.Hit(faults, SiteSync); err != nil {
+		nf.Close()
+		return err
+	}
 	if err := nf.Sync(); err != nil {
 		nf.Close()
 		return fmt.Errorf("journal: %w", err)
@@ -435,8 +423,41 @@ func (j *Journal) Compact() error {
 	if err := nf.Close(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if err := os.Rename(tmp, j.path); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("journal: %w", err)
+	}
+	return nil
+}
+
+// Create writes st as a new journal at path in the minimal form Compact
+// leaves behind, then opens it for appending. A shard's new epoch journal
+// is created from the merged state of its predecessors' files
+// (MergeStates); Recover then resolves it like any crashed daemon's.
+func Create(path string, st *State, opts ...Option) (*Journal, error) {
+	j := &Journal{}
+	for _, fn := range opts {
+		fn(j)
+	}
+	if err := writeMinimal(path, st, j.faults); err != nil {
+		return nil, err
+	}
+	return Open(path, opts...)
+}
+
+// Compact rewrites the journal to its minimal replay form (writeMinimal).
+// Call it on clean shutdown or periodically to bound growth.
+func (j *Journal) Compact() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.w.Flush(); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	st, err := Replay(j.f)
+	if err != nil {
+		return err
+	}
+	if err := writeMinimal(j.path, st, j.faults); err != nil {
+		return err
 	}
 	old := j.f
 	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
@@ -455,19 +476,6 @@ func (j *Journal) Compact() error {
 }
 
 func lowerKey(rule string) string { return strings.ToLower(rule) }
-
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for p := i; p > 0 && out[p] < out[p-1]; p-- {
-			out[p], out[p-1] = out[p-1], out[p]
-		}
-	}
-	return out
-}
 
 // Close flushes, fsyncs and closes the journal file.
 func (j *Journal) Close() error {

@@ -2,8 +2,11 @@ package journal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -221,6 +224,115 @@ func TestCompact(t *testing.T) {
 	p := j2.Pending()
 	if len(p) != 1 || p[0].At != 999 || p[0].Attempts != 2 {
 		t.Fatalf("pending after compact = %+v", p)
+	}
+
+	// Many rules, acked in scrambled order: every high-water survives
+	// compaction and reopening, and the T records come out sorted.
+	const n = 2000
+	path = filepath.Join(t.TempDir(), "many")
+	jm := open(t, path)
+	want := map[string]int64{}
+	for i := 0; i < n; i++ {
+		rule := fmt.Sprintf("rule-%d", i*7919%n)
+		s, _ := jm.Scheduled(rule, int64(1000+i))
+		if err := jm.Ack(s); err != nil {
+			t.Fatal(err)
+		}
+		want[rule] = int64(1000 + i)
+	}
+	if err := jm.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	jm.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if fields := strings.SplitN(line, " ", 3); fields[0] == "T" {
+			name, err := strconv.Unquote(fields[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
+		}
+	}
+	if len(names) != n || !sort.StringsAreSorted(names) {
+		t.Errorf("compacted T records: %d, sorted %v; want %d sorted", len(names), sort.StringsAreSorted(names), n)
+	}
+	jm = open(t, path)
+	defer jm.Close()
+	for rule, at := range want {
+		if got := jm.AckedThrough(rule); got != at {
+			t.Fatalf("AckedThrough(%s) after compact = %d, want %d", rule, got, at)
+		}
+	}
+}
+
+// Two epoch files whose intents collide on sequence numbers merge into one
+// journal: Create of the merged state reopens with distinct sequence numbers,
+// the higher attempt count of an intent pending in both files, no intent the
+// other file's high-water proves committed, and max-merged high-waters; an
+// Ack then completes exactly one intent.
+func TestMergeStatesRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	e1 := open(t, ShardFile(dir, 0, 1))
+	for _, f := range []struct {
+		rule string
+		at   int64
+	}{{"a", 100}, {"b", 50}} {
+		s, _ := e1.Scheduled(f.rule, f.at)
+		e1.Ack(s)
+	}
+	s, _ := e1.Scheduled("a", 200) // seq 3
+	e1.Begin(s, 1)
+	e1.Scheduled("c", 300) // seq 4: below epoch 2's high-water for c
+	e1.Close()
+
+	e2 := open(t, ShardFile(dir, 0, 2))
+	s, _ = e2.Scheduled("a", 200) // seq 1: pending in both files
+	e2.Begin(s, 3)
+	s, _ = e2.Scheduled("c", 350)
+	e2.Ack(s)
+	s, _ = e2.Scheduled("b", 40)
+	e2.Ack(s)
+	e2.Scheduled("d", 500) // seq 4, as epoch 1's c@300
+	e2.Close()
+
+	var states []*State
+	for _, epoch := range []uint64{1, 2} {
+		st, err := ReplayFile(ShardFile(dir, 0, epoch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, st)
+	}
+	path := ShardFile(dir, 0, 3)
+	j, err := Create(path, MergeStates(states...), WithSync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j = open(t, path)
+	p := j.Pending()
+	if len(p) != 2 || p[0].Rule != "a" || p[0].At != 200 || p[0].Attempts != 3 ||
+		p[1].Rule != "d" || p[1].At != 500 || p[0].Seq == p[1].Seq {
+		t.Fatalf("merged pending = %+v, want a@200 (3 attempts) and d@500 under distinct seqs", p)
+	}
+	for rule, hi := range map[string]int64{"a": 100, "b": 50, "c": 350, "d": 0} {
+		if got := j.AckedThrough(rule); got != hi {
+			t.Errorf("merged AckedThrough(%s) = %d, want %d", rule, got, hi)
+		}
+	}
+	if err := j.Ack(p[1].Seq); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j = open(t, path)
+	defer j.Close()
+	if got := j.Pending(); len(got) != 1 || got[0] != p[0] {
+		t.Fatalf("after acking d: pending = %+v, want only %+v", got, p[0])
 	}
 }
 

@@ -2,8 +2,9 @@
 // shard its own journal, and every lease grant (epoch) a fresh file: a
 // zombie worker that lost the lease may still hold its old epoch's file
 // open, so the new owner never appends to a predecessor's file. Instead it
-// replays and merges every file the shard has accumulated, seeds a new epoch
-// file with the merged high-waters, recovers, and deletes the old files.
+// replays and merges every file the shard has accumulated, creates the new
+// epoch file from the merged state (Create), recovers, and deletes the old
+// files.
 
 package journal
 
@@ -50,7 +51,8 @@ func ReplayFile(path string) (*State, error) {
 // acked high-waters take the per-rule maximum, and pending intents are
 // deduplicated by (rule, at) keeping the highest attempt count, dropping
 // intents whose instant the merged high-water already proves committed.
-// Sequence numbers are meaningless across files; the adopter re-journals.
+// Sequence numbers are meaningless across files, so the merged intents are
+// renumbered 1..n in replay order and NextSeq follows them.
 func MergeStates(states ...*State) *State {
 	out := &State{AckedThrough: map[string]int64{}, NextSeq: 1}
 	type key struct {
@@ -95,5 +97,9 @@ func MergeStates(states ...*State) *State {
 		}
 		return lowerKey(out.Pending[i].Rule) < lowerKey(out.Pending[j].Rule)
 	})
+	for i := range out.Pending {
+		out.Pending[i].Seq = uint64(i + 1)
+	}
+	out.NextSeq = uint64(len(out.Pending) + 1)
 	return out
 }

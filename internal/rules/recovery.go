@@ -2,9 +2,8 @@ package rules
 
 import (
 	"fmt"
+	"sort"
 	"strings"
-
-	"calsys/internal/rules/journal"
 )
 
 // RecoveryReport summarizes what Recover did with the journal and the
@@ -31,38 +30,18 @@ func (r RecoveryReport) String() string {
 		r.ReplayedPending, r.Refired, r.Deduped, r.CaughtUp, r.Skipped, r.Orphaned)
 }
 
-// ackedHigh pairs a rule (original casing) with a journal acked-through
-// high-water instant.
-type ackedHigh struct {
-	name string
-	hi   int64
-}
-
-// recoverySrc abstracts where recovery's journal evidence comes from and how
-// resolved in-flight firings are recorded. Recover reads the daemon's own
-// journal and resolves against the original sequence numbers; AdoptState
-// reads the merged state of a prior owner's journals and re-journals into
-// the daemon's fresh epoch journal.
-type recoverySrc struct {
-	highs   []ackedHigh
-	pending []journal.PendingFiring
-	// skip drops an intent (orphaned rule or SkipMissed policy).
-	skip func(p journal.PendingFiring) error
-	// dedup records that the intent's transaction had already committed.
-	dedup func(p journal.PendingFiring) error
-	// entry builds the schedule entry (with the right journal seq) for an
-	// intent that must be re-queued or re-executed.
-	entry func(p journal.PendingFiring) (pendingFiring, error)
-}
-
-// Recover brings a durable daemon back to a consistent state after a crash:
+// Recover brings a durable daemon back to a consistent state after a crash —
+// or after a shard handoff, whose new epoch journal is created from the
+// merged state of its predecessors' files (journal.Create) and then
+// recovered like any other:
 //
 //  1. RULE-TIME rows older than the journal's acked-through high-water are
 //     fast-forwarded — they came from a snapshot taken before firings that
 //     the journal proves committed.
-//  2. In-flight firings from the journal are resolved: already-committed
-//     ones are acked without re-execution (the RULE-TIME dedup), the rest
-//     are re-executed (FireAll/FireLast) or skipped (SkipMissed).
+//  2. In-flight firings from the journal are resolved under their own
+//     sequence numbers: already-committed ones are acked without
+//     re-execution (the RULE-TIME dedup), the rest are re-executed
+//     (FireAll/FireLast) or skipped (SkipMissed).
 //  3. Triggers that came due while the daemon was down are caught up per
 //     the policy: FireAll fires every missed instant in order, FireLast
 //     only the latest, SkipMissed none.
@@ -74,146 +53,81 @@ type recoverySrc struct {
 func (c *DBCron) Recover(now int64) (RecoveryReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.durable {
-		return RecoveryReport{}, fmt.Errorf("rules: Recover requires a durable daemon (NewDBCronWith)")
-	}
-	j := c.opts.Journal
-	src := recoverySrc{
-		skip:  func(p journal.PendingFiring) error { return j.Skip(p.Seq) },
-		dedup: func(p journal.PendingFiring) error { return j.Ack(p.Seq) },
-		entry: func(p journal.PendingFiring) (pendingFiring, error) {
-			return pendingFiring{Firing: Firing{Rule: p.Rule, At: p.At}, runAt: p.At, attempt: p.Attempts, seq: p.Seq}, nil
-		},
-	}
-	if j != nil {
-		src.pending = j.Pending()
-		for _, name := range c.eng.temporalNames() {
-			if hi := j.AckedThrough(name); hi > 0 {
-				src.highs = append(src.highs, ackedHigh{name, hi})
-			}
-		}
-	}
-	rep, err := c.recoverLocked(now, src)
-	c.poke()
-	return rep, err
-}
-
-// AdoptState performs recovery over the merged journal state of a shard's
-// previous owner(s) — the shard-handoff path. The daemon's own journal must
-// be a fresh epoch file: high-waters are seeded as T records and surviving
-// intents are re-journaled under new sequence numbers, so once AdoptState
-// returns the prior epochs' files are fully superseded and can be deleted.
-func (c *DBCron) AdoptState(now int64, st *journal.State) (RecoveryReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.durable || c.opts.Journal == nil {
-		return RecoveryReport{}, fmt.Errorf("rules: AdoptState requires a journaled daemon")
-	}
-	j := c.opts.Journal
-	src := recoverySrc{
-		// The intent lives in a superseded epoch file; nothing to write.
-		skip: func(p journal.PendingFiring) error { return nil },
-		// The instant committed under a prior epoch: carry the evidence
-		// into the new journal so later recoveries keep the stale-snapshot
-		// protection after the old files are gone.
-		dedup: func(p journal.PendingFiring) error { return j.HighWater(p.Rule, p.At) },
-		// Re-journal the intent under a fresh sequence number.
-		entry: func(p journal.PendingFiring) (pendingFiring, error) {
-			pf, err := c.newPending(p.Rule, p.At)
-			if err != nil {
-				return pf, err
-			}
-			pf.attempt = p.Attempts
-			return pf, nil
-		},
-	}
-	if st != nil {
-		src.pending = st.Pending
-		for key, hi := range st.AckedThrough {
-			name, ok := c.eng.canonicalName(key)
-			if !ok {
-				continue
-			}
-			if err := j.HighWater(name, hi); err != nil {
-				return RecoveryReport{}, err
-			}
-			src.highs = append(src.highs, ackedHigh{name, hi})
-		}
-		if err := j.Sync(); err != nil {
-			return RecoveryReport{}, err
-		}
-	}
-	rep, err := c.recoverLocked(now, src)
-	c.poke()
-	return rep, err
-}
-
-// recoverLocked is the four-phase recovery core shared by Recover and
-// AdoptState (c.mu held).
-func (c *DBCron) recoverLocked(now int64, src recoverySrc) (RecoveryReport, error) {
 	var rep RecoveryReport
+	if !c.durable {
+		return rep, fmt.Errorf("rules: Recover requires a durable daemon (NewDBCronWith)")
+	}
+	defer c.poke()
 	c.recovering = true
 	defer func() { c.recovering = false }()
 
-	// Phase 1: stale-snapshot protection. A restored RULE-TIME row may
-	// predate firings the journal acked; trust the journal's high-water.
-	for _, h := range src.highs {
-		if !c.inShard(h.name) {
-			continue
+	if j := c.opts.Journal; j != nil {
+		st := j.State()
+		// Phase 1: stale-snapshot protection. A restored RULE-TIME row may
+		// predate firings the journal acked; trust the journal's high-water.
+		// Stale rules are fast-forwarded in name order, so RULE-TIME is
+		// rewritten the same way on every run.
+		var stale []string
+		for key, hi := range st.AckedThrough {
+			name, ok := c.eng.canonicalName(key)
+			if !ok || !c.inShard(name) {
+				continue
+			}
+			if next, ok := c.eng.storedNext(name); ok && next <= hi {
+				stale = append(stale, name)
+			}
 		}
-		if next, ok := c.eng.storedNext(h.name); ok && next <= h.hi {
-			if _, err := c.eng.skipPast(h.name, h.hi); err != nil {
+		sort.Strings(stale)
+		for _, name := range stale {
+			if _, err := c.eng.skipPast(name, st.AckedThrough[strings.ToLower(name)]); err != nil {
 				return rep, err
 			}
 		}
-	}
 
-	// Phase 2: resolve in-flight firings recorded in the journal.
-	for _, p := range src.pending {
-		rep.ReplayedPending++
-		if !c.eng.hasTemporal(p.Rule) || !c.inShard(p.Rule) {
-			rep.Orphaned++
-			if err := src.skip(p); err != nil {
+		// Phase 2: resolve in-flight firings recorded in the journal.
+		for _, p := range st.Pending {
+			rep.ReplayedPending++
+			if !c.eng.hasTemporal(p.Rule) || !c.inShard(p.Rule) {
+				rep.Orphaned++
+				if err := j.Skip(p.Seq); err != nil {
+					return rep, err
+				}
+				continue
+			}
+			if c.opts.CatchUp == SkipMissed {
+				rep.Skipped++
+				if err := j.Skip(p.Seq); err != nil {
+					return rep, err
+				}
+				continue
+			}
+			if next, ok := c.eng.storedNext(p.Rule); ok && next > p.At {
+				// The firing's transaction committed before the crash; only
+				// its ack was lost.
+				rep.Deduped++
+				if err := j.Ack(p.Seq); err != nil {
+					return rep, err
+				}
+				continue
+			}
+			pf := pendingFiring{Firing: Firing{Rule: p.Rule, At: p.At}, runAt: p.At, attempt: p.Attempts, seq: p.Seq}
+			if p.At > now {
+				// Scheduled in a probe window that had not elapsed yet —
+				// re-queue it for its due time instead of firing early.
+				key := strings.ToLower(p.Rule)
+				if !c.scheduled[key] {
+					c.scheduled[key] = true
+					c.queue.add(pf)
+				}
+				continue
+			}
+			ok, err := c.execute(&pf, now)
+			if err != nil {
 				return rep, err
 			}
-			continue
-		}
-		if c.opts.CatchUp == SkipMissed {
-			rep.Skipped++
-			if err := src.skip(p); err != nil {
-				return rep, err
+			if ok {
+				rep.Refired++
 			}
-			continue
-		}
-		if next, ok := c.eng.storedNext(p.Rule); ok && next > p.At {
-			// The firing's transaction committed before the crash; only
-			// its ack was lost.
-			rep.Deduped++
-			if err := src.dedup(p); err != nil {
-				return rep, err
-			}
-			continue
-		}
-		pf, err := src.entry(p)
-		if err != nil {
-			return rep, err
-		}
-		if p.At > now {
-			// Scheduled in a probe window that had not elapsed yet —
-			// re-queue it for its due time instead of firing early.
-			key := strings.ToLower(p.Rule)
-			if !c.scheduled[key] {
-				c.scheduled[key] = true
-				c.queue.add(pf)
-			}
-			continue
-		}
-		ok, err := c.execute(&pf, now)
-		if err != nil {
-			return rep, err
-		}
-		if ok {
-			rep.Refired++
 		}
 	}
 

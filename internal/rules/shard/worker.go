@@ -149,12 +149,14 @@ func (w *Worker) Tick(now int64) error {
 	return nil
 }
 
-// adoptLocked takes ownership of a freshly granted shard: merge every
-// journal file prior epochs left behind, open this epoch's journal, seed it
-// with the merged high-waters, recover (re-firing or deduplicating the dead
-// owner's in-flight work per the catch-up policy), then delete the
-// superseded files. Idempotent under crashes at any point: files are only
-// deleted after the new epoch journal holds everything they proved.
+// adoptLocked takes ownership of a freshly granted shard. A handoff is a
+// restart: merge every journal file prior epochs left behind, create this
+// epoch's journal from the merged state, recover it the way a crashed
+// daemon recovers its own (re-firing or deduplicating the dead owner's
+// in-flight work per the catch-up policy), then delete the superseded
+// files. Idempotent under crashes at any point: the new file appears whole
+// (temp file and rename), and the old ones are only deleted after it holds
+// everything they proved.
 func (w *Worker) adoptLocked(l Lease, now int64) error {
 	if err := faultinject.Hit(w.opts.Faults, SiteHandoff); err != nil {
 		return err
@@ -164,19 +166,14 @@ func (w *Worker) adoptLocked(l Lease, now int64) error {
 	if err != nil {
 		return err
 	}
-	var states []*journal.State
-	for _, p := range old {
-		if p == newPath {
-			continue
-		}
-		st, err := journal.ReplayFile(p)
-		if err != nil {
+	states := make([]*journal.State, len(old))
+	for i, p := range old {
+		if states[i], err = journal.ReplayFile(p); err != nil {
 			return err
 		}
-		states = append(states, st)
 	}
-	merged := journal.MergeStates(states...)
-	jnl, err := journal.Open(newPath, journal.WithSync(w.opts.SyncJournals), journal.WithFaults(w.opts.Faults))
+	jnl, err := journal.Create(newPath, journal.MergeStates(states...),
+		journal.WithSync(w.opts.SyncJournals), journal.WithFaults(w.opts.Faults))
 	if err != nil {
 		return err
 	}
@@ -197,7 +194,7 @@ func (w *Worker) adoptLocked(l Lease, now int64) error {
 		jnl.Close()
 		return err
 	}
-	if _, err := cron.AdoptState(now, merged); err != nil {
+	if _, err := cron.Recover(now); err != nil {
 		if errors.Is(err, rules.ErrFenced) {
 			// Lease lost while adopting (e.g. the clock jumped past the
 			// TTL mid-recovery): walk away, the next owner re-merges.
