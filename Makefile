@@ -49,7 +49,13 @@ loc:
 # Journal.HighWater, Engine.temporalNames and the insertion sort went; the
 # shared minimal-form writer, journal.Create, MergeStates' renumbering and the
 # stranded-rule fix in execute came.
-LOC_BUDGET = 24118
+# One firing loop lowered it by 293 (24 118 -> 23 825; 270 lines in, 563
+# out): dbcrond's three run loops became one loop over shard.Worker (591 ->
+# 429 lines); DBCron.Run, NextWakeup, the kick channel, poke, SystemClock,
+# the wheel's next bound, FullStats, both MaxCatchUp knobs and
+# Journal.Pending/AckedThrough went; the worker's retry of stranded leases
+# and WorkerStats.Recovered came.
+LOC_BUDGET = 23825
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -110,8 +116,8 @@ chaos:
 # SIGKILLs a shard owner and arms one seeded crash site across the lease,
 # handoff, probe, fire, ack and journal layers, then proves fleet-wide
 # exactly-once under FireAll (at-most-once under SkipMissed) — plus the
-# dbcrond demos' crash-and-recover and kill-and-steal runs, which drive both
-# callers of Recover through the file system. Three repetitions under the
+# dbcrond demos' crash-and-recover and kill-and-steal runs, whose restart and
+# steals both recover through the file system. Three repetitions under the
 # race detector. Set CHAOS_ARTIFACTS to keep the per-shard journals of failed
 # runs (CI uploads them).
 chaos-fleet:

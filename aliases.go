@@ -104,8 +104,6 @@ type (
 	Clock = rules.Clock
 	// VirtualClock is a manually advanced clock.
 	VirtualClock = rules.VirtualClock
-	// SystemClock maps wall time onto model seconds from an anchor.
-	SystemClock = rules.SystemClock
 
 	// CronOptions configures a durable DBCRON daemon.
 	CronOptions = rules.CronOptions

@@ -300,8 +300,7 @@ func BenchmarkE9DBCronSweep(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				fired, _ := cron.Stats()
-				b.ReportMetric(float64(fired)/float64(b.N), "firings/30d")
+				b.ReportMetric(float64(cron.Stats().Fired)/float64(b.N), "firings/30d")
 			})
 		}
 	}

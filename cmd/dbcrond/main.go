@@ -1,27 +1,28 @@
-// Command dbcrond demonstrates the DBCRON daemon of Figure 4: it declares a
-// set of temporal rules (every Tuesday, every month end, every quarter end,
-// daily business days) and simulates their firings over a span of virtual
-// days, printing the trigger log and the daemon's statistics.
+// Command dbcrond runs the DBCRON daemon of Figure 4 over virtual days. A
+// fleet of -workers workers (one by default) splits the rules' -shards shards
+// under TTL'd, epoch-fenced leases; every round each worker's Tick probes
+// RULE-TIME and fires its shards' due rules, journaling every firing to a
+// per-shard, per-epoch file under -journal-dir (a temp dir by default).
 //
-// With -journal and -snapshot the daemon is durable: firings are recorded
-// in a write-ahead journal, the database is checkpointed periodically, and
-// a -crash-after run can be resumed with -recover, which replays the
-// journal, fast-forwards stale RULE-TIME rows, and catches up missed
-// triggers under the selected -policy (fireall | firelast | skip).
+// The rules are the four named ones (every Tuesday, every month end, every
+// quarter end, daily business days), whose firings are logged, or with
+// -rules N the scheduling-at-scale mix: N synthetic rules over -distinct
+// calendar expressions plus eight daily sentinel rules. Rules sharing an
+// expression share one plan group, so the probe cost tracks the number of
+// distinct expressions, not rules. The run verifies that every sentinel
+// instant fired exactly once.
 //
-// With -rules the daemon instead runs the scheduling-at-scale demo: it
-// batch-defines N synthetic rules over -distinct calendar expressions and
-// times the probe loop, showing the shared-plan fan-out keeping the cost per
-// probe day proportional to the number of distinct expressions, not rules.
+// -snapshot checkpoints the database every -checkpoint-days. -crash-after N
+// kills worker 0 in the ack window of its Nth firing: the process exits the
+// way a SIGKILL would, leaving the journals and the last checkpoint. Run the
+// same command with -recover: it loads the checkpoint, re-binds the actions,
+// and the first Tick adopts the journals left behind and recovers them under
+// -policy (fireall | firelast | skip).
 //
-// With -workers the daemon runs the sharded-fleet demo: rules are
-// hash-partitioned into -shards shards owned under TTL'd, epoch-fenced
-// leases split across -workers workers. -kill-after SIGKILLs one
-// shard-owning worker mid-day; its leases expire, the survivors steal its
-// shards, merge its journals and catch up — the run then verifies that
-// every sentinel rule fired exactly once per due instant and that no rule
-// lost progress. SIGTERM instead releases every lease gracefully, so a
-// clean shutdown never opens a steal window.
+// -kill-after SIGKILLs one shard-owning worker mid-day: its leases expire,
+// the survivors steal its shards, merge its journals and catch up. SIGTERM
+// instead drains and releases every lease, so a clean shutdown never opens a
+// steal window.
 //
 // -pprof serves net/http/pprof on the given address for live CPU and heap
 // profiles of a running daemon (see also `make profile`).
@@ -29,11 +30,10 @@
 // Usage:
 //
 //	dbcrond [-days N] [-T seconds] [-start YYYY-MM-DD] [-q]
-//	        [-journal FILE] [-snapshot FILE] [-policy fireall]
-//	        [-checkpoint-days N] [-crash-after N] [-recover]
-//	        [-rules N [-distinct K]] [-pprof addr] [-mutexprofile N]
-//	        [-workers N [-shards M] [-lease-ttl secs] [-kill-after day]
-//	         [-journal-dir DIR]]
+//	        [-rules N [-distinct K]] [-workers N] [-shards M]
+//	        [-lease-ttl secs] [-kill-after day] [-journal-dir DIR]
+//	        [-snapshot FILE] [-checkpoint-days N] [-crash-after N]
+//	        [-recover] [-policy fireall] [-pprof addr] [-mutexprofile N]
 package main
 
 import (
@@ -58,7 +58,6 @@ type config struct {
 	days, T        int64
 	start          string
 	quiet          bool
-	journalPath    string
 	snapshotPath   string
 	policy         string
 	checkpointDays int64
@@ -81,21 +80,20 @@ func main() {
 	flag.Int64Var(&cfg.T, "T", calsys.SecondsPerDay, "DBCRON probe period in seconds")
 	flag.StringVar(&cfg.start, "start", "1993-01-01", "simulation start date")
 	flag.BoolVar(&cfg.quiet, "q", false, "suppress the per-firing log")
-	flag.StringVar(&cfg.journalPath, "journal", "", "write-ahead firing journal (enables the durable daemon)")
 	flag.StringVar(&cfg.snapshotPath, "snapshot", "", "database snapshot file (checkpointed periodically)")
 	flag.StringVar(&cfg.policy, "policy", "fireall", "catch-up policy on recovery: fireall | firelast | skip")
 	flag.Int64Var(&cfg.checkpointDays, "checkpoint-days", 7, "virtual days between snapshot checkpoints")
-	flag.Int64Var(&cfg.crashAfter, "crash-after", 0, "simulate a crash after N firings (0 = never)")
-	flag.BoolVar(&cfg.doRecover, "recover", false, "recover from -snapshot and -journal before simulating")
-	flag.Int64Var(&cfg.rules, "rules", 0, "scale demo: define N synthetic rules instead of the named set")
+	flag.Int64Var(&cfg.crashAfter, "crash-after", 0, "simulate a crash after worker 0's Nth firing (0 = never)")
+	flag.BoolVar(&cfg.doRecover, "recover", false, "recover from -snapshot and the journals in -journal-dir before simulating")
+	flag.Int64Var(&cfg.rules, "rules", 0, "scale demo: define N synthetic rules and 8 sentinels instead of the named set")
 	flag.Int64Var(&cfg.distinct, "distinct", 50, "scale demo: distinct calendar expressions across -rules")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.IntVar(&cfg.mutexFrac, "mutexprofile", 0, "sample 1/N mutex contention events for /debug/pprof/mutex (0 = off)")
-	flag.Int64Var(&cfg.workers, "workers", 0, "sharded-fleet demo: run N lease-holding workers")
-	flag.Int64Var(&cfg.shards, "shards", 8, "sharded-fleet demo: hash-partition rules into M shards")
-	flag.Int64Var(&cfg.leaseTTL, "lease-ttl", calsys.SecondsPerDay*3/2, "sharded-fleet demo: lease TTL in seconds")
-	flag.Int64Var(&cfg.killAfter, "kill-after", 0, "sharded-fleet demo: SIGKILL one shard owner after N virtual days (0 = never)")
-	flag.StringVar(&cfg.journalDir, "journal-dir", "", "sharded-fleet demo: directory for per-shard journals (default: a temp dir)")
+	flag.Int64Var(&cfg.workers, "workers", 1, "lease-holding workers in the fleet")
+	flag.Int64Var(&cfg.shards, "shards", 8, "hash-partition the rules into M shards")
+	flag.Int64Var(&cfg.leaseTTL, "lease-ttl", calsys.SecondsPerDay*3/2, "lease TTL in seconds")
+	flag.Int64Var(&cfg.killAfter, "kill-after", 0, "SIGKILL one shard owner after N virtual days (0 = never)")
+	flag.StringVar(&cfg.journalDir, "journal-dir", "", "directory for the per-shard journals (default: a temp dir)")
 	flag.Parse()
 
 	if cfg.mutexFrac > 0 {
@@ -110,31 +108,7 @@ func main() {
 		fmt.Printf("pprof: http://%s/debug/pprof/\n", cfg.pprofAddr)
 	}
 
-	if cfg.workers > 0 {
-		if cfg.journalPath != "" || cfg.doRecover || cfg.crashAfter > 0 {
-			fmt.Fprintln(os.Stderr, "dbcrond: -workers is the sharded-fleet demo; it does not combine with -journal/-recover/-crash-after")
-			os.Exit(1)
-		}
-		if err := runFleetSharded(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "dbcrond:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.rules > 0 {
-		if cfg.journalPath != "" || cfg.doRecover || cfg.crashAfter > 0 {
-			fmt.Fprintln(os.Stderr, "dbcrond: -rules is a scale demo; it does not combine with -journal/-recover/-crash-after")
-			os.Exit(1)
-		}
-		if err := runFleet(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "dbcrond:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if err := run(cfg); err != nil {
+	if _, err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "dbcrond:", err)
 		os.Exit(1)
 	}
@@ -147,178 +121,9 @@ var ruleDefs = []struct{ name, expr string }{
 	{"business_day", "Weekdays"},
 }
 
-func run(cfg config) error {
-	startDate, err := calsys.ParseDate(cfg.start)
-	if err != nil {
-		return err
-	}
-	policy, err := calsys.ParseCatchUpPolicy(cfg.policy)
-	if err != nil {
-		return err
-	}
-	durable := cfg.journalPath != ""
-	if cfg.doRecover && (!durable || cfg.snapshotPath == "") {
-		return fmt.Errorf("-recover needs both -journal and -snapshot")
-	}
-	if cfg.crashAfter > 0 && !durable {
-		return fmt.Errorf("-crash-after needs -journal (there is nothing to recover from otherwise)")
-	}
-
-	clock := calsys.NewVirtualClock(0)
-	counts := map[string]int{}
-	var fired int64
-	crashed := false
-
-	var sys *calsys.System
-	if cfg.doRecover {
-		sys, err = calsys.OpenSnapshotFile(cfg.snapshotPath, calsys.WithClock(clock))
-		if err != nil {
-			return fmt.Errorf("loading checkpoint: %w", err)
-		}
-	} else {
-		sys, err = calsys.Open(calsys.WithClock(clock))
-		if err != nil {
-			return err
-		}
-	}
-	clock.Set(sys.SecondsOf(startDate))
-
-	action := func(name string) func(tx *calsys.Txn, at int64) error {
-		return func(tx *calsys.Txn, at int64) error {
-			counts[name]++
-			fired++
-			if !cfg.quiet {
-				fmt.Printf("%s  fired %-14s\n", sys.Chron().CivilOf(at), name)
-			}
-			return nil
-		}
-	}
-
-	if cfg.doRecover {
-		// Actions are code: re-bind them to the restored catalog rows,
-		// keeping overdue triggers overdue so recovery can catch them up.
-		for _, rd := range ruleDefs {
-			if err := sys.ReattachRule(rd.name, action(rd.name)); err != nil {
-				return fmt.Errorf("reattaching %s: %w", rd.name, err)
-			}
-		}
-	} else {
-		if err := sys.DefineCalendar("Weekdays", "[1,2,3,4,5]/DAYS:during:WEEKS", calsys.Day); err != nil {
-			return err
-		}
-		for _, rd := range ruleDefs {
-			if err := sys.OnCalendar(rd.name, rd.expr, action(rd.name)); err != nil {
-				return err
-			}
-		}
-	}
-
-	var cron *calsys.DBCron
-	if durable {
-		jnl, err := calsys.OpenFiringJournal(cfg.journalPath)
-		if err != nil {
-			return err
-		}
-		defer jnl.Close()
-		// -crash-after arms a kill in the ack window of the Nth firing: the
-		// firing's transaction commits, the journal ack is lost, and the
-		// recovery run must deduplicate it instead of firing twice.
-		var inj *calsys.FaultInjector
-		if cfg.crashAfter > 0 {
-			inj = calsys.NewFaultInjector(1)
-			inj.CrashAt(calsys.SiteCronAck, int(cfg.crashAfter))
-		}
-		cron, err = sys.StartDurableDBCron(cfg.T, calsys.CronOptions{
-			Journal: jnl,
-			CatchUp: policy,
-			Faults:  inj,
-		})
-		if err != nil {
-			return err
-		}
-		if cfg.doRecover {
-			rep, err := cron.Recover(clock.Now())
-			if err != nil {
-				return err
-			}
-			fmt.Printf("recovered: %s\n", rep)
-		}
-		defer func() {
-			if crashed {
-				return // a killed process compacts nothing
-			}
-			if err := jnl.Compact(); err != nil {
-				fmt.Fprintln(os.Stderr, "dbcrond: compacting journal:", err)
-			}
-		}()
-	} else {
-		cron, err = sys.StartDBCron(cfg.T)
-		if err != nil {
-			return err
-		}
-	}
-
-	checkpoint := func() error {
-		if cfg.snapshotPath == "" {
-			return nil
-		}
-		return sys.SaveSnapshotFile(cfg.snapshotPath)
-	}
-
-	// Graceful shutdown: on SIGINT/SIGTERM drain everything already due,
-	// checkpoint, and exit cleanly.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-
-	for i := int64(0); i < cfg.days; i++ {
-		select {
-		case s := <-sig:
-			fmt.Printf("\n%v: draining and checkpointing\n", s)
-			if _, err := cron.AdvanceTo(clock.Now()); err != nil {
-				return err
-			}
-			return checkpoint()
-		default:
-		}
-		if _, err := cron.AdvanceTo(clock.Advance(calsys.SecondsPerDay)); err != nil {
-			if calsys.IsInjectedCrash(err) {
-				// Die like a killed process: no drain, no checkpoint, no
-				// journal compaction — only the journal and the last
-				// checkpoint survive for the -recover run.
-				fmt.Printf("\ndbcrond: simulated crash after %d firings — journal retained at %s\n",
-					fired, cfg.journalPath)
-				fmt.Println("dbcrond: restart with -recover to resume")
-				crashed = true
-				return errCrashed
-			}
-			return err
-		}
-		if cfg.snapshotPath != "" && cfg.checkpointDays > 0 && (i+1)%cfg.checkpointDays == 0 {
-			if err := checkpoint(); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Clean shutdown: drain, checkpoint, report.
-	if _, err := cron.AdvanceTo(clock.Now()); err != nil {
-		return err
-	}
-	if err := checkpoint(); err != nil {
-		return err
-	}
-	total, late := cron.Stats()
-	fmt.Printf("\nsimulated %d days from %s with T = %ds\n", cfg.days, startDate, cfg.T)
-	for _, rd := range ruleDefs {
-		fmt.Printf("  %-14s fired %4d times\n", rd.name, counts[rd.name])
-	}
-	fmt.Printf("  total firings %d, cumulative probe lateness %ds\n", total, late)
-	if dls, err := sys.DeadLetters(); err == nil && len(dls) > 0 {
-		fmt.Printf("  RULE-DEADLETTER holds %d firings (query with calsh .deadletter)\n", len(dls))
-	}
-	return nil
-}
+// fleetSentinels is the count of exact-verification daily rules mixed into
+// the -rules population.
+const fleetSentinels = 8
 
 // fleetExprs returns `distinct` calendar expressions for the scale demo:
 // mostly monthly day picks, plus weekly and week-of-month shapes — the same
@@ -340,160 +145,165 @@ func fleetExprs(distinct int64) []string {
 	return exprs
 }
 
-// runFleet is the scheduling-at-scale demo: batch-define -rules temporal
-// rules over -distinct expressions, then time the probe loop. Rules sharing
-// an expression share one plan group and one next-instant computation per
-// firing, so the probe cost tracks the number of distinct expressions.
-func runFleet(cfg config) error {
-	startDate, err := calsys.ParseDate(cfg.start)
-	if err != nil {
-		return err
-	}
-	clock := calsys.NewVirtualClock(0)
-	sys, err := calsys.Open(calsys.WithClock(clock))
-	if err != nil {
-		return err
-	}
-	clock.Set(sys.SecondsOf(startDate))
+// population is the rule set of a run and the counters its actions bump: the
+// named rules (each firing logged unless -q), or the -rules mix plus the
+// sentinels, which record every instant they fire at.
+type population struct {
+	defs      []calsys.TemporalRuleDef
+	fired     int64
+	named     map[string]int
+	sentinels []map[int64]int
+}
 
-	var fired int64
+func newPopulation(cfg config, sys *calsys.System) *population {
+	p := &population{named: map[string]int{}}
+	if cfg.rules == 0 {
+		for _, rd := range ruleDefs {
+			name := rd.name
+			p.defs = append(p.defs, calsys.TemporalRuleDef{Name: name, CalExpr: rd.expr,
+				Action: calsys.FuncAction{Name: name, Fn: func(_ *calsys.Txn, _ *calsys.Event, at int64) error {
+					p.named[name]++
+					p.fired++
+					if !cfg.quiet {
+						fmt.Printf("%s  fired %-14s\n", sys.Chron().CivilOf(at), name)
+					}
+					return nil
+				}}})
+		}
+		return p
+	}
+	for i := 0; i < fleetSentinels; i++ {
+		m := map[int64]int{}
+		p.sentinels = append(p.sentinels, m)
+		p.defs = append(p.defs, calsys.TemporalRuleDef{Name: fmt.Sprintf("sentinel-%d", i), CalExpr: "DAYS",
+			Action: calsys.FuncAction{Name: "sentinel", Fn: func(_ *calsys.Txn, _ *calsys.Event, at int64) error {
+				m[at]++
+				p.fired++
+				return nil
+			}}})
+	}
 	count := calsys.FuncAction{Name: "count", Fn: func(*calsys.Txn, *calsys.Event, int64) error {
-		fired++
+		p.fired++
 		return nil
 	}}
 	exprs := fleetExprs(cfg.distinct)
-	defs := make([]calsys.TemporalRuleDef, cfg.rules)
-	for i := range defs {
-		defs[i] = calsys.TemporalRuleDef{
-			Name:    fmt.Sprintf("r%d", i),
-			CalExpr: exprs[i%len(exprs)],
-			Action:  count,
-		}
+	for i := int64(0); i < cfg.rules; i++ {
+		p.defs = append(p.defs, calsys.TemporalRuleDef{Name: fmt.Sprintf("r%d", i),
+			CalExpr: exprs[i%int64(len(exprs))], Action: count})
 	}
-	t0 := time.Now()
-	if err := sys.OnCalendars(defs); err != nil {
-		return err
-	}
-	defined := time.Since(t0)
-
-	cron, err := sys.StartDBCron(cfg.T)
-	if err != nil {
-		return err
-	}
-	t0 = time.Now()
-	for i := int64(0); i < cfg.days; i++ {
-		if _, err := cron.AdvanceTo(clock.Advance(calsys.SecondsPerDay)); err != nil {
-			return err
-		}
-	}
-	probed := time.Since(t0)
-	groups, probes := sys.Rules().PlanGroupStats()
-	fmt.Printf("defined %d rules over %d expressions in %v\n",
-		cfg.rules, len(exprs), defined.Round(time.Millisecond))
-	fmt.Printf("probed %d days in %v (%v per day), %d firings\n",
-		cfg.days, probed.Round(time.Millisecond),
-		(probed / time.Duration(cfg.days)).Round(time.Microsecond), fired)
-	fmt.Printf("plan groups: %d, windowed evaluations across the whole run: %d\n", groups, probes)
-	return nil
+	return p
 }
 
-// fleetSentinels is the count of exact-verification daily rules mixed into
-// the sharded-fleet population.
-const fleetSentinels = 8
-
-// runFleetSharded is the sharded-fleet demo: -rules synthetic rules plus a
-// handful of daily sentinel rules are hash-partitioned into -shards shards,
-// owned under epoch-fenced leases split across -workers workers. With
-// -kill-after one shard-owning worker is SIGKILLed mid-day; the survivors
-// steal its expired leases, merge its journals and catch up. The run then
-// proves the robustness claim on the sentinels — every due instant fired
-// exactly once, no instant lost, none doubled — and that no synthetic rule
-// lost progress across the kill.
-func runFleetSharded(cfg config) error {
+// run is the one daemon loop: open or recover the database, define the
+// population, then step virtual time by T/4, ticking every live worker and
+// checkpointing, until -days have passed; shut the fleet down, report and
+// verify. It returns the workers so callers can read their counters.
+func run(cfg config) ([]*calsys.ShardWorker, error) {
 	startDate, err := calsys.ParseDate(cfg.start)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	policy, err := calsys.ParseCatchUpPolicy(cfg.policy)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if cfg.workers < 1 {
+		return nil, fmt.Errorf("-workers must be at least 1")
+	}
+	if cfg.doRecover && (cfg.journalDir == "" || cfg.snapshotPath == "") {
+		return nil, fmt.Errorf("-recover needs both -journal-dir and -snapshot")
+	}
+	if cfg.crashAfter > 0 && cfg.journalDir == "" {
+		return nil, fmt.Errorf("-crash-after needs -journal-dir (there is nothing to recover from otherwise)")
 	}
 	dir := cfg.journalDir
 	if dir == "" {
-		if dir, err = os.MkdirTemp("", "dbcrond-fleet-*"); err != nil {
-			return err
+		if dir, err = os.MkdirTemp("", "dbcrond-*"); err != nil {
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
+
 	clock := calsys.NewVirtualClock(0)
-	sys, err := calsys.Open(calsys.WithClock(clock))
-	if err != nil {
-		return err
+	var sys *calsys.System
+	if cfg.doRecover {
+		if sys, err = calsys.OpenSnapshotFile(cfg.snapshotPath, calsys.WithClock(clock)); err != nil {
+			return nil, fmt.Errorf("loading checkpoint: %w", err)
+		}
+	} else if sys, err = calsys.Open(calsys.WithClock(clock)); err != nil {
+		return nil, err
 	}
 	start := sys.SecondsOf(startDate)
 	clock.Set(start)
 	end := start + cfg.days*calsys.SecondsPerDay
 
-	// Sentinels verify exactly-once per instant; the synthetic mix gets
-	// cheap per-rule counters checked for monotonic progress across a kill.
-	sentinelCounts := make([]map[int64]int, fleetSentinels)
-	mixCounts := make([]int64, cfg.rules)
-	defs := make([]calsys.TemporalRuleDef, 0, fleetSentinels+int(cfg.rules))
-	for i := 0; i < fleetSentinels; i++ {
-		sentinelCounts[i] = map[int64]int{}
-		m := sentinelCounts[i]
-		defs = append(defs, calsys.TemporalRuleDef{
-			Name:    fmt.Sprintf("sentinel-%d", i),
-			CalExpr: "DAYS",
-			Action: calsys.FuncAction{Name: "sentinel", Fn: func(_ *calsys.Txn, _ *calsys.Event, at int64) error {
-				m[at]++
-				return nil
-			}},
-		})
-	}
-	exprs := fleetExprs(cfg.distinct)
-	for i := int64(0); i < cfg.rules; i++ {
-		i := i
-		defs = append(defs, calsys.TemporalRuleDef{
-			Name:    fmt.Sprintf("r%d", i),
-			CalExpr: exprs[i%int64(len(exprs))],
-			Action: calsys.FuncAction{Name: "count", Fn: func(*calsys.Txn, *calsys.Event, int64) error {
-				mixCounts[i]++
-				return nil
-			}},
-		})
-	}
+	pop := newPopulation(cfg, sys)
 	t0 := time.Now()
-	if err := sys.OnCalendars(defs); err != nil {
-		return err
+	if cfg.doRecover {
+		// Actions are code: re-bind them to the restored catalog rows,
+		// keeping overdue triggers overdue so recovery can catch them up.
+		for _, d := range pop.defs {
+			if err := sys.Rules().ReattachAction(d.Name, d.Action); err != nil {
+				return nil, fmt.Errorf("reattaching %s: %w", d.Name, err)
+			}
+		}
+	} else {
+		if cfg.rules == 0 {
+			if err := sys.DefineCalendar("Weekdays", "[1,2,3,4,5]/DAYS:during:WEEKS", calsys.Day); err != nil {
+				return nil, err
+			}
+		}
+		if err := sys.OnCalendars(pop.defs); err != nil {
+			return nil, err
+		}
 	}
-	fmt.Printf("defined %d rules (%d sentinels) across %d shards in %v\n",
-		len(defs), fleetSentinels, cfg.shards, time.Since(t0).Round(time.Millisecond))
+	if cfg.rules > 0 && !cfg.doRecover {
+		fmt.Printf("defined %d rules (%d sentinels) over %d expressions across %d shards in %v\n",
+			len(pop.defs), fleetSentinels, len(fleetExprs(cfg.distinct)), cfg.shards,
+			time.Since(t0).Round(time.Millisecond))
+	}
 
 	coord := calsys.NewShardCoordinator(int(cfg.shards), cfg.leaseTTL)
-	opts := calsys.ShardWorkerOptions{CatchUp: policy}
 	workers := make([]*calsys.ShardWorker, cfg.workers)
 	live := make([]bool, cfg.workers)
 	for i := range workers {
+		opts := calsys.ShardWorkerOptions{CatchUp: policy}
+		if i == 0 && cfg.crashAfter > 0 {
+			// A kill in the ack window of the Nth firing: its transaction
+			// commits, its journal ack is lost, and the -recover run must
+			// resolve the intent the journal still holds.
+			opts.Faults = calsys.NewFaultInjector(1)
+			opts.Faults.CrashAt(calsys.SiteCronAck, int(cfg.crashAfter))
+		}
 		workers[i] = calsys.NewShardWorker(fmt.Sprintf("w%d", i), coord, sys.Rules(), cfg.T, dir, opts)
 		live[i] = true
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
+	checkpoint := func() error {
+		if cfg.snapshotPath == "" {
+			return nil
+		}
+		return sys.SaveSnapshotFile(cfg.snapshotPath)
+	}
+	// shutdown is the graceful exit: every live worker drains, compacts and
+	// releases its shards, then the database is checkpointed.
 	shutdown := func(now int64) error {
 		for i, w := range workers {
 			if !live[i] {
 				continue
 			}
+			live[i] = false
 			if err := w.Shutdown(now); err != nil {
 				return err
 			}
-			live[i] = false
 		}
-		return nil
+		return checkpoint()
 	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 
 	killAt := int64(0)
 	if cfg.killAfter > 0 {
@@ -501,18 +311,18 @@ func runFleetSharded(cfg config) error {
 		// on the wheel.
 		killAt = start + cfg.killAfter*calsys.SecondsPerDay + calsys.SecondsPerDay/2
 	}
-	var preKill []int64
 	killed := -1
-	t0 = time.Now()
 	step := cfg.T / 4
 	if step < 1 {
 		step = 1
 	}
+	nextCheckpoint := start + cfg.checkpointDays*calsys.SecondsPerDay
+	t0 = time.Now()
 	for now := start; now <= end; now += step {
 		select {
 		case s := <-sig:
-			fmt.Printf("\n%v: releasing every lease and exiting\n", s)
-			return shutdown(now)
+			fmt.Printf("\n%v: draining, releasing every lease and checkpointing\n", s)
+			return workers, shutdown(now)
 		default:
 		}
 		clock.Set(now)
@@ -523,7 +333,6 @@ func runFleetSharded(cfg config) error {
 					// disk and the leases lapse into the steal window.
 					live[i] = false
 					killed = i
-					preKill = append([]int64(nil), mixCounts...)
 					fmt.Printf("day %d: SIGKILL %s (owned shards %v); leases expire in %ds\n",
 						(now-start)/calsys.SecondsPerDay, w.Name(), w.Owned(), cfg.leaseTTL)
 					break
@@ -535,34 +344,70 @@ func runFleetSharded(cfg config) error {
 				continue
 			}
 			if err := w.Tick(now); err != nil {
-				return fmt.Errorf("%s: %w", w.Name(), err)
+				if calsys.IsInjectedCrash(err) {
+					// Die like a killed process: no drain, no release, no
+					// checkpoint, no compaction — only the journals and the
+					// last checkpoint survive for the -recover run.
+					fmt.Printf("\ndbcrond: simulated crash after %d firings — journals retained in %s\n", pop.fired, dir)
+					fmt.Println("dbcrond: restart with -recover to resume")
+					return workers, errCrashed
+				}
+				return workers, fmt.Errorf("%s: %w", w.Name(), err)
 			}
+		}
+		if cfg.doRecover && now == start {
+			for _, w := range workers {
+				fmt.Printf("recovered (%s): %s\n", w.Name(), w.Stats().Recovered)
+			}
+		}
+		if cfg.snapshotPath != "" && cfg.checkpointDays > 0 && now >= nextCheckpoint {
+			if err := checkpoint(); err != nil {
+				return workers, err
+			}
+			nextCheckpoint += cfg.checkpointDays * calsys.SecondsPerDay
 		}
 	}
 	elapsed := time.Since(t0)
+	if err := shutdown(end); err != nil {
+		return workers, err
+	}
 
-	// Report and verify.
-	fmt.Printf("\nsimulated %d days, %d workers, %d shards, T = %ds, lease TTL %ds in %v\n",
-		cfg.days, cfg.workers, cfg.shards, cfg.T, cfg.leaseTTL, elapsed.Round(time.Millisecond))
+	fmt.Printf("\nsimulated %d days from %s with T = %ds: %d workers, %d shards, lease TTL %ds, in %v (%v per day)\n",
+		cfg.days, startDate, cfg.T, cfg.workers, cfg.shards, cfg.leaseTTL,
+		elapsed.Round(time.Millisecond), (elapsed / time.Duration(max(cfg.days, 1))).Round(time.Microsecond))
 	cs := coord.Stats()
 	fmt.Printf("leases: %d grants (%d steals), %d renewals, %d releases\n",
 		cs.Grants, cs.Steals, cs.Renewals, cs.Releases)
-	var fleetFired int64
 	for i, w := range workers {
 		st := w.Stats()
-		fleetFired += st.Fired
-		state := "live"
+		state := "stopped"
 		if i == killed {
 			state = "killed"
-		} else if !live[i] {
-			state = "stopped"
 		}
-		fmt.Printf("  %-4s %-7s owned %d  adopted %d  released %d  lost %d  fenced %d  fired %d\n",
-			w.Name(), state, st.Owned, st.Adopted, st.Released, st.Lost, st.Fenced, st.Fired)
+		fmt.Printf("  %-4s %-7s adopted %d  released %d  lost %d  fenced %d  fired %d\n",
+			w.Name(), state, st.Adopted, st.Released, st.Lost, st.Fenced, st.Fired)
 	}
-
+	if dls, err := sys.DeadLetters(); err == nil && len(dls) > 0 {
+		fmt.Printf("  RULE-DEADLETTER holds %d firings (query with calsh .deadletter)\n", len(dls))
+	}
+	if cfg.rules == 0 {
+		for _, rd := range ruleDefs {
+			fmt.Printf("  %-14s fired %4d times\n", rd.name, pop.named[rd.name])
+		}
+		fmt.Printf("  total firings %d\n", pop.fired)
+		return workers, nil
+	}
+	// The sentinels share one more group, DAYS, which no mix expression is.
+	groups, probes := sys.Rules().PlanGroupStats()
+	fmt.Printf("plan groups: %d (+1 for the sentinels), windowed evaluations across the whole run: %d\n",
+		groups-1, probes)
+	if cfg.doRecover {
+		// The instants before the crash fired in the dead process.
+		fmt.Printf("%d firings since recovery\n", pop.fired)
+		return workers, nil
+	}
 	bad := 0
-	for i, m := range sentinelCounts {
+	for i, m := range pop.sentinels {
 		for day := int64(1); day <= cfg.days; day++ {
 			at := start + day*calsys.SecondsPerDay
 			if m[at] != 1 {
@@ -571,21 +416,14 @@ func runFleetSharded(cfg config) error {
 			}
 		}
 	}
-	if killed >= 0 {
-		if cs.Steals == 0 {
-			fmt.Println("VIOLATION: a worker was killed but no lease was stolen")
-			bad++
-		}
-		for i := range mixCounts {
-			if mixCounts[i] < preKill[i] {
-				bad++
-			}
-		}
+	if killed >= 0 && cs.Steals == 0 {
+		fmt.Println("VIOLATION: a worker was killed but no lease was stolen")
+		bad++
 	}
 	if bad > 0 {
-		return fmt.Errorf("exactly-once verification failed: %d violations", bad)
+		return workers, fmt.Errorf("exactly-once verification failed: %d violations", bad)
 	}
-	fmt.Printf("verified: %d sentinel instants fired exactly once; %d total firings, no rule lost progress\n",
-		fleetSentinels*int(cfg.days), fleetFired)
-	return shutdown(end)
+	fmt.Printf("verified: %d sentinel instants fired exactly once; %d total firings\n",
+		fleetSentinels*int(cfg.days), pop.fired)
+	return workers, nil
 }

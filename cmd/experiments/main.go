@@ -319,9 +319,9 @@ func e9DBCron() error {
 				return err
 			}
 		}
-		total, late := cron.Stats()
+		st := cron.Stats()
 		fmt.Printf("  %4d rules, T=1d, 365 virtual days: %6d firings (%d observed), lateness %ds\n",
-			nRules, total, fired, late)
+			nRules, st.Fired, fired, st.LateSum)
 	}
 	return nil
 }

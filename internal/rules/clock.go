@@ -7,14 +7,12 @@
 // through the store's event listeners.
 package rules
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Clock supplies the current instant in epoch seconds (seconds from midnight
-// of the chronology's system start date). DBCRON takes a Clock so tests and
-// benchmarks can run years of firings in virtual time.
+// of the chronology's system start date). The system reads "today" from it;
+// DBCRON has no clock of its own — its caller passes each instant — so tests
+// and benchmarks run years of firings under a VirtualClock.
 type Clock interface {
 	Now() int64
 }
@@ -53,15 +51,4 @@ func (c *VirtualClock) Set(now int64) {
 	if now > c.now {
 		c.now = now
 	}
-}
-
-// SystemClock reads the operating-system time relative to a wall-clock
-// anchor: construct it with the time.Time corresponding to epoch second 0.
-type SystemClock struct {
-	Anchor time.Time
-}
-
-// Now implements Clock.
-func (c SystemClock) Now() int64 {
-	return int64(time.Since(c.Anchor) / time.Second)
 }

@@ -142,8 +142,6 @@ type CronOptions struct {
 	CatchUp CatchUpPolicy
 	// ActionTimeout bounds one action execution (0 = unbounded).
 	ActionTimeout time.Duration
-	// MaxCatchUp caps recovery firings per rule under FireAll (default 10000).
-	MaxCatchUp int
 	// Seed makes retry jitter deterministic.
 	Seed int64
 	// Faults threads the fault-injection harness through the daemon.
@@ -164,10 +162,11 @@ type CronOptions struct {
 // the next T units, holds them in an in-memory timing wheel, and fires each
 // at its trigger instant.
 //
-// DBCron is deliberately step-driven: AdvanceTo(now) performs every probe
-// and firing due up to `now`, so tests and benchmarks run years of rule
-// activity deterministically under a virtual clock. Run wraps the same
-// stepping in a goroutine for wall-clock operation (cmd/dbcrond).
+// DBCron is step-driven and has no clock of its own: AdvanceTo(now) performs
+// every probe and firing due up to `now`. Callers step it directly (the
+// virtual-time tests, calsh, calbench), or shard.Worker.Tick steps one
+// DBCron per owned shard (cmd/dbcrond). A real-time deployment puts its own
+// ticker around Tick.
 //
 // A daemon built with NewDBCronWith is durable: firings are journaled,
 // failing actions retry with exponential backoff until a budget moves them
@@ -189,10 +188,6 @@ type DBCron struct {
 	// listener goes quiet and its engine drop listener is unhooked.
 	closed atomic.Bool
 	dropID int
-	// kick wakes a blocked Run immediately after the schedule gains entries
-	// out of band (Recover, after a crash or on a stolen or granted shard), so
-	// the daemon never sleeps through newly-acquired due instants.
-	kick chan struct{}
 
 	mu         sync.Mutex
 	queue      *timingWheel
@@ -217,7 +212,6 @@ func NewDBCron(eng *Engine, T int64, startAt int64) (*DBCron, error) {
 		queue:     newTimingWheel(startAt),
 		scheduled: map[string]bool{},
 		nextProbe: startAt,
-		kick:      make(chan struct{}, 1),
 	}
 	c.dropID = eng.addDropListener(c.ruleDropped)
 	eng.Cal().AddChangeListener(func() {
@@ -246,9 +240,6 @@ func NewDBCronWith(eng *Engine, T int64, startAt int64, opts CronOptions) (*DBCr
 	}
 	if opts.Retry.MaxAttempts <= 0 {
 		opts.Retry = DefaultRetryPolicy
-	}
-	if opts.MaxCatchUp <= 0 {
-		opts.MaxCatchUp = 10000
 	}
 	c.durable = true
 	c.opts = opts
@@ -456,28 +447,6 @@ func (c *DBCron) ruleDropped(key string) {
 	}
 }
 
-// NextWakeup returns the next instant the daemon must act (probe, firing or
-// retry). The firing bound is conservative: it is never later than the true
-// next instant, so a wake can be early but never sleeps through due work. It
-// is re-derived from the wheel on every call, so schedule changes from
-// Recover are reflected immediately.
-func (c *DBCron) NextWakeup() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next := c.nextProbe
-	if q := c.queue.next(); q < next {
-		next = q
-	}
-	return next
-}
-
-// Stats reports lifetime firing count and cumulative lateness seconds.
-func (c *DBCron) Stats() (fired int64, lateSum int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fired, c.lateSum
-}
-
 // CronStats is the daemon's full counter snapshot.
 type CronStats struct {
 	Fired   int64 // firings committed
@@ -487,65 +456,9 @@ type CronStats struct {
 	Pending int   // wheel entries awaiting execution or retry
 }
 
-// FullStats reports all daemon counters.
-func (c *DBCron) FullStats() CronStats {
+// Stats reports all daemon counters.
+func (c *DBCron) Stats() CronStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CronStats{Fired: c.fired, LateSum: c.lateSum, Retries: c.retries, Dead: c.dead, Pending: c.queue.size()}
-}
-
-// Run drives the daemon against a real (or virtual) clock until stop is
-// closed, sleeping between wakeups. Errors are delivered to errs (dropped
-// when full) and processing continues with the next event. On stop the
-// daemon drains: one final sweep fires everything already due, so a clean
-// shutdown leaves no accepted firing behind in the wheel.
-func (c *DBCron) Run(clock Clock, stop <-chan struct{}, errs chan<- error) {
-	report := func(err error) {
-		if err != nil && errs != nil {
-			select {
-			case errs <- err:
-			default:
-			}
-		}
-	}
-	drain := func() {
-		_, err := c.AdvanceTo(clock.Now())
-		report(err)
-	}
-	for {
-		select {
-		case <-stop:
-			drain()
-			return
-		default:
-		}
-		now := clock.Now()
-		_, err := c.AdvanceTo(now)
-		report(err)
-		wake := c.NextWakeup()
-		sleep := wake - clock.Now()
-		if sleep < 1 {
-			sleep = 1
-		}
-		if sleep > c.T {
-			sleep = c.T
-		}
-		select {
-		case <-stop:
-			drain()
-			return
-		case <-c.kick:
-			// The schedule changed out of band (a shard was granted or
-			// recovered): loop to re-derive the wakeup from the wheel.
-		case <-time.After(time.Duration(sleep) * time.Second):
-		}
-	}
-}
-
-// poke wakes a blocked Run so it re-derives its next wakeup.
-func (c *DBCron) poke() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
 }

@@ -284,21 +284,6 @@ func (j *Journal) State() State {
 	return j.state
 }
 
-// Pending returns the firings replayed as accepted-but-incomplete at Open.
-func (j *Journal) Pending() []PendingFiring {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]PendingFiring(nil), j.state.Pending...)
-}
-
-// AckedThrough returns the latest completed trigger instant the journal has
-// seen for rule (0 when none).
-func (j *Journal) AckedThrough(rule string) int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.AckedThrough[strings.ToLower(rule)]
-}
-
 func (j *Journal) appendLine(line string, sync bool) error {
 	if err := faultinject.Hit(j.faults, SiteAppend); err != nil {
 		return err

@@ -53,14 +53,14 @@ func TestLifecycleAndReplay(t *testing.T) {
 
 	j2 := open(t, path)
 	defer j2.Close()
-	pend := j2.Pending()
+	pend := j2.State().Pending
 	if len(pend) != 1 || pend[0].Rule != "weekly" || pend[0].At != 200 || pend[0].Attempts != 1 {
 		t.Fatalf("pending = %+v", pend)
 	}
-	if got := j2.AckedThrough("daily"); got != 100 {
+	if got := j2.State().AckedThrough["daily"]; got != 100 {
 		t.Errorf("AckedThrough(daily) = %d", got)
 	}
-	if got := j2.AckedThrough("weekly"); got != 0 {
+	if got := j2.State().AckedThrough["weekly"]; got != 0 {
 		t.Errorf("AckedThrough(weekly) = %d", got)
 	}
 	// new sequence numbers continue after the replayed ones
@@ -88,11 +88,11 @@ func TestDeadAndSkipComplete(t *testing.T) {
 
 	j2 := open(t, path)
 	defer j2.Close()
-	if p := j2.Pending(); len(p) != 0 {
+	if p := j2.State().Pending; len(p) != 0 {
 		t.Fatalf("pending = %+v", p)
 	}
-	if j2.AckedThrough("a") != 10 || j2.AckedThrough("b") != 20 {
-		t.Errorf("acked-through: a=%d b=%d", j2.AckedThrough("a"), j2.AckedThrough("b"))
+	if hi := j2.State().AckedThrough; hi["a"] != 10 || hi["b"] != 20 {
+		t.Errorf("acked-through: a=%d b=%d", hi["a"], hi["b"])
 	}
 }
 
@@ -124,8 +124,8 @@ func TestTornTailTolerated(t *testing.T) {
 	if len(st.Pending) != 0 {
 		t.Errorf("pending after torn S = %+v", st.Pending)
 	}
-	if j2.AckedThrough("a") != 10 {
-		t.Errorf("acked-through lost: %d", j2.AckedThrough("a"))
+	if st.AckedThrough["a"] != 10 {
+		t.Errorf("acked-through lost: %d", st.AckedThrough["a"])
 	}
 	// Appending after recovery must yield a clean journal again.
 	s3, err := j2.Scheduled("c", 30)
@@ -138,7 +138,7 @@ func TestTornTailTolerated(t *testing.T) {
 	j2.Close()
 	j3 := open(t, path)
 	defer j3.Close()
-	if st := j3.State(); st.Truncated || j3.AckedThrough("c") != 30 {
+	if st := j3.State(); st.Truncated || st.AckedThrough["c"] != 30 {
 		t.Errorf("post-recovery journal unhealthy: %+v", st)
 	}
 }
@@ -158,7 +158,7 @@ func TestGarbageTailTolerated(t *testing.T) {
 
 	j2 := open(t, path)
 	defer j2.Close()
-	if st := j2.State(); !st.Truncated || j2.AckedThrough("a") != 10 {
+	if st := j2.State(); !st.Truncated || st.AckedThrough["a"] != 10 {
 		t.Errorf("garbage tail: %+v", st)
 	}
 }
@@ -185,7 +185,7 @@ func TestQuotedRuleNamesRoundTrip(t *testing.T) {
 	j.Close()
 	j2 := open(t, path)
 	defer j2.Close()
-	p := j2.Pending()
+	p := j2.State().Pending
 	if len(p) != 1 || p[0].Rule != name {
 		t.Fatalf("pending = %+v", p)
 	}
@@ -218,10 +218,10 @@ func TestCompact(t *testing.T) {
 	j.Close()
 	j2 := open(t, path)
 	defer j2.Close()
-	if got := j2.AckedThrough("daily"); got != 1000 {
+	if got := j2.State().AckedThrough["daily"]; got != 1000 {
 		t.Errorf("acked-through after compact = %d", got)
 	}
-	p := j2.Pending()
+	p := j2.State().Pending
 	if len(p) != 1 || p[0].At != 999 || p[0].Attempts != 2 {
 		t.Fatalf("pending after compact = %+v", p)
 	}
@@ -264,7 +264,7 @@ func TestCompact(t *testing.T) {
 	jm = open(t, path)
 	defer jm.Close()
 	for rule, at := range want {
-		if got := jm.AckedThrough(rule); got != at {
+		if got := jm.State().AckedThrough[rule]; got != at {
 			t.Fatalf("AckedThrough(%s) after compact = %d, want %d", rule, got, at)
 		}
 	}
@@ -315,13 +315,13 @@ func TestMergeStatesRoundTrip(t *testing.T) {
 	}
 	j.Close()
 	j = open(t, path)
-	p := j.Pending()
+	p := j.State().Pending
 	if len(p) != 2 || p[0].Rule != "a" || p[0].At != 200 || p[0].Attempts != 3 ||
 		p[1].Rule != "d" || p[1].At != 500 || p[0].Seq == p[1].Seq {
 		t.Fatalf("merged pending = %+v, want a@200 (3 attempts) and d@500 under distinct seqs", p)
 	}
 	for rule, hi := range map[string]int64{"a": 100, "b": 50, "c": 350, "d": 0} {
-		if got := j.AckedThrough(rule); got != hi {
+		if got := j.State().AckedThrough[rule]; got != hi {
 			t.Errorf("merged AckedThrough(%s) = %d, want %d", rule, got, hi)
 		}
 	}
@@ -331,7 +331,7 @@ func TestMergeStatesRoundTrip(t *testing.T) {
 	j.Close()
 	j = open(t, path)
 	defer j.Close()
-	if got := j.Pending(); len(got) != 1 || got[0] != p[0] {
+	if got := j.State().Pending; len(got) != 1 || got[0] != p[0] {
 		t.Fatalf("after acking d: pending = %+v, want only %+v", got, p[0])
 	}
 }

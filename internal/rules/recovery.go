@@ -6,6 +6,9 @@ import (
 	"strings"
 )
 
+// maxCatchUp caps the missed instants recovery enumerates per rule.
+const maxCatchUp = 10000
+
 // RecoveryReport summarizes what Recover did with the journal and the
 // catalog after a crash.
 type RecoveryReport struct {
@@ -57,7 +60,6 @@ func (c *DBCron) Recover(now int64) (RecoveryReport, error) {
 	if !c.durable {
 		return rep, fmt.Errorf("rules: Recover requires a durable daemon (NewDBCronWith)")
 	}
-	defer c.poke()
 	c.recovering = true
 	defer func() { c.recovering = false }()
 
@@ -146,7 +148,7 @@ func (c *DBCron) Recover(now int64) (RecoveryReport, error) {
 		if c.scheduled[key] {
 			continue
 		}
-		missed, err := c.eng.missedInstants(f.Rule, now, c.opts.MaxCatchUp)
+		missed, err := c.eng.missedInstants(f.Rule, now, maxCatchUp)
 		if err != nil {
 			return rep, err
 		}

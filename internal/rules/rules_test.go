@@ -2,9 +2,7 @@ package rules
 
 import (
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"calsys/internal/caldb"
 	"calsys/internal/chronology"
@@ -95,12 +93,12 @@ func TestFigure4TemporalRulePipeline(t *testing.T) {
 			t.Errorf("firing %d not a Tuesday: %v", i, day)
 		}
 	}
-	fired, late := cron.Stats()
-	if fired != 5 {
-		t.Errorf("Stats fired = %d", fired)
+	st := cron.Stats()
+	if st.Fired != 5 {
+		t.Errorf("Stats fired = %d", st.Fired)
 	}
-	if late < 0 {
-		t.Errorf("negative lateness %d", late)
+	if st.LateSum < 0 {
+		t.Errorf("negative lateness %d", st.LateSum)
 	}
 }
 
@@ -335,94 +333,6 @@ func TestTemporalRuleWithDerivedCalendar(t *testing.T) {
 			t.Errorf("firing %d on %v, want %v", i, got, want[i])
 		}
 	}
-}
-
-// Run drives DBCron against a real clock in a goroutine; use a SystemClock
-// with a close anchor so model seconds pass quickly enough to observe a
-// probe, then stop it.
-func TestDBCronRunLoop(t *testing.T) {
-	eng, cal := newEngine(t)
-	ch := cal.Chron()
-	start := ch.EpochSecondsOf(d(1993, 1, 1))
-	var mu sync.Mutex
-	var hits []int64
-	action := FuncAction{Name: "hit", Fn: func(tx *store.Txn, ev *store.Event, at int64) error {
-		mu.Lock()
-		hits = append(hits, at)
-		mu.Unlock()
-		return nil
-	}}
-	if err := eng.DefineTemporalRule("daily", "DAYS", action, start); err != nil {
-		t.Fatal(err)
-	}
-	cron, err := NewDBCron(eng, chronology.SecondsPerDay, start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A clock anchored 3 model-days in the past: the first AdvanceTo fires
-	// the overdue triggers immediately.
-	clock := SystemClock{Anchor: time.Now().Add(-time.Duration(start+3*chronology.SecondsPerDay) * time.Second)}
-	stop := make(chan struct{})
-	errs := make(chan error, 1)
-	done := make(chan struct{})
-	go func() {
-		cron.Run(clock, stop, errs)
-		close(done)
-	}()
-	deadline := time.After(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(hits)
-		mu.Unlock()
-		if n >= 3 {
-			break
-		}
-		select {
-		case err := <-errs:
-			t.Fatal(err)
-		case <-deadline:
-			t.Fatalf("run loop fired %d times within deadline", n)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	close(stop)
-	<-done
-	if next := cron.NextWakeup(); next <= start {
-		t.Errorf("NextWakeup = %d", next)
-	}
-}
-
-// Run must keep going after an action error, delivering it on errs.
-func TestDBCronRunSurfacesErrors(t *testing.T) {
-	eng, cal := newEngine(t)
-	ch := cal.Chron()
-	start := ch.EpochSecondsOf(d(1993, 1, 1))
-	bad := FuncAction{Name: "bad", Fn: func(*store.Txn, *store.Event, int64) error { return errStub }}
-	if err := eng.DefineTemporalRule("bad", "DAYS", bad, start); err != nil {
-		t.Fatal(err)
-	}
-	cron, err := NewDBCron(eng, chronology.SecondsPerDay, start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := SystemClock{Anchor: time.Now().Add(-time.Duration(start+2*chronology.SecondsPerDay) * time.Second)}
-	stop := make(chan struct{})
-	errs := make(chan error, 4)
-	done := make(chan struct{})
-	go func() {
-		cron.Run(clock, stop, errs)
-		close(done)
-	}()
-	select {
-	case err := <-errs:
-		if err == nil {
-			t.Error("nil error delivered")
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("no error delivered")
-	}
-	close(stop)
-	<-done
 }
 
 func TestEngineAccessors(t *testing.T) {

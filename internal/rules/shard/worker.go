@@ -15,12 +15,11 @@ import (
 
 // Options configures a Worker's per-shard daemons.
 type Options struct {
-	// Retry/CatchUp/ActionTimeout/MaxCatchUp/Seed are the per-shard
-	// CronOptions template (see rules.CronOptions).
+	// Retry/CatchUp/ActionTimeout/Seed are the per-shard CronOptions
+	// template (see rules.CronOptions).
 	Retry         rules.RetryPolicy
 	CatchUp       rules.CatchUpPolicy
 	ActionTimeout time.Duration
-	MaxCatchUp    int
 	Seed          int64
 	// Faults threads the chaos injector through handoff and the per-shard
 	// daemons/journals (the coordinator carries its own via SetFaults).
@@ -38,6 +37,9 @@ type WorkerStats struct {
 	Lost     int64 // leases that expired or were rejected under us
 	Fenced   int64 // shards dropped after a fenced firing attempt
 	Fired    int64 // firings committed across all epochs owned
+	// Recovered sums what Recover did on every adoption: a handoff, a steal,
+	// or the first grant after a restart over a dead process's journals.
+	Recovered rules.RecoveryReport
 }
 
 // ownedShard is one shard a worker holds: its lease, its per-epoch journal
@@ -53,7 +55,8 @@ type ownedShard struct {
 // leases of crashed peers), releases down to it when peers join, and drives
 // one DBCron per owned shard. Tick is the driver: the caller (dbcrond, the
 // virtual-time tests, calbench) decides when a round happens and what a
-// crash error means. DBCron.Run is the one wall-clock loop in the system.
+// crash error means. Nothing here reads a wall clock; a real-time
+// deployment calls Tick from its own ticker.
 type Worker struct {
 	name  string
 	coord *Coordinator
@@ -81,10 +84,11 @@ func (w *Worker) Name() string { return w.name }
 
 // Tick is one scheduling round at `now`: renew leases (dropping any lost to
 // expiry), rebalance down to the fair share, acquire free or expired shards
-// up to it (adopting each one's journal state), then advance every owned
-// daemon to now. A returned injected-crash error means the worker died at a
-// chaos site; the harness must abandon it without cleanup, exactly like a
-// SIGKILL.
+// up to it, adopt every lease held but not yet driven (the fresh grants, and
+// any a failed adoption left behind — so a failure is retried next round),
+// then advance every owned daemon to now. A returned injected-crash error
+// means the worker died at a chaos site; the harness must abandon it without
+// cleanup, exactly like a SIGKILL.
 func (w *Worker) Tick(now int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -93,9 +97,12 @@ func (w *Worker) Tick(now int64) error {
 	if err != nil {
 		return err
 	}
+	var adopt []Lease
 	for _, l := range kept {
 		if os, ok := w.owned[l.Shard]; ok {
 			os.lease = l
+		} else {
+			adopt = append(adopt, l)
 		}
 	}
 	for _, sh := range lost {
@@ -118,16 +125,19 @@ func (w *Worker) Tick(now int64) error {
 		}
 	}
 
-	if len(w.owned) < fair {
-		leases, aerr := w.coord.Acquire(w.name, now, fair-len(w.owned))
-		for _, l := range leases {
-			if err := w.adoptLocked(l, now); err != nil {
-				return err
-			}
+	var aerr error
+	if n := fair - len(w.owned) - len(adopt); n > 0 {
+		var leases []Lease
+		leases, aerr = w.coord.Acquire(w.name, now, n)
+		adopt = append(adopt, leases...)
+	}
+	for _, l := range adopt {
+		if err := w.adoptLocked(l, now); err != nil {
+			return err
 		}
-		if aerr != nil {
-			return aerr
-		}
+	}
+	if aerr != nil {
+		return aerr
 	}
 
 	for _, sh := range w.ownedIDsLocked() {
@@ -183,7 +193,6 @@ func (w *Worker) adoptLocked(l Lease, now int64) error {
 		Retry:         w.opts.Retry,
 		CatchUp:       w.opts.CatchUp,
 		ActionTimeout: w.opts.ActionTimeout,
-		MaxCatchUp:    w.opts.MaxCatchUp,
 		Seed:          w.opts.Seed + int64(epoch),
 		Faults:        w.opts.Faults,
 		Shard:         sh,
@@ -194,16 +203,18 @@ func (w *Worker) adoptLocked(l Lease, now int64) error {
 		jnl.Close()
 		return err
 	}
-	if _, err := cron.Recover(now); err != nil {
+	rep, err := cron.Recover(now)
+	if err != nil {
+		// The handles go either way: a failed adoption is retried next Tick
+		// with fresh ones.
+		cron.Close()
+		jnl.Close()
 		if errors.Is(err, rules.ErrFenced) {
 			// Lease lost while adopting (e.g. the clock jumped past the
 			// TTL mid-recovery): walk away, the next owner re-merges.
-			cron.Close()
-			jnl.Close()
 			w.stats.Fenced++
 			return nil
 		}
-		cron.Close()
 		return err
 	}
 	for _, p := range old {
@@ -213,6 +224,13 @@ func (w *Worker) adoptLocked(l Lease, now int64) error {
 	}
 	w.owned[sh] = &ownedShard{lease: l, cron: cron, jnl: jnl}
 	w.stats.Adopted++
+	r := &w.stats.Recovered
+	r.ReplayedPending += rep.ReplayedPending
+	r.Refired += rep.Refired
+	r.Deduped += rep.Deduped
+	r.CaughtUp += rep.CaughtUp
+	r.Skipped += rep.Skipped
+	r.Orphaned += rep.Orphaned
 	return nil
 }
 
@@ -244,7 +262,7 @@ func (w *Worker) releaseLocked(sh int, now int64) error {
 		return err
 	}
 	w.stats.Released++
-	w.stats.Fired += os.cron.FullStats().Fired
+	w.stats.Fired += os.cron.Stats().Fired
 	os.cron.Close()
 	os.jnl.Close()
 	delete(w.owned, sh)
@@ -258,7 +276,7 @@ func (w *Worker) dropLocked(sh int) {
 	if !ok {
 		return
 	}
-	w.stats.Fired += os.cron.FullStats().Fired
+	w.stats.Fired += os.cron.Stats().Fired
 	os.cron.Close()
 	os.jnl.Close()
 	delete(w.owned, sh)
@@ -287,7 +305,7 @@ func (w *Worker) Stats() WorkerStats {
 	st := w.stats
 	st.Owned = len(w.owned)
 	for _, os := range w.owned {
-		st.Fired += os.cron.FullStats().Fired
+		st.Fired += os.cron.Stats().Fired
 	}
 	return st
 }

@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"calsys/internal/caldb"
 	"calsys/internal/chronology"
+	"calsys/internal/faultinject"
 	"calsys/internal/rules"
 	"calsys/internal/rules/journal"
 	"calsys/internal/store"
@@ -369,5 +371,43 @@ func TestWorkerFiredStatSurvivesHandoff(t *testing.T) {
 	}
 	if st := w.Stats(); st.Fired != 4 || st.Released != 1 {
 		t.Fatalf("post-shutdown stats = %+v, want Fired=4 Released=1", st)
+	}
+}
+
+// TestFailedAdoptionIsRetried: one non-crash fault at the handoff site fails
+// the first adoption of a round. The lease stays granted and renewed, so the
+// next Tick must adopt it (and the round's other grants) instead of leaving
+// the shards held but undriven for the life of the worker.
+func TestFailedAdoptionIsRetried(t *testing.T) {
+	eng, start := newTestEngine(t)
+	counts := map[string]map[int64]int{}
+	defineDailies(t, eng, 4, start, counts)
+	coord := NewCoordinator(2, 2*day)
+	inj := faultinject.New(1)
+	inj.FailAt(SiteHandoff, 1)
+	w := New("w", coord, eng, day, t.TempDir(), Options{CatchUp: rules.FireAll, Faults: inj})
+	var errs []error
+	for i := int64(0); i <= 10; i++ {
+		if err := w.Tick(start + i*day); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if len(errs) != 1 || !errors.Is(errs[0], faultinject.ErrInjected) {
+		t.Fatalf("Tick errors = %v, want the one injected handoff fault", errs)
+	}
+	if n := len(w.Owned()); n != 2 {
+		t.Errorf("worker drives %d shards, want 2", n)
+	}
+	fired := 0
+	for name, m := range counts {
+		for i := int64(1); i <= 10; i++ {
+			if m[start+i*day] > 1 {
+				t.Errorf("%s day %d fired %d times, want exactly 1", name, i, m[start+i*day])
+			}
+			fired += m[start+i*day]
+		}
+	}
+	if fired != 40 {
+		t.Errorf("%d of 40 instants fired, want all 40 exactly once", fired)
 	}
 }

@@ -174,40 +174,6 @@ func (w *timingWheel) popDue(limit int64) (pendingFiring, bool) {
 	return pendingFiring{}, false
 }
 
-// next returns a lower bound on the earliest armed runAt (noTrigger when
-// empty): exact while the due heap is non-empty, otherwise the start of an
-// occupied slot, which is never later than the true next instant — waking
-// early is safe, the wake just re-derives a tighter bound.
-func (w *timingWheel) next() int64 {
-	if len(w.due) > 0 {
-		return w.due[0].runAt
-	}
-	// Each level's earliest occupied slot starts at or before every entry in
-	// that level, so the minimum of the per-level slot starts bounds the
-	// global minimum from below. (A single-level scan is not enough: an
-	// entry placed at level l when the base was far away may keep its slot
-	// as the base closes in, ending up earlier than fresher level-0
-	// entries.) Entries are strictly after base, so clamp to base+1.
-	best := int64(noTrigger)
-	for l := 0; l < wheelLevels; l++ {
-		lv := &w.level[l]
-		if lv.occ == 0 {
-			continue
-		}
-		shift := uint(wheelBits * l)
-		baseSlot := w.base >> shift
-		rot := bits.RotateLeft64(lv.occ, -int(uint(baseSlot)&wheelMask))
-		at := (baseSlot + int64(bits.TrailingZeros64(rot))) << shift
-		if at <= w.base {
-			at = w.base + 1
-		}
-		if at < best {
-			best = at
-		}
-	}
-	return best
-}
-
 // removeRule unarms every attempt of the rule (lower-cased key) and returns
 // the removed entries so the caller can journal skips.
 func (w *timingWheel) removeRule(key string) []pendingFiring {

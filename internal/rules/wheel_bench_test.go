@@ -38,7 +38,6 @@ func BenchmarkTimingWheelVsHeap(b *testing.B) {
 			}
 			popped := 0
 			for now := base; now <= base+window; now += tick {
-				q.next()
 				for {
 					if _, ok := q.popDue(now); !ok {
 						break

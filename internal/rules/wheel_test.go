@@ -23,13 +23,6 @@ func (q *heapQueue) popDue(limit int64) (pendingFiring, bool) {
 	return heap.Pop(&q.h).(pendingFiring), true
 }
 
-func (q *heapQueue) next() int64 {
-	if len(q.h) == 0 {
-		return noTrigger
-	}
-	return q.h[0].runAt
-}
-
 func (q *heapQueue) size() int { return len(q.h) }
 
 // firingHeap is a min-heap of upcoming attempts ordered by runAt.
@@ -115,19 +108,14 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 			if w.size() != h.size() {
 				t.Fatalf("seed %d: size wheel=%d heap=%d", seed, w.size(), h.size())
 			}
-			// The wheel's wakeup bound must never be later than the true
-			// next instant (waking early is safe; late loses firings).
-			if wn, hn := w.next(), h.next(); wn > hn {
-				t.Fatalf("seed %d: wheel bound %d after true next %d", seed, wn, hn)
-			}
 		}
 	}
 }
 
 // TestWheelNextBoundStalePlacement pins the subtle case: an entry placed at
 // a coarse level while the base was far away keeps its slot as the base
-// closes in, and can be earlier than fresher level-0 entries. The bound
-// must still cover it.
+// closes in, and can be earlier than fresher level-0 entries. It must still
+// pop first.
 func TestWheelNextBoundStalePlacement(t *testing.T) {
 	w := newTimingWheel(0)
 	early := pendingFiring{Firing: Firing{Rule: "early", At: 64}, runAt: 64}
@@ -137,9 +125,6 @@ func TestWheelNextBoundStalePlacement(t *testing.T) {
 	}
 	late := pendingFiring{Firing: Firing{Rule: "late", At: 100}, runAt: 100}
 	w.add(late) // 100-63 < 64 → level 0
-	if got := w.next(); got > 64 {
-		t.Fatalf("next() = %d, must bound the level-1 entry at 64", got)
-	}
 	got := drain(w.popDue, 100)
 	if len(got) != 2 || got[0].Rule != "early" || got[1].Rule != "late" {
 		t.Fatalf("drain = %+v, want early then late", got)
@@ -208,7 +193,7 @@ func TestWheelYearJumpCascade(t *testing.T) {
 			t.Fatalf("pop order regressed at %d", i)
 		}
 	}
-	if w.next() != noTrigger {
-		t.Fatalf("next() = %d on empty wheel, want noTrigger", w.next())
+	if w.size() != 0 {
+		t.Fatalf("size = %d after draining, want 0", w.size())
 	}
 }

@@ -68,8 +68,8 @@ echo "reach: reproduction" >&2
 	done
 	"$bin/calvet" -fleet examples/calvet-corpus/clean.rules examples/calvet-corpus/adversarial.rules >/dev/null
 	"$bin/dbcrond" -q >/dev/null
-	"$bin/dbcrond" -q -days 40 -journal "$tmp/firing.journal" -snapshot "$tmp/state.db" -crash-after 12 >/dev/null 2>&1 || true
-	"$bin/dbcrond" -q -days 40 -journal "$tmp/firing.journal" -snapshot "$tmp/state.db" -recover >/dev/null
+	"$bin/dbcrond" -q -days 40 -journal-dir "$tmp/crash" -snapshot "$tmp/state.db" -crash-after 12 >/dev/null 2>&1 || true
+	"$bin/dbcrond" -q -days 40 -journal-dir "$tmp/crash" -snapshot "$tmp/state.db" -recover >/dev/null
 	"$bin/dbcrond" -rules 300 -distinct 50 -days 10 >/dev/null
 	"$bin/dbcrond" -workers 3 -shards 8 -rules 300 -days 10 -kill-after 3 -journal-dir "$tmp/shards" >/dev/null
 	# serve_smoke.sh builds its own calserved: GOFLAGS makes that a coverage
