@@ -10,6 +10,7 @@ package caldb
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
@@ -74,11 +75,29 @@ type Entry struct {
 	Warnings []string
 	// Version is the generation of the entry's last write, shape that of its
 	// last write changing derivation, kind, granularity or existence (a
-	// replace keeping the granularity moves Version only). See stampsLocked.
+	// replace keeping the granularity moves Version only). digest is the
+	// content a read of the entry depends on (digestOf). See stampsLocked.
 	Version uint64
 	shape   uint64
+	digest  uint64
 	script  *callang.Script
 	refs    []string // refsOf the script; nil for stored calendars
+}
+
+// seed keys the string hashes of digests and content keys, which live only
+// as long as the process (the cache they version is in memory).
+var seed = maphash.MakeSeed()
+
+// digestOf hashes what a read of e depends on: a stored calendar's
+// granularity, lifespan and intervals, a derived one's derivation text,
+// lifespan and granularity.
+func digestOf(e *Entry) uint64 {
+	h := calendar.Mix(maphash.String(seed, e.Derivation), uint64(e.Gran))
+	h = calendar.Mix(calendar.Mix(h, uint64(e.Lifespan.Lo)), uint64(e.Lifespan.Hi))
+	if e.Values != nil {
+		h = calendar.Mix(h, e.Values.Digest())
+	}
+	return h
 }
 
 // Manager owns the CALENDARS table and resolves calendar names for the
@@ -244,10 +263,10 @@ func refsOf(stmts []callang.Stmt) []string {
 	return refs
 }
 
-// depsLocked returns the dependencies of refs: the names and, through the
-// derivations among them, everything those read. Callers hold m.mu.
-func (m *Manager) depsLocked(refs []string) []string {
-	deps := slices.Clone(refs)
+// depsLocked extends refs in place to its dependencies: the names and,
+// through the derivations among them, everything those read. Callers hold
+// m.mu.
+func (m *Manager) depsLocked(deps []string) []string {
 	for i := 0; i < len(deps); i++ {
 		if e := m.cache[deps[i]]; e != nil {
 			for _, r := range e.refs {
@@ -260,46 +279,53 @@ func (m *Manager) depsLocked(refs []string) []string {
 	return deps
 }
 
-// stampsLocked returns the shape and values stamps of a dependency list: the
+// stamps holds the stamps of a dependency list. shape and values are the
 // largest shape generation and the largest Version over it, an absent name
-// contributing its drop generation (0 if never defined). Callers hold m.mu.
+// contributing its drop generation (0 if never defined). key is the content
+// key: a hash over (name, digest or 0 if absent) in list order.
 //
-// A stamp moves exactly when a listed name is written: every write takes a
-// generation larger than all earlier ones and records it on the name it
-// writes, so a write to a listed name raises the maximum to a value never
-// seen, and a write to any other name moves no listed generation. Per-name
-// generations only grow, so stamps never decrease; and a write that changes
-// a list (a listed derivation redefined or dropped) is a write to a listed
-// name.
-func (m *Manager) stampsLocked(deps []string) (shape, values uint64) {
+// A generation stamp moves exactly when a listed name is written: every write
+// takes a generation larger than all earlier ones and records it on the name
+// it writes, and a write that changes a list (a listed derivation redefined
+// or dropped) is a write to a listed name. So values is the witness that
+// nothing listed was written, while key returns when the content does.
+type stamps struct{ shape, values, key uint64 }
+
+// stampsLocked returns the stamps of deps. Callers hold m.mu.
+func (m *Manager) stampsLocked(deps []string) stamps {
+	var st stamps
 	for _, name := range deps {
-		s, v := m.dropped[name], m.dropped[name]
+		var s, v, d uint64
 		if e := m.cache[name]; e != nil {
-			s, v = e.shape, e.Version
+			s, v, d = e.shape, e.Version, e.digest
+		} else {
+			s, v = m.dropped[name], m.dropped[name]
 		}
-		shape, values = max(shape, s), max(values, v)
+		st.shape, st.values = max(st.shape, s), max(st.values, v)
+		st.key = calendar.Mix(calendar.Mix(st.key, maphash.String(seed, name)), d)
 	}
-	return shape, values
+	return st
 }
 
 // stamps is stampsLocked under the catalog lock; a list with no names needs
 // no lock.
-func (m *Manager) stamps(deps []string) (shape, values uint64) {
+func (m *Manager) stamps(deps []string) stamps {
 	if len(deps) == 0 {
-		return 0, 0
+		return stamps{}
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.stampsLocked(deps)
 }
 
-// ValuesStamp implements plan.VersionedCatalog: the values stamp of the
-// named calendar and everything its derivation reads.
-func (m *Manager) ValuesStamp(name string) uint64 {
+// ValuesStamp implements plan.VersionedCatalog: the content key and the
+// values stamp of the named calendar and everything its derivation reads.
+func (m *Manager) ValuesStamp(name string) (key, gen uint64) {
+	var buf [8]string
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	_, values := m.stampsLocked(m.depsLocked([]string{strings.ToLower(name)}))
-	return values
+	st := m.stampsLocked(m.depsLocked(append(buf[:0], strings.ToLower(name))))
+	return st.key, st.values
 }
 
 // DB exposes the underlying database.
@@ -380,6 +406,7 @@ func decodeEntry(row store.Row) (*Entry, error) {
 		}
 		e.script, e.refs = s, refsOf(s.Stmts)
 	}
+	e.digest = digestOf(e)
 	// Rows written before the vet_warnings column existed are one value
 	// short; treat them as warning-free.
 	if len(row) > 6 && row[6].S != "" {
@@ -542,7 +569,7 @@ func (m *Manager) ReplaceStored(name string, values *calendar.Calendar) error {
 		m.mu.Lock()
 		upd := *e
 		upd.Values = values
-		upd.Version = m.bump()
+		upd.Version, upd.digest = m.bump(), digestOf(&upd)
 		if g := values.Granularity(); g != upd.Gran {
 			upd.Gran, upd.shape = g, upd.Version
 		}
@@ -575,23 +602,20 @@ func (o granOverride) ElemKindOf(name string) (chronology.Granularity, bool) {
 	return o.Manager.ElemKindOf(name)
 }
 
-// revetDependents vets every derived calendar referencing name as if name
-// had granularity g, returning each dependent's fresh warning set, or an
-// error if any dependent stops vetting clean.
+// revetDependents vets every derived calendar referencing name (through the
+// refs each entry keeps) as if name had granularity g, returning each
+// dependent's fresh warning set, or an error if any dependent stops vetting
+// clean.
 func (m *Manager) revetDependents(name string, g chronology.Granularity) (map[string][]string, error) {
 	var deps []*Entry
-	for _, n := range m.Names() { // a snapshot: the analysis below re-enters m.mu
-		e, ok := m.Lookup(n)
-		if !ok || e.script == nil {
-			continue
-		}
-		for ref := range callang.AnalyzeScript(e.script, m).Refs {
-			if strings.EqualFold(ref, name) {
-				deps = append(deps, e)
-				break
-			}
+	key := strings.ToLower(name)
+	m.mu.RLock() // a snapshot: the analysis below re-enters m.mu
+	for _, e := range m.cache {
+		if slices.Contains(e.refs, key) {
+			deps = append(deps, e)
 		}
 	}
+	m.mu.RUnlock()
 	if len(deps) == 0 {
 		return nil, nil
 	}
@@ -698,6 +722,7 @@ func (m *Manager) insert(e *Entry) error {
 	if e.script != nil {
 		e.refs = refsOf(e.script.Stmts)
 	}
+	e.digest = digestOf(e)
 	values := store.Value{T: store.TCalendar}
 	if e.Values != nil {
 		values = store.NewCalendar(e.Values)
@@ -855,12 +880,15 @@ func (m *Manager) EvalExpr(src string, from, to chronology.Civil) (*calendar.Cal
 // The shared materialization cache is consulted for the whole expression's
 // result first. Expression results are cached under their exact window only
 // (derived windows have boundary effects, so slicing a superset is unsound)
-// and versioned by the values stamp of the source's dependencies, so a write
-// invalidates exactly the results that read the written name. Volatile
-// expressions (reading `today`) and environments with any optimization
-// ablated bypass the cache so results and benchmarks stay honest.
+// and versioned by the content key of the source's dependencies, so a write
+// re-keys exactly the results that read the written name, and content written
+// back finds its results again. A result is filed only if the values stamp
+// read with the key still holds after the evaluation: no name it read was
+// written meanwhile. Volatile expressions (reading `today`) and environments
+// with any optimization ablated bypass the cache so results and benchmarks
+// stay honest.
 func (m *Manager) EvalExprEnv(env *plan.Env, src string, from, to chronology.Civil) (*calendar.Calendar, error) {
-	p, values := m.prepared("", src)
+	p, st := m.prepared("", src)
 	if p.ExprErr != nil {
 		return nil, p.ExprErr
 	}
@@ -879,12 +907,12 @@ func (m *Manager) EvalExprEnv(env *plan.Env, src string, from, to chronology.Civ
 	if err != nil {
 		return nil, err
 	}
-	key := matcache.Key{Scope: env.MatScope, ID: l.cacheID, Version: values, Gran: l.Gran}
+	key := matcache.Key{Scope: env.MatScope, ID: l.cacheID, Version: st.key, Gran: l.Gran}
 	if c, ok := env.Mat.Get(key, win); ok {
 		return c, nil
 	}
 	// Fly the whole-expression materialization: when a tenant Replace moves
-	// the values stamp, every concurrent client of a popular expression misses
+	// the content key, every concurrent client of a popular expression misses
 	// at once, and without coalescing each would compile and execute the
 	// same plan (the classic cache stampede). Expression flights sit at the
 	// top of the materialization hierarchy — their leaders may wait on
@@ -896,7 +924,7 @@ func (m *Manager) EvalExprEnv(env *plan.Env, src string, from, to chronology.Civ
 			return nil, err
 		}
 		return pl.Exec(env, nil)
-	})
+	}, func() bool { return m.stamps(p.deps).values == st.values })
 }
 
 // RunScript parses and runs a calendar script over a civil window.

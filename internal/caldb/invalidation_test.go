@@ -1,8 +1,10 @@
 package caldb
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"calsys/internal/chronology"
@@ -289,5 +291,104 @@ func TestDependenciesCoverCompiledReads(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no case compiled to a catalog read")
+	}
+}
+
+// Writing a stored calendar back to content it held before returns its
+// content key, and every dependant's, to the earlier value; other content
+// gives another key. The generation witness only grows.
+func TestContentKeyReturnsWithContent(t *testing.T) {
+	m := newManager(t)
+	a, _ := calendar.FromPoints(chronology.Day, []chronology.Tick{2217, 2223})
+	b, _ := calendar.FromPoints(chronology.Day, []chronology.Tick{2217, 2224})
+	if err := m.DefineStored("HOLS", a, lifespanFrom1985()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DefineDerived("BIZ", "([1,2,3,4,5]/DAYS:during:WEEKS) - HOLS", lifespanFrom1985(), GranAuto); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"HOLS", "BIZ"} {
+		keyA, genA := m.ValuesStamp(name)
+		if err := m.ReplaceStored("HOLS", b); err != nil {
+			t.Fatal(err)
+		}
+		keyB, genB := m.ValuesStamp(name)
+		if err := m.ReplaceStored("HOLS", a); err != nil {
+			t.Fatal(err)
+		}
+		keyA2, genA2 := m.ValuesStamp(name)
+		if keyB == keyA {
+			t.Errorf("%s: another holiday list kept the key %#x", name, keyA)
+		}
+		if keyA2 != keyA {
+			t.Errorf("%s: A→B→A key %#x, want the first %#x", name, keyA2, keyA)
+		}
+		if !(genA < genB && genB < genA2) {
+			t.Errorf("%s: witnesses %d, %d, %d do not grow", name, genA, genB, genA2)
+		}
+	}
+}
+
+// The A→B→A race (run under -race): writers cycle the holidays between two
+// lists while readers query every churnSources dependant. An evaluation that
+// straddles a write reads both lists, and its key is current again two
+// writes later, so it must not be filed. Once the writers stop, each list is
+// set in turn and every source must answer exactly like the uncached path.
+func TestContentKeyABARace(t *testing.T) {
+	m := newManager(t)
+	ls := lifespanFrom1985()
+	lists := [2]*calendar.Calendar{}
+	for i, ticks := range [][]chronology.Tick{{2193, 2200, 2207, 2214}, {2196, 2203, 2210, 2217}} {
+		lists[i], _ = calendar.FromPoints(chronology.Day, ticks)
+	}
+	if err := m.DefineStored("HOLS", lists[0], ls); err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range churnDefs {
+		if err := m.DefineDerived(def.name, def.srcs[len(def.srcs)-1], ls, GranAuto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from, to := d(1993, 1, 1), d(1993, 2, 28)
+	now := m.chron.EpochSecondsOf(d(1993, 1, 4))
+	for round := 0; round < 8; round++ {
+		var writers, readers sync.WaitGroup
+		stop := make(chan struct{})
+		for r := 0; r < 4; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				rng := rand.New(rand.NewSource(int64(round*10 + r)))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					_, _ = m.EvalExpr(churnSources[rng.Intn(len(churnSources))], from, to)
+				}
+			}(r)
+		}
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 200; i++ {
+				if err := m.ReplaceStored("HOLS", lists[i%2]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		writers.Wait()
+		close(stop)
+		readers.Wait()
+		for _, list := range lists {
+			if err := m.ReplaceStored("HOLS", list); err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range churnSources {
+				checkAgainstUncached(t, m, src, from, to, now)
+			}
+		}
 	}
 }

@@ -75,9 +75,9 @@ type Lowered struct {
 	deps []string
 }
 
-// newPrepared parses src and records its dependencies and stamps; the values
-// stamp, returned, is read with the shape stamp, never after it.
-func newPrepared(m *Manager, name, src string) (p *Prepared, values uint64) {
+// newPrepared parses src and records its dependencies and shape stamp; the
+// stamps of an unnamed source, returned, are read with it, never after.
+func newPrepared(m *Manager, name, src string) (p *Prepared, st stamps) {
 	p = &Prepared{Name: name, m: m}
 	// callang.ParseDerivation's two attempts, expression first: a bare
 	// expression ends at EOF and a script in ';' or '}', so at most one
@@ -90,15 +90,14 @@ func newPrepared(m *Manager, name, src string) (p *Prepared, values uint64) {
 	switch {
 	case name != "":
 		p.shape = m.gen.Load()
-		values = p.shape
 	case p.Script != nil:
-		refs := refsOf(p.Script.Stmts)
 		m.mu.RLock()
-		p.deps = m.depsLocked(refs)
-		p.shape, values = m.stampsLocked(p.deps)
+		p.deps = m.depsLocked(refsOf(p.Script.Stmts))
+		st = m.stampsLocked(p.deps)
 		m.mu.RUnlock()
+		p.shape = st.shape
 	}
-	return p, values
+	return p, st
 }
 
 // Diags returns the calvet verdict on the source as a definition of Name:
@@ -176,28 +175,28 @@ func (m *Manager) Prepared(name, src string) *Prepared {
 	return p
 }
 
-// prepared is Prepared with the values stamp of the entry's dependencies,
-// read in the same critical section as the shape stamp that admitted it. A
-// write moves the stamps of exactly the entries listing the written name, so
+// prepared is Prepared with the stamps of the entry's dependencies, read in
+// the same critical section as the shape stamp that admitted it. A write
+// moves the stamps of exactly the entries listing the written name, so
 // nothing derived from the catalog is served past a write it depends on.
-func (m *Manager) prepared(name, src string) (*Prepared, uint64) {
+func (m *Manager) prepared(name, src string) (*Prepared, stamps) {
 	k := preparedKey{name, src}
 	m.prepMu.RLock()
 	p := m.prep[k]
 	m.prepMu.RUnlock()
 	if p != nil {
-		shape, values := m.stamps(p.deps) // a named entry has none: its shape is the generation
+		st := m.stamps(p.deps) // a named entry has none: its shape is the generation
 		if p.Name != "" {
-			shape = m.gen.Load()
+			st.shape = m.gen.Load()
 		}
-		if shape == p.shape {
+		if st.shape == p.shape {
 			m.prepHits.Add(1)
-			return p, values
+			return p, st
 		}
 		m.prepStale.Add(1)
 	}
 	m.prepMisses.Add(1)
-	p, values := newPrepared(m, name, src)
+	p, st := newPrepared(m, name, src)
 
 	m.prepMu.Lock()
 	defer m.prepMu.Unlock()
@@ -207,16 +206,16 @@ func (m *Manager) prepared(name, src string) (*Prepared, uint64) {
 		// A concurrent first request published it. Equal shape stamps mean
 		// equal dependency lists: a list changes only through a write to a
 		// name on it, which moves its stamp.
-		return q, values
+		return q, st
 	case q != nil && q.shape > p.shape:
-		return p, values // a later catalog state owns the slot: p stays private
+		return p, st // a later catalog state owns the slot: p stays private
 	case q == nil && len(m.prep) >= preparedCap:
 		m.prep = map[preparedKey]*Prepared{}
 		m.scheds = map[string]*schedSlot{}
 		m.prepResets.Add(1)
 	}
 	m.prep[k] = p
-	return p, values
+	return p, st
 }
 
 // internScheduler returns the current scheduler of a lowered plan: the one
@@ -226,7 +225,7 @@ func (m *Manager) prepared(name, src string) (*Prepared, uint64) {
 // first one published at a stamp wins, and one built at an older stamp than
 // the interned one stays private.
 func (m *Manager) internScheduler(l *Lowered) *plan.Scheduler {
-	_, values := m.stamps(l.deps)
+	values := m.stamps(l.deps).values
 	m.prepMu.RLock()
 	cur := m.scheds[l.PlanKey]
 	m.prepMu.RUnlock()
@@ -260,7 +259,7 @@ func (m *Manager) Schedulers() []*plan.Scheduler {
 	m.prepMu.RUnlock()
 	out := make([]*plan.Scheduler, 0, len(slots))
 	for _, s := range slots {
-		if _, values := m.stamps(s.deps); values == s.values {
+		if m.stamps(s.deps).values == s.values {
 			out = append(out, s.sched)
 		}
 	}

@@ -356,6 +356,33 @@ func (c *Calendar) Equal(d *Calendar) bool {
 	return true
 }
 
+// Digest is a 64-bit hash of what Equal compares: granularity, nesting and
+// leaf intervals. Equal calendars have equal digests.
+func (c *Calendar) Digest() uint64 {
+	h := Mix(uint64(c.gran), uint64(c.Order()))
+	for _, level := range c.up {
+		h = Mix(h, uint64(len(level)))
+		for _, n := range level {
+			h = Mix(h, uint64(n))
+		}
+	}
+	c.Leaves(func(run []interval.Interval) bool {
+		h = Mix(h, uint64(len(run)))
+		for _, iv := range run {
+			h = Mix(Mix(h, uint64(iv.Lo)), uint64(iv.Hi))
+		}
+		return true
+	})
+	return h
+}
+
+// Mix folds x into the hash h, the step of Digest. Each step is a bijection
+// of h, so sequences that differ in one word never collide.
+func Mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
 // String renders the calendar in the paper's nested-brace notation, e.g.
 // {(1,31),(32,59)} or {{(4,10),(11,17)},{(32,38)}}.
 func (c *Calendar) String() string {

@@ -314,3 +314,33 @@ func TestEqualEdgeCases(t *testing.T) {
 		t.Error("different subs must differ")
 	}
 }
+
+// Digest agrees with Equal: equal calendars, however built, share a digest,
+// and calendars that differ in granularity, nesting or one interval do not.
+func TestDigestFollowsEqual(t *testing.T) {
+	srcs := []string{
+		"{}", "{(1,1)}", "{(1,2)}", "{(1,1),(2,2)}", "{(2,2),(1,1)}",
+		"{{(1,1),(2,2)}}", "{{(1,1)},{(2,2)}}", "{{{(1,1)},{(2,2)}}}", "{{{(1,1)}},{{(2,2)}}}",
+	}
+	var cals []*Calendar
+	for _, g := range []chronology.Granularity{chronology.Day, chronology.Week} {
+		for _, s := range srcs {
+			c, err := Parse(g, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, _ := Parse(g, s)
+			if c.Digest() != again.Digest() {
+				t.Fatalf("%v %s: two parses digest differently", g, s)
+			}
+			cals = append(cals, c)
+		}
+	}
+	for i, a := range cals {
+		for _, b := range cals[i+1:] {
+			if a.Equal(b) != (a.Digest() == b.Digest()) {
+				t.Errorf("%v and %v: Equal %v, digests %#x %#x", a, b, a.Equal(b), a.Digest(), b.Digest())
+			}
+		}
+	}
+}

@@ -70,7 +70,7 @@ func BenchmarkCacheStampede(b *testing.B) {
 				_, err := c.Do(k, win, func() (*calendar.Calendar, error) {
 					gens.Add(1)
 					return calendar.GenerateFull(ch, chronology.Week, chronology.Day, win.Lo, win.Hi)
-				})
+				}, nil)
 				if err != nil {
 					failures.Add(1)
 				}

@@ -6,8 +6,8 @@
 // queries, rule firings and timeseries probes, which overwhelmingly re-ask
 // for the same periodic calendars over overlapping windows.
 //
-// The cache holds two kinds of entry. A slot is (scope, calendar identity,
-// granularity) plus a window, or the slot's one pattern:
+// The cache holds two kinds of entry, each filed under its key and a window,
+// or as the key's one pattern:
 //
 //   - One all-time pattern per generated basic calendar ("G|" keys). Every
 //     valid basic pair is exactly periodic (periodic.ForBasicPair), so the
@@ -21,12 +21,14 @@
 //     general and their value depends on the window they were evaluated over,
 //     so Get serves an exact window match or nothing.
 //
-// Versions implement invalidation. A key's Version is a stamp of what the
-// value read (caldb's values stamp): it moves when any of that is written and
-// never decreases for one (scope, ID). A slot holds the newest version put: a
-// Get at another version misses, a newer Put replaces the resident entry and
-// frees its bytes, and an older Put — a flight that started before a write —
-// is dropped. Basic calendars, which depend only on the chronology, use 0.
+// Versions implement invalidation. A key's Version is a content key of what
+// the value read (caldb's content key): equal versions of one (scope, ID,
+// granularity) are equal values, whenever they were computed. Versions are
+// not ordered: a window holds one entry per version, a Get at a version not
+// resident misses, a Put of a resident version is a no-op, and a version no
+// longer asked for ages out under LRU pressure like any cold entry. Do's
+// valid argument keeps a result that is not its key's value out (caldb's
+// witness). Basic calendars, which depend only on the chronology, use 0.
 //
 // # Concurrency
 //
@@ -79,19 +81,11 @@ type Key struct {
 	// calendars, "D|<name>" for derived catalog entries, "E|<expr>" for
 	// whole-expression materializations.
 	ID string
-	// Version is the stamp of the catalog state the materialization read;
-	// basic calendars, which depend only on the chronology, use 0.
+	// Version is the content key of the catalog state the materialization
+	// read; basic calendars, which depend only on the chronology, use 0.
 	Version uint64
 	// Gran is the tick granularity the values are expressed in.
 	Gran chronology.Granularity
-}
-
-// slot is the key without its version, under which the shard files the
-// entries: they are told apart by window (or pattern) alone, so each window
-// holds one version.
-func (k Key) slot() Key {
-	k.Version = 0
-	return k
 }
 
 // Stats is a snapshot of the cache counters.
@@ -101,7 +95,6 @@ type Stats struct {
 	Puts        int64 `json:"puts"`         // materializations inserted
 	Rejected    int64 `json:"rejected"`     // materializations too large for the budget
 	Evictions   int64 `json:"evictions"`    // entries evicted by LRU pressure
-	Replaced    int64 `json:"replaced"`     // entries freed by a newer version of their slot
 	Flights     int64 `json:"flights"`      // coalesced materializations run by Do leaders
 	FlightWaits int64 `json:"flight_waits"` // Do callers that waited on another goroutine's flight
 	Patterns    int   `json:"patterns"`     // resident pattern entries
@@ -171,8 +164,8 @@ type shard struct {
 	mu           sync.RWMutex
 	budget       int64
 	bytes        int64
-	buckets      map[Key][]*entry // by slot
-	lru          *list.List       // front = most recently placed; values are *entry
+	buckets      map[Key][]*entry
+	lru          *list.List // front = most recently placed; values are *entry
 	hits, misses atomic.Int64
 	_            [64]byte
 }
@@ -190,7 +183,6 @@ type Cache struct {
 	clock atomic.Int64
 
 	puts, rejected, evictions atomic.Int64
-	replaced                  atomic.Int64
 	flights, flightWaits      atomic.Int64
 	patterns                  atomic.Int64
 
@@ -252,9 +244,9 @@ func Shared() *Cache {
 	return shared
 }
 
-// shardOf hashes a key's slot (FNV-1a over every field but the version, the
-// rules.ShardOf idiom) onto its stripe, so every version of a slot shares a
-// lock. Inlined into Get, its loops re-read the key from the stack: out of
+// shardOf hashes a key (FNV-1a over every field but the version, the
+// rules.ShardOf idiom) onto its stripe, so every version of a calendar shares
+// a lock. Inlined into Get, its loops re-read the key from the stack: out of
 // line, BenchmarkCacheParallelGet/sharded is 69 ns/op at -cpu 1, not 80.
 //
 //go:noinline
@@ -290,16 +282,14 @@ func (c *Cache) touch(e *entry) {
 	e.accessed.Store(c.clock.Load() + 1)
 }
 
-// lookup finds the resident entry of k holding (win, pattern) at k's version
-// and stamps it as read. It touches no hit/miss counter.
+// lookup finds the resident entry of k holding (win, pattern) and stamps it
+// as read. It touches no hit/miss counter.
 func (c *Cache) lookup(sh *shard, k Key, win interval.Interval, pattern bool) *entry {
 	sh.mu.RLock()
 	var found *entry
-	for _, e := range sh.buckets[k.slot()] {
+	for _, e := range sh.buckets[k] {
 		if e.holds(win, pattern) {
-			if e.key.Version == k.Version {
-				found = e
-			}
+			found = e
 			break
 		}
 	}
@@ -348,10 +338,9 @@ func (c *Cache) GetPattern(k Key) (*periodic.Pattern, bool) {
 	return e.pat, true
 }
 
-// Put records a materialization of key over exactly win. It replaces an
-// older version of that window and is a no-op when the resident one is the
-// same or newer. The calendar becomes shared the moment it is inserted and
-// must not be mutated afterwards.
+// Put records a materialization of key over exactly win, unless one is
+// resident (equal keys are equal values). The calendar becomes shared the
+// moment it is inserted and must not be mutated afterwards.
 func (c *Cache) Put(k Key, win interval.Interval, cal *calendar.Calendar) {
 	if cal == nil {
 		return
@@ -369,42 +358,29 @@ func (c *Cache) PutPattern(k Key, pat *periodic.Pattern) {
 	c.insert(&entry{key: k, pat: pat, bytes: pat.SizeBytes()})
 }
 
-// insert publishes e unless its window already holds the same or a newer
-// version, or its shard cannot hold it. An older version of the window is
-// freed first, whether or not e then fits.
+// insert publishes e unless its key already holds its window (or pattern),
+// or its shard cannot hold it. It then enforces the shard's byte sub-budget
+// with second-chance eviction: a back-of-list entry whose atomic access stamp
+// moved since it was last placed has been read since — it is promoted
+// (deferred promotion applied here, the next write-side operation) instead
+// of evicted. Each entry gets at most one chance per pass, so an eviction
+// storm still terminates.
 func (c *Cache) insert(e *entry) {
 	sh := c.shardOf(e.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, x := range sh.buckets[e.key.slot()] {
-		if !x.holds(e.win, e.pat != nil) {
-			continue
-		}
-		if x.key.Version >= e.key.Version {
+	for _, x := range sh.buckets[e.key] {
+		if x.holds(e.win, e.pat != nil) {
 			return
 		}
-		sh.removeLocked(c, x)
-		sh.dropFromBucket(x)
-		c.replaced.Add(1)
-		break
 	}
 	if e.bytes > sh.budget {
 		c.rejected.Add(1)
 		return
 	}
-	c.insertLocked(sh, sh.buckets[e.key.slot()], e)
-}
-
-// insertLocked adds e to its bucket and the shard LRU, then enforces the
-// shard's byte sub-budget with second-chance eviction: a back-of-list entry
-// whose atomic access stamp moved since it was last placed has been read
-// since — it is promoted (deferred promotion applied here, the next
-// write-side operation) instead of evicted. Each entry gets at most one
-// chance per pass, so an eviction storm still terminates.
-func (c *Cache) insertLocked(sh *shard, kept []*entry, e *entry) {
 	e.placed = c.clock.Add(1)
 	e.elem = sh.lru.PushFront(e)
-	sh.buckets[e.key.slot()] = append(kept, e)
+	sh.buckets[e.key] = append(sh.buckets[e.key], e)
 	sh.bytes += e.bytes
 	c.puts.Add(1)
 	if e.pat != nil {
@@ -423,25 +399,20 @@ func (c *Cache) insertLocked(sh *shard, kept []*entry, e *entry) {
 			sh.lru.MoveToFront(back)
 			continue
 		}
-		sh.removeLocked(c, victim)
-		sh.dropFromBucket(victim)
-		c.evictions.Add(1)
+		sh.evictLocked(c, victim)
 	}
 }
 
-// removeLocked detaches e from the LRU and byte accounting (not the bucket).
-func (sh *shard) removeLocked(c *Cache, e *entry) {
+// evictLocked detaches e from the LRU, the byte accounting and its bucket
+// (by swap-remove: bucket order carries no meaning, lookup scans it whole).
+func (sh *shard) evictLocked(c *Cache, e *entry) {
 	sh.lru.Remove(e.elem)
 	sh.bytes -= e.bytes
 	if e.pat != nil {
 		c.patterns.Add(-1)
 	}
-}
-
-// dropFromBucket removes e from its bucket slice by swap-remove: bucket
-// order carries no meaning (lookup scans the whole bucket).
-func (sh *shard) dropFromBucket(e *entry) {
-	bucket := sh.buckets[e.key.slot()]
+	c.evictions.Add(1)
+	bucket := sh.buckets[e.key]
 	for i, x := range bucket {
 		if x == e {
 			last := len(bucket) - 1
@@ -452,9 +423,9 @@ func (sh *shard) dropFromBucket(e *entry) {
 		}
 	}
 	if len(bucket) == 0 {
-		delete(sh.buckets, e.key.slot())
+		delete(sh.buckets, e.key)
 	} else {
-		sh.buckets[e.key.slot()] = bucket
+		sh.buckets[e.key] = bucket
 	}
 }
 
@@ -478,7 +449,7 @@ func (c *Cache) Reset() {
 func (c *Cache) Stats() Stats {
 	st := Stats{
 		Puts:     c.puts.Load(),
-		Rejected: c.rejected.Load(), Evictions: c.evictions.Load(), Replaced: c.replaced.Load(),
+		Rejected: c.rejected.Load(), Evictions: c.evictions.Load(),
 		Flights: c.flights.Load(), FlightWaits: c.flightWaits.Load(),
 		Patterns: int(c.patterns.Load()),
 		Budget:   c.budget, Shards: len(c.shards),

@@ -83,38 +83,32 @@ func TestVersionMiss(t *testing.T) {
 	}
 }
 
-// A window holds one version: a newer Put replaces the resident entry and
-// frees its bytes, an older Put (a flight that started before the write) is
-// dropped, and a read at the superseded version misses. Other windows of the
-// slot are untouched.
-func TestNewerPutReplacesSlot(t *testing.T) {
+// Versions are content keys, not ordered: two versions of one window are
+// both served, a Put of a resident version is a no-op (it keeps the entry
+// and its bytes), and a version never put misses.
+func TestVersionsOfAWindowCoexist(t *testing.T) {
 	c := New(0)
 	at := func(v uint64) Key { return Key{Scope: "t", ID: "E|bizdays", Version: v, Gran: chronology.Day} }
-	old, cur := aperiodic(t, 21, 40), aperiodic(t, 22, 80)
-	win, _ := old.Hull()
-	other := interval.Interval{Lo: win.Lo, Hi: win.Hi + 1}
-	c.Put(at(3), win, old)
-	c.Put(at(3), other, old)
-	c.Put(at(5), win, cur)
-	if got, ok := c.Get(at(5), win); !ok || got != cur {
-		t.Fatal("the newer version is not served")
+	a, b := aperiodic(t, 21, 40), aperiodic(t, 22, 80)
+	win, _ := a.Hull()
+	c.Put(at(5), win, a)
+	c.Put(at(3), win, b)
+	if got, ok := c.Get(at(5), win); !ok || got != a {
+		t.Fatal("the first version is not served")
 	}
-	if _, ok := c.Get(at(3), win); ok {
-		t.Fatal("a read at the superseded version hit")
+	if got, ok := c.Get(at(3), win); !ok || got != b {
+		t.Fatal("the second version is not served")
 	}
-	if _, ok := c.Get(at(3), other); !ok {
-		t.Fatal("replacing one window evicted another")
-	}
-	c.Put(at(4), win, old)
-	if got, ok := c.Get(at(5), win); !ok || got != cur {
-		t.Fatal("an older Put displaced the newer entry")
+	c.Put(at(5), win, b)
+	if got, ok := c.Get(at(5), win); !ok || got != a {
+		t.Fatal("a Put of a resident version displaced it")
 	}
 	if _, ok := c.Get(at(4), win); ok {
-		t.Fatal("an older Put became readable")
+		t.Fatal("a version never put hit")
 	}
 	st := c.Stats()
-	if st.Entries != 2 || st.Replaced != 1 || st.Puts != 3 || st.Bytes != SizeOf(cur)+SizeOf(old) {
-		t.Fatalf("after one replacement and one dropped Put: %+v", st)
+	if st.Entries != 2 || st.Puts != 2 || st.Bytes != SizeOf(a)+SizeOf(b) {
+		t.Fatalf("after two versions and one repeated Put: %+v", st)
 	}
 }
 
@@ -206,7 +200,7 @@ func TestColdGetThenDoCountsOneMiss(t *testing.T) {
 	if _, ok := c.Get(k, win); ok {
 		t.Fatal("hit on an empty cache")
 	}
-	got, err := c.Do(k, win, func() (*calendar.Calendar, error) { return cal, nil })
+	got, err := c.Do(k, win, func() (*calendar.Calendar, error) { return cal, nil }, nil)
 	if err != nil || got != cal {
 		t.Fatalf("Do = %v, %v; want the materialized calendar", got, err)
 	}
@@ -218,7 +212,7 @@ func TestColdGetThenDoCountsOneMiss(t *testing.T) {
 	got, err = c.Do(k, win, func() (*calendar.Calendar, error) {
 		t.Error("materialize ran although the entry was resident")
 		return nil, nil
-	})
+	}, nil)
 	if err != nil || got != cal {
 		t.Fatalf("Do over a resident entry = %v, %v; want the cached calendar", got, err)
 	}
@@ -244,7 +238,7 @@ func TestStatsFieldNames(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{"budget", "bytes", "derived", "entries", "evictions", "expressions", "flight_waits",
-		"flights", "generated", "hits", "misses", "patterns", "puts", "rejected", "replaced", "shards"}
+		"flights", "generated", "hits", "misses", "patterns", "puts", "rejected", "shards"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Stats marshals keys\n %v\nwant\n %v", got, want)
 	}
@@ -252,7 +246,7 @@ func TestStatsFieldNames(t *testing.T) {
 
 // TestStatsByKind: the per-kind census adds up to the resident totals and
 // follows eviction, without any write-path counter; two versions of one
-// derived window are one entry.
+// derived window are two entries.
 func TestStatsByKind(t *testing.T) {
 	ch := chronology.MustNew(chronology.DefaultEpoch)
 	c := New(0)
@@ -269,7 +263,7 @@ func TestStatsByKind(t *testing.T) {
 	st := c.Stats()
 	want := Stats{
 		Generated:   KindStat{Entries: 1, Bytes: pat.SizeBytes()},
-		Derived:     KindStat{Entries: 1, Bytes: SizeOf(cal)},
+		Derived:     KindStat{Entries: 2, Bytes: 2 * SizeOf(cal)},
 		Expressions: KindStat{Entries: 1, Bytes: SizeOf(cal)},
 	}
 	if st.Generated != want.Generated || st.Derived != want.Derived || st.Expressions != want.Expressions {

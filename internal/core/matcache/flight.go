@@ -14,12 +14,13 @@ type flightKey struct {
 }
 
 // flight is one in-progress materialization. The leader closes done after
-// publishing cal/err; waiters block on done and read the fields afterwards
-// (the close is the happens-before edge).
+// publishing cal/err/stale; waiters block on done and read the fields
+// afterwards (the close is the happens-before edge).
 type flight struct {
-	done chan struct{}
-	cal  *calendar.Calendar
-	err  error
+	done  chan struct{}
+	cal   *calendar.Calendar
+	err   error
+	stale bool
 }
 
 // Do coalesces concurrent misses: when N goroutines ask for the same
@@ -31,22 +32,27 @@ type flight struct {
 //
 // The leader re-checks the cache before materializing (a previous flight may
 // have landed between this caller's miss and its flight acquisition), and on
-// success inserts the result via Put so later requests hit the cache proper.
-// The re-check is not a request of its own — the caller's Get already counted
-// the miss — so it moves no hit/miss counter. Errors are returned to the
-// leader and every waiter of that flight, and nothing is cached.
+// success inserts the result via Put so later requests hit the cache proper —
+// unless valid (nil: always true), called after materialize, rejects it as
+// not k's value; then each waiter materializes for itself, unfiled. The
+// re-check is not a request of its own — the caller's Get already counted the
+// miss — so it moves no hit/miss counter. Errors are returned to the leader
+// and every waiter of that flight, and nothing is cached.
 //
 // Do must not be called from inside a materialize closure with a flightKey
 // that other goroutines could concurrently lead while waiting on this one —
 // callers keep the wait graph acyclic by only flying at distinct
 // materialization levels (expression → derived).
-func (c *Cache) Do(k Key, win interval.Interval, materialize func() (*calendar.Calendar, error)) (*calendar.Calendar, error) {
+func (c *Cache) Do(k Key, win interval.Interval, materialize func() (*calendar.Calendar, error), valid func() bool) (*calendar.Calendar, error) {
 	fk := flightKey{k: k, win: win}
 	c.flightMu.Lock()
 	if f, ok := c.inflight[fk]; ok {
 		c.flightMu.Unlock()
 		c.flightWaits.Add(1)
 		<-f.done
+		if f.stale {
+			return materialize()
+		}
 		if f.err != nil {
 			return nil, f.err
 		}
@@ -66,7 +72,7 @@ func (c *Cache) Do(k Key, win interval.Interval, materialize func() (*calendar.C
 	}
 	c.flights.Add(1)
 	f.cal, f.err = materialize()
-	if f.err == nil {
+	if f.stale = valid != nil && !valid(); f.err == nil && !f.stale {
 		c.Put(k, win, f.cal)
 	}
 	c.settle(fk, f)

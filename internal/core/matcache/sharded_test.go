@@ -201,7 +201,7 @@ func TestSingleflightDedup(t *testing.T) {
 				calls.Add(1)
 				time.Sleep(20 * time.Millisecond) // hold the flight open so the herd piles up
 				return fresh, nil
-			})
+			}, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -252,7 +252,7 @@ func TestSingleflightErrorPropagates(t *testing.T) {
 				calls.Add(1)
 				time.Sleep(10 * time.Millisecond)
 				return nil, boom
-			})
+			}, nil)
 			if !errors.Is(err, boom) {
 				wrongErr.Add(1)
 			}
@@ -270,7 +270,7 @@ func TestSingleflightErrorPropagates(t *testing.T) {
 	if _, err := c.Do(k, win, func() (*calendar.Calendar, error) {
 		calls.Add(1)
 		return gen(t, ch, chronology.Week, chronology.Day, win.Lo, win.Hi), nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != before+1 {
@@ -278,5 +278,46 @@ func TestSingleflightErrorPropagates(t *testing.T) {
 	}
 	if _, ok := c.Get(k, win); !ok {
 		t.Fatal("successful retry was not cached")
+	}
+}
+
+// A flight whose result valid rejects is stale: it is not filed, and a waiter
+// that joined it materializes for itself instead of sharing it. This is the
+// read that started after a write the leader's evaluation straddled; its own
+// result goes unfiled too (the next miss flies again).
+func TestStaleFlightNotShared(t *testing.T) {
+	c := New(0)
+	k := Key{Scope: "t", ID: "E|bizdays", Version: 7, Gran: chronology.Day}
+	stale, fresh := aperiodic(t, 21, 40), aperiodic(t, 22, 40)
+	win, _ := stale.Hull()
+	release := make(chan struct{})
+	leader := make(chan *calendar.Calendar)
+	go func() {
+		got, _ := c.Do(k, win, func() (*calendar.Calendar, error) {
+			<-release
+			return stale, nil
+		}, func() bool { return false })
+		leader <- got
+	}()
+	for c.Stats().Flights == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	waiter := make(chan *calendar.Calendar)
+	go func() {
+		got, _ := c.Do(k, win, func() (*calendar.Calendar, error) { return fresh, nil }, func() bool { return true })
+		waiter <- got
+	}()
+	for c.Stats().FlightWaits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if got := <-leader; got != stale {
+		t.Fatal("the leader did not get its own result")
+	}
+	if got := <-waiter; got != fresh {
+		t.Fatal("a waiter shared a stale flight's result")
+	}
+	if _, ok := c.Get(k, win); ok {
+		t.Fatal("a stale flight filed a result")
 	}
 }

@@ -228,10 +228,10 @@ func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execStat
 			return nil, fmt.Errorf("derivation of %q nested deeper than %d: %s",
 				op.Name, maxDerivedDepth, callang.CyclePath(append(append([]string{}, st.deriving...), op.Name)))
 		}
-		// The key is stamped before the derivation is read: a write between
-		// the two files the newer derivation's value under the older stamp,
-		// which no later read asks for, never the reverse.
-		dkey, cacheable := p.derivedKey(env, op.Name)
+		// The key and its witness are read before the derivation: a value is
+		// filed only if the witness still holds after the evaluation, when
+		// every read it made saw the content the key names.
+		dkey, gen, cacheable := p.derivedKey(env, op.Name)
 		script, ok := env.Cat.DerivationOf(op.Name)
 		if !ok {
 			return nil, fmt.Errorf("derived calendar %q disappeared", op.Name)
@@ -268,6 +268,10 @@ func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execStat
 		if !cacheable {
 			return eval()
 		}
+		unchanged := func() bool {
+			_, g := env.Cat.(VersionedCatalog).ValuesStamp(op.Name)
+			return g == gen
+		}
 		if st.depth > 0 {
 			// Nested derived references evaluate inline rather than flying:
 			// depth is only incremented inside a flight leader's eval, so
@@ -275,12 +279,12 @@ func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execStat
 			// another flight at its own level — the wait graph stays acyclic
 			// (expression → derived).
 			out, err := eval()
-			if err == nil {
+			if err == nil && unchanged() {
 				env.Mat.Put(dkey, win, out)
 			}
 			return out, err
 		}
-		return env.Mat.Do(dkey, win, eval)
+		return env.Mat.Do(dkey, win, eval, unchanged)
 	case OpVar:
 		c, ok := vars[op.Name]
 		if !ok {
@@ -322,28 +326,29 @@ func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execStat
 }
 
 // derivedKey returns the shared-cache key for a derived calendar's
-// materialization at this plan's granularity, and whether caching is sound:
-// the catalog must stamp the calendar's values (for invalidation) and must
-// vouch that it is not volatile (no `today`, no clock waits, directly or
+// materialization at this plan's granularity, the witness read with it, and
+// whether caching is sound: the catalog must stamp the calendar's values and
+// must vouch that it is not volatile (no `today`, no clock waits, directly or
 // transitively).
-func (p *Plan) derivedKey(env *Env, name string) (matcache.Key, bool) {
+func (p *Plan) derivedKey(env *Env, name string) (matcache.Key, uint64, bool) {
 	if env.Mat == nil || env.DisableSharing {
-		return matcache.Key{}, false
+		return matcache.Key{}, 0, false
 	}
 	vc, ok := env.Cat.(VersionedCatalog)
 	if !ok {
-		return matcache.Key{}, false
+		return matcache.Key{}, 0, false
 	}
 	volc, ok := env.Cat.(VolatilityCatalog)
 	if !ok || volc.VolatileOf(name) {
-		return matcache.Key{}, false
+		return matcache.Key{}, 0, false
 	}
+	key, gen := vc.ValuesStamp(name)
 	return matcache.Key{
 		Scope:   env.MatScope,
 		ID:      "D|" + strings.ToLower(name),
-		Version: vc.ValuesStamp(name),
+		Version: key,
 		Gran:    p.Gran,
-	}, true
+	}, gen, true
 }
 
 // lifespanIn converts a calendar's day-tick lifespan to granularity g, when

@@ -68,12 +68,14 @@ func (m *MapCatalog) StoredCalendar(name string) (*calendar.Calendar, bool) {
 }
 
 // VersionedCatalog is an optional Catalog extension stamping what a named
-// calendar's value depends on: ValuesStamp moves whenever the calendar, or
-// anything its derivation reads, is written, and never decreases. The
-// executor versions shared materializations of derived calendars by it, so a
-// write invalidates exactly the values that read the written name.
+// calendar's value depends on, the calendar and everything its derivation
+// reads. key is a content key: equal keys mean equal content, so equal
+// values. gen is a witness: it moves whenever any of that content is written
+// and never returns to an earlier value. The executor versions shared
+// materializations of derived calendars by key, and files one only if gen,
+// re-read after the evaluation, is the gen read with the key.
 type VersionedCatalog interface {
-	ValuesStamp(name string) uint64
+	ValuesStamp(name string) (key, gen uint64)
 }
 
 // VolatilityCatalog is an optional Catalog extension reporting whether a
