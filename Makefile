@@ -62,7 +62,14 @@ loc:
 # plan-group check came; the per-generation table, the generation-keyed
 # VolatileOf memo with calvet's fast path for it, CatalogGeneration and
 # Engine.schedulerFor went.
-LOC_BUDGET = 24013
+# Content keys raised it by 38 (23 975 -> 24 013): matcache's replacement
+# path went; per-entry digests and content-keyed versions came.
+# The checkpoint codec raised it by 79 (24 013 -> 24 092): the snapshot and
+# journal encoders append into reused buffers (appendValue, appendEscaped,
+# the record appenders), Load fills a table's rows at once (Txn.load) and
+# cuts row fields out of the line, index keys compare without copies; the
+# fmt encoder (encodeValue, escape) moved to persist_test.go as the oracle.
+LOC_BUDGET = 24092
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -169,15 +176,17 @@ reach-check:
 # Short fuzz runs: the calendar-language front end (parser + calvet), the
 # sweep kernels against the naive foreach/set-op oracles, the streaming
 # /expand encoder against encoding/json, generated straight-line scripts as
-# one expression against the script runner, and the civil month cursor against
-# AppendCivil. `go test -fuzz` takes one target per invocation, hence five
-# commands.
+# one expression against the script runner, the civil month cursor against
+# AppendCivil, and the snapshot loader (never panics; what it accepts saves
+# to a fixed point). `go test -fuzz` takes one target per invocation, hence
+# six commands.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseAndVet -fuzztime=15s -run '^$$' ./internal/core/callang/
 	$(GO) test -fuzz=FuzzSweepVsNaive -fuzztime=15s -run '^$$' ./internal/core/calendar/
 	$(GO) test -fuzz=FuzzExpandEncode -fuzztime=15s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzStraightLineScripts -fuzztime=15s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzCivilCursor -fuzztime=15s -run '^$$' ./internal/chronology/
+	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=15s -run '^$$' ./internal/store/
 
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -217,9 +226,10 @@ bench-compare:
 # serve_wide shape), the prepared-expression table (hit and miss) and
 # warm expands through the HTTP handler (a 12-interval one, a 5.8 k-interval
 # one, a 420-interval one whose dates are a month apart, and the date
-# formatter that defines the encoder's output) are run at a real benchtime and must
-# stay within 1.25x of BENCH_baseline.json ns/op and allocs/op, or the build
-# fails.
+# formatter that defines the encoder's output), the checkpoint codecs (a fleet
+# snapshot's save and load, one firing's journal records) are run at a real
+# benchtime and must stay within 1.25x of BENCH_baseline.json ns/op and
+# allocs/op, or the build fails.
 # A full second of measurement per benchmark averages out scheduler spikes,
 # and -count=3 makes the gate best-of-three (benchjson keeps the fastest run
 # per benchmark), so a regression must reproduce in every repetition — one
@@ -227,15 +237,16 @@ bench-compare:
 # only the sweep arms (the generic fallback arms take ~50ms/op and are not
 # gated). The two runs share one compare.
 bench-gate:
-	( $(GO) test -bench 'NextAfter|CacheColdVsWarm|EndpointSweepVsLinear|Prepared|E1Selection|DerivedMaterialize|ExpandCold' \
+	( $(GO) test -bench 'NextAfter|CacheColdVsWarm|EndpointSweepVsLinear|Prepared|E1Selection|DerivedMaterialize|ExpandCold|SnapshotSave|SnapshotLoad' \
 		-benchtime=1s -count=3 -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'HandlerExpand|AppendCivil' -benchtime=1s -count=3 -benchmem ./internal/serve && \
 	  $(GO) test -bench 'ForeachSweepVsGeneric/sweep' -benchtime=1s -count=3 -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'TimingWheelVsHeap' -benchtime=1s -count=3 -benchmem ./internal/rules && \
+	  $(GO) test -run '^$$' -bench 'JournalRecord' -benchtime=1s -count=3 -benchmem ./internal/rules/journal && \
 	  $(GO) test -run '^$$' -bench 'CacheParallelGet|CacheStampede' -benchtime=1s -count=3 -benchmem \
 		./internal/core/matcache ) | \
 		$(GO) run ./cmd/benchjson -compare BENCH_baseline.json \
-			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkE1Selection|BenchmarkDerivedMaterialize|BenchmarkExpandCold|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkHandlerExpandWide|BenchmarkAppendCivil' \
+			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkE1Selection|BenchmarkDerivedMaterialize|BenchmarkExpandCold|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkHandlerExpandWide|BenchmarkAppendCivil|BenchmarkSnapshotSave|BenchmarkSnapshotLoad|BenchmarkJournalRecord' \
 			-gate-threshold 1.25 -gate-allocs-threshold 1.25 -
 
 # Parallel cache benchmarks across GOMAXPROCS=1,4,8 (the sweep ROADMAP 1(d)

@@ -70,6 +70,7 @@ type Journal struct {
 	sync   bool
 	faults *faultinject.Injector
 	state  State
+	line   []byte // the record being written, reused across appends
 }
 
 // Option configures Open.
@@ -114,7 +115,7 @@ func Open(path string, opts ...Option) (*Journal, error) {
 	j.seq = st.NextSeq
 	j.state = *st
 	if st.Records == 0 && st.ValidBytes == 0 {
-		if err := j.appendLine(magic, true); err != nil {
+		if err := j.appendLine([]byte(magic), true); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -212,6 +213,7 @@ type record struct {
 	rule    string
 }
 
+// parseRecord parses one record line, cutting its fields out in place.
 func parseRecord(line string) (record, bool) {
 	if line == "" {
 		return record{}, false
@@ -221,24 +223,25 @@ func parseRecord(line string) (record, bool) {
 	rest := strings.TrimPrefix(line[1:], " ")
 	switch r.kind {
 	case 'S':
-		parts := strings.SplitN(rest, " ", 3)
-		if len(parts) != 3 {
+		seqs, rest, ok1 := strings.Cut(rest, " ")
+		ats, quoted, ok2 := strings.Cut(rest, " ")
+		if !ok1 || !ok2 {
 			return record{}, false
 		}
-		seq, err1 := strconv.ParseUint(parts[0], 10, 64)
-		at, err2 := strconv.ParseInt(parts[1], 10, 64)
-		rule, err3 := strconv.Unquote(parts[2])
+		seq, err1 := strconv.ParseUint(seqs, 10, 64)
+		at, err2 := strconv.ParseInt(ats, 10, 64)
+		rule, err3 := strconv.Unquote(quoted)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return record{}, false
 		}
 		r.seq, r.at, r.rule = seq, at, rule
 	case 'B':
-		parts := strings.SplitN(rest, " ", 2)
-		if len(parts) != 2 {
+		seqs, ns, ok := strings.Cut(rest, " ")
+		if !ok {
 			return record{}, false
 		}
-		seq, err1 := strconv.ParseUint(parts[0], 10, 64)
-		n, err2 := strconv.Atoi(parts[1])
+		seq, err1 := strconv.ParseUint(seqs, 10, 64)
+		n, err2 := strconv.Atoi(ns)
 		if err1 != nil || err2 != nil {
 			return record{}, false
 		}
@@ -250,23 +253,24 @@ func parseRecord(line string) (record, bool) {
 		}
 		r.seq = seq
 	case 'D':
-		parts := strings.SplitN(rest, " ", 3)
-		if len(parts) != 3 {
+		seqs, rest, ok1 := strings.Cut(rest, " ")
+		ns, quoted, ok2 := strings.Cut(rest, " ")
+		if !ok1 || !ok2 {
 			return record{}, false
 		}
-		seq, err1 := strconv.ParseUint(parts[0], 10, 64)
-		n, err2 := strconv.Atoi(parts[1])
-		if _, err3 := strconv.Unquote(parts[2]); err1 != nil || err2 != nil || err3 != nil {
+		seq, err1 := strconv.ParseUint(seqs, 10, 64)
+		n, err2 := strconv.Atoi(ns)
+		if _, err3 := strconv.Unquote(quoted); err1 != nil || err2 != nil || err3 != nil {
 			return record{}, false
 		}
 		r.seq, r.attempt = seq, n
 	case 'T':
-		parts := strings.SplitN(rest, " ", 2)
-		if len(parts) != 2 {
+		ats, quoted, ok := strings.Cut(rest, " ")
+		if !ok {
 			return record{}, false
 		}
-		at, err1 := strconv.ParseInt(parts[0], 10, 64)
-		rule, err2 := strconv.Unquote(parts[1])
+		at, err1 := strconv.ParseInt(ats, 10, 64)
+		rule, err2 := strconv.Unquote(quoted)
 		if err1 != nil || err2 != nil {
 			return record{}, false
 		}
@@ -284,14 +288,14 @@ func (j *Journal) State() State {
 	return j.state
 }
 
-func (j *Journal) appendLine(line string, sync bool) error {
+// appendLine writes line and a newline, and keeps the buffer for reuse.
+func (j *Journal) appendLine(line []byte, sync bool) error {
+	line = append(line, '\n')
+	j.line = line[:0]
 	if err := faultinject.Hit(j.faults, SiteAppend); err != nil {
 		return err
 	}
-	if _, err := j.w.WriteString(line); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.w.WriteByte('\n'); err != nil {
+	if _, err := j.w.Write(line); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	if err := j.w.Flush(); err != nil {
@@ -308,6 +312,11 @@ func (j *Journal) appendLine(line string, sync bool) error {
 	return nil
 }
 
+// The record appenders write one field each, preceded by its space.
+func appendSeq(b []byte, seq uint64) []byte  { return strconv.AppendUint(append(b, ' '), seq, 10) }
+func appendInt(b []byte, n int64) []byte     { return strconv.AppendInt(append(b, ' '), n, 10) }
+func appendQuoted(b []byte, s string) []byte { return strconv.AppendQuote(append(b, ' '), s) }
+
 // Scheduled records a firing entering the schedule and returns its sequence
 // number. The record is written but not synced; call Sync after a batch (the
 // probe writes one batch per window).
@@ -316,7 +325,7 @@ func (j *Journal) Scheduled(rule string, at int64) (uint64, error) {
 	defer j.mu.Unlock()
 	seq := j.seq
 	j.seq++
-	err := j.appendLine(fmt.Sprintf("S %d %d %s", seq, at, strconv.Quote(rule)), false)
+	err := j.appendLine(appendQuoted(appendInt(appendSeq(append(j.line[:0], 'S'), seq), at), rule), false)
 	return seq, err
 }
 
@@ -324,28 +333,28 @@ func (j *Journal) Scheduled(rule string, at int64) (uint64, error) {
 func (j *Journal) Begin(seq uint64, attempt int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLine(fmt.Sprintf("B %d %d", seq, attempt), false)
+	return j.appendLine(appendInt(appendSeq(append(j.line[:0], 'B'), seq), int64(attempt)), false)
 }
 
 // Ack records seq as committed and fsyncs.
 func (j *Journal) Ack(seq uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLine(fmt.Sprintf("A %d", seq), true)
+	return j.appendLine(appendSeq(append(j.line[:0], 'A'), seq), true)
 }
 
 // Dead records seq as dead-lettered after attempts tries and fsyncs.
 func (j *Journal) Dead(seq uint64, attempts int, reason string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLine(fmt.Sprintf("D %d %d %s", seq, attempts, strconv.Quote(reason)), true)
+	return j.appendLine(appendQuoted(appendInt(appendSeq(append(j.line[:0], 'D'), seq), int64(attempts)), reason), true)
 }
 
 // Skip records seq as skipped by the catch-up policy and fsyncs.
 func (j *Journal) Skip(seq uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLine(fmt.Sprintf("K %d", seq), true)
+	return j.appendLine(appendSeq(append(j.line[:0], 'K'), seq), true)
 }
 
 // Sync flushes and fsyncs the journal.
@@ -377,23 +386,22 @@ func writeMinimal(path string, st *State, faults *faultinject.Injector) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	bw := bufio.NewWriter(nf)
-	fmt.Fprintln(bw, magic)
+	b := append(make([]byte, 0, 4096), magic+"\n"...)
 	rules := make([]string, 0, len(st.AckedThrough))
 	for rule := range st.AckedThrough {
 		rules = append(rules, rule)
 	}
 	sort.Strings(rules)
 	for _, rule := range rules {
-		fmt.Fprintf(bw, "T %d %s\n", st.AckedThrough[rule], strconv.Quote(rule))
+		b = append(appendQuoted(appendInt(append(b, 'T'), st.AckedThrough[rule]), rule), '\n')
 	}
 	for _, p := range st.Pending {
-		fmt.Fprintf(bw, "S %d %d %s\n", p.Seq, p.At, strconv.Quote(p.Rule))
+		b = append(appendQuoted(appendInt(appendSeq(append(b, 'S'), p.Seq), p.At), p.Rule), '\n')
 		if p.Attempts > 0 {
-			fmt.Fprintf(bw, "B %d %d\n", p.Seq, p.Attempts)
+			b = append(appendInt(appendSeq(append(b, 'B'), p.Seq), int64(p.Attempts)), '\n')
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if _, err := nf.Write(b); err != nil {
 		nf.Close()
 		return fmt.Errorf("journal: %w", err)
 	}

@@ -1,6 +1,9 @@
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // btreeDegree is the minimum degree t of the B-tree: every node except the
 // root holds between t-1 and 2t-1 keys.
@@ -41,19 +44,25 @@ func (n *btreeNode) findKey(key Value) (int, bool) {
 	lo, hi := 0, len(n.entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		c, _ := Compare(n.entries[mid].key, key)
-		if c < 0 {
+		if compareKeys(&n.entries[mid].key, &key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(n.entries) {
-		if c, _ := Compare(n.entries[lo].key, key); c == 0 {
-			return lo, true
-		}
+	return lo, lo < len(n.entries) && compareKeys(&n.entries[lo].key, &key) == 0
+}
+
+// compareKeys is Compare for index keys, int and text ones without copies.
+func compareKeys(a, b *Value) int {
+	switch {
+	case a.T == TInt && b.T == TInt:
+		return cmpInt(a.I, b.I)
+	case a.T == TText && b.T == TText:
+		return strings.Compare(a.S, b.S)
 	}
-	return lo, false
+	c, _ := Compare(*a, *b)
+	return c
 }
 
 // Insert adds a (key, rid) pair.
@@ -101,7 +110,7 @@ func (n *btreeNode) splitChild(i int) {
 	mid := btreeDegree - 1
 	medianEntry := child.entries[mid]
 
-	right := &btreeNode{}
+	right := &btreeNode{entries: make([]btreeEntry, 0, 2*btreeDegree-1)}
 	right.entries = append(right.entries, child.entries[mid+1:]...)
 	if !child.leaf() {
 		right.children = append(right.children, child.children[mid+1:]...)

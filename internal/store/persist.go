@@ -29,43 +29,53 @@ import (
 
 const snapshotMagic = "calsysdb 1"
 
+// saveChunk is how many encoded bytes Save gathers before writing them out.
+const saveChunk = 64 << 10
+
 // Save writes a snapshot of every table to w. It runs as a reader holding
-// the transaction lock, so the snapshot is consistent.
+// the transaction lock, so the snapshot is consistent, and writes index
+// lines in column order, so two saves of one database are byte-equal.
 func (db *DB) Save(w io.Writer) error {
 	db.txnMu.Lock()
 	defer db.txnMu.Unlock()
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, snapshotMagic)
+	buf := make([]byte, 0, saveChunk+4<<10)
+	buf = append(buf, snapshotMagic+"\n"...)
+	var err error
+	flush := func(min int) {
+		if err == nil && len(buf) >= min {
+			_, err = w.Write(buf)
+			buf = buf[:0]
+		}
+	}
 	for _, name := range db.TableNames() {
 		t, _ := db.Table(name)
-		fmt.Fprintf(bw, "table %s %d\n", escape(t.Name), len(t.Schema.Cols))
+		buf = appendEscaped(append(buf, "table "...), t.Name)
+		buf = append(strconv.AppendInt(append(buf, ' '), int64(len(t.Schema.Cols)), 10), '\n')
 		for _, c := range t.Schema.Cols {
-			fmt.Fprintf(bw, "col %s %s\n", escape(c.Name), c.Type)
+			buf = appendEscaped(append(buf, "col "...), c.Name)
+			buf = append(append(append(buf, ' '), c.Type.String()...), '\n')
 		}
 		for _, col := range t.indexColumns() {
-			fmt.Fprintf(bw, "index %s\n", escape(col))
+			buf = append(appendEscaped(append(buf, "index "...), col), '\n')
 		}
-		var rowErr error
 		t.Scan(func(_ int64, row Row) bool {
-			bw.WriteString("row")
-			for _, v := range row {
-				field, err := encodeValue(v)
-				if err != nil {
-					rowErr = err
+			buf = append(buf, "row"...)
+			for i := range row {
+				if buf, err = appendValue(append(buf, ' '), &row[i]); err != nil {
 					return false
 				}
-				bw.WriteByte(' ')
-				bw.WriteString(field)
 			}
-			bw.WriteByte('\n')
-			return true
+			buf = append(buf, '\n')
+			flush(saveChunk)
+			return err == nil
 		})
-		if rowErr != nil {
-			return rowErr
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(bw, "end")
+		buf = append(buf, "end\n"...)
 	}
-	return bw.Flush()
+	flush(0)
+	return err
 }
 
 // snapReader wraps the scanner with a line counter so every corruption
@@ -93,13 +103,14 @@ func (r *snapReader) errf(format string, args ...any) error {
 
 // Load replaces the database's tables with a snapshot previously written by
 // Save. The database must be empty of tables. Corruption errors carry the
-// snapshot line number and the expectation that failed.
+// snapshot line number and the expectation that failed. A table's rows go in
+// at once at its end line, then its indexes are built.
 func (db *DB) Load(r io.Reader) error {
 	if len(db.TableNames()) != 0 {
 		return fmt.Errorf("store: Load requires an empty database")
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 64<<10), 1<<26)
 	sr := &snapReader{sc: sc}
 	if !sr.scan() || sr.text() != snapshotMagic {
 		return fmt.Errorf("store: snapshot line 1: not a calsys snapshot (want magic %q)", snapshotMagic)
@@ -132,7 +143,7 @@ func (db *DB) loadTable(sr *snapReader, name string, ncols int) error {
 	var cols []Column
 	var indexCols []string
 	var rows []Row
-	sawRows := false
+	var slab []Value // the values of the next 64 rows, allocated at once
 	for sr.scan() {
 		line := sr.text()
 		switch {
@@ -147,14 +158,8 @@ func (db *DB) loadTable(sr *snapReader, name string, ncols int) error {
 			if err := db.CreateTable(name, schema); err != nil {
 				return sr.errf("table %s: %v", name, err)
 			}
-			if err := db.RunTxn(func(tx *Txn) error {
-				for _, row := range rows {
-					if _, err := tx.Append(name, row); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
+			t, _ := db.Table(name)
+			if err := db.RunTxn(func(tx *Txn) error { return tx.load(t, rows) }); err != nil {
 				return sr.errf("table %s rows: %v", name, err)
 			}
 			for _, col := range indexCols {
@@ -164,7 +169,7 @@ func (db *DB) loadTable(sr *snapReader, name string, ncols int) error {
 			}
 			return nil
 		case strings.HasPrefix(line, "col "):
-			if sawRows {
+			if rows != nil {
 				return sr.errf("table %s: col line after rows (want cols, then indexes, then rows)", name)
 			}
 			fields := strings.Fields(line)
@@ -186,14 +191,20 @@ func (db *DB) loadTable(sr *snapReader, name string, ncols int) error {
 				return sr.errf("bad index column: %v", err)
 			}
 			indexCols = append(indexCols, col)
-		case strings.HasPrefix(line, "row"):
-			sawRows = true
-			fields := strings.Fields(line)[1:]
-			if len(fields) != ncols {
-				return sr.errf("row has %d fields, want %d (table %s)", len(fields), ncols, name)
+		case line == "row" || strings.HasPrefix(line, "row "):
+			// Each field follows one space; they are cut out of the line.
+			if n := strings.Count(line, " "); n != ncols {
+				return sr.errf("row has %d fields, want %d (table %s)", n, ncols, name)
 			}
-			row := make(Row, ncols)
-			for i, f := range fields {
+			if len(slab) < ncols {
+				slab = make([]Value, 64*ncols)
+			}
+			row := Row(slab[:ncols:ncols])
+			slab = slab[ncols:]
+			rest := line[len("row "):]
+			for i := range row {
+				var f string
+				f, rest, _ = strings.Cut(rest, " ")
 				v, err := decodeValue(f)
 				if err != nil {
 					return sr.errf("field %d: %v", i+1, err)
@@ -208,30 +219,32 @@ func (db *DB) loadTable(sr *snapReader, name string, ncols int) error {
 	return sr.errf("table %s not terminated (missing %q — truncated snapshot?)", name, "end")
 }
 
-// encodeValue renders a value as <type>:<escaped payload>.
-func encodeValue(v Value) (string, error) {
+// appendValue appends a value as <type>:<escaped payload>.
+func appendValue(buf []byte, v *Value) ([]byte, error) {
 	switch v.T {
 	case TNull:
-		return "null:", nil
+		return append(buf, "null:"...), nil
 	case TInt:
-		return "int:" + strconv.FormatInt(v.I, 10), nil
+		return strconv.AppendInt(append(buf, "int:"...), v.I, 10), nil
 	case TFloat:
-		return "float:" + strconv.FormatFloat(v.F, 'g', -1, 64), nil
+		return strconv.AppendFloat(append(buf, "float:"...), v.F, 'g', -1, 64), nil
 	case TText:
-		return "text:" + escape(v.S), nil
+		return appendEscaped(append(buf, "text:"...), v.S), nil
 	case TBool:
-		return "bool:" + strconv.FormatBool(v.B), nil
+		return strconv.AppendBool(append(buf, "bool:"...), v.B), nil
 	case TDate:
-		return "date:" + v.D.String(), nil
+		return chronology.AppendCivil(append(buf, "date:"...), v.D), nil
 	case TInterval:
-		return fmt.Sprintf("interval:%d,%d", v.Iv.Lo, v.Iv.Hi), nil
+		buf = strconv.AppendInt(append(buf, "interval:"...), v.Iv.Lo, 10)
+		return strconv.AppendInt(append(buf, ','), v.Iv.Hi, 10), nil
 	case TCalendar:
+		buf = append(buf, "calendar:"...)
 		if v.Cal == nil {
-			return "calendar:", nil
+			return buf, nil
 		}
-		return fmt.Sprintf("calendar:%s%s", v.Cal.Granularity(), escape(v.Cal.String())), nil
+		return appendEscaped(append(buf, v.Cal.Granularity().String()...), v.Cal.String()), nil
 	}
-	return "", fmt.Errorf("store: cannot encode type %v", v.T)
+	return buf, fmt.Errorf("store: cannot encode type %v", v.T)
 }
 
 func decodeValue(field string) (Value, error) {
@@ -241,6 +254,9 @@ func decodeValue(field string) (Value, error) {
 	}
 	switch kind {
 	case "null":
+		if payload != "" {
+			return Null, fmt.Errorf("malformed null %q (want an empty payload)", payload)
+		}
 		return Null, nil
 	case "int":
 		n, err := strconv.ParseInt(payload, 10, 64)
@@ -261,6 +277,9 @@ func decodeValue(field string) (Value, error) {
 		}
 		return NewText(s), nil
 	case "bool":
+		if payload != "true" && payload != "false" {
+			return Null, fmt.Errorf("malformed bool %q (want true or false)", payload)
+		}
 		return NewBool(payload == "true"), nil
 	case "date":
 		d, err := chronology.ParseCivil(payload)
@@ -309,38 +328,47 @@ func decodeValue(field string) (Value, error) {
 	return Null, fmt.Errorf("unknown field type %q", kind)
 }
 
-// escape percent-encodes spaces, percent signs, braces and control bytes so
-// fields stay whitespace-free single tokens.
-func escape(s string) string {
-	var b strings.Builder
+const upperHex = "0123456789ABCDEF"
+
+// appendEscaped appends s with spaces, percent signs, braces and control
+// bytes written as %XX, so fields stay whitespace-free single tokens.
+func appendEscaped(buf []byte, s string) []byte {
+	from := 0
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c == '%' || c == '{' || c == '}' || c == 0x7f {
-			fmt.Fprintf(&b, "%%%02X", c)
-			continue
+		if c := s[i]; c <= ' ' || c == '%' || c == '{' || c == '}' || c == 0x7f {
+			buf = append(append(buf, s[from:i]...), '%', upperHex[c>>4], upperHex[c&15])
+			from = i + 1
 		}
-		b.WriteByte(c)
 	}
-	return b.String()
+	return append(buf, s[from:]...)
 }
 
+// unescape reverses appendEscaped. A string without a % is returned as is.
 func unescape(s string) (string, error) {
+	if strings.IndexByte(s, '%') < 0 {
+		return s, nil
+	}
 	var b strings.Builder
+	b.Grow(len(s))
+	from := 0
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c != '%' {
-			b.WriteByte(c)
+		if s[i] != '%' {
 			continue
 		}
 		if i+2 >= len(s) {
 			return "", fmt.Errorf("store: truncated escape in %q", s)
 		}
-		n, err := strconv.ParseUint(s[i+1:i+3], 16, 8)
-		if err != nil {
+		// Either case of a hex digit sits at its value modulo 16.
+		const digits = "0123456789abcdef0123456789ABCDEF"
+		hi, lo := strings.IndexByte(digits, s[i+1]), strings.IndexByte(digits, s[i+2])
+		if hi < 0 || lo < 0 {
 			return "", fmt.Errorf("store: bad escape in %q", s)
 		}
-		b.WriteByte(byte(n))
+		b.WriteString(s[from:i])
+		b.WriteByte(byte(hi&15<<4 | lo&15))
 		i += 2
+		from = i + 1
 	}
+	b.WriteString(s[from:])
 	return b.String(), nil
 }

@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +13,85 @@ import (
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/interval"
 )
+
+// The reference encoder: Save as it was written with fmt, one Fprintf per
+// escaped byte. The appending encoder must reproduce its bytes exactly.
+
+func referenceSave(db *DB, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, snapshotMagic)
+	for _, name := range db.TableNames() {
+		t, _ := db.Table(name)
+		fmt.Fprintf(bw, "table %s %d\n", escape(t.Name), len(t.Schema.Cols))
+		for _, c := range t.Schema.Cols {
+			fmt.Fprintf(bw, "col %s %s\n", escape(c.Name), c.Type)
+		}
+		for _, col := range t.indexColumns() {
+			fmt.Fprintf(bw, "index %s\n", escape(col))
+		}
+		var rowErr error
+		t.Scan(func(_ int64, row Row) bool {
+			bw.WriteString("row")
+			for _, v := range row {
+				field, err := encodeValue(v)
+				if err != nil {
+					rowErr = err
+					return false
+				}
+				bw.WriteByte(' ')
+				bw.WriteString(field)
+			}
+			bw.WriteByte('\n')
+			return true
+		})
+		if rowErr != nil {
+			return rowErr
+		}
+		fmt.Fprintln(bw, "end")
+	}
+	return bw.Flush()
+}
+
+// encodeValue renders a value as <type>:<escaped payload>.
+func encodeValue(v Value) (string, error) {
+	switch v.T {
+	case TNull:
+		return "null:", nil
+	case TInt:
+		return "int:" + strconv.FormatInt(v.I, 10), nil
+	case TFloat:
+		return "float:" + strconv.FormatFloat(v.F, 'g', -1, 64), nil
+	case TText:
+		return "text:" + escape(v.S), nil
+	case TBool:
+		return "bool:" + strconv.FormatBool(v.B), nil
+	case TDate:
+		return "date:" + v.D.String(), nil
+	case TInterval:
+		return fmt.Sprintf("interval:%d,%d", v.Iv.Lo, v.Iv.Hi), nil
+	case TCalendar:
+		if v.Cal == nil {
+			return "calendar:", nil
+		}
+		return fmt.Sprintf("calendar:%s%s", v.Cal.Granularity(), escape(v.Cal.String())), nil
+	}
+	return "", fmt.Errorf("store: cannot encode type %v", v.T)
+}
+
+// escape percent-encodes spaces, percent signs, braces and control bytes so
+// fields stay whitespace-free single tokens.
+func escape(s string) string {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c <= ' ' || c == '%' || c == '{' || c == '}' || c == 0x7f {
+			fmt.Fprintf(&b, "%%%02X", c)
+			continue
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
+}
 
 func snapshotRoundTrip(t *testing.T, db *DB) *DB {
 	t.Helper()
@@ -114,26 +197,39 @@ func TestSnapshotMultipleTables(t *testing.T) {
 	}
 }
 
+// garbageSnapshots are corrupt snapshots Load must reject; they also seed
+// FuzzSnapshotLoad.
+var garbageSnapshots = map[string]string{
+	"bad magic":       "nope 9",
+	"empty":           "",
+	"truncated table": "calsysdb 1\ntable t 1\ncol v int\nrow int:1",
+	"bad col count":   "calsysdb 1\ntable t x\n",
+	"bad field":       "calsysdb 1\ntable t 1\ncol v int\nrow int:abc\nend",
+	"wrong arity":     "calsysdb 1\ntable t 2\ncol v int\nend",
+	"unknown type":    "calsysdb 1\ntable t 1\ncol v blob\nend",
+	"stray line":      "calsysdb 1\ntable t 1\ncol v int\nfrobnicate\nend",
+	"bad escape":      "calsysdb 1\ntable t 1\ncol v text\nrow text:%zz\nend",
+	"bad date":        "calsysdb 1\ntable t 1\ncol v date\nrow date:1993-02-30\nend",
+	"bad interval":    "calsysdb 1\ntable t 1\ncol v interval\nrow interval:5\nend",
+	"zero interval":   "calsysdb 1\ntable t 1\ncol v interval\nrow interval:0,3\nend",
+	"bad calendar":    "calsysdb 1\ntable t 1\ncol v calendar\nrow calendar:DAYSoops\nend",
+	"bool not a bool": "calsysdb 1\ntable t 1\ncol v bool\nrow bool:true\nrow bool:yes\nend",
+	"bool as a digit": "calsysdb 1\ntable t 1\ncol v bool\nrow bool:true\nrow bool:1\nend",
+	"null payload":    "calsysdb 1\ntable t 1\ncol v bool\nrow bool:true\nrow null:x\nend",
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"bad magic":       "nope 9",
-		"empty":           "",
-		"truncated table": "calsysdb 1\ntable t 1\ncol v int\nrow int:1",
-		"bad col count":   "calsysdb 1\ntable t x\n",
-		"bad field":       "calsysdb 1\ntable t 1\ncol v int\nrow int:abc\nend",
-		"wrong arity":     "calsysdb 1\ntable t 2\ncol v int\nend",
-		"unknown type":    "calsysdb 1\ntable t 1\ncol v blob\nend",
-		"stray line":      "calsysdb 1\ntable t 1\ncol v int\nfrobnicate\nend",
-		"bad escape":      "calsysdb 1\ntable t 1\ncol v text\nrow text:%zz\nend",
-		"bad date":        "calsysdb 1\ntable t 1\ncol v date\nrow date:1993-02-30\nend",
-		"bad interval":    "calsysdb 1\ntable t 1\ncol v interval\nrow interval:5\nend",
-		"zero interval":   "calsysdb 1\ntable t 1\ncol v interval\nrow interval:0,3\nend",
-		"bad calendar":    "calsysdb 1\ntable t 1\ncol v calendar\nrow calendar:DAYSoops\nend",
-	}
-	for name, snap := range cases {
+	for name, snap := range garbageSnapshots {
 		db := NewDB()
 		if err := db.Load(strings.NewReader(snap)); err == nil {
 			t.Errorf("%s: Load should fail", name)
+		}
+	}
+	// A bool or null payload Save never writes is named at its line.
+	for _, name := range []string{"bool not a bool", "bool as a digit", "null payload"} {
+		err := NewDB().Load(strings.NewReader(garbageSnapshots[name]))
+		if err == nil || !strings.HasPrefix(err.Error(), "store: snapshot line 5: field 1: malformed") {
+			t.Errorf("%s: Load error %v, want a malformed field at snapshot line 5", name, err)
 		}
 	}
 	// Load requires an empty database.
@@ -143,6 +239,41 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if err := db.Load(strings.NewReader("calsysdb 1\n")); err == nil {
 		t.Error("Load into non-empty database should fail")
+	}
+}
+
+// Listeners registered before Load see one append event per loaded row, and a
+// listener error fails Load with that table's rows rolled back.
+func TestLoadFiresAppendEvents(t *testing.T) {
+	snap := "calsysdb 1\ntable t 1\ncol v int\nrow int:1\nrow int:2\nrow int:3\nend\n"
+	db := NewDB()
+	var seen []int64
+	db.AddListener(func(tx *Txn, ev Event) error {
+		seen = append(seen, ev.New[0].I)
+		return nil
+	})
+	if err := db.Load(strings.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(seen) != "[1 2 3]" {
+		t.Errorf("append events saw %v, want [1 2 3]", seen)
+	}
+	refusing := NewDB()
+	refusing.AddListener(func(tx *Txn, ev Event) error {
+		if ev.RID == 1 {
+			return fmt.Errorf("refused")
+		}
+		return nil
+	})
+	if err := refusing.Load(strings.NewReader(snap)); err == nil || !strings.Contains(err.Error(), "refused") {
+		t.Fatalf("Load error %v, want the listener's", err)
+	}
+	tab, ok := refusing.Table("t")
+	if !ok {
+		t.Fatal("table t missing after a refused load")
+	}
+	if tab.Len() != 0 {
+		t.Errorf("%d rows left after a refused load, want 0", tab.Len())
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 )
@@ -287,7 +288,7 @@ func (t *Table) updateRaw(rid int64, row Row) (Row, error) {
 	return old, nil
 }
 
-// indexColumns lists the indexed columns (for snapshots).
+// indexColumns lists the indexed columns in sorted order (for snapshots).
 func (t *Table) indexColumns() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -295,6 +296,7 @@ func (t *Table) indexColumns() []string {
 	for col := range t.indexes {
 		out = append(out, col)
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -123,6 +123,38 @@ func (tx *Txn) Append(table string, row Row) (int64, error) {
 	return rid, nil
 }
 
+// load installs rows decoded from a snapshot into the empty table t at once,
+// each value coerced to its column type in place (Load internal). Undo
+// records are kept only when a listener sees the rows' append events.
+func (tx *Txn) load(t *Table, rows []Row) error {
+	for _, row := range rows {
+		for i, c := range t.Schema.Cols {
+			if v := &row[i]; v.T != c.Type && v.T != TNull {
+				cv, err := v.CoerceTo(c.Type)
+				if err != nil {
+					return fmt.Errorf("store: column %s: %w", c.Name, err)
+				}
+				*v = cv
+			}
+		}
+	}
+	t.mu.Lock()
+	t.rows, t.live = rows, len(rows)
+	t.mu.Unlock()
+	tx.db.catMu.RLock()
+	listening := len(tx.db.listeners) > 0
+	tx.db.catMu.RUnlock()
+	for rid := 0; listening && rid < len(rows); rid++ {
+		tx.undo = append(tx.undo, undoRec{kind: undoInsert, table: t, rid: int64(rid)})
+	}
+	for rid := 0; listening && rid < len(rows); rid++ {
+		if err := tx.fire(Event{Op: EvAppend, Table: t.Name, RID: int64(rid), New: rows[rid]}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Delete removes a row, firing delete events.
 func (tx *Txn) Delete(table string, rid int64) error {
 	if tx.done {
