@@ -21,7 +21,8 @@
 // is empty everywhere. End-relative selections over before/before-equals
 // groupings ([n]/(X:<:Y), negative positions, all-negative ranges) are the
 // exception: counting from the end of an unbounded prefix is
-// window-independent, so they lower (ForeachSelectEnd).
+// window-independent, so they lower through the same periodic.ForeachSelect
+// as every other grouping, with endOffsets as the pick.
 package symbolic
 
 import (
@@ -31,7 +32,6 @@ import (
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
-	"calsys/internal/core/interval"
 	"calsys/internal/core/periodic"
 )
 
@@ -143,20 +143,16 @@ func (l *lowerer) node(e callang.Expr, depth int) (*periodic.Pattern, bool) {
 		if !ok {
 			return nil, false
 		}
-		if fe.Op == interval.Before || fe.Op == interval.BeforeEquals {
-			// A before/before-equals grouping collects an unbounded prefix —
-			// its flattened value is window-anchored — but a selection that
-			// counts only from the end of each group ([n], negative
-			// positions, all-negative ranges) is window-independent: the
-			// k-th-from-last element before each y is fixed index arithmetic
-			// on x. The paper's [n]/AM_BUS_DAYS:<:LDOM_HOL idiom lands here.
-			ends, ok := endOffsets(n.Pred)
-			if !ok {
-				return nil, false
+		// A before/before-equals group is an unbounded prefix (count −1):
+		// only a selection counting from its end ([n], negative positions,
+		// all-negative ranges) is window-independent. The paper's
+		// [n]/AM_BUS_DAYS:<:LDOM_HOL idiom lands here.
+		return periodic.ForeachSelect(x, y, fe.Op, fe.Strict, func(size int) []int {
+			if size < 0 {
+				return endOffsets(n.Pred)
 			}
-			return periodic.ForeachSelectEnd(x, y, fe.Op, fe.Strict, ends)
-		}
-		return periodic.ForeachSelect(x, y, fe.Op, fe.Strict, n.Pred.Indices)
+			return n.Pred.Indices(size)
+		})
 	}
 	// today, numbers, strings, label selections, generate()/caloperate()
 	// calls: window-anchored or non-calendar — no symbolic form.
@@ -264,33 +260,31 @@ func Stats() MemoStats {
 	return st
 }
 
-// endOffsets translates a selection predicate into negative end-relative
-// member offsets (−1 the last member, −2 the one before it, …) when every
-// term counts from the end of the group: [n] → −1, a negative position → the
-// position, an all-negative range → its offsets in ascending order. Any term
+// endOffsets is a selection's pick over an unbounded prefix: every term that
+// counts from the end of the group becomes negative member offsets (−1 the
+// last member, −2 the one before it, …): [n] → −1, a negative position → the
+// position, an all-negative range → its offsets in ascending order. A term
 // anchored to the front of the group — a positive position or a range with a
-// positive endpoint — reports ok=false: over an unbounded-prefix grouping
-// such a selection is window-anchored and must materialize.
-func endOffsets(s calendar.Selection) ([]int, bool) {
+// positive endpoint — becomes position 0, which ForeachSelect refuses: over
+// an unbounded prefix such a selection is window-anchored and must
+// materialize.
+func endOffsets(s calendar.Selection) []int {
 	out := make([]int, 0, len(s.Items))
 	for _, it := range s.Items {
 		switch {
 		case it.Last:
 			out = append(out, -1)
-		case it.Range:
-			if it.From >= 0 || it.To >= 0 {
-				return nil, false
-			}
+		case it.Range && it.From < 0 && it.To < 0:
 			for o := it.From; o <= it.To; o++ {
 				out = append(out, o)
 			}
-		case it.Pos < 0:
+		case !it.Range && it.Pos < 0:
 			out = append(out, it.Pos)
 		default:
-			return nil, false
+			out = append(out, 0)
 		}
 	}
-	return out, true
+	return out
 }
 
 // resolveForeach peels inlinable derivation names off e until a foreach

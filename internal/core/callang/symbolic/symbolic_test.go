@@ -97,7 +97,7 @@ func TestSymbolicMatchesMaterialized(t *testing.T) {
 		"[1]/Workweek",
 		// End-relative selections over before/before-equals groupings:
 		// counting from the end of the unbounded prefix is
-		// window-independent (ForeachSelectEnd), unlike the flattened
+		// window-independent (ForeachSelect), unlike the flattened
 		// groupings themselves. The paper's [n]/X:<:Y idiom.
 		"[n]/DAYS:<:WEEKS",
 		"[n]/DAYS:<=:WEEKS",

@@ -126,8 +126,9 @@ func (s Set) Without(dst, xs []Interval) []Interval {
 // Within appends to dst, in order, the pieces of each interval of xs that s
 // covers, by the same merge as Without. Cuts of one interval that touch would
 // have to merge; the spans of s are separated by uncovered ticks, so cuts
-// never touch and the loop needs no fuse check (the invariant
-// periodic.SetIntersect relies on too).
+// never touch and the loop needs no fuse check. periodic.SetDiff and
+// SetIntersect run Without and Within too, on a pattern cycle's offsets
+// shifted onto ticks.
 func (s Set) Within(dst, xs []Interval) []Interval {
 	cov := s.ivs
 	j := 0

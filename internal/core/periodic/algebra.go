@@ -2,14 +2,17 @@
 // directly on Patterns, with no materialized interval list anywhere.
 //
 // Following Bettini & Mascetti, every operator of the calendar language that
-// is window-independent — union, difference, point-set intersection, and the
-// during/overlaps/meets foreach groupings with their per-group selections —
-// maps periodic element lists to periodic element lists, computable over one
-// lcm cycle of the operands. The functions here replicate the exact
-// element-list semantics of the materialized operators in
-// internal/core/calendar (duplicates, trimming, ordering), so that expanding
-// the symbolic result over any window equals materializing the expression
-// over that window, away from generation-edge effects.
+// is window-independent — union, difference, point-set intersection, the
+// during/overlaps/meets foreach groupings with their per-group selections,
+// and end-relative selections over before/before-equals groupings — maps
+// periodic element lists to periodic element lists, computable over one lcm
+// cycle of the operands. One group walk (foreachRuns) serves every foreach
+// lowering, and difference and intersection cut with interval.Set's
+// Without/Within, the kernels the materialized operators run. The functions
+// here replicate the exact element-list semantics of the materialized
+// operators in internal/core/calendar (duplicates, trimming, ordering), so
+// that expanding the symbolic result over any window equals materializing the
+// expression over that window, away from generation-edge effects.
 //
 // Empty sets. A Pattern cannot represent the empty list (New requires a
 // span), so the calculus widens the domain: a nil *Pattern is the provably
@@ -120,18 +123,7 @@ func SetDiff(p, q *Pattern) (*Pattern, bool) {
 	if q == nil {
 		return p, true
 	}
-	out, L, ok := diffCycle(p, q)
-	if !ok {
-		return nil, false
-	}
-	if len(out) == 0 {
-		return nil, true // provably empty: q covers every element of p
-	}
-	d, err := New(L, p.phase, out)
-	if err != nil {
-		return nil, false
-	}
-	return compacted(d, true)
+	return cut(p, q, interval.Set.Without)
 }
 
 // SetIntersect is the calendar "intersects" operator over symbolic element
@@ -142,152 +134,95 @@ func SetIntersect(p, q *Pattern) (*Pattern, bool) {
 	if p == nil || q == nil {
 		return nil, true
 	}
+	return cut(p, q, interval.Set.Within)
+}
+
+// cut runs one of interval.Set's coverage kernels — Without or Within, the
+// cut loops calendar.Diff and calendar.Intersect run — on p's elements
+// against q's point set, over one common cycle anchored at p's phase. The
+// kernels step in the paper's no-zero ticks. Every offset of the anchored
+// cycle is ≥ 0, and on ticks ≥ 1 the no-zero successor is a plain +1, so
+// shifting the cycle by +1 into ticks and back is exact. ok=false means no
+// compact common cycle; nil with ok=true proves the result empty.
+func cut(p, q *Pattern, kernel func(interval.Set, []interval.Interval, []interval.Interval) []interval.Interval) (*Pattern, bool) {
 	L, ok := setopCycle(p, q)
 	if !ok {
 		return nil, false
 	}
-	a := p.rephased(p.phase, L) // anchored at its own phase: no splits
-	cov := normalizeSpans(q.rephased(p.phase, L))
-	var out []Span
-	j := 0
-	for _, iv := range a {
-		for j < len(cov) && cov[j].Hi < iv.Lo {
-			j++
-		}
-		for k := j; k < len(cov) && cov[k].Lo <= iv.Hi; k++ {
-			lo, hi := iv.Lo, iv.Hi
-			if cov[k].Lo > lo {
-				lo = cov[k].Lo
-			}
-			if cov[k].Hi < hi {
-				hi = cov[k].Hi
-			}
-			if lo <= hi {
-				// Normalized coverage intervals are separated by uncovered
-				// gaps, so cuts of one element are never adjacent and the
-				// materialized operator's fuse step has nothing to do.
-				out = append(out, Span{Lo: lo, Hi: hi})
-			}
-		}
-	}
+	// p anchored at its own phase has no splits; q's rephased spans come
+	// sorted, and SortedSet fuses the ones that overlap or touch.
+	cov := interval.SortedSet(shifted(q.rephased(p.phase, L)))
+	out := kernel(cov, nil, shifted(p.rephased(p.phase, L)))
 	if len(out) == 0 {
 		return nil, true
 	}
-	r, err := New(L, p.phase, out)
+	spans := make([]Span, len(out))
+	for i, iv := range out {
+		spans[i] = Span{Lo: iv.Lo - 1, Hi: iv.Hi - 1}
+	}
+	r, err := New(L, p.phase, spans)
 	if err != nil {
 		return nil, false
 	}
 	return compacted(r, true)
 }
 
-// The cut loops of SetIntersect and diffCycle are interval.Set.Within and
-// Without in offset space, kept as separate copies on purpose: 0-based offsets
-// step by ±1 where ticks skip 0, and the tick kernels are the hottest loop of
-// serve_wide — not the place for a parameterised successor.
-
-// diffCycle computes the span list of p − q over one common cycle anchored at
-// p's phase. ok=false means no compact common cycle; an empty span list with
-// ok=true means the difference is provably empty.
-func diffCycle(p, q *Pattern) (out []Span, L int64, ok bool) {
-	L, ok = setopCycle(p, q)
-	if !ok {
-		return nil, 0, false
+// shifted moves cycle offsets, all ≥ 0, onto ticks by +1.
+func shifted(spans []Span) []interval.Interval {
+	out := make([]interval.Interval, len(spans))
+	for i, s := range spans {
+		out[i] = interval.Interval{Lo: s.Lo + 1, Hi: s.Hi + 1}
 	}
-	a := p.rephased(p.phase, L) // anchored at its own phase: no splits
-	cov := normalizeSpans(q.rephased(p.phase, L))
-	j := 0
-	for _, iv := range a {
-		for j < len(cov) && cov[j].Hi < iv.Lo {
-			j++
-		}
-		lo, dead := iv.Lo, false
-		for k := j; k < len(cov) && cov[k].Lo <= iv.Hi; k++ {
-			if cov[k].Lo > lo {
-				out = append(out, Span{Lo: lo, Hi: cov[k].Lo - 1})
-			}
-			if cov[k].Hi >= iv.Hi {
-				dead = true
-				break
-			}
-			lo = cov[k].Hi + 1
-		}
-		if !dead && lo <= iv.Hi {
-			out = append(out, Span{Lo: lo, Hi: iv.Hi})
-		}
-	}
-	return out, L, true
+	return out
 }
 
-// A groupRun is one group of the symbolic order-2 foreach value: the
-// y-element [a, b] (absolute offsets) and the contiguous x-element index run
-// [first, last] related to it under the listop (last < first means an empty
-// group). The run is exact because both span bounds are monotone in the
-// element index, so each listop's member set is an index interval — the same
-// contiguous run the materialized sweep kernels visit.
-type groupRun struct {
-	a, b        int64
-	first, last int64
+// A grouping is the symbolic order-2 foreach value {x op y} over one common
+// cycle of length L: n groups, one per y element, each a contiguous run of x
+// element indices computed on demand. It is the one group walk behind every
+// foreach lowering.
+type grouping struct {
+	x, y *Pattern
+	op   interval.ListOp
+	L, n int64
 }
 
-func (r groupRun) size() int64 {
-	if r.last < r.first {
-		return 0
+// foreachRuns returns the grouping {x op y}, or ok=false when the operands
+// have no compact common cycle.
+func foreachRuns(x, y *Pattern, op interval.ListOp) (g grouping, ok bool) {
+	L := lcm(x.period, y.period, 1<<40)
+	if L == 0 || !op.Valid() {
+		return g, false
 	}
-	return r.last - r.first + 1
+	n := L / y.period * int64(len(y.spans))
+	return grouping{x: x, y: y, op: op, L: L, n: n}, n <= setopMaxSpans
 }
 
-// member returns the i-th member of the group (trimmed to the group's
-// element when strict, exactly as the materialized strict foreach trims).
-// Every qualifying element intersects [a, b] — during is contained, meets
-// touches at a — so the trim is never empty.
-func (r groupRun) member(x *Pattern, i int64, strict bool) Span {
-	lo, hi := x.element(r.first + i)
-	if strict {
-		if lo < r.a {
-			lo = r.a
-		}
-		if hi > r.b {
-			hi = r.b
-		}
+// group returns group qy: its y element [a, b] (absolute offsets) and the
+// run of n x elements from index first related to it under the listop. The
+// run is exact because both span bounds are monotone in the element index,
+// so each listop's member set is an index interval — the run the
+// materialized sweep kernels visit. A `<`/`<=` group collects an unbounded
+// prefix of x (n = −1); only its end is window-independent, and first is
+// the index just past its last member:
+//
+//	<:  lastWithHiLE(y.Lo)                                (x.Hi ≤ y.Lo)
+//	<=: min(lastWithLoLE(y.Lo), lastWithHiLE(y.Hi))       (x.Lo ≤ y.Lo ∧ x.Hi ≤ y.Hi)
+func (g grouping) group(qy int64) (a, b, first, n int64) {
+	a, b = g.y.element(qy)
+	x, last := g.x, int64(0)
+	switch g.op {
+	case interval.During:
+		first, last = x.firstWithLoGE(a), x.lastWithHiLE(b)
+	case interval.Overlaps:
+		first, last = x.firstWithHiGE(a), x.lastWithLoLE(b)
+	case interval.Meets:
+		first, last = x.firstWithHiGE(a), x.firstWithHiGE(a+1)-1
+	case interval.Before:
+		return a, b, x.lastWithHiLE(a) + 1, -1
+	default: // interval.BeforeEquals
+		return a, b, min(x.lastWithLoLE(a), x.lastWithHiLE(b)) + 1, -1
 	}
-	return Span{Lo: lo, Hi: hi}
-}
-
-// foreachRuns computes, for each element of y over one common cycle, the run
-// of x elements related to it under op — the symbolic form of the order-2
-// foreach value, holding index arithmetic instead of materialized members.
-// Only the window-independent listops (during, overlaps, meets) qualify;
-// `<` and `<=` collect a prefix of the whole window and have no symbolic
-// form.
-func foreachRuns(x, y *Pattern, op interval.ListOp) (runs []groupRun, L int64, ok bool) {
-	switch op {
-	case interval.During, interval.Overlaps, interval.Meets:
-	default:
-		return nil, 0, false
-	}
-	L = lcm(x.period, y.period, 1<<40)
-	if L == 0 {
-		return nil, 0, false
-	}
-	nY := L / y.period * int64(len(y.spans))
-	if nY > setopMaxSpans {
-		return nil, 0, false
-	}
-	runs = make([]groupRun, 0, nY)
-	for qy := int64(0); qy < nY; qy++ {
-		a, b := y.element(qy)
-		r := groupRun{a: a, b: b}
-		switch op {
-		case interval.During:
-			r.first, r.last = x.firstWithLoGE(a), x.lastWithHiLE(b)
-		case interval.Overlaps:
-			r.first, r.last = x.firstWithHiGE(a), x.lastWithLoLE(b)
-		case interval.Meets:
-			r.first, r.last = x.firstWithHiGE(a), x.firstWithHiGE(a+1)-1
-		}
-		runs = append(runs, r)
-	}
-	return runs, L, true
+	return a, b, first, max(last-first+1, 0)
 }
 
 // patternFromCycle builds the pattern denoting the infinite periodic list
@@ -334,153 +269,117 @@ func patternFromCycle(spans []Span, L int64) (*Pattern, bool) {
 // (or relaxed {x . op . y}): the concatenated per-group member lists, in
 // group order — what the executor's Flatten produces from the order-2 value.
 // Elements related to two groups (overlaps straddlers) appear once per group,
-// exactly as in the materialized flatten.
+// exactly as in the materialized flatten. A `<`/`<=` grouping has no
+// symbolic flatten: its groups start at the window's edge.
 func ForeachFlat(x, y *Pattern, op interval.ListOp, strict bool) (*Pattern, bool) {
-	if x == nil || y == nil {
-		return nil, true
-	}
-	runs, L, ok := foreachRuns(x, y, op)
-	if !ok {
-		return nil, false
-	}
-	total := int64(0)
-	for _, r := range runs {
-		if total += r.size(); total > setopMaxSpans {
-			return nil, false
+	return ForeachSelect(x, y, op, strict, func(n int) []int {
+		// Every member in order; an unbounded prefix gets position 0, which
+		// ForeachSelect refuses.
+		all := make([]int, max(n, 1))
+		for i := range all {
+			all[i] = i
 		}
-	}
-	all := make([]Span, 0, total)
-	for _, r := range runs {
-		for i := int64(0); i < r.size(); i++ {
-			all = append(all, r.member(x, i, strict))
-		}
-	}
-	return compacted(patternFromCycle(all, L))
+		return all
+	})
 }
 
 // ForeachSelect is the flattened value of a per-group selection
-// [pred]/(x : op : y): pick maps each group's member count to the selected
-// 0-based member indices, in predicate order (calendar.Selection.Indices).
-// Empty groups select nothing, matching the paper's silent drop of groups
-// with too few elements.
+// [pred]/(x : op : y) over any of the five listops. pick maps a group's
+// member count, or −1 for the unbounded prefix of a `<`/`<=` group, to the
+// selected member positions in predicate order: 0-based from the front, or
+// negative from the end (−1 the last member). It is asked once per distinct
+// count. Positions a group does not have select nothing, matching the
+// paper's silent drop of groups with too few elements. Counting from the end
+// of an unbounded prefix is fixed index arithmetic on x; counting from its
+// front needs a window, so an unbounded group accepts only negative
+// positions and any other reports ok=false. Strict members are trimmed to
+// their group's element where the two meet, exactly as the materialized
+// strict foreach trims; every during/overlaps/meets member meets it. A
+// selection whose members come out unordered (e.g. [-1,-2]) has no pattern
+// form and reports ok=false.
 func ForeachSelect(x, y *Pattern, op interval.ListOp, strict bool, pick func(n int) []int) (*Pattern, bool) {
 	if x == nil || y == nil {
 		return nil, true
 	}
-	runs, L, ok := foreachRuns(x, y, op)
+	g, ok := foreachRuns(x, y, op)
 	if !ok {
 		return nil, false
 	}
 	var all []Span
-	for _, r := range runs {
-		n := r.size()
-		if n > setopMaxSpans {
-			return nil, false
-		}
-		for _, i := range pick(int(n)) {
-			if i >= 0 && int64(i) < n {
-				all = append(all, r.member(x, int64(i), strict))
-			}
-			if int64(len(all)) > setopMaxSpans {
+	offs := make(map[int64][]int64, 4) // a count's picks, as offsets from first
+	for qy := int64(0); qy < g.n; qy++ {
+		a, b, first, n := g.group(qy)
+		o, seen := offs[n]
+		if !seen {
+			if o, ok = picked(pick, n); !ok {
 				return nil, false
 			}
+			offs[n] = o
 		}
-	}
-	return compacted(patternFromCycle(all, L))
-}
-
-// ForeachSelectEnd is the flattened value of an end-relative selection over
-// a before/before-equals grouping, [ends]/(x :<: y): ends lists negative
-// member offsets in predicate order (−1 the group's last member, −2 the one
-// before it, …). Unlike during/overlaps/meets, the `<` and `<=` groupings
-// collect an unbounded prefix of x — their flattened value is anchored to
-// the evaluation window and has no symbolic form — but counting from the END
-// of a group is window-independent: the k-th-from-last element before y is
-// fixed index arithmetic on x's bi-infinite element sequence. The group's
-// last member index is
-//
-//	<:  lastWithHiLE(y.Lo)                                (x.Hi ≤ y.Lo)
-//	<=: min(lastWithLoLE(y.Lo), lastWithHiLE(y.Hi))       (x.Lo ≤ y.Lo ∧ x.Hi ≤ y.Hi)
-//
-// exact for any pattern because both bound sequences are monotone in the
-// element index. Strict trims clamp each selected member to its y exactly as
-// the materialized kernels do (keeping the member untrimmed when it does not
-// intersect y). Selections whose members come out unordered — e.g. [-1,-2],
-// or offsets interleaving across adjacent groups — fail pattern construction
-// and report ok=false, falling back to materialization.
-func ForeachSelectEnd(x, y *Pattern, op interval.ListOp, strict bool, ends []int) (*Pattern, bool) {
-	if op != interval.Before && op != interval.BeforeEquals {
-		return nil, false
-	}
-	for _, o := range ends {
-		if o >= 0 {
-			return nil, false
+		if all == nil { // sized as if every group picked as many
+			all = make([]Span, 0, min(g.n*int64(len(o)), setopMaxSpans+1))
 		}
-	}
-	if x == nil || y == nil || len(ends) == 0 {
-		return nil, true
-	}
-	L := lcm(x.period, y.period, 1<<40)
-	if L == 0 {
-		return nil, false
-	}
-	nY := L / y.period * int64(len(y.spans))
-	if nY > setopMaxSpans || nY*int64(len(ends)) > setopMaxSpans {
-		return nil, false
-	}
-	all := make([]Span, 0, nY*int64(len(ends)))
-	for qy := int64(0); qy < nY; qy++ {
-		a, b := y.element(qy)
-		var last int64
-		if op == interval.Before {
-			last = x.lastWithHiLE(a)
-		} else {
-			last = x.lastWithLoLE(a)
-			if lhi := x.lastWithHiLE(b); lhi < last {
-				last = lhi
-			}
-		}
-		for _, o := range ends {
-			lo, hi := x.element(last + 1 + int64(o))
-			if strict {
-				clo, chi := lo, hi
-				if clo < a {
-					clo = a
-				}
-				if chi > b {
-					chi = b
-				}
-				if clo <= chi {
-					lo, hi = clo, chi
-				}
+		for _, off := range o {
+			lo, hi := x.element(first + off)
+			if strict && lo <= b && hi >= a {
+				lo, hi = max(lo, a), min(hi, b)
 			}
 			all = append(all, Span{Lo: lo, Hi: hi})
 		}
+		if len(all) > setopMaxSpans {
+			return nil, false
+		}
 	}
-	return compacted(patternFromCycle(all, L))
+	return compacted(patternFromCycle(all, g.L))
+}
+
+// picked resolves pick's positions for a group of n members (−1: an
+// unbounded prefix) to offsets from its first index, dropping positions the
+// group does not have; ok=false when an unbounded prefix is asked for a
+// position from its front.
+func picked(pick func(int) []int, n int64) (offs []int64, ok bool) {
+	if n > setopMaxSpans {
+		return nil, false
+	}
+	pos := pick(int(n))
+	offs = make([]int64, 0, len(pos))
+	for _, i := range pos {
+		o := int64(i)
+		if n < 0 && o >= 0 {
+			return nil, false
+		} else if o < 0 && n >= 0 {
+			o += n
+		}
+		if n < 0 || (o >= 0 && o < n) {
+			offs = append(offs, o)
+		}
+	}
+	return offs, true
 }
 
 // ForeachCards returns the exact minimum and maximum group cardinality of the
 // foreach grouping {x : op : y} across one full common cycle — every group
 // the infinite grouping ever produces. A selection index beyond max can
-// provably never select anything.
+// provably never select anything. The unbounded groups of `<` and `<=`
+// report ok=false.
 func ForeachCards(x, y *Pattern, op interval.ListOp) (min, max int, ok bool) {
 	if x == nil || y == nil {
 		return 0, 0, false
 	}
-	runs, _, ok := foreachRuns(x, y, op)
-	if !ok || len(runs) == 0 {
-		return 0, 0, false
-	}
-	min, max = int(runs[0].size()), int(runs[0].size())
-	for _, r := range runs[1:] {
-		if n := int(r.size()); n < min {
-			min = n
-		} else if n > max {
-			max = n
+	g, ok := foreachRuns(x, y, op)
+	for qy := int64(0); ok && qy < g.n; qy++ {
+		_, _, _, n := g.group(qy)
+		switch {
+		case n < 0:
+			return 0, 0, false
+		case qy == 0 || int(n) < min:
+			min = int(n)
+		}
+		if int(n) > max {
+			max = int(n)
 		}
 	}
-	return min, max, true
+	return min, max, ok
 }
 
 // Starts returns the point pattern of the element start offsets, duplicate

@@ -179,19 +179,43 @@ func setOpCase(t *testing.T, name string, p, q *periodic.Pattern,
 }
 
 func TestSetOpsMatchMaterialized(t *testing.T) {
+	// The cuts at the edges of the common cycle anchored at p's phase, with
+	// negative phases so the windows cross tick 0: q covers the cycle's
+	// offsets 0 and L−1 (adjacent across the seam, and split there when a q
+	// element straddles it), q's spans touch inside the cycle so SortedSet
+	// must fuse them, and p has an element starting at offset 0.
+	edges := [][2]*periodic.Pattern{
+		{mustPattern(t, 10, -7, []periodic.Span{{Lo: 0, Hi: 3}, {Lo: 6, Hi: 9}}),
+			mustPattern(t, 10, -2, []periodic.Span{{Lo: 0, Hi: 1}, {Lo: 2, Hi: 2}, {Lo: 3, Hi: 6}})},
+		{mustPattern(t, 6, -4, []periodic.Span{{Lo: 0, Hi: 5}}),
+			mustPattern(t, 3, -4, []periodic.Span{{Lo: 0, Hi: 0}, {Lo: 2, Hi: 2}})},
+		{mustPattern(t, 4, -9, []periodic.Span{{Lo: 0, Hi: 1}, {Lo: 2, Hi: 3}}),
+			mustPattern(t, 6, -1, []periodic.Span{{Lo: 0, Hi: 2}, {Lo: 5, Hi: 5}})},
+		{mustPattern(t, 12, -13, []periodic.Span{{Lo: 0, Hi: 0}, {Lo: 11, Hi: 11}}),
+			mustPattern(t, 12, -13, []periodic.Span{{Lo: 0, Hi: 0}, {Lo: 11, Hi: 11}})},
+	}
 	rng := rand.New(rand.NewSource(23))
 	done, tried := 0, 0
-	for trial := 0; trial < 200; trial++ {
-		p, q := randomPattern(rng), randomPattern(rng)
+	for trial := 0; trial < len(edges)+200; trial++ {
+		var p, q *periodic.Pattern
+		if trial < len(edges) {
+			p, q = edges[trial][0], edges[trial][1]
+		} else {
+			p, q = randomPattern(rng), randomPattern(rng)
+		}
 		tried += 3
 		if setOpCase(t, "union", p, q, periodic.SetUnion, calendar.Union) {
 			done++
 		}
-		if setOpCase(t, "diff", p, q, periodic.SetDiff, calendar.Diff) {
-			done++
-		}
-		if setOpCase(t, "intersect", p, q, periodic.SetIntersect, calendar.Intersect) {
-			done++
+		for _, ok := range []bool{
+			setOpCase(t, "diff", p, q, periodic.SetDiff, calendar.Diff),
+			setOpCase(t, "intersect", p, q, periodic.SetIntersect, calendar.Intersect),
+		} {
+			if ok {
+				done++
+			} else if trial < len(edges) {
+				t.Fatalf("edge case %d: a cut fell back", trial)
+			}
 		}
 	}
 	if done*2 < tried {
@@ -268,41 +292,77 @@ func TestForeachFlatMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// pickOf is sel's pick: its indices for a group of n members and, over an
+// unbounded prefix (n = −1), its positions in a long list, those in the back
+// half counted from the end. A front-anchored term stays non-negative there.
+func pickOf(sel calendar.Selection) func(int) []int {
+	return func(n int) []int {
+		if n >= 0 {
+			return sel.Indices(n)
+		}
+		const long = 1 << 20
+		pos := sel.Indices(long)
+		for i, p := range pos {
+			if p >= long/2 {
+				pos[i] = p - long
+			}
+		}
+		return pos
+	}
+}
+
 func TestForeachSelectMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	ops := []interval.ListOp{interval.During, interval.Overlaps, interval.Meets}
-	preds := []calendar.Selection{
-		calendar.SelectIndex(1),
-		calendar.SelectIndex(2),
-		calendar.SelectIndex(-1),
-		calendar.SelectLast(),
-		calendar.SelectList(1, 3),
-		calendar.SelectRange(2, 3),
-	}
-	done, tried := 0, 0
-	for trial := 0; trial < 200; trial++ {
-		x, y := randomPattern(rng), randomPattern(rng)
-		op := ops[rng.Intn(len(ops))]
-		strict := rng.Intn(2) == 0
-		sel := preds[rng.Intn(len(preds))]
-		tried++
-		r, ok := periodic.ForeachSelect(x, y, op, strict, sel.Indices)
-		if !ok {
-			continue // selected lists need not have a pattern form
+	for _, c := range []struct {
+		ops   []interval.ListOp
+		preds []calendar.Selection
+	}{
+		{[]interval.ListOp{interval.During, interval.Overlaps, interval.Meets}, []calendar.Selection{
+			calendar.SelectIndex(1),
+			calendar.SelectIndex(2),
+			calendar.SelectIndex(-1),
+			calendar.SelectLast(),
+			calendar.SelectList(1, 3),
+			calendar.SelectRange(2, 3),
+		}},
+		// A < or <= group is an unbounded prefix: only positions counted
+		// from its end lower.
+		{[]interval.ListOp{interval.Before, interval.BeforeEquals}, []calendar.Selection{
+			calendar.SelectLast(),
+			calendar.SelectIndex(-2),
+			calendar.SelectRange(-2, -1),
+		}},
+	} {
+		done, tried := 0, 0
+		for trial := 0; trial < 200; trial++ {
+			x, y := randomPattern(rng), randomPattern(rng)
+			op := c.ops[rng.Intn(len(c.ops))]
+			strict := rng.Intn(2) == 0
+			sel := c.preds[rng.Intn(len(c.preds))]
+			if op == interval.Before || op == interval.BeforeEquals {
+				if _, ok := periodic.ForeachSelect(x, y, op, strict, pickOf(calendar.SelectIndex(1))); ok {
+					t.Fatalf("[1] over foreach %s lowered: a front-anchored pick of an unbounded prefix must report ok=false", op)
+				}
+			}
+			tried++
+			r, ok := periodic.ForeachSelect(x, y, op, strict, pickOf(sel))
+			if !ok {
+				continue // selected lists need not have a pattern form
+			}
+			done++
+			oracle := foreachOracle(t, x, y, op, strict, offWin(-400, 700), offWin(-200, 500))
+			sc, err := calendar.Select(sel, oracle)
+			if err != nil {
+				t.Fatalf("materialized select: %v", err)
+			}
+			inner := offWin(-100, 400)
+			want := filterOverlapping(sc.Flatten().Intervals(), inner)
+			got := filterOverlapping(expandSym(r, inner), inner)
+			sameIntervals(t, got, want, fmt.Sprintf("select %s over foreach %s (strict %v)", sel, op, strict))
 		}
-		done++
-		oracle := foreachOracle(t, x, y, op, strict, offWin(-400, 700), offWin(-200, 500))
-		sc, err := calendar.Select(sel, oracle)
-		if err != nil {
-			t.Fatalf("materialized select: %v", err)
+		if done*2 < tried {
+			t.Fatalf("ForeachSelect over %v fell back too often: %d of %d succeeded", c.ops, done, tried)
 		}
-		inner := offWin(-100, 400)
-		want := filterOverlapping(sc.Flatten().Intervals(), inner)
-		got := filterOverlapping(expandSym(r, inner), inner)
-		sameIntervals(t, got, want, "select "+sel.String()+" over foreach "+op.String())
-	}
-	if done*2 < tried {
-		t.Fatalf("ForeachSelect fell back too often: %d of %d succeeded", done, tried)
 	}
 }
 

@@ -11,14 +11,16 @@
 // in O(log spans) integer arithmetic, with no materialized list at all.
 //
 // The calendar operators on patterns are one family, the symbolic calculus of
-// algebra.go: SetUnion, SetDiff, SetIntersect and the Foreach* groupings,
-// all over possibly-empty (nil) element lists and all returning canonical
-// forms. setops.go holds the lcm-cycle machinery they share.
+// algebra.go: SetUnion, SetDiff, SetIntersect, ForeachFlat, ForeachSelect and
+// ForeachCards, all over possibly-empty (nil) element lists and all returning
+// canonical forms. setops.go holds the lcm-cycle machinery they share.
 //
 // All Pattern arithmetic runs in offset space (a plain zero-based signed
 // count of granularity units); conversion to and from the paper's no-zero
-// ticks happens only at the package boundary, via chronology.TickFromOffset
-// and chronology.OffsetFromTick.
+// ticks happens at the package boundary, via chronology.TickFromOffset and
+// chronology.OffsetFromTick, and inside SetDiff/SetIntersect, which shift a
+// cycle's non-negative offsets by +1 onto ticks to run interval.Set's cut
+// kernels.
 package periodic
 
 import (

@@ -124,23 +124,3 @@ func straddles(p *Pattern, a int64) bool {
 	}
 	return false
 }
-
-// normalizeSpans sorts and merges overlapping or adjacent spans in place.
-func normalizeSpans(spans []Span) []Span {
-	if len(spans) == 0 {
-		return spans
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Lo < spans[j].Lo })
-	out := spans[:1]
-	for _, s := range spans[1:] {
-		last := &out[len(out)-1]
-		if s.Lo <= last.Hi+1 {
-			if s.Hi > last.Hi {
-				last.Hi = s.Hi
-			}
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
