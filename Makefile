@@ -81,7 +81,12 @@ loc:
 # grouping whose groups cover all five listops, a pick asked once per group
 # size, and SetDiff/SetIntersect calling interval.Set's kernels on offsets
 # shifted into ticks came.
-LOC_BUDGET = 24020
+# One cache, one lock lowered it by 177 (24 020 -> 23 843; 127 lines in, 304
+# out): matcache's 16 lock stripes with their FNV hash and sub-budgets, the
+# access clock behind deferred promotion, the second flight mutex,
+# ShardStats and caldb's Manager.RunScript went; the per-kind census kept on
+# insert and evict came.
+LOC_BUDGET = 23843
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -262,8 +267,8 @@ bench-gate:
 			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkE1Selection|BenchmarkDerivedMaterialize|BenchmarkExpandCold|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkLowerCold|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkHandlerExpandWide|BenchmarkAppendCivil|BenchmarkSnapshotSave|BenchmarkSnapshotLoad|BenchmarkJournalRecord' \
 			-gate-threshold 1.25 -gate-allocs-threshold 1.25 -
 
-# Parallel cache benchmarks across GOMAXPROCS=1,4,8 (the sweep ROADMAP 7(d)
-# wants from a multicore runner): the sharded read path, plus the 64-way
+# Parallel cache benchmarks across GOMAXPROCS=1,4,8: the record, not a gate,
+# of how the one-lock read path scales on a multicore runner, plus the 64-way
 # stampede (which fails outright if singleflight ever runs more than one
 # generation per (key, window)). The text report keeps the per-cpu lines;
 # BENCH_cache.json keeps the fastest instance of each benchmark (benchjson

@@ -927,15 +927,6 @@ func (m *Manager) EvalExprEnv(env *plan.Env, src string, from, to chronology.Civ
 	}, func() bool { return m.stamps(p.deps).values == st.values })
 }
 
-// RunScript parses and runs a calendar script over a civil window.
-func (m *Manager) RunScript(src string, from, to chronology.Civil) (plan.Value, error) {
-	s, err := callang.ParseScript(src)
-	if err != nil {
-		return plan.Value{}, err
-	}
-	return plan.RunScript(m.Env(), s, from, to)
-}
-
 // FigureRow renders a calendar's catalog tuple in the layout of Figure 1.
 func (m *Manager) FigureRow(name string) (string, error) {
 	e, ok := m.Lookup(name)

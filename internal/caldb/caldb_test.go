@@ -9,6 +9,7 @@ import (
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
 	"calsys/internal/core/callang/symbolic"
+	"calsys/internal/core/plan"
 	"calsys/internal/store"
 )
 
@@ -205,7 +206,14 @@ func TestMultiStatementDerivation(t *testing.T) {
 
 func TestRunScriptThroughCatalog(t *testing.T) {
 	m := newManager(t)
-	v, err := m.RunScript("{return ([n]/DAYS:during:MONTHS);}", d(1993, 1, 1), d(1993, 3, 31))
+	run := func(src string) (plan.Value, error) {
+		s, err := callang.ParseScript(src)
+		if err != nil {
+			return plan.Value{}, err
+		}
+		return plan.RunScript(m.Env(), s, d(1993, 1, 1), d(1993, 3, 31))
+	}
+	v, err := run("{return ([n]/DAYS:during:MONTHS);}")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +221,7 @@ func TestRunScriptThroughCatalog(t *testing.T) {
 	if v.Cal.String() != "{(2223,2223),(2251,2251),(2282,2282)}" {
 		t.Errorf("month ends = %v", v.Cal)
 	}
-	if _, err := m.RunScript("{oops;", d(1993, 1, 1), d(1993, 3, 31)); err == nil {
+	if _, err := run("{oops;"); err == nil {
 		t.Error("parse error should surface")
 	}
 	if _, err := m.EvalExpr("]bad[", d(1993, 1, 1), d(1993, 1, 2)); err == nil {

@@ -14,9 +14,9 @@ import (
 // BenchmarkCacheParallelGet measures the read path under concurrency: every
 // goroutine cycles exact-window Gets over a pre-warmed key set (the
 // steady-state shape of calserved's expansion traffic). Run with -cpu=1,4,8
-// to see the scaling: Gets stripe onto per-shard RLocks and never mutate on
-// a hit. (One arm; the sub-benchmark name is kept so the gated baseline row
-// carries over.)
+// to see how the one lock's read path scales. The sub-benchmark keeps the
+// name "sharded" from the lock-striped cache it was written for, so the gated
+// baseline row and the -gate patterns of the Makefile and CI carry over.
 func BenchmarkCacheParallelGet(b *testing.B) {
 	b.Run("sharded", func(b *testing.B) {
 		c := New(0)

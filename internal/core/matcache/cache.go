@@ -26,17 +26,12 @@
 //
 // # Concurrency
 //
-// The cache is sharded: keys hash (FNV-1a, the rules.ShardOf idiom) into a
-// power-of-two array of shards, each with its own RWMutex, bucket map, LRU
-// list and byte sub-budget, so readers of different keys never contend and
-// readers of one key share an RLock. The read path never takes an exclusive
-// lock: Get finds the entry under RLock and hands out its immutable
-// payload. LRU recency is tracked by a per-entry atomic access stamp; the list
-// position is only reconciled lazily on the next write-side operation
-// (second-chance promotion at eviction time), so a read costs two atomic
-// adds beyond the RLock. All counters are atomics; the resident census Stats
-// adds to them takes each shard's read lock in turn, so it never blocks a
-// reader (and holds up an insert for one shard's walk at most).
+// One sync.Mutex guards the whole cache: the buckets, the LRU list, the
+// counters and Do's table of flights in progress. A Get holds it for a map
+// lookup, a scan of the key's windows and a MoveToFront, so recency is exact
+// LRU. The counters, the per-kind census among them, are kept on insert and
+// evict, so Stats copies them in O(1). Any queueing on the lock shows in a
+// -mutexprofile under the Cache methods that contended for it.
 //
 // Entry payloads (the *Calendar) are immutable from the moment an
 // entry is published: eviction and Reset only detach entries, they never
@@ -56,7 +51,6 @@ package matcache
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
@@ -91,7 +85,6 @@ type Stats struct {
 	Entries     int   `json:"entries"`      // resident (key, window) entries
 	Bytes       int64 `json:"bytes"`        // resident bytes (estimated)
 	Budget      int64 `json:"budget"`       // configured byte budget
-	Shards      int   `json:"shards"`       // lock stripes the budget is split across
 
 	// The resident footprint by kind of key (see Key.ID): Derived.Bytes over
 	// Derived.Entries is what one materialized derived calendar costs.
@@ -105,91 +98,31 @@ type KindStat struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-func (k *KindStat) add(bytes int64) { k.Entries, k.Bytes = k.Entries+1, k.Bytes+bytes }
-
-// ShardStat is one shard's resident footprint (per-shard counters would
-// double the atomic traffic for no operational signal; the aggregate
-// counters live in Stats).
-type ShardStat struct {
-	Entries int   `json:"entries"`
-	Bytes   int64 `json:"bytes"`
-	Budget  int64 `json:"budget"`
-}
-
 // entry is one resident value: a calendar materialized over exactly win.
 //
 // All payload fields are written once, before the entry is published into a
-// bucket under the shard's write lock, and never mutated after — the
-// immutability contract that lets the read path use them outside the lock.
-// accessed/placed implement deferred LRU promotion: reads bump accessed (an
-// atomic clock stamp); placed is the stamp at the entry's current list
-// position, reconciled under the write lock at eviction time.
+// bucket, and never mutated after: a calendar handed out by Get stays valid
+// after the entry is evicted.
 type entry struct {
-	key      Key
-	win      interval.Interval
-	cal      *calendar.Calendar
-	bytes    int64
-	elem     *list.Element
-	accessed atomic.Int64
-	placed   int64
+	key   Key
+	win   interval.Interval
+	cal   *calendar.Calendar
+	bytes int64
+	elem  *list.Element
 }
 
-// shard is one lock stripe: a private bucket map, LRU list, byte sub-budget
-// and read-path counters. Hit/miss counters live here rather than on Cache
-// so the read fast path never touches a cache line shared by all stripes —
-// on many cores a single global hit counter would bounce between sockets on
-// every Get and cap the scaling the striping buys. The blank pad keeps
-// neighboring shards off one cache line.
-type shard struct {
-	mu           sync.RWMutex
-	budget       int64
-	bytes        int64
-	buckets      map[Key][]*entry
-	lru          *list.List // front = most recently placed; values are *entry
-	hits, misses atomic.Int64
-	_            [64]byte
-}
-
-// Cache is a byte-bounded, sharded LRU of materialized calendars. It is safe
-// for concurrent use; see the package comment for the locking discipline.
+// Cache is a byte-bounded LRU of materialized calendars. It is safe for
+// concurrent use; see the package comment for the locking discipline.
 type Cache struct {
-	budget int64
-	mask   uint32
-	shards []shard
-
-	// clock is the logical access clock behind deferred LRU promotion. Only
-	// write-side operations advance it; reads just load it, so the hot read
-	// path never contends on this cache line.
-	clock atomic.Int64
-
-	puts, rejected, evictions atomic.Int64
-	flights, flightWaits      atomic.Int64
-
-	flightMu sync.Mutex
+	mu       sync.Mutex
+	stats    Stats // the counters and resident totals; Budget is the bound
+	buckets  map[Key][]*entry
+	lru      *list.List // front = most recently used; values are *entry
 	inflight map[flightKey]*flight
 }
 
 // DefaultBudget is the byte budget of the shared process-wide cache.
 const DefaultBudget = 64 << 20
-
-// maxShards caps the stripe count; minShardBudget is the smallest byte
-// sub-budget a stripe is allowed (halving below it stops the doubling), so
-// tiny test budgets degenerate to one stripe with exactly the classic LRU
-// semantics, while the default budget gets the full fan-out.
-const (
-	maxShards      = 16
-	minShardBudget = 64 << 10
-)
-
-// shardCount picks the largest power of two ≤ maxShards whose per-shard
-// budget stays ≥ minShardBudget.
-func shardCount(budget int64) int {
-	n := 1
-	for n < maxShards && budget/int64(n)/2 >= minShardBudget {
-		n *= 2
-	}
-	return n
-}
 
 // New returns an empty cache with the given byte budget (<= 0 means
 // DefaultBudget).
@@ -197,19 +130,12 @@ func New(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	n := shardCount(budget)
-	c := &Cache{
-		budget:   budget,
-		mask:     uint32(n - 1),
-		shards:   make([]shard, n),
+	return &Cache{
+		stats:    Stats{Budget: budget},
+		buckets:  map[Key][]*entry{},
+		lru:      list.New(),
 		inflight: map[flightKey]*flight{},
 	}
-	for i := range c.shards {
-		c.shards[i].budget = budget / int64(n)
-		c.shards[i].buckets = map[Key][]*entry{}
-		c.shards[i].lru = list.New()
-	}
-	return c
 }
 
 var (
@@ -223,70 +149,14 @@ func Shared() *Cache {
 	return shared
 }
 
-// shardOf hashes a key (FNV-1a over every field but the version, the
-// rules.ShardOf idiom) onto its stripe, so every version of a calendar shares
-// a lock. Inlined into Get, its loops re-read the key from the stack: out of
-// line, BenchmarkCacheParallelGet/sharded is 69 ns/op at -cpu 1, not 80.
-//
-//go:noinline
-func (c *Cache) shardOf(k Key) *shard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(k.Scope); i++ {
-		h ^= uint32(k.Scope[i])
-		h *= prime32
-	}
-	h ^= 0xff // field separator: ("ab","c") must not collide with ("a","bc")
-	h *= prime32
-	for i := 0; i < len(k.ID); i++ {
-		h ^= uint32(k.ID[i])
-		h *= prime32
-	}
-	h ^= uint32(k.Gran)
-	h *= prime32
-	return &c.shards[h&c.mask]
-}
-
-// touch stamps an entry as read since it was last placed. The LRU list is
-// not moved — that would need the exclusive lock — the stamp is reconciled
-// at eviction time. The stamp is clock.Load()+1, not clock.Add(1): the
-// second-chance check only needs the binary signal accessed > placed, and a
-// read-only load keeps the hot path off the clock's cache line. Any
-// promotion or insert advances the clock, so a promoted entry's next read
-// stamps strictly above its new placement.
-func (c *Cache) touch(e *entry) {
-	e.accessed.Store(c.clock.Load() + 1)
-}
-
-// lookup finds the resident entry of k over win and stamps it as read. It
-// touches no hit/miss counter.
-func (c *Cache) lookup(sh *shard, k Key, win interval.Interval) *entry {
-	sh.mu.RLock()
-	var found *entry
-	for _, e := range sh.buckets[k] {
+// findLocked returns the resident entry of k over win, or nil.
+func (c *Cache) findLocked(k Key, win interval.Interval) *entry {
+	for _, e := range c.buckets[k] {
 		if e.win == win {
-			found = e
-			break
+			return e
 		}
 	}
-	sh.mu.RUnlock()
-	if found != nil {
-		c.touch(found)
-	}
-	return found
-}
-
-// count settles the hit/miss accounting of one lookup.
-func (sh *shard) count(e *entry) bool {
-	if e == nil {
-		sh.misses.Add(1)
-		return false
-	}
-	sh.hits.Add(1)
-	return true
+	return nil
 }
 
 // Get returns the calendar materialized for key over exactly win.
@@ -296,11 +166,16 @@ func (sh *shard) count(e *entry) bool {
 // entry but never mutates the calendar, so the returned value stays
 // coherent; callers must not modify it.
 func (c *Cache) Get(k Key, win interval.Interval) (*calendar.Calendar, bool) {
-	sh := c.shardOf(k)
-	e := c.lookup(sh, k, win)
-	if !sh.count(e) {
+	c.mu.Lock()
+	e := c.findLocked(k, win)
+	if e == nil {
+		c.stats.Misses++
+		c.mu.Unlock()
 		return nil, false
 	}
+	c.stats.Hits++
+	c.lru.MoveToFront(e.elem)
+	c.mu.Unlock()
 	return e.cal, true
 }
 
@@ -311,58 +186,39 @@ func (c *Cache) Put(k Key, win interval.Interval, cal *calendar.Calendar) {
 	if cal == nil {
 		return
 	}
-	c.insert(&entry{key: k, win: win, cal: cal, bytes: SizeOf(cal)})
+	e := &entry{key: k, win: win, cal: cal, bytes: SizeOf(cal)}
+	c.mu.Lock()
+	c.insertLocked(e)
+	c.mu.Unlock()
 }
 
-// insert publishes e unless its key already holds its window, or its shard
-// cannot hold it. It then enforces the shard's byte sub-budget
-// with second-chance eviction: a back-of-list entry whose atomic access stamp
-// moved since it was last placed has been read since — it is promoted
-// (deferred promotion applied here, the next write-side operation) instead
-// of evicted. Each entry gets at most one chance per pass, so an eviction
-// storm still terminates.
-func (c *Cache) insert(e *entry) {
-	sh := c.shardOf(e.key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, x := range sh.buckets[e.key] {
-		if x.win == e.win {
-			return
-		}
-	}
-	if e.bytes > sh.budget {
-		c.rejected.Add(1)
+// insertLocked publishes e unless its key already holds its window or e
+// alone exceeds the budget, then evicts from the back of the LRU until the
+// resident bytes fit the budget again.
+func (c *Cache) insertLocked(e *entry) {
+	if c.findLocked(e.key, e.win) != nil {
 		return
 	}
-	e.placed = c.clock.Add(1)
-	e.elem = sh.lru.PushFront(e)
-	sh.buckets[e.key] = append(sh.buckets[e.key], e)
-	sh.bytes += e.bytes
-	c.puts.Add(1)
-	chances := sh.lru.Len()
-	for sh.bytes > sh.budget {
-		back := sh.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*entry)
-		if a := victim.accessed.Load(); a > victim.placed && chances > 0 {
-			chances--
-			victim.placed = a
-			sh.lru.MoveToFront(back)
-			continue
-		}
-		sh.evictLocked(c, victim)
+	if e.bytes > c.stats.Budget {
+		c.stats.Rejected++
+		return
+	}
+	e.elem = c.lru.PushFront(e)
+	c.buckets[e.key] = append(c.buckets[e.key], e)
+	c.account(e, 1)
+	c.stats.Puts++
+	for c.stats.Bytes > c.stats.Budget {
+		c.evictLocked(c.lru.Back().Value.(*entry))
 	}
 }
 
-// evictLocked detaches e from the LRU, the byte accounting and its bucket
-// (by swap-remove: bucket order carries no meaning, lookup scans it whole).
-func (sh *shard) evictLocked(c *Cache, e *entry) {
-	sh.lru.Remove(e.elem)
-	sh.bytes -= e.bytes
-	c.evictions.Add(1)
-	bucket := sh.buckets[e.key]
+// evictLocked detaches e from the LRU, the counters and its bucket (by
+// swap-remove: bucket order carries no meaning, findLocked scans it whole).
+func (c *Cache) evictLocked(e *entry) {
+	c.lru.Remove(e.elem)
+	c.account(e, -1)
+	c.stats.Evictions++
+	bucket := c.buckets[e.key]
 	for i, x := range bucket {
 		if x == e {
 			last := len(bucket) - 1
@@ -373,66 +229,46 @@ func (sh *shard) evictLocked(c *Cache, e *entry) {
 		}
 	}
 	if len(bucket) == 0 {
-		delete(sh.buckets, e.key)
+		delete(c.buckets, e.key)
 	} else {
-		sh.buckets[e.key] = bucket
+		c.buckets[e.key] = bucket
 	}
+}
+
+// account adds (sign 1) or removes (sign -1) e in the resident totals and
+// the census of its kind of key.
+func (c *Cache) account(e *entry, sign int) {
+	bytes := int64(sign) * e.bytes
+	c.stats.Entries += sign
+	c.stats.Bytes += bytes
+	var kind *KindStat
+	switch e.key.ID[:min(2, len(e.key.ID))] {
+	case "D|":
+		kind = &c.stats.Derived
+	case "E|":
+		kind = &c.stats.Expressions
+	default:
+		return
+	}
+	kind.Entries += sign
+	kind.Bytes += bytes
 }
 
 // Reset empties the cache, keeping the budget and counters.
 func (c *Cache) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.buckets = map[Key][]*entry{}
-		sh.lru.Init()
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.buckets = map[Key][]*entry{}
+	c.lru.Init()
+	c.stats.Entries, c.stats.Bytes = 0, 0
+	c.stats.Derived, c.stats.Expressions = KindStat{}, KindStat{}
+	c.mu.Unlock()
 }
 
-// Stats snapshots the counters. The monotone counters are lock-free atomics;
-// the per-kind entry/byte census walks each shard's LRU list under its read
-// lock, as ShardStats does, so no write or read path keeps per-kind counts —
-// and a call costs O(resident entries), not O(shards).
+// Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	st := Stats{
-		Puts:     c.puts.Load(),
-		Rejected: c.rejected.Load(), Evictions: c.evictions.Load(),
-		Flights: c.flights.Load(), FlightWaits: c.flightWaits.Load(),
-		Budget: c.budget, Shards: len(c.shards),
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		st.Hits += sh.hits.Load()
-		st.Misses += sh.misses.Load()
-		sh.mu.RLock()
-		st.Entries += sh.lru.Len()
-		st.Bytes += sh.bytes
-		for e := sh.lru.Front(); e != nil; e = e.Next() {
-			switch en := e.Value.(*entry); en.key.ID[:min(2, len(en.key.ID))] {
-			case "D|":
-				st.Derived.add(en.bytes)
-			case "E|":
-				st.Expressions.add(en.bytes)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return st
-}
-
-// ShardStats snapshots each shard's resident footprint, for the
-// /debug/cachestats endpoint and stripe-balance checks.
-func (c *Cache) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(c.shards))
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		out[i] = ShardStat{Entries: sh.lru.Len(), Bytes: sh.bytes, Budget: sh.budget}
-		sh.mu.RUnlock()
-	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 // SizeOf returns the bytes a cached calendar keeps reachable, in O(1) below

@@ -106,6 +106,10 @@ func TestVersionsOfAWindowCoexist(t *testing.T) {
 	}
 }
 
+// TestLRUEviction: byte pressure evicts from the cold end, and a stream of
+// never-repeating versions of one key (each write of a calendar's inputs
+// makes one) evicts its own oldest versions before a recently read other
+// key, while the resident bytes stay within the one global budget.
 func TestLRUEviction(t *testing.T) {
 	// Each 100-element materialization is a header + 16*100 bytes; budget fits 2.
 	c := New(5000)
@@ -130,6 +134,62 @@ func TestLRUEviction(t *testing.T) {
 	// The oldest must be gone.
 	if _, ok := c.Get(mk("a"), win); ok {
 		t.Fatal("oldest entry survived eviction")
+	}
+
+	c = New(4*SizeOf(cal) + SizeOf(cal)/2) // fits 4 entries
+	other := mk("E|other")
+	c.Put(other, win, cal)
+	version := func(v uint64) Key { return Key{Scope: "t", ID: "D|bizdays", Version: v, Gran: chronology.Day} }
+	const stream = 20
+	for v := uint64(1); v <= stream; v++ {
+		if _, ok := c.Get(other, win); !ok {
+			t.Fatalf("the recently read key was evicted by version %d of the stream", v-1)
+		}
+		c.Put(version(v), win, cal)
+		if st := c.Stats(); st.Bytes > st.Budget {
+			t.Fatalf("after version %d: resident bytes %d exceed budget %d", v, st.Bytes, st.Budget)
+		}
+	}
+	// The stream fills all of the budget the other key does not hold.
+	st = c.Stats()
+	if st.Entries != 4 || st.Evictions != stream-3 {
+		t.Fatalf("after %d versions: entries=%d evictions=%d, want 4 and %d", stream, st.Entries, st.Evictions, stream-3)
+	}
+	if size := SizeOf(cal); st.Derived != (KindStat{3, 3 * size}) || st.Expressions != (KindStat{1, size}) {
+		t.Fatalf("census after evictions: derived %+v expressions %+v", st.Derived, st.Expressions)
+	}
+	for v := uint64(1); v <= stream; v++ {
+		if _, ok := c.Get(version(v), win); ok != (v > stream-3) {
+			t.Fatalf("version %d resident=%v; want only the newest 3", v, ok)
+		}
+	}
+}
+
+// TestGetPromotes: a Get moves its entry to the front of the LRU, so under
+// eviction pressure the re-read entry survives and an unread peer placed
+// after it is evicted instead.
+func TestGetPromotes(t *testing.T) {
+	cal := aperiodic(t, 7, 100)
+	c := New(3*SizeOf(cal) + SizeOf(cal)/2) // fits 3 of the ~1.7 KiB entries
+	hull, _ := cal.Hull()
+	mk := func(id string) Key { return Key{Scope: "t", ID: id, Gran: chronology.Day} }
+	c.Put(mk("a"), hull, cal)
+	c.Put(mk("b"), hull, cal)
+	c.Put(mk("c"), hull, cal)
+	// Read "a" — the LRU back — then storm the cache with new entries.
+	if _, ok := c.Get(mk("a"), hull); !ok {
+		t.Fatal("entry a missing before the storm")
+	}
+	c.Put(mk("d"), hull, cal)
+	c.Put(mk("e"), hull, cal)
+	if c.Stats().Evictions == 0 {
+		t.Fatal("storm caused no evictions")
+	}
+	if _, ok := c.Get(mk("a"), hull); !ok {
+		t.Fatal("re-read entry a was evicted")
+	}
+	if _, ok := c.Get(mk("b"), hull); ok {
+		t.Fatal("unread entry b survived while the cache evicted")
 	}
 }
 
@@ -195,15 +255,15 @@ func TestStatsFieldNames(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{"budget", "bytes", "derived", "entries", "evictions", "expressions", "flight_waits",
-		"flights", "hits", "misses", "puts", "rejected", "shards"}
+		"flights", "hits", "misses", "puts", "rejected"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Stats marshals keys\n %v\nwant\n %v", got, want)
 	}
 }
 
 // TestStatsByKind: the per-kind census adds up to the resident totals and
-// follows eviction, without any write-path counter; two versions of one
-// derived window are two entries.
+// empties on Reset (TestLRUEviction follows it through eviction); two
+// versions of one derived window are two entries.
 func TestStatsByKind(t *testing.T) {
 	c := New(0)
 	cal := aperiodic(t, 3, 100)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
@@ -56,5 +57,63 @@ func TestConcurrentGetPut(t *testing.T) {
 	}
 	if st.Bytes < 0 {
 		t.Fatalf("negative resident bytes %d", st.Bytes)
+	}
+}
+
+// TestGetImmutableUnderPutResetStorm is the immutability-contract hammer:
+// Gets return the cached *Calendar with no copy, so while eviction and Reset
+// detach entries concurrently, the returned
+// value must stay equal to what was inserted (and -race must stay quiet).
+func TestGetImmutableUnderPutResetStorm(t *testing.T) {
+	c := New(5000) // tiny budget: every Put evicts
+	k := Key{Scope: "t", ID: "E|hot", Gran: chronology.Day}
+	cal := aperiodic(t, 11, 100)
+	hull, _ := cal.Hull()
+	c.Put(k, hull, cal) // hits alias the cached value
+
+	churn := make([]*calendar.Calendar, 8)
+	for i := range churn {
+		churn[i] = aperiodic(t, 100+int64(i), 100)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ev := churn[(w+i)%len(churn)]
+				h, _ := ev.Hull()
+				c.Put(Key{Scope: "t", ID: fmt.Sprintf("E|churn%d-%d", w, i%16), Gran: chronology.Day}, h, ev)
+				if i%64 == 0 {
+					c.Reset()
+				}
+				c.Put(k, hull, cal)
+			}
+		}(w)
+	}
+	deadline := time.Now().Add(300 * time.Millisecond)
+	reads := 0
+	for time.Now().Before(deadline) {
+		got, ok := c.Get(k, hull)
+		if !ok {
+			continue // detached mid-churn; a writer will re-Put it
+		}
+		reads++
+		if !got.Equal(cal) {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("cached calendar mutated under concurrent Put/Reset (read %d)", reads)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if reads == 0 {
+		t.Fatal("hammer never observed a hit")
 	}
 }

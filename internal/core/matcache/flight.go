@@ -30,14 +30,15 @@ type flight struct {
 // a popular calendar misses at the same instant and would otherwise each run
 // the same expensive evaluation.
 //
-// The leader re-checks the cache before materializing (a previous flight may
-// have landed between this caller's miss and its flight acquisition), and on
-// success inserts the result via Put so later requests hit the cache proper —
-// unless valid (nil: always true), called after materialize, rejects it as
-// not k's value; then each waiter materializes for itself, unfiled. The
-// re-check is not a request of its own — the caller's Get already counted the
-// miss — so it moves no hit/miss counter. Errors are returned to the leader
-// and every waiter of that flight, and nothing is cached.
+// The leader re-checks the cache and registers its flight in one critical
+// section (a previous flight may have landed between this caller's miss and
+// its Do), and on success files the result and unregisters the flight in
+// another, so later requests hit the cache proper — unless valid (nil:
+// always true), called after materialize, rejects it as not k's value; then
+// each waiter materializes for itself, unfiled. The re-check is not a request
+// of its own — the caller's Get already counted the miss — so it moves no
+// hit/miss counter. Errors are returned to the leader and every waiter of
+// that flight, and nothing is cached.
 //
 // Do must not be called from inside a materialize closure with a flightKey
 // that other goroutines could concurrently lead while waiting on this one —
@@ -45,10 +46,10 @@ type flight struct {
 // materialization levels (expression → derived).
 func (c *Cache) Do(k Key, win interval.Interval, materialize func() (*calendar.Calendar, error), valid func() bool) (*calendar.Calendar, error) {
 	fk := flightKey{k: k, win: win}
-	c.flightMu.Lock()
+	c.mu.Lock()
 	if f, ok := c.inflight[fk]; ok {
-		c.flightMu.Unlock()
-		c.flightWaits.Add(1)
+		c.stats.FlightWaits++
+		c.mu.Unlock()
 		<-f.done
 		if f.stale {
 			return materialize()
@@ -58,31 +59,28 @@ func (c *Cache) Do(k Key, win interval.Interval, materialize func() (*calendar.C
 		}
 		return f.cal, nil
 	}
+	if e := c.findLocked(k, win); e != nil {
+		c.lru.MoveToFront(e.elem)
+		c.mu.Unlock()
+		return e.cal, nil
+	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[fk] = f
-	c.flightMu.Unlock()
+	c.stats.Flights++
+	c.mu.Unlock()
 
-	// Leader. The cache re-check catches the race where another flight for
-	// this (key, win) completed between this goroutine's miss and its
-	// flight acquisition.
-	if e := c.lookup(c.shardOf(k), k, win); e != nil {
-		f.cal = e.cal
-		c.settle(fk, f)
-		return f.cal, nil
-	}
-	c.flights.Add(1)
 	f.cal, f.err = materialize()
-	if f.stale = valid != nil && !valid(); f.err == nil && !f.stale {
-		c.Put(k, win, f.cal)
+	f.stale = valid != nil && !valid()
+	var e *entry
+	if f.err == nil && !f.stale && f.cal != nil {
+		e = &entry{key: k, win: win, cal: f.cal, bytes: SizeOf(f.cal)}
 	}
-	c.settle(fk, f)
-	return f.cal, f.err
-}
-
-// settle unregisters the flight and releases its waiters.
-func (c *Cache) settle(fk flightKey, f *flight) {
-	c.flightMu.Lock()
+	c.mu.Lock()
+	if e != nil {
+		c.insertLocked(e)
+	}
 	delete(c.inflight, fk)
-	c.flightMu.Unlock()
+	c.mu.Unlock()
 	close(f.done)
+	return f.cal, f.err
 }

@@ -275,16 +275,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleCacheStats reports the process-wide materialization cache: aggregate
-// counters (hits/misses/flights/…) plus each shard's resident footprint, so
-// operators can spot stripe imbalance and stampede behavior live; and beside
-// it the tenants' prepared-expression tables and the process-wide memo of
-// lowered basic-only expressions.
+// handleCacheStats reports the process-wide materialization cache's counters
+// (hits/misses/flights/…, resident bytes by kind of key), so operators can
+// watch hit ratio and stampede behavior live; and beside it the tenants'
+// prepared-expression tables and the process-wide memo of lowered basic-only
+// expressions.
 func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
-	mat := matcache.Shared()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"matcache": mat.Stats(),
-		"shards":   mat.ShardStats(),
+		"matcache": matcache.Shared().Stats(),
 		"prepared": s.reg.preparedStats(),
 		"lowered":  symbolic.Stats(),
 	})
