@@ -253,7 +253,7 @@ func refsOf(stmts []callang.Stmt) []string {
 			if !ok || callang.IsToday(id.Name) || slices.Contains(refs, id.Name) {
 				return
 			}
-			if _, err := chronology.ParseGranularity(id.Name); err != nil {
+			if _, ok := chronology.LookupGranularity(id.Name); !ok {
 				if name := strings.ToLower(id.Name); !slices.Contains(refs, name) {
 					refs = append(refs, name)
 				}
@@ -420,7 +420,7 @@ func checkName(name string) error {
 	if strings.TrimSpace(name) == "" {
 		return fmt.Errorf("caldb: empty calendar name")
 	}
-	if _, err := chronology.ParseGranularity(name); err == nil {
+	if _, ok := chronology.LookupGranularity(name); ok {
 		return fmt.Errorf("caldb: %q shadows a basic calendar", name)
 	}
 	if callang.IsToday(name) {
@@ -814,7 +814,7 @@ func (m *Manager) DerivationOf(name string) (*callang.Script, bool) {
 
 // ElemKindOf implements plan.Catalog.
 func (m *Manager) ElemKindOf(name string) (chronology.Granularity, bool) {
-	if g, err := chronology.ParseGranularity(name); err == nil {
+	if g, ok := chronology.LookupGranularity(name); ok {
 		return g, true
 	}
 	m.mu.RLock()

@@ -188,6 +188,53 @@ func TestParseGranularity(t *testing.T) {
 	}
 }
 
+// A name that is not a basic calendar's — a catalog calendar such as bizdays,
+// asked by every membership test — costs no allocation, and neither does a
+// hit; the error ParseGranularity builds from a miss keeps its text. Both
+// agree with the upper-casing definition on every name tried.
+func TestLookupGranularityAllocsAndAgrees(t *testing.T) {
+	names := []string{"bizdays", "holidays", " Holidays ", "DAYS", "days", "Week", "hrs",
+		"centuries", "CENTURYS", "mins", "ſeconds", "ſecs", "Ⓓays", "", "S", "fortnights"}
+	for _, n := range names {
+		got, ok := LookupGranularity(n)
+		want, wantOK := upperCaseDefinition(n)
+		if ok != wantOK || ok && got != want {
+			t.Errorf("LookupGranularity(%q) = %v, %v; the definition says %v, %v", n, got, ok, want, wantOK)
+		}
+	}
+	for _, n := range []string{"bizdays", " Holidays ", "days", "WEEKS"} {
+		if a := testing.AllocsPerRun(100, func() { LookupGranularity(n) }); a != 0 {
+			t.Errorf("LookupGranularity(%q): %v allocs per run, want 0", n, a)
+		}
+	}
+	if _, err := ParseGranularity("bizdays"); err == nil || err.Error() != `chronology: unknown granularity "bizdays"` {
+		t.Errorf("ParseGranularity(bizdays) error = %v", err)
+	}
+}
+
+// upperCaseDefinition is the name rule as it reads: upper-case the trimmed
+// name, then match a granularity name with or without a trailing S, or an
+// alias.
+func upperCaseDefinition(name string) (Granularity, bool) {
+	n := strings.ToUpper(strings.TrimSpace(name))
+	for g, s := range granNames {
+		if n == s || n+"S" == s || n == s+"S" {
+			return Granularity(g), true
+		}
+	}
+	switch n {
+	case "SEC", "SECS":
+		return Second, true
+	case "MIN", "MINS":
+		return Minute, true
+	case "HR", "HRS":
+		return Hour, true
+	case "CENTURIES":
+		return Century, true
+	}
+	return 0, false
+}
+
 func TestGranularityOrdering(t *testing.T) {
 	gs := Granularities()
 	if len(gs) != 9 {

@@ -12,6 +12,7 @@ package chronology
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Granularity identifies one of the basic calendars of the paper (§3.2):
@@ -97,22 +98,46 @@ func Granularities() []Granularity {
 // ParseGranularity resolves a (case-insensitive) basic-calendar name, with or
 // without a trailing S, to a Granularity.
 func ParseGranularity(name string) (Granularity, error) {
-	n := strings.ToUpper(strings.TrimSpace(name))
+	if g, ok := LookupGranularity(name); ok {
+		return g, nil
+	}
+	return 0, fmt.Errorf("chronology: unknown granularity %q", name)
+}
+
+// LookupGranularity is ParseGranularity as a membership test: whether a name
+// such as a catalog calendar's is a basic calendar's. It allocates nothing for
+// an ASCII name, hit or miss.
+func LookupGranularity(name string) (Granularity, bool) {
+	n := strings.TrimSpace(name)
+	if strings.ContainsFunc(n, func(r rune) bool { return r >= utf8.RuneSelf }) {
+		n = strings.ToUpper(n) // Unicode case mapping; ASCII is mapped below
+	}
+	var buf [16]byte // longer names match nothing
+	if len(n) > len(buf) {
+		return 0, false
+	}
+	for i := 0; i < len(n); i++ {
+		if buf[i] = n[i]; 'a' <= n[i] && n[i] <= 'z' {
+			buf[i] -= 'a' - 'A'
+		}
+	}
+	u := buf[:len(n)]
 	for g, s := range granNames {
-		if n == s || n+"S" == s || n == s+"S" {
-			return Granularity(g), nil
+		if string(u) == s || len(u)+1 == len(s) && string(u) == s[:len(u)] && s[len(u)] == 'S' ||
+			len(u) == len(s)+1 && string(u[:len(s)]) == s && u[len(s)] == 'S' {
+			return Granularity(g), true
 		}
 	}
 	// Common singular aliases.
-	switch n {
+	switch string(u) {
 	case "SEC", "SECS":
-		return Second, nil
+		return Second, true
 	case "MIN", "MINS":
-		return Minute, nil
+		return Minute, true
 	case "HR", "HRS":
-		return Hour, nil
+		return Hour, true
 	case "CENTURIES":
-		return Century, nil
+		return Century, true
 	}
-	return 0, fmt.Errorf("chronology: unknown granularity %q", name)
+	return 0, false
 }

@@ -2,7 +2,7 @@ package calendar
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"calsys/internal/core/interval"
 )
@@ -48,19 +48,25 @@ func SelectRange(from, to int) Selection {
 
 // String renders the predicate in surface syntax, e.g. "[3]", "[n]",
 // "[1,3,-2]", "[2-5]".
-func (s Selection) String() string {
-	var parts []string
-	for _, it := range s.Items {
+func (s Selection) String() string { return string(s.Append(nil)) }
+
+// Append appends the predicate's surface syntax to b.
+func (s Selection) Append(b []byte) []byte {
+	b = append(b, '[')
+	for i, it := range s.Items {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		switch {
 		case it.Last:
-			parts = append(parts, "n")
+			b = append(b, 'n')
 		case it.Range:
-			parts = append(parts, fmt.Sprintf("%d-%d", it.From, it.To))
+			b = strconv.AppendInt(append(strconv.AppendInt(b, int64(it.From), 10), '-'), int64(it.To), 10)
 		default:
-			parts = append(parts, fmt.Sprintf("%d", it.Pos))
+			b = strconv.AppendInt(b, int64(it.Pos), 10)
 		}
 	}
-	return "[" + strings.Join(parts, ",") + "]"
+	return append(b, ']')
 }
 
 // Check validates the predicate.

@@ -71,14 +71,14 @@ func Analyze(e Expr, kinds KindResolver) Analysis {
 			// argument: interval(lo, hi, DAYS).
 			if n.Name == "generate" && len(n.Args) >= 2 {
 				if id, ok := n.Args[1].(*Ident); ok {
-					if g, err := chronology.ParseGranularity(id.Name); err == nil {
+					if g, ok := chronology.LookupGranularity(id.Name); ok {
 						a.Kinds[g] = true
 					}
 				}
 			}
 			if (n.Name == "interval" || n.Name == "points") && len(n.Args) > 0 {
 				if id, ok := n.Args[len(n.Args)-1].(*Ident); ok {
-					if g, err := chronology.ParseGranularity(id.Name); err == nil {
+					if g, ok := chronology.LookupGranularity(id.Name); ok {
 						a.Kinds[g] = true
 					}
 				}
@@ -187,8 +187,7 @@ func BasicOnly(e Expr) bool {
 	basic := true
 	Walk(e, func(x Expr) {
 		if id, ok := x.(*Ident); ok && basic {
-			_, err := chronology.ParseGranularity(id.Name)
-			basic = err == nil
+			_, basic = chronology.LookupGranularity(id.Name)
 		}
 	})
 	return basic

@@ -3,6 +3,7 @@ package callang
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"calsys/internal/core/calendar"
@@ -104,9 +105,15 @@ func (*LabelSelExpr) exprNode()  {}
 func (*BinExpr) exprNode()       {}
 func (*CallExpr) exprNode()      {}
 
-func (e *Ident) String() string     { return e.Name }
-func (e *Number) String() string    { return fmt.Sprintf("%d", e.Val) }
-func (e *StringLit) String() string { return quote(e.Val) }
+func (e *Ident) String() string         { return e.Name }
+func (e *Number) String() string        { return strconv.FormatInt(e.Val, 10) }
+func (e *StringLit) String() string     { return quote(e.Val) }
+func (e *ForeachExpr) String() string   { return string(appendExpr(nil, e)) }
+func (e *IntersectExpr) String() string { return string(appendExpr(nil, e)) }
+func (e *SelectExpr) String() string    { return string(appendExpr(nil, e)) }
+func (e *LabelSelExpr) String() string  { return string(appendExpr(nil, e)) }
+func (e *BinExpr) String() string       { return string(appendExpr(nil, e)) }
+func (e *CallExpr) String() string      { return string(appendExpr(nil, e)) }
 
 // quote renders a string literal the way the lexer reads one: a backslash
 // makes the next byte literal, and nothing else is special.
@@ -114,47 +121,46 @@ func quote(s string) string {
 	return `"` + strings.NewReplacer(`\`, `\\`, `"`, `\"`).Replace(s) + `"`
 }
 
-func (e *ForeachExpr) String() string {
-	sep := ":"
-	if !e.Strict {
-		sep = "."
+// appendExpr appends e's surface syntax to b, the whole tree in one buffer.
+func appendExpr(b []byte, e Expr) []byte {
+	switch n := e.(type) {
+	case *ForeachExpr:
+		sep := byte(':')
+		if !n.Strict {
+			sep = '.'
+		}
+		b = append(appendParen(b, n.X), sep)
+		b = append(append(b, n.Op.String()...), sep)
+		return appendParen(b, n.Y)
+	case *IntersectExpr:
+		return appendParen(append(appendParen(b, n.X), ":intersects:"...), n.Y)
+	case *SelectExpr:
+		return appendParen(append(n.Pred.Append(b), '/'), n.X)
+	case *LabelSelExpr:
+		return appendParen(append(strconv.AppendInt(b, n.Num, 10), '/'), n.X)
+	case *BinExpr:
+		return appendParen(append(appendParen(b, n.X), ' ', n.Op, ' '), n.Y)
+	case *CallExpr:
+		b = append(append(b, n.Name...), '(')
+		for i, a := range n.Args {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendExpr(b, a)
+		}
+		return append(b, ')')
 	}
-	return fmt.Sprintf("%s%s%s%s%s", paren(e.X), sep, e.Op, sep, paren(e.Y))
+	return append(b, e.String()...)
 }
 
-func (e *IntersectExpr) String() string {
-	return fmt.Sprintf("%s:intersects:%s", paren(e.X), paren(e.Y))
-}
-
-func (e *SelectExpr) String() string {
-	return fmt.Sprintf("%s/%s", e.Pred, paren(e.X))
-}
-
-func (e *LabelSelExpr) String() string {
-	return fmt.Sprintf("%d/%s", e.Num, paren(e.X))
-}
-
-func (e *BinExpr) String() string {
-	return fmt.Sprintf("%s %c %s", paren(e.X), e.Op, paren(e.Y))
-}
-
-func (e *CallExpr) String() string {
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.String()
-	}
-	return fmt.Sprintf("%s(%s)", e.Name, strings.Join(args, ", "))
-}
-
-// paren wraps composite operands so rendered syntax re-parses with the same
-// shape.
-func paren(e Expr) string {
+// appendParen appends e, wrapping composite operands so rendered syntax
+// re-parses with the same shape.
+func appendParen(b []byte, e Expr) []byte {
 	switch e.(type) {
 	case *Ident, *Number, *StringLit, *CallExpr:
-		return e.String()
-	default:
-		return "(" + e.String() + ")"
+		return appendExpr(b, e)
 	}
+	return append(appendExpr(append(b, '('), e), ')')
 }
 
 // ExprPos returns the best-known source position of an expression: the

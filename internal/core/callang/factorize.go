@@ -19,7 +19,7 @@ type KindMap map[string]chronology.Granularity
 
 // ElemKindOf implements KindResolver.
 func (m KindMap) ElemKindOf(name string) (chronology.Granularity, bool) {
-	if g, err := chronology.ParseGranularity(name); err == nil {
+	if g, ok := chronology.LookupGranularity(name); ok {
 		return g, true
 	}
 	g, ok := m[name]

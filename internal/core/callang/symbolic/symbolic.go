@@ -79,7 +79,7 @@ func (l *lowerer) lower(e callang.Expr, depth int) (*periodic.Pattern, bool) {
 func (l *lowerer) node(e callang.Expr, depth int) (*periodic.Pattern, bool) {
 	switch n := e.(type) {
 	case *callang.Ident:
-		if g, err := chronology.ParseGranularity(n.Name); err == nil {
+		if g, ok := chronology.LookupGranularity(n.Name); ok {
 			return Basic(l.ch, g, l.gran)
 		}
 		inner, ok := callang.InlineBody(l.cat, n.Name)

@@ -164,7 +164,7 @@ func (m *MapCatalog) DerivationOf(name string) (*callang.Script, bool) {
 
 // ElemKindOf implements Catalog. Basic calendar names always resolve.
 func (m *MapCatalog) ElemKindOf(name string) (chronology.Granularity, bool) {
-	if g, err := chronology.ParseGranularity(name); err == nil {
+	if g, ok := chronology.LookupGranularity(name); ok {
 		return g, true
 	}
 	g, ok := m.Kinds[name]

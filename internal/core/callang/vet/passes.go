@@ -27,7 +27,7 @@ func externalRefs(s *callang.Script) []scriptRef {
 			if !ok || callang.IsToday(n.Name) || temps[n.Name] {
 				return
 			}
-			if _, err := chronology.ParseGranularity(n.Name); err == nil {
+			if _, ok := chronology.LookupGranularity(n.Name); ok {
 				return
 			}
 			key := strings.ToLower(n.Name)

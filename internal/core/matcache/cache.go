@@ -1,8 +1,8 @@
 // Package matcache implements a process-wide materialized-calendar cache:
 // the cross-evaluation form of the paper's "mark any calendar that is
 // encountered more than once to avoid generating values of the calendar
-// unnecessarily" (§3.4). The per-evaluation generation cache of the plan
-// executor dedupes work within one query; this cache dedupes it across
+// unnecessarily" (§3.4). The plan compiler's common-subexpression sharing
+// dedupes work within one query; this cache dedupes it across
 // queries, rule firings and timeseries probes, which overwhelmingly re-ask
 // for the same periodic calendars over overlapping windows.
 //
@@ -26,9 +26,9 @@
 //
 // # Concurrency
 //
-// One sync.Mutex guards the whole cache: the buckets, the LRU list, the
+// One sync.Mutex guards the whole cache: the index, the LRU list, the
 // counters and Do's table of flights in progress. A Get holds it for a map
-// lookup, a scan of the key's windows and a MoveToFront, so recency is exact
+// lookup by key and window and a MoveToFront, so recency is exact
 // LRU. The counters, the per-kind census among them, are kept on insert and
 // evict, so Stats copies them in O(1). Any queueing on the lock shows in a
 // -mutexprofile under the Cache methods that contended for it.
@@ -116,9 +116,9 @@ type entry struct {
 type Cache struct {
 	mu       sync.Mutex
 	stats    Stats // the counters and resident totals; Budget is the bound
-	buckets  map[Key][]*entry
+	entries  map[slot]*entry
 	lru      *list.List // front = most recently used; values are *entry
-	inflight map[flightKey]*flight
+	inflight map[slot]*flight
 }
 
 // DefaultBudget is the byte budget of the shared process-wide cache.
@@ -132,9 +132,9 @@ func New(budget int64) *Cache {
 	}
 	return &Cache{
 		stats:    Stats{Budget: budget},
-		buckets:  map[Key][]*entry{},
+		entries:  map[slot]*entry{},
 		lru:      list.New(),
-		inflight: map[flightKey]*flight{},
+		inflight: map[slot]*flight{},
 	}
 }
 
@@ -149,14 +149,12 @@ func Shared() *Cache {
 	return shared
 }
 
-// findLocked returns the resident entry of k over win, or nil.
-func (c *Cache) findLocked(k Key, win interval.Interval) *entry {
-	for _, e := range c.buckets[k] {
-		if e.win == win {
-			return e
-		}
-	}
-	return nil
+// slot identifies one value: a key plus the exact window it was evaluated
+// over. Distinct windows of one key are distinct values; entries and flights
+// are both indexed by it.
+type slot struct {
+	k   Key
+	win interval.Interval
 }
 
 // Get returns the calendar materialized for key over exactly win.
@@ -167,7 +165,7 @@ func (c *Cache) findLocked(k Key, win interval.Interval) *entry {
 // coherent; callers must not modify it.
 func (c *Cache) Get(k Key, win interval.Interval) (*calendar.Calendar, bool) {
 	c.mu.Lock()
-	e := c.findLocked(k, win)
+	e := c.entries[slot{k, win}]
 	if e == nil {
 		c.stats.Misses++
 		c.mu.Unlock()
@@ -196,7 +194,7 @@ func (c *Cache) Put(k Key, win interval.Interval, cal *calendar.Calendar) {
 // alone exceeds the budget, then evicts from the back of the LRU until the
 // resident bytes fit the budget again.
 func (c *Cache) insertLocked(e *entry) {
-	if c.findLocked(e.key, e.win) != nil {
+	if c.entries[slot{e.key, e.win}] != nil {
 		return
 	}
 	if e.bytes > c.stats.Budget {
@@ -204,7 +202,7 @@ func (c *Cache) insertLocked(e *entry) {
 		return
 	}
 	e.elem = c.lru.PushFront(e)
-	c.buckets[e.key] = append(c.buckets[e.key], e)
+	c.entries[slot{e.key, e.win}] = e
 	c.account(e, 1)
 	c.stats.Puts++
 	for c.stats.Bytes > c.stats.Budget {
@@ -212,27 +210,12 @@ func (c *Cache) insertLocked(e *entry) {
 	}
 }
 
-// evictLocked detaches e from the LRU, the counters and its bucket (by
-// swap-remove: bucket order carries no meaning, findLocked scans it whole).
+// evictLocked detaches e from the LRU, the counters and the index.
 func (c *Cache) evictLocked(e *entry) {
 	c.lru.Remove(e.elem)
 	c.account(e, -1)
 	c.stats.Evictions++
-	bucket := c.buckets[e.key]
-	for i, x := range bucket {
-		if x == e {
-			last := len(bucket) - 1
-			bucket[i] = bucket[last]
-			bucket[last] = nil
-			bucket = bucket[:last]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(c.buckets, e.key)
-	} else {
-		c.buckets[e.key] = bucket
-	}
+	delete(c.entries, slot{e.key, e.win})
 }
 
 // account adds (sign 1) or removes (sign -1) e in the resident totals and
@@ -257,7 +240,7 @@ func (c *Cache) account(e *entry, sign int) {
 // Reset empties the cache, keeping the budget and counters.
 func (c *Cache) Reset() {
 	c.mu.Lock()
-	c.buckets = map[Key][]*entry{}
+	c.entries = map[slot]*entry{}
 	c.lru.Init()
 	c.stats.Entries, c.stats.Bytes = 0, 0
 	c.stats.Derived, c.stats.Expressions = KindStat{}, KindStat{}

@@ -5,14 +5,6 @@ import (
 	"calsys/internal/core/interval"
 )
 
-// flightKey identifies one coalescable materialization: a cache key plus the
-// exact window being evaluated. Distinct windows of one key fly separately —
-// they produce different results.
-type flightKey struct {
-	k   Key
-	win interval.Interval
-}
-
 // flight is one in-progress materialization. The leader closes done after
 // publishing cal/err/stale; waiters block on done and read the fields
 // afterwards (the close is the happens-before edge).
@@ -40,12 +32,12 @@ type flight struct {
 // hit/miss counter. Errors are returned to the leader and every waiter of
 // that flight, and nothing is cached.
 //
-// Do must not be called from inside a materialize closure with a flightKey
+// Do must not be called from inside a materialize closure with a slot
 // that other goroutines could concurrently lead while waiting on this one —
 // callers keep the wait graph acyclic by only flying at distinct
 // materialization levels (expression → derived).
 func (c *Cache) Do(k Key, win interval.Interval, materialize func() (*calendar.Calendar, error), valid func() bool) (*calendar.Calendar, error) {
-	fk := flightKey{k: k, win: win}
+	fk := slot{k: k, win: win}
 	c.mu.Lock()
 	if f, ok := c.inflight[fk]; ok {
 		c.stats.FlightWaits++
@@ -59,7 +51,7 @@ func (c *Cache) Do(k Key, win interval.Interval, materialize func() (*calendar.C
 		}
 		return f.cal, nil
 	}
-	if e := c.findLocked(k, win); e != nil {
+	if e := c.entries[slot{k, win}]; e != nil {
 		c.lru.MoveToFront(e.elem)
 		c.mu.Unlock()
 		return e.cal, nil

@@ -29,6 +29,9 @@
 package periodic
 
 import (
+	"sort"
+
+	"calsys/internal/chronology"
 	"calsys/internal/core/interval"
 )
 
@@ -198,31 +201,186 @@ func foreachRuns(x, y *Pattern, op interval.ListOp) (g grouping, ok bool) {
 }
 
 // group returns group qy: its y element [a, b] (absolute offsets) and the
-// run of n x elements from index first related to it under the listop. The
-// run is exact because both span bounds are monotone in the element index,
-// so each listop's member set is an index interval — the run the
-// materialized sweep kernels visit. A `<`/`<=` group collects an unbounded
-// prefix of x (n = −1); only its end is window-independent, and first is
-// the index just past its last member:
-//
-//	<:  lastWithHiLE(y.Lo)                                (x.Hi ≤ y.Lo)
-//	<=: min(lastWithLoLE(y.Lo), lastWithHiLE(y.Hi))       (x.Lo ≤ y.Lo ∧ x.Hi ≤ y.Hi)
+// run of x elements related to it (see run).
 func (g grouping) group(qy int64) (a, b, first, n int64) {
 	a, b = g.y.element(qy)
-	x, last := g.x, int64(0)
-	switch g.op {
+	first, n = g.x.run(a, b, g.op)
+	return a, b, first, n
+}
+
+// run returns the run of n elements from index first related to the element
+// [a, b] (absolute offsets) under the listop. The run is exact because both
+// span bounds are monotone in the element index, so each listop's member set
+// is an index interval — the run the materialized sweep kernels visit. A
+// `<`/`<=` group collects an unbounded prefix (n = −1); only its end is
+// window-independent, and first is the index just past its last member:
+//
+//	<:  lastWithHiLE(a)                                (x.Hi ≤ a)
+//	<=: min(lastWithLoLE(a), lastWithHiLE(b))          (x.Lo ≤ a ∧ x.Hi ≤ b)
+func (p *Pattern) run(a, b int64, op interval.ListOp) (first, n int64) {
+	last := int64(0)
+	switch op {
 	case interval.During:
-		first, last = x.firstWithLoGE(a), x.lastWithHiLE(b)
+		first, last = p.firstWithLoGE(a), p.lastWithHiLE(b)
 	case interval.Overlaps:
-		first, last = x.firstWithHiGE(a), x.lastWithLoLE(b)
+		first, last = p.firstWithHiGE(a), p.lastWithLoLE(b)
 	case interval.Meets:
-		first, last = x.firstWithHiGE(a), x.firstWithHiGE(a+1)-1
+		first, last = p.firstWithHiGE(a), p.firstWithHiGE(a+1)-1
 	case interval.Before:
-		return a, b, x.lastWithHiLE(a) + 1, -1
+		return p.lastWithHiLE(a) + 1, -1
 	default: // interval.BeforeEquals
-		return a, b, min(x.lastWithLoLE(a), x.lastWithHiLE(b)) + 1, -1
+		return min(p.lastWithLoLE(a), p.lastWithHiLE(b)) + 1, -1
 	}
-	return a, b, first, max(last-first+1, 0)
+	return first, max(last-first+1, 0)
+}
+
+// A Window is a finite stretch of a pattern's element list: elements First
+// through Last (First > Last: none), less the point elements at the ticks of
+// Except — a periodic set minus a finite one, Bettini, Mascetti & Wang's
+// granularity with a non-periodic part. Except is strictly ascending points,
+// set only on a disjoint pattern of points (Points, Disjoint).
+type Window struct {
+	P           *Pattern
+	First, Last int64
+	Except      []interval.Interval
+}
+
+// Overlapping is the window of the elements overlapping the tick interval:
+// what generating the interval materializes.
+func (p *Pattern) Overlapping(win interval.Interval) Window {
+	first, last, _ := p.IndexRange(win)
+	return Window{P: p, First: first, Last: last}
+}
+
+// Within is the window of the elements inside the tick interval.
+func (p *Pattern) Within(win interval.Interval) Window {
+	lo, hi := chronology.OffsetFromTick(win.Lo), chronology.OffsetFromTick(win.Hi)
+	return Window{P: p, First: p.firstWithLoGE(lo), Last: p.lastWithHiLE(hi)}
+}
+
+// Holds reports whether every element related to y under op is in the window.
+func (w Window) Holds(y interval.Interval, op interval.ListOp) bool {
+	first, n := w.P.run(chronology.OffsetFromTick(y.Lo), chronology.OffsetFromTick(y.Hi), op)
+	return n >= 0 && first >= w.First && first+n-1 <= w.Last
+}
+
+// Points reports whether every element is a single tick.
+func (p *Pattern) Points() bool {
+	for _, s := range p.spans {
+		if s.Lo != s.Hi {
+			return false
+		}
+	}
+	return true
+}
+
+// Expand materializes the window's elements in order.
+func (w Window) Expand() []interval.Interval {
+	if w.First > w.Last {
+		return nil
+	}
+	out := w.P.Elements(w.First, w.Last)
+	if len(w.Except) == 0 {
+		return out
+	}
+	kept, j := out[:0], 0
+	for _, iv := range out {
+		for j < len(w.Except) && w.Except[j].Lo < iv.Lo {
+			j++
+		}
+		if j == len(w.Except) || w.Except[j].Lo != iv.Lo {
+			kept = append(kept, iv)
+		}
+	}
+	return kept
+}
+
+// Groups is the window-sized form of what ForeachSelect does over a whole
+// cycle: for each of the n elements y(0), y(1), … in turn, the members of the
+// group {w op y} are the
+// run of elements related to y cut to First..Last, less the exceptions in it,
+// and pick chooses among them by position — 0-based, in predicate order,
+// asked once per member count below 128; nil takes them all. The picks,
+// trimmed to y where strict and they meet it, are appended to out: exactly
+// the flattened materialized foreach and selection, in O(groups · log) plus
+// the output.
+func (w Window) Groups(ny int, ys func(int) interval.Interval, op interval.ListOp, strict bool, pick func(n int) []int, out []interval.Interval) []interval.Interval {
+	var picks [128][]int // by member count
+	var skip []int64     // the indices of the exceptions in a group
+	ex := -1             // the exception cursor: ys come in order, mostly
+	for k := 0; k < ny; k++ {
+		y := ys(k)
+		a, b := chronology.OffsetFromTick(y.Lo), chronology.OffsetFromTick(y.Hi)
+		first, n := w.P.run(a, b, op)
+		last := first + n - 1
+		if n < 0 { // a prefix: from the window's first element
+			first, last = w.First, first-1
+		}
+		first, last = max(first, w.First), min(last, w.Last)
+		skip, ex = w.skipped(first, last, y, op, skip[:0], ex)
+		n = max(last-first+1, 0) - int64(len(skip))
+		var pos []int
+		if pick != nil && n > 0 {
+			if n < int64(len(picks)) {
+				pos = picks[n]
+			}
+			if pos == nil {
+				pos = pick(int(n))
+			}
+			if n < int64(len(picks)) {
+				picks[n] = pos
+			}
+			n = int64(len(pos))
+		}
+		for i := int64(0); i < n; i++ {
+			q := first + i
+			if pick != nil {
+				q = first + int64(pos[i])
+			}
+			for _, e := range skip { // step over the exceptions before q
+				if e > q {
+					break
+				}
+				q++
+			}
+			lo, hi := w.P.element(q)
+			if strict && lo <= b && hi >= a {
+				lo, hi = max(lo, a), min(hi, b)
+			}
+			out = append(out, interval.Interval{Lo: chronology.TickFromOffset(lo), Hi: chronology.TickFromOffset(hi)})
+		}
+	}
+	return out
+}
+
+// skipped appends to dst the indices in first..last of the elements the
+// exceptions remove from y's group, ascending. ex is where the last group's
+// exceptions began (−1: none yet); the search steps on from it, or starts
+// over behind it.
+func (w Window) skipped(first, last int64, y interval.Interval, op interval.ListOp, dst []int64, ex int) ([]int64, int) {
+	if first > last || len(w.Except) == 0 {
+		return dst, ex
+	}
+	// A point during, overlapping or meeting y lies inside it; a prefix
+	// reaches from its first member.
+	from, hi := y.Lo, chronology.OffsetFromTick(y.Hi)
+	if op == interval.Before || op == interval.BeforeEquals {
+		lo, _ := w.P.element(first)
+		_, hi = w.P.element(last)
+		from = chronology.TickFromOffset(lo)
+	}
+	if ex < 0 || ex > 0 && w.Except[ex-1].Lo >= from {
+		ex = sort.Search(len(w.Except), func(i int) bool { return w.Except[i].Lo >= from })
+	}
+	for ex < len(w.Except) && w.Except[ex].Lo < from {
+		ex++
+	}
+	for i := ex; i < len(w.Except) && chronology.OffsetFromTick(w.Except[i].Lo) <= hi; i++ {
+		if q, _, ok := w.P.IndexRange(w.Except[i]); ok && q >= first && q <= last {
+			dst = append(dst, q)
+		}
+	}
+	return dst, ex
 }
 
 // patternFromCycle builds the pattern denoting the infinite periodic list

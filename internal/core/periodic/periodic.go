@@ -142,7 +142,8 @@ func (p *Pattern) Equal(q *Pattern) bool {
 // element returns the absolute offset span of element q.
 func (p *Pattern) element(q int64) (lo, hi int64) {
 	s := int64(len(p.spans))
-	k, i := floorDiv(q, s), floorMod(q, s)
+	k := floorDiv(q, s)
+	i := q - k*s
 	base := p.phase + k*p.period
 	return base + p.spans[i].Lo, base + p.spans[i].Hi
 }
@@ -224,10 +225,12 @@ func (p *Pattern) NextAfter(t chronology.Tick) (q int64, start chronology.Tick) 
 // Expand materializes the elements overlapping the tick window, in order, in
 // O(output) time — the pattern-backed equivalent of generating the window.
 func (p *Pattern) Expand(win interval.Interval) []interval.Interval {
-	first, last, ok := p.IndexRange(win)
-	if !ok {
-		return nil
-	}
+	return p.Overlapping(win).Expand()
+}
+
+// Elements materializes elements first through last (first ≤ last), in
+// order.
+func (p *Pattern) Elements(first, last int64) []interval.Interval {
 	out := make([]interval.Interval, last-first+1)
 	if len(p.spans) == 1 {
 		// Single-span cycles (every fixed-ratio granularity pair) reduce to a

@@ -6,6 +6,7 @@ import (
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
+	"calsys/internal/core/callang/symbolic"
 	"calsys/internal/core/interval"
 )
 
@@ -66,7 +67,7 @@ func Compile(env *Env, e callang.Expr, vars map[string]bool, gran chronology.Gra
 		env:  env,
 		vars: vars,
 		plan: &Plan{Gran: gran, Window: win},
-		cse:  map[string]Reg{},
+		cse:  map[opKey]Reg{},
 		base: win,
 	}
 	r, err := c.compile(e, win)
@@ -81,8 +82,10 @@ type compiler struct {
 	env  *Env
 	vars map[string]bool
 	plan *Plan
-	cse  map[string]Reg
+	cse  map[opKey]Reg
 	base interval.Interval
+	// basic is set while compiling inside a maximal basic-only sub-tree.
+	basic bool
 }
 
 // emit appends an op, reusing an existing register when an identical op was
@@ -90,7 +93,7 @@ type compiler struct {
 // calendar marking).
 func (c *compiler) emit(op Op) Reg {
 	if !c.env.DisableSharing {
-		key := op.withDst(0).String()
+		key := op.key()
 		if r, ok := c.cse[key]; ok {
 			return r
 		}
@@ -104,9 +107,31 @@ func (c *compiler) emit(op Op) Reg {
 	return op.Dst
 }
 
-func (op Op) withDst(d Reg) Op {
-	op.Dst = d
-	return op
+// opKey identifies an op up to its destination register: equal keys compute
+// equal values.
+type opKey struct {
+	kind   OpKind
+	of, in chronology.Granularity
+	win    interval.Interval
+	tick   chronology.Tick
+	name   string
+	a, b   Reg
+	listOp interval.ListOp
+	strict bool
+	text   string // the selection, caloperate counts or literal, rendered
+}
+
+func (op Op) key() opKey {
+	k := opKey{op.Kind, op.Of, op.In, op.Win, op.Tick, op.Name, op.A, op.B, op.ListOp, op.Strict, ""}
+	switch op.Kind {
+	case OpSelect:
+		k.text = op.Sel.String()
+	case OpCaloperate:
+		k.text = fmt.Sprint(op.Counts)
+	case OpConst:
+		k.text = op.Lit.String()
+	}
+	return k
 }
 
 // staticWin bounds where an expression's elements can lie, given the node's
@@ -115,7 +140,7 @@ func (c *compiler) staticWin(e callang.Expr, win interval.Interval) interval.Int
 	switch n := e.(type) {
 	case *callang.LabelSelExpr:
 		if id, ok := n.X.(*callang.Ident); ok {
-			if g, err := chronology.ParseGranularity(id.Name); err == nil {
+			if g, ok := chronology.LookupGranularity(id.Name); ok {
 				if tick, err := c.labelTick(g, n.Num); err == nil {
 					lo, hi := c.env.Chron.UnitSpanIn(g, tick, c.plan.Gran)
 					return interval.Interval{Lo: lo, Hi: hi}
@@ -174,7 +199,7 @@ func (c *compiler) outerWin(e callang.Expr, win interval.Interval) interval.Inte
 	ch := c.env.Chron
 	switch n := e.(type) {
 	case *callang.Ident:
-		if g, err := chronology.ParseGranularity(n.Name); err == nil && !g.Finer(c.plan.Gran) {
+		if g, ok := chronology.LookupGranularity(n.Name); ok && !g.Finer(c.plan.Gran) {
 			return c.expandToUnits(win, g)
 		}
 		// Stored, derived or variable calendars: values are absolute, so
@@ -182,7 +207,7 @@ func (c *compiler) outerWin(e callang.Expr, win interval.Interval) interval.Inte
 		return win.Hull(c.base)
 	case *callang.LabelSelExpr:
 		if id, ok := n.X.(*callang.Ident); ok {
-			if g, err := chronology.ParseGranularity(id.Name); err == nil {
+			if g, ok := chronology.LookupGranularity(id.Name); ok {
 				if tick, lerr := c.labelTick(g, n.Num); lerr == nil {
 					lo, hi := ch.UnitSpanIn(g, tick, c.plan.Gran)
 					return interval.Interval{Lo: lo, Hi: hi}
@@ -265,7 +290,27 @@ func (c *compiler) labelTick(g chronology.Granularity, label int64) (chronology.
 	return label, nil
 }
 
+// compile compiles e. At a maximal basic-only sub-tree (callang.BasicOnly:
+// every name a basic calendar) rooted at a foreach or a selection, it also
+// files the symbolic memo's lowering of the sub-tree on the root op (Op.Pat),
+// when the environment evaluates from patterns.
 func (c *compiler) compile(e callang.Expr, win interval.Interval) (Reg, error) {
+	if c.basic || !lazyEnv(c.env) || !callang.BasicOnly(e) {
+		return c.compileNode(e, win)
+	}
+	c.basic = true
+	r, err := c.compileNode(e, win)
+	c.basic = false
+	if err != nil {
+		return 0, err
+	}
+	if op := &c.plan.Ops[r]; op.Kind == OpForeach || op.Kind == OpSelect {
+		op.Pat, _ = symbolic.Eval(c.env.Chron, nil, e, c.plan.Gran)
+	}
+	return r, nil
+}
+
+func (c *compiler) compileNode(e callang.Expr, win interval.Interval) (Reg, error) {
 	switch n := e.(type) {
 	case *callang.Ident:
 		return c.compileIdent(n, win)
@@ -338,8 +383,8 @@ func (c *compiler) compile(e callang.Expr, win interval.Interval) (Reg, error) {
 		if !ok {
 			return 0, fmt.Errorf("plan: label selection %d/ requires a basic calendar, got %s", n.Num, n.X)
 		}
-		g, err := chronology.ParseGranularity(id.Name)
-		if err != nil {
+		g, ok := chronology.LookupGranularity(id.Name)
+		if !ok {
 			return 0, fmt.Errorf("plan: label selection %d/%s requires a basic calendar", n.Num, id.Name)
 		}
 		tick, err := c.labelTick(g, n.Num)
@@ -361,7 +406,7 @@ func (c *compiler) compileIdent(n *callang.Ident, win interval.Interval) (Reg, e
 	if c.vars[name] {
 		return c.emit(Op{Kind: OpVar, Name: name}), nil
 	}
-	if g, err := chronology.ParseGranularity(name); err == nil {
+	if g, ok := chronology.LookupGranularity(name); ok {
 		if g.Finer(c.plan.Gran) {
 			return 0, fmt.Errorf("plan: calendar %s is finer than the plan granularity %v", name, c.plan.Gran)
 		}

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"calsys/internal/chronology"
@@ -14,35 +13,110 @@ import (
 	"calsys/internal/core/periodic"
 )
 
-// regVal is one register value: an eagerly materialized calendar, or the
-// exact periodic pattern of a basic calendar standing for its generation over
-// win. Pattern-backed values stay unexpanded until a consumer needs the
-// interval list; a selection consumer never expands them at all, answering by
-// index arithmetic on the pattern.
+// regVal is one register value: cal, once materialized, and until a consumer
+// needs its interval list one of two lazy forms (DESIGN.md "Periodic
+// compression"):
+//   - win, a pattern window that is exactly the value's element list — a
+//     generate op's window, less the points a difference took out — or, when
+//     grouped, exactly its Flatten (a basic-only sub-tree's memo lowering,
+//     Op.Pat). That is the order-1 guard: a foreach's x and a selection take
+//     win only when !grouped; the set operators flatten and take it either way.
+//   - fe, a grouping {x op y} of a windowed x, and sel, a selection over it:
+//     one position per group is picked by walking y's groups over x's window
+//     (periodic.Window.Groups).
 type regVal struct {
-	cal  *calendar.Calendar
-	pat  *periodic.Pattern
-	win  interval.Interval // the inferred generation window pat stands over
-	gran chronology.Granularity
+	cal     *calendar.Calendar
+	win     periodic.Window
+	grouped bool
+	fe      *grouping
+	sel     calendar.Selection // over fe; empty for the grouping itself
+	gran    chronology.Granularity
+}
+
+// grouping is a lazy foreach whose y is order 1 with at least two elements:
+// one group per element of y.
+type grouping struct {
+	x, y   *regVal
+	op     interval.ListOp
+	strict bool
 }
 
 func eager(c *calendar.Calendar) *regVal { return &regVal{cal: c} }
 
-// materialize expands a pattern-backed value over exactly its inferred
-// generation window, memoizing the result for later consumers.
-func (v *regVal) materialize() *calendar.Calendar {
-	if v.cal == nil {
-		v.cal = calendar.ExpandPattern(v.gran, v.pat, v.win)
+// materialize builds a lazy value's calendar — a window by expanding it, a
+// selection of one member per group by walking y's groups — and keeps it for
+// later consumers.
+func (v *regVal) materialize() (*calendar.Calendar, error) {
+	if v.cal != nil {
+		return v.cal, nil
 	}
-	return v.cal
+	if v.fe == nil {
+		v.cal = calendar.ExpandWindow(v.gran, v.win)
+		return v.cal, nil
+	}
+	if v.sel.Single() {
+		ny, ys, err := v.fe.y.elements()
+		if err != nil {
+			return nil, err
+		}
+		v.cal = calendar.Picked(v.gran, v.fe.x.win.Groups(ny, ys, v.fe.op, v.fe.strict, v.sel.Indices, make([]interval.Interval, 0, ny)))
+		return v.cal, nil
+	}
+	// Several picks per group, or every member: as many elements as x has
+	// in the groups, so the kernels, which share x's slab, build it.
+	x, err := v.fe.x.materialize()
+	if err != nil {
+		return nil, err
+	}
+	y, err := v.fe.y.materialize()
+	if err != nil {
+		return nil, err
+	}
+	if v.cal, err = calendar.Foreach(x, v.fe.op, v.fe.strict, y); err == nil && len(v.sel.Items) > 0 {
+		v.cal, err = calendar.Select(v.sel, v.cal)
+	}
+	return v.cal, err
 }
 
-// execState carries per-evaluation caches shared across the plans of one
-// script run, so that a calendar referenced by several statements is
-// generated once (the paper's shared-calendar marking).
+// elements returns an order-1 value's element count and elements: by index
+// arithmetic on a listed window, so that a walk over it builds no list.
+func (v *regVal) elements() (int, func(int) interval.Interval, error) {
+	if w := v.win; v.cal == nil && v.listed() {
+		return int(w.Last - w.First + 1), func(i int) interval.Interval { return w.P.Interval(w.First + int64(i)) }, nil
+	}
+	c, err := v.materialize()
+	if err != nil {
+		return 0, nil, err
+	}
+	ivs := c.Intervals()
+	return len(ivs), func(i int) interval.Interval { return ivs[i] }, nil
+}
+
+// listed reports whether the value is an order-1 window without exceptions.
+func (v *regVal) listed() bool {
+	return v.win.P != nil && !v.grouped && len(v.win.Except) == 0
+}
+
+// view gives a lazy grouping or selection the window of its Flatten: the
+// elements of pat, its basic-only sub-tree's lowering, inside the hull of y's
+// window. That is exact when y is a disjoint listed window, x holds the whole
+// group of each end of it (so of every element between: runs are monotone),
+// and each pick lies inside its y element — the exactness guard.
+func (v *regVal) view(pat *periodic.Pattern) {
+	g, x, y := v.fe, v.fe.x.win, v.fe.y.win
+	inside := g.op == interval.During || g.strict && (g.op == interval.Overlaps || g.op == interval.Meets)
+	if pat == nil || !inside || len(x.Except) > 0 || !g.y.listed() || !y.P.Disjoint() || y.First > y.Last {
+		return
+	}
+	lo, hi := y.P.Interval(y.First), y.P.Interval(y.Last)
+	if x.Holds(lo, g.op) && x.Holds(hi, g.op) {
+		v.win = pat.Within(interval.Interval{Lo: lo.Lo, Hi: hi.Hi})
+	}
+}
+
+// execState carries the derivation stack across the plans of one script run.
 type execState struct {
-	genCache map[genKey]*regVal
-	depth    int
+	depth int
 	// deriving is the stack of opaque derivations currently being evaluated,
 	// used to report the full path of a reference cycle (A → B → A).
 	deriving []string
@@ -51,9 +125,7 @@ type execState struct {
 // maxDerivedDepth bounds nested opaque-derivation evaluation.
 const maxDerivedDepth = 16
 
-func newExecState() *execState {
-	return &execState{genCache: map[genKey]*regVal{}}
-}
+func newExecState() *execState { return &execState{} }
 
 // Exec runs the plan and returns the result calendar. vars supplies script
 // temporaries referenced by OpVar (nil when none).
@@ -74,7 +146,7 @@ func (p *Plan) exec(env *Env, vars map[string]*calendar.Calendar, st *execState)
 		if err != nil {
 			return nil, err
 		}
-		return v.materialize(), nil
+		return v.materialize()
 	}
 	for i, op := range p.Ops {
 		v, err := p.execVal(env, vars, st, op, getVal, get)
@@ -83,58 +155,90 @@ func (p *Plan) exec(env *Env, vars map[string]*calendar.Calendar, st *execState)
 		}
 		regs[i] = v
 	}
-	v, err := getVal(p.Result)
-	if err != nil {
-		return nil, err
-	}
-	return v.materialize(), nil
+	return get(p.Result)
 }
 
-// genKey identifies one generation within a run: basic calendar, tick
-// granularity, window.
-type genKey struct {
-	of, gran chronology.Granularity
-	win      interval.Interval
-}
-
-// execVal evaluates ops whose results can stay pattern-backed — OpGenerate
-// (produces patterns) and OpSelect (consumes them without materializing) —
-// and defers everything else to the materialized execOp path.
+// execVal evaluates the ops whose results can stay lazy — generate (a
+// window), foreach (a grouping of a windowed x), selection and intersection
+// (walked, not built), difference (a window less points) — and leaves every
+// other op, and every operand these cannot take lazily, to execOp.
 func (p *Plan) execVal(env *Env, vars map[string]*calendar.Calendar, st *execState, op Op, getVal func(Reg) (*regVal, error), get func(Reg) (*calendar.Calendar, error)) (*regVal, error) {
+	var a, b *regVal
+	var err error
 	switch op.Kind {
 	case OpGenerate:
-		key := genKey{op.Of, p.Gran, op.Win}
-		if v, ok := st.genCache[key]; ok && !env.DisableSharing {
+		if v, ok := p.patternValue(env, op); ok {
 			return v, nil
 		}
-		v, ok := p.patternValue(env, op)
-		if !ok {
-			// No cache to keep a pattern in (or an invalid pair, which
-			// GenerateFull reports): generate the window directly — the
-			// definition the patterns are tested against.
-			c, err := calendar.GenerateFull(env.Chron, op.Of, p.Gran, op.Win.Lo, op.Win.Hi)
+	case OpForeach, OpSelect, OpIntersect, OpDiff:
+		if a, err = getVal(op.A); err != nil {
+			return nil, err
+		}
+	}
+	switch op.Kind {
+	case OpForeach:
+		if b, err = getVal(op.B); err != nil {
+			return nil, err
+		}
+		n := b.win.Last - b.win.First + 1 // y's elements, when order 1 and known
+		if !b.listed() {
+			n = 0
+			if b.cal != nil && b.cal.Order() == 1 {
+				n = int64(b.cal.Len())
+			}
+		}
+		if n >= 2 && a.win.P != nil && !a.grouped {
+			v := &regVal{fe: &grouping{x: a, y: b, op: op.ListOp, strict: op.Strict}, grouped: true, gran: p.Gran}
+			v.view(op.Pat)
+			return v, nil
+		}
+	case OpSelect:
+		if a.fe != nil && len(a.sel.Items) == 0 && a.cal == nil {
+			v := &regVal{fe: a.fe, sel: op.Sel, grouped: !op.Sel.Single(), gran: p.Gran}
+			v.view(op.Pat)
+			return v, nil
+		}
+		if a.cal == nil && a.listed() {
+			return eager(selectPattern(op.Sel, a)), nil
+		}
+	case OpIntersect:
+		// A point window cut to b is its points inside b's coverage: a walk
+		// over the coverage's runs, or over b's elements if b is a disjoint
+		// window.
+		if a.win.P == nil || !a.win.P.Points() {
+			break
+		}
+		if b, err = getVal(op.B); err != nil {
+			return nil, err
+		}
+		var ny int
+		var ys func(int) interval.Interval
+		if b.listed() && b.win.P.Disjoint() {
+			ny, ys, _ = b.elements() // a listed value's cannot fail
+		} else {
+			bc, err := b.materialize()
 			if err != nil {
 				return nil, err
 			}
-			v = eager(c)
+			runs := bc.Flatten().ToSet().Intervals()
+			ny, ys = len(runs), func(i int) interval.Interval { return runs[i] }
 		}
-		st.genCache[key] = v
-		return v, nil
-	case OpSelect:
-		v, err := getVal(op.A)
+		return eager(calendar.Picked(p.Gran, a.win.Groups(ny, ys, interval.During, false, nil, nil))), nil
+	case OpDiff:
+		// A disjoint point window less a point list is the window with those
+		// points as exceptions.
+		if a.win.P == nil || !a.win.P.Points() || !a.win.P.Disjoint() || len(a.win.Except) > 0 {
+			break
+		}
+		bc, err := get(op.B)
 		if err != nil {
 			return nil, err
 		}
-		if v.cal == nil && v.pat != nil {
-			if c, ok := selectPattern(op.Sel, v); ok {
-				return eager(c), nil
-			}
+		if exc, ok := pointList(bc.Flatten()); ok {
+			w := a.win
+			w.Except = exc
+			return &regVal{win: w, gran: p.Gran}, nil
 		}
-		c, err := calendar.Select(op.Sel, v.materialize())
-		if err != nil {
-			return nil, err
-		}
-		return eager(c), nil
 	}
 	c, err := p.execOp(env, vars, st, op, get)
 	if err != nil {
@@ -143,54 +247,56 @@ func (p *Plan) execVal(env *Env, vars map[string]*calendar.Calendar, st *execSta
 	return eager(c), nil
 }
 
+// pointList returns an order-1 calendar's elements when they are strictly
+// ascending single ticks: an exception list.
+func pointList(c *calendar.Calendar) ([]interval.Interval, bool) {
+	ivs := c.Intervals()
+	for i, iv := range ivs {
+		if iv.Lo != iv.Hi || i > 0 && ivs[i-1].Lo >= iv.Lo {
+			return nil, false
+		}
+	}
+	return ivs, true
+}
+
 // patternValue answers an OpGenerate with the pair's exact all-time pattern,
 // left unexpanded for the consumer, when the environment shares work across
 // evaluations: the pattern is the symbolic memo's entry for the pair, built
 // once per (epoch, of, gran) and process, and every later window of the pair
 // — from any evaluation and tenant — is a hit. A self-contained environment
-// (no shared cache, or sharing disabled) generates every window directly.
+// (no shared cache, or sharing disabled) generates every window directly, and
+// so never holds a lazy value: it is the executor's eager oracle.
 func (p *Plan) patternValue(env *Env, op Op) (*regVal, bool) {
-	if env.Mat == nil || env.DisableSharing {
+	if !lazyEnv(env) {
 		return nil, false
 	}
 	pat, ok := symbolic.Basic(env.Chron, op.Of, p.Gran)
 	if !ok {
 		return nil, false
 	}
-	return &regVal{pat: pat, win: op.Win, gran: p.Gran}, true
+	return &regVal{win: pat.Overlapping(op.Win), gran: p.Gran}, true
 }
 
-// selectPattern answers a selection over a pattern-backed generation by
-// index arithmetic: the cardinality of the window and each selected element
-// are O(1) pattern lookups, so [k]-style predicates never materialize the
-// list they select from. Returns ok=false to fall back to the materialized
-// path (bad predicate, or a window too large to index with int).
-func selectPattern(sel calendar.Selection, v *regVal) (*calendar.Calendar, bool) {
-	if err := sel.Check(); err != nil {
-		return nil, false
+// lazyEnv reports whether an environment evaluates from patterns: it has a
+// shared cache and shares work.
+func lazyEnv(env *Env) bool { return env.Mat != nil && !env.DisableSharing }
+
+// selectPattern answers an order-1 selection over a listed window by index
+// arithmetic — the window is one group, walked — so [k]-style predicates never
+// materialize the list they select from.
+func selectPattern(sel calendar.Selection, v *regVal) *calendar.Calendar {
+	var ivs []interval.Interval
+	if w := v.win; w.First <= w.Last {
+		hull := interval.Interval{Lo: w.P.Interval(w.First).Lo, Hi: w.P.Interval(w.Last).Hi}
+		ivs = w.Groups(1, func(int) interval.Interval { return hull }, interval.Overlaps, false, sel.Indices, nil)
 	}
-	first, last, ok := v.pat.IndexRange(v.win)
-	if !ok {
-		return calendar.Empty(v.gran), true
-	}
-	n := last - first + 1
-	if n <= 0 || n > math.MaxInt32 {
-		return nil, false
-	}
-	idx := sel.Indices(int(n))
-	ivs := make([]interval.Interval, 0, len(idx))
-	for _, i := range idx {
-		ivs = append(ivs, v.pat.Interval(first+int64(i)))
-	}
-	c, err := calendar.FromIntervals(v.gran, ivs)
-	if err != nil {
-		return nil, false
-	}
-	return c, true
+	return calendar.Picked(v.gran, ivs)
 }
 
 func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execState, op Op, get func(Reg) (*calendar.Calendar, error)) (*calendar.Calendar, error) {
 	switch op.Kind {
+	case OpGenerate:
+		return calendar.GenerateFull(env.Chron, op.Of, p.Gran, op.Win.Lo, op.Win.Hi)
 	case OpGenerateCall:
 		c, err := calendar.Generate(env.Chron, op.Of, op.In, op.Win.Lo, op.Win.Hi)
 		if err != nil {
@@ -304,6 +410,12 @@ func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execStat
 			return nil, err
 		}
 		return calendar.Foreach(a, op.ListOp, op.Strict, b)
+	case OpSelect:
+		a, err := get(op.A)
+		if err != nil {
+			return nil, err
+		}
+		return calendar.Select(op.Sel, a)
 	case OpIntersect:
 		return binSet(op, get, calendar.Intersect)
 	case OpUnion:

@@ -52,7 +52,7 @@ func anchorFree(cat Catalog, e callang.Expr) bool {
 		if callang.IsToday(n.Name) {
 			return false
 		}
-		if _, err := chronology.ParseGranularity(n.Name); err == nil {
+		if _, ok := chronology.LookupGranularity(n.Name); ok {
 			return true
 		}
 		// Anything else is an opaque derived calendar (a script that
@@ -112,7 +112,7 @@ func exprOrder(e callang.Expr) int {
 // answers are only served below it.
 func exprSlack(e callang.Expr) int64 {
 	if id, ok := e.(*callang.Ident); ok {
-		if g, err := chronology.ParseGranularity(id.Name); err == nil {
+		if g, ok := chronology.LookupGranularity(id.Name); ok {
 			return chronology.MaxUnitSeconds(g)
 		}
 		if callang.IsToday(id.Name) {

@@ -14,6 +14,7 @@ import (
 	"calsys/internal/core/callang"
 	"calsys/internal/core/interval"
 	"calsys/internal/core/matcache"
+	"calsys/internal/core/periodic"
 )
 
 // Catalog resolves calendar names for compilation and execution. The
@@ -54,7 +55,7 @@ func (m *MapCatalog) DerivationOf(name string) (*callang.Script, bool) {
 
 // ElemKindOf implements Catalog.
 func (m *MapCatalog) ElemKindOf(name string) (chronology.Granularity, bool) {
-	if g, err := chronology.ParseGranularity(name); err == nil {
+	if g, ok := chronology.LookupGranularity(name); ok {
 		return g, true
 	}
 	g, ok := m.Kinds[name]
@@ -116,8 +117,9 @@ type Env struct {
 	DisableFactorization bool
 	// DisableSharing turns off common-subexpression sharing (the paper's
 	// "mark any calendar that is encountered more than once to avoid
-	// generating values of the calendar unnecessarily") and the per-run
-	// generation cache; used by the ablation benchmarks.
+	// generating values of the calendar unnecessarily") and evaluation from
+	// patterns, so the executor materializes every register: its eager
+	// oracle, and the ablation benchmarks' arm.
 	DisableSharing bool
 	// DisableSymbolic turns off the whole-expression symbolic pattern
 	// calculus in the scheduler (compositions answered by closed-form
@@ -172,6 +174,11 @@ type Op struct {
 	Sel    calendar.Selection     // Select
 	Counts []int                  // Caloperate
 	Lit    *calendar.Calendar     // Const
+	// Pat is the symbolic memo's pattern of the flattened value of a maximal
+	// basic-only sub-tree rooted at a Foreach or Select (nil otherwise, and
+	// in a self-contained environment): the window the executor reads that
+	// value from (regVal.view).
+	Pat *periodic.Pattern
 }
 
 // Plan is a compiled evaluation plan: the eval-plan column of the CALENDARS

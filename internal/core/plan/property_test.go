@@ -64,7 +64,10 @@ func dayLeaf(rng *rand.Rand) string {
 	return []string{"HOLIDAYS", "points(31, 59, 90, DAYS)", "[2]/DAYS:during:WEEKS"}[rng.Intn(3)]
 }
 
-// propEnv builds the environment used by the equivalence properties.
+// propEnv builds the environment used by the equivalence properties: the
+// stored point calendars HOLIDAYS and EXC. EXC's points fall on weekends, on
+// the edges of weeks, months and quarters, and on both sides of tick 0 (the
+// 1987 epoch), years apart.
 func propEnv(t testing.TB) *Env {
 	t.Helper()
 	env, cat := env1987(t)
@@ -74,6 +77,19 @@ func propEnv(t testing.TB) *Env {
 	}
 	cat.Stored["HOLIDAYS"] = hol
 	cat.Kinds["HOLIDAYS"] = chronology.Day
+	var pts []chronology.Tick
+	for y := 1984; y <= 1996; y++ {
+		for _, md := range [][2]int{{1, 1}, {3, 31}, {4, 1}, {6, 30}, {7, 4}, {9, 13}, {12, 31}} {
+			c := d(y, md[0], md[1])
+			pts = append(pts, env.Chron.DayTick(c), env.Chron.DayTick(c.AddDays(int64(y%7))))
+		}
+	}
+	exc, err := calendar.FromPoints(chronology.Day, append(pts, -1, 1, 2, -2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Stored["EXC"] = exc
+	cat.Kinds["EXC"] = chronology.Day
 	return env
 }
 
@@ -166,7 +182,7 @@ func TestEvaluateDeterministicProperty(t *testing.T) {
 	}
 }
 
-// Sharing (CSE + generation cache) must not change semantics either.
+// Sharing (CSE + evaluation from patterns) must not change semantics either.
 func TestSharingEquivalenceProperty(t *testing.T) {
 	env := propEnv(t)
 	envOff := *env
@@ -271,7 +287,7 @@ func TestGenerateOpsMatchGenerateFull(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", op, err)
 			}
-			if got := calendar.ExpandPattern(p.Gran, pat, op.Win); !got.Equal(want) {
+			if got := calendar.ExpandWindow(p.Gran, pat.Overlapping(op.Win)); !got.Equal(want) {
 				t.Fatalf("%s:\n pattern      %v\n GenerateFull %v", op, got, want)
 			}
 		}
@@ -310,13 +326,10 @@ func TestSelectPatternMatchesMaterializedSelect(t *testing.T) {
 				Lo: chronology.TickFromOffset(lo),
 				Hi: chronology.TickFromOffset(lo + int64(rng.Intn(900))),
 			}
-			v := &regVal{pat: pat, win: win, gran: pr[1]}
-			mat := calendar.ExpandPattern(pr[1], pat, win)
+			v := &regVal{win: pat.Overlapping(win), gran: pr[1]}
+			mat := calendar.ExpandWindow(pr[1], pat.Overlapping(win))
 			for _, sel := range sels {
-				got, ok := selectPattern(sel, v)
-				if !ok {
-					t.Fatalf("%v of %v in %v over %v: selectPattern refused", sel, pr[0], pr[1], win)
-				}
+				got := selectPattern(sel, v)
 				want, err := calendar.Select(sel, mat)
 				if err != nil {
 					t.Fatal(err)
@@ -356,5 +369,124 @@ func TestSharingReducesOps(t *testing.T) {
 	}
 	if pOn.GenerateCost() >= pOff.GenerateCost() {
 		t.Errorf("shared cost %d should be below unshared %d", pOn.GenerateCost(), pOff.GenerateCost())
+	}
+}
+
+// genWalkExpr builds the expressions the executor answers lazily — a point
+// list, possibly less a stored one, grouped by a generated or a caloperate
+// calendar and selected from, or intersected — among genExpr's.
+func genWalkExpr(rng *rand.Rand) string {
+	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
+	x := pick("[1,2,3,4,5]/DAYS:during:WEEKS", "[5]/DAYS:during:WEEKS", "DAYS", "DAYS:during:WEEKS",
+		"WEEKS", "[1]/WEEKS:overlaps:MONTHS", "[2,4]/DAYS:overlaps:MONTHS")
+	if rng.Intn(3) > 0 {
+		x = "(" + x + ") - " + pick("EXC", "HOLIDAYS", "points(31, 59, 90, DAYS)", "[1]/DAYS:during:MONTHS",
+			"interval(3000, 3010, DAYS)", "[2]/WEEKS:during:MONTHS")
+	}
+	y := pick("MONTHS", "WEEKS", "YEARS", "caloperate(MONTHS, 3)", "caloperate(WEEKS, 2)", "[1]/WEEKS:overlaps:MONTHS", "EXC")
+	switch rng.Intn(6) {
+	case 0:
+		return fmt.Sprintf("(%s):intersects:(%s)", x, pick("[1]/WEEKS:overlaps:MONTHS", "EXC", "[n]/DAYS:during:MONTHS", "WEEKS"))
+	case 1:
+		return genExpr(rng, 3)
+	}
+	op := pick(":during:", ":overlaps:", ".overlaps.", ":during:", ":meets:", ":<:", ":<=:")
+	sel := pick("[1]", "[n]", "[-2]", "[2,4]", "[1-3]")
+	return fmt.Sprintf("%s/(%s)%s(%s)", sel, x, op, y)
+}
+
+// evalBoth compiles src over [from, to] once and runs the plan lazily (env,
+// with a cache) and under DisableSharing, the executor's eager oracle. It
+// reports whether the expression evaluated.
+func evalBoth(t testing.TB, env *Env, src string, from, to chronology.Civil) bool {
+	e, err := callang.ParseExpr(src)
+	if err != nil {
+		t.Fatalf("generated expression %q does not parse: %v", src, err)
+	}
+	p, err := CompileExpr(env, e, nil, from, to)
+	if err != nil {
+		return false
+	}
+	off := *env
+	off.DisableSharing = true
+	a, errA := p.Exec(env, nil)
+	b, errB := p.Exec(&off, nil)
+	if (errA == nil) != (errB == nil) {
+		t.Fatalf("%q over %v..%v: lazy err=%v, eager err=%v", src, from, to, errA, errB)
+	}
+	if errA == nil && !a.Equal(b) {
+		t.Fatalf("%q over %v..%v:\n lazy  %v\n eager %v", src, from, to, a, b)
+	}
+	return errA == nil
+}
+
+// The lazy executor — windows with exceptions, basic-only sub-trees read from
+// the memo, selections and intersections walked group by group — must return
+// what the eager one does, Equal (order, groups and all), not just the same
+// point set: on stored point operands and across tick 0.
+func TestLazyMatchesEagerProperty(t *testing.T) {
+	env := propEnv(t)
+	env.Mat = matcache.New(0)
+	rng := rand.New(rand.NewSource(33))
+	checked := 0
+	for i := 0; i < 600; i++ {
+		from := d(1984+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(28))
+		if evalBoth(t, env, genWalkExpr(rng), from, from.AddDays(int64(20+rng.Intn(2500)))) {
+			checked++
+		}
+	}
+	if checked < 300 {
+		t.Fatalf("only %d of 600 generated expressions evaluated", checked)
+	}
+}
+
+// FuzzGroupWalk compares the lazy and the eager executor on generated
+// expressions over fuzzed windows.
+func FuzzGroupWalk(f *testing.F) {
+	env := propEnv(f)
+	env.Mat = matcache.New(0)
+	f.Add(int64(1), 0, 365)
+	f.Add(int64(7), 800, 40)
+	f.Add(int64(42), -400, 3000)
+	f.Fuzz(func(t *testing.T, seed int64, start, span int) {
+		from := d(1987, 1, 1).AddDays(int64(start % 5000))
+		evalBoth(t, env, genWalkExpr(rand.New(rand.NewSource(seed))), from, from.AddDays(int64(span%4000+4000)%4000))
+	})
+}
+
+// A grouping's flattened window is the lowered pattern's elements inside the
+// hull of y's window only when x holds every member of y's end groups: a
+// window of x cut short of them keeps the value a grouping, and the walk then
+// answers from what x holds.
+func TestViewNeedsWholeGroups(t *testing.T) {
+	ch := chronology.MustNew(chronology.DefaultEpoch)
+	days, _ := symbolic.Basic(ch, chronology.Day, chronology.Day)
+	weeks, _ := symbolic.Basic(ch, chronology.Week, chronology.Day)
+	e, err := callang.ParseExpr("[1,2,3,4,5]/DAYS:during:WEEKS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, ok := symbolic.Eval(ch, nil, e, chronology.Day)
+	if !ok {
+		t.Fatal("weekdays do not lower")
+	}
+	y := &regVal{win: weeks.Overlapping(interval.Interval{Lo: 100, Hi: 200}), gran: chronology.Day}
+	for _, tc := range []struct {
+		x    interval.Interval
+		view bool
+	}{{interval.Interval{Lo: 90, Hi: 210}, true}, {interval.Interval{Lo: 100, Hi: 200}, false}} {
+		x := &regVal{win: days.Overlapping(tc.x), gran: chronology.Day}
+		v := &regVal{fe: &grouping{x: x, y: y, op: interval.During, strict: true}, sel: calendar.SelectList(1, 2, 3, 4, 5), grouped: true, gran: chronology.Day}
+		v.view(pat)
+		if (v.win.P != nil) != tc.view {
+			t.Fatalf("x over %v: view %v, want %v", tc.x, v.win.P != nil, tc.view)
+		}
+		got, err := v.materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.win.P != nil && !calendar.ExpandWindow(chronology.Day, v.win).Equal(got.Flatten()) {
+			t.Fatalf("x over %v: the view is not the flattened value", tc.x)
+		}
 	}
 }
