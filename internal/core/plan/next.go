@@ -1,31 +1,24 @@
 // next.go implements the next-instant kernel: "when does this calendar fire
-// next?" answered without materializing the whole lookahead window whenever
-// the expression's shape allows it.
+// next?" answered without materializing the lookahead window whenever the
+// expression's shape allows it.
 //
-// Strategy, in order of preference:
+// Two rungs:
 //
-//  1. Infinite pattern. A prepared expression the symbolic calculus lowers
-//     — a basic calendar, or a composition of them — maps to its exact
-//     periodic.Pattern; NextAfter answers in O(log spans) arithmetic for
-//     any instant, forever.
-//  2. Cached probe. Window-anchor-free expressions with no symbolic form
-//     (anything over a stored calendar such as HOLIDAYS) evaluate once over
-//     the full horizon; the sorted element starts are cached and subsequent
-//     queries answer by O(log n) search until they near the cached window's
-//     end, where generation-edge effects begin and a fresh probe re-anchors
-//     the cache.
-//  3. Full window. Everything else — caloperate grouping, order-1
-//     selections (they index the windowed list itself, so they are anchored
-//     at the probe instant), before/<= foreach, opaque derived calendars,
-//     `today` — evaluates the full horizon window exactly like the seed
-//     nextTrigger path, so genuinely aperiodic calendars keep their
-//     semantics bit-for-bit. This rung is the definition the other two are
-//     tested against.
+//  1. Pattern. A prepared expression the symbolic calculus lowers — a basic
+//     calendar, or a composition of them — maps to its exact
+//     periodic.Pattern; NextAfter answers in O(log spans) arithmetic for any
+//     instant, forever. One it proves empty is dormant: never, at no cost.
+//  2. Full window. Everything else — anything over a stored calendar such
+//     as HOLIDAYS, caloperate grouping, order-1 selections, before/<=
+//     foreach, opaque derived calendars, `today` — evaluates the full
+//     horizon window exactly like the seed nextTrigger path and scans for
+//     the first start after the query. This rung is the definition the
+//     pattern rung is tested against, and Configure's forceWindowed switch
+//     sends every query to it.
 package plan
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"calsys/internal/chronology"
@@ -41,100 +34,10 @@ import (
 // LookaheadDays default).
 const DefaultHorizonDays = 730
 
-// anchorFree reports whether a prepared (inlined + factorized) expression's
-// elements are intrinsic to the timeline — the materialization of a window is
-// independent of where the window starts, so one probe's result can serve
-// queries at any later instant it covers. Anything unrecognized is anchored,
-// which routes every query through the seed full-window path.
-func anchorFree(cat Catalog, e callang.Expr) bool {
-	switch n := e.(type) {
-	case *callang.Ident:
-		if callang.IsToday(n.Name) {
-			return false
-		}
-		if _, ok := chronology.LookupGranularity(n.Name); ok {
-			return true
-		}
-		// Anything else is an opaque derived calendar (a script that
-		// branches, waits or alerts) or an unknown name: its script may read
-		// today or wait on the clock.
-		_, stored := cat.StoredCalendar(n.Name)
-		return stored
-	case *callang.Number, *callang.StringLit:
-		return true
-	case *callang.LabelSelExpr:
-		return anchorFree(cat, n.X)
-	case *callang.ForeachExpr:
-		switch n.Op {
-		case interval.Before, interval.BeforeEquals:
-			// Elements reach back to the window's start.
-			return false
-		}
-		return anchorFree(cat, n.X) && anchorFree(cat, n.Y)
-	case *callang.IntersectExpr:
-		return anchorFree(cat, n.X) && anchorFree(cat, n.Y)
-	case *callang.BinExpr:
-		return anchorFree(cat, n.X) && anchorFree(cat, n.Y)
-	case *callang.SelectExpr:
-		// Per-group selection: each group is an intrinsic unit (the third
-		// Friday of a month does not care where the window starts). An
-		// order-1 selection indexes the windowed list itself.
-		return exprOrder(n.X) >= 2 && anchorFree(cat, n.X)
-	case *callang.CallExpr:
-		// caloperate groups count off from the window's first element.
-		return n.Name == "interval" || n.Name == "points" || n.Name == "generate"
-	}
-	return false
-}
-
-// exprOrder estimates the order of an expression's value — whether selection
-// over it applies per sub-group (order ≥ 2) or to the windowed list itself.
-func exprOrder(e callang.Expr) int {
-	switch n := e.(type) {
-	case *callang.ForeachExpr:
-		return 2
-	case *callang.SelectExpr:
-		if n.Pred.Single() {
-			return 1 // single selection collapses one level
-		}
-		return exprOrder(n.X)
-	case *callang.CallExpr:
-		if n.Name == "caloperate" {
-			return 2
-		}
-	}
-	return 1
-}
-
-// exprSlack bounds the generation-edge effects of one windowed evaluation:
-// elements within this many seconds of the window's end may differ from what
-// a longer window yields (straddling units, groups cut short), so cached
-// answers are only served below it.
-func exprSlack(e callang.Expr) int64 {
-	if id, ok := e.(*callang.Ident); ok {
-		if g, ok := chronology.LookupGranularity(id.Name); ok {
-			return chronology.MaxUnitSeconds(g)
-		}
-		if callang.IsToday(id.Name) {
-			return 0
-		}
-		// Stored or derived calendars hold absolute values; allow a year of
-		// straddle for their elements.
-		return chronology.MaxUnitSeconds(chronology.Year)
-	}
-	var max int64
-	for _, c := range e.Children() {
-		if s := exprSlack(c); s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // A Scheduler answers next-instant queries for one prepared expression. It
 // is safe for concurrent use; the rules engine shares one Scheduler among
-// all rules over the same prepared plan (shared-plan fan-out), so the probe
-// cost below is paid once per plan, not once per rule.
+// all rules over the same prepared plan (shared-plan fan-out), so a query is
+// paid once per plan, not once per rule.
 type Scheduler struct {
 	env     *Env
 	prepped callang.Expr
@@ -143,8 +46,6 @@ type Scheduler struct {
 	mu            sync.Mutex
 	horizonDays   int64
 	forceWindowed bool
-	anchorFree    bool
-	slack         int64
 	probes        int64 // windowed evaluations performed
 
 	// plan is the last plan compiled, over planWin; PlanString renders it.
@@ -159,13 +60,6 @@ type Scheduler struct {
 	// dormant marks an expression the symbolic calculus proved empty on
 	// every window: NextAfter answers ok=false without ever evaluating.
 	dormant bool
-
-	// Anchor-free probe cache: the sorted element start ticks of the horizon
-	// materialized at anchor.
-	starts    []chronology.Tick
-	anchor    int64 // epoch second the cached probe was anchored at
-	safeThru  int64 // serve cached answers at or before this instant
-	haveCache bool
 }
 
 // NewScheduler builds a scheduler for a prepared expression (the output of
@@ -179,32 +73,27 @@ func NewScheduler(env *Env, prepped callang.Expr, gran chronology.Granularity) *
 		gran:        gran,
 		horizonDays: DefaultHorizonDays,
 	}
-	s.anchorFree = anchorFree(env.Cat, prepped)
-	s.slack = 2 * exprSlack(prepped)
-	if !env.DisableSymbolic {
-		// Whole-expression symbolic lowering: basic calendars and their
-		// compositions (selections over groupings, unions, differences) get
-		// an arithmetic-only path, and provably-empty expressions never probe.
-		if p, ok := symbolic.Eval(env.Chron, env.Cat, prepped, gran); ok {
-			if p == nil {
-				s.dormant = true
-			} else {
-				s.exact = p
-			}
+	// Whole-expression symbolic lowering: basic calendars and their
+	// compositions (selections over groupings, unions, differences) get an
+	// arithmetic-only path, and provably-empty expressions never probe.
+	if p, ok := symbolic.Eval(env.Chron, env.Cat, prepped, gran); ok {
+		if p == nil {
+			s.dormant = true
+		} else {
+			s.exact = p
 		}
 	}
 	return s
 }
 
 // Configure sets the lookahead horizon in days (≤ 0 keeps the current value)
-// and the windowed-ablation switch, under which every query evaluates the
-// full horizon window — the seed behavior.
+// and the scheduler's one ablation switch, under which every query evaluates
+// the full horizon window — the seed behavior.
 func (s *Scheduler) Configure(horizonDays int64, forceWindowed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if horizonDays > 0 && horizonDays != s.horizonDays {
+	if horizonDays > 0 {
 		s.horizonDays = horizonDays
-		s.haveCache, s.starts = false, nil
 	}
 	s.forceWindowed = forceWindowed
 }
@@ -221,7 +110,7 @@ func (s *Scheduler) PlanString() string {
 }
 
 // Probes reports how many windowed evaluations the scheduler has run — the
-// work the kernel amortizes away.
+// work the pattern rung avoids.
 func (s *Scheduler) Probes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -264,47 +153,19 @@ func (s *Scheduler) NextAfter(after int64) (at int64, ok bool, err error) {
 		}
 		return ch.UnitStart(s.gran, t), true, nil
 	}
-	if s.anchorFree {
-		if at, ok, hit := s.cachedNext(after, ch.TickAt(s.gran, after)); hit {
-			return at, ok, nil
-		}
-	}
-	return s.probeWindow(after, hwin) // re-anchors the cache when anchor-free
-}
-
-// cachedNext serves a query from the cached probe. hit=false falls through
-// to a fresh probe.
-func (s *Scheduler) cachedNext(after int64, afterTick chronology.Tick) (at int64, ok, hit bool) {
-	if !s.haveCache || after < s.anchor {
-		return 0, false, false
-	}
-	i := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] > afterTick })
-	if i == len(s.starts) {
-		return 0, false, false
-	}
-	at = s.env.Chron.UnitStart(s.gran, s.starts[i])
-	if at > s.safeThru {
-		// Too close to the cached window's end: edge effects possible.
-		return 0, false, false
-	}
-	return at, true, true
+	return s.probeWindow(after, hwin)
 }
 
 // probeWindow evaluates the expression over one window and scans for the
-// minimum start strictly after `after` — the seed path. For an anchor-free
-// expression the materialization is also cached for subsequent queries.
+// minimum start strictly after `after` — the seed path.
 func (s *Scheduler) probeWindow(after int64, win interval.Interval) (int64, bool, error) {
 	cal, err := s.eval(win)
 	if err != nil {
 		return 0, false, err
 	}
 	ch := s.env.Chron
-	ivs := cal.Flatten().Intervals()
-	if !s.forceWindowed && s.anchorFree {
-		s.fillCache(after, win, ivs)
-	}
 	best, ok := int64(math.MaxInt64), false
-	for _, iv := range ivs {
+	for _, iv := range cal.Flatten().Intervals() {
 		if at := ch.UnitStart(s.gran, iv.Lo); at > after && at < best {
 			best, ok = at, true
 		}
@@ -337,18 +198,6 @@ func (s *Scheduler) compile(win interval.Interval) (*Plan, error) {
 	}
 	s.plan, s.planWin = p, win
 	return p, nil
-}
-
-// fillCache stores the sorted element starts of a probe's materialization.
-func (s *Scheduler) fillCache(after int64, win interval.Interval, ivs []interval.Interval) {
-	starts := make([]chronology.Tick, len(ivs))
-	for i, iv := range ivs {
-		starts[i] = iv.Lo
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	s.starts, s.haveCache = starts, true
-	s.anchor = after
-	s.safeThru = s.env.Chron.UnitStart(s.gran, win.Hi) - s.slack
 }
 
 // NextInstant answers "first instant strictly after `after`" for a prepared

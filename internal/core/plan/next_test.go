@@ -8,13 +8,15 @@ import (
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
+	"calsys/internal/core/matcache"
 )
 
-// nextTestExprs covers every kernel path: exact infinite patterns (basic
-// calendars and the compositions that lower), the cached probe (anchor-free
-// expressions over a stored calendar), and the full-window rung (caloperate
-// grouping, end-relative selections, and order-1 selections over a basic
-// calendar, which are anchored at the probe instant and have no symbolic form).
+// nextTestExprs covers both rungs of the kernel: exact patterns (basic
+// calendars and the compositions that lower) and the full-window rung, which
+// takes everything else — expressions over a stored calendar (among them
+// business days less holidays, which the executor keeps as a pattern with
+// exceptions and selects from by walking groups), caloperate grouping,
+// end-relative selections, and order-1 selections over a basic calendar.
 var nextTestExprs = []string{
 	"DAYS",
 	"WEEKS",
@@ -37,22 +39,35 @@ var nextTestExprs = []string{
 	"[1,5]/DAYS",
 	"[40]/WEEKS",
 	"[30]/MONTHS",
+	"[n]/(([1,2,3,4,5]/DAYS:during:WEEKS) - HOLS):during:MONTHS",
+	"[1]/(([1,2,3,4,5]/DAYS:during:WEEKS) - HOLS):during:WEEKS",
 }
 
 // nextPropEnv is the catalog for the next-instant properties: one derived
 // calendar the preparer inlines and one stored calendar with absolute
-// elements.
+// elements. Three of them are weekdays the business-day selections of
+// nextTestExprs pick: Thursday 1992-12-31 (2192) and Monday 1993-05-31 (2343)
+// end their months, and Monday 1993-01-04 (2196) starts its week.
 func nextPropEnv(t testing.TB) *Env {
 	t.Helper()
 	env, cat := env1987(t)
 	defineScript(t, cat, "Mondays", "[1]/DAYS:during:WEEKS;", chronology.Day)
-	hol, err := calendar.FromPoints(chronology.Day, []chronology.Tick{31, 390, 1126, 2250, 2990, 3330})
+	hol, err := calendar.FromPoints(chronology.Day, []chronology.Tick{31, 390, 1126, 2192, 2196, 2250, 2343, 2990, 3330})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat.Stored["HOLS"] = hol
 	cat.Kinds["HOLS"] = chronology.Day
 	return env
+}
+
+// nextEnvs splits a property environment into the two sides of the kernel
+// properties: the kernel runs on a shared materialization cache, as every
+// product scheduler does (so the executor's registers stay lazy), and the
+// windowed reference runs the eager oracle.
+func nextEnvs(env *Env) (kernel, ref *Env) {
+	return &Env{Chron: env.Chron, Cat: env.Cat, Mat: matcache.New(1 << 20), MatScope: "next"},
+		&Env{Chron: env.Chron, Cat: env.Cat, DisableSharing: true}
 }
 
 func prepFor(t testing.TB, env *Env, src string) (callang.Expr, chronology.Granularity) {
@@ -71,6 +86,7 @@ func prepFor(t testing.TB, env *Env, src string) (callang.Expr, chronology.Granu
 // nextTrigger), and the one-shot NextInstant must agree with both.
 func TestNextAfterMatchesWindowedMinimum(t *testing.T) {
 	env := nextPropEnv(t)
+	kenv, renv := nextEnvs(env)
 	ch := env.Chron
 	const horizonDays = 140
 	base := ch.EpochSecondsOf(d(1991, 1, 1))
@@ -78,9 +94,9 @@ func TestNextAfterMatchesWindowedMinimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for _, src := range nextTestExprs {
 		prepped, gran := prepFor(t, env, src)
-		kern := NewScheduler(env, prepped, gran)
+		kern := NewScheduler(kenv, prepped, gran)
 		kern.Configure(horizonDays, false)
-		ref := NewScheduler(env, prepped, gran)
+		ref := NewScheduler(renv, prepped, gran)
 		ref.Configure(horizonDays, true)
 		for i := 0; i < 1000; i++ {
 			after := base + rng.Int63n(span)
@@ -101,7 +117,7 @@ func TestNextAfterMatchesWindowedMinimum(t *testing.T) {
 			}
 			// Subsample the one-shot form (a fresh Scheduler per call).
 			if i%97 == 0 {
-				one, ook, err := NextInstant(env, prepped, gran, after, horizonDays)
+				one, ook, err := NextInstant(kenv, prepped, gran, after, horizonDays)
 				if err != nil {
 					t.Fatalf("%q: NextInstant(%d): %v", src, after, err)
 				}
@@ -116,16 +132,18 @@ func TestNextAfterMatchesWindowedMinimum(t *testing.T) {
 
 // Walking forward through consecutive answers (the firing pattern DBCRON
 // drives) must also match the seed path: each answer feeds the next query, so
-// cache re-anchoring and the safeThru edge are crossed repeatedly.
+// the walk crosses group, month and year boundaries and the stored holidays,
+// and the kernel's cached plan is re-compiled over each new window.
 func TestNextAfterForwardWalk(t *testing.T) {
 	env := nextPropEnv(t)
+	kenv, renv := nextEnvs(env)
 	ch := env.Chron
 	const horizonDays = 140
 	for _, src := range nextTestExprs {
 		prepped, gran := prepFor(t, env, src)
-		kern := NewScheduler(env, prepped, gran)
+		kern := NewScheduler(kenv, prepped, gran)
 		kern.Configure(horizonDays, false)
-		ref := NewScheduler(env, prepped, gran)
+		ref := NewScheduler(renv, prepped, gran)
 		ref.Configure(horizonDays, true)
 		at := ch.EpochSecondsOf(d(1992, 11, 15))
 		for step := 0; step < 200; step++ {
@@ -154,11 +172,17 @@ func TestNextAfterForwardWalk(t *testing.T) {
 // runs this package under -race).
 func TestNextAfterConcurrentSharedScheduler(t *testing.T) {
 	env := nextPropEnv(t)
+	kenv, renv := nextEnvs(env)
 	ch := env.Chron
 	const horizonDays = 140
 	base := ch.EpochSecondsOf(d(1992, 1, 1))
 	span := ch.EpochSecondsOf(d(1995, 1, 1)) - base
-	for _, src := range []string{"[2]/DAYS:during:WEEKS", "[n]/DAYS:during:MONTHS", "[n]/DAYS:during:caloperate(MONTHS, 3)"} {
+	for _, src := range []string{
+		"[2]/DAYS:during:WEEKS",
+		"[n]/DAYS:during:MONTHS",
+		"[n]/DAYS:during:caloperate(MONTHS, 3)",
+		"[n]/(([1,2,3,4,5]/DAYS:during:WEEKS) - HOLS):during:MONTHS",
+	} {
 		prepped, gran := prepFor(t, env, src)
 
 		// Precompute reference answers sequentially.
@@ -166,7 +190,7 @@ func TestNextAfterConcurrentSharedScheduler(t *testing.T) {
 		afters := make([]int64, 200)
 		wants := make([]int64, len(afters))
 		woks := make([]bool, len(afters))
-		ref := NewScheduler(env, prepped, gran)
+		ref := NewScheduler(renv, prepped, gran)
 		ref.Configure(horizonDays, true)
 		for i := range afters {
 			afters[i] = base + rng.Int63n(span)
@@ -177,7 +201,7 @@ func TestNextAfterConcurrentSharedScheduler(t *testing.T) {
 			wants[i], woks[i] = w, ok
 		}
 
-		shared := NewScheduler(env, prepped, gran)
+		shared := NewScheduler(kenv, prepped, gran)
 		shared.Configure(horizonDays, false)
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -239,9 +263,9 @@ func TestNextAfterAmortizesProbes(t *testing.T) {
 }
 
 // Compositions the symbolic calculus can lower get the same arithmetic-only
-// exact rung as basic calendars: zero probes, ever. DisableSymbolic restores
-// the probing paths with identical answers — the ablation the benchmarks
-// measure.
+// exact rung as basic calendars: zero probes, ever. Configure's forceWindowed
+// switch sends the same scheduler's queries to the full-window rung with
+// identical answers — the ablation the benchmarks measure.
 func TestSchedulerSymbolicExactAndAblation(t *testing.T) {
 	env := nextPropEnv(t)
 	ch := env.Chron
@@ -250,12 +274,8 @@ func TestSchedulerSymbolicExactAndAblation(t *testing.T) {
 	if s.exact == nil {
 		t.Fatal("composition did not lower to an exact pattern")
 	}
-
-	abl := &Env{Chron: env.Chron, Cat: env.Cat, DisableSymbolic: true}
-	sa := NewScheduler(abl, prepped, gran)
-	if sa.exact != nil {
-		t.Fatal("DisableSymbolic left an exact pattern in place")
-	}
+	sa := NewScheduler(env, prepped, gran)
+	sa.Configure(0, true)
 
 	at := ch.EpochSecondsOf(d(1993, 1, 1))
 	for i := 0; i < 52; i++ {
@@ -272,8 +292,8 @@ func TestSchedulerSymbolicExactAndAblation(t *testing.T) {
 	if p := s.Probes(); p != 0 {
 		t.Errorf("symbolic walk ran %d probes, want 0", p)
 	}
-	if p := sa.Probes(); p == 0 {
-		t.Error("ablated walk ran 0 probes; the knob did nothing")
+	if p := sa.Probes(); p != 52 {
+		t.Errorf("ablated walk ran %d probes, want one per query (52)", p)
 	}
 }
 

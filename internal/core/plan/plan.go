@@ -121,11 +121,6 @@ type Env struct {
 	// patterns, so the executor materializes every register: its eager
 	// oracle, and the ablation benchmarks' arm.
 	DisableSharing bool
-	// DisableSymbolic turns off the whole-expression symbolic pattern
-	// calculus in the scheduler (compositions answered by closed-form
-	// arithmetic instead of windowed probes); used by the ablation
-	// benchmarks.
-	DisableSymbolic bool
 }
 
 func (e *Env) maxWhile() int {

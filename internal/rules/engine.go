@@ -706,9 +706,10 @@ func (e *Engine) nextTrigger(r *temporalRule, now int64) (int64, *plan.Scheduler
 }
 
 // nextOn returns the first instant of a plan group strictly after now, or
-// noTrigger. Periodic expressions answer by pattern arithmetic, anchor-free
-// ones from the group's probe cache, and only genuinely aperiodic ones
-// evaluate a lookahead window (see plan/next.go).
+// noTrigger. Expressions with an exact pattern answer by arithmetic; every
+// other one evaluates the lookahead window (see plan/next.go), once per
+// group and not once per rule. DisableNextKernel sends every group to the
+// window.
 func (e *Engine) nextOn(sched *plan.Scheduler, now int64) (int64, error) {
 	sched.Configure(e.LookaheadDays, e.DisableNextKernel)
 	next, ok, err := sched.NextAfter(now)

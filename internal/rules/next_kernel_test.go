@@ -7,6 +7,7 @@ import (
 
 	"calsys/internal/caldb"
 	"calsys/internal/chronology"
+	"calsys/internal/core/calendar"
 	"calsys/internal/store"
 )
 
@@ -169,9 +170,9 @@ func TestSharedPlanFanOut(t *testing.T) {
 	if groups != len(exprs) {
 		t.Fatalf("after 60 days: %d plan groups, want %d", groups, len(exprs))
 	}
-	// 102 rules × ~20 firings each, all served by a few probes (one per
-	// group plus cache re-anchors); the seed path would have run one
-	// 730-day evaluation per firing.
+	// 102 rules × ~20 firings each, all served by a few probes (every
+	// expression here has an exact pattern); the seed path would have run
+	// one 730-day evaluation per firing.
 	if probes > 10 {
 		t.Errorf("fleet cost %d windowed probes, want <= 10", probes)
 	}
@@ -319,8 +320,10 @@ func TestRecomputeAllPullsTriggersEarlier(t *testing.T) {
 
 // The kernel is an optimization, not a semantics change: an engine on the
 // next-instant kernel and one forced onto the seed windowed path must drive
-// identical firing sequences across every expression class.
+// identical firing sequences across every expression class, among them the
+// last business day of each month less a stored holidays calendar.
 func TestKernelMatchesWindowedEngine(t *testing.T) {
+	const eom = "[n]/(([1,2,3,4,5]/DAYS:during:WEEKS) - holidays):during:MONTHS"
 	exprs := []string{
 		"DAYS",
 		"[2]/DAYS:during:WEEKS",
@@ -328,11 +331,21 @@ func TestKernelMatchesWindowedEngine(t *testing.T) {
 		"[n]/DAYS:during:caloperate(MONTHS, 3)",
 		"[1,3,5]/DAYS:during:WEEKS",
 		"[3]/WEEKS:overlaps:MONTHS",
+		eom,
 	}
 	run := func(disableKernel bool) map[string][]int64 {
 		eng, cal := newEngine(t)
 		eng.DisableNextKernel = disableKernel
 		ch := cal.Chron()
+		// Friday 1993-01-29 and Wednesday 1993-03-31 end their months;
+		// Monday 1993-02-15 does not.
+		hols, err := calendar.FromPoints(chronology.Day, []chronology.Tick{2221, 2238, 2282})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cal.DefineStored("holidays", hols, caldb.Lifespan{Lo: 1, Hi: caldb.MaxDayTick}); err != nil {
+			t.Fatal(err)
+		}
 		start := ch.EpochSecondsOf(d(1993, 1, 1))
 		fired := map[string][]int64{}
 		for i, src := range exprs {
@@ -367,5 +380,14 @@ func TestKernelMatchesWindowedEngine(t *testing.T) {
 		if len(kernel[fmt.Sprintf("r%d", i)]) == 0 {
 			t.Errorf("expression %q never fired in 150 days", src)
 		}
+	}
+	ch := chronology.MustNew(chronology.DefaultEpoch)
+	var days []chronology.Civil
+	for _, at := range kernel[fmt.Sprintf("r%d", len(exprs)-1)] {
+		days = append(days, ch.CivilOf(at))
+	}
+	want := []chronology.Civil{d(1993, 1, 28), d(1993, 2, 26), d(1993, 3, 30), d(1993, 4, 30), d(1993, 5, 31)}
+	if !reflect.DeepEqual(days, want) {
+		t.Errorf("%q fired on %v, want %v", eom, days, want)
 	}
 }

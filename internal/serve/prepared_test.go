@@ -61,10 +61,10 @@ func renderedBadRequest(err error) (int, []byte) {
 	})
 }
 
-// uncachedExpand is what POST /expand must answer on the tenant's current
+// expandUncached is what POST /expand must answer on the tenant's current
 // catalog, derived without the Prepared table or the materialization cache:
 // calvet.ParseAndAnalyze, then plan.Evaluate, then the marshalExpand oracle.
-func uncachedExpand(t *Tenant, src string, from, to chronology.Civil) (int, []byte) {
+func expandUncached(t *Tenant, src string, from, to chronology.Civil) (int, []byte) {
 	mgr, ch := t.Manager(), t.System().Chron()
 	if diags := calvet.ParseAndAnalyze(src, mgr, calvet.Options{Chron: ch}); diags.HasErrors() {
 		return rendered(func(w http.ResponseWriter) { writeVetError(w, "expression", diags) })
@@ -80,8 +80,8 @@ func uncachedExpand(t *Tenant, src string, from, to chronology.Civil) (int, []by
 	return http.StatusOK, marshalExpand(ch, src, cal, from, to)
 }
 
-// uncachedNext is the same for POST /next with an explicit `after`.
-func uncachedNext(t *Tenant, src string, after chronology.Civil) (int, []byte) {
+// nextUncached is the same for POST /next with an explicit `after`.
+func nextUncached(t *Tenant, src string, after chronology.Civil) (int, []byte) {
 	mgr, sys := t.Manager(), t.System()
 	if diags := calvet.ParseAndAnalyze(src, mgr, calvet.Options{Chron: sys.Chron()}); diags.HasErrors() {
 		return rendered(func(w http.ResponseWriter) { writeVetError(w, "expression", diags) })
@@ -164,12 +164,12 @@ func (c *churnOps) checkQueries(tenant *Tenant) {
 	for _, src := range churnQueries {
 		status, body := rawCall(c.t, c.ts, "POST", c.base+"/expand", c.tok,
 			map[string]any{"expr": src, "from": from.String(), "to": to.String()})
-		if ws, wb := uncachedExpand(tenant, src, from, to); status != ws || !bytes.Equal(body, wb) {
+		if ws, wb := expandUncached(tenant, src, from, to); status != ws || !bytes.Equal(body, wb) {
 			c.t.Fatalf("expand %q: %d %s\nuncached: %d %s", src, status, body, ws, wb)
 		}
 		status, body = rawCall(c.t, c.ts, "POST", c.base+"/next", c.tok,
 			map[string]any{"expr": src, "after": from.String()})
-		if ws, wb := uncachedNext(tenant, src, from); status != ws || !bytes.Equal(body, wb) {
+		if ws, wb := nextUncached(tenant, src, from); status != ws || !bytes.Equal(body, wb) {
 			c.t.Fatalf("next %q: %d %s\nuncached: %d %s", src, status, body, ws, wb)
 		}
 	}

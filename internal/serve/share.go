@@ -11,7 +11,7 @@ import (
 // expressions — those referencing only the basic calendars (DAYS, WEEKS,
 // MONTHS, YEARS, ...), which is exactly what the recurrence compiler emits.
 // Because such an expression evaluates identically for every tenant, one
-// Scheduler (with its probe cache and exact-pattern fast path) serves
+// Scheduler (with its exact-pattern fast path) serves
 // thousands of tenants: the Bettini-style "stay on the compiled/pattern
 // path" economics of the server. Tenant-dependent expressions never land
 // here; they are evaluated under the owning tenant's catalog.
