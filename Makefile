@@ -96,7 +96,13 @@ loc:
 # Two scheduler rungs lowered it by 155 (24 191 -> 24 036): the next-instant
 # scheduler's probe cache (its anchor and slack analysis, its lookup and fill,
 # six fields) and the plan environment's symbolic switch went; nothing came.
-LOC_BUDGET = 24036
+# A firing writes what changed raised it by 53 (24 036 -> 24 089; 96 lines
+# in, 43 out): each index's column position with Replace's changed-key check,
+# the temporal rule's remembered RULE-TIME row and its name check, the
+# journal's buffered S record (bufferLine) with its 64 KiB buffer, and the
+# minimal-form writer's sync flag came; the per-index column lookups, the
+# per-event listener copy and Replace's delete-all, insert-all went.
+LOC_BUDGET = 24089
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -256,7 +262,8 @@ bench-compare:
 # symbolic lowering (the memo emptied every iteration) and warm expands through the HTTP handler (a 12-interval one, a 5.8 k-interval
 # one, a 420-interval one whose dates are a month apart, and the date
 # formatter that defines the encoder's output), the checkpoint codecs (a fleet
-# snapshot's save and load, one firing's journal records) are run at a real
+# snapshot's save and load, one firing's journal records) and the durable
+# firing path (a journalled 1 000-rule fleet, per firing) are run at a real
 # benchtime and must stay within 1.25x of BENCH_baseline.json ns/op and
 # allocs/op, or the build fails.
 # A full second of measurement per benchmark averages out scheduler spikes,
@@ -270,13 +277,13 @@ bench-gate:
 		-benchtime=1s -count=3 -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'HandlerExpand|AppendCivil' -benchtime=1s -count=3 -benchmem ./internal/serve && \
 	  $(GO) test -bench 'ForeachSweepVsGeneric/sweep' -benchtime=1s -count=3 -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'TimingWheelVsHeap' -benchtime=1s -count=3 -benchmem ./internal/rules && \
+	  $(GO) test -run '^$$' -bench 'TimingWheelVsHeap|DurableFiring' -benchtime=1s -count=3 -benchmem ./internal/rules && \
 	  $(GO) test -run '^$$' -bench 'JournalRecord' -benchtime=1s -count=3 -benchmem ./internal/rules/journal && \
 	  $(GO) test -run '^$$' -bench 'LowerCold' -benchtime=1s -count=3 -benchmem ./internal/core/callang/symbolic && \
 	  $(GO) test -run '^$$' -bench 'CacheParallelGet|CacheStampede' -benchtime=1s -count=3 -benchmem \
 		./internal/core/matcache ) | \
 		$(GO) run ./cmd/benchjson -compare BENCH_baseline.json \
-			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkE1Selection|BenchmarkDerivedMaterialize|BenchmarkExpandCold|BenchmarkTimingWheelVsHeap/wheel|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkLowerCold|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkHandlerExpandWide|BenchmarkAppendCivil|BenchmarkSnapshotSave|BenchmarkSnapshotLoad|BenchmarkJournalRecord' \
+			-gate 'BenchmarkNextAfter|BenchmarkNextAfterSymbolicAblation/symbolic|BenchmarkCacheColdVsWarm/warm|BenchmarkForeachSweepVsGeneric/sweep|BenchmarkEndpointSweepVsLinear/endpoint|BenchmarkE1Selection|BenchmarkDerivedMaterialize|BenchmarkExpandCold|BenchmarkTimingWheelVsHeap/wheel|BenchmarkDurableFiring|BenchmarkCacheParallelGet/sharded|BenchmarkCacheStampede|BenchmarkPreparedHit|BenchmarkPreparedMiss|BenchmarkLowerCold|BenchmarkHandlerExpandWarm|BenchmarkHandlerExpandBulk|BenchmarkHandlerExpandWide|BenchmarkAppendCivil|BenchmarkSnapshotSave|BenchmarkSnapshotLoad|BenchmarkJournalRecord' \
 			-gate-threshold 1.25 -gate-allocs-threshold 1.25 -
 
 # Parallel cache benchmarks across GOMAXPROCS=1,4,8: the record, not a gate,

@@ -2,12 +2,15 @@ package rules
 
 import (
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"calsys/internal/caldb"
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/plan"
+	"calsys/internal/rules/journal"
 	"calsys/internal/store"
 )
 
@@ -109,6 +112,64 @@ func BenchmarkProbe100kRules(b *testing.B) {
 	b.ReportMetric(float64(fired)/float64(b.N), "firings/day")
 	_, probes := eng.PlanGroupStats()
 	b.ReportMetric(float64(probes), "probes")
+}
+
+// BenchmarkDurableFiring is the durable firing path at fleet scale: 1 000
+// rules over 50 expressions under a journalled DBCron with sync off, each
+// action appending one FIRED row in its firing transaction (cron_fleet's
+// shape). The loop advances one virtual day at a time until b.N rules have
+// fired; ns/op, B/op and allocs/op are per firing, the probes included.
+func BenchmarkDurableFiring(b *testing.B) {
+	const nRules, distinct = 1000, 50
+	eng, cal := newEngine(b)
+	db := cal.DB()
+	schema, err := store.NewSchema(store.Column{Name: "rule", Type: store.TText}, store.Column{Name: "at", Type: store.TInt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := db.CreateTable("FIRED", schema); err != nil {
+		b.Fatal(err)
+	}
+	start := cal.Chron().EpochSecondsOf(d(1993, 1, 1))
+	exprs := fleetExprs(distinct)
+	defs := make([]TemporalRuleDef, nRules)
+	for i := range defs {
+		name := store.NewText(fmt.Sprintf("r%d", i))
+		defs[i] = TemporalRuleDef{Name: name.S, CalExpr: exprs[i%distinct], Action: FuncAction{Name: "sentinel",
+			Fn: func(tx *store.Txn, _ *store.Event, at int64) error {
+				_, err := tx.Append("FIRED", store.Row{name, store.NewInt(at)})
+				return err
+			}}}
+	}
+	if err := eng.DefineTemporalRules(start, defs); err != nil {
+		b.Fatal(err)
+	}
+	j, err := journal.Open(filepath.Join(b.TempDir(), "firing.journal"), journal.WithSync(false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	cron, err := NewDBCronWith(eng, chronology.SecondsPerDay, start, CronOptions{Journal: j, CatchUp: FireAll, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	fired := 0
+	for now := start; fired < b.N; {
+		now += chronology.SecondsPerDay
+		fs, err := cron.AdvanceTo(now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fired += len(fs)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/op")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(fired), "B/op")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(fired), "allocs/op")
 }
 
 // BenchmarkRecomputeAfterReplace is the mass recompute DBCRON runs after a

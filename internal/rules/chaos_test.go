@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"calsys/internal/caldb"
@@ -29,10 +30,11 @@ var chaosSites = []string{SiteProbe, SiteFire, SiteAck, journal.SiteAppend}
 
 const chaosDays = 8
 
-// chaosRun drives one seeded kill-and-recover scenario and returns the
-// per-instant execution counts, the expected trigger instants, and how many
-// kills were injected.
-func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy) (counts map[int64]int, expected []int64, kills int) {
+// chaosRun drives one seeded kill-and-recover scenario over a fleet of daily
+// rules and returns the per-firing execution counts, the expected firings,
+// and how many kills were injected. The kill lands on occurrence crashAt of
+// the site, or on a seed-chosen one when crashAt is 0.
+func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy, rules, crashAt int) (counts map[Firing]int, expected []Firing, kills int) {
 	t.Helper()
 	db := store.NewDB()
 	cal, err := caldb.New(db, chronology.MustNew(chronology.DefaultEpoch))
@@ -42,22 +44,32 @@ func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy) (coun
 	ch := cal.Chron()
 	start := ch.EpochSecondsOf(d(1993, 1, 1))
 	end := start + chaosDays*chronology.SecondsPerDay
-	for i := int64(1); i <= chaosDays; i++ {
-		expected = append(expected, start+i*chronology.SecondsPerDay)
+	names := []string{"daily"}
+	for len(names) < rules {
+		names = append(names, fmt.Sprintf("daily%d", len(names)))
 	}
-	counts = map[int64]int{}
-	action := FuncAction{Name: "count", Fn: func(_ *store.Txn, _ *store.Event, at int64) error {
-		counts[at]++
-		return nil
-	}}
+	for _, name := range names {
+		for i := int64(1); i <= chaosDays; i++ {
+			expected = append(expected, Firing{name, start + i*chronology.SecondsPerDay})
+		}
+	}
+	counts = map[Firing]int{}
+	action := func(name string) Action {
+		return FuncAction{Name: "count", Fn: func(_ *store.Txn, _ *store.Event, at int64) error {
+			counts[Firing{name, at}]++
+			return nil
+		}}
+	}
 	jpath := filepath.Join(t.TempDir(), "firing.journal")
 
 	inj := faultinject.New(seed)
 	rng := rand.New(rand.NewSource(seed))
 	// Arm one kill at a seed-chosen occurrence of the site. The first
 	// journal append is Open's magic line; skip past it so boot succeeds.
-	switch site {
-	case journal.SiteAppend:
+	switch {
+	case crashAt > 0:
+		inj.CrashAt(site, crashAt)
+	case site == journal.SiteAppend:
 		inj.CrashAt(site, 2+rng.Intn(18))
 	default:
 		inj.CrashAt(site, 1+rng.Intn(6))
@@ -65,6 +77,19 @@ func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy) (coun
 
 	var cron *DBCron
 	var jnl *journal.Journal
+	// kill ends an incarnation the way kill -9 does: what the journal wrote
+	// to its file stays, what it still held in its buffer is gone.
+	kill := func(j *journal.Journal) {
+		kills++
+		img, err := os.ReadFile(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if err := os.WriteFile(jpath, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	boot := func(now int64, first bool) {
 		for {
 			eng, err := NewEngine(cal)
@@ -73,13 +98,15 @@ func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy) (coun
 			}
 			eng.LookaheadDays = 60
 			eng.SetFaults(inj)
-			if first {
-				err = eng.DefineTemporalRule("daily", "DAYS", action, start)
-			} else {
-				err = eng.ReattachAction("daily", action)
-			}
-			if err != nil {
-				t.Fatalf("seed %d site %s: attach: %v", seed, site, err)
+			for _, name := range names {
+				if first {
+					err = eng.DefineTemporalRule(name, "DAYS", action(name), start)
+				} else {
+					err = eng.ReattachAction(name, action(name))
+				}
+				if err != nil {
+					t.Fatalf("seed %d site %s: attach: %v", seed, site, err)
+				}
 			}
 			j, err := journal.Open(jpath, journal.WithSync(false), journal.WithFaults(inj))
 			if err != nil {
@@ -98,10 +125,8 @@ func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy) (coun
 			if !first {
 				if _, err := c.Recover(now); err != nil {
 					if faultinject.IsCrash(err) {
-						// Killed again during recovery; the fd is all the
-						// "process" that is left — reap it and reboot.
-						kills++
-						j.Close()
+						// Killed again during recovery: reboot.
+						kill(j)
 						continue
 					}
 					t.Fatalf("seed %d site %s: recover: %v", seed, site, err)
@@ -126,8 +151,7 @@ func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy) (coun
 		// Kill -9: abandon the incarnation mid-operation and recover. The
 		// store.DB object stands in for the durable store (committed
 		// transactions survive); the journal survives on disk.
-		kills++
-		jnl.Close()
+		kill(jnl)
 		boot(now, false)
 	}
 	jnl.Close()
@@ -167,25 +191,9 @@ func TestChaosExactlyOnceFireAll(t *testing.T) {
 		t.Run(site, func(t *testing.T) {
 			totalKills := 0
 			for seed := int64(1); seed <= seedsPerSite; seed++ {
-				counts, expected, kills := chaosRun(t, seed, site, FireAll)
+				counts, expected, kills := chaosRun(t, seed, site, FireAll, 1, 0)
 				totalKills += kills
-				for _, at := range expected {
-					if counts[at] != 1 {
-						t.Errorf("seed %d: instant %d executed %d times, want exactly 1", seed, at, counts[at])
-					}
-				}
-				for at, n := range counts {
-					found := false
-					for _, want := range expected {
-						if at == want {
-							found = true
-							break
-						}
-					}
-					if !found {
-						t.Errorf("seed %d: unexpected execution at %d (%d times)", seed, at, n)
-					}
-				}
+				checkExactlyOnce(t, seed, counts, expected)
 				if t.Failed() {
 					saveChaosArtifact(t, filepath.Join(t.TempDir(), "firing.journal"),
 						fmt.Sprintf("fireall-%s-seed%d", site, seed))
@@ -201,6 +209,37 @@ func TestChaosExactlyOnceFireAll(t *testing.T) {
 	}
 }
 
+// checkExactlyOnce requires every expected firing to have executed once and
+// nothing else to have executed.
+func checkExactlyOnce(t *testing.T, seed int64, counts map[Firing]int, expected []Firing) {
+	t.Helper()
+	for _, f := range expected {
+		if counts[f] != 1 {
+			t.Errorf("seed %d: %v executed %d times, want exactly 1", seed, f, counts[f])
+		}
+	}
+	for f, n := range counts {
+		if !slices.Contains(expected, f) {
+			t.Errorf("seed %d: unexpected execution %v (%d times)", seed, f, n)
+		}
+	}
+}
+
+// TestChaosAppendCrashInsideProbe kills the daemon on the second S record of
+// a three-rule probe: journal appends are Open's magic line, then the first
+// probe's three S records, so the third append is the second of them. The
+// probe's records are still in the journal's buffer, so the kill loses them
+// all; recovery must find the three firings overdue in RULE-TIME and FireAll
+// must still run every instant exactly once.
+func TestChaosAppendCrashInsideProbe(t *testing.T) {
+	const seed = 1
+	counts, expected, kills := chaosRun(t, seed, journal.SiteAppend, FireAll, 3, 3)
+	if kills != 1 {
+		t.Fatalf("%d kills, want the one armed", kills)
+	}
+	checkExactlyOnce(t, seed, counts, expected)
+}
+
 // TestChaosAtMostOnceSkip replays the same kill schedule under SkipMissed:
 // instants may be skipped but none may ever execute twice.
 func TestChaosAtMostOnceSkip(t *testing.T) {
@@ -210,21 +249,14 @@ func TestChaosAtMostOnceSkip(t *testing.T) {
 		t.Run(site, func(t *testing.T) {
 			totalKills := 0
 			for seed := int64(1); seed <= seedsPerSite; seed++ {
-				counts, expected, kills := chaosRun(t, seed, site, SkipMissed)
+				counts, expected, kills := chaosRun(t, seed, site, SkipMissed, 1, 0)
 				totalKills += kills
-				for at, n := range counts {
+				for f, n := range counts {
 					if n > 1 {
-						t.Errorf("seed %d: instant %d executed %d times, want at most 1", seed, at, n)
+						t.Errorf("seed %d: %v executed %d times, want at most 1", seed, f, n)
 					}
-					found := false
-					for _, want := range expected {
-						if at == want {
-							found = true
-							break
-						}
-					}
-					if !found {
-						t.Errorf("seed %d: unexpected execution at %d", seed, at)
+					if !slices.Contains(expected, f) {
+						t.Errorf("seed %d: unexpected execution %v", seed, f)
 					}
 				}
 				if t.Failed() {

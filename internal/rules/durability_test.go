@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"calsys/internal/caldb"
 	"calsys/internal/chronology"
 	"calsys/internal/faultinject"
 	"calsys/internal/rules/journal"
@@ -211,6 +213,107 @@ func TestActionDeadline(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Errorf("action executed %d times, want 1", n)
+	}
+}
+
+// A firing advances its rule's RULE-TIME row through the row id the rule
+// remembers, and finds the row by name when that id no longer holds the
+// rule: after a drop and redefine, and after a snapshot load and reattach
+// (where the id is row 0's, another rule's). After every firing exactly one
+// RULE-TIME row has moved, and FIRED holds exactly the firings made. The
+// second arm runs every firing on the goroutine of the action-deadline path.
+func TestFiringFindsItsRuleTimeRow(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		t.Run(fmt.Sprint("timeout=", timeout), func(t *testing.T) {
+			eng, cal := newEngine(t)
+			ch := cal.Chron()
+			db := cal.DB()
+			start := ch.EpochSecondsOf(d(1993, 1, 1))
+			day := int64(chronology.SecondsPerDay)
+			schema, err := store.NewSchema(store.Column{Name: "rule", Type: store.TText}, store.Column{Name: "at", Type: store.TInt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CreateTable("FIRED", schema); err != nil {
+				t.Fatal(err)
+			}
+			logAction := func(name string) Action {
+				return FuncAction{Name: "log", Fn: func(tx *store.Txn, _ *store.Event, at int64) error {
+					_, err := tx.Append("FIRED", store.Row{store.NewText(name), store.NewInt(at)})
+					return err
+				}}
+			}
+			for _, name := range []string{"a", "b", "c"} {
+				if err := eng.DefineTemporalRule(name, "DAYS", logAction(name), start); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rows := func(table string) map[string][]int64 {
+				out := map[string][]int64{}
+				tab, _ := db.Table(table)
+				tab.Scan(func(_ int64, row store.Row) bool {
+					out[row[0].S] = append(out[row[0].S], row[1].I)
+					return true
+				})
+				return out
+			}
+			want := map[string][]int64{}
+			fire := func(step, name string, at int64) {
+				t.Helper()
+				before := rows(RuleTimeTable)
+				if err := eng.fireChecked(name, at, timeout, nil); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				after := rows(RuleTimeTable)
+				for n, next := range after {
+					switch moved := len(before[n]) != 1 || before[n][0] != next[0]; {
+					case len(next) != 1:
+						t.Errorf("%s: RULE_TIME holds %d rows for %s", step, len(next), n)
+					case n == name && next[0] != at+day:
+						t.Errorf("%s: %s's RULE_TIME row reads %d, want %d", step, n, next[0], at+day)
+					case n != name && moved:
+						t.Errorf("%s: firing %s moved %s's RULE_TIME row %v -> %v", step, name, n, before[n], next)
+					}
+				}
+				want[name] = append(want[name], at)
+				if got := rows("FIRED"); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: FIRED = %v, want %v", step, got, want)
+				}
+			}
+			fire("first firing", "b", start+day)
+			if err := eng.DropRule("b"); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.DefineTemporalRule("b", "DAYS", logAction("b"), start+day); err != nil {
+				t.Fatal(err)
+			}
+			fire("after drop and redefine", "b", start+2*day)
+			fire("a later row", "c", start+day)
+
+			var snap bytes.Buffer
+			if err := db.Save(&snap); err != nil {
+				t.Fatal(err)
+			}
+			db = store.NewDB()
+			if err := db.Load(&snap); err != nil {
+				t.Fatal(err)
+			}
+			cal, err = caldb.New(db, ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng, err = NewEngine(cal); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"a", "b", "c"} {
+				if err := eng.ReattachAction(name, logAction(name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fire("after load and reattach", "c", start+2*day)
+			fire("row 0 after reattach", "a", start+day)
+			fire("again", "c", start+3*day)
+		})
 	}
 }
 

@@ -89,6 +89,10 @@ type temporalRule struct {
 	sched *plan.Scheduler
 	// next trigger in epoch seconds; noTrigger when dormant.
 	next int64
+	// rid is the rule's RULE-TIME row id. A firing trusts it while that row
+	// carries the rule's name and looks the row up by name otherwise: a rule
+	// reattached after a snapshot load starts at 0, another rule's row.
+	rid int64
 }
 
 // eventRule is the in-memory form of one event rule.
@@ -415,9 +419,11 @@ func (e *Engine) DefineTemporalRules(now int64, defs []TemporalRuleDef) error {
 			if err := faultinject.Hit(e.injector(), SiteDefineRuleTime); err != nil {
 				return err
 			}
-			if _, err := tx.Append(RuleTimeTable, store.Row{store.NewText(r.name), store.NewInt(r.next)}); err != nil {
+			rid, err := tx.Append(RuleTimeTable, store.Row{store.NewText(r.name), store.NewInt(r.next)})
+			if err != nil {
 				return err
 			}
+			r.rid = rid
 		}
 		return nil
 	}); err != nil {
@@ -664,9 +670,15 @@ func (e *Engine) dispatch(tx *store.Txn, ev store.Event) error {
 		}
 	}
 	e.mu.Unlock()
+	if len(matching) == 0 {
+		return nil
+	}
+	// The actions take the event's address, which puts it on the heap: copy
+	// it only once a rule matched, so an event no rule watches costs nothing.
+	shared := ev
 	for _, r := range matching {
 		if r.cond != nil {
-			ok, err := r.cond(tx, ev)
+			ok, err := r.cond(tx, shared)
 			if err != nil {
 				return fmt.Errorf("rules: rule %s condition: %w", r.name, err)
 			}
@@ -674,7 +686,7 @@ func (e *Engine) dispatch(tx *store.Txn, ev store.Event) error {
 				continue
 			}
 		}
-		if err := r.action.Execute(tx, &ev, 0); err != nil {
+		if err := r.action.Execute(tx, &shared, 0); err != nil {
 			return fmt.Errorf("rules: rule %s action: %w", r.name, err)
 		}
 	}
@@ -816,11 +828,21 @@ func (e *Engine) fireChecked(name string, at int64, timeout time.Duration, fence
 			if !ok {
 				return fmt.Errorf("rules: RULE_TIME missing")
 			}
-			rids, err := tab.LookupEq("name", store.NewText(r.name))
-			if err != nil || len(rids) == 0 {
-				return fmt.Errorf("rules: RULE_TIME row for %q missing", r.name)
+			e.mu.Lock()
+			rid := r.rid
+			e.mu.Unlock()
+			row, ok := tab.Get(rid)
+			if !ok || row[0].S != r.name {
+				rids, err := tab.LookupEq("name", store.NewText(r.name))
+				if err != nil || len(rids) == 0 {
+					return fmt.Errorf("rules: RULE_TIME row for %q missing", r.name)
+				}
+				rid = rids[0]
+				row, _ = tab.Get(rid)
+				e.mu.Lock()
+				r.rid = rid
+				e.mu.Unlock()
 			}
-			row, _ := tab.Get(rids[0])
 			if row[1].I > at {
 				return errAlreadyFired
 			}
@@ -830,7 +852,7 @@ func (e *Engine) fireChecked(name string, at int64, timeout time.Duration, fence
 			if err := safeExecute(r.action, tx, nil, at); err != nil {
 				return fmt.Errorf("rules: rule %s action: %w", r.name, err)
 			}
-			return tx.Replace(RuleTimeTable, rids[0], store.Row{store.NewText(r.name), store.NewInt(next)})
+			return tx.Replace(RuleTimeTable, rid, store.Row{row[0], store.NewInt(next)})
 		})
 	}
 	if timeout <= 0 {

@@ -32,6 +32,10 @@ import (
 
 const magic = "calsys-journal 1"
 
+// bufSize is the journal's write buffer: room for a probe of about 2 000
+// buffered S records, which then go out in one write.
+const bufSize = 64 << 10
+
 // Fault-injection sites in the journal I/O path.
 const (
 	SiteAppend = "journal.append"
@@ -111,7 +115,7 @@ func Open(path string, opts ...Option) (*Journal, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	j.f = f
-	j.w = bufio.NewWriter(f)
+	j.w = bufio.NewWriterSize(f, bufSize)
 	j.seq = st.NextSeq
 	j.state = *st
 	if st.Records == 0 && st.ValidBytes == 0 {
@@ -288,8 +292,9 @@ func (j *Journal) State() State {
 	return j.state
 }
 
-// appendLine writes line and a newline, and keeps the buffer for reuse.
-func (j *Journal) appendLine(line []byte, sync bool) error {
+// bufferLine hands line and a newline to the file's buffer, and keeps the
+// line for reuse. Nothing reaches the file until the next flush.
+func (j *Journal) bufferLine(line []byte) error {
 	line = append(line, '\n')
 	j.line = line[:0]
 	if err := faultinject.Hit(j.faults, SiteAppend); err != nil {
@@ -297,6 +302,15 @@ func (j *Journal) appendLine(line []byte, sync bool) error {
 	}
 	if _, err := j.w.Write(line); err != nil {
 		return fmt.Errorf("journal: %w", err)
+	}
+	return nil
+}
+
+// appendLine writes line and a newline, with whatever the buffer held before
+// it, in one write.
+func (j *Journal) appendLine(line []byte, sync bool) error {
+	if err := j.bufferLine(line); err != nil {
+		return err
 	}
 	if err := j.w.Flush(); err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -318,14 +332,15 @@ func appendInt(b []byte, n int64) []byte     { return strconv.AppendInt(append(b
 func appendQuoted(b []byte, s string) []byte { return strconv.AppendQuote(append(b, ' '), s) }
 
 // Scheduled records a firing entering the schedule and returns its sequence
-// number. The record is written but not synced; call Sync after a batch (the
-// probe writes one batch per window).
+// number. The record is only buffered: the probe's Sync writes its whole
+// batch at once, and a Begin writes any record buffered before it, so an
+// execution never starts ahead of its S record on disk.
 func (j *Journal) Scheduled(rule string, at int64) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	seq := j.seq
 	j.seq++
-	err := j.appendLine(appendQuoted(appendInt(appendSeq(append(j.line[:0], 'S'), seq), at), rule), false)
+	err := j.bufferLine(appendQuoted(appendInt(appendSeq(append(j.line[:0], 'S'), seq), at), rule))
 	return seq, err
 }
 
@@ -379,8 +394,9 @@ func (j *Journal) Sync() error {
 // writeMinimal writes st to path in its minimal replay form — the magic
 // line, one T high-water record per rule, S/B records for still-pending
 // firings — through a temp file, fsync and rename, so a crash leaves either
-// the old file or the whole new one. The fsync is a journal.sync site.
-func writeMinimal(path string, st *State, faults *faultinject.Injector) error {
+// the old file or the whole new one. The fsync is a journal.sync site, hit
+// whether or not the journal syncs (WithSync).
+func writeMinimal(path string, st *State, faults *faultinject.Injector, sync bool) error {
 	tmp := path + ".compact"
 	nf, err := os.Create(tmp)
 	if err != nil {
@@ -409,9 +425,11 @@ func writeMinimal(path string, st *State, faults *faultinject.Injector) error {
 		nf.Close()
 		return err
 	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		return fmt.Errorf("journal: %w", err)
+	if sync {
+		if err := nf.Sync(); err != nil {
+			nf.Close()
+			return fmt.Errorf("journal: %w", err)
+		}
 	}
 	if err := nf.Close(); err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -427,11 +445,11 @@ func writeMinimal(path string, st *State, faults *faultinject.Injector) error {
 // is created from the merged state of its predecessors' files
 // (MergeStates); Recover then resolves it like any crashed daemon's.
 func Create(path string, st *State, opts ...Option) (*Journal, error) {
-	j := &Journal{}
+	j := &Journal{sync: true}
 	for _, fn := range opts {
 		fn(j)
 	}
-	if err := writeMinimal(path, st, j.faults); err != nil {
+	if err := writeMinimal(path, st, j.faults, j.sync); err != nil {
 		return nil, err
 	}
 	return Open(path, opts...)
@@ -449,7 +467,7 @@ func (j *Journal) Compact() error {
 	if err != nil {
 		return err
 	}
-	if err := writeMinimal(j.path, st, j.faults); err != nil {
+	if err := writeMinimal(j.path, st, j.faults, j.sync); err != nil {
 		return err
 	}
 	old := j.f
@@ -463,7 +481,7 @@ func (j *Journal) Compact() error {
 	}
 	old.Close()
 	j.f = f
-	j.w = bufio.NewWriter(f)
+	j.w = bufio.NewWriterSize(f, bufSize)
 	j.state = *st
 	return nil
 }

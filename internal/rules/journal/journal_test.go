@@ -353,3 +353,70 @@ func TestInjectedAppendFailureSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// S records wait in the buffer: n of them leave the file as it was, the
+// probe's Sync writes them all, and a Begin writes an S record buffered
+// after that Sync ahead of its own B line.
+func TestScheduledWaitsForSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	j := open(t, path)
+	defer j.Close()
+	read := func() string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := magic + "\n"
+	const n = 40
+	for i := 0; i < n; i++ {
+		rule, at := fmt.Sprintf("r%d", i), int64(725846400+i)
+		seq, err := j.Scheduled(rule, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fmtScheduled(seq, at, rule) + "\n"
+	}
+	if got := read(); got != magic+"\n" {
+		t.Fatalf("%d Scheduled calls wrote %q before Sync", n, got[len(magic)+1:])
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != want {
+		t.Fatalf("after Sync the file holds\n%q\nwant\n%q", got, want)
+	}
+	seq, err := j.Scheduled("r0", 725932800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Begin(seq, 1); err != nil {
+		t.Fatal(err)
+	}
+	want += fmtScheduled(seq, 725932800, "r0") + "\n" + fmt.Sprintf("B %d 1\n", seq)
+	if got := read(); got != want {
+		t.Fatalf("after Begin the file ends\n%q\nwant\n%q", got[len(got)-60:], want[len(want)-60:])
+	}
+}
+
+// With sync off, writing the minimal form skips its fsync but still hits
+// the journal.sync site, so a crash armed there lands before the rename.
+func TestMinimalFormHitsSyncSiteWithSyncOff(t *testing.T) {
+	inj := faultinject.New(1)
+	path := filepath.Join(t.TempDir(), "j")
+	inj.CrashAt(SiteSync, 1)
+	st := &State{AckedThrough: map[string]int64{"a": 10}, NextSeq: 1}
+	if _, err := Create(path, st, WithSync(false), WithFaults(inj)); !faultinject.IsCrash(err) {
+		t.Fatalf("Create err = %v, want the crash armed at %s", err, SiteSync)
+	}
+	j, err := Create(path, st, WithSync(false), WithFaults(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if got := j.State().AckedThrough["a"]; got != 10 {
+		t.Errorf("created journal replays AckedThrough[a] = %d, want 10", got)
+	}
+}

@@ -209,6 +209,41 @@ func TestBTreeRandomOpsProperty(t *testing.T) {
 	}
 }
 
+// Deleting keys in a shuffled order removes many from internal nodes, where
+// a key is replaced by its predecessor or successor before the leaf delete;
+// invariants and lookups must hold throughout.
+func TestBTreeShuffledDelete(t *testing.T) {
+	bt := NewBTree()
+	const n = 5000
+	for i := int64(0); i < n; i++ {
+		if err := bt.Insert(NewInt(i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	for j, k := range order {
+		if !bt.Delete(NewInt(int64(k)), int64(k)) {
+			t.Fatalf("Delete(%d) missing", k)
+		}
+		if bt.Lookup(NewInt(int64(k))) != nil {
+			t.Fatalf("key %d still present after its delete", k)
+		}
+		if j%500 == 499 {
+			if err := bt.checkInvariants(); err != nil {
+				t.Fatalf("after %d deletes: %v", j+1, err)
+			}
+			for _, live := range order[j+1:] {
+				if got := bt.Lookup(NewInt(int64(live))); len(got) != 1 || got[0] != int64(live) {
+					t.Fatalf("after %d deletes: Lookup(%d) = %v", j+1, live, got)
+				}
+			}
+		}
+	}
+	if bt.Len() != 0 {
+		t.Errorf("Len after drain = %d", bt.Len())
+	}
+}
+
 func TestBTreeLargeSequential(t *testing.T) {
 	bt := NewBTree()
 	const n = 20000

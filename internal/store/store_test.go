@@ -1,6 +1,8 @@
 package store
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -295,6 +297,102 @@ func TestIndexedLookups(t *testing.T) {
 	}
 	if _, err := tab.LookupEq("nope", NewInt(1)); err == nil {
 		t.Error("lookup on missing column should fail")
+	}
+}
+
+// TestReplaceKeepsIndexesExact runs random transactions — appends, replaces
+// that keep or change each indexed key, deletes, a quarter of them rolled
+// back — and after each one requires every index to hold exactly the rids an
+// index rebuilt from the live rows would hold under each key.
+func TestReplaceKeepsIndexesExact(t *testing.T) {
+	db := NewDB()
+	if err := db.CreateTable("t", mustSchema(t, Column{"k", TInt}, Column{"s", TText}, Column{"v", TInt})); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"k", "s"} {
+		if err := db.CreateIndex("t", col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, _ := db.Table("t")
+	rng := rand.New(rand.NewSource(7))
+	const keys = 6 // few keys, so rows share them and replaces often keep them
+	keyOf := map[string]func(int) Value{
+		"k": func(i int) Value { return NewInt(int64(i)) },
+		"s": func(i int) Value { return NewText(string(rune('a' + i))) },
+	}
+	randRow := func() Row {
+		return Row{keyOf["k"](rng.Intn(keys)), keyOf["s"](rng.Intn(keys)), NewInt(rng.Int63n(100))}
+	}
+	live := func() []int64 {
+		var out []int64
+		tab.Scan(func(rid int64, _ Row) bool { out = append(out, rid); return true })
+		return out
+	}
+	sorted := func(rids []int64) []int64 {
+		out := slices.Clone(rids)
+		slices.Sort(out)
+		return out
+	}
+	for n := 0; n < 600; n++ {
+		tx := db.Begin()
+		for op := 0; op < 1+rng.Intn(4); op++ {
+			rids := live()
+			var err error
+			switch c := rng.Intn(10); {
+			case c < 3 || len(rids) == 0:
+				_, err = tx.Append("t", randRow())
+			case c < 9:
+				rid := rids[rng.Intn(len(rids))]
+				row, _ := tab.Get(rid)
+				next := randRow()
+				if rng.Intn(2) == 0 {
+					next[0] = row[0]
+				}
+				if rng.Intn(2) == 0 {
+					next[1] = row[1]
+				}
+				err = tx.Replace("t", rid, next)
+			default:
+				err = tx.Delete("t", rids[rng.Intn(len(rids))])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		end := tx.Commit
+		if rng.Intn(4) == 0 {
+			end = tx.Rollback
+		}
+		if err := end(); err != nil {
+			t.Fatal(err)
+		}
+		for ci, col := range []string{"k", "s"} {
+			rebuilt := NewBTree()
+			tab.Scan(func(rid int64, row Row) bool {
+				if err := rebuilt.Insert(row[ci], rid); err != nil {
+					t.Fatal(err)
+				}
+				return true
+			})
+			idx := tab.indexes[col].tree
+			if err := idx.checkInvariants(); err != nil {
+				t.Fatalf("txn %d: index %s: %v", n, col, err)
+			}
+			if idx.Len() != rebuilt.Len() {
+				t.Fatalf("txn %d: index %s holds %d pairs, the rows %d", n, col, idx.Len(), rebuilt.Len())
+			}
+			for i := 0; i < keys; i++ {
+				key := keyOf[col](i)
+				got, err := tab.LookupEq(col, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := sorted(got), sorted(rebuilt.Lookup(key)); !slices.Equal(got, want) {
+					t.Fatalf("txn %d: LookupEq(%s, %v) = %v, rebuilt index says %v", n, col, key, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -68,11 +68,17 @@ type Table struct {
 	mu      sync.RWMutex
 	rows    []Row // nil entries are deleted (tombstones); row id = slice index
 	live    int
-	indexes map[string]*BTree // lower-case column name -> index
+	indexes map[string]index // lower-case column name -> index
+}
+
+// index is a B-tree secondary index on the column at position col.
+type index struct {
+	col  int
+	tree *BTree
 }
 
 func newTable(name string, schema Schema) *Table {
-	return &Table{Name: name, Schema: schema, indexes: map[string]*BTree{}}
+	return &Table{Name: name, Schema: schema, indexes: map[string]index{}}
 }
 
 // Len returns the number of live rows.
@@ -132,7 +138,7 @@ func (t *Table) LookupEq(col string, val Value) ([]int64, error) {
 	}
 	t.mu.RLock()
 	if idx, ok := t.indexes[strings.ToLower(col)]; ok {
-		rids := idx.Lookup(val)
+		rids := idx.tree.Lookup(val)
 		out := make([]int64, len(rids))
 		copy(out, rids)
 		t.mu.RUnlock()
@@ -159,7 +165,7 @@ func (t *Table) LookupRange(col string, lo, hi *Value) ([]int64, error) {
 	t.mu.RLock()
 	if idx, ok := t.indexes[strings.ToLower(col)]; ok {
 		var out []int64
-		idx.Ascend(lo, hi, func(_ Value, rids []int64) bool {
+		idx.tree.Ascend(lo, hi, func(_ Value, rids []int64) bool {
 			out = append(out, rids...)
 			return true
 		})
@@ -214,9 +220,8 @@ func (t *Table) validateRow(row Row) (Row, error) {
 }
 
 func (t *Table) indexInsert(rid int64, row Row) error {
-	for col, idx := range t.indexes {
-		ci := t.Schema.ColIndex(col)
-		if err := idx.Insert(row[ci], rid); err != nil {
+	for _, idx := range t.indexes {
+		if err := idx.tree.Insert(row[idx.col], rid); err != nil {
 			return err
 		}
 	}
@@ -224,9 +229,8 @@ func (t *Table) indexInsert(rid int64, row Row) error {
 }
 
 func (t *Table) indexDelete(rid int64, row Row) {
-	for col, idx := range t.indexes {
-		ci := t.Schema.ColIndex(col)
-		idx.Delete(row[ci], rid)
+	for _, idx := range t.indexes {
+		idx.tree.Delete(row[idx.col], rid)
 	}
 }
 
@@ -271,7 +275,9 @@ func (t *Table) restoreRaw(rid int64, row Row) {
 	_ = t.indexInsert(rid, row)
 }
 
-// updateRaw replaces a row in place (txn internal).
+// updateRaw replaces a row in place (txn internal). Only the index entries
+// whose key changed move: a key of the same type that compares equal names
+// the same tree entry, which already holds rid.
 func (t *Table) updateRaw(rid int64, row Row) (Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -279,10 +285,17 @@ func (t *Table) updateRaw(rid int64, row Row) (Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: table %s has no row %d", t.Name, rid)
 	}
-	t.indexDelete(rid, old)
-	if err := t.indexInsert(rid, row); err != nil {
-		_ = t.indexInsert(rid, old)
-		return nil, err
+	for _, idx := range t.indexes {
+		o, n := &old[idx.col], &row[idx.col]
+		if o.T == n.T && compareKeys(o, n) == 0 {
+			continue
+		}
+		// Insert fails only on a calendar key, and a calendar column is
+		// never indexed (CreateIndex), so no index is left half moved.
+		if err := idx.tree.Insert(*n, rid); err != nil {
+			return nil, err
+		}
+		idx.tree.Delete(*o, rid)
 	}
 	t.rows[rid] = row
 	return old, nil
@@ -310,13 +323,12 @@ func (t *Table) addIndex(col string) error {
 	if _, ok := t.indexes[key]; ok {
 		return fmt.Errorf("store: index on %s.%s already exists", t.Name, col)
 	}
-	ci := t.Schema.ColIndex(col)
-	idx := NewBTree()
+	idx := index{col: t.Schema.ColIndex(col), tree: NewBTree()}
 	for rid, row := range t.rows {
 		if row == nil {
 			continue
 		}
-		if err := idx.Insert(row[ci], int64(rid)); err != nil {
+		if err := idx.tree.Insert(row[idx.col], int64(rid)); err != nil {
 			return err
 		}
 	}

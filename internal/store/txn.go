@@ -79,9 +79,10 @@ func (tx *Txn) table(name string) (*Table, error) {
 }
 
 func (tx *Txn) fire(ev Event) error {
+	// Listeners are only ever appended, so the slice read under the lock
+	// stays valid after it: no element it covers is written again.
 	tx.db.catMu.RLock()
-	listeners := make([]EventListener, len(tx.db.listeners))
-	copy(listeners, tx.db.listeners)
+	listeners := tx.db.listeners
 	tx.db.catMu.RUnlock()
 	if len(listeners) == 0 {
 		return nil
