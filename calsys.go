@@ -214,13 +214,7 @@ func (s *System) EvalCalendar(src string, from, to Civil) (*Calendar, error) {
 // RunCalendarScript parses and runs a calendar script (with if/while) over
 // a civil window; the environment exposes the system clock as `today`.
 func (s *System) RunCalendarScript(src string, from, to Civil) (ScriptValue, error) {
-	script, err := callang.ParseScript(src)
-	if err != nil {
-		return ScriptValue{}, err
-	}
-	env := s.cal.Env()
-	env.Now = s.clock.Now
-	return plan.RunScript(env, script, from, to)
+	return s.RunCalendarScriptWithWait(src, from, to, nil)
 }
 
 // RunCalendarScriptWithWait is RunCalendarScript with a wait hook driving
@@ -247,13 +241,13 @@ func (s *System) WindowCosts(src string, from, to Civil) (windowed, unwindowed i
 	}
 	env := s.cal.Env()
 	env.Now = s.clock.Now
-	pOn, err := plan.CompileExpr(env, e, nil, from, to)
+	pOn, err := plan.CompileExpr(env, e, from, to)
 	if err != nil {
 		return 0, 0, err
 	}
 	envOff := *env
 	envOff.DisableWindowInference = true
-	pOff, err := plan.CompileExpr(&envOff, e, nil, from, to)
+	pOff, err := plan.CompileExpr(&envOff, e, from, to)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -269,7 +263,7 @@ func (s *System) CompileCalendar(src string, from, to Civil) (*Plan, error) {
 	}
 	env := s.cal.Env()
 	env.Now = s.clock.Now
-	return plan.CompileExpr(env, e, nil, from, to)
+	return plan.CompileExpr(env, e, from, to)
 }
 
 // ParseTree renders the parse tree of a calendar expression before and
@@ -279,7 +273,7 @@ func (s *System) ParseTree(src string) (initial, factorized string, err error) {
 	if err != nil {
 		return "", "", err
 	}
-	inlined, err := callang.Inline(e, s.cal, nil)
+	inlined, err := callang.Inline(e, s.cal)
 	if err != nil {
 		return "", "", err
 	}

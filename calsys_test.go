@@ -329,6 +329,51 @@ func TestFacadeScriptWithWait(t *testing.T) {
 	}
 }
 
+// ldmb is "the last day of every month" spelled with a branch on a
+// temporary, so that a catalog reference to it is evaluated by the script
+// runner, not inlined.
+const ldmb = `{x = DAYS; if (x) return ([n]/x:during:MONTHS); else return (x);}`
+
+// A script temporary means its expression over the whole script, not its
+// value over the requested window: March's last day is March 31 (tick 2282)
+// however early in March the window ends, through a catalog reference and
+// through a script run ad hoc.
+func TestBranchingScriptTemporaryIsNotCutAtTheWindow(t *testing.T) {
+	s := MustOpen()
+	if err := s.DefineCalendar("LDMB", ldmb, Day); err != nil {
+		t.Fatal(err)
+	}
+	from, to := MustDate(1993, 1, 1), MustDate(1993, 3, 17)
+	const want = "{(2223,2223),(2251,2251),(2282,2282)}"
+	c, err := s.EvalCalendar("LDMB", from, to)
+	if err != nil || c.String() != want {
+		t.Errorf("EvalCalendar(LDMB) = %v, %v; want %s", c, err, want)
+	}
+	v, err := s.RunCalendarScript(ldmb, from, to)
+	if err != nil || v.IsString() || v.Cal.String() != want {
+		t.Errorf("RunCalendarScript = %v, %v; want %s", v, err, want)
+	}
+}
+
+// `today` in an assigned right-hand side is the instant of the assignment:
+// the clock steps on while the script waits, and the temporary keeps the day
+// it was assigned on (tick 2193, 1 January 1993), not the day it is read on.
+func TestScriptTemporaryReadsTodayWhenAssigned(t *testing.T) {
+	clock := NewVirtualClock(0)
+	s := MustOpen(WithClock(clock))
+	clock.Set(s.SecondsOf(MustDate(1993, 1, 1)))
+	v, err := s.RunCalendarScriptWithWait(
+		`{t = today:during:DAYS; while (today:<:interval(2196, 2196, DAYS)) ; return (t);}`,
+		MustDate(1993, 1, 1), MustDate(1993, 1, 31),
+		func() error {
+			clock.Advance(SecondsPerDay)
+			return nil
+		})
+	if err != nil || v.IsString() || v.Cal.Flatten().String() != "{(2193,2193)}" {
+		t.Errorf("t = %v, %v; want the one day {(2193,2193)}", v, err)
+	}
+}
+
 // A descending selection list yields its picks in predicate order, and the set
 // operators take such a calendar as their left operand: the holiday is cut
 // from (kept by) whichever element holds it, not only from those the merge

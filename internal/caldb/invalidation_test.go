@@ -183,12 +183,12 @@ func clockCatalog(t *testing.T) *Manager {
 	return m
 }
 
-// compiledReads reports what the compiler emits for name, resolving each
-// identifier exactly as plan.Compile does (no inlining, so every catalog
-// reference surfaces as an OpDerived to follow) under the temporaries bound
-// so far, as plan.RunScript would: whether an OpToday op, or an empty-bodied
-// while, is reachable, and every catalog name resolved to OpLoad or
-// OpDerived on the way (lower-cased).
+// compiledReads reports what the compiler emits for name: every statement's
+// expression, with the temporaries assigned before it substituted as
+// plan.RunScript substitutes them, compiled exactly as plan.Compile does (no
+// inlining, so every catalog reference surfaces as an OpDerived to follow):
+// whether an OpToday op, or an empty-bodied while, is reachable, and every
+// catalog name resolved to OpLoad or OpDerived on the way (lower-cased).
 func compiledReads(t *testing.T, m *Manager, name string) (clock bool, reads map[string]bool) {
 	win, _ := plan.CivilWindow(m.chron, chronology.Day, d(1993, 1, 1), d(1993, 3, 31))
 	reads = map[string]bool{}
@@ -200,13 +200,17 @@ func compiledReads(t *testing.T, m *Manager, name string) (clock bool, reads map
 			return false
 		}
 		seen[name] = true
-		vars := map[string]bool{}
+		temps := callang.Subst{}
 		var stmts func(ss []callang.Stmt) bool
 		expr := func(x callang.Expr) bool {
 			if _, isAlert := x.(*callang.StringLit); isAlert {
 				return false
 			}
-			p, err := plan.Compile(m.Env(), x, vars, chronology.Day, win)
+			x, err := temps.Apply(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := plan.Compile(m.Env(), x, nil, chronology.Day, win)
 			if err != nil {
 				t.Fatalf("%s: %s does not compile: %v", name, x, err)
 			}
@@ -227,7 +231,7 @@ func compiledReads(t *testing.T, m *Manager, name string) (clock bool, reads map
 				switch n := st.(type) {
 				case *callang.AssignStmt:
 					clock = expr(n.X) || clock
-					vars[n.Name] = true
+					temps[n.Name], _ = temps.Apply(n.X)
 				case *callang.ReturnStmt:
 					clock = expr(n.X) || clock
 				case *callang.ExprStmt:

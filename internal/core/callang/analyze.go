@@ -135,9 +135,9 @@ func AnalyzeScript(s *Script, kinds KindResolver) Analysis {
 // identifier the compiler would resolve in the catalog that volatile calls
 // clock-reading, or the first empty-bodied while (the paper's wait loop,
 // which spins until the clock satisfies its condition) — whichever comes
-// first in source order, with its position. Names resolve in the compiler's
-// order: `today`, then the script's temporaries (which shadow the catalog
-// once assigned), then the catalog.
+// first in source order, with its position. Names resolve in the order a
+// script is evaluated in: `today`, then the script's temporaries (which
+// Subst replaces, hiding the catalog once assigned), then the catalog.
 func ClockRead(s *Script, volatile func(name string) bool) (pos Pos, found bool) {
 	temps := map[string]bool{}
 	hit := func(p Pos) {

@@ -33,7 +33,7 @@ func TestFigure2Factorization(t *testing.T) {
 		"Januarys": "[1]/MONTHS:during:YEARS;",
 	})
 	e := mustExpr(t, "Mondays:during:Januarys:during:1993/YEARS")
-	inlined, err := Inline(e, scripts, nil)
+	inlined, err := Inline(e, scripts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFigure3Factorization(t *testing.T) {
 		"Januarys":    "[1]/MONTHS:during:YEARS;",
 	})
 	e := mustExpr(t, "Third_Weeks:during:Januarys:during:1993/YEARS")
-	inlined, err := Inline(e, scripts, nil)
+	inlined, err := Inline(e, scripts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,27 +178,19 @@ func TestInlineOpaqueAndMissing(t *testing.T) {
 		"EOM": "{x = [n]/DAYS:during:MONTHS; return (x);}",
 	})
 	e := mustExpr(t, "EMP_DAYS:during:1993/YEARS")
-	inlined, err := Inline(e, scripts, nil)
+	inlined, err := Inline(e, scripts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inlined.String() != e.String() {
 		t.Errorf("opaque derivation should not inline: %s", inlined)
 	}
-	inlined, err = Inline(mustExpr(t, "EOM:during:MISSING"), scripts, nil)
+	inlined, err = Inline(mustExpr(t, "EOM:during:MISSING"), scripts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := "([n]/(DAYS:during:MONTHS)):during:MISSING"; inlined.String() != want {
 		t.Errorf("straight-line derivation: got %s, want %s", inlined, want)
-	}
-	// A script temporary in scope hides the catalog calendar of its name.
-	inlined, err = Inline(mustExpr(t, "EOM + x"), scripts, map[string]bool{"EOM": true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inlined.String() != "EOM + x" {
-		t.Errorf("shadowed name was inlined: %s", inlined)
 	}
 }
 
@@ -207,12 +199,18 @@ func TestInlineDetectsRecursion(t *testing.T) {
 		"A": "B:during:YEARS;",
 		"B": "A:during:YEARS;",
 	})
-	if _, err := Inline(mustExpr(t, "A"), scripts, nil); err == nil {
+	if _, err := Inline(mustExpr(t, "A"), scripts); err == nil {
 		t.Error("mutually recursive derivations should fail")
 	}
 	self := parseScriptMap(t, map[string]string{"S": "S:during:YEARS;"})
-	if _, err := Inline(mustExpr(t, "S"), self, nil); err == nil {
+	if _, err := Inline(mustExpr(t, "S"), self); err == nil {
 		t.Error("self-recursive derivation should fail")
+	}
+	// The bound counts derivations, not nesting: a script that grows its
+	// temporary 40 times substitutes into an expression 41 deep.
+	deep := "{x = DAYS;" + strings.Repeat(" x = x - WEEKS;", 40) + " return (x);}"
+	if _, err := Inline(mustExpr(t, "DEEP"), parseScriptMap(t, map[string]string{"DEEP": deep})); err != nil {
+		t.Errorf("deep straight-line derivation: %v", err)
 	}
 }
 

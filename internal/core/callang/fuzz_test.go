@@ -185,7 +185,7 @@ func TestWalkCoversEveryNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inlined, err := callang.Inline(e, scripts, nil)
+		inlined, err := callang.Inline(e, scripts)
 		if err != nil {
 			t.Errorf("%q: %v", src, err)
 			continue

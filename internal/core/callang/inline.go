@@ -77,10 +77,10 @@ const maxInlineDepth = 32
 // derived calendar is encountered, replace it by its derivation script."
 // Derivations InlineBody admits are inlined; the rest (scripts with if/while,
 // alerts, bounded lifespans) stay opaque references evaluated through their
-// own plans. shadow names the script temporaries in scope, which hide catalog
-// calendars of the same name.
-func Inline(e Expr, lookup ScriptLookup, shadow map[string]bool) (Expr, error) {
-	return inlineRec(e, lookup, shadow, nil, 0)
+// own plans. Every name in e is a catalog name: a script's temporaries are
+// substituted (Subst) before its expressions get here.
+func Inline(e Expr, lookup ScriptLookup) (Expr, error) {
+	return inlineRec(e, lookup, nil, 0)
 }
 
 // CyclePath renders a derivation cycle like "A → B → A" for error messages
@@ -88,15 +88,12 @@ func Inline(e Expr, lookup ScriptLookup, shadow map[string]bool) (Expr, error) {
 // name.
 func CyclePath(path []string) string { return strings.Join(path, " → ") }
 
-func inlineRec(e Expr, lookup ScriptLookup, shadow map[string]bool, path []string, depth int) (Expr, error) {
+func inlineRec(e Expr, lookup ScriptLookup, path []string, depth int) (Expr, error) {
 	if depth > maxInlineDepth {
 		return nil, fmt.Errorf("callang: derivation chain deeper than %d (recursive calendar definition?): %s",
 			maxInlineDepth, CyclePath(path))
 	}
 	if n, ok := e.(*Ident); ok {
-		if shadow[n.Name] {
-			return n, nil
-		}
 		body, ok := InlineBody(lookup, n.Name)
 		if !ok {
 			return n, nil
@@ -105,14 +102,13 @@ func inlineRec(e Expr, lookup ScriptLookup, shadow map[string]bool, path []strin
 			return nil, fmt.Errorf("callang: calendar %q is defined in terms of itself: %s",
 				n.Name, CyclePath(append(path, n.Name)))
 		}
-		// A derivation's own names are catalog names: nothing shadows them.
-		return inlineRec(body, lookup, nil, append(path, n.Name), depth+1)
+		return inlineRec(body, lookup, append(path, n.Name), depth+1)
 	}
 	var err error
 	out := MapChildren(e, func(c Expr) Expr {
 		if err == nil {
 			var x Expr
-			if x, err = inlineRec(c, lookup, shadow, path, depth+1); err == nil {
+			if x, err = inlineRec(c, lookup, path, depth); err == nil {
 				return x
 			}
 		}
@@ -121,98 +117,101 @@ func inlineRec(e Expr, lookup ScriptLookup, shadow map[string]bool, path []strin
 	return out, err
 }
 
-// maxExprNodes is the node budget of a script's expression form.
-// Substitution shares subtrees, so `a = X + X; b = a + a; …` is linear to
-// build but 2ⁿ to walk, print or compile; past the budget the script stays a
-// script.
+// maxExprNodes is the node budget of a substituted expression. Substitution
+// shares subtrees, so `a = X + X; b = a + a; …` is linear to build but 2ⁿ to
+// walk, print or compile.
 const maxExprNodes = 1024
 
-// substitute turns straight-line statements into the one expression they
-// compute, or nil. Each assignment's right-hand side, with the temporaries
-// assigned so far already replaced in it, replaces later reads of its name —
-// in statement order, so `x = x + A` reads the previous x and a name read
-// before it is assigned is still the catalog's. Names resolve the way the
-// compiler resolves them (`today` cannot be assigned, so it is never one of
-// them): the operand of a label selection and the arguments of every call
-// but caloperate's first are basic-calendar names or literals, never
-// calendars, and are left alone.
-//
-// The statements stay a script when running them could do anything the
-// expression would not: a branch, a loop, an alert string, statements after
-// the result, a non-calendar right-hand side, or an assignment nothing reads
-// (the runner evaluates it all the same, and it can fail).
-func substitute(stmts []Stmt) Expr {
-	type temp struct {
-		x     Expr
-		nodes int
-		read  bool
-	}
-	temps := map[string]*temp{}
-	nodes := 0 // of the statement being substituted; a temp counts its own
+// Subst is the one meaning of a script temporary, for Script.AsExpr and the
+// script runner alike: each temporary assigned so far maps to the expression
+// it was assigned, the temporaries assigned before it replaced in it.
+type Subst map[string]Expr
+
+// Apply replaces the temporaries e reads by their expressions, so a name read
+// before its assignment is still the catalog's. Names resolve the way the
+// compiler resolves them (`today` cannot be assigned): a label selection's
+// operand and the arguments of every call but caloperate's first are basic
+// calendars or literals, and are left alone. Past maxExprNodes it fails.
+func (s Subst) Apply(e Expr) (Expr, error) {
 	var subst func(Expr) Expr
 	subst = func(e Expr) Expr {
 		switch n := e.(type) {
 		case *Ident:
-			if t := temps[n.Name]; t != nil {
-				t.read = true
-				nodes += t.nodes
-				return t.x
+			if x, ok := s[n.Name]; ok {
+				return x
 			}
 		case *CallExpr:
 			if n.Name == "caloperate" && len(n.Args) > 0 {
 				c := *n
 				c.Args = append([]Expr{subst(n.Args[0])}, n.Args[1:]...)
-				nodes += NodeCount(n) - NodeCount(n.Args[0])
 				return &c
 			}
-			nodes += NodeCount(n)
 			return n
 		case *LabelSelExpr:
-			nodes += NodeCount(n)
 			return n
 		}
-		nodes++
 		return MapChildren(e, subst)
 	}
+	out := subst(e)
+	if !nodesWithin(out, maxExprNodes) {
+		return nil, fmt.Errorf("callang: %v: more than %d nodes once its temporaries are substituted", ExprPos(e), maxExprNodes)
+	}
+	return out, nil
+}
+
+// nodesWithin reports whether e has at most limit nodes, visiting no more
+// than limit+1 of them.
+func nodesWithin(e Expr, limit int) bool {
+	n := 0
+	var visit func(Expr) Expr
+	visit = func(x Expr) Expr {
+		if n++; n <= limit {
+			MapChildren(x, visit)
+		}
+		return x
+	}
+	visit(e)
+	return n <= limit
+}
+
+// substitute turns straight-line statements into the one expression they
+// compute (Subst), or nil. The statements stay a script when running them
+// could do anything the expression would not: a branch, a loop, an alert
+// string, statements after the result, a non-calendar right-hand side, or a
+// result past the node budget.
+func substitute(stmts []Stmt) Expr {
+	s := Subst{}
 	for i, st := range stmts {
-		nodes = 0
-		var result Expr
+		var x Expr
 		switch n := st.(type) {
 		case *AssignStmt:
 			switch n.X.(type) {
 			case *Number, *StringLit:
 				return nil
 			}
-			x := subst(n.X)
-			if old := temps[n.Name]; old != nil && !old.read {
-				return nil
-			}
-			temps[n.Name] = &temp{x: x, nodes: nodes}
+			x = n.X
 		case *ReturnStmt:
 			if _, alert := n.X.(*StringLit); alert {
 				return nil
 			}
-			result = subst(n.X)
+			x = n.X
 		case *ExprStmt:
-			result = subst(n.X)
+			x = n.X
 		default:
 			return nil
 		}
-		if nodes > maxExprNodes {
+		out, err := s.Apply(x)
+		if err != nil {
 			return nil
 		}
-		if result == nil {
+		if a, ok := st.(*AssignStmt); ok {
+			s[a.Name] = out
 			continue
 		}
 		if i != len(stmts)-1 {
 			return nil
 		}
-		for _, t := range temps {
-			if !t.read {
-				return nil
-			}
-		}
-		return result
+		return out
 	}
 	return nil
 }

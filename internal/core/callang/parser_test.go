@@ -342,6 +342,11 @@ func TestSingleExpr(t *testing.T) {
 		"{DAYS = A; return ((DAYS:during:1993/DAYS) + caloperate(DAYS, 3) + generate(DAYS, DAYS, \"1993-01-01\", \"1993-01-02\"));}": "((A:during:(1993/DAYS)) + caloperate(A, 3)) + generate(DAYS, DAYS, \"1993-01-01\", \"1993-01-02\")",
 		// `today` cannot be assigned, so it is always the clock.
 		"{x = today; return (x:during:WEEKS);}": "today:during:WEEKS",
+		// An assignment nothing reads changes nothing.
+		"{x = A; y = B; return (x);}": "A",
+		"{x = A; x = B; return (x);}": "B",
+		// A label selection spells a basic calendar: y is never read.
+		"{y = YEARS; return (1993/y);}": "1993/y",
 	} {
 		e, ok := mustScript(t, src).AsExpr()
 		if !ok {
@@ -356,13 +361,10 @@ func TestSingleExpr(t *testing.T) {
 		"{x = A; while (x) x = x - B; return (x);}",  // loops
 		"{x = A; return (\"ALERT\");}",               // alert string
 		"return (\"ALERT\");",
-		"{x = A; y = B; return (x);}",   // y unread: the runner still evaluates it
-		"{x = A; x = B; return (x);}",   // first x unread
-		"{n = 3; return ([n]/DAYS);}",   // not a calendar
-		"{y = YEARS; return (1993/y);}", // a label selection spells a basic calendar
-		"{x = A; return (x); x = B;}",   // statements after the result
-		"{A; return (B);}",              // an expression evaluated for effect
-		"{x = A;}",                      // no result
+		"{n = 3; return ([n]/DAYS);}", // not a calendar
+		"{x = A; return (x); x = B;}", // statements after the result
+		"{A; return (B);}",            // an expression evaluated for effect
+		"{x = A;}",                    // no result
 	} {
 		if e, ok := mustScript(t, src).AsExpr(); ok {
 			t.Errorf("%s: should stay a script, got %s", src, e)

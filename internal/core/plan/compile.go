@@ -12,10 +12,9 @@ import (
 
 // Prepare runs the front half of the §3.4 parsing algorithm on an
 // expression: inline derived calendars, factorize, and determine the
-// smallest time unit. vars names the script temporaries in scope, which
-// shadow catalog calendars of the same name.
-func Prepare(env *Env, e callang.Expr, vars map[string]bool) (callang.Expr, chronology.Granularity, error) {
-	inlined, err := callang.Inline(e, env.Cat, vars)
+// smallest time unit.
+func Prepare(env *Env, e callang.Expr, _ Unused) (callang.Expr, chronology.Granularity, error) {
+	inlined, err := callang.Inline(e, env.Cat)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -43,8 +42,8 @@ func CivilWindow(ch *chronology.Chronology, g chronology.Granularity, from, to c
 
 // CompileExpr prepares and compiles an expression against a civil-date base
 // window, returning the plan and the inferred granularity.
-func CompileExpr(env *Env, e callang.Expr, vars map[string]bool, from, to chronology.Civil) (*Plan, error) {
-	prepped, gran, err := Prepare(env, e, vars)
+func CompileExpr(env *Env, e callang.Expr, from, to chronology.Civil) (*Plan, error) {
+	prepped, gran, err := Prepare(env, e, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -52,20 +51,19 @@ func CompileExpr(env *Env, e callang.Expr, vars map[string]bool, from, to chrono
 	if err != nil {
 		return nil, err
 	}
-	return Compile(env, prepped, vars, gran, win)
+	return Compile(env, prepped, nil, gran, win)
 }
 
 // Compile lowers a prepared expression to a Plan with concrete generation
 // windows. Identical subexpressions share a register, implementing the
 // paper's "mark any calendar that is encountered more than once to avoid
 // generating values of the calendar unnecessarily".
-func Compile(env *Env, e callang.Expr, vars map[string]bool, gran chronology.Granularity, win interval.Interval) (*Plan, error) {
+func Compile(env *Env, e callang.Expr, _ Unused, gran chronology.Granularity, win interval.Interval) (*Plan, error) {
 	if err := win.Check(); err != nil {
 		return nil, fmt.Errorf("plan: base window: %w", err)
 	}
 	c := &compiler{
 		env:  env,
-		vars: vars,
 		plan: &Plan{Gran: gran, Window: win},
 		cse:  map[opKey]Reg{},
 		base: win,
@@ -80,7 +78,6 @@ func Compile(env *Env, e callang.Expr, vars map[string]bool, gran chronology.Gra
 
 type compiler struct {
 	env  *Env
-	vars map[string]bool
 	plan *Plan
 	cse  map[opKey]Reg
 	base interval.Interval
@@ -402,9 +399,6 @@ func (c *compiler) compileIdent(n *callang.Ident, win interval.Interval) (Reg, e
 	name := n.Name
 	if callang.IsToday(name) {
 		return c.emit(Op{Kind: OpToday}), nil
-	}
-	if c.vars[name] {
-		return c.emit(Op{Kind: OpVar, Name: name}), nil
 	}
 	if g, ok := chronology.LookupGranularity(name); ok {
 		if g.Finer(c.plan.Gran) {

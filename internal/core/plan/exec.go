@@ -127,13 +127,12 @@ const maxDerivedDepth = 16
 
 func newExecState() *execState { return &execState{} }
 
-// Exec runs the plan and returns the result calendar. vars supplies script
-// temporaries referenced by OpVar (nil when none).
-func (p *Plan) Exec(env *Env, vars map[string]*calendar.Calendar) (*calendar.Calendar, error) {
-	return p.exec(env, vars, newExecState())
+// Exec runs the plan and returns the result calendar.
+func (p *Plan) Exec(env *Env, _ Unused) (*calendar.Calendar, error) {
+	return p.exec(env, newExecState())
 }
 
-func (p *Plan) exec(env *Env, vars map[string]*calendar.Calendar, st *execState) (*calendar.Calendar, error) {
+func (p *Plan) exec(env *Env, st *execState) (*calendar.Calendar, error) {
 	regs := make([]*regVal, len(p.Ops))
 	getVal := func(r Reg) (*regVal, error) {
 		if r < 0 || int(r) >= len(regs) || regs[r] == nil {
@@ -149,7 +148,7 @@ func (p *Plan) exec(env *Env, vars map[string]*calendar.Calendar, st *execState)
 		return v.materialize()
 	}
 	for i, op := range p.Ops {
-		v, err := p.execVal(env, vars, st, op, getVal, get)
+		v, err := p.execVal(env, st, op, getVal, get)
 		if err != nil {
 			return nil, fmt.Errorf("plan: %s: %w", op, err)
 		}
@@ -162,7 +161,7 @@ func (p *Plan) exec(env *Env, vars map[string]*calendar.Calendar, st *execState)
 // window), foreach (a grouping of a windowed x), selection and intersection
 // (walked, not built), difference (a window less points) — and leaves every
 // other op, and every operand these cannot take lazily, to execOp.
-func (p *Plan) execVal(env *Env, vars map[string]*calendar.Calendar, st *execState, op Op, getVal func(Reg) (*regVal, error), get func(Reg) (*calendar.Calendar, error)) (*regVal, error) {
+func (p *Plan) execVal(env *Env, st *execState, op Op, getVal func(Reg) (*regVal, error), get func(Reg) (*calendar.Calendar, error)) (*regVal, error) {
 	var a, b *regVal
 	var err error
 	switch op.Kind {
@@ -240,7 +239,7 @@ func (p *Plan) execVal(env *Env, vars map[string]*calendar.Calendar, st *execSta
 			return &regVal{win: w, gran: p.Gran}, nil
 		}
 	}
-	c, err := p.execOp(env, vars, st, op, get)
+	c, err := p.execOp(env, st, op, get)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +292,7 @@ func selectPattern(sel calendar.Selection, v *regVal) *calendar.Calendar {
 	return calendar.Picked(v.gran, ivs)
 }
 
-func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execState, op Op, get func(Reg) (*calendar.Calendar, error)) (*calendar.Calendar, error) {
+func (p *Plan) execOp(env *Env, st *execState, op Op, get func(Reg) (*calendar.Calendar, error)) (*calendar.Calendar, error) {
 	switch op.Kind {
 	case OpGenerate:
 		return calendar.GenerateFull(env.Chron, op.Of, p.Gran, op.Win.Lo, op.Win.Hi)
@@ -386,12 +385,6 @@ func (p *Plan) execOp(env *Env, vars map[string]*calendar.Calendar, st *execStat
 			return out, err
 		}
 		return env.Mat.Do(dkey, win, eval, unchanged)
-	case OpVar:
-		c, ok := vars[op.Name]
-		if !ok {
-			return nil, fmt.Errorf("unbound variable %q", op.Name)
-		}
-		return calendar.ConvertGran(env.Chron, c, p.Gran)
 	case OpToday:
 		if env.Now == nil {
 			return nil, fmt.Errorf("`today` is unavailable: no clock in environment")
@@ -491,7 +484,7 @@ type ExprNode = callang.Expr
 // Evaluate prepares, compiles and executes a calendar expression over a
 // civil-date window.
 func Evaluate(env *Env, e ExprNode, from, to chronology.Civil) (*calendar.Calendar, error) {
-	p, err := CompileExpr(env, e, nil, from, to)
+	p, err := CompileExpr(env, e, from, to)
 	if err != nil {
 		return nil, err
 	}

@@ -88,6 +88,10 @@ type VolatilityCatalog interface {
 	VolatileOf(name string) bool
 }
 
+// Unused is the ignored parameter of Prepare, Compile and (*Plan).Exec (pass
+// nil); it goes with the next change to bench/, which passes nil to all three.
+type Unused = map[string]bool
+
 // Env carries everything evaluation needs: the chronology, the catalog, and
 // the bindings to real time used by `today` and waiting while-loops.
 type Env struct {
@@ -143,7 +147,6 @@ const (
 	OpUnit                       // one labeled unit (1993/YEARS)
 	OpLoad                       // load a stored calendar's values
 	OpDerived                    // evaluate an opaque derived calendar's script
-	OpVar                        // read a script variable
 	OpToday                      // the current tick as a point calendar
 	OpConst                      // a literal calendar (interval()/points())
 	OpForeach                    // strict or relaxed foreach with a listop
@@ -211,8 +214,6 @@ func (op Op) String() string {
 		return fmt.Sprintf("%%t%d = LOAD %s", op.Dst, op.Name)
 	case OpDerived:
 		return fmt.Sprintf("%%t%d = EVAL %s WINDOW %v", op.Dst, op.Name, op.Win)
-	case OpVar:
-		return fmt.Sprintf("%%t%d = VAR %s", op.Dst, op.Name)
 	case OpToday:
 		return fmt.Sprintf("%%t%d = TODAY", op.Dst)
 	case OpConst:

@@ -133,7 +133,7 @@ func TestWindowInference(t *testing.T) {
 	defineScript(t, cat, "Mondays", "[1]/DAYS:during:WEEKS;", chronology.Day)
 	defineScript(t, cat, "Januarys", "[1]/MONTHS:during:YEARS;", chronology.Month)
 	p, err := CompileExpr(env, expr(t, "Mondays:during:Januarys:during:1993/YEARS"),
-		nil, d(1987, 1, 1), d(1994, 12, 31))
+		d(1987, 1, 1), d(1994, 12, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWindowInference(t *testing.T) {
 	envOff := *env
 	envOff.DisableWindowInference = true
 	pOff, err := CompileExpr(&envOff, expr(t, "Mondays:during:Januarys:during:1993/YEARS"),
-		nil, d(1987, 1, 1), d(1994, 12, 31))
+		d(1987, 1, 1), d(1994, 12, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestWindowInference(t *testing.T) {
 func TestSharedCalendarCSE(t *testing.T) {
 	env, _ := env1987(t)
 	p, err := CompileExpr(env, expr(t, "([1]/DAYS:during:WEEKS) + ([2]/DAYS:during:WEEKS)"),
-		nil, d(1993, 1, 1), d(1993, 12, 31))
+		d(1993, 1, 1), d(1993, 12, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestTodayOp(t *testing.T) {
 
 func TestPlanString(t *testing.T) {
 	env, _ := env1987(t)
-	p, err := CompileExpr(env, expr(t, "[2]/DAYS:during:WEEKS"), nil, d(1993, 1, 1), d(1993, 1, 31))
+	p, err := CompileExpr(env, expr(t, "[2]/DAYS:during:WEEKS"), d(1993, 1, 1), d(1993, 1, 31))
 	if err != nil {
 		t.Fatal(err)
 	}

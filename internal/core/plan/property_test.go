@@ -263,7 +263,7 @@ func TestGenerateOpsMatchGenerateFull(t *testing.T) {
 		// Windows of one month to six years starting 1975–1994 around the
 		// 1987 epoch.
 		from := d(1975+rng.Intn(20), 1+rng.Intn(12), 1)
-		p, err := CompileExpr(env, e, nil, from, from.AddDays(int64(30+rng.Intn(2200))))
+		p, err := CompileExpr(env, e, from, from.AddDays(int64(30+rng.Intn(2200))))
 		if err != nil {
 			continue // granularity mixes etc.
 		}
@@ -353,13 +353,13 @@ func TestSharingReducesOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pOn, err := CompileExpr(env, e, nil, d(1993, 1, 1), d(1993, 12, 31))
+	pOn, err := CompileExpr(env, e, d(1993, 1, 1), d(1993, 12, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	envOff := *env
 	envOff.DisableSharing = true
-	pOff, err := CompileExpr(&envOff, e, nil, d(1993, 1, 1), d(1993, 12, 31))
+	pOff, err := CompileExpr(&envOff, e, d(1993, 1, 1), d(1993, 12, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func evalBoth(t testing.TB, env *Env, src string, from, to chronology.Civil) boo
 	if err != nil {
 		t.Fatalf("generated expression %q does not parse: %v", src, err)
 	}
-	p, err := CompileExpr(env, e, nil, from, to)
+	p, err := CompileExpr(env, e, from, to)
 	if err != nil {
 		return false
 	}

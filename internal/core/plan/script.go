@@ -1,13 +1,11 @@
-// script.go is the script runner: it executes a script's statements one at a
-// time, each expression prepared, compiled and run over the whole requested
-// window with the temporaries assigned so far. It is what gives `if`, `while`
-// and alert returns their meaning, and the only evaluation of the scripts
-// that use them (the paper's EMP-DAYS and last-trading-day scripts) and of
-// derivations with a bounded lifespan. A straight-line script is never run
-// for a catalog reference: it is the expression callang.Script.AsExpr
-// substitutes it into, inlined where it is referenced. RunScript runs those
-// too, as the oracle that expression is tested against
-// (serve.TestStraightLineScriptsMatchRunner), not as a path a caller picks.
+// script.go is the script runner: the meaning of `if`, `while` and alert
+// returns, and the only evaluation of the scripts that use them and of
+// derivations with a bounded lifespan (a straight-line script is the
+// expression callang.Script.AsExpr substitutes it into). It keeps the same
+// substitution, callang.Subst, statement by statement: a temporary means the
+// expression it was assigned, an assignment evaluates nothing, and a
+// condition, a return or a bare expression runs as one whole expression over
+// the requested window, with the §3.4 look-ahead.
 package plan
 
 import (
@@ -72,7 +70,7 @@ func convertWindow(ch *chronology.Chronology, from chronology.Granularity, win i
 }
 
 func runScriptAt(env *Env, s *callang.Script, gran chronology.Granularity, win interval.Interval, st *execState) (Value, error) {
-	r := &runner{env: env, gran: gran, win: win, st: st, vars: map[string]*calendar.Calendar{}}
+	r := &runner{env: env, gran: gran, win: win, st: st, temps: callang.Subst{}}
 	v, returned, err := r.stmts(s.Stmts)
 	if err != nil {
 		return Value{}, err
@@ -89,30 +87,59 @@ func runScriptAt(env *Env, s *callang.Script, gran chronology.Granularity, win i
 }
 
 type runner struct {
-	env  *Env
-	gran chronology.Granularity
-	win  interval.Interval
-	st   *execState
-	vars map[string]*calendar.Calendar
+	env   *Env
+	gran  chronology.Granularity
+	win   interval.Interval
+	st    *execState
+	temps callang.Subst
 	// lastExpr is the value of the most recent bare-expression statement,
 	// the implicit result of return-less derivations.
 	lastExpr *calendar.Calendar
 }
 
 func (r *runner) eval(e callang.Expr) (*calendar.Calendar, error) {
-	varsSet := make(map[string]bool, len(r.vars))
-	for k := range r.vars {
-		varsSet[k] = true
-	}
-	prepped, _, err := Prepare(r.env, e, varsSet)
+	x, err := r.temps.Apply(e)
 	if err != nil {
 		return nil, err
 	}
-	p, err := Compile(r.env, prepped, varsSet, r.gran, r.win)
+	prepped, _, err := Prepare(r.env, x, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.exec(r.env, r.vars, r.st)
+	p, err := Compile(r.env, prepped, nil, r.gran, r.win)
+	if err != nil {
+		return nil, err
+	}
+	return p.exec(r.env, r.st)
+}
+
+// assign binds a temporary to the expression it was assigned. `today` in it,
+// spelled there or reached through an inlined derivation, is the instant of
+// the assignment: the clock's tick replaces it as a point literal (without a
+// clock it stays, and fails where it is read). An opaque derivation reads the
+// clock where the temporary is read.
+func (r *runner) assign(n *callang.AssignStmt) error {
+	x, err := r.temps.Apply(n.X)
+	var inlined callang.Expr
+	if err == nil && r.env.Now != nil {
+		inlined, err = callang.Inline(x, r.env.Cat)
+	}
+	if err == nil && inlined != nil {
+		now := &callang.CallExpr{Name: "points", Args: []callang.Expr{
+			&callang.Number{Val: r.env.Chron.TickAt(r.gran, r.env.Now())}, &callang.Ident{Name: r.gran.String()}}}
+		var bind func(callang.Expr) callang.Expr
+		bind = func(e callang.Expr) callang.Expr {
+			if id, ok := e.(*callang.Ident); ok && callang.IsToday(id.Name) {
+				return now
+			}
+			return callang.MapChildren(e, bind)
+		}
+		if bound := bind(inlined); bound != inlined {
+			x = bound
+		}
+	}
+	r.temps[n.Name] = x
+	return err
 }
 
 // cond evaluates a condition: a null (empty) calendar is false (§3.3).
@@ -134,31 +161,18 @@ func (r *runner) stmts(ss []callang.Stmt) (Value, bool, error) {
 	return Value{}, false, nil
 }
 
-func (r *runner) stmt(st callang.Stmt) (Value, bool, error) {
+func (r *runner) stmt(st callang.Stmt) (v Value, returned bool, err error) {
 	switch n := st.(type) {
 	case *callang.AssignStmt:
-		c, err := r.eval(n.X)
-		if err != nil {
-			return Value{}, false, fmt.Errorf("in %s: %w", n, err)
-		}
-		r.vars[n.Name] = c
-		return Value{}, false, nil
+		err = r.assign(n)
 	case *callang.ExprStmt:
-		c, err := r.eval(n.X)
-		if err != nil {
-			return Value{}, false, fmt.Errorf("in %s: %w", n, err)
-		}
-		r.lastExpr = c
-		return Value{}, false, nil
+		r.lastExpr, err = r.eval(n.X)
 	case *callang.ReturnStmt:
 		if s, ok := n.X.(*callang.StringLit); ok {
 			return Value{Str: s.Val}, true, nil
 		}
-		c, err := r.eval(n.X)
-		if err != nil {
-			return Value{}, false, fmt.Errorf("in %s: %w", n, err)
-		}
-		return Value{Cal: c}, true, nil
+		v.Cal, err = r.eval(n.X)
+		returned = true
 	case *callang.IfStmt:
 		ok, err := r.cond(n.Cond)
 		if err != nil {
@@ -196,6 +210,11 @@ func (r *runner) stmt(st callang.Stmt) (Value, bool, error) {
 				return v, returned, err
 			}
 		}
+	default:
+		return Value{}, false, fmt.Errorf("plan: unknown statement %T", st)
 	}
-	return Value{}, false, fmt.Errorf("plan: unknown statement %T", st)
+	if err != nil {
+		return Value{}, false, fmt.Errorf("in %s: %w", st, err)
+	}
+	return v, returned, nil
 }

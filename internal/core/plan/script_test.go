@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
@@ -313,5 +315,35 @@ func TestTemporaryShadowsDerivedCalendar(t *testing.T) {
 	c, err := Evaluate(env, e, d(1993, 1, 4), d(1993, 1, 10))
 	if err != nil || !c.Equal(v.Cal) {
 		t.Errorf("expression form = %v, %v; runner %v", c, err, v.Cal)
+	}
+}
+
+// A statement whose substituted expression passes the node budget is an
+// error naming it: the doubling script is 2⁶¹ nodes once substituted, and is
+// refused without walking them; a loop growing its temporary by one
+// difference an iteration passes the budget long before the iteration cap.
+func TestScriptNodeBudget(t *testing.T) {
+	env, _ := env1993(t)
+	var b strings.Builder
+	b.WriteString("{t0 = DAYS + WEEKS;")
+	for i := 1; i <= 60; i++ {
+		fmt.Fprintf(&b, " t%d = t%d + t%d;", i, i-1, i-1)
+	}
+	b.WriteString(" return (t60);}")
+	for _, tc := range []struct {
+		src, stmt string
+		limit     time.Duration
+	}{
+		{b.String(), "in t9 = t8 + t8;: callang: 1:", time.Second},
+		{`{x = DAYS; while (x) x = x - HOLIDAYS; return (x);}`, "in x = x - HOLIDAYS;: callang: 1:", 0},
+	} {
+		start := time.Now()
+		_, err := RunScript(env, script(t, tc.src), d(1993, 1, 1), d(1993, 3, 31))
+		if took := time.Since(start); tc.limit > 0 && took > tc.limit {
+			t.Errorf("%.40s…: refused after %v", tc.src, took)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.stmt) || !strings.Contains(err.Error(), "more than 1024 nodes") {
+			t.Errorf("%.40s…: error %v, want one naming %q", tc.src, err, tc.stmt)
+		}
 	}
 }

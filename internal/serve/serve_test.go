@@ -444,6 +444,32 @@ func TestRuleCRUD(t *testing.T) {
 	}
 }
 
+// A branching script is evaluated by the runner, whose temporaries mean
+// their expressions over the whole script: /expand serves the last day of
+// January and of February, and not March 17, the window's last day, as
+// March's (the month ends on the 31st, outside the window).
+func TestExpandBranchingScript(t *testing.T) {
+	ts, _ := newTestServer(t)
+	tok := mkTenant(t, ts, "acme")
+	if status, body := call(t, ts, "PUT", "/v1/tenants/acme/calendars/LDMB", tok, map[string]any{
+		"derivation": `{x = DAYS; if (x) return ([n]/x:during:MONTHS); else return (x);}`}); status != http.StatusCreated {
+		t.Fatalf("define: %d %v", status, body)
+	}
+	status, body := call(t, ts, "POST", "/v1/tenants/acme/expand", tok, map[string]any{
+		"expr": "LDMB", "from": "1993-01-01", "to": "1993-03-17"})
+	if status != http.StatusOK {
+		t.Fatalf("expand: %d %v", status, body)
+	}
+	var days []string
+	for _, iv := range body["intervals"].([]any) {
+		m := iv.(map[string]any)
+		days = append(days, m["start"].(string)+".."+m["end"].(string))
+	}
+	if got := strings.Join(days, ","); got != "1993-01-31..1993-01-31,1993-02-28..1993-02-28" {
+		t.Errorf("expand LDMB = %s", got)
+	}
+}
+
 func TestExpand(t *testing.T) {
 	ts, _ := newTestServer(t)
 	tok := mkTenant(t, ts, "acme")

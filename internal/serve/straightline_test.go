@@ -50,29 +50,38 @@ func (g *slGen) temp(group bool) (string, bool) {
 	return t.name, true
 }
 
+// assigned reports whether the script so far assigns name.
+func (g *slGen) assigned(name string) bool {
+	for _, t := range g.temps {
+		if t.name == name {
+			return true
+		}
+	}
+	return false
+}
+
 func (g *slGen) unit() string {
 	return g.pick("WEEKS", "MONTHS", "YEARS")
 }
 
-// flat writes a flat day set. As the left operand of a grouping it is never
-// itself a selection (see TestStraightLineScriptsMatchRunner).
-func (g *slGen) flat(depth int, grouped bool) string {
+// flat writes a flat day set. A positional selection picks only from a
+// grouping: from an order-1 list it counts from the window's edge, by
+// definition, and no two windows agree on it.
+func (g *slGen) flat(depth int) string {
 	if name, ok := g.temp(false); ok {
 		return name
 	}
 	if depth > 0 {
 		switch g.rng.Intn(5) {
 		case 0, 3:
-			return fmt.Sprintf("(%s) %s (%s)", g.flat(depth-1, false), g.pick("+", "+", "-"), g.flat(depth-1, false))
+			return fmt.Sprintf("(%s) %s (%s)", g.flat(depth-1), g.pick("+", "+", "-"), g.flat(depth-1))
 		case 1:
-			return fmt.Sprintf("(%s):intersects:(%s)", g.flat(depth-1, false), g.flat(depth-1, false))
+			return fmt.Sprintf("(%s):intersects:(%s)", g.flat(depth-1), g.flat(depth-1))
 		case 2:
-			if !grouped {
-				return fmt.Sprintf("%s/(%s)", g.pick("[1]", "[2]", "[n]", "[-1]"), g.group(depth-1))
-			}
+			return fmt.Sprintf("%s/(%s)", g.pick("[1]", "[2]", "[n]", "[-1]"), g.group(depth-1))
 		}
 	}
-	if grouped || g.rng.Intn(2) == 0 {
+	if g.rng.Intn(2) == 0 {
 		return g.pick("HOLIDAYS", "points(31, 59, 90, DAYS)", "points(10, 20, 30, DAYS)", "interval(40, 70, DAYS)")
 	}
 	return g.pick("[2]/DAYS:during:WEEKS", "[n]/DAYS:during:MONTHS")
@@ -84,7 +93,7 @@ func (g *slGen) group(depth int) string {
 	}
 	x := "DAYS"
 	if g.rng.Intn(2) == 0 {
-		x = "(" + g.flat(depth, true) + ")"
+		x = "(" + g.flat(depth) + ")"
 	}
 	return fmt.Sprintf("%s:%s:%s", x, g.pick("during", "overlaps"), g.unit())
 }
@@ -106,7 +115,7 @@ func (g *slGen) script() string {
 		}
 		switch {
 		case prev != nil && !prev.group: // x = x op …: reads the previous value
-			fmt.Fprintf(&b, " %s = (%s) %s (%s);", name, name, g.pick("+", "+", "-"), g.flat(1, false))
+			fmt.Fprintf(&b, " %s = (%s) %s (%s);", name, name, g.pick("+", "+", "-"), g.flat(1))
 			prev.read = false
 		case prev != nil:
 			i--
@@ -114,11 +123,11 @@ func (g *slGen) script() string {
 			fmt.Fprintf(&b, " %s = %s;", name, g.group(1))
 			g.temps = append(g.temps, &slTemp{name: name, group: true})
 		default:
-			fmt.Fprintf(&b, " %s = %s;", name, g.flat(2, false))
+			fmt.Fprintf(&b, " %s = %s;", name, g.flat(2))
 			g.temps = append(g.temps, &slTemp{name: name})
 		}
 	}
-	ret := g.flat(1, false)
+	ret := g.flat(1)
 	for _, t := range g.temps {
 		switch {
 		case t.read:
@@ -132,59 +141,132 @@ func (g *slGen) script() string {
 	return b.String()
 }
 
-// refused turns a generated script into one the substitution must leave to
-// the runner, and says what evaluating it yields.
+// refused turns a generated script into one that stays a script, and says
+// whether evaluating it yields an alert: a branch, on a condition no window
+// changes — a literal, true or false, or the stored HOLIDAYS — or an alert
+// return.
 func (g *slGen) refused(src string) (string, bool) {
 	body := strings.TrimSuffix(strings.TrimPrefix(src, "{"), "}")
 	ret := body[strings.LastIndex(body, " return ("):]
 	head := strings.TrimSuffix(body, ret)
-	switch g.rng.Intn(3) {
-	case 0: // an assignment nothing reads
-		return "{" + head + " unread = [3]/DAYS:during:WEEKS;" + ret + "}", false
-	case 1: // a branch
-		return "{" + head + " if (points(31, 59, 90, DAYS))" + ret + " return (DAYS);}", false
+	if g.rng.Intn(3) == 0 {
+		return "{" + head + ` return ("ALERT");}`, true
 	}
-	return "{" + head + ` return ("ALERT");}`, true
+	cond := g.pick("points(31, 59, 90, DAYS)", "points(31, 59, 90, DAYS):intersects:points(10, 20, 30, DAYS)", "HOLIDAYS")
+	if cond == "HOLIDAYS" && g.assigned(cond) {
+		cond = "points(31, 59, 90, DAYS)"
+	}
+	return fmt.Sprintf("{%s if (%s)%s return (%s);}", head, cond, ret, g.flat(1)), false
 }
 
-// The differential of the substitution: for generated straight-line scripts,
-// the value plan.RunScript computes by running the statements — the oracle —
-// is what a reference to the script, defined as a derived calendar and hence
-// evaluated as its substituted expression, yields through Manager.EvalExpr,
-// through POST /expand, and (its first start) through Scheduler.NextAfter.
+// oracleCat is the tenant's catalog with the oracle's materialised
+// temporaries as stored calendars.
+type oracleCat struct {
+	*caldb.Manager
+	vals map[string]*calendar.Calendar
+}
+
+func (c oracleCat) StoredCalendar(name string) (*calendar.Calendar, bool) {
+	if v, ok := c.vals[name]; ok {
+		return v, true
+	}
+	return c.Manager.StoredCalendar(name)
+}
+
+func (c oracleCat) ElemKindOf(name string) (chronology.Granularity, bool) {
+	if v, ok := c.vals[name]; ok {
+		return v.Granularity(), true
+	}
+	return c.Manager.ElemKindOf(name)
+}
+
+// oracle evaluates a generated script by definition, the way the runner did
+// before a temporary meant its expression: statement by statement, each
+// assignment materialised over the window without factorisation and read by
+// later statements as a stored calendar, a condition true when its value has
+// an element. It shares with the code under test only the language's name
+// resolution (callang.Subst, here binding each temporary to the name of its
+// stored value). A temporary grouped by a coarser unit later is cut at the
+// window's edge, so callers widen the window beyond what they compare.
+func (h *straightLine) oracle(t testing.TB, src string, s *callang.Script, from, to chronology.Civil) plan.Value {
+	cat := oracleCat{Manager: h.mgr, vals: map[string]*calendar.Calendar{}}
+	env := *h.mgr.Env()
+	env.Cat, env.DisableFactorization = cat, true
+	temps := callang.Subst{}
+	eval := func(x callang.Expr) *calendar.Calendar {
+		x, err := temps.Apply(x)
+		if err == nil {
+			var c *calendar.Calendar
+			if c, err = plan.Evaluate(&env, x, from, to); err == nil {
+				return c
+			}
+		}
+		t.Fatalf("%s over %v..%v: the oracle fails on %s: %v", src, from, to, x, err)
+		return nil
+	}
+	var run func(ss []callang.Stmt) (plan.Value, bool)
+	run = func(ss []callang.Stmt) (plan.Value, bool) {
+		for _, st := range ss {
+			switch n := st.(type) {
+			case *callang.AssignStmt:
+				name := fmt.Sprintf("oracle#%d", len(cat.vals))
+				cat.vals[name] = eval(n.X)
+				temps[n.Name] = &callang.Ident{Name: name}
+			case *callang.ReturnStmt:
+				if lit, ok := n.X.(*callang.StringLit); ok {
+					return plan.Value{Str: lit.Val}, true
+				}
+				return plan.Value{Cal: eval(n.X)}, true
+			case *callang.IfStmt:
+				branch := n.Else
+				if !eval(n.Cond).IsEmpty() {
+					branch = n.Then
+				}
+				if v, ok := run(branch); ok {
+					return v, true
+				}
+			default:
+				t.Fatalf("%s: the oracle does not run %s", src, st)
+			}
+		}
+		return plan.Value{}, false
+	}
+	v, ok := run(s.Stmts)
+	if !ok {
+		t.Fatalf("%s: no return", src)
+	}
+	return v
+}
+
+// The differential of the one script semantics: for generated scripts —
+// straight-line, branching on a condition no window changes, or alerting —
+// the definition (oracle) is what plan.RunScript computes over the window,
+// and what a reference to the script, defined as a derived calendar, yields
+// through Manager.EvalExpr, through POST /expand, and (its first start)
+// through Scheduler.NextAfter. A straight-line script is evaluated there as
+// its substituted expression, a branching one by the runner.
 //
-// The two agree on the requested window, not element for element beyond it,
-// and the comparison says so twice. Both values go through the route's clip
-// (marshalExpand): the look-ahead of §3.4 narrows generation windows over the
-// whole expression, the runner evaluates statement by statement, so they
-// differ in which elements outside the window they carry and in how empty
-// groups nest. And the runner runs over the window widened by `margin` days:
-// it materialises every temporary over the requested window only, so a
-// temporary a later statement groups by a coarser unit is cut at the window's
-// edge and `[n]/x:during:MONTHS` then picks the last element it has, not the
-// month's — the edge effect handing the compiler the whole expression
-// removes. With the margin the cut lies outside what is compared.
+// The oracle runs over the window widened by `margin` days, and every value
+// is compared after the route's clip (marshalExpand): the look-ahead of §3.4
+// and the oracle's materialisation differ in which elements outside the
+// window they carry and in how empty groups nest, never inside it.
 //
-// Two shapes are not generated because the runner cannot be their oracle. A
-// positional selection from an order-1 list counts from the window's edge by
-// definition. And the runner factorises each statement alone: the §3.4
-// rewrite keeps a grouping's elements but not its nesting, so a temporary
-// assigned `([1]/(DAYS:during:MONTHS)):during:MONTHS` is flat in the runner
-// and a later `[1]/b` picks once from the whole list; the expression form
-// leaves a selection's subject as written (callang.Factorize). Groupings
-// here take DAYS or a flat set that is not itself a selection.
+// Each script also obeys the window law (snapshot reducibility): evaluated
+// over the hull of the windows and restricted to one of them, it is what
+// evaluating over that window yields, stored (EvalExpr) and ad hoc
+// (RunScript).
 func TestStraightLineScriptsMatchRunner(t *testing.T) {
 	h := newStraightLine(t)
 	rng := rand.New(rand.NewSource(21))
-	for i := 0; h.pairs < 400 || h.refusals < 30; i++ {
+	for i := 0; h.pairs < 400 || h.laws < 400 || h.refusals < 30; i++ {
 		h.check(t, rng, i%4 == 3)
 	}
-	t.Logf("%d script × window pairs through EvalExpr and /expand, %d next instants, %d refused scripts run by the runner",
-		h.pairs, h.nexts, h.refusals)
+	t.Logf("%d script × window pairs through RunScript, EvalExpr and /expand, %d window-law pairs, %d next instants, %d branching or alerting scripts",
+		h.pairs, h.laws, h.nexts, h.refusals)
 }
 
-// FuzzStraightLineScripts is the same differential with the fuzzer choosing
-// the generator's seed; `make fuzz-smoke` runs it for 15 s.
+// FuzzStraightLineScripts is the same differential and law with the fuzzer
+// choosing the generator's seed; `make fuzz-smoke` runs it for 15 s.
 func FuzzStraightLineScripts(f *testing.F) {
 	h := newStraightLine(f)
 	for seed := int64(0); seed < 8; seed++ {
@@ -196,16 +278,17 @@ func FuzzStraightLineScripts(f *testing.F) {
 }
 
 // straightLine is one tenant with a stored HOLIDAYS on both sides of tick 0
-// (day tick 1 is 1987-01-01) and the windows the differential compares over:
-// before, across and after the missing tick.
+// (day tick 1 is 1987-01-01), the windows the differential compares over —
+// before, across and after the missing tick — and their hull.
 type straightLine struct {
 	ts      *httptest.Server
 	tok     string
 	mgr     *caldb.Manager
 	ch      *chronology.Chronology
 	windows [][2]chronology.Civil
+	hull    [2]chronology.Civil
 
-	pairs, nexts, refusals int
+	pairs, laws, nexts, refusals int
 }
 
 func newStraightLine(tb testing.TB) *straightLine {
@@ -227,13 +310,14 @@ func newStraightLine(tb testing.TB) *straightLine {
 		{{Year: 1986, Month: 6, Day: 1}, {Year: 1987, Month: 9, Day: 30}},
 		{{Year: 1987, Month: 1, Day: 1}, {Year: 1988, Month: 3, Day: 31}},
 	}
+	h.hull = [2]chronology.Civil{h.windows[0][0], h.windows[3][1]}
 	return h
 }
 
 // derivedOps counts the OpDerived references to name a plan over it holds:
 // one for a script the runner evaluates, none for one that is an expression.
 func (h *straightLine) derivedOps(t testing.TB, name string) int {
-	p, err := plan.CompileExpr(h.mgr.Env(), &callang.Ident{Name: name}, nil, h.windows[0][0], h.windows[0][1])
+	p, err := plan.CompileExpr(h.mgr.Env(), &callang.Ident{Name: name}, h.windows[0][0], h.windows[0][1])
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -246,9 +330,9 @@ func (h *straightLine) derivedOps(t testing.TB, name string) int {
 	return n
 }
 
-// check generates one script — one the rule must refuse when refuse is set —
-// defines it as the derived calendar "s" through the API and compares it with
-// the runner over every window.
+// check generates one script — one that stays a script when refuse is set —
+// defines it as the derived calendar "s" through the API and compares every
+// path with the oracle over every window.
 func (h *straightLine) check(t testing.TB, rng *rand.Rand, refuse bool) {
 	const horizonDays, margin, name, base = 150, 800, "s", "/v1/tenants/sl"
 	g := &slGen{rng: rng}
@@ -269,8 +353,7 @@ func (h *straightLine) check(t testing.TB, rng *rand.Rand, refuse bool) {
 		t.Fatalf("%s: AsExpr ok = %v", src, isExpr)
 	}
 	if !isExpr {
-		// The rule refuses it: a reference stays an OpDerived, whose
-		// evaluation is the runner.
+		// A reference stays an OpDerived, whose evaluation is the runner.
 		h.refusals++
 		if h.derivedOps(t, name) != 1 {
 			t.Fatalf("%s: refused by the rule but not compiled to an OpDerived", src)
@@ -278,58 +361,72 @@ func (h *straightLine) check(t testing.TB, rng *rand.Rand, refuse bool) {
 	} else if h.derivedOps(t, name) != 0 {
 		t.Fatalf("%s: an expression, yet a reference compiles to an OpDerived", src)
 	}
-	oracleEnv := h.mgr.Env()
+	env := h.mgr.Env()
+	var wideStored *calendar.Calendar
+	wideAdHoc, err := plan.RunScript(env, script, h.hull[0], h.hull[1])
+	if err == nil && !alert {
+		wideStored, err = h.mgr.EvalExpr(name, h.hull[0], h.hull[1])
+	}
+	if err != nil {
+		t.Fatalf("%s over the hull: %v", src, err)
+	}
 	for _, w := range h.windows {
-		// A refused script is run by the runner over the window itself.
-		m := int64(margin)
-		if !isExpr {
-			m = 0
-		}
-		want, err := plan.RunScript(oracleEnv, script, w[0].AddDays(-m), w[1].AddDays(m))
+		want := h.oracle(t, src, script, w[0].AddDays(-margin), w[1].AddDays(margin))
+		ran, err := plan.RunScript(env, script, w[0], w[1])
 		if err != nil {
 			t.Fatalf("%s over %v: the runner fails: %v", src, w, err)
 		}
-		got, err := h.mgr.EvalExpr(name, w[0], w[1])
 		if alert {
-			if err == nil || !want.IsString() {
-				t.Fatalf("%s: alert script gave %v, %v (runner %v)", src, got, err, want)
+			if got, err := h.mgr.EvalExpr(name, w[0], w[1]); err == nil || !want.IsString() || !ran.IsString() || ran.Str != want.Str {
+				t.Fatalf("%s: alert script gave %v, %v; runner %v; oracle %v", src, got, err, ran, want)
 			}
 			continue
 		}
+		got, err := h.mgr.EvalExpr(name, w[0], w[1])
 		if err != nil {
-			t.Fatalf("%s over %v: EvalExpr fails where the runner does not: %v", src, w, err)
+			t.Fatalf("%s over %v: EvalExpr fails: %v", src, w, err)
 		}
 		wantBody := marshalExpand(h.ch, name, want.Cal, w[0], w[1])
-		if gotBody := marshalExpand(h.ch, name, got, w[0], w[1]); !bytes.Equal(gotBody, wantBody) {
-			t.Fatalf("%s over %v: EvalExpr\n%s\nrunner\n%s", src, w, gotBody, wantBody)
+		for _, c := range []struct {
+			path string
+			cal  *calendar.Calendar
+		}{{"RunScript", ran.Cal}, {"EvalExpr", got}} {
+			if body := marshalExpand(h.ch, name, c.cal, w[0], w[1]); !bytes.Equal(body, wantBody) {
+				t.Fatalf("%s over %v: %s\n%s\noracle\n%s", src, w, c.path, body, wantBody)
+			}
 		}
 		status, body := rawCall(t, h.ts, "POST", base+"/expand", h.tok, map[string]any{
 			"expr": name, "from": w[0].String(), "to": w[1].String()})
 		if status != http.StatusOK || !bytes.Equal(body, wantBody) {
-			t.Fatalf("%s over %v: POST /expand %d\n%s\nrunner\n%s", src, w, status, body, wantBody)
+			t.Fatalf("%s over %v: POST /expand %d\n%s\noracle\n%s", src, w, status, body, wantBody)
 		}
-		if isExpr {
-			h.pairs++
+		h.pairs++
+		// The window law: the hull's value restricted to the window.
+		for _, c := range []struct {
+			path string
+			cal  *calendar.Calendar
+		}{{"RunScript", wideAdHoc.Cal}, {"EvalExpr", wideStored}} {
+			if body := marshalExpand(h.ch, name, c.cal, w[0], w[1]); !bytes.Equal(body, wantBody) {
+				t.Fatalf("%s: %s over %v..%v restricted to %v\n%s\nover the window\n%s", src, c.path, h.hull[0], h.hull[1], w, body, wantBody)
+			}
 		}
+		h.laws++
 	}
 	if !isExpr {
 		return
 	}
 	// The next instant after each window's first midnight: by the scheduler's
 	// contract, the least start after it in the horizon window, which the
-	// runner evaluates here.
+	// oracle evaluates here.
 	l, err := h.mgr.Prepared("", name).Lowered()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := plan.NewScheduler(h.mgr.Env(), l.Expr, l.Gran)
+	sched := plan.NewScheduler(env, l.Expr, l.Gran)
 	sched.Configure(horizonDays, false)
 	for _, w := range h.windows {
 		after := h.ch.EpochSecondsOf(w[0])
-		want, err := plan.RunScript(oracleEnv, script, w[0].AddDays(-margin), w[0].AddDays(horizonDays+margin))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := h.oracle(t, src, script, w[0].AddDays(-margin), w[0].AddDays(horizonDays+margin))
 		horizonEnd := h.ch.EpochSecondsOf(w[0].AddDays(horizonDays + 1))
 		wantAt, wantOK := int64(0), false
 		for _, iv := range want.Cal.Flatten().Intervals() {
@@ -345,7 +442,7 @@ func (h *straightLine) check(t testing.TB, rng *rand.Rand, refuse bool) {
 		}
 		at, ok, err := sched.NextAfter(after)
 		if err != nil || !ok || at != wantAt {
-			t.Fatalf("%s: NextAfter(%v) = %v %v %v, the runner's first start is %v",
+			t.Fatalf("%s: NextAfter(%v) = %v %v %v, the oracle's first start is %v",
 				src, w[0], h.ch.CivilOf(at), ok, err, h.ch.CivilOf(wantAt))
 		}
 		h.nexts++
