@@ -109,7 +109,15 @@ loc:
 # substitution (callang.Subst, its bounded node count), the runner's `today`
 # binding and plan.Unused (the parameter Prepare, Compile and Exec now ignore,
 # which bench/ still passes) came.
-LOC_BUDGET = 24089
+# A firing makes one write raised it by 60 (24 089 -> 24 149): the journal's
+# own record buffer with its ack flag, its commit-point write, Flush and
+# Stats, Replay's newline-terminated records (and its truncation of a file
+# whose first line is empty), DBCron's flush on return,
+# DB.Table's stack-buffer lowercasing and the Txn's two inline undo records
+# came; the bufio writer with its reused line buffer, Sync's own flush and
+# fsync, the seeks after Open and Compact (O_APPEND instead) and
+# Replace's clone of the row it unlinks went.
+LOC_BUDGET = 24149
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -228,6 +236,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzStraightLineScripts -fuzztime=15s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzCivilCursor -fuzztime=15s -run '^$$' ./internal/chronology/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=15s -run '^$$' ./internal/store/
+	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=15s -run '^$$' ./internal/rules/journal/
 	$(GO) test -fuzz=FuzzGroupWalk -fuzztime=15s -run '^$$' ./internal/core/plan/
 
 staticcheck:

@@ -118,7 +118,8 @@ func BenchmarkProbe100kRules(b *testing.B) {
 // rules over 50 expressions under a journalled DBCron with sync off, each
 // action appending one FIRED row in its firing transaction (cron_fleet's
 // shape). The loop advances one virtual day at a time until b.N rules have
-// fired; ns/op, B/op and allocs/op are per firing, the probes included.
+// fired; ns/op, B/op and allocs/op are per firing, the probes included, and
+// so are the journal's writes/op and fsyncs/op (0 here: sync is off).
 func BenchmarkDurableFiring(b *testing.B) {
 	const nRules, distinct = 1000, 50
 	eng, cal := newEngine(b)
@@ -155,6 +156,7 @@ func BenchmarkDurableFiring(b *testing.B) {
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
+	j0 := j.Stats()
 	b.ResetTimer()
 	fired := 0
 	for now := start; fired < b.N; {
@@ -167,6 +169,9 @@ func BenchmarkDurableFiring(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
+	j1 := j.Stats()
+	b.ReportMetric(float64(j1.Writes-j0.Writes)/float64(fired), "writes/op")
+	b.ReportMetric(float64(j1.Fsyncs-j0.Fsyncs)/float64(fired), "fsyncs/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/op")
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(fired), "B/op")
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(fired), "allocs/op")

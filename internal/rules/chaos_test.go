@@ -32,9 +32,10 @@ const chaosDays = 8
 
 // chaosRun drives one seeded kill-and-recover scenario over a fleet of daily
 // rules and returns the per-firing execution counts, the expected firings,
-// and how many kills were injected. The kill lands on occurrence crashAt of
-// the site, or on a seed-chosen one when crashAt is 0.
-func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy, rules, crashAt int) (counts map[Firing]int, expected []Firing, kills int) {
+// how many kills were injected and how many firings recovery deduplicated
+// by RULE-TIME. The kill lands on occurrence crashAt of the site, or on a
+// seed-chosen one when crashAt is 0.
+func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy, rules, crashAt int) (counts map[Firing]int, expected []Firing, kills, deduped int) {
 	t.Helper()
 	db := store.NewDB()
 	cal, err := caldb.New(db, chronology.MustNew(chronology.DefaultEpoch))
@@ -123,7 +124,9 @@ func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy, rules
 				t.Fatal(err)
 			}
 			if !first {
-				if _, err := c.Recover(now); err != nil {
+				rep, err := c.Recover(now)
+				deduped += rep.Deduped
+				if err != nil {
 					if faultinject.IsCrash(err) {
 						// Killed again during recovery: reboot.
 						kill(j)
@@ -155,7 +158,7 @@ func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy, rules
 		boot(now, false)
 	}
 	jnl.Close()
-	return counts, expected, kills
+	return counts, expected, kills, deduped
 }
 
 // saveChaosArtifact copies a failing run's journal for CI upload.
@@ -191,7 +194,7 @@ func TestChaosExactlyOnceFireAll(t *testing.T) {
 		t.Run(site, func(t *testing.T) {
 			totalKills := 0
 			for seed := int64(1); seed <= seedsPerSite; seed++ {
-				counts, expected, kills := chaosRun(t, seed, site, FireAll, 1, 0)
+				counts, expected, kills, _ := chaosRun(t, seed, site, FireAll, 1, 0)
 				totalKills += kills
 				checkExactlyOnce(t, seed, counts, expected)
 				if t.Failed() {
@@ -233,9 +236,25 @@ func checkExactlyOnce(t *testing.T, seed int64, counts map[Firing]int, expected 
 // must still run every instant exactly once.
 func TestChaosAppendCrashInsideProbe(t *testing.T) {
 	const seed = 1
-	counts, expected, kills := chaosRun(t, seed, journal.SiteAppend, FireAll, 3, 3)
+	counts, expected, kills, _ := chaosRun(t, seed, journal.SiteAppend, FireAll, 3, 3)
 	if kills != 1 {
 		t.Fatalf("%d kills, want the one armed", kills)
+	}
+	checkExactlyOnce(t, seed, counts, expected)
+}
+
+// TestChaosAppendCrashWhileAckBuffered kills the daemon on the B record of
+// a day's second firing, while the first firing's A waits in the buffer to
+// ride with it: journal appends are Open's magic line, the probe's two S
+// records, then the first firing's B and A, so the sixth append is the
+// second B. The kill loses the buffered A; recovery must find the first
+// firing committed in RULE-TIME and ack it without re-executing, refire the
+// second, and FireAll must still run every instant exactly once.
+func TestChaosAppendCrashWhileAckBuffered(t *testing.T) {
+	const seed = 1
+	counts, expected, kills, deduped := chaosRun(t, seed, journal.SiteAppend, FireAll, 2, 6)
+	if kills != 1 || deduped != 1 {
+		t.Fatalf("%d kills and %d firings deduped, want the one kill armed and the firing whose ack it lost", kills, deduped)
 	}
 	checkExactlyOnce(t, seed, counts, expected)
 }
@@ -249,7 +268,7 @@ func TestChaosAtMostOnceSkip(t *testing.T) {
 		t.Run(site, func(t *testing.T) {
 			totalKills := 0
 			for seed := int64(1); seed <= seedsPerSite; seed++ {
-				counts, expected, kills := chaosRun(t, seed, site, SkipMissed, 1, 0)
+				counts, expected, kills, _ := chaosRun(t, seed, site, SkipMissed, 1, 0)
 				totalKills += kills
 				for f, n := range counts {
 					if n > 1 {

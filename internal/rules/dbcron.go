@@ -46,9 +46,9 @@ const (
 	// SiteProbe is hit at the top of each RULE-TIME probe.
 	SiteProbe = "dbcron.probe"
 	// SiteAck is hit after a firing's transaction commits and before its
-	// journal ack is written — the classic at-least-once window. Recovery
-	// closes it by detecting the advanced RULE-TIME and acking without
-	// re-executing.
+	// journal ack is buffered — the classic at-least-once window, one firing
+	// wide. Recovery closes it by detecting the advanced RULE-TIME and
+	// acking without re-executing.
 	SiteAck = "dbcron.ack"
 )
 
@@ -404,10 +404,10 @@ func (c *DBCron) execute(pf *pendingFiring, now int64) (bool, error) {
 // timestamp order, and returns the firings executed. In legacy (fail-fast)
 // mode a rule that fails stops processing and surfaces the error; in
 // durable mode failures retry with backoff and processing continues.
-func (c *DBCron) AdvanceTo(now int64) ([]Firing, error) {
+func (c *DBCron) AdvanceTo(now int64) (fired []Firing, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var fired []Firing
+	defer c.flushJournal(&err)
 	for {
 		// Next event is either a probe or the earliest pending attempt;
 		// firings at the probe instant run before the probe (seed order).
@@ -430,6 +430,17 @@ func (c *DBCron) AdvanceTo(now int64) ([]Firing, error) {
 		}
 		if err := c.probe(c.nextProbe); err != nil {
 			return fired, err
+		}
+	}
+}
+
+// flushJournal writes what the journal still buffers, the last firing's ack
+// among it, on a return of AdvanceTo or Recover (c.mu held). An injected
+// crash models a process death and writes nothing more.
+func (c *DBCron) flushJournal(err *error) {
+	if j := c.opts.Journal; j != nil && !faultinject.IsCrash(*err) {
+		if ferr := j.Flush(); *err == nil {
+			*err = ferr
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -576,5 +577,103 @@ func TestBackoffShape(t *testing.T) {
 	}
 	if p.backoff(1, nil) != 2 || p.backoff(2, nil) != 4 || p.backoff(8, nil) != 30 {
 		t.Errorf("backoff schedule: %d %d %d", p.backoff(1, nil), p.backoff(2, nil), p.backoff(8, nil))
+	}
+}
+
+// Acks ride with the next journal write, so AdvanceTo and Recover flush on
+// return: when either returns, the file holds an A for every firing due by
+// then. The probe period is two days, so every other day's firings end an
+// AdvanceTo with no probe's Sync after them. A kill in the ack window of a
+// day's second firing loses that ack; Recover acks it (the RULE-TIME dedup)
+// and fires the third, and its return writes both acks.
+func TestReturnsLeaveEveryAckInTheFile(t *testing.T) {
+	_, cal := newEngine(t)
+	start := cal.Chron().EpochSecondsOf(d(1993, 1, 1))
+	names := []string{"a", "b", "c"}
+	var hits []int64
+	path := filepath.Join(t.TempDir(), "firing.journal")
+	inj := faultinject.New(1)
+	boot := func(first bool, now int64) (*DBCron, *journal.Journal) {
+		eng, err := NewEngine(cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if first {
+				err = eng.DefineTemporalRule(name, "DAYS", countingAction(name, &hits), start)
+			} else {
+				err = eng.ReattachAction(name, countingAction(name, &hits))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, err := journal.Open(path, journal.WithSync(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cron, err := NewDBCronWith(eng, 2*chronology.SecondsPerDay, now, CronOptions{Journal: j, Faults: inj, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cron, j
+	}
+	// unacked lists the firings due by now that the file shows pending.
+	unacked := func(now int64) []journal.PendingFiring {
+		t.Helper()
+		j, err := journal.Open(path, journal.WithSync(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		var due []journal.PendingFiring
+		for _, p := range j.State().Pending {
+			if p.At <= now {
+				due = append(due, p)
+			}
+		}
+		return due
+	}
+	cron, j := boot(true, start)
+	now := start
+	for day := 0; day < 4; day++ {
+		if _, err := cron.AdvanceTo(now); err != nil {
+			t.Fatal(err)
+		}
+		if p := unacked(now); len(p) != 0 {
+			t.Fatalf("AdvanceTo(day %d) returned with %+v unacked in the file", day, p)
+		}
+		now += chronology.SecondsPerDay
+	}
+	inj.CrashAt(SiteAck, inj.Count(SiteAck)+2)
+	if _, err := cron.AdvanceTo(now); !faultinject.IsCrash(err) {
+		t.Fatalf("AdvanceTo err = %v, want the crash armed in the ack window", err)
+	}
+	// Kill -9: the journal's buffer dies with the process.
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p := unacked(now); len(p) != 2 {
+		t.Fatalf("after the kill the file shows %+v unacked, want the day's second and third firing", p)
+	}
+	cron, j = boot(false, now)
+	defer j.Close()
+	rep, err := cron.Recover(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Deduped != 1 || rep.Refired != 1 {
+		t.Errorf("recovery %v, want the committed firing deduped and the other refired", rep)
+	}
+	if p := unacked(now); len(p) != 0 {
+		t.Fatalf("Recover returned with %+v unacked in the file", p)
+	}
+	if len(hits) != 4*len(names) {
+		t.Errorf("%d executions, want %d", len(hits), 4*len(names))
 	}
 }

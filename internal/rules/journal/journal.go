@@ -1,7 +1,9 @@
 // Package journal is the write-ahead firing journal of the rules engine: an
 // append-only, line-oriented log of scheduled → fired → acked transitions for
-// every temporal-rule firing, fsynced on commit, replayed at startup to
-// recover firings a crashed daemon had accepted but not completed.
+// every temporal-rule firing, replayed at startup to recover firings a
+// crashed daemon had accepted but not completed. S and A records wait for
+// the next write; a write that carries an A, D or K record is a commit
+// point, and fsyncs when the journal syncs.
 //
 // Format (text, one record per line; names and reasons strconv-quoted):
 //
@@ -20,6 +22,7 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"os"
 	"sort"
@@ -32,8 +35,8 @@ import (
 
 const magic = "calsys-journal 1"
 
-// bufSize is the journal's write buffer: room for a probe of about 2 000
-// buffered S records, which then go out in one write.
+// bufSize bounds the journal's write buffer: room for a probe of about
+// 2 000 buffered S records, which then go out in one write.
 const bufSize = 64 << 10
 
 // Fault-injection sites in the journal I/O path.
@@ -68,14 +71,18 @@ type State struct {
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
-	w      *bufio.Writer
 	path   string
 	seq    uint64
 	sync   bool
 	faults *faultinject.Injector
 	state  State
-	line   []byte // the record being written, reused across appends
+	buf    []byte // records not yet written
+	acked  bool   // buf holds an A record
+	stats  Stats
 }
+
+// Stats counts the journal's write(2) and fsync calls since Open.
+type Stats struct{ Writes, Fsyncs int64 }
 
 // Option configures Open.
 type Option func(*Journal)
@@ -87,15 +94,15 @@ func WithSync(on bool) Option { return func(j *Journal) { j.sync = on } }
 // WithFaults threads a fault injector through the journal's I/O sites.
 func WithFaults(in *faultinject.Injector) Option { return func(j *Journal) { j.faults = in } }
 
-// Open opens (or creates) the journal at path, replays any existing records,
-// truncates a torn tail, and positions for appending. The replayed state is
+// Open opens (or creates) the journal at path for appending, replays any
+// existing records and truncates a torn tail. The replayed state is
 // available via State / Pending.
 func Open(path string, opts ...Option) (*Journal, error) {
 	j := &Journal{path: path, sync: true}
 	for _, fn := range opts {
 		fn(j)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -110,16 +117,11 @@ func Open(path string, opts ...Option) (*Journal, error) {
 			return nil, fmt.Errorf("journal: truncating torn tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(st.ValidBytes, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
 	j.f = f
-	j.w = bufio.NewWriterSize(f, bufSize)
 	j.seq = st.NextSeq
 	j.state = *st
 	if st.Records == 0 && st.ValidBytes == 0 {
-		if err := j.appendLine([]byte(magic), true); err != nil {
+		if err := j.appendLine(append(j.buf, magic...), true); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -138,6 +140,20 @@ func Replay(f *os.File) (*State, error) {
 	st := &State{AckedThrough: map[string]int64{}, NextSeq: 1}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	// A record ends at its newline, and every byte before it is the record's:
+	// a final line without one is a torn write even when it parses ("A 12"
+	// torn from "A 123"), and a '\r' is not stripped.
+	torn := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		if atEOF && len(data) > 0 {
+			torn = true
+			return len(data), data, nil
+		}
+		return 0, nil, nil
+	})
 
 	type sched struct {
 		pf   PendingFiring
@@ -150,22 +166,22 @@ func Replay(f *os.File) (*State, error) {
 	first := true
 	for sc.Scan() {
 		line := sc.Text()
-		lineLen := int64(len(sc.Bytes())) + 1
-		if first {
-			if line != magic {
-				if line == "" {
-					break
-				}
+		if first && line != magic {
+			if line != "" {
 				return nil, fmt.Errorf("journal: not a firing journal (bad magic %q)", line)
 			}
-			first = false
-			offset += lineLen
-			continue
+			st.Truncated = true // Open empties the file and writes the magic line
+			break
 		}
 		rec, ok := parseRecord(line)
-		if !ok {
+		if torn || (!first && !ok) {
 			st.Truncated = true
 			break
+		}
+		offset += int64(len(line)) + 1
+		if first {
+			first = false
+			continue
 		}
 		switch rec.kind {
 		case 'S':
@@ -194,7 +210,6 @@ func Replay(f *os.File) (*State, error) {
 			}
 		}
 		st.Records++
-		offset += lineLen
 	}
 	if err := sc.Err(); err != nil {
 		// An overlong or unreadable tail is treated like a torn write.
@@ -292,36 +307,54 @@ func (j *Journal) State() State {
 	return j.state
 }
 
-// bufferLine hands line and a newline to the file's buffer, and keeps the
-// line for reuse. Nothing reaches the file until the next flush.
-func (j *Journal) bufferLine(line []byte) error {
-	line = append(line, '\n')
-	j.line = line[:0]
+// bufferLine keeps buf, the buffer with one more record appended (an A
+// record when ack), and ends the record with a newline. Nothing reaches the
+// file until the next write, or until the buffer outgrows bufSize.
+func (j *Journal) bufferLine(buf []byte, ack bool) error {
 	if err := faultinject.Hit(j.faults, SiteAppend); err != nil {
 		return err
 	}
-	if _, err := j.w.Write(line); err != nil {
-		return fmt.Errorf("journal: %w", err)
+	j.acked = j.acked || ack
+	if j.buf = append(buf, '\n'); len(j.buf) >= bufSize {
+		return j.write(false)
 	}
 	return nil
 }
 
-// appendLine writes line and a newline, with whatever the buffer held before
-// it, in one write.
-func (j *Journal) appendLine(line []byte, sync bool) error {
-	if err := j.bufferLine(line); err != nil {
+// appendLine buffers a record and writes it, with whatever the buffer held
+// before it, in one write.
+func (j *Journal) appendLine(buf []byte, commit bool) error {
+	if err := j.bufferLine(buf, false); err != nil {
 		return err
 	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: %w", err)
+	return j.write(commit)
+}
+
+// write hands the buffer, if any, to the file in one write. A commit point,
+// and any write that carries an A record, hits the journal.sync site whether
+// or not the journal syncs, then fsyncs when it does.
+func (j *Journal) write(commit bool) error {
+	if len(j.buf) > 0 {
+		j.stats.Writes++
+		n, err := j.f.Write(j.buf)
+		j.buf = j.buf[:copy(j.buf, j.buf[n:])] // a short write keeps the rest
+		if err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
 	}
-	if sync && j.sync {
-		if err := faultinject.Hit(j.faults, SiteSync); err != nil {
-			return err
-		}
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: fsync: %w", err)
-		}
+	commit, j.acked = commit || j.acked, false
+	if !commit {
+		return nil
+	}
+	if err := faultinject.Hit(j.faults, SiteSync); err != nil {
+		return err
+	}
+	if !j.sync {
+		return nil
+	}
+	j.stats.Fsyncs++
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	return nil
 }
@@ -340,55 +373,61 @@ func (j *Journal) Scheduled(rule string, at int64) (uint64, error) {
 	defer j.mu.Unlock()
 	seq := j.seq
 	j.seq++
-	err := j.bufferLine(appendQuoted(appendInt(appendSeq(append(j.line[:0], 'S'), seq), at), rule))
+	err := j.bufferLine(appendQuoted(appendInt(appendSeq(append(j.buf, 'S'), seq), at), rule), false)
 	return seq, err
 }
 
-// Begin records the start of execution attempt n (1-based) for seq.
+// Begin records the start of execution attempt n (1-based) for seq. Its
+// write carries every record buffered before it, so an action never starts
+// while an earlier firing's ack is in memory only.
 func (j *Journal) Begin(seq uint64, attempt int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLine(appendInt(appendSeq(append(j.line[:0], 'B'), seq), int64(attempt)), false)
+	return j.appendLine(appendInt(appendSeq(append(j.buf, 'B'), seq), int64(attempt)), false)
 }
 
-// Ack records seq as committed and fsyncs.
+// Ack records seq as committed. The record is only buffered: the next
+// write carries it, and fsyncs when the journal syncs.
 func (j *Journal) Ack(seq uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLine(appendSeq(append(j.line[:0], 'A'), seq), true)
+	return j.bufferLine(appendSeq(append(j.buf, 'A'), seq), true)
 }
 
-// Dead records seq as dead-lettered after attempts tries and fsyncs.
+// Dead records seq as dead-lettered after attempts tries: a commit point.
 func (j *Journal) Dead(seq uint64, attempts int, reason string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLine(appendQuoted(appendInt(appendSeq(append(j.line[:0], 'D'), seq), int64(attempts)), reason), true)
+	return j.appendLine(appendQuoted(appendInt(appendSeq(append(j.buf, 'D'), seq), int64(attempts)), reason), true)
 }
 
-// Skip records seq as skipped by the catch-up policy and fsyncs.
+// Skip records seq as skipped by the catch-up policy: a commit point.
 func (j *Journal) Skip(seq uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLine(appendSeq(append(j.line[:0], 'K'), seq), true)
+	return j.appendLine(appendSeq(append(j.buf, 'K'), seq), true)
 }
 
-// Sync flushes and fsyncs the journal.
+// Sync writes what the journal buffers and fsyncs it: a commit point.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := faultinject.Hit(j.faults, SiteSync); err != nil {
-		return err
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if !j.sync {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	return nil
+	return j.write(true)
+}
+
+// Flush writes what the journal buffers, if anything: a commit point when
+// it carries an ack.
+func (j *Journal) Flush() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.write(false)
+}
+
+// Stats reports the journal's writes and fsyncs since Open.
+func (j *Journal) Stats() Stats {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.stats
 }
 
 // writeMinimal writes st to path in its minimal replay form — the magic
@@ -460,8 +499,9 @@ func Create(path string, st *State, opts ...Option) (*Journal, error) {
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: %w", err)
+	j.acked = false // the rewrite below commits the buffered ack
+	if err := j.write(false); err != nil {
+		return err
 	}
 	st, err := Replay(j.f)
 	if err != nil {
@@ -470,44 +510,34 @@ func (j *Journal) Compact() error {
 	if err := writeMinimal(j.path, st, j.faults, j.sync); err != nil {
 		return err
 	}
-	old := j.f
-	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
+	j.stats.Writes++
+	if j.sync {
+		j.stats.Fsyncs++
+	}
+	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: reopening after compact: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	old.Close()
+	j.f.Close()
 	j.f = f
-	j.w = bufio.NewWriterSize(f, bufSize)
 	j.state = *st
 	return nil
 }
 
 func lowerKey(rule string) string { return strings.ToLower(rule) }
 
-// Close flushes, fsyncs and closes the journal file.
+// Close writes what the journal buffers, fsyncs it (a commit point) and
+// closes the file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
-	flushErr := j.w.Flush()
-	if j.sync {
-		if err := j.f.Sync(); err != nil && flushErr == nil {
-			flushErr = err
-		}
+	err := j.write(true)
+	if cerr := j.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("journal: %w", cerr)
 	}
-	closeErr := j.f.Close()
 	j.f = nil
-	if flushErr != nil {
-		return fmt.Errorf("journal: %w", flushErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("journal: %w", closeErr)
-	}
-	return nil
+	return err
 }

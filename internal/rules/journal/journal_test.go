@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -160,6 +161,26 @@ func TestGarbageTailTolerated(t *testing.T) {
 	defer j2.Close()
 	if st := j2.State(); !st.Truncated || st.AckedThrough["a"] != 10 {
 		t.Errorf("garbage tail: %+v", st)
+	}
+}
+
+// A file whose first line is empty is emptied and starts over with the
+// magic line, so what is appended next replays.
+func TestEmptyFirstLineStartsOver(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	if err := os.WriteFile(path, []byte("\nS 1 100 \"a\"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := open(t, path)
+	seq, err := j.Scheduled("b", 200)
+	if err == nil {
+		err = j.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != magic+"\n"+fmtScheduled(seq, 200, "b")+"\n" {
+		t.Fatalf("the journal holds %q", b)
 	}
 }
 
@@ -419,4 +440,163 @@ func TestMinimalFormHitsSyncSiteWithSyncOff(t *testing.T) {
 	if got := j.State().AckedThrough["a"]; got != 10 {
 		t.Errorf("created journal replays AckedThrough[a] = %d, want 10", got)
 	}
+}
+
+// An A record waits in the buffer for the next write: after Ack the file
+// holds no A line and replays the firing as pending, and each carrier (the
+// next Begin, Sync, Flush, Close or Compact) writes it. With sync on, a
+// write that carries an A fsyncs and a B that carries none does not.
+func TestAckRidesWithNextWrite(t *testing.T) {
+	carriers := []struct {
+		name   string
+		op     func(j *Journal, next uint64) error
+		writes int64 // Compact writes the old file's tail, then the new file
+	}{
+		{"Begin", func(j *Journal, next uint64) error { return j.Begin(next, 1) }, 1},
+		{"Sync", func(j *Journal, _ uint64) error { return j.Sync() }, 1},
+		{"Flush", func(j *Journal, _ uint64) error { return j.Flush() }, 1},
+		{"Close", func(j *Journal, _ uint64) error { return j.Close() }, 1},
+		{"Compact", func(j *Journal, _ uint64) error { return j.Compact() }, 2},
+	}
+	for _, c := range carriers {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j")
+			j := open(t, path, WithSync(true))
+			defer j.Close()
+			replay := func() (*State, string) {
+				t.Helper()
+				f, err := os.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				st, err := Replay(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st, string(b)
+			}
+			s1, _ := j.Scheduled("a", 100)
+			s2, _ := j.Scheduled("b", 200)
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			before := j.Stats()
+			if err := j.Begin(s1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if got := j.Stats(); got != (Stats{before.Writes + 1, before.Fsyncs}) {
+				t.Fatalf("a B carrying no ack: stats %+v -> %+v, want one write and no fsync", before, got)
+			}
+			before = j.Stats()
+			if err := j.Ack(s1); err != nil {
+				t.Fatal(err)
+			}
+			if st, img := replay(); strings.Contains(img, "\nA ") || len(st.Pending) != 2 || j.Stats() != before {
+				t.Fatalf("after Ack the file holds %q (stats %+v), want no A line and no write", img, j.Stats())
+			}
+			if err := c.op(j, s2); err != nil {
+				t.Fatal(err)
+			}
+			st, img := replay()
+			if st.AckedThrough["a"] != 100 || (c.name != "Compact" && !strings.Contains(img, fmt.Sprintf("\nA %d\n", s1))) {
+				t.Fatalf("after %s the file holds %q, want a's ack", c.name, img)
+			}
+			if got := j.Stats(); got != (Stats{before.Writes + c.writes, before.Fsyncs + 1}) {
+				t.Errorf("%s: stats %+v -> %+v, want %d writes and one fsync", c.name, before, got, c.writes)
+			}
+		})
+	}
+}
+
+// Every commit point hits the journal.sync site whether or not the journal
+// syncs; a write that carries no ack, D or K record does not.
+func TestCommitPointsHitSyncSite(t *testing.T) {
+	inj := faultinject.New(1)
+	j := open(t, filepath.Join(t.TempDir(), "j"), WithFaults(inj))
+	s1, _ := j.Scheduled("a", 100)
+	s2, _ := j.Scheduled("b", 200)
+	steps := []struct {
+		name string
+		op   func() error
+		hits int
+	}{
+		{"Sync", j.Sync, 1},
+		{"Begin", func() error { return j.Begin(s1, 1) }, 0},
+		{"Ack", func() error { return j.Ack(s1) }, 0},
+		{"Begin carrying an A", func() error { return j.Begin(s2, 1) }, 1},
+		{"Flush of nothing", j.Flush, 0},
+		{"Ack", func() error { return j.Ack(s2) }, 0},
+		{"Flush carrying an A", j.Flush, 1},
+		{"Skip", func() error { return j.Skip(s2) }, 1},
+		{"Compact", j.Compact, 1},
+		{"Close", j.Close, 1},
+	}
+	for _, s := range steps {
+		n := inj.Count(SiteSync)
+		if err := s.op(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got := inj.Count(SiteSync) - n; got != s.hits {
+			t.Errorf("%s hit %s %d times, want %d", s.name, SiteSync, got, s.hits)
+		}
+	}
+}
+
+// FuzzJournalReplay feeds Replay arbitrary bytes after the magic line. It
+// must never panic; Open truncates the file to ValidBytes; reopening the
+// truncated file replays the same State, now untruncated; and a record
+// appended after that reopen replays.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add([]byte("S 1 100 \"a\"\nB 1 1\nA 1\n"))
+	f.Add([]byte("T 50 \"b\"\nS 2 60 \"b\"\nB 2 3\nD 2 3 \"boom\"\nS 3 70 \"c\"\nK 3\n"))
+	// Regressions: a torn final line that parses ("A 12" torn from "A 123")
+	// was replayed as a record, with ValidBytes one past the end of the file;
+	// a '\r' before a newline was stripped, so ValidBytes fell short.
+	f.Add([]byte("S 1 100 \"a\"\nA 12"))
+	f.Add([]byte("A 1\r\nX garbage\n"))
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "j")
+		if err := os.WriteFile(path, append([]byte(magic+"\n"), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopen := func() State {
+			t.Helper()
+			j, err := Open(path, WithSync(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			return j.State()
+		}
+		st := reopen()
+		if fi, err := os.Stat(path); err != nil || fi.Size() != st.ValidBytes {
+			t.Fatalf("Open left the file at %v bytes (%v), want ValidBytes = %d", fi.Size(), err, st.ValidBytes)
+		}
+		again := reopen()
+		st.Truncated = false
+		if !reflect.DeepEqual(again, st) {
+			t.Fatalf("reopening the truncated file replays\n%+v\nwant\n%+v", again, st)
+		}
+		j, err := Open(path, WithSync(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := j.Scheduled("fuzz", 1)
+		if err == nil {
+			err = j.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := reopen()
+		if after.Truncated || after.Records != again.Records+1 ||
+			len(after.Pending) == 0 || after.Pending[len(after.Pending)-1] != (PendingFiring{Seq: seq, Rule: "fuzz", At: 1}) {
+			t.Fatalf("a record appended after the reopen replays as %+v", after)
+		}
+	})
 }

@@ -53,15 +53,15 @@ func (r RecoveryReport) String() string {
 // Together with the firing transaction (action + RULE-TIME advance commit
 // atomically) this gives exactly-once execution per trigger instant under
 // FireAll, and at-most-once under SkipMissed.
-func (c *DBCron) Recover(now int64) (RecoveryReport, error) {
+func (c *DBCron) Recover(now int64) (rep RecoveryReport, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var rep RecoveryReport
 	if !c.durable {
 		return rep, fmt.Errorf("rules: Recover requires a durable daemon (NewDBCronWith)")
 	}
 	c.recovering = true
 	defer func() { c.recovering = false }()
+	defer c.flushJournal(&err)
 
 	if j := c.opts.Journal; j != nil {
 		st := j.State()

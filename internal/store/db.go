@@ -153,11 +153,24 @@ func (db *DB) DropTable(name string) error {
 	return nil
 }
 
-// Table resolves a table by name.
+// Table resolves a table by name. A short ASCII name is lowercased into a
+// stack buffer, so the lookup allocates nothing.
 func (db *DB) Table(name string) (*Table, bool) {
+	var buf [64]byte
+	key := buf[:0]
+	for i := 0; i < len(name) && len(name) <= len(buf) && name[i] < 0x80; i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		key = append(key, c)
+	}
+	if len(key) < len(name) {
+		key = []byte(strings.ToLower(name))
+	}
 	db.catMu.RLock()
 	defer db.catMu.RUnlock()
-	t, ok := db.tables[strings.ToLower(name)]
+	t, ok := db.tables[string(key)]
 	return t, ok
 }
 

@@ -576,3 +576,30 @@ func TestRetrieveWithFilterAndEvents(t *testing.T) {
 		t.Errorf("seen=%d retrieve events=%d, want 5 and 5", seen, retrieves)
 	}
 }
+
+// A table resolves by name in any case; a short ASCII name allocates
+// nothing, and a long or non-ASCII one goes through strings.ToLower.
+func TestTableLookup(t *testing.T) {
+	db := NewDB()
+	schema, err := NewSchema(Column{Name: "x", Type: TInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("T", 65)
+	for _, name := range []string{"RULE_TIME", "Ärger", long} {
+		if err := db.CreateTable(name, schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"RULE_TIME", "rule_time", "Rule_Time", "äRGER", strings.ToLower(long)} {
+		if tab, ok := db.Table(name); !ok || !strings.EqualFold(tab.Name, name) {
+			t.Errorf("Table(%q) = %v, %v", name, tab, ok)
+		}
+	}
+	if _, ok := db.Table("RULE_TIMES"); ok {
+		t.Error("Table(RULE_TIMES) resolved a table that does not exist")
+	}
+	if n := testing.AllocsPerRun(100, func() { db.Table("RULE_TIME") }); n != 0 {
+		t.Errorf("Table(RULE_TIME) allocates %v times", n)
+	}
+}

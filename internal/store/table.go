@@ -88,7 +88,9 @@ func (t *Table) Len() int {
 	return t.live
 }
 
-// Get returns the row with the given id.
+// Get returns the row with the given id: the stored row itself, not a copy.
+// A stored row is never written in place (Replace stores a new one), so a
+// caller that edits a row edits a Clone.
 func (t *Table) Get(rid int64) (Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

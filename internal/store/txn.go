@@ -9,6 +9,7 @@ import "fmt"
 type Txn struct {
 	db    *DB
 	undo  []undoRec
+	undo0 [2]undoRec // undo's first records: a firing's log allocates nothing
 	done  bool
 	depth int // listener recursion depth
 }
@@ -34,7 +35,9 @@ const maxListenerDepth = 8
 // Begin starts a transaction, blocking until the database is free.
 func (db *DB) Begin() *Txn {
 	db.txnMu.Lock()
-	return &Txn{db: db}
+	tx := &Txn{db: db}
+	tx.undo = tx.undo0[:0]
+	return tx
 }
 
 // Commit makes the transaction's effects permanent.
@@ -173,7 +176,8 @@ func (tx *Txn) Delete(table string, rid int64) error {
 	return tx.fire(Event{Op: EvDelete, Table: t.Name, RID: rid, Old: old})
 }
 
-// Replace updates a row in place, firing replace events.
+// Replace puts a new row under rid, firing replace events. The row it
+// unlinks is never written again, so the undo record and the event share it.
 func (tx *Txn) Replace(table string, rid int64, row Row) error {
 	if tx.done {
 		return fmt.Errorf("store: transaction already finished")
@@ -190,7 +194,7 @@ func (tx *Txn) Replace(table string, rid int64, row Row) error {
 	if err != nil {
 		return err
 	}
-	tx.undo = append(tx.undo, undoRec{kind: undoUpdate, table: t, rid: rid, old: old.Clone()})
+	tx.undo = append(tx.undo, undoRec{kind: undoUpdate, table: t, rid: rid, old: old})
 	return tx.fire(Event{Op: EvReplace, Table: t.Name, RID: rid, New: validated, Old: old})
 }
 
