@@ -122,10 +122,10 @@ type Manager struct {
 
 	// prep and scheds are the prepared-expression table and its schedulers
 	// (see prepared.go), under prepMu; the counters accumulate.
-	prepMu                                      sync.RWMutex
-	prep                                        map[preparedKey]*Prepared
-	scheds                                      map[string]*schedSlot
-	prepHits, prepMisses, prepResets, prepStale atomic.Int64
+	prepMu                                                      sync.RWMutex
+	prep                                                        map[preparedKey]*Prepared
+	scheds                                                      map[string]*schedSlot
+	prepHits, prepMisses, prepResets, prepStale, patternExpands atomic.Int64
 
 	// listeners are invoked (outside m.mu) after every successful catalog
 	// mutation; DBCRON uses this to schedule a mass next-trigger recompute.
@@ -889,6 +889,19 @@ func (m *Manager) EvalExpr(src string, from, to chronology.Civil) (*calendar.Cal
 // stay honest.
 func (m *Manager) EvalExprEnv(env *plan.Env, src string, from, to chronology.Civil) (*calendar.Calendar, error) {
 	p, st := m.prepared("", src)
+	return m.evalPrepared(env, p, st, from, to)
+}
+
+// EvalPrepared is EvalExpr for a caller holding p = Prepared("", src): it
+// looks p up again only when a write has staled it.
+func (m *Manager) EvalPrepared(p *Prepared, src string, from, to chronology.Civil) (*calendar.Calendar, error) {
+	if st := m.stamps(p.deps); st.shape == p.shape {
+		return m.evalPrepared(m.Env(), p, st, from, to)
+	}
+	return m.EvalExpr(src, from, to)
+}
+
+func (m *Manager) evalPrepared(env *plan.Env, p *Prepared, st stamps, from, to chronology.Civil) (*calendar.Calendar, error) {
 	if p.ExprErr != nil {
 		return nil, p.ExprErr
 	}

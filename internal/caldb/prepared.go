@@ -5,7 +5,9 @@ import (
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/callang"
+	"calsys/internal/core/callang/symbolic"
 	calvet "calsys/internal/core/callang/vet"
+	"calsys/internal/core/periodic"
 	"calsys/internal/core/plan"
 )
 
@@ -19,8 +21,8 @@ const preparedCap = 512
 // paper's "parse and optimise once, keep the result in the catalog" (§3.4,
 // CALENDARS.eval-plan) for expressions that are not stored calendars. The
 // parse happens when the value is built; the calvet verdict, the lowered
-// expression and the scheduler are each computed on first use and then
-// shared by every reader.
+// expression, its pattern and the scheduler are each computed on first use
+// and then shared by every reader.
 //
 // The manager's table serves an anonymous entry while the shape stamp of
 // its dependencies (depsLocked, stampsLocked) is the one it was built at, so
@@ -52,6 +54,10 @@ type Prepared struct {
 	lowerOnce sync.Once
 	lowered   *Lowered
 	lowerErr  error
+
+	patOnce sync.Once
+	pat     *periodic.Pattern
+	patOK   bool
 }
 
 // Lowered is the catalog-dependent front half of §3.4 for one expression.
@@ -140,6 +146,22 @@ func (p *Prepared) Lowered() (*Lowered, error) {
 		p.m.mu.RUnlock()
 	})
 	return p.lowered, p.lowerErr
+}
+
+// Pattern returns the symbolic memo's pattern of the lowered expression: its
+// whole element list, which answers any window with no plan (nil: empty). ok
+// is false unless the lowered expression reads only basic calendars, lowers,
+// and is plan.WindowExact. Each answer counts in PreparedStats.
+func (p *Prepared) Pattern() (*periodic.Pattern, bool) {
+	p.patOnce.Do(func() {
+		if l, err := p.Lowered(); err == nil && callang.BasicOnly(l.Expr) && plan.WindowExact(l.Expr) {
+			p.pat, p.patOK = symbolic.Eval(p.m.chron, nil, l.Expr, l.Gran)
+		}
+	})
+	if p.patOK {
+		p.m.patternExpands.Add(1)
+	}
+	return p.pat, p.patOK
 }
 
 // Scheduler returns the next-instant scheduler of the lowered expression,
@@ -268,11 +290,12 @@ func (m *Manager) Schedulers() []*plan.Scheduler {
 
 // PreparedStats is a snapshot of the prepared-expression table.
 type PreparedStats struct {
-	Entries int   `json:"entries"` // entries in the table
-	Hits    int64 `json:"hits"`    // lookups answered by the table
-	Misses  int64 `json:"misses"`  // lookups that parsed the source
-	Stale   int64 `json:"stale"`   // misses that found an entry whose stamp had moved and rebuilt it
-	Resets  int64 `json:"resets"`  // tables emptied because they were full
+	Entries        int   `json:"entries"`         // entries in the table
+	Hits           int64 `json:"hits"`            // lookups answered by the table
+	Misses         int64 `json:"misses"`          // lookups that parsed the source
+	Stale          int64 `json:"stale"`           // misses that found an entry whose stamp had moved and rebuilt it
+	Resets         int64 `json:"resets"`          // tables emptied because they were full
+	PatternExpands int64 `json:"pattern_expands"` // expansions a Pattern answered
 }
 
 // PreparedStats snapshots the table's size and cumulative counters.
@@ -281,5 +304,5 @@ func (m *Manager) PreparedStats() PreparedStats {
 	n := len(m.prep)
 	m.prepMu.RUnlock()
 	return PreparedStats{Entries: n, Hits: m.prepHits.Load(), Misses: m.prepMisses.Load(),
-		Stale: m.prepStale.Load(), Resets: m.prepResets.Load()}
+		Stale: m.prepStale.Load(), Resets: m.prepResets.Load(), PatternExpands: m.patternExpands.Load()}
 }

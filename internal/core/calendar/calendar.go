@@ -205,6 +205,9 @@ func (c *Calendar) Len() int {
 	return len(c.ivs)
 }
 
+// SortedDisjoint reports whether the calendar is order 1, known sorted disjoint.
+func (c *Calendar) SortedDisjoint() bool { return c.ext == nil && c.sortedDisjoint }
+
 // Group returns the k-th (0-based) innermost group — at order 2, the k-th
 // element: a capacity-clamped view of the slab, which must not be modified. It
 // is how every reader walks an order-2 calendar, and allocates nothing.

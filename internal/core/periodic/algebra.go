@@ -279,7 +279,8 @@ func (w Window) Expand() []interval.Interval {
 	if w.First > w.Last {
 		return nil
 	}
-	out := w.P.Elements(w.First, w.Last)
+	out := make([]interval.Interval, w.Last-w.First+1)
+	w.P.Fill(out, w.First)
 	if len(w.Except) == 0 {
 		return out
 	}

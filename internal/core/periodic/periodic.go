@@ -228,29 +228,28 @@ func (p *Pattern) Expand(win interval.Interval) []interval.Interval {
 	return p.Overlapping(win).Expand()
 }
 
-// Elements materializes elements first through last (first ≤ last), in
-// order.
-func (p *Pattern) Elements(first, last int64) []interval.Interval {
-	out := make([]interval.Interval, last-first+1)
+// Fill writes elements first, first+1, … into dst, in order: a window's
+// expansion, or one run of a walk by index.
+func (p *Pattern) Fill(dst []interval.Interval, first int64) {
 	if len(p.spans) == 1 {
 		// Single-span cycles (every fixed-ratio granularity pair) reduce to a
 		// stride: no span indexing, no cycle wrap test.
 		lo0, hi0 := p.spans[0].Lo, p.spans[0].Hi
 		base := p.phase + first*p.period
-		for j := range out {
-			out[j] = interval.Interval{
+		for j := range dst {
+			dst[j] = interval.Interval{
 				Lo: chronology.TickFromOffset(base + lo0),
 				Hi: chronology.TickFromOffset(base + hi0),
 			}
 			base += p.period
 		}
-		return out
+		return
 	}
 	s := int64(len(p.spans))
 	k, i := floorDiv(first, s), int(floorMod(first, s))
 	base := p.phase + k*p.period
-	for j := range out {
-		out[j] = interval.Interval{
+	for j := range dst {
+		dst[j] = interval.Interval{
 			Lo: chronology.TickFromOffset(base + p.spans[i].Lo),
 			Hi: chronology.TickFromOffset(base + p.spans[i].Hi),
 		}
@@ -258,7 +257,6 @@ func (p *Pattern) Elements(first, last int64) []interval.Interval {
 			i, base = 0, base+p.period
 		}
 	}
-	return out
 }
 
 // Disjoint reports whether the pattern's elements are pairwise disjoint —

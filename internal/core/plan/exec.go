@@ -114,6 +114,38 @@ func (v *regVal) view(pat *periodic.Pattern) {
 	}
 }
 
+// WindowExact reports whether e evaluated over any window is, flattened and
+// clipped to it, exactly its symbolic lowering's elements overlapping the
+// window, in order. Set operators may cut results at the window's edge, which
+// the clip hides, so they must stay on top; beneath them all must be whole.
+func WindowExact(e callang.Expr) bool {
+	switch n := e.(type) {
+	case *callang.BinExpr:
+		return WindowExact(n.X) && WindowExact(n.Y)
+	case *callang.IntersectExpr:
+		return WindowExact(n.X) && WindowExact(n.Y)
+	}
+	return whole(e, false)
+}
+
+// whole reports whether e is a basic calendar, a selection from a whole
+// grouping, or (unless member: an order-1 operand, one pick per group) such a
+// grouping of a member by a member, each kept inside its group (during, the
+// strict overlaps and meets): no element overlapping a window belongs to a
+// group outside it. Nested groups differ in order, the others at the edges.
+func whole(e callang.Expr, member bool) bool {
+	switch n := e.(type) {
+	case *callang.Ident:
+		return true
+	case *callang.SelectExpr:
+		return (!member || n.Pred.Single()) && whole(n.X, false)
+	case *callang.ForeachExpr:
+		inside := n.Op == interval.During || n.Strict && (n.Op == interval.Overlaps || n.Op == interval.Meets)
+		return !member && inside && whole(n.X, true) && whole(n.Y, true)
+	}
+	return false
+}
+
 // execState carries the derivation stack across the plans of one script run.
 type execState struct {
 	depth int

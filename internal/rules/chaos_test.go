@@ -31,11 +31,11 @@ var chaosSites = []string{SiteProbe, SiteFire, SiteAck, journal.SiteAppend}
 const chaosDays = 8
 
 // chaosRun drives one seeded kill-and-recover scenario over a fleet of daily
-// rules and returns the per-firing execution counts, the expected firings,
+// rules, journalling to jpath, and returns the per-firing execution counts, the expected firings,
 // how many kills were injected and how many firings recovery deduplicated
 // by RULE-TIME. The kill lands on occurrence crashAt of the site, or on a
 // seed-chosen one when crashAt is 0.
-func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy, rules, crashAt int) (counts map[Firing]int, expected []Firing, kills, deduped int) {
+func chaosRun(t *testing.T, jpath string, seed int64, site string, policy CatchUpPolicy, rules, crashAt int) (counts map[Firing]int, expected []Firing, kills, deduped int) {
 	t.Helper()
 	db := store.NewDB()
 	cal, err := caldb.New(db, chronology.MustNew(chronology.DefaultEpoch))
@@ -61,8 +61,6 @@ func chaosRun(t *testing.T, seed int64, site string, policy CatchUpPolicy, rules
 			return nil
 		}}
 	}
-	jpath := filepath.Join(t.TempDir(), "firing.journal")
-
 	inj := faultinject.New(seed)
 	rng := rand.New(rand.NewSource(seed))
 	// Arm one kill at a seed-chosen occurrence of the site. The first
@@ -194,11 +192,12 @@ func TestChaosExactlyOnceFireAll(t *testing.T) {
 		t.Run(site, func(t *testing.T) {
 			totalKills := 0
 			for seed := int64(1); seed <= seedsPerSite; seed++ {
-				counts, expected, kills, _ := chaosRun(t, seed, site, FireAll, 1, 0)
+				jpath := filepath.Join(t.TempDir(), "firing.journal")
+				counts, expected, kills, _ := chaosRun(t, jpath, seed, site, FireAll, 1, 0)
 				totalKills += kills
 				checkExactlyOnce(t, seed, counts, expected)
 				if t.Failed() {
-					saveChaosArtifact(t, filepath.Join(t.TempDir(), "firing.journal"),
+					saveChaosArtifact(t, jpath,
 						fmt.Sprintf("fireall-%s-seed%d", site, seed))
 					return
 				}
@@ -236,7 +235,7 @@ func checkExactlyOnce(t *testing.T, seed int64, counts map[Firing]int, expected 
 // must still run every instant exactly once.
 func TestChaosAppendCrashInsideProbe(t *testing.T) {
 	const seed = 1
-	counts, expected, kills, _ := chaosRun(t, seed, journal.SiteAppend, FireAll, 3, 3)
+	counts, expected, kills, _ := chaosRun(t, filepath.Join(t.TempDir(), "firing.journal"), seed, journal.SiteAppend, FireAll, 3, 3)
 	if kills != 1 {
 		t.Fatalf("%d kills, want the one armed", kills)
 	}
@@ -252,7 +251,7 @@ func TestChaosAppendCrashInsideProbe(t *testing.T) {
 // second, and FireAll must still run every instant exactly once.
 func TestChaosAppendCrashWhileAckBuffered(t *testing.T) {
 	const seed = 1
-	counts, expected, kills, deduped := chaosRun(t, seed, journal.SiteAppend, FireAll, 2, 6)
+	counts, expected, kills, deduped := chaosRun(t, filepath.Join(t.TempDir(), "firing.journal"), seed, journal.SiteAppend, FireAll, 2, 6)
 	if kills != 1 || deduped != 1 {
 		t.Fatalf("%d kills and %d firings deduped, want the one kill armed and the firing whose ack it lost", kills, deduped)
 	}
@@ -268,7 +267,8 @@ func TestChaosAtMostOnceSkip(t *testing.T) {
 		t.Run(site, func(t *testing.T) {
 			totalKills := 0
 			for seed := int64(1); seed <= seedsPerSite; seed++ {
-				counts, expected, kills, _ := chaosRun(t, seed, site, SkipMissed, 1, 0)
+				jpath := filepath.Join(t.TempDir(), "firing.journal")
+				counts, expected, kills, _ := chaosRun(t, jpath, seed, site, SkipMissed, 1, 0)
 				totalKills += kills
 				for f, n := range counts {
 					if n > 1 {
@@ -279,7 +279,7 @@ func TestChaosAtMostOnceSkip(t *testing.T) {
 					}
 				}
 				if t.Failed() {
-					saveChaosArtifact(t, filepath.Join(t.TempDir(), "firing.journal"),
+					saveChaosArtifact(t, jpath,
 						fmt.Sprintf("skip-%s-seed%d", site, seed))
 					return
 				}

@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -174,6 +175,9 @@ func Replay(f *os.File) (*State, error) {
 			break
 		}
 		rec, ok := parseRecord(line)
+		if _, dup := byseq[rec.seq]; ok && rec.kind == 'S' && (dup || rec.seq == math.MaxUint64) {
+			ok = false // no journal schedules a seq twice, or one NextSeq cannot follow
+		}
 		if torn || (!first && !ok) {
 			st.Truncated = true
 			break

@@ -559,6 +559,10 @@ func FuzzJournalReplay(f *testing.F) {
 	// a '\r' before a newline was stripped, so ValidBytes fell short.
 	f.Add([]byte("S 1 100 \"a\"\nA 12"))
 	f.Add([]byte("A 1\r\nX garbage\n"))
+	// Regressions: an S record at the largest seq wrapped NextSeq to 0, and a
+	// seq scheduled twice listed its firing twice in Pending.
+	f.Add([]byte("S 18446744073709551615 100 \"a\"\n"))
+	f.Add([]byte("S 1 100 \"a\"\nS 1 200 \"b\"\n"))
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		path := filepath.Join(t.TempDir(), "j")
 		if err := os.WriteFile(path, append([]byte(magic+"\n"), tail...), 0o644); err != nil {
@@ -576,6 +580,13 @@ func FuzzJournalReplay(f *testing.F) {
 		st := reopen()
 		if fi, err := os.Stat(path); err != nil || fi.Size() != st.ValidBytes {
 			t.Fatalf("Open left the file at %v bytes (%v), want ValidBytes = %d", fi.Size(), err, st.ValidBytes)
+		}
+		seqs := map[uint64]bool{}
+		for _, p := range st.Pending {
+			if p.Seq >= st.NextSeq || seqs[p.Seq] {
+				t.Fatalf("pending seq %d is listed twice or not below NextSeq %d: %+v", p.Seq, st.NextSeq, st.Pending)
+			}
+			seqs[p.Seq] = true
 		}
 		again := reopen()
 		st.Truncated = false

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 
 	"calsys"
 	"calsys/internal/chronology"
+	"calsys/internal/core/interval"
+	"calsys/internal/core/periodic"
 )
 
 // expandFlushBytes is how much of an /expand response is formatted before it
@@ -35,10 +38,10 @@ type expandEncoder struct {
 
 	ch *chronology.Chronology
 	g  chronology.Granularity
-	// The window. An interval is reported when it ends at or after the unit
-	// holding the window's first second and starts at or before the unit
-	// holding its last; its dates are clipped to the rata days [fromDay, toDay].
-	hiMin, loMax   chronology.Tick
+	// The window. An interval is reported when it overlaps win, the units
+	// holding the window's first and last seconds; its dates are clipped to
+	// the rata days [fromDay, toDay].
+	win            interval.Interval
 	fromDay, toDay int64
 
 	cur     chronology.CivilCursor // the month of the last date written
@@ -46,17 +49,25 @@ type expandEncoder struct {
 	flushed bool                   // a flush has gone out, and with it the status
 }
 
-// encodeExpand writes the expansion of expr over the civil window [from, to]
-// to w. Selection inside a grouping unit can reach slightly outside the
+// An expandSource is a result as encodeExpand reads it: a plan's calendar, or
+// else the pattern of the whole element list in ticks of g (nil: empty).
+type expandSource struct {
+	g   chronology.Granularity
+	cal *calsys.Calendar
+	pat *periodic.Pattern
+}
+
+// encodeExpand writes the expansion src of expr over the civil window [from,
+// to] to w. Selection inside a grouping unit can reach slightly outside the
 // requested window (the engine expands whole containing units), so intervals
 // are clipped to the window the client asked for and those wholly outside it
 // are dropped. It stops at the first failed Write, and at the first flush
 // that finds ctx done. When w is a ResponseWriter the first flush commits the
 // 200, with a Content-Length when the whole body is in it (see flush).
 func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
-	expr string, cal *calsys.Calendar, from, to chronology.Civil) error {
+	expr string, src expandSource, from, to chronology.Civil) error {
 	bp := expandBufs.Get().(*[]byte)
-	e := expandEncoder{ctx: ctx, w: w, buf: (*bp)[:0], ch: ch, g: cal.Granularity()}
+	e := expandEncoder{ctx: ctx, w: w, buf: (*bp)[:0], ch: ch, g: src.g}
 	defer func() {
 		// A long expr can have grown the buffer; the pool keeps the bounded ones.
 		if cap(e.buf) <= 2*expandFlushBytes {
@@ -65,8 +76,8 @@ func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
 		}
 	}()
 	e.fromDay, e.toDay = from.Rata(), to.Rata()
-	e.hiMin = ch.TickAt(e.g, ch.EpochSecondsOf(from))
-	e.loMax = ch.TickAt(e.g, ch.EpochSecondsOf(to)+chronology.SecondsPerDay-1)
+	e.win.Lo = ch.TickAt(e.g, ch.EpochSecondsOf(from))
+	e.win.Hi = ch.TickAt(e.g, ch.EpochSecondsOf(to)+chronology.SecondsPerDay-1)
 
 	// The one value of the body that needs escaping (HTML-safe, as before) is
 	// left to encoding/json; a string always marshals.
@@ -77,14 +88,14 @@ func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
 	e.buf = append(e.buf, e.g.String()...)
 	e.buf = append(e.buf, "\",\n  \"count\": "...)
 	// count precedes the intervals on the wire and depends on the clipping.
-	n := e.count(cal)
+	n := e.count(src)
 	e.buf = strconv.AppendInt(e.buf, int64(n), 10)
 	if n == 0 {
 		e.buf = append(e.buf, ",\n  \"intervals\": []\n}\n"...)
 		return e.flush(true)
 	}
 	e.buf = append(e.buf, ",\n  \"intervals\": ["...)
-	if err := e.intervals(cal); err != nil {
+	if err := e.intervals(src); err != nil {
 		return err
 	}
 	e.buf = append(e.buf, "\n  ]\n}\n"...)
@@ -93,14 +104,26 @@ func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
 
 // inWindow is the clipping test in tick space.
 func (e *expandEncoder) inWindow(lo, hi chronology.Tick) bool {
-	return hi >= e.hiMin && lo <= e.loMax
+	return hi >= e.win.Lo && lo <= e.win.Hi
 }
 
-// count returns how many of cal's leaf intervals fall in the window. Leaves
-// are walked in place (no Flatten copy) and in no assumed order.
-func (e *expandEncoder) count(cal *calsys.Calendar) int {
+// count returns how many leaf intervals fall in the window: a pattern's
+// cardinality over it; two binary searches over a sorted disjoint slab; else
+// a walk over the leaves in place (no Flatten copy), in no assumed order.
+func (e *expandEncoder) count(src expandSource) int {
+	switch {
+	case src.cal == nil && src.pat == nil:
+		return 0
+	case src.cal == nil:
+		return int(src.pat.Card(e.win))
+	case src.cal.SortedDisjoint():
+		ivs := src.cal.Intervals()
+		lo := sort.Search(len(ivs), func(i int) bool { return ivs[i].Hi >= e.win.Lo })
+		hi := sort.Search(len(ivs), func(i int) bool { return ivs[i].Lo > e.win.Hi })
+		return max(hi-lo, 0)
+	}
 	n := 0
-	cal.Leaves(func(run []calsys.Interval) bool {
+	src.cal.Leaves(func(run []calsys.Interval) bool {
 		for _, iv := range run {
 			if e.inWindow(iv.Lo, iv.Hi) {
 				n++
@@ -116,12 +139,13 @@ func (e *expandEncoder) count(cal *calsys.Calendar) int {
 const element = ",\n    {\n      \"start\": \"YYYY-MM-DD\",\n      \"end\": \"YYYY-MM-DD\"\n    }"
 const elementStart, elementEnd, dateLen = 24, 51, 10
 
-// intervals appends one element per leaf interval in the window, flushing
-// whenever the buffer passes expandFlushBytes. It works in rata days: an
-// element is one copy of the constant text whose two dates the cursor then
-// overwrites. The buffer is a local for a leaf run: no write barrier.
-func (e *expandEncoder) intervals(cal *calsys.Calendar) (err error) {
-	cal.Leaves(func(run []calsys.Interval) bool {
+// intervals appends one element per leaf interval in the window (a pattern's
+// formed by index into a fixed run), flushing whenever the buffer passes
+// expandFlushBytes. It works in rata days: an element is one copy of the
+// constant text whose two dates the cursor then overwrites. The buffer is a
+// local for a leaf run: no write barrier.
+func (e *expandEncoder) intervals(src expandSource) (err error) {
+	put := func(run []calsys.Interval) bool {
 		buf := e.buf
 		for _, iv := range run {
 			if !e.inWindow(iv.Lo, iv.Hi) {
@@ -152,7 +176,18 @@ func (e *expandEncoder) intervals(cal *calsys.Calendar) (err error) {
 		}
 		e.buf = buf
 		return true
-	})
+	}
+	if src.cal != nil {
+		src.cal.Leaves(put)
+		return err
+	}
+	var run [128]interval.Interval
+	first, last, _ := src.pat.IndexRange(e.win)
+	for q := first; q <= last && err == nil; q += int64(len(run)) {
+		n := min(last-q+1, int64(len(run)))
+		src.pat.Fill(run[:n], q)
+		put(run[:n])
+	}
 	return err
 }
 

@@ -70,7 +70,7 @@ func marshalExpand(ch *chronology.Chronology, src string, cal *calsys.Calendar, 
 func streamExpand(t testing.TB, ch *chronology.Chronology, src string, cal *calsys.Calendar, from, to chronology.Civil) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := encodeExpand(context.Background(), &b, ch, src, cal, from, to); err != nil {
+	if err := encodeExpand(context.Background(), &b, ch, src, expandSource{g: cal.Granularity(), cal: cal}, from, to); err != nil {
 		t.Fatalf("encodeExpand: %v", err)
 	}
 	return b.Bytes()

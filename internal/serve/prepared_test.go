@@ -352,8 +352,8 @@ func TestStatsPreparedBlock(t *testing.T) {
 	if err := json.Unmarshal(raw, &stats); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"entries", "hits", "misses", "stale", "resets"} {
-		if _, ok := stats.Prepared[k]; !ok || len(stats.Prepared) != 5 {
+	for _, k := range []string{"entries", "hits", "misses", "stale", "resets", "pattern_expands"} {
+		if _, ok := stats.Prepared[k]; !ok || len(stats.Prepared) != 6 {
 			t.Fatalf("prepared block %v lacks %q or has extra fields", stats.Prepared, k)
 		}
 	}
@@ -363,8 +363,8 @@ func TestStatsPreparedBlock(t *testing.T) {
 		}
 	}
 	// Three identical requests: one parse, then table hits (a request reads
-	// its entry once to vet and once to evaluate).
-	if p := stats.Prepared; p["entries"] != 1 || p["misses"] != 1 || p["hits"] != 5 {
-		t.Fatalf("prepared counters %v, want 1 entry, 1 miss, 5 hits", p)
+	// its entry once), each answered by the expression's pattern.
+	if p := stats.Prepared; p["entries"] != 1 || p["misses"] != 1 || p["hits"] != 2 || p["pattern_expands"] != 3 {
+		t.Fatalf("prepared counters %v, want 1 entry, 1 miss, 2 hits, 3 pattern expands", p)
 	}
 }

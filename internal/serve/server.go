@@ -684,19 +684,29 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request, t *Tenant)
 		return
 	}
 	// Vet before evaluating so undefined references come back positioned.
-	if diags := t.Manager().Vet("", src); diags.HasErrors() {
+	p := t.Manager().Prepared("", src)
+	if diags := p.Diags(); diags.HasErrors() {
 		writeVetError(w, "expression", diags)
 		return
 	}
-	cal, err := sys.EvalCalendar(src, from, to)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Code: ErrBadRequest, Message: err.Error()})
-		return
+	// An expression with a pattern is answered by walking it; anything else
+	// is evaluated (and cached) as a calendar.
+	var res expandSource
+	if pat, ok := p.Pattern(); ok {
+		l, _ := p.Lowered()
+		res = expandSource{g: l.Gran, pat: pat}
+	} else {
+		cal, err := t.Manager().EvalPrepared(p, src, from, to)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, ErrorBody{Code: ErrBadRequest, Message: err.Error()})
+			return
+		}
+		res = expandSource{g: cal.Granularity(), cal: cal}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	// The encoder commits the 200 with its first flush; an error means the
 	// client is gone and there is no one left to tell.
-	_ = encodeExpand(r.Context(), w, sys.Chron(), src, cal, from, to)
+	_ = encodeExpand(r.Context(), w, sys.Chron(), src, res, from, to)
 }
 
 // nextReq asks for the first instant after After (ISO date; empty means

@@ -211,6 +211,7 @@ func (r *Registry) preparedStats() caldb.PreparedStats {
 		sum.Misses += st.Misses
 		sum.Stale += st.Stale
 		sum.Resets += st.Resets
+		sum.PatternExpands += st.PatternExpands
 	}
 	return sum
 }
