@@ -666,14 +666,14 @@ func BenchmarkEndpointSweepVsLinear(b *testing.B) {
 
 // --- next-instant kernel (DBCRON scheduling at scale) ----------------------
 
-// BenchmarkNextAfter measures one next-trigger query through the plan
-// Scheduler: the kernel path (pattern arithmetic) against the seed windowed
-// path (evaluate the full 730-day lookahead and scan), which every query of
-// an expression with no pattern takes. The kernel/windowed ratio is the
-// speedup that lets DBCRON carry ~10^6 rules.
+// BenchmarkNextAfter measures one next-trigger query: the kernel path
+// (caldb.Prepared.NextAfter, pattern arithmetic) against the window
+// definition (plan.Scheduler: evaluate the full 730-day lookahead and scan),
+// which every query of an expression with no pattern takes. The
+// kernel/windowed ratio is the speedup that lets DBCRON carry ~10^6 rules.
 // The kernel sub-benchmarks are CI-gated (see cmd/benchjson -gate).
 func BenchmarkNextAfter(b *testing.B) {
-	env, _ := benchEnv(b, DefaultEpoch)
+	env, mgr := benchEnv(b, DefaultEpoch)
 	ch := env.Chron
 	start := ch.EpochSecondsOf(MustDate(1993, 1, 1))
 	for _, tc := range []struct{ name, src string }{
@@ -687,16 +687,19 @@ func BenchmarkNextAfter(b *testing.B) {
 		}
 		for _, mode := range []string{"kernel", "windowed"} {
 			b.Run(tc.name+"/"+mode, func(b *testing.B) {
-				s := plan.NewScheduler(env, prepped, gran)
-				s.Configure(0, mode == "windowed")
+				next := mgr.Prepared("", tc.src).NextAfter
+				if mode == "windowed" {
+					s := plan.NewScheduler(env, prepped, gran)
+					next = func(after, _ int64) (int64, bool, error) { return s.NextAfter(after) }
+				}
 				at := start
-				// Warm outside the timer: the kernel's first query probes.
-				if _, _, err := s.NextAfter(at); err != nil {
+				// Warm outside the timer: the first query lowers or compiles.
+				if _, _, err := next(at, 0); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					next, ok, err := s.NextAfter(at)
+					n, ok, err := next(at, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -704,7 +707,7 @@ func BenchmarkNextAfter(b *testing.B) {
 						at = start
 						continue
 					}
-					at = next
+					at = n
 				}
 			})
 		}
@@ -713,33 +716,33 @@ func BenchmarkNextAfter(b *testing.B) {
 
 // BenchmarkNextAfterSymbolicAblation isolates the symbolic pattern
 // calculus on a composite expression (every day except Mondays) no basic
-// fast path covers, measuring a fresh rule's first scheduling decision —
-// the cost DBCRON pays per arriving rule. `symbolic` lowers the whole
-// expression to a closed-form pattern at scheduler construction and
-// answers by span arithmetic with zero window evaluations; `materialized`
-// builds the same scheduler on the same environment and configures it
-// windowed (the scheduler's one ablation), so it evaluates the lookahead
-// window and scans it — what every query of an expression with no pattern
-// costs. The symbolic sub-benchmark is CI-gated (see cmd/benchjson -gate).
+// fast path covers, measuring a rule's first scheduling decision — the cost
+// DBCRON pays per arriving rule. `symbolic` asks the expression's
+// caldb.Prepared entry, which answers from the memo's closed-form pattern by
+// span arithmetic with zero window evaluations; `materialized` builds the
+// expression's plan.Scheduler on the same environment, which evaluates the
+// lookahead window and scans it — what every query of an expression with no
+// pattern costs. The symbolic sub-benchmark is CI-gated (see cmd/benchjson
+// -gate).
 func BenchmarkNextAfterSymbolicAblation(b *testing.B) {
-	env, _ := benchEnv(b, DefaultEpoch)
+	env, mgr := benchEnv(b, DefaultEpoch)
 	start := env.Chron.EpochSecondsOf(MustDate(1993, 1, 1))
-	prepped, gran, err := plan.Prepare(env, benchExpr(b, "(DAYS:during:WEEKS) - ([1]/DAYS:during:WEEKS)"), nil)
+	const src = "(DAYS:during:WEEKS) - ([1]/DAYS:during:WEEKS)"
+	prepped, gran, err := plan.Prepare(env, benchExpr(b, src), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name     string
-		windowed bool
-	}{
-		{"symbolic", false},
-		{"materialized", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, mode := range []string{"symbolic", "materialized"} {
+		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := plan.NewScheduler(env, prepped, gran)
-				s.Configure(0, mode.windowed)
-				if _, ok, err := s.NextAfter(start); err != nil || !ok {
+				var ok bool
+				var err error
+				if mode == "symbolic" {
+					_, ok, err = mgr.Prepared("", src).NextAfter(start, 0)
+				} else {
+					_, ok, err = plan.NewScheduler(env, prepped, gran).NextAfter(start)
+				}
+				if err != nil || !ok {
 					b.Fatalf("NextAfter: ok=%v err=%v", ok, err)
 				}
 			}

@@ -411,3 +411,52 @@ func TestSetOpsOnDescendingSelection(t *testing.T) {
 		t.Errorf("([1,3]/DAYS:during:WEEKS) - HOL = %s, want %s", got, want)
 	}
 }
+
+// A selection over nested groups picks per innermost group: A, the first
+// day of every week-in-a-month group, lists five days in January 1993 where
+// B, the first day of every month, lists one. The symbolic calculus must not
+// call them equal — not in the catalog's equivalence classes, not in calvet's
+// warnings on a union of the two, not in the rule fleet's merge groups — and
+// the next instant after New Year's Day is Monday the 4th, as /expand lists.
+func TestNestedSelectionIsItsOwnCalendar(t *testing.T) {
+	const a, b = "[1]/(DAYS:during:WEEKS):during:MONTHS", "[1]/DAYS:during:MONTHS"
+	sys := MustOpen()
+	for name, src := range map[string]string{"A": a, "B": b} {
+		if err := sys.DefineCalendar(name, src, Day); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string]int{"A": 5, "B": 1} {
+		cal, err := sys.EvalCalendar(name, MustDate(1993, 1, 1), MustDate(1993, 1, 31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cal.Flatten().Len(); got != want {
+			t.Fatalf("%s over January 1993: %d elements, want %d: %v", name, got, want, cal)
+		}
+	}
+	for _, c := range sys.VetCatalog() {
+		if strings.Contains(strings.Join(c.Names, " "), "A") && strings.Contains(strings.Join(c.Names, " "), "B") {
+			t.Errorf("VetCatalog puts A and B in one class: %v", c.Names)
+		}
+	}
+	for _, d := range sys.VetCalendar("", "A + B") {
+		if d.Code == "CV011" || d.Code == "CV013" {
+			t.Errorf("VetCalendar(A + B): %v", d)
+		}
+	}
+	start := sys.SecondsOf(MustDate(1993, 1, 1))
+	noop := FuncAction{Name: "noop", Fn: func(*Txn, *Event, int64) error { return nil }}
+	for name, src := range map[string]string{"ra": a, "rb": b} {
+		if err := sys.Rules().DefineTemporalRule(name, src, noop, start); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if groups := sys.VetRuleFleet(); len(groups) != 0 {
+		t.Errorf("VetRuleFleet merges %v", groups)
+	}
+	next, ok, err := sys.Rules().Cal().Prepared("", a).NextAfter(start, 0)
+	if err != nil || !ok || sys.Chron().CivilOf(next) != MustDate(1993, 1, 4) {
+		t.Errorf("NextAfter(1993-01-01) = %v,%v,%v; want 1993-01-04", sys.Chron().CivilOf(next), ok, err)
+	}
+}

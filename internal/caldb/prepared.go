@@ -22,7 +22,8 @@ const preparedCap = 512
 // CALENDARS.eval-plan) for expressions that are not stored calendars. The
 // parse happens when the value is built; the calvet verdict, the lowered
 // expression, its pattern and the scheduler are each computed on first use
-// and then shared by every reader.
+// and then shared by every reader; the pattern, or else the scheduler,
+// answers next-instant queries (NextAfter).
 //
 // The manager's table serves an anonymous entry while the shape stamp of
 // its dependencies (depsLocked, stampsLocked) is the one it was built at, so
@@ -151,17 +152,49 @@ func (p *Prepared) Lowered() (*Lowered, error) {
 // Pattern returns the symbolic memo's pattern of the lowered expression: its
 // whole element list, which answers any window with no plan (nil: empty). ok
 // is false unless the lowered expression reads only basic calendars, lowers,
-// and is plan.WindowExact. Each answer counts in PreparedStats.
+// and is plan.WindowExact.
 func (p *Prepared) Pattern() (*periodic.Pattern, bool) {
 	p.patOnce.Do(func() {
 		if l, err := p.Lowered(); err == nil && callang.BasicOnly(l.Expr) && plan.WindowExact(l.Expr) {
 			p.pat, p.patOK = symbolic.Eval(p.m.chron, nil, l.Expr, l.Gran)
 		}
 	})
-	if p.patOK {
-		p.m.patternExpands.Add(1)
-	}
 	return p.pat, p.patOK
+}
+
+// NextAfter returns the first instant (epoch seconds) strictly after `after`
+// at which the expression fires, searching horizonDays ahead (≤ 0:
+// plan.DefaultHorizonDays); ok is false when nothing starts within the
+// horizon. The gate is Pattern's: an expression it answers is answered by
+// arithmetic on the pattern, clipped at plan.HorizonWindow (a nil pattern is
+// dormant), and any other by its Scheduler, which evaluates that window.
+// Like Scheduler, it reads the manager's plain environment (no clock).
+func (p *Prepared) NextAfter(after, horizonDays int64) (int64, bool, error) {
+	if horizonDays <= 0 {
+		horizonDays = plan.DefaultHorizonDays
+	}
+	pat, ok := p.Pattern()
+	if !ok {
+		s, err := p.Scheduler()
+		if err != nil {
+			return 0, false, err
+		}
+		s.Configure(horizonDays)
+		return s.NextAfter(after)
+	}
+	if pat == nil {
+		return 0, false, nil
+	}
+	l, _ := p.Lowered()
+	ch := p.m.chron
+	hwin, err := plan.HorizonWindow(ch, l.Gran, after, horizonDays)
+	if err != nil {
+		return 0, false, err
+	}
+	if _, t := pat.NextAfter(ch.TickAt(l.Gran, after)); t <= hwin.Hi {
+		return ch.UnitStart(l.Gran, t), true, nil
+	}
+	return 0, false, nil
 }
 
 // Scheduler returns the next-instant scheduler of the lowered expression,
@@ -242,10 +275,9 @@ func (m *Manager) prepared(name, src string) (*Prepared, stamps) {
 
 // internScheduler returns the current scheduler of a lowered plan: the one
 // interned for its PlanKey while the values stamp of its dependencies is the
-// one it was built at, else a new one, which replaces it. A scheduler is
-// built outside the table lock (symbolic lowering can take milliseconds); the
-// first one published at a stamp wins, and one built at an older stamp than
-// the interned one stays private.
+// one it was built at, else a new one, which replaces it. The first one
+// published at a stamp wins, and one built at an older stamp than the
+// interned one stays private.
 func (m *Manager) internScheduler(l *Lowered) *plan.Scheduler {
 	values := m.stamps(l.deps).values
 	m.prepMu.RLock()
@@ -297,6 +329,9 @@ type PreparedStats struct {
 	Resets         int64 `json:"resets"`          // tables emptied because they were full
 	PatternExpands int64 `json:"pattern_expands"` // expansions a Pattern answered
 }
+
+// CountPatternExpand counts one expansion a Pattern answered.
+func (m *Manager) CountPatternExpand() { m.patternExpands.Add(1) }
 
 // PreparedStats snapshots the table's size and cumulative counters.
 func (m *Manager) PreparedStats() PreparedStats {

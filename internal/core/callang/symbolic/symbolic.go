@@ -1,16 +1,17 @@
 // Package symbolic lowers calendar expressions to periodic patterns at
 // compile time: the symbolic pattern calculus of the calvet CV010–CV013
-// diagnostics and the scheduler's exact fast path.
+// diagnostics and of the pattern that answers /expand and next-instant
+// queries (caldb.Prepared.Pattern).
 //
 // Eval walks an expression bottom-up, composing periodic.Pattern values
 // through the window-independent operators — basic-calendar generation,
 // union, difference, point-set intersection, during/overlaps/meets foreach
-// groupings and their per-group selections — without materializing a single
-// interval list. The result is the expression's infinite element list in
-// closed form: expanding it over any window equals evaluating the expression
-// over that window (away from generation-edge effects), which makes
-// emptiness, equivalence, and selection-cardinality questions decidable
-// before any evaluation runs.
+// groupings and their per-group selections (over one level of groups) —
+// without materializing a single interval list. The result is the
+// expression's infinite element list in closed form: expanding it over any
+// window equals evaluating the expression over that window (away from
+// generation-edge effects), which makes emptiness, equivalence, and
+// selection-cardinality questions decidable before any evaluation runs.
 //
 // The calculus is deliberately partial. Window-anchored constructs (`today`,
 // order-1 selections, flattened before/before-equals groupings, label
@@ -135,6 +136,11 @@ func (l *lowerer) node(e callang.Expr, depth int) (*periodic.Pattern, bool) {
 		if n.Pred.Check() != nil {
 			return nil, false
 		}
+		// Over nested groups the plan picks per innermost group, which a
+		// pattern of the flattened x cannot see: no symbolic form.
+		if _, nested := l.resolveForeach(fe.X, depth+1); nested {
+			return nil, false
+		}
 		x, ok := l.lower(fe.X, depth+1)
 		if !ok {
 			return nil, false
@@ -163,7 +169,7 @@ func (l *lowerer) node(e callang.Expr, depth int) (*periodic.Pattern, bool) {
 // calendar) denotes the same element list under every catalog: only the
 // chronology's epoch and the tick granularity shape its pattern. The memo
 // keeps one lowering per (epoch, granularity, canonical text) for the whole
-// process, so calvet's passes, every tenant's schedulers and the plan
+// process, so calvet's passes, every tenant's prepared patterns and the plan
 // executor's generate ops share it — Bettini, Mascetti & Wang's one minimal
 // periodic set per expression, computed once. Verdicts without a symbolic
 // form and proofs of emptiness are kept too. The memo is bounded by

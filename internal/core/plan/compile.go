@@ -187,6 +187,18 @@ func (c *compiler) narrowed(e callang.Expr, win interval.Interval) interval.Inte
 	return sw
 }
 
+// groupWin is the window a foreach evaluates its groups (Y) over: the node
+// window narrowed to Y's static window. A relaxed .overlaps. or .meets.
+// lists an element under every group it touches, so there it is the hull of
+// the X elements overlapping the node window: the group of such an element
+// may lie past the window's edge.
+func (c *compiler) groupWin(n *callang.ForeachExpr, win interval.Interval) interval.Interval {
+	if !n.Strict && (n.Op == interval.Overlaps || n.Op == interval.Meets) {
+		win = c.expandByKind(win, n.X)
+	}
+	return c.narrowed(n.Y, win)
+}
+
 // outerWin bounds the hull of an expression's possible elements given its
 // generation window. Unlike staticWin (which narrows), outerWin answers "how
 // far can elements reach beyond the window?": a basic calendar's first and
@@ -215,7 +227,7 @@ func (c *compiler) outerWin(e callang.Expr, win interval.Interval) interval.Inte
 	case *callang.SelectExpr:
 		return c.outerWin(n.X, win)
 	case *callang.ForeachExpr:
-		ow := c.outerWin(n.Y, c.narrowed(n.Y, win))
+		ow := c.outerWin(n.Y, c.groupWin(n, win))
 		switch n.Op {
 		case interval.During:
 			return ow // elements lie inside Y's elements
@@ -316,7 +328,7 @@ func (c *compiler) compileNode(e callang.Expr, win interval.Interval) (Reg, erro
 	case *callang.StringLit:
 		return 0, fmt.Errorf("plan: string literal %q outside a call or return", n.Val)
 	case *callang.ForeachExpr:
-		yWin := c.narrowed(n.Y, win)
+		yWin := c.groupWin(n, win)
 		b, err := c.compile(n.Y, yWin)
 		if err != nil {
 			return 0, err

@@ -130,9 +130,10 @@ func WindowExact(e callang.Expr) bool {
 
 // whole reports whether e is a basic calendar, a selection from a whole
 // grouping, or (unless member: an order-1 operand, one pick per group) such a
-// grouping of a member by a member, each kept inside its group (during, the
-// strict overlaps and meets): no element overlapping a window belongs to a
-// group outside it. Nested groups differ in order, the others at the edges.
+// grouping of a member by a member under during, overlaps or meets: the plan
+// evaluates the group of every element overlapping the window (groupWin
+// widens a relaxed grouping's). Nested groups differ in order, before and
+// before-equals groups at the edges.
 func whole(e callang.Expr, member bool) bool {
 	switch n := e.(type) {
 	case *callang.Ident:
@@ -140,7 +141,7 @@ func whole(e callang.Expr, member bool) bool {
 	case *callang.SelectExpr:
 		return (!member || n.Pred.Single()) && whole(n.X, false)
 	case *callang.ForeachExpr:
-		inside := n.Op == interval.During || n.Strict && (n.Op == interval.Overlaps || n.Op == interval.Meets)
+		inside := n.Op == interval.During || n.Op == interval.Overlaps || n.Op == interval.Meets
 		return !member && inside && whole(n.X, true) && whole(n.Y, true)
 	}
 	return false

@@ -1,20 +1,12 @@
-// next.go implements the next-instant kernel: "when does this calendar fire
-// next?" answered without materializing the lookahead window whenever the
-// expression's shape allows it.
-//
-// Two rungs:
-//
-//  1. Pattern. A prepared expression the symbolic calculus lowers — a basic
-//     calendar, or a composition of them — maps to its exact
-//     periodic.Pattern; NextAfter answers in O(log spans) arithmetic for any
-//     instant, forever. One it proves empty is dormant: never, at no cost.
-//  2. Full window. Everything else — anything over a stored calendar such
-//     as HOLIDAYS, caloperate grouping, order-1 selections, before/<=
-//     foreach, opaque derived calendars, `today` — evaluates the full
-//     horizon window exactly like the seed nextTrigger path and scans for
-//     the first start after the query. This rung is the definition the
-//     pattern rung is tested against, and Configure's forceWindowed switch
-//     sends every query to it.
+// next.go implements the definition of "when does this calendar fire next?":
+// evaluate the expression over the full horizon window from the query and
+// scan for the first start after it — the seed nextTrigger path. It answers
+// every shape: anything over a stored calendar such as HOLIDAYS, caloperate
+// grouping, order-1 selections, before/<= foreach, opaque derived calendars,
+// `today`. caldb.Prepared.NextAfter answers the expressions whose pattern
+// also answers /expand by arithmetic instead, clipped at the same horizon
+// window (HorizonWindow), and this scheduler is the oracle it is tested
+// against.
 package plan
 
 import (
@@ -24,9 +16,7 @@ import (
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
-	"calsys/internal/core/callang/symbolic"
 	"calsys/internal/core/interval"
-	"calsys/internal/core/periodic"
 )
 
 // DefaultHorizonDays bounds how far ahead a next-instant search looks when
@@ -34,32 +24,33 @@ import (
 // LookaheadDays default).
 const DefaultHorizonDays = 730
 
-// A Scheduler answers next-instant queries for one prepared expression. It
-// is safe for concurrent use; the rules engine shares one Scheduler among
-// all rules over the same prepared plan (shared-plan fan-out), so a query is
-// paid once per plan, not once per rule.
+// HorizonWindow is the window a next-instant query after `after` searches:
+// from the civil day holding `after` through horizonDays later (≤ 0:
+// DefaultHorizonDays), in ticks of gran.
+func HorizonWindow(ch *chronology.Chronology, gran chronology.Granularity, after, horizonDays int64) (interval.Interval, error) {
+	if horizonDays <= 0 {
+		horizonDays = DefaultHorizonDays
+	}
+	from := ch.CivilOfDayTick(ch.TickAt(chronology.Day, after))
+	return CivilWindow(ch, gran, from, from.AddDays(horizonDays))
+}
+
+// A Scheduler answers next-instant queries for one prepared expression by
+// evaluating the horizon window. It is safe for concurrent use; the rules
+// engine shares one Scheduler among all rules over the same prepared plan
+// (shared-plan fan-out), so a query is paid once per plan, not once per rule.
 type Scheduler struct {
 	env     *Env
 	prepped callang.Expr
 	gran    chronology.Granularity
 
-	mu            sync.Mutex
-	horizonDays   int64
-	forceWindowed bool
-	probes        int64 // windowed evaluations performed
+	mu          sync.Mutex
+	horizonDays int64
+	probes      int64 // windowed evaluations performed
 
-	// plan is the last plan compiled, over planWin; PlanString renders it.
+	// plan is the last plan compiled, over planWin.
 	plan    *Plan
 	planWin interval.Interval
-
-	// exact is the infinite-pattern fast path: the symbolic calculus lowered
-	// the prepared expression (a basic calendar, or a composition of them)
-	// to closed form, answered by arithmetic with no evaluation ever.
-	exact *periodic.Pattern
-
-	// dormant marks an expression the symbolic calculus proved empty on
-	// every window: NextAfter answers ok=false without ever evaluating.
-	dormant bool
 }
 
 // NewScheduler builds a scheduler for a prepared expression (the output of
@@ -67,50 +58,37 @@ type Scheduler struct {
 // fixed for the scheduler's lifetime; caldb interns schedulers by the values
 // stamp of those names and builds a new one when it moves.
 func NewScheduler(env *Env, prepped callang.Expr, gran chronology.Granularity) *Scheduler {
-	s := &Scheduler{
-		env:         env,
-		prepped:     prepped,
-		gran:        gran,
-		horizonDays: DefaultHorizonDays,
-	}
-	// Whole-expression symbolic lowering: basic calendars and their
-	// compositions (selections over groupings, unions, differences) get an
-	// arithmetic-only path, and provably-empty expressions never probe.
-	if p, ok := symbolic.Eval(env.Chron, env.Cat, prepped, gran); ok {
-		if p == nil {
-			s.dormant = true
-		} else {
-			s.exact = p
-		}
-	}
-	return s
+	return &Scheduler{env: env, prepped: prepped, gran: gran, horizonDays: DefaultHorizonDays}
 }
 
-// Configure sets the lookahead horizon in days (≤ 0 keeps the current value)
-// and the scheduler's one ablation switch, under which every query evaluates
-// the full horizon window — the seed behavior.
-func (s *Scheduler) Configure(horizonDays int64, forceWindowed bool) {
+// Configure sets the lookahead horizon in days (≤ 0 keeps the current value).
+func (s *Scheduler) Configure(horizonDays int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if horizonDays > 0 {
 		s.horizonDays = horizonDays
 	}
-	s.forceWindowed = forceWindowed
 }
 
-// PlanString returns the rendering of the most recently compiled plan (one
-// exists from the first NextAfter call on) for the RULE-INFO catalog.
-func (s *Scheduler) PlanString() string {
+// PlanAt renders the eval plan for the RULE-INFO catalog: the plan last
+// compiled, or, when there is none yet, the plan over the horizon window of
+// a query after `after`.
+func (s *Scheduler) PlanAt(after int64) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.plan == nil {
-		return ""
+		hwin, err := HorizonWindow(s.env.Chron, s.gran, after, s.horizonDays)
+		if err != nil {
+			return "", err
+		}
+		if _, err := s.compile(hwin); err != nil {
+			return "", err
+		}
 	}
-	return s.plan.String()
+	return s.plan.String(), nil
 }
 
-// Probes reports how many windowed evaluations the scheduler has run — the
-// work the pattern rung avoids.
+// Probes reports how many windowed evaluations the scheduler has run.
 func (s *Scheduler) Probes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,48 +96,17 @@ func (s *Scheduler) Probes() int64 {
 }
 
 // NextAfter returns the first instant (epoch seconds) at which the
-// expression fires strictly after `after`, searching at most the configured
-// horizon ahead. ok is false when the expression is dormant over the whole
-// horizon. The result is identical to evaluating the full horizon window
-// and scanning for the minimum start strictly after `after` (the seed
-// nextTrigger semantics); only the work differs.
+// expression fires strictly after `after`, searching the configured horizon
+// ahead: the minimum start strictly after `after` of the expression
+// evaluated over HorizonWindow. ok is false when nothing starts in it.
 func (s *Scheduler) NextAfter(after int64) (at int64, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ch := s.env.Chron
-	from := ch.CivilOfDayTick(ch.TickAt(chronology.Day, after))
-	to := from.AddDays(s.horizonDays)
-	hwin, err := CivilWindow(ch, s.gran, from, to)
+	hwin, err := HorizonWindow(s.env.Chron, s.gran, after, s.horizonDays)
 	if err != nil {
 		return 0, false, err
 	}
-	if s.plan == nil {
-		// Compile the eval plan once even on pattern paths that never probe.
-		if _, cerr := s.compile(hwin); cerr != nil {
-			return 0, false, cerr
-		}
-	}
-	if s.forceWindowed {
-		return s.probeWindow(after, hwin)
-	}
-	if s.dormant {
-		return 0, false, nil
-	}
-	if s.exact != nil {
-		afterTick := ch.TickAt(s.gran, after)
-		_, t := s.exact.NextAfter(afterTick)
-		if t > hwin.Hi {
-			return 0, false, nil
-		}
-		return ch.UnitStart(s.gran, t), true, nil
-	}
-	return s.probeWindow(after, hwin)
-}
-
-// probeWindow evaluates the expression over one window and scans for the
-// minimum start strictly after `after` — the seed path.
-func (s *Scheduler) probeWindow(after int64, win interval.Interval) (int64, bool, error) {
-	cal, err := s.eval(win)
+	cal, err := s.eval(hwin)
 	if err != nil {
 		return 0, false, err
 	}
@@ -186,8 +133,8 @@ func (s *Scheduler) eval(win interval.Interval) (*calendar.Calendar, error) {
 }
 
 // compile returns the plan of the expression over win: the last one compiled
-// when it was compiled over the same window (the first probe reuses the plan
-// the first NextAfter call compiled), else a new one, which becomes the last.
+// when it was compiled over the same window, else a new one, which becomes
+// the last.
 func (s *Scheduler) compile(win interval.Interval) (*Plan, error) {
 	if s.plan != nil && s.planWin == win {
 		return s.plan, nil
@@ -206,6 +153,6 @@ func (s *Scheduler) compile(win interval.Interval) (*Plan, error) {
 // of Scheduler for callers without an instance to amortize into.
 func NextInstant(env *Env, prepped callang.Expr, gran chronology.Granularity, after int64, horizonDays int64) (int64, bool, error) {
 	s := NewScheduler(env, prepped, gran)
-	s.Configure(horizonDays, false)
+	s.Configure(horizonDays)
 	return s.NextAfter(after)
 }

@@ -2,21 +2,23 @@ package plan
 
 import (
 	"math/rand"
-	"sync"
+	"reflect"
 	"testing"
 
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
+	"calsys/internal/core/interval"
 	"calsys/internal/core/matcache"
 )
 
-// nextTestExprs covers both rungs of the kernel: exact patterns (basic
-// calendars and the compositions that lower) and the full-window rung, which
-// takes everything else — expressions over a stored calendar (among them
-// business days less holidays, which the executor keeps as a pattern with
-// exceptions and selects from by walking groups), caloperate grouping,
-// end-relative selections, and order-1 selections over a basic calendar.
+// nextTestExprs covers both answers of caldb.Prepared.NextAfter: patterns
+// (basic calendars and the compositions that are plan.WindowExact) and the
+// scheduler's full window, which takes everything else — expressions over a
+// stored calendar (among them business days less holidays, which the
+// executor keeps as a pattern with exceptions and selects from by walking
+// groups), caloperate grouping, end-relative selections, order-1 selections
+// over a basic calendar and a selection over nested groups.
 var nextTestExprs = []string{
 	"DAYS",
 	"WEEKS",
@@ -41,7 +43,12 @@ var nextTestExprs = []string{
 	"[30]/MONTHS",
 	"[n]/(([1,2,3,4,5]/DAYS:during:WEEKS) - HOLS):during:MONTHS",
 	"[1]/(([1,2,3,4,5]/DAYS:during:WEEKS) - HOLS):during:WEEKS",
+	nestedSelect,
 }
+
+// nestedSelect picks the first day of every week-in-a-month group: Friday
+// 1993-01-01 and Monday 1993-01-04 open January's first two.
+const nestedSelect = "[1]/(DAYS:during:WEEKS):during:MONTHS"
 
 // nextPropEnv is the catalog for the next-instant properties: one derived
 // calendar the preparer inlines and one stored calendar with absolute
@@ -61,10 +68,10 @@ func nextPropEnv(t testing.TB) *Env {
 	return env
 }
 
-// nextEnvs splits a property environment into the two sides of the kernel
-// properties: the kernel runs on a shared materialization cache, as every
-// product scheduler does (so the executor's registers stay lazy), and the
-// windowed reference runs the eager oracle.
+// nextEnvs splits a property environment into the two sides of the
+// scheduler's lazy-against-eager property: one runs on a shared
+// materialization cache, as every product scheduler does (so the executor's
+// registers stay lazy), and the reference runs the eager oracle.
 func nextEnvs(env *Env) (kernel, ref *Env) {
 	return &Env{Chron: env.Chron, Cat: env.Cat, Mat: matcache.New(1 << 20), MatScope: "next"},
 		&Env{Chron: env.Chron, Cat: env.Cat, DisableSharing: true}
@@ -79,12 +86,12 @@ func prepFor(t testing.TB, env *Env, src string) (callang.Expr, chronology.Granu
 	return prepped, gran
 }
 
-// The central kernel property: for every expression shape, a shared Scheduler
-// answering a random walk of queries must agree exactly with the seed
-// full-window path (forceWindowed evaluates the whole horizon and scans for
-// the minimum start strictly after the query — bit-for-bit the old
-// nextTrigger), and the one-shot NextInstant must agree with both.
-func TestNextAfterMatchesWindowedMinimum(t *testing.T) {
+// The scheduler is the window definition, and its lazy registers are an
+// optimization of it: a scheduler on a shared materialization cache answers
+// a random walk of queries exactly as one running every op eagerly
+// (DisableSharing), and the one-shot NextInstant agrees with both. The
+// caldb.Prepared gate in front of it is held to it in next_prepared_test.go.
+func TestSchedulerLazyMatchesEager(t *testing.T) {
 	env := nextPropEnv(t)
 	kenv, renv := nextEnvs(env)
 	ch := env.Chron
@@ -94,229 +101,134 @@ func TestNextAfterMatchesWindowedMinimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for _, src := range nextTestExprs {
 		prepped, gran := prepFor(t, env, src)
-		kern := NewScheduler(kenv, prepped, gran)
-		kern.Configure(horizonDays, false)
+		lazy := NewScheduler(kenv, prepped, gran)
+		lazy.Configure(horizonDays)
 		ref := NewScheduler(renv, prepped, gran)
-		ref.Configure(horizonDays, true)
-		for i := 0; i < 1000; i++ {
+		ref.Configure(horizonDays)
+		for i := 0; i < 60; i++ {
 			after := base + rng.Int63n(span)
-			got, gok, err := kern.NextAfter(after)
+			got, gok, err := lazy.NextAfter(after)
 			if err != nil {
-				t.Fatalf("%q: kernel NextAfter(%d): %v", src, after, err)
+				t.Fatalf("%q: lazy NextAfter(%d): %v", src, after, err)
 			}
 			want, wok, err := ref.NextAfter(after)
 			if err != nil {
-				t.Fatalf("%q: windowed NextAfter(%d): %v", src, after, err)
+				t.Fatalf("%q: eager NextAfter(%d): %v", src, after, err)
 			}
 			if gok != wok || (gok && got != want) {
-				t.Fatalf("%q: NextAfter(%d [%v]) = %d,%v; windowed minimum = %d,%v",
+				t.Fatalf("%q: NextAfter(%d [%v]) = %d,%v; eager = %d,%v",
 					src, after, ch.CivilOf(after), got, gok, want, wok)
 			}
 			if gok && got <= after {
 				t.Fatalf("%q: NextAfter(%d) = %d, not strictly after", src, after, got)
 			}
-			// Subsample the one-shot form (a fresh Scheduler per call).
-			if i%97 == 0 {
+			if i%20 == 0 {
 				one, ook, err := NextInstant(kenv, prepped, gran, after, horizonDays)
-				if err != nil {
-					t.Fatalf("%q: NextInstant(%d): %v", src, after, err)
-				}
-				if ook != wok || (ook && one != want) {
-					t.Fatalf("%q: NextInstant(%d) = %d,%v; windowed minimum = %d,%v",
-						src, after, one, ook, want, wok)
+				if err != nil || ook != wok || (ook && one != want) {
+					t.Fatalf("%q: NextInstant(%d) = %d,%v,%v; eager = %d,%v", src, after, one, ook, err, want, wok)
 				}
 			}
+		}
+		if p := lazy.Probes(); p != 60 {
+			t.Errorf("%q: %d probes for 60 queries, want one each", src, p)
 		}
 	}
 }
 
-// Walking forward through consecutive answers (the firing pattern DBCRON
-// drives) must also match the seed path: each answer feeds the next query, so
-// the walk crosses group, month and year boundaries and the stored holidays,
-// and the kernel's cached plan is re-compiled over each new window.
-func TestNextAfterForwardWalk(t *testing.T) {
-	env := nextPropEnv(t)
-	kenv, renv := nextEnvs(env)
-	ch := env.Chron
-	const horizonDays = 140
-	for _, src := range nextTestExprs {
-		prepped, gran := prepFor(t, env, src)
-		kern := NewScheduler(kenv, prepped, gran)
-		kern.Configure(horizonDays, false)
-		ref := NewScheduler(renv, prepped, gran)
-		ref.Configure(horizonDays, true)
-		at := ch.EpochSecondsOf(d(1992, 11, 15))
-		for step := 0; step < 200; step++ {
-			got, gok, err := kern.NextAfter(at)
-			if err != nil {
-				t.Fatalf("%q: step %d: %v", src, step, err)
-			}
-			want, wok, err := ref.NextAfter(at)
-			if err != nil {
-				t.Fatalf("%q: step %d windowed: %v", src, step, err)
-			}
-			if gok != wok || (gok && got != want) {
-				t.Fatalf("%q: step %d after %v: kernel %d,%v windowed %d,%v",
-					src, step, ch.CivilOf(at), got, gok, want, wok)
-			}
-			if !gok {
-				break // dormant beyond the horizon
-			}
-			at = got
-		}
-	}
-}
-
-// One Scheduler is shared by every rule in a plan group, so concurrent
-// queries must be race-free and still individually exact (the CI race job
-// runs this package under -race).
-func TestNextAfterConcurrentSharedScheduler(t *testing.T) {
-	env := nextPropEnv(t)
-	kenv, renv := nextEnvs(env)
-	ch := env.Chron
-	const horizonDays = 140
-	base := ch.EpochSecondsOf(d(1992, 1, 1))
-	span := ch.EpochSecondsOf(d(1995, 1, 1)) - base
-	for _, src := range []string{
-		"[2]/DAYS:during:WEEKS",
-		"[n]/DAYS:during:MONTHS",
-		"[n]/DAYS:during:caloperate(MONTHS, 3)",
-		"[n]/(([1,2,3,4,5]/DAYS:during:WEEKS) - HOLS):during:MONTHS",
-	} {
-		prepped, gran := prepFor(t, env, src)
-
-		// Precompute reference answers sequentially.
-		rng := rand.New(rand.NewSource(7))
-		afters := make([]int64, 200)
-		wants := make([]int64, len(afters))
-		woks := make([]bool, len(afters))
-		ref := NewScheduler(renv, prepped, gran)
-		ref.Configure(horizonDays, true)
-		for i := range afters {
-			afters[i] = base + rng.Int63n(span)
-			w, ok, err := ref.NextAfter(afters[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			wants[i], woks[i] = w, ok
-		}
-
-		shared := NewScheduler(kenv, prepped, gran)
-		shared.Configure(horizonDays, false)
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(afters); i += 4 {
-					got, ok, err := shared.NextAfter(afters[i])
-					if err != nil {
-						t.Errorf("%q: concurrent NextAfter(%d): %v", src, afters[i], err)
-						return
-					}
-					if ok != woks[i] || (ok && got != wants[i]) {
-						t.Errorf("%q: concurrent NextAfter(%d) = %d,%v, want %d,%v",
-							src, afters[i], got, ok, wants[i], woks[i])
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-}
-
-// The kernel must amortize: a forward walk over a periodic expression may
-// probe (evaluate a window) only a handful of times, where the seed path
-// probes once per query.
-func TestNextAfterAmortizesProbes(t *testing.T) {
+// PlanAt renders the plan RULE-INFO shows: the one last compiled, else the
+// plan over the horizon window of the query it is given. A probe compiles the
+// window it evaluates, so it moves what PlanAt renders; PlanAt alone does not.
+func TestSchedulerPlanAt(t *testing.T) {
 	env := nextPropEnv(t)
 	ch := env.Chron
 	prepped, gran := prepFor(t, env, "[2]/DAYS:during:WEEKS")
+	planOver := func(after int64) string {
+		t.Helper()
+		win, err := HorizonWindow(ch, gran, after, DefaultHorizonDays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(env, prepped, nil, gran, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.String()
+	}
+	t0, t1 := ch.EpochSecondsOf(d(1993, 1, 1)), ch.EpochSecondsOf(d(1994, 6, 1))
 	s := NewScheduler(env, prepped, gran)
-	s.Configure(DefaultHorizonDays, false)
-	at := ch.EpochSecondsOf(d(1993, 1, 1))
-	for i := 0; i < 52; i++ { // a year of weekly firings
-		next, ok, err := s.NextAfter(at)
-		if err != nil || !ok {
-			t.Fatalf("step %d: next=%v ok=%v err=%v", i, next, ok, err)
+	for _, q := range []int64{t0, t1} {
+		if got, err := s.PlanAt(q); err != nil || got != planOver(t0) {
+			t.Fatalf("PlanAt(%v) = %q, %v; want the plan over the horizon of %v", ch.CivilOf(q), got, err, ch.CivilOf(t0))
 		}
-		at = next
 	}
-	if p := s.Probes(); p > 2 {
-		t.Errorf("52 weekly steps cost %d probes, want <= 2", p)
+	if _, _, err := s.NextAfter(t1); err != nil {
+		t.Fatal(err)
 	}
-	// The bare basic calendar never probes at all: pure pattern arithmetic.
-	preppedD, granD := prepFor(t, env, "DAYS")
-	sd := NewScheduler(env, preppedD, granD)
-	at = ch.EpochSecondsOf(d(1993, 1, 1))
-	for i := 0; i < 100; i++ {
-		next, ok, err := sd.NextAfter(at)
-		if err != nil || !ok {
-			t.Fatalf("daily step %d: %v %v", i, ok, err)
-		}
-		at = next
+	if got, err := s.PlanAt(t0); err != nil || got != planOver(t1) {
+		t.Fatalf("after a probe at %v, PlanAt = %q, %v; want that probe's plan", ch.CivilOf(t1), got, err)
 	}
-	if p := sd.Probes(); p != 0 {
-		t.Errorf("basic calendar walk ran %d probes, want 0", p)
+	if planOver(t0) == planOver(t1) {
+		t.Fatal("the two horizon windows render the same plan: the test shows nothing")
 	}
 }
 
-// Compositions the symbolic calculus can lower get the same arithmetic-only
-// exact rung as basic calendars: zero probes, ever. Configure's forceWindowed
-// switch sends the same scheduler's queries to the full-window rung with
-// identical answers — the ablation the benchmarks measure.
-func TestSchedulerSymbolicExactAndAblation(t *testing.T) {
-	env := nextPropEnv(t)
-	ch := env.Chron
-	prepped, gran := prepFor(t, env, "[1]/DAYS:during:WEEKS")
-	s := NewScheduler(env, prepped, gran)
-	if s.exact == nil {
-		t.Fatal("composition did not lower to an exact pattern")
-	}
-	sa := NewScheduler(env, prepped, gran)
-	sa.Configure(0, true)
-
-	at := ch.EpochSecondsOf(d(1993, 1, 1))
-	for i := 0; i < 52; i++ {
-		next, ok, err := s.NextAfter(at)
-		if err != nil || !ok {
-			t.Fatalf("step %d: next=%v ok=%v err=%v", i, next, ok, err)
+// restrictTo lists cal's flattened elements that overlap [lo, hi], in order:
+// what /expand shows of a calendar over that window.
+func restrictTo(cal *calendar.Calendar, win interval.Interval) []interval.Interval {
+	var out []interval.Interval
+	for _, iv := range cal.Flatten().Intervals() {
+		if _, ok := iv.Intersect(win); ok {
+			out = append(out, iv)
 		}
-		want, wok, err := sa.NextAfter(at)
-		if err != nil || !wok || want != next {
-			t.Fatalf("step %d: symbolic %d, ablated %d,%v err=%v", i, next, want, wok, err)
-		}
-		at = next
 	}
-	if p := s.Probes(); p != 0 {
-		t.Errorf("symbolic walk ran %d probes, want 0", p)
-	}
-	if p := sa.Probes(); p != 52 {
-		t.Errorf("ablated walk ran %d probes, want one per query (52)", p)
-	}
+	return out
 }
 
-// A provably-empty expression makes the scheduler dormant: NextAfter answers
-// ok=false without evaluating anything, and agrees with the seed path.
-func TestSchedulerDormantEmpty(t *testing.T) {
-	env := nextPropEnv(t)
+// The window law (ROADMAP item 18) on relaxed groupings: evaluating over W
+// and restricting to W′ ⊆ W equals evaluating over W′. A relaxed
+// .overlaps. or .meets. lists an element under every group it touches, so the
+// groups of the elements overlapping W′ must be evaluated even where they lie
+// past W′'s edge: WEEKS.overlaps.MONTHS over 2005-10-03..10-31 lists the week
+// of Oct 31 – Nov 6 (ticks 6879–6885) under October and November.
+func TestRelaxedGroupingRestriction(t *testing.T) {
+	env, _ := env1987(t)
 	ch := env.Chron
-	prepped, gran := prepFor(t, env, "DAYS - DAYS")
-	s := NewScheduler(env, prepped, gran)
-	if !s.dormant {
-		t.Fatal("empty expression not marked dormant")
+	eval := func(src string, from, to chronology.Civil) *calendar.Calendar {
+		t.Helper()
+		cal, err := Evaluate(env, expr(t, src), from, to)
+		if err != nil {
+			t.Fatalf("%q over %v..%v: %v", src, from, to, err)
+		}
+		return cal
 	}
-	after := ch.EpochSecondsOf(d(1993, 6, 1))
-	if _, ok, err := s.NextAfter(after); ok || err != nil {
-		t.Fatalf("dormant NextAfter = ok=%v err=%v, want false,nil", ok, err)
+	check := func(src string, w, sub [2]chronology.Civil) {
+		t.Helper()
+		win, err := CivilWindow(ch, chronology.Day, sub[0], sub[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := restrictTo(eval(src, w[0], w[1]), win)
+		want := restrictTo(eval(src, sub[0], sub[1]), win)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q over %v..%v restricted to %v..%v:\n%v\nover the window:\n%v", src, w[0], w[1], sub[0], sub[1], got, want)
+		}
 	}
-	if p := s.Probes(); p != 0 {
-		t.Errorf("dormant scheduler ran %d probes, want 0", p)
+	oct := [2]chronology.Civil{d(2005, 10, 3), d(2005, 10, 31)}
+	check("WEEKS.overlaps.MONTHS", [2]chronology.Civil{d(2005, 10, 3), d(2005, 12, 31)}, oct)
+	if n := len(restrictTo(eval("WEEKS.overlaps.MONTHS", oct[0], oct[1]), interval.Interval{Lo: 6879, Hi: 6885})); n != 2 {
+		t.Fatalf("the week 6879–6885 is listed %d times over October 2005, want 2 (October's and November's)", n)
 	}
-	ref := NewScheduler(env, prepped, gran)
-	ref.Configure(0, true)
-	if _, ok, err := ref.NextAfter(after); ok || err != nil {
-		t.Fatalf("windowed reference disagrees: ok=%v err=%v", ok, err)
+	rng := rand.New(rand.NewSource(18))
+	for _, src := range []string{
+		"WEEKS.overlaps.MONTHS", "[1]/WEEKS.overlaps.MONTHS", "[n]/WEEKS.overlaps.MONTHS",
+		"DAYS.meets.WEEKS", "WEEKS.meets.MONTHS", "[2]/WEEKS.overlaps.YEARS", "([1]/DAYS:during:WEEKS).overlaps.MONTHS",
+	} {
+		for i := 0; i < 20; i++ {
+			from := d(1990, 1, 1).AddDays(int64(rng.Intn(3000)))
+			to := from.AddDays(int64(rng.Intn(120)))
+			a := from.AddDays(int64(rng.Intn(int(to.Rata()-from.Rata()) + 1)))
+			b := a.AddDays(int64(rng.Intn(int(to.Rata()-a.Rata()) + 1)))
+			check(src, [2]chronology.Civil{from, to}, [2]chronology.Civil{a, b})
+		}
 	}
 }

@@ -15,8 +15,9 @@ import (
 )
 
 // BenchmarkNextTrigger measures one engine next-trigger computation per
-// expression class, kernel against the seed windowed ablation
-// (DisableNextKernel). The ratio here is the per-firing recompute cost that
+// expression class (caldb.Prepared.NextAfter) against the window definition,
+// the plan group's scheduler asked directly, which every expression with no
+// pattern takes. The ratio here is the per-firing recompute cost that
 // dominates DBCRON at fleet scale.
 func BenchmarkNextTrigger(b *testing.B) {
 	noop := FuncAction{Name: "noop", Fn: func(*store.Txn, *store.Event, int64) error { return nil }}
@@ -29,7 +30,6 @@ func BenchmarkNextTrigger(b *testing.B) {
 		for _, mode := range []string{"kernel", "windowed"} {
 			b.Run(tc.name+"/"+mode, func(b *testing.B) {
 				eng, cal := newEngine(b)
-				eng.DisableNextKernel = mode == "windowed"
 				ch := cal.Chron()
 				start := ch.EpochSecondsOf(d(1993, 1, 1))
 				if err := eng.DefineTemporalRule("r", tc.src, noop, start); err != nil {
@@ -38,10 +38,27 @@ func BenchmarkNextTrigger(b *testing.B) {
 				eng.mu.Lock()
 				r := eng.temporal["r"]
 				eng.mu.Unlock()
+				nextOf := func(at int64) (int64, error) {
+					n, _, err := eng.nextTrigger(r, at)
+					return n, err
+				}
+				if mode == "windowed" {
+					s, err := cal.Prepared("", tc.src).Scheduler()
+					if err != nil {
+						b.Fatal(err)
+					}
+					nextOf = func(at int64) (int64, error) {
+						n, ok, err := s.NextAfter(at)
+						if !ok {
+							n = noTrigger
+						}
+						return n, err
+					}
+				}
 				at := start
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					next, _, err := eng.nextTrigger(r, at)
+					next, err := nextOf(at)
 					if err != nil {
 						b.Fatal(err)
 					}

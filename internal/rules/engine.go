@@ -117,10 +117,6 @@ type Engine struct {
 	// LookaheadDays bounds how far ahead next-trigger computation searches
 	// (default 730 days).
 	LookaheadDays int64
-	// DisableNextKernel forces the seed windowed next-trigger path (every
-	// computation evaluates the full lookahead window); the ablation switch
-	// the kernel benchmarks compare against.
-	DisableNextKernel bool
 
 	mu       sync.Mutex
 	temporal map[string]*temporalRule
@@ -383,7 +379,10 @@ func (e *Engine) DefineTemporalRules(now int64, defs []TemporalRuleDef) error {
 		if err != nil {
 			return fmt.Errorf("rules: rule %q: %w", rep.name, err)
 		}
-		plans[i] = sched.PlanString()
+		sched.Configure(e.LookaheadDays)
+		if plans[i], err = sched.PlanAt(now); err != nil {
+			return fmt.Errorf("rules: rule %q: %w", rep.name, err)
+		}
 		for _, r := range peers {
 			r.next, r.sched = next, sched
 		}
@@ -459,20 +458,25 @@ func (e *Engine) RecomputeAll(now int64) (int, error) {
 		all, held = append(all, r), append(held, r.sched)
 	}
 	e.mu.Unlock()
-	groups := map[string]*plan.Scheduler{} // by source: one Prepared lookup each
+	type group struct {
+		p *caldb.Prepared
+		s *plan.Scheduler
+	}
+	groups := map[string]group{} // by source: one Prepared lookup each
 	var rules []*temporalRule
-	var scheds []*plan.Scheduler
+	var moved []group
 	for i, r := range all {
-		s, ok := groups[r.src]
+		g, ok := groups[r.src]
 		if !ok {
+			g.p = e.cal.Prepared("", r.src)
 			var err error
-			if s, err = e.cal.Prepared("", r.src).Scheduler(); err != nil {
+			if g.s, err = g.p.Scheduler(); err != nil {
 				return 0, fmt.Errorf("rules: rule %q: %w", r.name, err)
 			}
-			groups[r.src] = s
+			groups[r.src] = g
 		}
-		if s != held[i] {
-			rules, scheds = append(rules, r), append(scheds, s)
+		if g.s != held[i] {
+			rules, moved = append(rules, r), append(moved, g)
 		}
 	}
 	if len(rules) == 0 {
@@ -480,7 +484,7 @@ func (e *Engine) RecomputeAll(now int64) (int, error) {
 	}
 	nexts := make([]int64, len(rules))
 	if err := parallelDo(len(rules), func(i int) error {
-		next, err := e.nextOn(scheds[i], now)
+		next, err := e.nextOn(moved[i].p, now)
 		if err != nil {
 			return fmt.Errorf("rules: rule %q: %w", rules[i].name, err)
 		}
@@ -518,7 +522,7 @@ func (e *Engine) RecomputeAll(now int64) (int, error) {
 	}
 	e.mu.Lock()
 	for i, r := range rules {
-		r.sched = scheds[i]
+		r.sched = moved[i].s
 		if applied[i] {
 			r.next = nexts[i]
 		}
@@ -707,24 +711,25 @@ func (e *Engine) PlanGroupStats() (groups int, probes int64) {
 // nextTrigger returns a temporal rule's first trigger instant strictly after
 // now and the plan group it was computed with: the current scheduler of the
 // rule's Prepared entry, which the catalog parses, lowers and builds once
-// per state of what the expression reads.
+// per state of what the expression reads. The group is read before the
+// answer, so a write between them leaves a stale group, which the next
+// RecomputeAll recomputes, never a stale answer under a current group.
 func (e *Engine) nextTrigger(r *temporalRule, now int64) (int64, *plan.Scheduler, error) {
-	sched, err := e.cal.Prepared("", r.src).Scheduler()
+	p := e.cal.Prepared("", r.src)
+	sched, err := p.Scheduler()
 	if err != nil {
 		return 0, nil, err
 	}
-	next, err := e.nextOn(sched, now)
+	next, err := e.nextOn(p, now)
 	return next, sched, err
 }
 
-// nextOn returns the first instant of a plan group strictly after now, or
-// noTrigger. Expressions with an exact pattern answer by arithmetic; every
-// other one evaluates the lookahead window (see plan/next.go), once per
-// group and not once per rule. DisableNextKernel sends every group to the
-// window.
-func (e *Engine) nextOn(sched *plan.Scheduler, now int64) (int64, error) {
-	sched.Configure(e.LookaheadDays, e.DisableNextKernel)
-	next, ok, err := sched.NextAfter(now)
+// nextOn returns the first instant of a rule's Prepared entry strictly after
+// now, or noTrigger: by arithmetic when its pattern answers /expand, else by
+// evaluating the lookahead window once per plan group and not once per rule
+// (caldb.Prepared.NextAfter).
+func (e *Engine) nextOn(p *caldb.Prepared, now int64) (int64, error) {
+	next, ok, err := p.NextAfter(now, e.LookaheadDays)
 	if err != nil {
 		return 0, err
 	}

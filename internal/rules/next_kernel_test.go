@@ -8,6 +8,7 @@ import (
 	"calsys/internal/caldb"
 	"calsys/internal/chronology"
 	"calsys/internal/core/calendar"
+	"calsys/internal/core/plan"
 	"calsys/internal/store"
 )
 
@@ -318,12 +319,15 @@ func TestRecomputeAllPullsTriggersEarlier(t *testing.T) {
 	}
 }
 
-// The kernel is an optimization, not a semantics change: an engine on the
-// next-instant kernel and one forced onto the seed windowed path must drive
-// identical firing sequences across every expression class, among them the
-// last business day of each month less a stored holidays calendar.
+// The engine's next-trigger answers (caldb.Prepared.NextAfter: a pattern's
+// arithmetic where /expand answers from it, else the plan group's window)
+// drive exactly the firings the window definition predicts — a
+// plan.Scheduler walked from the start — across every expression class,
+// among them the last business day of each month less a stored holidays
+// calendar and a selection over nested groups.
 func TestKernelMatchesWindowedEngine(t *testing.T) {
 	const eom = "[n]/(([1,2,3,4,5]/DAYS:during:WEEKS) - holidays):during:MONTHS"
+	const nested = "[1]/(DAYS:during:WEEKS):during:MONTHS"
 	exprs := []string{
 		"DAYS",
 		"[2]/DAYS:during:WEEKS",
@@ -331,63 +335,78 @@ func TestKernelMatchesWindowedEngine(t *testing.T) {
 		"[n]/DAYS:during:caloperate(MONTHS, 3)",
 		"[1,3,5]/DAYS:during:WEEKS",
 		"[3]/WEEKS:overlaps:MONTHS",
+		nested,
 		eom,
 	}
-	run := func(disableKernel bool) map[string][]int64 {
-		eng, cal := newEngine(t)
-		eng.DisableNextKernel = disableKernel
-		ch := cal.Chron()
-		// Friday 1993-01-29 and Wednesday 1993-03-31 end their months;
-		// Monday 1993-02-15 does not.
-		hols, err := calendar.FromPoints(chronology.Day, []chronology.Tick{2221, 2238, 2282})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cal.DefineStored("holidays", hols, caldb.Lifespan{Lo: 1, Hi: caldb.MaxDayTick}); err != nil {
-			t.Fatal(err)
-		}
-		start := ch.EpochSecondsOf(d(1993, 1, 1))
-		fired := map[string][]int64{}
-		for i, src := range exprs {
-			name := fmt.Sprintf("r%d", i)
-			nm := name
-			if err := eng.DefineTemporalRule(name, src,
-				FuncAction{Name: "count", Fn: func(_ *store.Txn, _ *store.Event, at int64) error {
-					fired[nm] = append(fired[nm], at)
-					return nil
-				}}, start); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cron, err := NewDBCron(eng, chronology.SecondsPerDay, start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clock := NewVirtualClock(start)
-		for i := 0; i < 150; i++ {
-			if _, err := cron.AdvanceTo(clock.Advance(chronology.SecondsPerDay)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return fired
+	eng, cal := newEngine(t)
+	ch := cal.Chron()
+	// Friday 1993-01-29 and Wednesday 1993-03-31 end their months;
+	// Monday 1993-02-15 does not.
+	hols, err := calendar.FromPoints(chronology.Day, []chronology.Tick{2221, 2238, 2282})
+	if err != nil {
+		t.Fatal(err)
 	}
-	kernel := run(false)
-	windowed := run(true)
-	if !reflect.DeepEqual(kernel, windowed) {
-		t.Fatalf("firing sequences diverge:\n kernel   %v\n windowed %v", kernel, windowed)
+	if err := cal.DefineStored("holidays", hols, caldb.Lifespan{Lo: 1, Hi: caldb.MaxDayTick}); err != nil {
+		t.Fatal(err)
 	}
+	start := ch.EpochSecondsOf(d(1993, 1, 1))
+	const days = 150
+	fired := map[string][]int64{}
 	for i, src := range exprs {
-		if len(kernel[fmt.Sprintf("r%d", i)]) == 0 {
-			t.Errorf("expression %q never fired in 150 days", src)
+		nm := fmt.Sprintf("r%d", i)
+		if err := eng.DefineTemporalRule(nm, src,
+			FuncAction{Name: "count", Fn: func(_ *store.Txn, _ *store.Event, at int64) error {
+				fired[nm] = append(fired[nm], at)
+				return nil
+			}}, start); err != nil {
+			t.Fatal(err)
 		}
 	}
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	var days []chronology.Civil
-	for _, at := range kernel[fmt.Sprintf("r%d", len(exprs)-1)] {
-		days = append(days, ch.CivilOf(at))
+	cron, err := NewDBCron(eng, chronology.SecondsPerDay, start)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := []chronology.Civil{d(1993, 1, 28), d(1993, 2, 26), d(1993, 3, 30), d(1993, 4, 30), d(1993, 5, 31)}
-	if !reflect.DeepEqual(days, want) {
-		t.Errorf("%q fired on %v, want %v", eom, days, want)
+	clock := NewVirtualClock(start)
+	for i := 0; i < days; i++ {
+		if _, err := cron.AdvanceTo(clock.Advance(chronology.SecondsPerDay)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	end := start + days*chronology.SecondsPerDay
+	for i, src := range exprs {
+		l, err := cal.Prepared("", src).Lowered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := plan.NewScheduler(&plan.Env{Chron: ch, Cat: cal, DisableSharing: true}, l.Expr, l.Gran)
+		var want []int64
+		for at := start; ; {
+			next, ok, err := ref.NextAfter(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok || next > end {
+				break
+			}
+			want, at = append(want, next), next
+		}
+		if got := fired[fmt.Sprintf("r%d", i)]; len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%q fired on %v, the window definition on %v", src, civils(ch, got), civils(ch, want))
+		}
+	}
+	if got := civils(ch, fired[fmt.Sprintf("r%d", len(exprs)-1)]); !reflect.DeepEqual(got, []chronology.Civil{
+		d(1993, 1, 28), d(1993, 2, 26), d(1993, 3, 30), d(1993, 4, 30), d(1993, 5, 31)}) {
+		t.Errorf("%q fired on %v", eom, got)
+	}
+	if got := civils(ch, fired["r6"]); len(got) < 2 || got[0] != d(1993, 1, 4) || got[1] != d(1993, 1, 11) {
+		t.Errorf("%q first fired on %v, want 1993-01-04 then 1993-01-11", nested, got)
+	}
+}
+
+func civils(ch *chronology.Chronology, ats []int64) []chronology.Civil {
+	out := make([]chronology.Civil, len(ats))
+	for i, at := range ats {
+		out[i] = ch.CivilOf(at)
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"calsys/internal/core/callang/symbolic"
 	"net/http"
 	"testing"
 
@@ -126,30 +127,34 @@ func TestTenantRecreateDoesNotAliasCache(t *testing.T) {
 	}
 }
 
-// TestSharedPlanReuse proves next-instant queries over catalog-independent
-// expressions share one prepared scheduler across tenants.
+// TestSharedPlanReuse proves next-instant queries over a catalog-independent
+// expression share one lowering across tenants: each tenant's own Prepared
+// entry reads the process-wide memo, so only the first query lowers.
 func TestSharedPlanReuse(t *testing.T) {
-	ts, srv := newTestServer(t)
-	tokA := mkTenant(t, ts, "plan-a")
-	tokB := mkTenant(t, ts, "plan-b")
-
-	before := srv.share.Stats()
-	q := map[string]any{
-		"recurrence": map[string]any{"cycle": "monthly", "ordinal": "last", "wdays": []string{"friday"}},
+	ts, _ := newTestServer(t)
+	tenants := []string{"plan-a", "plan-b", "plan-c"}
+	toks := map[string]string{}
+	for _, name := range tenants {
+		toks[name] = mkTenant(t, ts, name)
 	}
-	for _, c := range []struct{ tok, tenant string }{
-		{tokA, "plan-a"}, {tokB, "plan-b"}, {tokA, "plan-a"},
-	} {
-		st, body := call(t, ts, "POST", "/v1/tenants/"+c.tenant+"/next", c.tok, q)
-		if st != http.StatusOK || body["next"] != "1993-01-29" || body["shared_plan"] != true {
-			t.Fatalf("%s next: %d %v", c.tenant, st, body)
+	// The third Friday of each year, an expression no other test lowers.
+	q := map[string]any{"expr": "[3]/([5]/DAYS:during:WEEKS):overlaps:YEARS", "after": "1993-01-01"}
+	misses := func() int64 { return symbolic.Stats().Misses }
+	before := misses()
+	var first int64
+	for i, name := range append(tenants, tenants[0]) {
+		st, body := call(t, ts, "POST", "/v1/tenants/"+name+"/next", toks[name], q)
+		if st != http.StatusOK || body["next"] != "1993-01-15" || body["shared_plan"] != true {
+			t.Fatalf("%s next: %d %v", name, st, body)
+		}
+		if i == 0 {
+			first = misses()
 		}
 	}
-	after := srv.share.Stats()
-	if got := after.Misses - before.Misses; got != 1 {
-		t.Fatalf("scheduler builds = %d, want 1 (one shared plan for all tenants)", got)
+	if first == before {
+		t.Fatal("the first query lowered nothing: the expression was in the memo already, so the test shows nothing")
 	}
-	if got := after.Hits - before.Hits; got != 2 {
-		t.Fatalf("scheduler reuses = %d, want 2", got)
+	if got := misses() - first; got != 0 {
+		t.Fatalf("%d lowerings after the first tenant's, want 0 (one lowering for every tenant)", got)
 	}
 }

@@ -1,8 +1,8 @@
 // Package serve is calserved's multi-tenant HTTP serving layer: per-tenant
 // namespaces over the CALENDARS catalog and the temporal-rule engine, a
 // convenience recurrence schema that compiles down to calendar-language
-// expressions, vet-on-write with structured CV-coded errors, and prepared
-// plans shared across tenants for catalog-independent expressions.
+// expressions, vet-on-write with structured CV-coded errors, and one
+// process-wide lowering of each catalog-independent expression.
 package serve
 
 import (
@@ -18,7 +18,7 @@ import (
 // arrives as {"cycle":"monthly","ordinal":"third","wdays":["friday"]} and
 // compiles to [3]/(([5]/(DAYS:during:WEEKS)):during:MONTHS). The compiled
 // expression references only the basic calendars, so it is catalog-
-// independent and its prepared plan is shared across tenants.
+// independent and every tenant reads its one lowering.
 type Recurrence struct {
 	// Cycle is the recurrence cycle: date, daily, weekly, monthly, yearly.
 	Cycle string `json:"cycle"`

@@ -527,7 +527,8 @@ func TestNextInstant(t *testing.T) {
 	ts, _ := newTestServer(t)
 	tok := mkTenant(t, ts, "acme")
 
-	// A basic-only expression rides the cross-tenant shared plan.
+	// A basic-only expression is catalog-independent: every tenant reads
+	// the same process-wide lowering.
 	status, body := call(t, ts, "POST", "/v1/tenants/acme/next", tok, map[string]any{
 		"recurrence": map[string]any{"cycle": "yearly", "month": 7, "days": []int{4}},
 	})
@@ -549,6 +550,15 @@ func TestNextInstant(t *testing.T) {
 	}
 	if body["next"] != "1993-12-25" || body["shared_plan"] != false {
 		t.Fatalf("next catalog: %v", body)
+	}
+
+	// A selection over nested groups picks per week-in-a-month group, as
+	// /expand lists it: Friday January 1st, then Monday the 4th.
+	status, body = call(t, ts, "POST", "/v1/tenants/acme/next", tok, map[string]any{
+		"expr": "[1]/(DAYS:during:WEEKS):during:MONTHS", "after": "1993-01-01",
+	})
+	if status != http.StatusOK || body["next"] != "1993-01-04" || body["shared_plan"] != true {
+		t.Fatalf("next nested selection: %d %v", status, body)
 	}
 }
 

@@ -42,7 +42,6 @@ type Config struct {
 // structured JSON.
 type Server struct {
 	reg     *Registry
-	share   *PlanShare
 	maxBody int64
 	mux     *http.ServeMux
 }
@@ -56,17 +55,12 @@ func New(cfg Config) (*Server, error) {
 	if today == (chronology.Civil{}) {
 		today = calsys.DefaultEpoch
 	}
-	share, err := NewPlanShare()
-	if err != nil {
-		return nil, err
-	}
 	maxBody := cfg.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
 	s := &Server{
 		reg:     NewRegistry(cfg.AdminToken, today),
-		share:   share,
 		maxBody: maxBody,
 		mux:     http.NewServeMux(),
 	}
@@ -268,10 +262,9 @@ func (s *Server) handleTenantDrop(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"tenants":      len(s.reg.Names()),
-		"shared_plans": s.share.Stats(),
-		"prepared":     s.reg.preparedStats(),
-		"matcache":     matcache.Shared().Stats(),
+		"tenants":  len(s.reg.Names()),
+		"prepared": s.reg.preparedStats(),
+		"matcache": matcache.Shared().Stats(),
 	})
 }
 
@@ -693,6 +686,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request, t *Tenant)
 	// is evaluated (and cached) as a calendar.
 	var res expandSource
 	if pat, ok := p.Pattern(); ok {
+		t.Manager().CountPatternExpand()
 		l, _ := p.Lowered()
 		res = expandSource{g: l.Gran, pat: pat}
 	} else {
@@ -726,8 +720,9 @@ type nextResp struct {
 	// Dormant is true when the expression never fires within the search
 	// horizon.
 	Dormant bool `json:"dormant,omitempty"`
-	// SharedPlan reports whether the query was answered by a scheduler
-	// shared across tenants (catalog-independent expression).
+	// SharedPlan reports whether the expression is catalog-independent
+	// (reads only basic calendars), so every tenant gets the same answer
+	// from the same process-wide lowering.
 	SharedPlan bool `json:"shared_plan"`
 }
 
@@ -792,30 +787,21 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// nextInstant answers a next-instant query from the source's Prepared entry:
-// catalog-independent expressions (shared reports one) by the cross-tenant
-// shared scheduler, the rest under the tenant's own catalog.
+// nextInstant answers a next-instant query from the source's Prepared entry
+// under the tenant's catalog; shared reports a catalog-independent
+// expression. One that reads `today` needs the tenant's clock, which the
+// entry does not carry: it is answered by a one-shot scheduler.
 func (s *Server) nextInstant(t *Tenant, p *caldb.Prepared, after int64) (at int64, ok, shared bool, err error) {
 	l, err := p.Lowered()
 	if err != nil {
 		return 0, false, false, err
 	}
-	var sched *plan.Scheduler
-	switch {
-	case l.BasicOnly:
-		sched, err = s.share.scheduler(l.Canon)
-	case l.Volatile:
-		// `today` needs the tenant's clock, which the entry's scheduler does
-		// not carry: answer from a one-shot scheduler.
+	if l.Volatile {
 		env := t.Manager().Env()
 		env.Now = t.System().Clock().Now
-		sched = plan.NewScheduler(env, l.Expr, l.Gran)
-	default:
-		sched, err = p.Scheduler()
+		at, ok, err = plan.NextInstant(env, l.Expr, l.Gran, after, 0)
+	} else {
+		at, ok, err = p.NextAfter(after, 0)
 	}
-	if err != nil {
-		return 0, false, false, err
-	}
-	at, ok, err = sched.NextAfter(after)
 	return at, ok, l.BasicOnly, err
 }

@@ -243,8 +243,9 @@ func (h *straightLine) oracle(t testing.TB, src string, s *callang.Script, from,
 // the definition (oracle) is what plan.RunScript computes over the window,
 // and what a reference to the script, defined as a derived calendar, yields
 // through Manager.EvalExpr, through POST /expand, and (its first start)
-// through Scheduler.NextAfter. A straight-line script is evaluated there as
-// its substituted expression, a branching one by the runner.
+// through Prepared.NextAfter, as /next and a firing ask it. A straight-line
+// script is evaluated there as its substituted expression, a branching one
+// by the runner.
 //
 // The oracle runs over the window widened by `margin` days, and every value
 // is compared after the route's clip (marshalExpand): the look-ahead of §3.4
@@ -415,15 +416,11 @@ func (h *straightLine) check(t testing.TB, rng *rand.Rand, refuse bool) {
 	if !isExpr {
 		return
 	}
-	// The next instant after each window's first midnight: by the scheduler's
-	// contract, the least start after it in the horizon window, which the
-	// oracle evaluates here.
-	l, err := h.mgr.Prepared("", name).Lowered()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := plan.NewScheduler(env, l.Expr, l.Gran)
-	sched.Configure(horizonDays, false)
+	// The next instant after each window's first midnight, as /next and a
+	// firing answer it (Prepared.NextAfter): by the scheduler's contract, the
+	// least start after it in the horizon window, which the oracle evaluates
+	// here.
+	p := h.mgr.Prepared("", name)
 	for _, w := range h.windows {
 		after := h.ch.EpochSecondsOf(w[0])
 		want := h.oracle(t, src, script, w[0].AddDays(-margin), w[0].AddDays(horizonDays+margin))
@@ -440,7 +437,7 @@ func (h *straightLine) check(t testing.TB, rng *rand.Rand, refuse bool) {
 			// windowed probe happens to generate.
 			continue
 		}
-		at, ok, err := sched.NextAfter(after)
+		at, ok, err := p.NextAfter(after, horizonDays)
 		if err != nil || !ok || at != wantAt {
 			t.Fatalf("%s: NextAfter(%v) = %v %v %v, the oracle's first start is %v",
 				src, w[0], h.ch.CivilOf(at), ok, err, h.ch.CivilOf(wantAt))
