@@ -130,7 +130,16 @@ loc:
 # (its second calsys.Open, Stats, ShareStats and the server's share field)
 # went; Prepared.NextAfter, plan.HorizonWindow, Scheduler.PlanAt, the
 # compiler's groupWin and symbolic's nested-group refusal came.
-LOC_BUDGET = 24235
+# Stored calendars join the closed form raised it by 608 (24 235 -> 24 843;
+# 741 lines in, 133 out): periodic.Patched (a shared base plus removed and
+# added point lists) with its rank, Walk, NextAfter and the Cursor, locate
+# and member walk it shares with Window, PatchSet and SelectPatched,
+# symbolic.EvalPatched with the twin lowering and the memo's content-keyed
+# entries, the prepared entry's re-keyed stored pattern and its snapshot of
+# stored values, the scheduler's horizon clip and Pattern's cached point
+# flag came; Window.skipped, the window's step-over loop and Pattern.Card
+# went.
+LOC_BUDGET = 24843
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \

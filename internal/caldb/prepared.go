@@ -1,9 +1,12 @@
 package caldb
 
 import (
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"calsys/internal/chronology"
+	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
 	"calsys/internal/core/callang/symbolic"
 	calvet "calsys/internal/core/callang/vet"
@@ -57,8 +60,20 @@ type Prepared struct {
 	lowerErr  error
 
 	patOnce sync.Once
-	pat     *periodic.Pattern
+	pat     *periodic.Patched
 	patOK   bool
+	// stored marks a pattern that reads stored values: a write keeping their
+	// shape does not stale the entry, so the pattern is re-keyed by the
+	// values stamp on each call (slot).
+	stored bool
+	slot   atomic.Pointer[patSlot]
+}
+
+// patSlot is a stored-reading pattern and the values stamp it was read at.
+type patSlot struct {
+	values uint64
+	pat    *periodic.Patched
+	ok     bool
 }
 
 // Lowered is the catalog-dependent front half of §3.4 for one expression.
@@ -151,15 +166,36 @@ func (p *Prepared) Lowered() (*Lowered, error) {
 
 // Pattern returns the symbolic memo's pattern of the lowered expression: its
 // whole element list, which answers any window with no plan (nil: empty). ok
-// is false unless the lowered expression reads only basic calendars, lowers,
-// and is plan.WindowExact.
-func (p *Prepared) Pattern() (*periodic.Pattern, bool) {
+// is false unless the lowered expression is plan.WindowExact and lowers: a
+// basic-only one to its memo pattern, once; one reading stored calendars of
+// points to a base shared by every tenant plus the points those values
+// remove and add (symbolic.EvalPatched), again whenever they are written.
+func (p *Prepared) Pattern() (*periodic.Patched, bool) {
 	p.patOnce.Do(func() {
-		if l, err := p.Lowered(); err == nil && callang.BasicOnly(l.Expr) && plan.WindowExact(l.Expr) {
-			p.pat, p.patOK = symbolic.Eval(p.m.chron, nil, l.Expr, l.Gran)
+		l, err := p.Lowered()
+		switch {
+		case err != nil || l.Volatile || !plan.WindowExact(l.Expr):
+		case !callang.BasicOnly(l.Expr):
+			p.stored = true
+		default:
+			pat, ok := symbolic.Eval(p.m.chron, nil, l.Expr, l.Gran)
+			if p.patOK = ok; pat != nil {
+				p.pat = &periodic.Patched{Base: pat}
+			}
 		}
 	})
-	return p.pat, p.patOK
+	if !p.stored {
+		return p.pat, p.patOK
+	}
+	l := p.lowered
+	if s := p.slot.Load(); s != nil && s.values == p.m.stamps(l.deps).values {
+		return s.pat, s.ok
+	}
+	st, stored := p.m.storedValues(l.deps)
+	s := &patSlot{values: st.values}
+	s.pat, s.ok = symbolic.EvalPatched(p.m.chron, stored, l.Expr, l.Gran, st.key)
+	p.slot.Store(s)
+	return s.pat, s.ok
 }
 
 // NextAfter returns the first instant (epoch seconds) strictly after `after`
@@ -191,7 +227,7 @@ func (p *Prepared) NextAfter(after, horizonDays int64) (int64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	if _, t := pat.NextAfter(ch.TickAt(l.Gran, after)); t <= hwin.Hi {
+	if t, ok := pat.NextAfter(ch.TickAt(l.Gran, after)); ok && t <= hwin.Hi {
 		return ch.UnitStart(l.Gran, t), true, nil
 	}
 	return 0, false, nil
@@ -208,6 +244,33 @@ func (p *Prepared) Scheduler() (*plan.Scheduler, error) {
 		return nil, err
 	}
 	return p.m.internScheduler(l), nil
+}
+
+// storedValues returns the stamps of deps and, read with them, the values of
+// the stored calendars among them that no lifespan bounds: what a patched
+// lowering may read, named by st.key.
+func (m *Manager) storedValues(deps []string) (st stamps, stored symbolic.Stored) {
+	type value struct {
+		name string
+		cal  *calendar.Calendar
+	}
+	var vals []value
+	m.mu.RLock()
+	st = m.stampsLocked(deps)
+	for _, name := range deps {
+		if e := m.cache[name]; e != nil && e.Values != nil && e.Lifespan.Lo == 1 && e.Lifespan.Unbounded() {
+			vals = append(vals, value{name, e.Values})
+		}
+	}
+	m.mu.RUnlock()
+	return st, func(name string) (*calendar.Calendar, bool) {
+		for _, v := range vals {
+			if strings.EqualFold(v.name, name) {
+				return v.cal, true
+			}
+		}
+		return nil, false
+	}
 }
 
 // preparedKey identifies a table entry. The evaluation window is not part of

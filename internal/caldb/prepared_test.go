@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"calsys/internal/core/callang"
 	"calsys/internal/core/callang/symbolic"
 	calvet "calsys/internal/core/callang/vet"
+	"calsys/internal/core/interval"
 	"calsys/internal/core/plan"
 )
 
@@ -85,6 +87,10 @@ func (c *churnCatalog) mutate() {
 	case op < 3:
 		if _, ok := c.m.Lookup("HOLS"); ok {
 			_ = c.m.ReplaceStored("HOLS", c.randomHols())
+		} else if c.m.gen.Load()%2 == 0 {
+			// Every other definition has no lifespan bound, so that HOLS's
+			// points lower into the dependants' patterns.
+			_ = c.m.DefineStored("HOLS", c.randomHols(), Lifespan{Lo: 1, Hi: MaxDayTick})
 		} else {
 			_ = c.m.DefineStored("HOLS", c.randomHols(), ls)
 		}
@@ -140,6 +146,26 @@ func checkAgainstUncached(t *testing.T, m *Manager, src string, from, to chronol
 	if lerr != nil || l.Volatile {
 		return // no shared scheduler: parse error, or the clock is needed
 	}
+	// A pattern lists what the plan lists in the window, in order.
+	if pat, ok := p.Pattern(); ok && gerr == nil {
+		win, err := plan.CivilWindow(m.chron, l.Gran, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got []interval.Interval
+		for _, iv := range truth.Flatten().Intervals() {
+			if iv.Hi >= win.Lo && iv.Lo <= win.Hi {
+				want = append(want, iv)
+			}
+		}
+		if first, last, ok := pat.IndexRange(win); ok {
+			c := pat.Walk(first)
+			got = c.Next(make([]interval.Interval, last-first+1))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("gen %d: pattern of %q over %v..%v\n got %v\nwant %v", m.gen.Load(), src, from, to, got, want)
+		}
+	}
 	sched, err := p.Scheduler()
 	if err != nil {
 		t.Fatalf("Scheduler(%q): %v", src, err)
@@ -153,6 +179,10 @@ func checkAgainstUncached(t *testing.T, m *Manager, src string, from, to chronol
 	wat, wok, wserr := plan.NextInstant(oracle, prepped, gran, now, 0)
 	if at != wat || ok != wok || errText(serr) != errText(wserr) {
 		t.Fatalf("gen %d: next(%q) = %d %v %q, uncached %d %v %q",
+			m.gen.Load(), src, at, ok, errText(serr), wat, wok, errText(wserr))
+	}
+	if at, ok, serr = p.NextAfter(now, 0); at != wat || ok != wok || errText(serr) != errText(wserr) {
+		t.Fatalf("gen %d: Prepared.NextAfter(%q) = %d %v %q, uncached %d %v %q",
 			m.gen.Load(), src, at, ok, errText(serr), wat, wok, errText(wserr))
 	}
 }
@@ -268,6 +298,7 @@ func TestPreparedConcurrentChurn(t *testing.T) {
 						if s, err := p.Scheduler(); err == nil {
 							_, _, _ = s.NextAfter(now)
 						}
+						_, _, _ = p.NextAfter(now, 0)
 					}
 				}
 			}(r)

@@ -15,15 +15,19 @@
 //
 // The calculus is deliberately partial. Window-anchored constructs (`today`,
 // order-1 selections, flattened before/before-equals groupings, label
-// selections, stored calendars, derivations that branch, wait or alert) have
-// no window-independent element list, and some compositions have no compact
+// selections, derivations that branch, wait or alert) have no
+// window-independent element list, and some compositions have no compact
 // periodic form; Eval reports ok=false for these and callers fall back to
-// materialization. A nil pattern with ok=true is a proof that the expression
-// is empty everywhere. End-relative selections over before/before-equals
-// groupings ([n]/(X:<:Y), negative positions, all-negative ranges) are the
-// exception: counting from the end of an unbounded prefix is
-// window-independent, so they lower through the same periodic.ForeachSelect
-// as every other grouping, with endOffsets as the pick.
+// materialization. Eval also declines stored calendars, whose values change
+// with every write, so calvet's verdicts never depend on them; EvalPatched
+// lowers a stored list of points as the finite part of a periodic.Patched
+// (caldb.Prepared.Pattern reads it). A nil pattern with ok=true is a proof
+// that the expression is empty everywhere. End-relative selections over
+// before/before-equals groupings ([n]/(X:<:Y), negative positions,
+// all-negative ranges) are the exception: counting from the end of an
+// unbounded prefix is window-independent, so they lower through the same
+// periodic.ForeachSelect as every other grouping, with endOffsets as the
+// pick.
 package symbolic
 
 import (
@@ -58,6 +62,8 @@ type lowerer struct {
 	cat   callang.ScriptLookup
 	gran  chronology.Granularity
 	basic bool // lowering a basic-only tree on a memo miss
+	// stored reads stored calendars for a patched lowering (EvalPatched).
+	stored Stored
 }
 
 // lower lowers a sub-expression. Only maximal basic-only sub-expressions and,
@@ -70,7 +76,7 @@ func (l *lowerer) lower(e callang.Expr, depth int) (*periodic.Pattern, bool) {
 	if _, name := e.(*callang.Ident); l.basic || name || !callang.BasicOnly(e) {
 		return l.node(e, depth)
 	}
-	return memoized(memoKey{l.ch.Epoch(), l.gran, e.String()}, func() (*periodic.Pattern, bool) {
+	return memoized(memoKey{l.ch.Epoch(), l.gran, e.String(), 0}, func() (*periodic.Pattern, bool) {
 		// No catalog: a basic-only expression reads none.
 		return (&lowerer{ch: l.ch, gran: l.gran, basic: true}).node(e, 0)
 	})
@@ -189,10 +195,14 @@ type (
 		epoch chronology.Civil
 		gran  chronology.Granularity
 		text  string
+		// stored is the content key of the stored values a patched lowering
+		// read (EvalPatched); 0 for a basic-only expression.
+		stored uint64
 	}
 	memoEntry struct {
 		hits atomic.Int64
 		pat  *periodic.Pattern
+		px   *periodic.Patched // a patched lowering's
 		ok   bool
 		_    [64]byte // the next entry's counter starts on another cache line
 	}
@@ -203,17 +213,25 @@ const memoBytes, memoEntryBytes = 8 << 20, 96
 
 // memoized returns the memo's verdict for k, lowering and filing it on a miss.
 func memoized(k memoKey, lower func() (*periodic.Pattern, bool)) (*periodic.Pattern, bool) {
+	e := filed(k, func(e *memoEntry) int64 {
+		if e.pat, e.ok = lower(); e.pat != nil {
+			return e.pat.SizeBytes()
+		}
+		return 0
+	})
+	return e.pat, e.ok
+}
+
+// filed returns the memo's entry for k, filing a new one on a miss: lower
+// fills it in and returns its size beyond the key and the entry.
+func filed(k memoKey, lower func(*memoEntry) int64) *memoEntry {
 	if v, hit := memo.entries.Load(k); hit {
 		e := v.(*memoEntry)
 		e.hits.Add(1)
-		return e.pat, e.ok
+		return e
 	}
 	e := &memoEntry{}
-	e.pat, e.ok = lower()
-	size := memoEntryBytes + int64(len(k.text))
-	if e.pat != nil {
-		size += e.pat.SizeBytes()
-	}
+	size := memoEntryBytes + int64(len(k.text)) + lower(e)
 	memo.mu.Lock()
 	defer memo.mu.Unlock()
 	if memo.misses++; memo.bytes+size > memoBytes {
@@ -224,7 +242,7 @@ func memoized(k memoKey, lower func() (*periodic.Pattern, bool)) (*periodic.Patt
 	} else {
 		memo.bytes += size
 	}
-	return e.pat, e.ok
+	return e
 }
 
 func resetMemoLocked() {
@@ -239,7 +257,7 @@ func resetMemoLocked() {
 // Basic returns the pattern of the basic calendar `of` in ticks of gran (the
 // memo's depth-0 entry), which the plan executor's generate ops expand.
 func Basic(ch *chronology.Chronology, of, gran chronology.Granularity) (*periodic.Pattern, bool) {
-	return memoized(memoKey{ch.Epoch(), gran, of.String()}, func() (*periodic.Pattern, bool) {
+	return memoized(memoKey{ch.Epoch(), gran, of.String(), 0}, func() (*periodic.Pattern, bool) {
 		p, err := periodic.ForBasicPair(ch, of, gran)
 		return p, err == nil
 	})

@@ -29,8 +29,6 @@
 package periodic
 
 import (
-	"sort"
-
 	"calsys/internal/chronology"
 	"calsys/internal/core/interval"
 )
@@ -238,7 +236,8 @@ func (p *Pattern) run(a, b int64, op interval.ListOp) (first, n int64) {
 // through Last (First > Last: none), less the point elements at the ticks of
 // Except — a periodic set minus a finite one, Bettini, Mascetti & Wang's
 // granularity with a non-periodic part. Except is strictly ascending points,
-// set only on a disjoint pattern of points (Points, Disjoint).
+// set only on a disjoint pattern of points (Points, Disjoint); those that are
+// not its elements take nothing out.
 type Window struct {
 	P           *Pattern
 	First, Last int64
@@ -264,8 +263,11 @@ func (w Window) Holds(y interval.Interval, op interval.ListOp) bool {
 	return n >= 0 && first >= w.First && first+n-1 <= w.Last
 }
 
-// Points reports whether every element is a single tick.
-func (p *Pattern) Points() bool {
+// Points reports whether every element is a single tick. The answer is
+// cached at construction.
+func (p *Pattern) Points() bool { return p.points }
+
+func (p *Pattern) computePoints() bool {
 	for _, s := range p.spans {
 		if s.Lo != s.Hi {
 			return false
@@ -279,21 +281,8 @@ func (w Window) Expand() []interval.Interval {
 	if w.First > w.Last {
 		return nil
 	}
-	out := make([]interval.Interval, w.Last-w.First+1)
-	w.P.Fill(out, w.First)
-	if len(w.Except) == 0 {
-		return out
-	}
-	kept, j := out[:0], 0
-	for _, iv := range out {
-		for j < len(w.Except) && w.Except[j].Lo < iv.Lo {
-			j++
-		}
-		if j == len(w.Except) || w.Except[j].Lo != iv.Lo {
-			kept = append(kept, iv)
-		}
-	}
-	return kept
+	c := Cursor{p: w.P, i: w.First, last: w.Last, rm: w.Except}
+	return c.Next(make([]interval.Interval, w.Last-w.First+1))
 }
 
 // Groups is the window-sized form of what ForeachSelect does over a whole
@@ -306,9 +295,9 @@ func (w Window) Expand() []interval.Interval {
 // the flattened materialized foreach and selection, in O(groups · log) plus
 // the output.
 func (w Window) Groups(ny int, ys func(int) interval.Interval, op interval.ListOp, strict bool, pick func(n int) []int, out []interval.Interval) []interval.Interval {
-	var picks [128][]int // by member count
-	var skip []int64     // the indices of the exceptions in a group
-	ex := -1             // the exception cursor: ys come in order, mostly
+	var picks [128][]int       // by member count
+	var rm []interval.Interval // the exceptions among a group's members
+	rest := w.Except           // the exceptions from the last group's on: ys come in order, mostly
 	for k := 0; k < ny; k++ {
 		y := ys(k)
 		a, b := chronology.OffsetFromTick(y.Lo), chronology.OffsetFromTick(y.Hi)
@@ -318,8 +307,24 @@ func (w Window) Groups(ny int, ys func(int) interval.Interval, op interval.ListO
 			first, last = w.First, first-1
 		}
 		first, last = max(first, w.First), min(last, w.Last)
-		skip, ex = w.skipped(first, last, y, op, skip[:0], ex)
-		n = max(last-first+1, 0) - int64(len(skip))
+		rm = rm[:0]
+		if first <= last && len(w.Except) > 0 {
+			lo, _ := w.P.element(first)
+			hi, _ := w.P.element(last)
+			from := chronology.TickFromOffset(lo)
+			if i := len(w.Except) - len(rest); i > 0 && w.Except[i-1].Lo >= from {
+				rest = w.Except[before(w.Except, from):] // a group behind the last one
+			}
+			for len(rest) > 0 && rest[0].Lo < from {
+				rest = rest[1:]
+			}
+			for _, pt := range rest[:before(rest, chronology.TickFromOffset(hi+1))] {
+				if w.P.covers(pt.Lo) {
+					rm = append(rm, pt)
+				}
+			}
+		}
+		n = max(last-first+1, 0) - int64(len(rm))
 		var pos []int
 		if pick != nil && n > 0 {
 			if n < int64(len(picks)) {
@@ -334,17 +339,15 @@ func (w Window) Groups(ny int, ys func(int) interval.Interval, op interval.ListO
 			n = int64(len(pos))
 		}
 		for i := int64(0); i < n; i++ {
-			q := first + i
+			q := i
 			if pick != nil {
-				q = first + int64(pos[i])
+				q = int64(pos[i])
 			}
-			for _, e := range skip { // step over the exceptions before q
-				if e > q {
-					break
-				}
-				q++
+			lo, hi := w.P.element(first + q)
+			if len(rm) > 0 {
+				iv := w.P.member(first, last, q, rm, nil)
+				lo, hi = chronology.OffsetFromTick(iv.Lo), chronology.OffsetFromTick(iv.Hi)
 			}
-			lo, hi := w.P.element(q)
 			if strict && lo <= b && hi >= a {
 				lo, hi = max(lo, a), min(hi, b)
 			}
@@ -352,36 +355,6 @@ func (w Window) Groups(ny int, ys func(int) interval.Interval, op interval.ListO
 		}
 	}
 	return out
-}
-
-// skipped appends to dst the indices in first..last of the elements the
-// exceptions remove from y's group, ascending. ex is where the last group's
-// exceptions began (−1: none yet); the search steps on from it, or starts
-// over behind it.
-func (w Window) skipped(first, last int64, y interval.Interval, op interval.ListOp, dst []int64, ex int) ([]int64, int) {
-	if first > last || len(w.Except) == 0 {
-		return dst, ex
-	}
-	// A point during, overlapping or meeting y lies inside it; a prefix
-	// reaches from its first member.
-	from, hi := y.Lo, chronology.OffsetFromTick(y.Hi)
-	if op == interval.Before || op == interval.BeforeEquals {
-		lo, _ := w.P.element(first)
-		_, hi = w.P.element(last)
-		from = chronology.TickFromOffset(lo)
-	}
-	if ex < 0 || ex > 0 && w.Except[ex-1].Lo >= from {
-		ex = sort.Search(len(w.Except), func(i int) bool { return w.Except[i].Lo >= from })
-	}
-	for ex < len(w.Except) && w.Except[ex].Lo < from {
-		ex++
-	}
-	for i := ex; i < len(w.Except) && chronology.OffsetFromTick(w.Except[i].Lo) <= hi; i++ {
-		if q, _, ok := w.P.IndexRange(w.Except[i]); ok && q >= first && q <= last {
-			dst = append(dst, q)
-		}
-	}
-	return dst, ex
 }
 
 // patternFromCycle builds the pattern denoting the infinite periodic list
@@ -431,15 +404,17 @@ func patternFromCycle(spans []Span, L int64) (*Pattern, bool) {
 // exactly as in the materialized flatten. A `<`/`<=` grouping has no
 // symbolic flatten: its groups start at the window's edge.
 func ForeachFlat(x, y *Pattern, op interval.ListOp, strict bool) (*Pattern, bool) {
-	return ForeachSelect(x, y, op, strict, func(n int) []int {
-		// Every member in order; an unbounded prefix gets position 0, which
-		// ForeachSelect refuses.
-		all := make([]int, max(n, 1))
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	})
+	return ForeachSelect(x, y, op, strict, every)
+}
+
+// every is the pick of a flattened grouping: every member in order; an
+// unbounded prefix gets position 0, which ForeachSelect refuses.
+func every(n int) []int {
+	all := make([]int, max(n, 1))
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // ForeachSelect is the flattened value of a per-group selection
@@ -614,7 +589,7 @@ func (p *Pattern) Canonical() *Pattern {
 		rot[i] = Span{Lo: spans[j].Lo + wrap - base, Hi: spans[j].Hi + wrap - base}
 	}
 	q := &Pattern{period: period, phase: phase, spans: rot}
-	q.disjoint = q.computeDisjoint()
+	q.disjoint, q.points = q.computeDisjoint(), q.computePoints()
 	return q
 }
 

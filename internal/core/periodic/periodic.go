@@ -59,9 +59,10 @@ type Pattern struct {
 	period int64
 	phase  int64
 	spans  []Span
-	// disjoint caches the pairwise-disjointness of the elements, computed
-	// once at construction so expansion never rescans the cycle.
-	disjoint bool
+	// disjoint and points cache the pairwise-disjointness of the elements
+	// and whether each is a single tick, computed once at construction so
+	// expansion and the exception algebra never rescan the cycle.
+	disjoint, points bool
 }
 
 // New validates and builds a pattern. The span slice is copied.
@@ -91,7 +92,7 @@ func New(period, phase int64, spans []Span) (*Pattern, error) {
 	cp := make([]Span, len(spans))
 	copy(cp, spans)
 	p := &Pattern{period: period, phase: phase, spans: cp}
-	p.disjoint = p.computeDisjoint()
+	p.disjoint, p.points = p.computeDisjoint(), p.computePoints()
 	return p, nil
 }
 
@@ -197,17 +198,6 @@ func (p *Pattern) IndexRange(win interval.Interval) (first, last int64, ok bool)
 	return first, last, first <= last
 }
 
-// Card returns the number of elements overlapping the tick window in
-// O(log spans) arithmetic — the cardinality of the calendar a windowed
-// expansion would materialize, without materializing it.
-func (p *Pattern) Card(win interval.Interval) int64 {
-	first, last, ok := p.IndexRange(win)
-	if !ok {
-		return 0
-	}
-	return last - first + 1
-}
-
 // NextAfter returns the index and start tick of the first element whose
 // start lies strictly after tick t, in O(log spans) arithmetic. This is the
 // next-instant kernel: "when does this calendar fire next?" answered without
@@ -249,10 +239,12 @@ func (p *Pattern) Fill(dst []interval.Interval, first int64) {
 	k, i := floorDiv(first, s), int(floorMod(first, s))
 	base := p.phase + k*p.period
 	for j := range dst {
-		dst[j] = interval.Interval{
-			Lo: chronology.TickFromOffset(base + p.spans[i].Lo),
-			Hi: chronology.TickFromOffset(base + p.spans[i].Hi),
+		lo := chronology.TickFromOffset(base + p.spans[i].Lo)
+		hi := lo
+		if !p.points {
+			hi = chronology.TickFromOffset(base + p.spans[i].Hi)
 		}
+		dst[j] = interval.Interval{Lo: lo, Hi: hi}
 		if i++; i == len(p.spans) {
 			i, base = 0, base+p.period
 		}

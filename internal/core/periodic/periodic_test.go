@@ -111,7 +111,7 @@ func TestCardSelectMatchExpansion(t *testing.T) {
 		for trial := 0; trial < 30; trial++ {
 			win := randWindow(rng, of, in)
 			ivs := pat.Expand(win)
-			if got := pat.Card(win); got != int64(len(ivs)) {
+			if got := (periodic.Patched{Base: pat}).Card(win); got != int64(len(ivs)) {
 				t.Fatalf("%v in %v win %v: Card = %d, expansion has %d", of, in, win, got, len(ivs))
 			}
 		}

@@ -128,16 +128,20 @@ func WindowExact(e callang.Expr) bool {
 	return whole(e, false)
 }
 
-// whole reports whether e is a basic calendar, a selection from a whole
+// whole reports whether e is a calendar name, a selection from a whole
 // grouping, or (unless member: an order-1 operand, one pick per group) such a
 // grouping of a member by a member under during, overlaps or meets: the plan
 // evaluates the group of every element overlapping the window (groupWin
 // widens a relaxed grouping's). Nested groups differ in order, before and
-// before-equals groups at the edges.
+// before-equals groups at the edges. A member may also be a set operator over
+// a stored calendar (whole at the top): the patched lowering admits it only
+// as a list of points, which no window edge cuts.
 func whole(e callang.Expr, member bool) bool {
 	switch n := e.(type) {
 	case *callang.Ident:
 		return true
+	case *callang.BinExpr, *callang.IntersectExpr:
+		return member && !callang.BasicOnly(e) && WindowExact(e)
 	case *callang.SelectExpr:
 		return (!member || n.Pred.Single()) && whole(n.X, false)
 	case *callang.ForeachExpr:

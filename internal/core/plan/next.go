@@ -1,12 +1,12 @@
 // next.go implements the definition of "when does this calendar fire next?":
 // evaluate the expression over the full horizon window from the query and
 // scan for the first start after it — the seed nextTrigger path. It answers
-// every shape: anything over a stored calendar such as HOLIDAYS, caloperate
-// grouping, order-1 selections, before/<= foreach, opaque derived calendars,
-// `today`. caldb.Prepared.NextAfter answers the expressions whose pattern
-// also answers /expand by arithmetic instead, clipped at the same horizon
-// window (HorizonWindow), and this scheduler is the oracle it is tested
-// against.
+// every shape: caloperate grouping, order-1 selections, before/<= foreach,
+// opaque derived calendars, interval-valued or lifespan-bounded stored
+// calendars, `today`. caldb.Prepared.NextAfter answers the expressions whose
+// pattern also answers /expand by arithmetic instead — business days less
+// HOLIDAYS among them — clipped at the same horizon window (HorizonWindow),
+// and this scheduler is the oracle it is tested against.
 package plan
 
 import (
@@ -97,8 +97,9 @@ func (s *Scheduler) Probes() int64 {
 
 // NextAfter returns the first instant (epoch seconds) at which the
 // expression fires strictly after `after`, searching the configured horizon
-// ahead: the minimum start strictly after `after` of the expression
-// evaluated over HorizonWindow. ok is false when nothing starts in it.
+// ahead: the minimum start strictly after `after`, and in the window's last
+// unit or before, of the expression evaluated over HorizonWindow. ok is false
+// when nothing starts in it.
 func (s *Scheduler) NextAfter(after int64) (at int64, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -110,10 +111,13 @@ func (s *Scheduler) NextAfter(after int64) (at int64, ok bool, err error) {
 	if err != nil {
 		return 0, false, err
 	}
+	// Elements the plan generated past the window's end (a stored list is
+	// loaded whole) are past the horizon: the pattern's answer is clipped at
+	// the same unit.
 	ch := s.env.Chron
-	best, ok := int64(math.MaxInt64), false
+	best, ok, limit := int64(math.MaxInt64), false, ch.UnitStart(s.gran, hwin.Hi)
 	for _, iv := range cal.Flatten().Intervals() {
-		if at := ch.UnitStart(s.gran, iv.Lo); at > after && at < best {
+		if at := ch.UnitStart(s.gran, iv.Lo); at > after && at <= limit && at < best {
 			best, ok = at, true
 		}
 	}

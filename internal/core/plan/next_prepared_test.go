@@ -204,15 +204,16 @@ func TestNextAfterConcurrentSharedScheduler(t *testing.T) {
 }
 
 // An expression /expand answers from its pattern never probes: a forward
-// walk over a weekly selection or the bare basic calendar is arithmetic
-// only, while its scheduler, asked directly, probes once per query.
+// walk over a weekly selection, the bare basic calendar or the last business
+// day of the month less the stored HOLS is arithmetic only, while its
+// scheduler, asked directly, probes once per query.
 func TestNextAfterAmortizesProbes(t *testing.T) {
 	m := nextManager(t)
 	ch := m.Chron()
 	for _, tc := range []struct {
 		src   string
 		steps int
-	}{{"[2]/DAYS:during:WEEKS", 52}, {"DAYS", 100}} {
+	}{{"[2]/DAYS:during:WEEKS", 52}, {"DAYS", 100}, {"[n]/(([1,2,3,4,5]/DAYS:during:WEEKS) - HOLS):during:MONTHS", 100}} {
 		p := m.Prepared("", tc.src)
 		at := ch.EpochSecondsOf(d(1993, 1, 1))
 		for i := 0; i < tc.steps; i++ {

@@ -13,12 +13,13 @@ import (
 )
 
 // nextTestExprs covers both answers of caldb.Prepared.NextAfter: patterns
-// (basic calendars and the compositions that are plan.WindowExact) and the
-// scheduler's full window, which takes everything else — expressions over a
-// stored calendar (among them business days less holidays, which the
-// executor keeps as a pattern with exceptions and selects from by walking
-// groups), caloperate grouping, end-relative selections, order-1 selections
-// over a basic calendar and a selection over nested groups.
+// (basic calendars, the compositions that are plan.WindowExact, and those
+// over the stored points HOLS — business days less holidays among them, a
+// shared pattern with a patch list) and the scheduler's full window, which
+// takes everything else — caloperate grouping, end-relative selections,
+// order-1 selections over a basic calendar and a selection over nested
+// groups. The executor keeps business days less holidays as a pattern with
+// exceptions and selects from it by walking groups.
 var nextTestExprs = []string{
 	"DAYS",
 	"WEEKS",

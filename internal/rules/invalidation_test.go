@@ -2,11 +2,13 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"calsys/internal/caldb"
 	"calsys/internal/chronology"
+	"calsys/internal/core/calendar"
 	"calsys/internal/store"
 )
 
@@ -69,6 +71,67 @@ func TestRuleSeesRedefinedCalendar(t *testing.T) {
 		if day := ch.CivilOf(at); day != want[i] {
 			t.Errorf("firing %d on %v, want %v", i, day, want[i])
 		}
+	}
+}
+
+// Replacing stored holidays keeps their shape, so the rule's Prepared entry
+// survives the write; its pattern must not. A rule on the last business day
+// of the month, armed for Wednesday 1993-06-30, fires on Tuesday the 29th once
+// the 30th becomes a holiday, and the whole walk is answered by arithmetic on
+// the pattern: no probe of the window definition.
+func TestRuleFollowsReplacedHolidays(t *testing.T) {
+	eng, cal := newEngine(t)
+	ch := cal.Chron()
+	ls := caldb.Lifespan{Lo: 1, Hi: caldb.MaxDayTick}
+	holidays := func(days ...chronology.Civil) *calendar.Calendar {
+		ticks := make([]chronology.Tick, len(days))
+		for i, c := range days {
+			ticks[i] = ch.DayTick(c)
+		}
+		c, err := calendar.FromPoints(chronology.Day, ticks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	if err := cal.DefineStored("HOLS", holidays(d(1993, 7, 5)), ls); err != nil {
+		t.Fatal(err)
+	}
+	if err := cal.DefineDerived("BIZ", "{wd = [1,2,3,4,5]/DAYS:during:WEEKS; return (wd - HOLS);}", ls, caldb.GranAuto); err != nil {
+		t.Fatal(err)
+	}
+	start := ch.EpochSecondsOf(d(1993, 6, 1))
+	var hits []int64
+	if err := eng.DefineTemporalRule("eom", "[n]/BIZ:during:MONTHS", countingAction("eom", &hits), start); err != nil {
+		t.Fatal(err)
+	}
+	cron, err := NewDBCron(eng, chronology.SecondsPerDay, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := NewVirtualClock(start)
+	advanceDays := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := cron.AdvanceTo(clock.Advance(chronology.SecondsPerDay)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	advanceDays(10) // through 1993-06-11, armed for the 30th
+	if err := cal.ReplaceStored("HOLS", holidays(d(1993, 6, 30), d(1993, 7, 5))); err != nil {
+		t.Fatal(err)
+	}
+	advanceDays(50) // through 1993-07-31
+	want := []chronology.Civil{d(1993, 6, 29), d(1993, 7, 30)}
+	got := make([]chronology.Civil, len(hits))
+	for i, at := range hits {
+		got[i] = ch.CivilOf(at)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired on %v, want %v", got, want)
+	}
+	if _, probes := eng.PlanGroupStats(); probes != 0 {
+		t.Errorf("%d probes of the window definition, want 0: the pattern answers", probes)
 	}
 }
 

@@ -54,7 +54,7 @@ type expandEncoder struct {
 type expandSource struct {
 	g   chronology.Granularity
 	cal *calsys.Calendar
-	pat *periodic.Pattern
+	pat *periodic.Patched
 }
 
 // encodeExpand writes the expansion src of expr over the civil window [from,
@@ -183,10 +183,9 @@ func (e *expandEncoder) intervals(src expandSource) (err error) {
 	}
 	var run [128]interval.Interval
 	first, last, _ := src.pat.IndexRange(e.win)
-	for q := first; q <= last && err == nil; q += int64(len(run)) {
-		n := min(last-q+1, int64(len(run)))
-		src.pat.Fill(run[:n], q)
-		put(run[:n])
+	c := src.pat.Walk(first)
+	for n := last - first + 1; n > 0 && err == nil; n -= int64(len(run)) {
+		put(c.Next(run[:min(n, int64(len(run)))]))
 	}
 	return err
 }

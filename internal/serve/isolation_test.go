@@ -31,11 +31,13 @@ func TestCrossTenantCacheIsolation(t *testing.T) {
 		t.Fatalf("B put: %d %v", st, body)
 	}
 
+	// January's days: an order-1 selection counts from the window's edge,
+	// so the expression has no pattern and is evaluated and cached.
+	expr := "holidays + DAYS:during:([1]/MONTHS)"
 	expand := func(tok, tenant string, wantCount float64) {
 		t.Helper()
 		st, body := call(t, ts, "POST", "/v1/tenants/"+tenant+"/expand", tok, map[string]any{
-			"expr": "holidays + DAYS:during:([1]/(MONTHS:during:YEARS))",
-			"from": "1993-01-01", "to": "1993-12-31",
+			"expr": expr, "from": "1993-01-01", "to": "1993-12-31",
 		})
 		if st != http.StatusOK {
 			t.Fatalf("%s expand: %d %v", tenant, st, body)
@@ -50,6 +52,12 @@ func TestCrossTenantCacheIsolation(t *testing.T) {
 	// (January has 31 days; A adds July 4, B adds Dec 25 and 26.)
 	expand(tokA, "tenant-a", 32) // 31 January days + Jul 4
 	expand(tokB, "tenant-b", 33) // 31 January days + Dec 25 + Dec 26
+
+	// The same days as a pattern over each tenant's own stored points.
+	expr = "holidays + DAYS:during:([1]/(MONTHS:during:YEARS))"
+	expand(tokA, "tenant-a", 32)
+	expand(tokB, "tenant-b", 33)
+	expr = "holidays + DAYS:during:([1]/MONTHS)"
 
 	// Warm B's entry and verify the second expansion hits the cache.
 	stats0 := matcache.Shared().Stats()
