@@ -1,6 +1,7 @@
 package chronology
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -171,14 +172,20 @@ func CivilFromRata(z int64) Civil {
 
 // A CivilCursor formats rata days as YYYY-MM-DD and remembers the month of the
 // last one: inside that month a date is the month's eight bytes plus an
-// offset, so a sorted run of days pays CivilFromRata once a month and not once
-// a date. AppendCivil(dst, CivilFromRata(z)) is the definition, and what a
-// month change costs. The cursor's state follows from the last day alone.
+// offset, and a date a few months on is reached by stepping those eight bytes
+// a month at a time, so a sorted run of days pays CivilFromRata only for a
+// jump. AppendCivil(dst, CivilFromRata(z)) is the definition, and what a jump
+// costs. The cursor's state follows from the last day alone.
 type CivilCursor struct {
-	z0     int64   // rata day of the remembered month's first day
-	n      uint64  // its length in days; 0 when no month is remembered
-	prefix [8]byte // "YYYY-MM-"
+	z0     int64  // rata day of the remembered month's first day
+	n      uint64 // its length in days; 0 when no month is remembered
+	y, m   int    // the remembered month
+	prefix uint64 // "YYYY-MM-", little-endian
 }
+
+// cursorSteps bounds how far past its month, in days, the cursor steps month
+// by month before it locates a date afresh: about four months.
+const cursorSteps = 4 * 31
 
 // Put writes the ten bytes of rata day z into dst[:10] and reports true. A
 // year outside 0..9999 is not ten bytes wide ("-001-12-27", "10000-01-01"):
@@ -186,19 +193,36 @@ type CivilCursor struct {
 // the way to format z.
 func (c *CivilCursor) Put(dst []byte, z int64) bool {
 	d := uint64(z - c.z0)
-	if d >= c.n {
-		civ := CivilFromRata(z)
-		if uint(civ.Year) > 9999 {
+	for d >= c.n {
+		newYear := true
+		if c.n != 0 && d < c.n+cursorSteps {
+			c.z0, d = c.z0+int64(c.n), d-c.n
+			if c.m++; c.m > 12 {
+				c.y, c.m = c.y+1, 1
+			} else {
+				newYear = false
+			}
+		} else {
+			civ := CivilFromRata(z)
+			c.y, c.m, d = civ.Year, civ.Month, uint64(civ.Day-1)
+			c.z0 = z - int64(d)
+		}
+		if uint(c.y) > 9999 {
 			*c = CivilCursor{}
 			return false
 		}
-		d = uint64(civ.Day - 1)
-		c.z0, c.n = z-int64(d), uint64(DaysInMonth(civ.Year, civ.Month))
-		var b [10]byte
-		copy(c.prefix[:], AppendCivil(b[:0], civ))
+		// The eight bytes are put together in a register (stored a byte at a
+		// time, they would stall the eight-byte load that copies them out),
+		// and a step inside the year keeps the year's five.
+		y, m := uint64(c.y), uint64(c.m)
+		if newYear {
+			c.prefix = '0' + y/1000 | ('0'+y/100%10)<<8 | ('0'+y/10%10)<<16 | ('0'+y%10)<<24 | '-'<<32
+		}
+		c.prefix = c.prefix&(1<<40-1) | ('0'+m/10)<<40 | ('0'+m%10)<<48 | '-'<<56
+		c.n = uint64(DaysInMonth(c.y, c.m))
 	}
 	dst[9], dst[8] = byte('0'+(d+1)%10), byte('0'+(d+1)/10)
-	*(*[8]byte)(dst) = c.prefix
+	binary.LittleEndian.PutUint64(dst, c.prefix)
 	return true
 }
 

@@ -391,7 +391,7 @@ func checkCursor(t *testing.T, cur *CivilCursor, z int64) {
 // TestCivilCursorMatchesAppendCivil walks one cursor day by day up and down
 // through the edges of its fast path — the years whose dates are not ten bytes
 // wide, the century and 400-year leap rules, the 1970 and 1987 epochs — then
-// month by month, in place, and at random.
+// month by month, in place, along calendar strides and at random.
 func TestCivilCursorMatchesAppendCivil(t *testing.T) {
 	var cur CivilCursor
 	for _, edge := range []Civil{
@@ -409,6 +409,25 @@ func TestCivilCursorMatchesAppendCivil(t *testing.T) {
 		for k := int64(-30); k <= 30; k++ {
 			checkCursor(t, &cur, z+k*30)
 			checkCursor(t, &cur, z+k*30)
+		}
+	}
+	// Calendar strides, which the cursor takes by stepping its month: the
+	// same day of each month or each quarter, and each month's or quarter's
+	// last day, over Feb 29 in 1900 (none), 2000 and 2100 (none), Dec -> Jan,
+	// year 0 (entered from the wide year -1), and 9999-12 -> 10000-01, where
+	// the step must refuse.
+	for _, start := range []Civil{{1899, 10, 1}, {1999, 10, 1}, {2099, 10, 1}, {-1, 9, 1}, {9998, 10, 1}} {
+		for _, months := range []int{1, 3} {
+			for _, day := range []int{1, 15, 28, 0} { // 0: the month's last day
+				for k := 0; k <= 30; k++ {
+					mon := start.Year*12 + start.Month - 1 + k*months
+					c := Civil{Year: int(floorDiv(int64(mon), 12)), Month: int(floorMod(int64(mon), 12)) + 1, Day: day}
+					if day == 0 {
+						c.Day = DaysInMonth(c.Year, c.Month)
+					}
+					checkCursor(t, &cur, c.Rata())
+				}
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(22))
@@ -438,6 +457,13 @@ func FuzzCivilCursor(f *testing.F) {
 	f.Add(Civil{1900, 2, 27}.Rata(), []byte{0, 1, 0, 1, 0, 1, 3, 1, 0, 255, 0, 0})     // 1900 has no Feb 29; 2300 neither
 	f.Add(Civil{2000, 2, 28}.Rata(), []byte{0, 1, 0, 1, 3, 255, 3, 1, 2, 4, 2, 252})   // 2000 has
 	f.Add(Civil{1986, 12, 1}.Rata(), []byte{1, 1, 1, 1, 1, 1, 1, 253, 0, 0, 0, 0})     // month-apart over the 1987 epoch
+	// A month apart, a quarter apart and near month ends, over the leap rules
+	// of 1900, 2000 and 2100, Dec -> Jan into year 0 and out of year 9999.
+	f.Add(Civil{1899, 12, 31}.Rata(), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 3, 1, 3})
+	f.Add(Civil{2000, 1, 31}.Rata(), []byte{1, 1, 0, 1, 1, 1, 1, 3, 1, 3, 0, 255, 1, 3})
+	f.Add(Civil{2099, 11, 30}.Rata(), []byte{1, 3, 1, 3, 0, 1, 1, 1, 1, 1, 1, 1})
+	f.Add(Civil{-1, 11, 15}.Rata(), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 253})
+	f.Add(Civil{9999, 10, 31}.Rata(), []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 255, 1, 3})
 	strides := [...]int64{1, 30, 365, 146097, 3652425}
 	f.Fuzz(func(t *testing.T, start int64, steps []byte) {
 		z := start % (1 << 32)

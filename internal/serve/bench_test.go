@@ -60,7 +60,8 @@ func BenchmarkHandlerExpandBulk(b *testing.B) {
 // BenchmarkHandlerExpandWide is the last business day of every month of 35
 // years, ten seeded holidays a year: the serve_wide shape, 420 one-day
 // intervals and 29 KB out. Consecutive dates are a month apart, so the
-// encoder's month cursor misses on every one: this row is the miss path's.
+// encoder's month cursor leaves its month on every one and steps to the
+// next: this row is the step path's.
 func BenchmarkHandlerExpandWide(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
 	var days []string

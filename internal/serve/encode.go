@@ -47,6 +47,7 @@ type expandEncoder struct {
 	cur     chronology.CivilCursor // the month of the last date written
 	sep     bool                   // an element has been written: the next one follows a comma
 	flushed bool                   // a flush has gone out, and with it the status
+	size    int                    // the body's length when known before its end, else 0
 }
 
 // An expandSource is a result as encodeExpand reads it: a plan's calendar, or
@@ -63,7 +64,7 @@ type expandSource struct {
 // are clipped to the window the client asked for and those wholly outside it
 // are dropped. It stops at the first failed Write, and at the first flush
 // that finds ctx done. When w is a ResponseWriter the first flush commits the
-// 200, with a Content-Length when the whole body is in it (see flush).
+// 200, with a Content-Length when the body's length is known (see flush).
 func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
 	expr string, src expandSource, from, to chronology.Civil) error {
 	bp := expandBufs.Get().(*[]byte)
@@ -91,14 +92,19 @@ func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
 	n := e.count(src)
 	e.buf = strconv.AppendInt(e.buf, int64(n), 10)
 	if n == 0 {
-		e.buf = append(e.buf, ",\n  \"intervals\": []\n}\n"...)
+		e.buf = append(e.buf, noIntervals...)
 		return e.flush(true)
 	}
-	e.buf = append(e.buf, ",\n  \"intervals\": ["...)
+	// Inside the years 0..9999 every date is ten bytes wide, so every element
+	// is too, and the count fixes the body's length before a byte of it goes.
+	if from.Year >= 0 && to.Year <= 9999 {
+		e.size = len(e.buf) + len(openIntervals) + n*len(element) - 1 + len(closeIntervals)
+	}
+	e.buf = append(e.buf, openIntervals...)
 	if err := e.intervals(src); err != nil {
 		return err
 	}
-	e.buf = append(e.buf, "\n  ]\n}\n"...)
+	e.buf = append(e.buf, closeIntervals...)
 	return e.flush(true)
 }
 
@@ -138,6 +144,9 @@ func (e *expandEncoder) count(src expandSource) int {
 // at elementStart and elementEnd. The first one leaves the comma out.
 const element = ",\n    {\n      \"start\": \"YYYY-MM-DD\",\n      \"end\": \"YYYY-MM-DD\"\n    }"
 const elementStart, elementEnd, dateLen = 24, 51, 10
+
+// The body's text after the count: around the elements, or with none.
+const openIntervals, closeIntervals, noIntervals = ",\n  \"intervals\": [", "\n  ]\n}\n", ",\n  \"intervals\": []\n}\n"
 
 // intervals appends one element per leaf interval in the window (a pattern's
 // formed by index into a fixed run), flushing whenever the buffer passes
@@ -191,16 +200,23 @@ func (e *expandEncoder) intervals(src expandSource) (err error) {
 }
 
 // flush hands the buffered bytes to the writer unless the client is gone;
-// last marks the end of the body. A body that ends in its first flush goes
-// out with its length: net/http then writes header and body at once instead
-// of a chunk header, the chunk and a terminator. Longer bodies stay chunked.
+// last marks the end of the body. The first flush declares the body's length
+// when it is known, from the count or because the whole body is in it, and
+// net/http then frames no chunks. The first flush goes out with the header,
+// in two write(2)s once it is past net/http's 4 KB connection buffer; each
+// later one is one write(2), where a chunk takes two and a chunked body's
+// terminator a third. A body of unknown length (dates outside 0..9999 over
+// several flushes) stays chunked.
 func (e *expandEncoder) flush(last bool) error {
 	if err := e.ctx.Err(); err != nil {
 		return err
 	}
 	if rw, ok := e.w.(http.ResponseWriter); !e.flushed && ok {
 		if last {
-			rw.Header().Set("Content-Length", strconv.Itoa(len(e.buf)))
+			e.size = len(e.buf)
+		}
+		if e.size > 0 {
+			rw.Header().Set("Content-Length", strconv.Itoa(e.size))
 		}
 		rw.WriteHeader(http.StatusOK)
 	}

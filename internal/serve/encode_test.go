@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"calsys"
@@ -96,11 +98,53 @@ func expandInProcess(tb testing.TB) (http.Handler, func(body string) *http.Reque
 	}
 }
 
+// postExpand posts one /expand over the socket and reads the body whole. A
+// read that fails — a body shorter than its declared Content-Length, or cut
+// off because it ran past it — fails the test.
+func postExpand(t testing.TB, ts *httptest.Server, tok string, body any) (*http.Response, []byte) {
+	t.Helper()
+	enc, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest("POST", ts.URL+"/v1/tenants/acme/expand", bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+tok)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("expand %s: reading the body: %v (Content-Length %d, %d bytes read)", enc, err, resp.ContentLength, len(raw))
+	}
+	return resp, raw
+}
+
+// checkFraming holds a 200 /expand response to its framing: a window inside
+// the years 0..9999 declares a Content-Length equal to the bytes received; a
+// window reaching outside them declares one only if the body fit one flush.
+func checkFraming(t testing.TB, resp *http.Response, raw []byte, from, to chronology.Civil) {
+	t.Helper()
+	known := from.Year >= 0 && to.Year <= 9999
+	switch {
+	case resp.ContentLength == int64(len(raw)) && len(resp.TransferEncoding) == 0:
+	case !known && resp.ContentLength == -1 && len(raw) >= expandFlushBytes:
+	default:
+		t.Fatalf("%s..%s: %d bytes came with Content-Length %d, Transfer-Encoding %v",
+			from, to, len(raw), resp.ContentLength, resp.TransferEncoding)
+	}
+}
+
 // TestExpandStreamMatchesMarshal drives the real handler over a real socket
 // and requires every 200 body to equal what encoding/json printed for the
-// same evaluation: pinned cases for empty results, clipping at the front,
-// the back and both, every granularity, order-1 and order-2 results and
-// hostile expr strings, then random expression × window pairs.
+// same evaluation, and to arrive as long as its Content-Length says: pinned
+// cases for empty results, clipping at the front, the back and both, every
+// granularity, order-1 and order-2 results and hostile expr strings, then
+// random expression × window pairs.
 func TestExpandStreamMatchesMarshal(t *testing.T) {
 	ts, srv := newTestServer(t)
 	tok := mkTenant(t, ts, "acme")
@@ -130,11 +174,11 @@ func TestExpandStreamMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		status, got := rawCall(t, ts, "POST", "/v1/tenants/acme/expand", tok,
-			map[string]string{"expr": src, "from": fromStr, "to": toStr})
-		if status != http.StatusOK {
-			t.Fatalf("expand %q %s..%s: %d %s", src, fromStr, toStr, status, got)
+		hr, got := postExpand(t, ts, tok, map[string]string{"expr": src, "from": fromStr, "to": toStr})
+		if hr.StatusCode != http.StatusOK {
+			t.Fatalf("expand %q %s..%s: %d %s", src, fromStr, toStr, hr.StatusCode, got)
 		}
+		checkFraming(t, hr, got, from, to)
 		cal, err := sys.EvalCalendar(src, from, to)
 		if err != nil {
 			t.Fatalf("EvalCalendar(%q): %v", src, err)
@@ -458,44 +502,114 @@ func TestExpandAllocsIndependentOfIntervalCount(t *testing.T) {
 	}
 }
 
-// Over a socket, a body that fits the encoder's first flush carries its
-// Content-Length; a longer one is streamed chunked. The bytes are the
+// Over a socket, a body whose window lies in the years 0..9999 declares its
+// length on the first flush, whether it is walked from a pattern or read from
+// a slab and however many flushes it takes; a body that reaches past
+// 9999-12-31 over several flushes is streamed chunked. The bytes are the
 // oracle's either way (TestExpandStreamMatchesMarshal).
 func TestExpandContentLength(t *testing.T) {
 	ts, _ := newTestServer(t)
 	tok := mkTenant(t, ts, "acme")
-	post := func(to string) (*http.Response, []byte) {
+	patternExpands := func() float64 {
 		t.Helper()
-		body := `{"expr":"DAYS:during:WEEKS","from":"1990-01-01","to":"` + to + `"}`
-		req, err := http.NewRequest("POST", ts.URL+"/v1/tenants/acme/expand", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		_, body := call(t, ts, "GET", "/debug/cachestats", testAdminToken, nil)
+		prep, _ := body["prepared"].(map[string]any)
+		return prep["pattern_expands"].(float64)
+	}
+	for _, tc := range []struct {
+		name, expr, from, to string
+		pattern              bool
+		flushes              int // 0: an empty result; 2: two or more
+		chunked              bool
+	}{
+		{"pattern-empty", "[1]/DAYS:during:MONTHS", "1993-01-02", "1993-01-31", true, 0, false},
+		{"pattern-one-flush", "DAYS:during:WEEKS", "1990-01-01", "1991-02-24", true, 1, false}, // serve_wide's median size
+		{"pattern-flushes", "DAYS:during:WEEKS", "1990-01-01", "1995-12-31", true, 2, false},
+		{"slab-empty", "[40]/DAYS:during:caloperate(MONTHS, 1)", "1993-01-01", "1993-12-31", false, 0, false},
+		{"slab-one-flush", "DAYS:during:caloperate(WEEKS, 1)", "1990-01-01", "1991-02-24", false, 1, false},
+		{"slab-flushes", "DAYS:during:caloperate(WEEKS, 1)", "1990-01-01", "1995-12-31", false, 2, false},
+		{"past-9999-one-flush", "DAYS", "9999-12-30", "10000-01-02", true, 1, false},
+		{"past-9999-flushes", "DAYS:during:WEEKS", "9998-01-01", "10001-12-31", true, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := patternExpands()
+			resp, raw := postExpand(t, ts, tok, map[string]string{"expr": tc.expr, "from": tc.from, "to": tc.to})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%d %s", resp.StatusCode, raw)
+			}
+			if answered := patternExpands() != before; answered != tc.pattern {
+				t.Fatalf("answered from a pattern: %v, want %v", answered, tc.pattern)
+			}
+			var body expandResp
+			if err := json.Unmarshal(raw, &body); err != nil {
+				t.Fatal(err)
+			}
+			flushes := min(len(raw)/expandFlushBytes+1, 2)
+			if body.Count == 0 {
+				flushes = 0
+			}
+			if flushes != tc.flushes {
+				t.Fatalf("%d intervals, %d bytes; the case needs %d flushes", body.Count, len(raw), tc.flushes)
+			}
+			if tc.chunked {
+				if resp.ContentLength != -1 || len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked" {
+					t.Errorf("%d bytes: Content-Length %d, Transfer-Encoding %v; want chunked",
+						len(raw), resp.ContentLength, resp.TransferEncoding)
+				}
+			} else if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+				t.Errorf("%d bytes: Content-Length %d, Transfer-Encoding %v", len(raw), resp.ContentLength, resp.TransferEncoding)
+			}
+		})
+	}
+}
+
+// countingListener counts the Write calls made on the connections it accepts:
+// what reaches the kernel as write(2), since net/http buffers above them.
+type countingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return &countingConn{Conn: c, writes: &l.writes}, err
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestExpandWritesPerFlush pins what a declared length buys: a body of k
+// flushes reaches the connection in at most k + 1 writes — the header with
+// the first flush's head, then one write a flush — where a chunked body
+// takes two a flush (chunk header with a buffer's worth, then the rest) and
+// a terminator, 2k + 1.
+func TestExpandWritesPerFlush(t *testing.T) {
+	h, _ := expandInProcess(t)
+	ts := httptest.NewUnstartedServer(h)
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	defer ts.Close()
+	for _, to := range []string{"1991-02-24", "1992-12-31", "1995-12-31", "2005-12-31"} {
+		before := ln.writes.Load()
+		resp, raw := postExpand(t, ts, testAdminToken,
+			map[string]string{"expr": "DAYS:during:WEEKS", "from": "1990-01-01", "to": to})
+		writes := ln.writes.Load() - before
+		// A flush is at least expandFlushBytes but the last: at most k of them.
+		k := int64(len(raw)/expandFlushBytes + 1)
+		t.Logf("to %s: %d bytes, at most %d flushes, %d writes", to, len(raw), k, writes)
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(raw)) {
+			t.Fatalf("to %s: %d, Content-Length %d for %d bytes", to, resp.StatusCode, resp.ContentLength, len(raw))
 		}
-		req.Header.Set("Authorization", "Bearer "+tok)
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
+		if writes > k+1 {
+			t.Errorf("to %s: %d bytes in at most %d flushes took %d writes, want at most %d", to, len(raw), k, writes, k+1)
 		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("expand to %s: %d %v", to, resp.StatusCode, err)
-		}
-		return resp, raw
-	}
-	// 420 intervals, ≈ 29 KB — serve_wide's median response.
-	resp, raw := post("1991-02-24")
-	if len(raw) < 2048 || len(raw) >= expandFlushBytes {
-		t.Fatalf("small body is %d bytes; the test needs one between net/http's 2 KB and one flush", len(raw))
-	}
-	if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
-		t.Errorf("one-flush body of %d bytes: Content-Length %d, Transfer-Encoding %v", len(raw), resp.ContentLength, resp.TransferEncoding)
-	}
-	resp, raw = post("1995-12-31")
-	if len(raw) <= expandFlushBytes {
-		t.Fatalf("large body is %d bytes; the test needs more than one flush", len(raw))
-	}
-	if resp.ContentLength != -1 || len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked" {
-		t.Errorf("multi-flush body: Content-Length %d, Transfer-Encoding %v; want chunked", resp.ContentLength, resp.TransferEncoding)
 	}
 }

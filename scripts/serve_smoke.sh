@@ -5,7 +5,8 @@
 # the API with curl, asserting each response with jq: tenant -> stored days ->
 # derived calendar -> rule -> /next -> /expand -> one 4xx error envelope ->
 # drops. Then one bulk expand is read back whole (the streaming encoder's
-# chunked multi-flush path over a real socket) and the server is SIGTERMed
+# multi-flush path over a real socket, its length declared up front) and
+# the server is SIGTERMed
 # and must exit gracefully. Load is calbench's job: the script ends with a 2 s
 # serve_churn run (writes, invalidation, concurrent cold flights, every
 # response checked against the oracle; it boots its own calserved and exits
@@ -14,6 +15,7 @@
 # Artifacts (in $SMOKE_OUT, default ./smoke-out):
 #   calserved.log              server log
 #   bulk_expand.json           the 5.8 k-interval expand response
+#   bulk_expand.headers        its response headers
 #   calbench_serve_churn.json  calbench's result line for the load run
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -104,14 +106,24 @@ rm -f "$OUT/resp.json"
 
 echo "serve-smoke: bulk expand (5.8 k intervals, ~400 KB, several flushes)"
 # /expand streams its body in 64 KB flushes; what arrives must still be one
-# JSON document whose count is the number of intervals in it.
+# JSON document whose count is the number of intervals in it, and a window
+# inside the years 0..9999 declares its length: Content-Length must be the
+# bytes received.
 curl -fsS -X POST "http://$ADDR/v1/tenants" -H "Authorization: Bearer $ADMIN_TOKEN" \
     -d '{"name":"bulk0"}' >/dev/null
 curl -fsS -X POST "http://$ADDR/v1/tenants/bulk0/expand" -H "Authorization: Bearer $ADMIN_TOKEN" \
+    -D "$OUT/bulk_expand.headers" \
     -d '{"expr":"DAYS:during:WEEKS","from":"1990-01-01","to":"2005-12-31"}' >"$OUT/bulk_expand.json"
 if ! jq -e '.count >= 5000 and .count == (.intervals | length)' "$OUT/bulk_expand.json" >/dev/null; then
     echo "serve-smoke: bulk expand body is not JSON, or count != len(intervals)" >&2
     head -c 400 "$OUT/bulk_expand.json" >&2
+    exit 1
+fi
+DECLARED=$(tr -d '\r' <"$OUT/bulk_expand.headers" | awk 'tolower($1) == "content-length:" { print $2 }')
+RECEIVED=$(wc -c <"$OUT/bulk_expand.json" | tr -d ' ')
+if [ -z "$DECLARED" ] || [ "$DECLARED" != "$RECEIVED" ]; then
+    echo "serve-smoke: bulk expand declared Content-Length '${DECLARED}', received $RECEIVED bytes" >&2
+    cat "$OUT/bulk_expand.headers" >&2
     exit 1
 fi
 echo "serve-smoke: bulk expand OK ($(jq .count "$OUT/bulk_expand.json") intervals, $(wc -c <"$OUT/bulk_expand.json") bytes)"
