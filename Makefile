@@ -145,7 +145,13 @@ loc:
 # encoder's body length declared from the count (the size field and the
 # body's three constant tails) came; the cursor's AppendCivil round trip for
 # its prefix went.
-LOC_BUDGET = 24883
+# No shared scheduler lowered it by 121 (24 883 -> 24 762; 136 lines in, 257
+# out): the catalog's per-plan scheduler table (schedSlot, internScheduler,
+# Schedulers, Prepared.Scheduler), Scheduler.PlanAt with the scheduler's lock
+# and plan cache, the engine's plan-group tokens and PlanGroupStats, and the
+# executor's selectPattern went; Prepared.Values, Manager.WindowEvals and the
+# engine's planText came.
+LOC_BUDGET = 24762
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -194,7 +200,7 @@ race:
 	$(GO) test -race ./internal/store/... ./internal/rules/... ./internal/core/plan/... \
 		./internal/core/callang/symbolic/... ./internal/core/matcache/... ./internal/core/calendar/... ./internal/core/interval/... \
 		./internal/caldb/... ./internal/serve/...
-	$(GO) test -race -count=10 -run 'TestContentKeyABARace|TestStaleFlightNotShared|TestMemoConcurrentLowerings' \
+	$(GO) test -race -count=10 -run 'TestContentKeyABARace|TestNextAfterHorizonPerCall|TestStaleFlightNotShared|TestMemoConcurrentLowerings' \
 		./internal/caldb/ ./internal/core/matcache/ ./internal/core/callang/symbolic/
 
 # Crash-recovery fault injection: the seeded kill-and-recover suites, run

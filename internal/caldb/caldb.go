@@ -120,12 +120,11 @@ type Manager struct {
 	// absent name has a generation too (a name never defined has 0).
 	dropped map[string]uint64
 
-	// prep and scheds are the prepared-expression table and its schedulers
-	// (see prepared.go), under prepMu; the counters accumulate.
-	prepMu                                                      sync.RWMutex
-	prep                                                        map[preparedKey]*Prepared
-	scheds                                                      map[string]*schedSlot
-	prepHits, prepMisses, prepResets, prepStale, patternExpands atomic.Int64
+	// prep is the prepared-expression table (see prepared.go), under prepMu;
+	// the counters accumulate.
+	prepMu                                                                   sync.RWMutex
+	prep                                                                     map[preparedKey]*Prepared
+	prepHits, prepMisses, prepResets, prepStale, patternExpands, windowEvals atomic.Int64
 
 	// listeners are invoked (outside m.mu) after every successful catalog
 	// mutation; DBCRON uses this to schedule a mass next-trigger recompute.
@@ -223,10 +222,9 @@ func NewScoped(db *store.DB, chron *chronology.Chronology, scope string) (*Manag
 	}
 	m := &Manager{
 		db: db, chron: chron, cache: map[string]*Entry{}, dropped: map[string]uint64{},
-		mat:    matcache.Shared(),
-		scope:  fmt.Sprintf("%s#%d|%v", scope, scopeCounter.Add(1), chron.Epoch()),
-		prep:   map[preparedKey]*Prepared{},
-		scheds: map[string]*schedSlot{},
+		mat:   matcache.Shared(),
+		scope: fmt.Sprintf("%s#%d|%v", scope, scopeCounter.Add(1), chron.Epoch()),
+		prep:  map[preparedKey]*Prepared{},
 	}
 	m.gen.Store(1)
 	if err := m.reload(); err != nil {

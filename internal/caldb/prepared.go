@@ -14,7 +14,7 @@ import (
 	"calsys/internal/core/plan"
 )
 
-// preparedCap bounds the prepared-expression table and its scheduler table.
+// preparedCap bounds the prepared-expression table.
 // A deployment queries a handful of stored rules per account, so the working
 // set is tens of sources; a full table is emptied, so one-off sources cannot
 // pin memory.
@@ -24,9 +24,9 @@ const preparedCap = 512
 // paper's "parse and optimise once, keep the result in the catalog" (§3.4,
 // CALENDARS.eval-plan) for expressions that are not stored calendars. The
 // parse happens when the value is built; the calvet verdict, the lowered
-// expression, its pattern and the scheduler are each computed on first use
-// and then shared by every reader; the pattern, or else the scheduler,
-// answers next-instant queries (NextAfter).
+// expression and its pattern are each computed on first use and then shared
+// by every reader; the pattern, or else an evaluation of the query's horizon
+// window, answers next-instant queries (NextAfter).
 //
 // The manager's table serves an anonymous entry while the shape stamp of
 // its dependencies (depsLocked, stampsLocked) is the one it was built at, so
@@ -84,7 +84,7 @@ type Lowered struct {
 	// whole-expression materialization-cache key.
 	Canon, cacheID string
 	// PlanKey ("gran|lowered text") names the plan: sources that lower to the
-	// same text at the same granularity share one Scheduler.
+	// same text at the same granularity evaluate alike.
 	PlanKey string
 	// Volatile expressions read `today` (directly or through a derived
 	// calendar) and are never served from the materialization cache.
@@ -93,7 +93,7 @@ type Lowered struct {
 	// same under every catalog.
 	BasicOnly bool
 	// deps are the catalog names the lowered expression reads: what its
-	// scheduler's probes read.
+	// pattern and its window evaluations read.
 	deps []string
 }
 
@@ -203,25 +203,23 @@ func (p *Prepared) Pattern() (*periodic.Patched, bool) {
 // plan.DefaultHorizonDays); ok is false when nothing starts within the
 // horizon. The gate is Pattern's: an expression it answers is answered by
 // arithmetic on the pattern, clipped at plan.HorizonWindow (a nil pattern is
-// dormant), and any other by its Scheduler, which evaluates that window.
-// Like Scheduler, it reads the manager's plain environment (no clock).
+// dormant), and any other by evaluating that window (plan.NextInstant, one
+// probe, counted in WindowEvals). Both read the manager's plain environment
+// (no clock): callers answer Volatile expressions from a scheduler of their
+// own.
 func (p *Prepared) NextAfter(after, horizonDays int64) (int64, bool, error) {
-	if horizonDays <= 0 {
-		horizonDays = plan.DefaultHorizonDays
+	l, err := p.Lowered()
+	if err != nil {
+		return 0, false, err
 	}
 	pat, ok := p.Pattern()
 	if !ok {
-		s, err := p.Scheduler()
-		if err != nil {
-			return 0, false, err
-		}
-		s.Configure(horizonDays)
-		return s.NextAfter(after)
+		p.m.windowEvals.Add(1)
+		return plan.NextInstant(p.m.Env(), l.Expr, l.Gran, after, horizonDays)
 	}
 	if pat == nil {
 		return 0, false, nil
 	}
-	l, _ := p.Lowered()
 	ch := p.m.chron
 	hwin, err := plan.HorizonWindow(ch, l.Gran, after, horizonDays)
 	if err != nil {
@@ -233,18 +231,12 @@ func (p *Prepared) NextAfter(after, horizonDays int64) (int64, bool, error) {
 	return 0, false, nil
 }
 
-// Scheduler returns the next-instant scheduler of the lowered expression,
-// shared with every source that lowers to the same plan, and built anew once
-// a value its probes read has been written. It runs under the manager's
-// plain environment (no clock): callers answer Volatile expressions from a
-// scheduler of their own.
-func (p *Prepared) Scheduler() (*plan.Scheduler, error) {
-	l, err := p.Lowered()
-	if err != nil {
-		return nil, err
-	}
-	return p.m.internScheduler(l), nil
-}
+// Values returns the values stamp of the names an anonymous entry's source
+// reads, directly or through a derived calendar (a named entry lists none):
+// it moves exactly when one of them is written. An answer derived from the
+// entry after reading it is as current as the stamp; a later stamp that
+// differs means it may be stale.
+func (p *Prepared) Values() uint64 { return p.m.stamps(p.deps).values }
 
 // storedValues returns the stamps of deps and, read with them, the values of
 // the stored calendars among them that no lifespan bounds: what a patched
@@ -276,14 +268,6 @@ func (m *Manager) storedValues(deps []string) (st stamps, stored symbolic.Stored
 // preparedKey identifies a table entry. The evaluation window is not part of
 // it: one entry answers every window.
 type preparedKey struct{ name, src string }
-
-// schedSlot is the current scheduler of one plan and the values stamp of
-// its dependencies it was built at.
-type schedSlot struct {
-	sched  *plan.Scheduler
-	deps   []string
-	values uint64
-}
 
 // Prepared returns the shared Prepared of src vetted under name ("" for an
 // anonymous expression), building and publishing it on first use and again
@@ -329,58 +313,10 @@ func (m *Manager) prepared(name, src string) (*Prepared, stamps) {
 		return p, st // a later catalog state owns the slot: p stays private
 	case q == nil && len(m.prep) >= preparedCap:
 		m.prep = map[preparedKey]*Prepared{}
-		m.scheds = map[string]*schedSlot{}
 		m.prepResets.Add(1)
 	}
 	m.prep[k] = p
 	return p, st
-}
-
-// internScheduler returns the current scheduler of a lowered plan: the one
-// interned for its PlanKey while the values stamp of its dependencies is the
-// one it was built at, else a new one, which replaces it. The first one
-// published at a stamp wins, and one built at an older stamp than the
-// interned one stays private.
-func (m *Manager) internScheduler(l *Lowered) *plan.Scheduler {
-	values := m.stamps(l.deps).values
-	m.prepMu.RLock()
-	cur := m.scheds[l.PlanKey]
-	m.prepMu.RUnlock()
-	if cur != nil && cur.values == values {
-		return cur.sched
-	}
-	s := plan.NewScheduler(m.Env(), l.Expr, l.Gran)
-	m.prepMu.Lock()
-	defer m.prepMu.Unlock()
-	cur = m.scheds[l.PlanKey]
-	switch {
-	case cur != nil && cur.values == values:
-		return cur.sched
-	case cur != nil && cur.values > values:
-		return s
-	case cur == nil && len(m.scheds) >= preparedCap:
-		m.scheds = map[string]*schedSlot{}
-	}
-	m.scheds[l.PlanKey] = &schedSlot{sched: s, deps: l.deps, values: values}
-	return s
-}
-
-// Schedulers lists the current schedulers: the distinct plan groups of the
-// rule engine, each at the values stamp of what it reads.
-func (m *Manager) Schedulers() []*plan.Scheduler {
-	m.prepMu.RLock()
-	slots := make([]*schedSlot, 0, len(m.scheds))
-	for _, s := range m.scheds {
-		slots = append(slots, s)
-	}
-	m.prepMu.RUnlock()
-	out := make([]*plan.Scheduler, 0, len(slots))
-	for _, s := range slots {
-		if m.stamps(s.deps).values == s.values {
-			out = append(out, s.sched)
-		}
-	}
-	return out
 }
 
 // PreparedStats is a snapshot of the prepared-expression table.
@@ -395,6 +331,10 @@ type PreparedStats struct {
 
 // CountPatternExpand counts one expansion a Pattern answered.
 func (m *Manager) CountPatternExpand() { m.patternExpands.Add(1) }
+
+// WindowEvals reports how many next-instant queries Prepared.NextAfter has
+// answered by evaluating the horizon window: the ones no pattern answers.
+func (m *Manager) WindowEvals() int64 { return m.windowEvals.Load() }
 
 // PreparedStats snapshots the table's size and cumulative counters.
 func (m *Manager) PreparedStats() PreparedStats {

@@ -144,7 +144,7 @@ func checkAgainstUncached(t *testing.T, m *Manager, src string, from, to chronol
 	p := m.Prepared("", src)
 	l, lerr := p.Lowered()
 	if lerr != nil || l.Volatile {
-		return // no shared scheduler: parse error, or the clock is needed
+		return // no next instant from the entry: parse error, or the clock is needed
 	}
 	// A pattern lists what the plan lists in the window, in order.
 	if pat, ok := p.Pattern(); ok && gerr == nil {
@@ -166,22 +166,13 @@ func checkAgainstUncached(t *testing.T, m *Manager, src string, from, to chronol
 			t.Fatalf("gen %d: pattern of %q over %v..%v\n got %v\nwant %v", m.gen.Load(), src, from, to, got, want)
 		}
 	}
-	sched, err := p.Scheduler()
-	if err != nil {
-		t.Fatalf("Scheduler(%q): %v", src, err)
-	}
-	at, ok, serr := sched.NextAfter(now)
 	oracle := m.Env()
 	prepped, gran, perr := plan.Prepare(oracle, e, nil)
 	if perr != nil {
 		t.Fatalf("uncached Prepare(%q): %v", src, perr)
 	}
 	wat, wok, wserr := plan.NextInstant(oracle, prepped, gran, now, 0)
-	if at != wat || ok != wok || errText(serr) != errText(wserr) {
-		t.Fatalf("gen %d: next(%q) = %d %v %q, uncached %d %v %q",
-			m.gen.Load(), src, at, ok, errText(serr), wat, wok, errText(wserr))
-	}
-	if at, ok, serr = p.NextAfter(now, 0); at != wat || ok != wok || errText(serr) != errText(wserr) {
+	if at, ok, serr := p.NextAfter(now, 0); at != wat || ok != wok || errText(serr) != errText(wserr) {
 		t.Fatalf("gen %d: Prepared.NextAfter(%q) = %d %v %q, uncached %d %v %q",
 			m.gen.Load(), src, at, ok, errText(serr), wat, wok, errText(wserr))
 	}
@@ -295,9 +286,6 @@ func TestPreparedConcurrentChurn(t *testing.T) {
 					_ = p.Diags()
 					_, _ = m.EvalExpr(src, from, to)
 					if l, err := p.Lowered(); err == nil && !l.Volatile {
-						if s, err := p.Scheduler(); err == nil {
-							_, _, _ = s.NextAfter(now)
-						}
 						_, _, _ = p.NextAfter(now, 0)
 					}
 				}
@@ -367,10 +355,10 @@ func TestPreparedPublishesOneEntry(t *testing.T) {
 }
 
 // A second tenant's first use of a yearly recurrence — its calvet verdict and
-// its scheduler — reads the lowering the first tenant paid for: every
-// sub-expression is basic-only and served by the process-wide memo, so
-// nothing is lowered again and what is left is parsing, vetting and planning,
-// not a walk of the 400-year Gregorian cycle.
+// its prepared expression — reads the lowering the first tenant paid for:
+// every sub-expression is basic-only and served by the process-wide memo, so
+// nothing is lowered again and what is left is parsing, vetting, inlining and
+// factorising, not a walk of the 400-year Gregorian cycle.
 func TestSecondTenantDoesNotReLower(t *testing.T) {
 	const src = "[4]/(DAYS:during:([7]/(MONTHS:during:YEARS)))"
 	firstUse := func(m *Manager) {
@@ -378,7 +366,7 @@ func TestSecondTenantDoesNotReLower(t *testing.T) {
 		if p.Diags().HasErrors() {
 			t.Fatal(p.Diags())
 		}
-		if _, err := p.Scheduler(); err != nil {
+		if _, err := p.Lowered(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,9 +383,53 @@ func TestSecondTenantDoesNotReLower(t *testing.T) {
 	if st := symbolic.Stats(); st.Misses != misses {
 		t.Fatalf("later tenants lowered %d expressions again", st.Misses-misses)
 	}
-	// Parsing, vetting and planning the source take about 250 allocations; a
+	// Parsing, vetting and preparing the source take about 250 allocations; a
 	// cold lowering of it alone takes about 870 (BenchmarkLowerCold/yearly).
 	if allocs > 500 {
 		t.Fatalf("a later tenant's first use costs %.0f allocations, want at most 500", allocs)
+	}
+}
+
+// Each next-instant query searches the horizon its call passes: two callers
+// asking one entry that no pattern answers, over 3 and 730 days, each always
+// get the last day of their own window, however their calls interleave (the
+// race job runs this at -count=10). Every such call is one window evaluation.
+func TestNextAfterHorizonPerCall(t *testing.T) {
+	m := newManager(t)
+	p := m.Prepared("", "[n]/DAYS")
+	if _, ok := p.Pattern(); ok {
+		t.Fatal("[n]/DAYS answers from a pattern: the test shows nothing")
+	}
+	after := m.chron.EpochSecondsOf(d(1993, 1, 1))
+	horizons := []int64{3, 730}
+	want := make([]int64, len(horizons))
+	for i, h := range horizons {
+		at, ok, err := p.NextAfter(after, h)
+		if err != nil || !ok {
+			t.Fatalf("NextAfter(%d days) = %v,%v", h, ok, err)
+		}
+		if want[i] = at; m.chron.CivilOf(at) != d(1993, 1, 1).AddDays(h) {
+			t.Fatalf("NextAfter(%d days) = %v, want the window's last day", h, m.chron.CivilOf(at))
+		}
+	}
+	const calls = 2000
+	var wg sync.WaitGroup
+	for i, h := range horizons {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < calls; n++ {
+				at, ok, err := p.NextAfter(after, h)
+				if err != nil || !ok || at != want[i] {
+					t.Errorf("call %d with a %d-day horizon = %v,%v,%v; want %v",
+						n, h, m.chron.CivilOf(at), ok, err, m.chron.CivilOf(want[i]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := m.WindowEvals(), int64(len(horizons)*(calls+1)); got != want {
+		t.Errorf("%d window evaluations, want %d (one per call)", got, want)
 	}
 }

@@ -97,8 +97,8 @@ func TestForBasicPairMatchesGenerateFull(t *testing.T) {
 }
 
 // TestCardSelectMatchExpansion checks the O(1) cardinality arithmetic against
-// the materialized list. (Selection on a pattern is plan.selectPattern, pinned
-// by TestSelectPatternMatchesMaterializedSelect.)
+// the materialized list. (The plan executor answers an order-1 selection over
+// a basic window by materializing it and running calendar.Select.)
 func TestCardSelectMatchExpansion(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ch := chronology.MustNew(chronology.DefaultEpoch)

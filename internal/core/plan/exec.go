@@ -234,9 +234,6 @@ func (p *Plan) execVal(env *Env, st *execState, op Op, getVal func(Reg) (*regVal
 			v.view(op.Pat)
 			return v, nil
 		}
-		if a.cal == nil && a.listed() {
-			return eager(selectPattern(op.Sel, a)), nil
-		}
 	case OpIntersect:
 		// A point window cut to b is its points inside b's coverage: a walk
 		// over the coverage's runs, or over b's elements if b is a disjoint
@@ -316,18 +313,6 @@ func (p *Plan) patternValue(env *Env, op Op) (*regVal, bool) {
 // lazyEnv reports whether an environment evaluates from patterns: it has a
 // shared cache and shares work.
 func lazyEnv(env *Env) bool { return env.Mat != nil && !env.DisableSharing }
-
-// selectPattern answers an order-1 selection over a listed window by index
-// arithmetic — the window is one group, walked — so [k]-style predicates never
-// materialize the list they select from.
-func selectPattern(sel calendar.Selection, v *regVal) *calendar.Calendar {
-	var ivs []interval.Interval
-	if w := v.win; w.First <= w.Last {
-		hull := interval.Interval{Lo: w.P.Interval(w.First).Lo, Hi: w.P.Interval(w.Last).Hi}
-		ivs = w.Groups(1, func(int) interval.Interval { return hull }, interval.Overlaps, false, sel.Indices, nil)
-	}
-	return calendar.Picked(v.gran, ivs)
-}
 
 func (p *Plan) execOp(env *Env, st *execState, op Op, get func(Reg) (*calendar.Calendar, error)) (*calendar.Calendar, error) {
 	switch op.Kind {

@@ -6,15 +6,14 @@
 // calendars, `today`. caldb.Prepared.NextAfter answers the expressions whose
 // pattern also answers /expand by arithmetic instead — business days less
 // HOLIDAYS among them — clipped at the same horizon window (HorizonWindow),
-// and this scheduler is the oracle it is tested against.
+// and every other one with a scheduler built for the query; this scheduler
+// is the oracle the arithmetic is tested against.
 package plan
 
 import (
 	"math"
-	"sync"
 
 	"calsys/internal/chronology"
-	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
 	"calsys/internal/core/interval"
 )
@@ -36,64 +35,35 @@ func HorizonWindow(ch *chronology.Chronology, gran chronology.Granularity, after
 }
 
 // A Scheduler answers next-instant queries for one prepared expression by
-// evaluating the horizon window. It is safe for concurrent use; the rules
-// engine shares one Scheduler among all rules over the same prepared plan
-// (shared-plan fan-out), so a query is paid once per plan, not once per rule.
+// evaluating the horizon window: every NextAfter compiles and runs the plan
+// over the window of its query, one probe each. It is not safe for
+// concurrent use, and its horizon is its own: a caller builds one for its
+// queries (NextInstant), and nothing shares one between callers.
 type Scheduler struct {
-	env     *Env
-	prepped callang.Expr
-	gran    chronology.Granularity
-
-	mu          sync.Mutex
+	env         *Env
+	prepped     callang.Expr
+	gran        chronology.Granularity
 	horizonDays int64
 	probes      int64 // windowed evaluations performed
-
-	// plan is the last plan compiled, over planWin.
-	plan    *Plan
-	planWin interval.Interval
 }
 
 // NewScheduler builds a scheduler for a prepared expression (the output of
 // Prepare). What the expression reads in the environment's catalog must stay
-// fixed for the scheduler's lifetime; caldb interns schedulers by the values
-// stamp of those names and builds a new one when it moves.
+// fixed while its answers are used: an answer is as current as the catalog
+// state its probe read.
 func NewScheduler(env *Env, prepped callang.Expr, gran chronology.Granularity) *Scheduler {
 	return &Scheduler{env: env, prepped: prepped, gran: gran, horizonDays: DefaultHorizonDays}
 }
 
 // Configure sets the lookahead horizon in days (≤ 0 keeps the current value).
 func (s *Scheduler) Configure(horizonDays int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if horizonDays > 0 {
 		s.horizonDays = horizonDays
 	}
 }
 
-// PlanAt renders the eval plan for the RULE-INFO catalog: the plan last
-// compiled, or, when there is none yet, the plan over the horizon window of
-// a query after `after`.
-func (s *Scheduler) PlanAt(after int64) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.plan == nil {
-		hwin, err := HorizonWindow(s.env.Chron, s.gran, after, s.horizonDays)
-		if err != nil {
-			return "", err
-		}
-		if _, err := s.compile(hwin); err != nil {
-			return "", err
-		}
-	}
-	return s.plan.String(), nil
-}
-
 // Probes reports how many windowed evaluations the scheduler has run.
-func (s *Scheduler) Probes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.probes
-}
+func (s *Scheduler) Probes() int64 { return s.probes }
 
 // NextAfter returns the first instant (epoch seconds) at which the
 // expression fires strictly after `after`, searching the configured horizon
@@ -101,13 +71,16 @@ func (s *Scheduler) Probes() int64 {
 // unit or before, of the expression evaluated over HorizonWindow. ok is false
 // when nothing starts in it.
 func (s *Scheduler) NextAfter(after int64) (at int64, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	hwin, err := HorizonWindow(s.env.Chron, s.gran, after, s.horizonDays)
 	if err != nil {
 		return 0, false, err
 	}
-	cal, err := s.eval(hwin)
+	s.probes++
+	p, err := Compile(s.env, s.prepped, nil, s.gran, hwin)
+	if err != nil {
+		return 0, false, err
+	}
+	cal, err := p.Exec(s.env, nil)
 	if err != nil {
 		return 0, false, err
 	}
@@ -127,34 +100,10 @@ func (s *Scheduler) NextAfter(after int64) (at int64, ok bool, err error) {
 	return best, true, nil
 }
 
-func (s *Scheduler) eval(win interval.Interval) (*calendar.Calendar, error) {
-	s.probes++
-	p, err := s.compile(win)
-	if err != nil {
-		return nil, err
-	}
-	return p.Exec(s.env, nil)
-}
-
-// compile returns the plan of the expression over win: the last one compiled
-// when it was compiled over the same window, else a new one, which becomes
-// the last.
-func (s *Scheduler) compile(win interval.Interval) (*Plan, error) {
-	if s.plan != nil && s.planWin == win {
-		return s.plan, nil
-	}
-	p, err := Compile(s.env, s.prepped, nil, s.gran, win)
-	if err != nil {
-		return nil, err
-	}
-	s.plan, s.planWin = p, win
-	return p, nil
-}
-
 // NextInstant answers "first instant strictly after `after`" for a prepared
 // expression, searching horizonDays ahead (≤ 0 uses DefaultHorizonDays).
-// ok=false means no instant within the horizon. This is the one-shot form
-// of Scheduler for callers without an instance to amortize into.
+// ok=false means no instant within the horizon: one probe of a scheduler
+// built for the call.
 func NextInstant(env *Env, prepped callang.Expr, gran chronology.Granularity, after int64, horizonDays int64) (int64, bool, error) {
 	s := NewScheduler(env, prepped, gran)
 	s.Configure(horizonDays)

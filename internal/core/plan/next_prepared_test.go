@@ -13,9 +13,9 @@ import (
 )
 
 // The properties below hold caldb.Prepared.NextAfter — a pattern's
-// arithmetic where /expand would answer from it, else the catalog's interned
-// scheduler — to the window definition: a plan.Scheduler over the same
-// catalog run eagerly (DisableSharing).
+// arithmetic where /expand would answer from it, else an evaluation of the
+// call's horizon window — to the window definition: a plan.Scheduler over
+// the same catalog run eagerly (DisableSharing).
 
 func d(y, m, day int) chronology.Civil { return chronology.Civil{Year: y, Month: m, Day: day} }
 
@@ -113,7 +113,7 @@ func TestNextAfterMatchesWindowedMinimum(t *testing.T) {
 // Walking forward through consecutive answers (the firing pattern DBCRON
 // drives) must also match the window definition: each answer feeds the next
 // query, so the walk crosses group, month and year boundaries and the stored
-// holidays, and the interned scheduler re-compiles over each new window.
+// holidays, and each query without a pattern evaluates its own window.
 func TestNextAfterForwardWalk(t *testing.T) {
 	m := nextManager(t)
 	ch := m.Chron()
@@ -148,9 +148,9 @@ func TestNextAfterForwardWalk(t *testing.T) {
 	}
 }
 
-// One Prepared entry and its scheduler are shared by every rule in a plan
-// group, so concurrent queries must be race-free and still individually
-// exact (the CI race job runs this package under -race).
+// One Prepared entry is shared by every rule over its expression, so
+// concurrent queries must be race-free and still individually exact (the CI
+// race job runs this package under -race).
 func TestNextAfterConcurrentSharedScheduler(t *testing.T) {
 	m := nextManager(t)
 	ch := m.Chron()
@@ -205,8 +205,8 @@ func TestNextAfterConcurrentSharedScheduler(t *testing.T) {
 
 // An expression /expand answers from its pattern never probes: a forward
 // walk over a weekly selection, the bare basic calendar or the last business
-// day of the month less the stored HOLS is arithmetic only, while its
-// scheduler, asked directly, probes once per query.
+// day of the month less the stored HOLS is arithmetic only, and the
+// catalog counts no window evaluation.
 func TestNextAfterAmortizesProbes(t *testing.T) {
 	m := nextManager(t)
 	ch := m.Chron()
@@ -223,20 +223,16 @@ func TestNextAfterAmortizesProbes(t *testing.T) {
 			}
 			at = next
 		}
-		s, err := p.Scheduler()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := s.Probes(); n != 0 {
-			t.Errorf("%q: %d steps cost %d probes, want 0", tc.src, tc.steps, n)
+		if n := m.WindowEvals(); n != 0 {
+			t.Errorf("%q: %d steps cost %d window evaluations, want 0", tc.src, tc.steps, n)
 		}
 	}
 }
 
 // A composition that lowers and is window-exact answers from its pattern
-// with zero probes, ever; the scheduler of the same expression is the
-// window definition, one probe per query, with identical answers — the
-// ablation the benchmarks measure.
+// with zero probes, ever; a scheduler of the same expression is the window
+// definition, one probe per query, with identical answers — the ablation the
+// benchmarks measure.
 func TestSchedulerSymbolicExactAndAblation(t *testing.T) {
 	m := nextManager(t)
 	ch := m.Chron()
@@ -256,12 +252,8 @@ func TestSchedulerSymbolicExactAndAblation(t *testing.T) {
 		}
 		at = next
 	}
-	s, err := p.Scheduler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Probes(); n != 0 {
-		t.Errorf("pattern walk ran %d probes, want 0", n)
+	if n := m.WindowEvals(); n != 0 {
+		t.Errorf("pattern walk ran %d window evaluations, want 0", n)
 	}
 	if n := ref.Probes(); n != 52 {
 		t.Errorf("window walk ran %d probes, want one per query (52)", n)
@@ -281,12 +273,8 @@ func TestSchedulerDormantEmpty(t *testing.T) {
 	if _, ok, err := p.NextAfter(after, 0); ok || err != nil {
 		t.Fatalf("dormant NextAfter = ok=%v err=%v, want false,nil", ok, err)
 	}
-	s, err := p.Scheduler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Probes(); n != 0 {
-		t.Errorf("dormant expression ran %d probes, want 0", n)
+	if n := m.WindowEvals(); n != 0 {
+		t.Errorf("dormant expression ran %d window evaluations, want 0", n)
 	}
 	if _, ok, err := ref.NextAfter(after); ok || err != nil {
 		t.Fatalf("windowed reference disagrees: ok=%v err=%v", ok, err)

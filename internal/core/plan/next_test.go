@@ -136,43 +136,6 @@ func TestSchedulerLazyMatchesEager(t *testing.T) {
 	}
 }
 
-// PlanAt renders the plan RULE-INFO shows: the one last compiled, else the
-// plan over the horizon window of the query it is given. A probe compiles the
-// window it evaluates, so it moves what PlanAt renders; PlanAt alone does not.
-func TestSchedulerPlanAt(t *testing.T) {
-	env := nextPropEnv(t)
-	ch := env.Chron
-	prepped, gran := prepFor(t, env, "[2]/DAYS:during:WEEKS")
-	planOver := func(after int64) string {
-		t.Helper()
-		win, err := HorizonWindow(ch, gran, after, DefaultHorizonDays)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := Compile(env, prepped, nil, gran, win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.String()
-	}
-	t0, t1 := ch.EpochSecondsOf(d(1993, 1, 1)), ch.EpochSecondsOf(d(1994, 6, 1))
-	s := NewScheduler(env, prepped, gran)
-	for _, q := range []int64{t0, t1} {
-		if got, err := s.PlanAt(q); err != nil || got != planOver(t0) {
-			t.Fatalf("PlanAt(%v) = %q, %v; want the plan over the horizon of %v", ch.CivilOf(q), got, err, ch.CivilOf(t0))
-		}
-	}
-	if _, _, err := s.NextAfter(t1); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.PlanAt(t0); err != nil || got != planOver(t1) {
-		t.Fatalf("after a probe at %v, PlanAt = %q, %v; want that probe's plan", ch.CivilOf(t1), got, err)
-	}
-	if planOver(t0) == planOver(t1) {
-		t.Fatal("the two horizon windows render the same plan: the test shows nothing")
-	}
-}
-
 // restrictTo lists cal's flattened elements that overlap [lo, hi], in order:
 // what /expand shows of a calendar over that window.
 func restrictTo(cal *calendar.Calendar, win interval.Interval) []interval.Interval {

@@ -298,54 +298,6 @@ func TestGenerateOpsMatchGenerateFull(t *testing.T) {
 	}
 }
 
-// selectPattern must agree with materialize-then-Select for every predicate
-// shape, including negative and n-last indices, over every periodic pair.
-func TestSelectPatternMatchesMaterializedSelect(t *testing.T) {
-	ch := chronology.MustNew(chronology.DefaultEpoch)
-	sels := []calendar.Selection{
-		calendar.SelectIndex(1), calendar.SelectIndex(3), calendar.SelectIndex(-1),
-		calendar.SelectIndex(-2), calendar.SelectLast(), calendar.SelectList(1, 3, -1),
-		calendar.SelectRange(2, 4), calendar.SelectRange(-3, -1), calendar.SelectIndex(99),
-	}
-	pairs := [][2]chronology.Granularity{
-		{chronology.Day, chronology.Day},
-		{chronology.Week, chronology.Day},
-		{chronology.Month, chronology.Day},
-		{chronology.Month, chronology.Month},
-		{chronology.Year, chronology.Month},
-	}
-	rng := rand.New(rand.NewSource(5))
-	for _, pr := range pairs {
-		pat, err := periodic.ForBasicPair(ch, pr[0], pr[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 40; trial++ {
-			lo := int64(rng.Intn(4000)) - 2000
-			win := interval.Interval{
-				Lo: chronology.TickFromOffset(lo),
-				Hi: chronology.TickFromOffset(lo + int64(rng.Intn(900))),
-			}
-			v := &regVal{win: pat.Overlapping(win), gran: pr[1]}
-			mat := calendar.ExpandWindow(pr[1], pat.Overlapping(win))
-			for _, sel := range sels {
-				got := selectPattern(sel, v)
-				want, err := calendar.Select(sel, mat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%v of %v in %v over %v:\n pattern      %v\n materialized %v",
-						sel, pr[0], pr[1], win, got, want)
-				}
-			}
-			if v.cal != nil {
-				t.Fatal("selectPattern materialized its operand")
-			}
-		}
-	}
-}
-
 // Sharing reduces plan size when a calendar appears more than once.
 func TestSharingReducesOps(t *testing.T) {
 	env := propEnv(t)

@@ -16,8 +16,8 @@ import (
 
 // BenchmarkNextTrigger measures one engine next-trigger computation per
 // expression class (caldb.Prepared.NextAfter) against the window definition,
-// the plan group's scheduler asked directly, which every expression with no
-// pattern takes. The ratio here is the per-firing recompute cost that
+// a scheduler of the lowered expression asked directly, which every
+// expression with no pattern takes. The ratio here is the per-firing recompute cost that
 // dominates DBCRON at fleet scale.
 func BenchmarkNextTrigger(b *testing.B) {
 	noop := FuncAction{Name: "noop", Fn: func(*store.Txn, *store.Event, int64) error { return nil }}
@@ -43,10 +43,11 @@ func BenchmarkNextTrigger(b *testing.B) {
 					return n, err
 				}
 				if mode == "windowed" {
-					s, err := cal.Prepared("", tc.src).Scheduler()
+					l, err := cal.Prepared("", tc.src).Lowered()
 					if err != nil {
 						b.Fatal(err)
 					}
+					s := plan.NewScheduler(cal.Env(), l.Expr, l.Gran)
 					nextOf = func(at int64) (int64, error) {
 						n, ok, err := s.NextAfter(at)
 						if !ok {
@@ -93,10 +94,11 @@ func fleetExprs(distinct int) []string {
 }
 
 // BenchmarkProbe100kRules drives one probe-day of DBCRON over a fleet of
-// 100k temporal rules sharing 50 distinct expressions — the scale target of
-// the shared-plan fan-out. Each iteration advances the daemon one virtual
-// day: one RULE-TIME probe plus every firing due that day (~3.5k with this
-// mix).
+// 100k temporal rules sharing 50 distinct expressions. Each iteration
+// advances the daemon one virtual day: one RULE-TIME probe plus every firing
+// due that day (~3.5k with this mix). probes is the catalog's count of
+// window evaluations: every expression of the mix answers from its pattern,
+// so it reads 0.
 func BenchmarkProbe100kRules(b *testing.B) {
 	const nRules, distinct = 100_000, 50
 	eng, cal := newEngine(b)
@@ -127,8 +129,7 @@ func BenchmarkProbe100kRules(b *testing.B) {
 		fired += len(fs)
 	}
 	b.ReportMetric(float64(fired)/float64(b.N), "firings/day")
-	_, probes := eng.PlanGroupStats()
-	b.ReportMetric(float64(probes), "probes")
+	b.ReportMetric(float64(cal.WindowEvals()), "probes")
 }
 
 // BenchmarkDurableFiring is the durable firing path at fleet scale: 1 000
@@ -196,10 +197,10 @@ func BenchmarkDurableFiring(b *testing.B) {
 
 // BenchmarkRecomputeAfterReplace is the mass recompute DBCRON runs after a
 // catalog write, over 100k rules of which 1 % read the replaced holidays:
-// each iteration replaces the stored list and recomputes. A rule whose plan
-// group did not move keeps its trigger untouched, so about 1 000 rules are
-// recomputed per write, not 100 000 (rules_recomputed counts the rules whose
-// plan group changed).
+// each iteration replaces the stored list and recomputes. A rule whose
+// values stamp did not move keeps its trigger untouched, so about 1 000 rules
+// are recomputed per write, not 100 000 (rules_recomputed counts the rules
+// whose stamp changed).
 func BenchmarkRecomputeAfterReplace(b *testing.B) {
 	const nRules, distinct = 100_000, 50
 	eng, cal := newEngine(b)
@@ -229,12 +230,12 @@ func BenchmarkRecomputeAfterReplace(b *testing.B) {
 	if err := eng.DefineTemporalRules(start, defs); err != nil {
 		b.Fatal(err)
 	}
-	groups := func() map[*temporalRule]*plan.Scheduler {
+	stamps := func() map[*temporalRule]uint64 {
 		eng.mu.Lock()
 		defer eng.mu.Unlock()
-		out := make(map[*temporalRule]*plan.Scheduler, len(eng.temporal))
+		out := make(map[*temporalRule]uint64, len(eng.temporal))
 		for _, r := range eng.temporal {
-			out[r] = r.sched
+			out[r] = r.values
 		}
 		return out
 	}
@@ -245,14 +246,14 @@ func BenchmarkRecomputeAfterReplace(b *testing.B) {
 		if err := cal.ReplaceStored("holidays", hols[(i+1)%2]); err != nil {
 			b.Fatal(err)
 		}
-		before := groups()
+		before := stamps()
 		b.StartTimer()
 		if _, err := eng.RecomputeAll(start); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		for r, s := range groups() {
-			if before[r] != s {
+		for r, v := range stamps() {
+			if before[r] != v {
 				recomputed++
 			}
 		}

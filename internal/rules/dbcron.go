@@ -278,7 +278,7 @@ func (c *DBCron) probe(now int64) error {
 	}
 	// A calendar catalog change can move the stored next triggers of the
 	// rules that read the written calendar: run the batched recompute of the
-	// rules whose plan group moved (one RULE-TIME transaction, worker pool)
+	// rules whose values stamp moved (one RULE-TIME transaction, worker pool)
 	// before scheduling from the table. Wheel entries whose instant moved
 	// are neutralized by the firing path's already-advanced check against
 	// RULE-TIME.

@@ -81,12 +81,12 @@ type temporalRule struct {
 	name   string
 	src    string
 	action Action
-	// sched is the plan group next was computed with: the scheduler of the
-	// expression's Prepared entry, shared by every rule that lowers to the
-	// same plan. The catalog builds a new one when something the plan reads
-	// is written, so a rule whose group is still sched has an up-to-date
-	// trigger.
-	sched *plan.Scheduler
+	// values is the values stamp of what the expression reads
+	// (caldb.Prepared.Values), read before next was computed: it moves when
+	// one of those names is written, so a rule whose stamp is still values
+	// has an up-to-date trigger. unknownValues marks a trigger computed under
+	// a catalog state this engine never saw.
+	values uint64
 	// next trigger in epoch seconds; noTrigger when dormant.
 	next int64
 	// rid is the rule's RULE-TIME row id. A firing trusts it while that row
@@ -107,6 +107,12 @@ type eventRule struct {
 // noTrigger marks a dormant temporal rule (no upcoming instant in the
 // lookahead horizon).
 const noTrigger = int64(1) << 62
+
+// unknownValues is the values stamp of a trigger not computed from the
+// current catalog — a rule reattached from RULE-TIME, or a dead-lettered one
+// whose recomputation failed: no catalog state has that stamp, so the next
+// RecomputeAll recomputes it.
+const unknownValues = ^uint64(0)
 
 // Engine owns both rule catalogs and dispatches event rules; DBCron drives
 // its temporal rules.
@@ -323,10 +329,11 @@ type TemporalRuleDef struct {
 
 // DefineTemporalRules defines a batch of temporal rules in one transaction.
 // Parsing, plan preparation and first-trigger computation happen up front:
-// rules sharing a calendar expression resolve to one shared plan group, and
-// the distinct groups are computed on a worker pool — so defining N rules
-// over K distinct expressions costs K next-instant computations plus one
-// RULE-INFO and one RULE-TIME append per rule, all in a single transaction.
+// rules sharing a calendar expression share its first trigger, values stamp
+// and RULE-INFO plan, computed once per distinct expression on a worker pool
+// — so defining N rules over K distinct expressions costs K next-instant
+// computations plus one RULE-INFO and one RULE-TIME append per rule, all in a
+// single transaction.
 // A failure anywhere leaves no partial rows.
 func (e *Engine) DefineTemporalRules(now int64, defs []TemporalRuleDef) error {
 	if len(defs) == 0 {
@@ -375,16 +382,15 @@ func (e *Engine) DefineTemporalRules(now int64, defs []TemporalRuleDef) error {
 	err := parallelDo(len(exprs), func(i int) error {
 		peers := byExpr[exprs[i]]
 		rep := peers[0]
-		next, sched, err := e.nextTrigger(rep, now)
+		next, values, err := e.nextTrigger(rep, now)
 		if err != nil {
 			return fmt.Errorf("rules: rule %q: %w", rep.name, err)
 		}
-		sched.Configure(e.LookaheadDays)
-		if plans[i], err = sched.PlanAt(now); err != nil {
+		if plans[i], err = e.planText(rep.src, now); err != nil {
 			return fmt.Errorf("rules: rule %q: %w", rep.name, err)
 		}
 		for _, r := range peers {
-			r.next, r.sched = next, sched
+			r.next, r.values = next, values
 		}
 		return nil
 	})
@@ -440,7 +446,7 @@ func (e *Engine) DefineTemporalRules(now int64, defs []TemporalRuleDef) error {
 }
 
 // RecomputeAll recomputes, strictly after `now`, the next trigger of every
-// live temporal rule whose plan group moved (it reads a calendar written
+// live temporal rule whose values stamp moved (it reads a calendar written
 // since its trigger was computed) and persists the changed rows in one
 // RULE-TIME transaction — the mass path DBCRON runs after a calendar-catalog
 // change; other rules are not touched. The recomputations run on a worker
@@ -453,14 +459,14 @@ func (e *Engine) DefineTemporalRules(now int64, defs []TemporalRuleDef) error {
 func (e *Engine) RecomputeAll(now int64) (int, error) {
 	e.mu.Lock()
 	all := make([]*temporalRule, 0, len(e.temporal))
-	held := make([]*plan.Scheduler, 0, len(e.temporal))
+	held := make([]uint64, 0, len(e.temporal))
 	for _, r := range e.temporal {
-		all, held = append(all, r), append(held, r.sched)
+		all, held = append(all, r), append(held, r.values)
 	}
 	e.mu.Unlock()
 	type group struct {
-		p *caldb.Prepared
-		s *plan.Scheduler
+		p      *caldb.Prepared
+		values uint64
 	}
 	groups := map[string]group{} // by source: one Prepared lookup each
 	var rules []*temporalRule
@@ -469,13 +475,10 @@ func (e *Engine) RecomputeAll(now int64) (int, error) {
 		g, ok := groups[r.src]
 		if !ok {
 			g.p = e.cal.Prepared("", r.src)
-			var err error
-			if g.s, err = g.p.Scheduler(); err != nil {
-				return 0, fmt.Errorf("rules: rule %q: %w", r.name, err)
-			}
+			g.values = g.p.Values()
 			groups[r.src] = g
 		}
-		if g.s != held[i] {
+		if g.values != held[i] {
 			rules, moved = append(rules, r), append(moved, g)
 		}
 	}
@@ -522,7 +525,7 @@ func (e *Engine) RecomputeAll(now int64) (int, error) {
 	}
 	e.mu.Lock()
 	for i, r := range rules {
-		r.sched = moved[i].s
+		r.values = moved[i].values
 		if applied[i] {
 			r.next = nexts[i]
 		}
@@ -697,37 +700,40 @@ func (e *Engine) dispatch(tx *store.Txn, ev store.Event) error {
 	return nil
 }
 
-// PlanGroupStats reports the shared-plan fan-out state: how many distinct
-// plan groups are current, and the total windowed evaluations (probes) their
-// schedulers have run — the work the kernel and the sharing amortize away.
-func (e *Engine) PlanGroupStats() (groups int, probes int64) {
-	scheds := e.cal.Schedulers()
-	for _, s := range scheds {
-		probes += s.Probes()
-	}
-	return len(scheds), probes
+// nextTrigger returns a temporal rule's first trigger instant strictly after
+// now and the values stamp it was computed at, read from the rule's Prepared
+// entry, which the catalog parses and lowers once per shape of what the
+// expression reads. The stamp is read before the answer, so a write between
+// them leaves a stale stamp, which the next RecomputeAll recomputes, never a
+// stale answer under a current stamp.
+func (e *Engine) nextTrigger(r *temporalRule, now int64) (int64, uint64, error) {
+	p := e.cal.Prepared("", r.src)
+	values := p.Values()
+	next, err := e.nextOn(p, now)
+	return next, values, err
 }
 
-// nextTrigger returns a temporal rule's first trigger instant strictly after
-// now and the plan group it was computed with: the current scheduler of the
-// rule's Prepared entry, which the catalog parses, lowers and builds once
-// per state of what the expression reads. The group is read before the
-// answer, so a write between them leaves a stale group, which the next
-// RecomputeAll recomputes, never a stale answer under a current group.
-func (e *Engine) nextTrigger(r *temporalRule, now int64) (int64, *plan.Scheduler, error) {
-	p := e.cal.Prepared("", r.src)
-	sched, err := p.Scheduler()
+// planText renders a rule's RULE-INFO plan: its expression's plan over the
+// horizon window of a query at `now`, the instant the rule is defined at.
+func (e *Engine) planText(src string, now int64) (string, error) {
+	l, err := e.cal.Prepared("", src).Lowered()
 	if err != nil {
-		return 0, nil, err
+		return "", err
 	}
-	next, err := e.nextOn(p, now)
-	return next, sched, err
+	win, err := plan.HorizonWindow(e.cal.Chron(), l.Gran, now, e.LookaheadDays)
+	if err != nil {
+		return "", err
+	}
+	p, err := plan.Compile(e.cal.Env(), l.Expr, nil, l.Gran, win)
+	if err != nil {
+		return "", err
+	}
+	return p.String(), nil
 }
 
 // nextOn returns the first instant of a rule's Prepared entry strictly after
 // now, or noTrigger: by arithmetic when its pattern answers /expand, else by
-// evaluating the lookahead window once per plan group and not once per rule
-// (caldb.Prepared.NextAfter).
+// evaluating the lookahead window (caldb.Prepared.NextAfter).
 func (e *Engine) nextOn(p *caldb.Prepared, now int64) (int64, error) {
 	next, ok, err := p.NextAfter(now, e.LookaheadDays)
 	if err != nil {
@@ -818,7 +824,7 @@ func (e *Engine) fireChecked(name string, at int64, timeout time.Duration, fence
 	if !ok {
 		return fmt.Errorf("rules: temporal rule %q disappeared", name)
 	}
-	next, sched, err := e.nextTrigger(r, at)
+	next, values, err := e.nextTrigger(r, at)
 	if err != nil {
 		return err
 	}
@@ -881,7 +887,7 @@ func (e *Engine) fireChecked(name string, at int64, timeout time.Duration, fence
 		return err
 	}
 	e.mu.Lock()
-	r.next, r.sched = next, sched
+	r.next, r.values = next, values
 	e.mu.Unlock()
 	return nil
 }
@@ -894,11 +900,10 @@ func (e *Engine) deadLetter(name string, at int64, attempts int, lastErr string,
 	e.mu.Lock()
 	r, ok := e.temporal[strings.ToLower(name)]
 	e.mu.Unlock()
-	next := int64(noTrigger)
-	var sched *plan.Scheduler
+	next, values := int64(noTrigger), unknownValues
 	if ok {
-		if n, s, err := e.nextTrigger(r, at); err == nil {
-			next, sched = n, s
+		if n, v, err := e.nextTrigger(r, at); err == nil {
+			next, values = n, v
 		}
 	}
 	if err := e.db.RunTxn(func(tx *store.Txn) error {
@@ -926,7 +931,7 @@ func (e *Engine) deadLetter(name string, at int64, attempts int, lastErr string,
 	}
 	if ok {
 		e.mu.Lock()
-		r.next, r.sched = next, sched
+		r.next, r.values = next, values
 		e.mu.Unlock()
 	}
 	return nil
@@ -992,7 +997,7 @@ func (e *Engine) ReattachAction(name string, action Action) error {
 	if stored, ok := e.storedNext(name); ok {
 		next = stored
 	}
-	r := &temporalRule{name: row[0].S, src: src, action: action, next: next}
+	r := &temporalRule{name: row[0].S, src: src, action: action, next: next, values: unknownValues}
 	e.mu.Lock()
 	delete(e.orphans, key)
 	e.temporal[key] = r
@@ -1056,7 +1061,7 @@ func (e *Engine) skipPast(name string, now int64) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("rules: temporal rule %q disappeared", name)
 	}
-	next, sched, err := e.nextTrigger(r, now)
+	next, values, err := e.nextTrigger(r, now)
 	if err != nil {
 		return 0, err
 	}
@@ -1064,7 +1069,7 @@ func (e *Engine) skipPast(name string, now int64) (int64, error) {
 		return 0, err
 	}
 	e.mu.Lock()
-	r.next, r.sched = next, sched
+	r.next, r.values = next, values
 	e.mu.Unlock()
 	return next, nil
 }

@@ -130,8 +130,8 @@ func TestRuleFollowsReplacedHolidays(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("fired on %v, want %v", got, want)
 	}
-	if _, probes := eng.PlanGroupStats(); probes != 0 {
-		t.Errorf("%d probes of the window definition, want 0: the pattern answers", probes)
+	if n := cal.WindowEvals(); n != 0 {
+		t.Errorf("%d window evaluations, want 0: the pattern answers", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"calsys/internal/caldb"
@@ -113,9 +114,10 @@ func TestReArmInsideWindowFiresWithoutProbe(t *testing.T) {
 	}
 }
 
-// Shared-plan fan-out: many rules over few distinct expressions collapse to
-// one plan group per expression, the whole fleet's next-instant work runs a
-// handful of windowed probes, and peer rules fire on identical instants.
+// Many rules over few distinct expressions share one Prepared entry per
+// expression, the whole fleet's next-instant work runs no window evaluation
+// (every expression here answers from its pattern), and peer rules fire on
+// identical instants.
 func TestSharedPlanFanOut(t *testing.T) {
 	eng, cal := newEngine(t)
 	ch := cal.Chron()
@@ -138,9 +140,8 @@ func TestSharedPlanFanOut(t *testing.T) {
 	if err := eng.DefineTemporalRules(start, defs); err != nil {
 		t.Fatal(err)
 	}
-	groups, _ := eng.PlanGroupStats()
-	if groups != len(exprs) {
-		t.Fatalf("%d rules resolved into %d plan groups, want %d", len(defs), groups, len(exprs))
+	if n := cal.PreparedStats().Entries; n != len(exprs) {
+		t.Fatalf("%d rules resolved into %d Prepared entries, want %d", len(defs), n, len(exprs))
 	}
 	cron, err := NewDBCron(eng, chronology.SecondsPerDay, start)
 	if err != nil {
@@ -167,15 +168,78 @@ func TestSharedPlanFanOut(t *testing.T) {
 			}
 		}
 	}
-	groups, probes := eng.PlanGroupStats()
-	if groups != len(exprs) {
-		t.Fatalf("after 60 days: %d plan groups, want %d", groups, len(exprs))
+	if n := cal.PreparedStats().Entries; n != len(exprs) {
+		t.Fatalf("after 60 days: %d Prepared entries, want %d", n, len(exprs))
 	}
-	// 102 rules × ~20 firings each, all served by a few probes (every
-	// expression here has an exact pattern); the seed path would have run
-	// one 730-day evaluation per firing.
-	if probes > 10 {
-		t.Errorf("fleet cost %d windowed probes, want <= 10", probes)
+	// 102 rules × ~20 firings each, all answered by pattern arithmetic; the
+	// seed path would have run one 730-day evaluation per firing.
+	if n := cal.WindowEvals(); n != 0 {
+		t.Errorf("fleet cost %d window evaluations, want 0", n)
+	}
+}
+
+// RULE-INFO shows a rule's plan over the lookahead window of the instant the
+// rule is defined at, whatever queries on the same expression ran before: a
+// rule defined after 60 days of firings of a peer shows the plan over its own
+// definition instant, for an expression the pattern answers and for one
+// answered by evaluating the window.
+func TestRuleInfoPlanOverDefinitionHorizon(t *testing.T) {
+	eng, cal := newEngine(t)
+	eng.LookaheadDays = 140
+	ch := cal.Chron()
+	t0, t1 := ch.EpochSecondsOf(d(1993, 1, 1)), ch.EpochSecondsOf(d(1993, 3, 2))
+	exprs := []string{"[2]/DAYS:during:WEEKS", "[1]/DAYS:during:caloperate(WEEKS, 2)"}
+	planAt := func(src string, at int64) string {
+		t.Helper()
+		l, err := cal.Prepared("", src).Lowered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		win, err := plan.HorizonWindow(ch, l.Gran, at, eng.LookaheadDays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.Compile(cal.Env(), l.Expr, nil, l.Gran, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return "Plan     | " + strings.ReplaceAll(p.String(), "\n", " ; ") + "\n"
+	}
+	noop := FuncAction{Name: "noop", Fn: func(*store.Txn, *store.Event, int64) error { return nil }}
+	check := func(name, src string, at int64) {
+		t.Helper()
+		info, err := eng.RuleInfoRow(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := planAt(src, at); !strings.Contains(info, want) {
+			t.Errorf("RULE-INFO of %s over %q:\n%s\nwant the plan over the horizon of %v:\n%s", name, src, info, ch.CivilOf(at), want)
+		}
+	}
+	for i, src := range exprs {
+		if err := eng.DefineTemporalRule(fmt.Sprintf("a%d", i), src, noop, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cron, err := NewDBCron(eng, chronology.SecondsPerDay, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cron.AdvanceTo(t1); err != nil {
+		t.Fatal(err)
+	}
+	if n := cal.WindowEvals(); n < 2 {
+		t.Fatalf("%q fired on no window evaluation (%d in all): the test shows nothing", exprs[1], n)
+	}
+	for i, src := range exprs {
+		if err := eng.DefineTemporalRule(fmt.Sprintf("b%d", i), src, noop, t1); err != nil {
+			t.Fatal(err)
+		}
+		if planAt(src, t0) == planAt(src, t1) {
+			t.Fatalf("%q renders one plan over both horizons: the test shows nothing", src)
+		}
+		check(fmt.Sprintf("a%d", i), src, t0)
+		check(fmt.Sprintf("b%d", i), src, t1)
 	}
 }
 
@@ -320,7 +384,7 @@ func TestRecomputeAllPullsTriggersEarlier(t *testing.T) {
 }
 
 // The engine's next-trigger answers (caldb.Prepared.NextAfter: a pattern's
-// arithmetic where /expand answers from it, else the plan group's window)
+// arithmetic where /expand answers from it, else the lookahead window)
 // drive exactly the firings the window definition predicts — a
 // plan.Scheduler walked from the start — across every expression class,
 // among them the last business day of each month less a stored holidays

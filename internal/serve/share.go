@@ -7,11 +7,11 @@ import (
 	"calsys/internal/core/plan"
 )
 
-// PlanShare is the next-instant scheduler table of a dedicated empty-catalog
-// system, for expressions that read only basic calendars. The server no
-// longer uses it (a tenant's own caldb.Prepared answers /next); it and
-// Shareable stay for calbench's in-process replica of the handlers, which
-// compiles against them.
+// PlanShare answers next-instant queries on expressions that read only
+// basic calendars over a dedicated empty-catalog system. The server does not
+// use it (a tenant's own caldb.Prepared answers /next); it and Shareable stay
+// for calbench's in-process replica of the handlers, which compiles against
+// them.
 type PlanShare struct{ mgr *caldb.Manager }
 
 // NewPlanShare builds the share over a dedicated system (empty catalog,
@@ -29,12 +29,16 @@ func NewPlanShare() (*PlanShare, error) {
 // as shared_plan.
 func Shareable(e callang.Expr) bool { return callang.BasicOnly(e) }
 
-// SchedulerFor returns the share's scheduler for a basic-only expression.
-// ok=false means the expression reads the catalog.
+// SchedulerFor returns a scheduler of its own for a basic-only expression,
+// built from the share's lowering of it on each call. ok=false means the
+// expression reads the catalog.
 func (p *PlanShare) SchedulerFor(e callang.Expr) (*plan.Scheduler, bool, error) {
 	if !callang.BasicOnly(e) {
 		return nil, false, nil
 	}
-	s, err := p.mgr.Prepared("", e.String()).Scheduler()
-	return s, err == nil, err
+	l, err := p.mgr.Prepared("", e.String()).Lowered()
+	if err != nil {
+		return nil, false, err
+	}
+	return plan.NewScheduler(p.mgr.Env(), l.Expr, l.Gran), true, nil
 }
