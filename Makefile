@@ -1,8 +1,14 @@
-# Mirrors .github/workflows/ci.yml: `make check` runs exactly what CI runs.
-# staticcheck and govulncheck are skipped with a notice when the binaries
-# are not installed (offline build environments); CI installs them.
+# The one copy of what CI runs: each job of .github/workflows/ci.yml calls
+# these targets, and `make check` runs them all. staticcheck and govulncheck
+# are skipped with a notice when the binaries are not installed (offline
+# build environments); CI installs them.
 
 GO ?= go
+
+# Recipes run under bash with pipefail, as CI's steps do: a `go test` that
+# fails fails its target even when piped into tee or benchjson.
+SHELL := /bin/bash
+.SHELLFLAGS := -o pipefail -c
 
 .PHONY: check build vet vet-calsys fmt-check test race chaos chaos-fleet bench-smoke bench \
 	bench-json bench-compare bench-gate bench-cache profile fuzz-smoke staticcheck govulncheck \
@@ -87,8 +93,9 @@ loc:
 # ShardStats and caldb's Manager.RunScript went; the per-kind census kept on
 # insert and evict came.
 # Exceptions in the executor raised it by 348 (23 843 -> 24 191; 596 lines
-# in, 248 out), past the +250 set for the change: periodic.Window (a
-# pattern's elements over a window less stored points) with its group walk,
+# in, 248 out), past the +250 set for the change: the executor's pattern
+# window (a pattern's elements over a window less stored points) with its
+# group walk,
 # the plan executor's lazy registers and the compiler's lowering of
 # basic-only sub-trees came, with a struct CSE key and an allocation-free
 # LookupGranularity; matcache's per-key bucket scan and the executor's
@@ -151,7 +158,15 @@ loc:
 # and plan cache, the engine's plan-group tokens and PlanGroupStats, and the
 # executor's selectPattern went; Prepared.Values, Manager.WindowEvals and the
 # engine's planText came.
-LOC_BUDGET = 24762
+# One periodic-minus-finite value lowered it by 10 (24 762 -> 24 752; 253
+# lines in, 263 out): the executor's pattern window (First/Last less an
+# exception list, with Overlapping, Within, Holds, Expand and its group walk),
+# the cursor's not-an-element case and last index, and the executor's
+# point-list check went; the registers' Patched plus tick window,
+# Patched.PerGroup with the group members it shares with SelectPatched,
+# PatchSet's shared output lists and live-list loop, the one point-list
+# predicate and the before-grouping window fix came.
+LOC_BUDGET = 24752
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -263,11 +278,12 @@ reach-check:
 # civil month cursor against AppendCivil, the snapshot loader (never panics;
 # what it accepts saves to a fixed point), the journal replay, and the plan
 # executor's lazy registers against the same plan run eagerly. `go test
-# -fuzz` takes one target per invocation, hence ten commands.
+# -fuzz` takes one target per invocation, hence ten commands; the first
+# three run 20 s, the rest 15 s.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParseAndVet -fuzztime=15s -run '^$$' ./internal/core/callang/
-	$(GO) test -fuzz=FuzzSweepVsNaive -fuzztime=15s -run '^$$' ./internal/core/calendar/
-	$(GO) test -fuzz=FuzzExpandEncode -fuzztime=15s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzParseAndVet -fuzztime=20s -run '^$$' ./internal/core/callang/
+	$(GO) test -fuzz=FuzzSweepVsNaive -fuzztime=20s -run '^$$' ./internal/core/calendar/
+	$(GO) test -fuzz=FuzzExpandEncode -fuzztime=20s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzExpandPattern -fuzztime=15s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzNextPattern -fuzztime=15s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzStraightLineScripts -fuzztime=15s -run '^$$' ./internal/serve/

@@ -569,7 +569,7 @@ func BenchmarkPeriodicGenerateColdVsWarm(b *testing.B) {
 				if !ok {
 					b.Fatal("no pattern for the pair")
 				}
-				if calendar.ExpandWindow(Day, p.Overlapping(win)).IsEmpty() {
+				if calendar.ExpandWindow(Day, periodic.Patched{Base: p}, win).IsEmpty() {
 					b.Fatal("empty expansion")
 				}
 			}

@@ -49,15 +49,10 @@ func (l *lowerer) patched(e callang.Expr, depth int) (px periodic.Patched, twin 
 	switch n := e.(type) {
 	case *callang.Ident:
 		c, ok := l.stored(n.Name)
-		if !ok || c.Granularity() != l.gran || c.Order() != 1 {
+		if !ok || c.Granularity() != l.gran || c.Order() != 1 || !periodic.AscendingPoints(c.Intervals()) {
 			return px, nil, false
 		}
 		ivs := c.Intervals()
-		for i, iv := range ivs {
-			if iv.Lo != iv.Hi || i > 0 && ivs[i-1].Lo >= iv.Lo {
-				return px, nil, false
-			}
-		}
 		return periodic.Patched{Added: ivs[:len(ivs):len(ivs)]}, nil, true
 	case *callang.BinExpr:
 		return l.setOp(n.X, n.Y, n.Op, depth)

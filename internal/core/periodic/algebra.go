@@ -29,7 +29,6 @@
 package periodic
 
 import (
-	"calsys/internal/chronology"
 	"calsys/internal/core/interval"
 )
 
@@ -232,37 +231,6 @@ func (p *Pattern) run(a, b int64, op interval.ListOp) (first, n int64) {
 	return first, max(last-first+1, 0)
 }
 
-// A Window is a finite stretch of a pattern's element list: elements First
-// through Last (First > Last: none), less the point elements at the ticks of
-// Except — a periodic set minus a finite one, Bettini, Mascetti & Wang's
-// granularity with a non-periodic part. Except is strictly ascending points,
-// set only on a disjoint pattern of points (Points, Disjoint); those that are
-// not its elements take nothing out.
-type Window struct {
-	P           *Pattern
-	First, Last int64
-	Except      []interval.Interval
-}
-
-// Overlapping is the window of the elements overlapping the tick interval:
-// what generating the interval materializes.
-func (p *Pattern) Overlapping(win interval.Interval) Window {
-	first, last, _ := p.IndexRange(win)
-	return Window{P: p, First: first, Last: last}
-}
-
-// Within is the window of the elements inside the tick interval.
-func (p *Pattern) Within(win interval.Interval) Window {
-	lo, hi := chronology.OffsetFromTick(win.Lo), chronology.OffsetFromTick(win.Hi)
-	return Window{P: p, First: p.firstWithLoGE(lo), Last: p.lastWithHiLE(hi)}
-}
-
-// Holds reports whether every element related to y under op is in the window.
-func (w Window) Holds(y interval.Interval, op interval.ListOp) bool {
-	first, n := w.P.run(chronology.OffsetFromTick(y.Lo), chronology.OffsetFromTick(y.Hi), op)
-	return n >= 0 && first >= w.First && first+n-1 <= w.Last
-}
-
 // Points reports whether every element is a single tick. The answer is
 // cached at construction.
 func (p *Pattern) Points() bool { return p.points }
@@ -274,87 +242,6 @@ func (p *Pattern) computePoints() bool {
 		}
 	}
 	return true
-}
-
-// Expand materializes the window's elements in order.
-func (w Window) Expand() []interval.Interval {
-	if w.First > w.Last {
-		return nil
-	}
-	c := Cursor{p: w.P, i: w.First, last: w.Last, rm: w.Except}
-	return c.Next(make([]interval.Interval, w.Last-w.First+1))
-}
-
-// Groups is the window-sized form of what ForeachSelect does over a whole
-// cycle: for each of the n elements y(0), y(1), … in turn, the members of the
-// group {w op y} are the
-// run of elements related to y cut to First..Last, less the exceptions in it,
-// and pick chooses among them by position — 0-based, in predicate order,
-// asked once per member count below 128; nil takes them all. The picks,
-// trimmed to y where strict and they meet it, are appended to out: exactly
-// the flattened materialized foreach and selection, in O(groups · log) plus
-// the output.
-func (w Window) Groups(ny int, ys func(int) interval.Interval, op interval.ListOp, strict bool, pick func(n int) []int, out []interval.Interval) []interval.Interval {
-	var picks [128][]int       // by member count
-	var rm []interval.Interval // the exceptions among a group's members
-	rest := w.Except           // the exceptions from the last group's on: ys come in order, mostly
-	for k := 0; k < ny; k++ {
-		y := ys(k)
-		a, b := chronology.OffsetFromTick(y.Lo), chronology.OffsetFromTick(y.Hi)
-		first, n := w.P.run(a, b, op)
-		last := first + n - 1
-		if n < 0 { // a prefix: from the window's first element
-			first, last = w.First, first-1
-		}
-		first, last = max(first, w.First), min(last, w.Last)
-		rm = rm[:0]
-		if first <= last && len(w.Except) > 0 {
-			lo, _ := w.P.element(first)
-			hi, _ := w.P.element(last)
-			from := chronology.TickFromOffset(lo)
-			if i := len(w.Except) - len(rest); i > 0 && w.Except[i-1].Lo >= from {
-				rest = w.Except[before(w.Except, from):] // a group behind the last one
-			}
-			for len(rest) > 0 && rest[0].Lo < from {
-				rest = rest[1:]
-			}
-			for _, pt := range rest[:before(rest, chronology.TickFromOffset(hi+1))] {
-				if w.P.covers(pt.Lo) {
-					rm = append(rm, pt)
-				}
-			}
-		}
-		n = max(last-first+1, 0) - int64(len(rm))
-		var pos []int
-		if pick != nil && n > 0 {
-			if n < int64(len(picks)) {
-				pos = picks[n]
-			}
-			if pos == nil {
-				pos = pick(int(n))
-			}
-			if n < int64(len(picks)) {
-				picks[n] = pos
-			}
-			n = int64(len(pos))
-		}
-		for i := int64(0); i < n; i++ {
-			q := i
-			if pick != nil {
-				q = int64(pos[i])
-			}
-			lo, hi := w.P.element(first + q)
-			if len(rm) > 0 {
-				iv := w.P.member(first, last, q, rm, nil)
-				lo, hi = chronology.OffsetFromTick(iv.Lo), chronology.OffsetFromTick(iv.Hi)
-			}
-			if strict && lo <= b && hi >= a {
-				lo, hi = max(lo, a), min(hi, b)
-			}
-			out = append(out, interval.Interval{Lo: chronology.TickFromOffset(lo), Hi: chronology.TickFromOffset(hi)})
-		}
-	}
-	return out
 }
 
 // patternFromCycle builds the pattern denoting the infinite periodic list

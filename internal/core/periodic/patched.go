@@ -27,11 +27,22 @@ type Patched struct {
 	Removed, Added []interval.Interval
 }
 
-// exceptional reports whether the list has a finite part.
-func (x Patched) exceptional() bool { return len(x.Removed)+len(x.Added) > 0 }
+// Plain reports whether the list has no finite part: it is its base.
+func (x Patched) Plain() bool { return len(x.Removed)+len(x.Added) == 0 }
 
 // pointList reports whether p is empty or a disjoint pattern of points.
 func pointList(p *Pattern) bool { return p == nil || p.Points() && p.Disjoint() }
+
+// AscendingPoints reports whether ivs are strictly ascending single ticks: a
+// finite part, or a stored list that can be one.
+func AscendingPoints(ivs []interval.Interval) bool {
+	for i, iv := range ivs {
+		if iv.Lo != iv.Hi || i > 0 && ivs[i-1].Lo >= iv.Lo {
+			return false
+		}
+	}
+	return true
+}
 
 // before returns how many points of the ascending list ps start before t.
 func before(ps []interval.Interval, t chronology.Tick) int {
@@ -55,7 +66,7 @@ func (x Patched) rank(t chronology.Tick) int64 {
 // IndexRange returns the inclusive range of element indices overlapping the
 // tick window; ok is false when none does.
 func (x Patched) IndexRange(win interval.Interval) (first, last int64, ok bool) {
-	if !x.exceptional() {
+	if x.Plain() {
 		if x.Base == nil {
 			return 0, -1, false
 		}
@@ -75,20 +86,17 @@ func (x Patched) Card(win interval.Interval) int64 {
 }
 
 // Walk returns a cursor at element first, from which Next reads the
-// elements in order: the encoder's walk of a window.
+// elements in order: the one walk of a window, the /expand encoder's and the
+// plan executor's (calendar.ExpandWindow).
 func (x Patched) Walk(first int64) Cursor {
-	// The walk has no last element: last is one no walk reaches.
-	if !x.exceptional() {
-		return Cursor{p: x.Base, i: first, last: first + 1<<62}
-	}
 	i, m, j := x.Base.locate(0, first, x.Removed, x.Added)
-	return Cursor{p: x.Base, i: i, last: i + 1<<62, rm: x.Removed[m:], add: x.Added[j:]}
+	return Cursor{p: x.Base, i: i, rm: x.Removed[m:], add: x.Added[j:]}
 }
 
 // NextAfter returns the start tick of the first element starting strictly
 // after tick t; ok is false when there is none.
 func (x Patched) NextAfter(t chronology.Tick) (start chronology.Tick, ok bool) {
-	if !x.exceptional() && x.Base != nil {
+	if x.Plain() && x.Base != nil {
 		_, start = x.Base.NextAfter(t)
 		return start, true
 	}
@@ -130,28 +138,17 @@ func (p *Pattern) locate(first, q int64, rm, add []interval.Interval) (i int64, 
 	return first + b + int64(m), m, j
 }
 
-// upto returns how many points at the front of the ascending list ps start
-// before t: a scan, for lists consumed in order.
-func upto(ps []interval.Interval, t chronology.Tick) int {
-	n := 0
-	for n < len(ps) && ps[n].Lo < t {
-		n++
-	}
-	return n
-}
-
-// among returns the points of the ascending list ps, read from its front,
-// that start within the elements first through last of p, a disjoint point
-// pattern: those that are the run's elements, when ps holds elements of p
-// only.
+// among returns the points of the ascending list ps that start within the
+// elements first through last of p, a disjoint point pattern: those that are
+// the run's elements, when ps holds elements of p only.
 func (p *Pattern) among(first, last int64, ps []interval.Interval) []interval.Interval {
-	if p == nil || first > last {
+	if p == nil || first > last || len(ps) == 0 {
 		return nil
 	}
 	lo, _ := p.element(first)
 	hi, _ := p.element(last)
-	ps = ps[upto(ps, chronology.TickFromOffset(lo)):]
-	return ps[:upto(ps, chronology.TickFromOffset(hi+1))]
+	ps = ps[before(ps, chronology.TickFromOffset(lo)):]
+	return ps[:before(ps, chronology.TickFromOffset(hi+1))]
 }
 
 // member returns member q of the run of p's elements first through last,
@@ -165,14 +162,13 @@ func (p *Pattern) member(first, last, q int64, rm, add []interval.Interval) inte
 	return p.Interval(i)
 }
 
-// A Cursor walks a list with exceptions: the elements of p from index i
-// through last, less those starting at a point of rm, merged in order with
-// the points of add. It is the one walk of such a list, a Patched's (Walk)
-// and a window's less its exceptions (Window.Expand). rm and add are
-// ascending; rm points that are not elements are passed over; p may be nil.
+// A Cursor walks a list with exceptions: the elements of p from index i on,
+// less those starting at a point of rm, merged in order with the points of
+// add. rm and add are ascending, every rm point is an element and no add
+// point is; p may be nil.
 type Cursor struct {
 	p       *Pattern
-	i, last int64
+	i       int64
 	rm, add []interval.Interval
 }
 
@@ -183,18 +179,17 @@ func (c *Cursor) Next(dst []interval.Interval) []interval.Interval {
 	var buf [32]interval.Interval
 	n := 0
 	for n < len(dst) {
-		if c.p == nil || c.i > c.last { // no base left: the adds are all that remain
+		if c.p == nil { // no base: the adds are all there is
 			k := copy(dst[n:], c.add)
 			c.add, n = c.add[k:], n+k
 			break
 		}
 		if len(c.rm) == 0 && len(c.add) == 0 {
-			k := int(min(c.last-c.i+1, int64(len(dst)-n)))
-			c.p.Fill(dst[n:n+k], c.i)
-			c.i, n = c.i+int64(k), n+k
-			continue
+			c.p.Fill(dst[n:], c.i)
+			c.i += int64(len(dst) - n)
+			return dst
 		}
-		base := buf[:min(c.last-c.i+1, int64(len(buf)))]
+		base := buf[:]
 		c.p.Fill(base, c.i)
 		b := 0
 		for b < len(base) && n < len(dst) {
@@ -212,10 +207,8 @@ func (c *Cursor) Next(dst []interval.Interval) []interval.Interval {
 			case b == len(base) || n == len(dst):
 			case len(c.add) > 0 && c.add[0].Lo == x:
 				dst[n], c.add, n = c.add[0], c.add[1:], n+1
-			case base[b].Lo == x:
+			default: // base[b] is the removed point x
 				c.rm, b = c.rm[1:], b+1
-			default: // not an element: nothing to take out
-				c.rm = c.rm[1:]
 			}
 		}
 		c.i += int64(b)
@@ -244,7 +237,7 @@ func (p *Pattern) covers(t chronology.Tick) bool {
 // the operator keeps whole are point lists (a removed point would split an
 // interval) and so is base.
 func PatchSet(x, y Patched, op byte, base *Pattern) (Patched, bool) {
-	if !x.exceptional() && !y.exceptional() {
+	if x.Plain() && y.Plain() {
 		return Patched{Base: base}, true
 	}
 	if !pointList(base) || !pointList(x.Base) || op == '+' && !pointList(y.Base) {
@@ -252,28 +245,40 @@ func PatchSet(x, y Patched, op byte, base *Pattern) (Patched, bool) {
 	}
 	out := Patched{Base: base}
 	lists := [4][]interval.Interval{x.Removed, x.Added, y.Removed, y.Added}
+	var next, live [4]int // each list's next point; the lists with points
+	n, room := 0, 0
+	for j, l := range &lists {
+		if len(l) > 0 {
+			live[n], n, room = j, n+1, room+len(l)
+		}
+	}
 	for {
 		// The next exception tick of any operand.
-		t, any := chronology.Tick(math.MaxInt64), false
-		for _, l := range lists {
-			if len(l) > 0 && l[0].Lo <= t {
-				t, any = l[0].Lo, true
+		t, k := chronology.Tick(math.MaxInt64), -1
+		for _, j := range live[:n] {
+			if next[j] < len(lists[j]) && lists[j][next[j]].Lo <= t {
+				t, k = lists[j][next[j]].Lo, j
 			}
 		}
-		if !any {
+		if k < 0 {
 			return out, true
 		}
+		src, i := lists[k], next[k] // a list holding t, as src[i]
 		// An operand holds t when it adds it, not when it removes it, and
 		// else when its base covers it.
 		var at [4]bool
-		for k, l := range lists {
-			if at[k] = len(l) > 0 && l[0].Lo == t; at[k] {
-				lists[k] = l[1:]
+		for _, j := range live[:n] {
+			if at[j] = next[j] < len(lists[j]) && lists[j][next[j]].Lo == t; at[j] {
+				next[j]++
 			}
 		}
-		inx := at[1] || !at[0] && x.Base.covers(t)
+		bx := x.Base.covers(t)
+		inx := at[1] || !at[0] && bx
 		iny := at[3] || !at[2] && y.Base.covers(t)
-		in := base.covers(t)
+		in := bx
+		if base != x.Base {
+			in = base.covers(t)
+		}
 		want := inx && iny
 		switch op {
 		case '+':
@@ -281,27 +286,51 @@ func PatchSet(x, y Patched, op byte, base *Pattern) (Patched, bool) {
 		case '-':
 			want = inx && !iny
 		}
-		pt := interval.Interval{Lo: t, Hi: t}
 		switch {
 		case in && !want:
-			out.Removed = append(out.Removed, pt)
+			out.Removed = push(out.Removed, src, i, room)
 		case !in && want:
-			out.Added = append(out.Added, pt)
+			out.Added = push(out.Added, src, i, room)
 		}
 	}
+}
+
+// push appends src[i] to the point list out, which room bounds. While out is
+// a run of consecutive points of src it shares src's array: a list that an
+// operand holds whole costs nothing, and any other one array.
+func push(out, src []interval.Interval, i, room int) []interval.Interval {
+	if n := len(out); n == 0 || i > 0 && &out[n-1] == &src[i-1] {
+		return src[i-n : i+1 : i+1]
+	}
+	if len(out) == cap(out) { // shared: copy
+		out = append(make([]interval.Interval, 0, room), out...)
+	}
+	return append(out, src[i])
+}
+
+// members returns what the group of y under op holds besides its run of
+// base elements first through last: gone, the points of rm (cut from Removed)
+// among the run, and in, the points of add (cut from Added) related to y,
+// appended to in. Both group walks, SelectPatched and PerGroup, read a
+// group's members off these and pick with member.
+func (x Patched) members(first, last int64, y interval.Interval, op interval.ListOp, rm, add, in []interval.Interval) (gone, _ []interval.Interval) {
+	for _, pt := range add {
+		if op.Eval(pt, y) {
+			in = append(in, pt)
+		}
+	}
+	return x.Base.among(first, last, rm), in
 }
 
 // SelectPatched is ForeachSelect over an x with a finite part (pick nil: the
 // flattened grouping, every member), given base, the value over x.Base (the
 // caller's lowering of the stored-free twin). Only the groups that an
-// exception of x falls in are recomputed: their members are the run of
-// x.Base less x.Removed plus the x.Added points related to the group — the
-// member arithmetic Window.Groups runs — and their picks patch base's. ok=false
-// unless x and base are point lists, y is disjoint (a point falls in one
-// group) and groups by during, overlaps or meets, and every recomputed group
-// picks in ascending order.
+// exception of x falls in are recomputed (members), and their picks patch
+// base's. ok=false unless x and base are point lists, y is disjoint (a point
+// falls in one group) and groups by during, overlaps or meets, and every
+// recomputed group picks in ascending order.
 func SelectPatched(x Patched, y *Pattern, op interval.ListOp, pick func(int) []int, base *Pattern) (Patched, bool) {
-	if !x.exceptional() || y == nil {
+	if x.Plain() || y == nil {
 		return Patched{Base: base}, true
 	}
 	if !pointList(x.Base) || !pointList(base) || !y.Disjoint() || op != interval.During && op != interval.Overlaps && op != interval.Meets {
@@ -344,15 +373,8 @@ func SelectPatched(x Patched, y *Pattern, op interval.ListOp, pick func(int) []i
 			if x.Base != nil {
 				first, n = x.Base.run(a, b, op)
 			}
-			// The group's members after the exceptions: the run less the
-			// removed points in it plus the added points related to y.
-			in = in[:0]
-			for _, pt := range add[:upto(add, past)] {
-				if op.Eval(pt, yiv) {
-					in = append(in, pt)
-				}
-			}
-			gone := x.Base.among(first, first+n-1, rm)
+			var gone []interval.Interval
+			gone, in = x.members(first, first+n-1, yiv, op, rm, add[:before(add, past)], in[:0])
 			was, ok := picks(n)
 			is, ok2 := picks(n - int64(len(gone)) + int64(len(in)))
 			if !ok || !ok2 {
@@ -369,9 +391,75 @@ func SelectPatched(x Patched, y *Pattern, op interval.ListOp, pick func(int) []i
 			}
 			out.Removed, out.Added = diffPoints(old, cur, out.Removed, out.Added)
 		}
-		rm, add = rm[upto(rm, past):], add[upto(add, past):]
+		rm, add = rm[before(rm, past):], add[before(add, past):]
 	}
 	return out, true
+}
+
+// PerGroup is the window-sized form of SelectPatched: for each of the n
+// elements y(0), y(1), … in turn, the members of the group {x op y} are the
+// elements overlapping win related to y (members), and pick chooses among them
+// by position — 0-based, in predicate order, asked once per member count
+// below 128; nil takes them all. The picks, trimmed to y where strict and
+// they meet it, are appended to out: exactly the flattened materialized
+// foreach and selection over the window's elements, in O(groups · log) plus
+// the output. Base must not be nil.
+func (x Patched) PerGroup(win interval.Interval, ny int, ys func(int) interval.Interval, op interval.ListOp, strict bool, pick func(n int) []int, out []interval.Interval) []interval.Interval {
+	var picks [128][]int // by member count
+	var gone, in []interval.Interval
+	rest := x.Removed // from the last group's on: ys come in order, mostly
+	wfirst, wlast, _ := x.Base.IndexRange(win)
+	for k := 0; k < ny; k++ {
+		y := ys(k)
+		f, n := x.Base.run(chronology.OffsetFromTick(y.Lo), chronology.OffsetFromTick(y.Hi), op)
+		first, last := f, f+n-1
+		if n < 0 { // a prefix: from the window's first element
+			first, last = wfirst, f-1
+		}
+		first, last = max(first, wfirst), min(last, wlast)
+		if !x.Plain() {
+			from := max(y.Lo, win.Lo) // where the points related to y start
+			if n < 0 {
+				from = win.Lo
+			}
+			if i := len(x.Removed) - len(rest); i > 0 && x.Removed[i-1].Lo >= from {
+				rest = x.Removed[before(x.Removed, from):] // a group behind the last one
+			}
+			for len(rest) > 0 && rest[0].Lo < from {
+				rest = rest[1:]
+			}
+			to := chronology.NextTick(min(y.Hi, win.Hi))
+			add := x.Added[before(x.Added, from):]
+			gone, in = x.members(first, last, y, op, rest[:before(rest, to)], add[:before(add, to)], in[:0])
+		}
+		n = max(last-first+1, 0) - int64(len(gone)) + int64(len(in))
+		var pos []int
+		if pick != nil && n > 0 {
+			if n >= int64(len(picks)) {
+				pos = pick(int(n))
+			} else if pos = picks[n]; pos == nil {
+				pos = pick(int(n))
+				picks[n] = pos
+			}
+			n = int64(len(pos))
+		}
+		for i := int64(0); i < n; i++ {
+			q := i
+			if pick != nil {
+				q = int64(pos[i])
+			}
+			lo, hi := x.Base.element(first + q)
+			if len(gone)+len(in) > 0 {
+				iv := x.Base.member(first, last, q, gone, in)
+				lo, hi = chronology.OffsetFromTick(iv.Lo), chronology.OffsetFromTick(iv.Hi)
+			}
+			if a, b := chronology.OffsetFromTick(y.Lo), chronology.OffsetFromTick(y.Hi); strict && lo <= b && hi >= a {
+				lo, hi = max(lo, a), min(hi, b)
+			}
+			out = append(out, interval.Interval{Lo: chronology.TickFromOffset(lo), Hi: chronology.TickFromOffset(hi)})
+		}
+	}
+	return out
 }
 
 // diffPoints appends to rm the points of the ascending list old missing from

@@ -79,17 +79,20 @@ func TestPatchedMatchesPointSet(t *testing.T) {
 	}
 }
 
-// A window less points takes out only those that are its elements, in its
-// expansion and in its groups.
-func TestWindowExcept(t *testing.T) {
+// A list less points takes out only those that are its elements, in its
+// expansion over a window and in the groups walked over it.
+func TestPatchedLessPoints(t *testing.T) {
 	days, _ := New(7, 0, []Span{{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}}) // ticks 1–5, 8–12, …
-	w := days.Overlapping(interval.Interval{Lo: 1, Hi: 14})
-	w.Except = points(-3, 2, 6, 9, 30)
-	if got, want := w.Expand(), points(1, 3, 4, 5, 8, 10, 11, 12); !slices.Equal(got, want) {
+	x, ok := PatchSet(Patched{Base: days}, Patched{Added: points(-3, 2, 6, 9, 30)}, '-', days)
+	if want := points(-3, 2, 9, 30); !ok || !slices.Equal(x.Removed, want) || len(x.Added) > 0 {
+		t.Fatalf("days less points: removed %v, added %v, want removed %v", x.Removed, x.Added, want)
+	}
+	win := interval.Interval{Lo: 1, Hi: 14}
+	if got, want := expand(x, win), points(1, 3, 4, 5, 8, 10, 11, 12); !slices.Equal(got, want) {
 		t.Fatalf("expand %v, want %v", got, want)
 	}
 	weeks := []interval.Interval{{Lo: 1, Hi: 7}, {Lo: 8, Hi: 14}}
-	got := w.Groups(2, func(k int) interval.Interval { return weeks[k] }, interval.During, true,
+	got := x.PerGroup(win, 2, func(k int) interval.Interval { return weeks[k] }, interval.During, true,
 		func(n int) []int { return []int{1, n - 1} }, nil)
 	if want := points(3, 5, 10, 12); !slices.Equal(got, want) {
 		t.Fatalf("second and last of each week %v, want %v", got, want)

@@ -215,7 +215,10 @@ func (p *Pattern) NextAfter(t chronology.Tick) (q int64, start chronology.Tick) 
 // Expand materializes the elements overlapping the tick window, in order, in
 // O(output) time — the pattern-backed equivalent of generating the window.
 func (p *Pattern) Expand(win interval.Interval) []interval.Interval {
-	return p.Overlapping(win).Expand()
+	first, last, _ := p.IndexRange(win)
+	out := make([]interval.Interval, max(last-first+1, 0))
+	p.Fill(out, first)
+	return out
 }
 
 // Fill writes elements first, first+1, … into dst, in order: a window's

@@ -191,10 +191,23 @@ func (c *compiler) narrowed(e callang.Expr, win interval.Interval) interval.Inte
 // window narrowed to Y's static window. A relaxed .overlaps. or .meets.
 // lists an element under every group it touches, so there it is the hull of
 // the X elements overlapping the node window: the group of such an element
-// may lie past the window's edge.
+// may lie past the window's edge. A `<`/`<=` group holds the elements before
+// its Y element, so the X elements of the window's last Y unit belong to the
+// next unit's group: over a basic Y no finer than the plan, the window runs
+// one unit past its last.
 func (c *compiler) groupWin(n *callang.ForeachExpr, win interval.Interval) interval.Interval {
-	if !n.Strict && (n.Op == interval.Overlaps || n.Op == interval.Meets) {
-		win = c.expandByKind(win, n.X)
+	switch n.Op {
+	case interval.Overlaps, interval.Meets:
+		if !n.Strict {
+			win = c.expandByKind(win, n.X)
+		}
+	case interval.Before, interval.BeforeEquals:
+		if id, ok := n.Y.(*callang.Ident); ok {
+			if g, ok := chronology.LookupGranularity(id.Name); ok && !g.Finer(c.plan.Gran) {
+				next := chronology.NextTick(c.expandToUnits(win, g).Hi)
+				win.Hi = c.expandToUnits(interval.Interval{Lo: next, Hi: next}, g).Hi
+			}
+		}
 	}
 	return c.narrowed(n.Y, win)
 }

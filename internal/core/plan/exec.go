@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"calsys/internal/chronology"
@@ -16,17 +17,19 @@ import (
 // regVal is one register value: cal, once materialized, and until a consumer
 // needs its interval list one of two lazy forms (DESIGN.md "Periodic
 // compression"):
-//   - win, a pattern window that is exactly the value's element list — a
-//     generate op's window, less the points a difference took out — or, when
-//     grouped, exactly its Flatten (a basic-only sub-tree's memo lowering,
-//     Op.Pat). That is the order-1 guard: a foreach's x and a selection take
-//     win only when !grouped; the set operators flatten and take it either way.
-//   - fe, a grouping {x op y} of a windowed x, and sel, a selection over it:
+//   - px (Base non-nil), a list whose elements overlapping win are exactly
+//     the value's element list — a generate op's pattern over its window,
+//     less the points a difference took out — or, when grouped, exactly its
+//     Flatten (a basic-only sub-tree's memo lowering, Op.Pat). That is the
+//     order-1 guard: a foreach's x and a selection take px only when
+//     !grouped; the set operators flatten and take it either way.
+//   - fe, a grouping {x op y} of an x with px, and sel, a selection over it:
 //     one position per group is picked by walking y's groups over x's window
-//     (periodic.Window.Groups).
+//     (periodic.Patched.PerGroup).
 type regVal struct {
 	cal     *calendar.Calendar
-	win     periodic.Window
+	px      periodic.Patched
+	win     interval.Interval
 	grouped bool
 	fe      *grouping
 	sel     calendar.Selection // over fe; empty for the grouping itself
@@ -43,15 +46,15 @@ type grouping struct {
 
 func eager(c *calendar.Calendar) *regVal { return &regVal{cal: c} }
 
-// materialize builds a lazy value's calendar — a window by expanding it, a
-// selection of one member per group by walking y's groups — and keeps it for
+// materialize builds a lazy value's calendar — a list by walking it over
+// its window, a selection of one member per group by walking y's groups — and keeps it for
 // later consumers.
 func (v *regVal) materialize() (*calendar.Calendar, error) {
 	if v.cal != nil {
 		return v.cal, nil
 	}
 	if v.fe == nil {
-		v.cal = calendar.ExpandWindow(v.gran, v.win)
+		v.cal = calendar.ExpandWindow(v.gran, v.px, v.win)
 		return v.cal, nil
 	}
 	if v.sel.Single() {
@@ -59,7 +62,7 @@ func (v *regVal) materialize() (*calendar.Calendar, error) {
 		if err != nil {
 			return nil, err
 		}
-		v.cal = calendar.Picked(v.gran, v.fe.x.win.Groups(ny, ys, v.fe.op, v.fe.strict, v.sel.Indices, make([]interval.Interval, 0, ny)))
+		v.cal = calendar.Picked(v.gran, v.fe.x.px.PerGroup(v.fe.x.win, ny, ys, v.fe.op, v.fe.strict, v.sel.Indices, make([]interval.Interval, 0, ny)))
 		return v.cal, nil
 	}
 	// Several picks per group, or every member: as many elements as x has
@@ -79,10 +82,11 @@ func (v *regVal) materialize() (*calendar.Calendar, error) {
 }
 
 // elements returns an order-1 value's element count and elements: by index
-// arithmetic on a listed window, so that a walk over it builds no list.
+// arithmetic on a listed value, so that a walk over it builds no list.
 func (v *regVal) elements() (int, func(int) interval.Interval, error) {
-	if w := v.win; v.cal == nil && v.listed() {
-		return int(w.Last - w.First + 1), func(i int) interval.Interval { return w.P.Interval(w.First + int64(i)) }, nil
+	if p := v.px.Base; v.cal == nil && v.listed() {
+		first, last, _ := p.IndexRange(v.win)
+		return int(last - first + 1), func(i int) interval.Interval { return p.Interval(first + int64(i)) }, nil
 	}
 	c, err := v.materialize()
 	if err != nil {
@@ -92,25 +96,29 @@ func (v *regVal) elements() (int, func(int) interval.Interval, error) {
 	return len(ivs), func(i int) interval.Interval { return ivs[i] }, nil
 }
 
-// listed reports whether the value is an order-1 window without exceptions.
+// listed reports whether the value is an order-1 pattern without exceptions.
 func (v *regVal) listed() bool {
-	return v.win.P != nil && !v.grouped && len(v.win.Except) == 0
+	return v.px.Base != nil && !v.grouped && v.px.Plain()
 }
 
 // view gives a lazy grouping or selection the window of its Flatten: the
-// elements of pat, its basic-only sub-tree's lowering, inside the hull of y's
-// window. That is exact when y is a disjoint listed window, x holds the whole
-// group of each end of it (so of every element between: runs are monotone),
-// and each pick lies inside its y element — the exactness guard.
+// elements of pat, its basic-only sub-tree's lowering, overlapping the hull
+// of y's elements. That is exact when y is a disjoint listed value, x's
+// window covers each end element of it (so x holds the whole group of every
+// element between: each member meets its y element), and each pick lies
+// inside its y element, so that no element of pat straddles the hull — the
+// exactness guard.
 func (v *regVal) view(pat *periodic.Pattern) {
-	g, x, y := v.fe, v.fe.x.win, v.fe.y.win
+	g, x := v.fe, v.fe.x
 	inside := g.op == interval.During || g.strict && (g.op == interval.Overlaps || g.op == interval.Meets)
-	if pat == nil || !inside || len(x.Except) > 0 || !g.y.listed() || !y.P.Disjoint() || y.First > y.Last {
+	if pat == nil || !inside || !x.px.Plain() || !g.y.listed() || !g.y.px.Base.Disjoint() {
 		return
 	}
-	lo, hi := y.P.Interval(y.First), y.P.Interval(y.Last)
-	if x.Holds(lo, g.op) && x.Holds(hi, g.op) {
-		v.win = pat.Within(interval.Interval{Lo: lo.Lo, Hi: hi.Hi})
+	y := g.y.px.Base
+	first, last, _ := y.IndexRange(g.y.win) // a grouping's y has elements
+	hull := interval.Interval{Lo: y.Interval(first).Lo, Hi: y.Interval(last).Hi}
+	if x.win.Lo <= hull.Lo && hull.Hi <= x.win.Hi {
+		v.px, v.win = periodic.Patched{Base: pat}, hull
 	}
 }
 
@@ -195,9 +203,10 @@ func (p *Plan) exec(env *Env, st *execState) (*calendar.Calendar, error) {
 }
 
 // execVal evaluates the ops whose results can stay lazy — generate (a
-// window), foreach (a grouping of a windowed x), selection and intersection
-// (walked, not built), difference (a window less points) — and leaves every
-// other op, and every operand these cannot take lazily, to execOp.
+// pattern over its window), foreach (a grouping of such an x), selection and
+// intersection (walked, not built), difference (a pattern less points) — and
+// leaves every other op, and every operand these cannot take lazily, to
+// execOp.
 func (p *Plan) execVal(env *Env, st *execState, op Op, getVal func(Reg) (*regVal, error), get func(Reg) (*calendar.Calendar, error)) (*regVal, error) {
 	var a, b *regVal
 	var err error
@@ -216,14 +225,15 @@ func (p *Plan) execVal(env *Env, st *execState, op Op, getVal func(Reg) (*regVal
 		if b, err = getVal(op.B); err != nil {
 			return nil, err
 		}
-		n := b.win.Last - b.win.First + 1 // y's elements, when order 1 and known
-		if !b.listed() {
-			n = 0
-			if b.cal != nil && b.cal.Order() == 1 {
-				n = int64(b.cal.Len())
-			}
+		n := int64(0) // y's elements, when order 1 and known
+		switch {
+		case b.listed():
+			first, last, _ := b.px.Base.IndexRange(b.win)
+			n = last - first + 1
+		case b.cal != nil && b.cal.Order() == 1:
+			n = int64(b.cal.Len())
 		}
-		if n >= 2 && a.win.P != nil && !a.grouped {
+		if n >= 2 && a.px.Base != nil && !a.grouped {
 			v := &regVal{fe: &grouping{x: a, y: b, op: op.ListOp, strict: op.Strict}, grouped: true, gran: p.Gran}
 			v.view(op.Pat)
 			return v, nil
@@ -235,10 +245,10 @@ func (p *Plan) execVal(env *Env, st *execState, op Op, getVal func(Reg) (*regVal
 			return v, nil
 		}
 	case OpIntersect:
-		// A point window cut to b is its points inside b's coverage: a walk
+		// A point list cut to b is its points inside b's coverage: a walk
 		// over the coverage's runs, or over b's elements if b is a disjoint
-		// window.
-		if a.win.P == nil || !a.win.P.Points() {
+		// list without exceptions.
+		if a.px.Base == nil || !a.px.Base.Points() {
 			break
 		}
 		if b, err = getVal(op.B); err != nil {
@@ -246,7 +256,7 @@ func (p *Plan) execVal(env *Env, st *execState, op Op, getVal func(Reg) (*regVal
 		}
 		var ny int
 		var ys func(int) interval.Interval
-		if b.listed() && b.win.P.Disjoint() {
+		if b.listed() && b.px.Base.Disjoint() {
 			ny, ys, _ = b.elements() // a listed value's cannot fail
 		} else {
 			bc, err := b.materialize()
@@ -256,21 +266,25 @@ func (p *Plan) execVal(env *Env, st *execState, op Op, getVal func(Reg) (*regVal
 			runs := bc.Flatten().ToSet().Intervals()
 			ny, ys = len(runs), func(i int) interval.Interval { return runs[i] }
 		}
-		return eager(calendar.Picked(p.Gran, a.win.Groups(ny, ys, interval.During, false, nil, nil))), nil
+		return eager(calendar.Picked(p.Gran, a.px.PerGroup(a.win, ny, ys, interval.During, false, nil, nil))), nil
 	case OpDiff:
-		// A disjoint point window less a point list is the window with those
-		// points as exceptions.
-		if a.win.P == nil || !a.win.P.Points() || !a.win.P.Disjoint() || len(a.win.Except) > 0 {
+		// A disjoint point pattern less a point list is the pattern less
+		// those of the points that are its elements.
+		if a.px.Base == nil || !a.px.Base.Points() || !a.px.Base.Disjoint() || !a.px.Plain() {
 			break
 		}
 		bc, err := get(op.B)
 		if err != nil {
 			return nil, err
 		}
-		if exc, ok := pointList(bc.Flatten()); ok {
-			w := a.win
-			w.Except = exc
-			return &regVal{win: w, gran: p.Gran}, nil
+		if pts := bc.Flatten().Intervals(); periodic.AscendingPoints(pts) {
+			// Points outside a's window take out none of its elements, which
+			// are points inside it.
+			pts = pts[sort.Search(len(pts), func(i int) bool { return pts[i].Lo >= a.win.Lo }):]
+			pts = pts[:sort.Search(len(pts), func(i int) bool { return pts[i].Lo > a.win.Hi })]
+			if px, ok := periodic.PatchSet(a.px, periodic.Patched{Added: pts}, '-', a.px.Base); ok {
+				return &regVal{px: px, win: a.win, gran: p.Gran}, nil
+			}
 		}
 	}
 	c, err := p.execOp(env, st, op, get)
@@ -278,18 +292,6 @@ func (p *Plan) execVal(env *Env, st *execState, op Op, getVal func(Reg) (*regVal
 		return nil, err
 	}
 	return eager(c), nil
-}
-
-// pointList returns an order-1 calendar's elements when they are strictly
-// ascending single ticks: an exception list.
-func pointList(c *calendar.Calendar) ([]interval.Interval, bool) {
-	ivs := c.Intervals()
-	for i, iv := range ivs {
-		if iv.Lo != iv.Hi || i > 0 && ivs[i-1].Lo >= iv.Lo {
-			return nil, false
-		}
-	}
-	return ivs, true
 }
 
 // patternValue answers an OpGenerate with the pair's exact all-time pattern,
@@ -307,7 +309,7 @@ func (p *Plan) patternValue(env *Env, op Op) (*regVal, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &regVal{win: pat.Overlapping(op.Win), gran: p.Gran}, true
+	return &regVal{px: periodic.Patched{Base: pat}, win: op.Win, gran: p.Gran}, true
 }
 
 // lazyEnv reports whether an environment evaluates from patterns: it has a

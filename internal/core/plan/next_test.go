@@ -3,6 +3,7 @@ package plan
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"calsys/internal/chronology"
@@ -186,6 +187,7 @@ func TestRelaxedGroupingRestriction(t *testing.T) {
 	for _, src := range []string{
 		"WEEKS.overlaps.MONTHS", "[1]/WEEKS.overlaps.MONTHS", "[n]/WEEKS.overlaps.MONTHS",
 		"DAYS.meets.WEEKS", "WEEKS.meets.MONTHS", "[2]/WEEKS.overlaps.YEARS", "([1]/DAYS:during:WEEKS).overlaps.MONTHS",
+		"[n]/WEEKS:<:MONTHS", "[n]/WEEKS:<=:MONTHS", "[-2]/DAYS:<:WEEKS",
 	} {
 		for i := 0; i < 20; i++ {
 			from := d(1990, 1, 1).AddDays(int64(rng.Intn(3000)))
@@ -193,6 +195,28 @@ func TestRelaxedGroupingRestriction(t *testing.T) {
 			a := from.AddDays(int64(rng.Intn(int(to.Rata()-from.Rata()) + 1)))
 			b := a.AddDays(int64(rng.Intn(int(to.Rata()-a.Rata()) + 1)))
 			check(src, [2]chronology.Civil{from, to}, [2]chronology.Civil{a, b})
+		}
+	}
+}
+
+// A before grouping's group holds the elements preceding its Y element, so the
+// last weeks of a window belong to the group of the month after it: the plan
+// evaluates Y one unit past the window's last (ROADMAP item 18(d)).
+func TestBeforeGroupingKeepsLastGroup(t *testing.T) {
+	env, _ := env1987(t)
+	for _, tc := range []struct {
+		from, to chronology.Civil
+		week     interval.Interval
+	}{
+		{d(1980, 10, 12), d(1980, 10, 31), interval.Interval{Lo: -2264, Hi: -2258}}, // 1980-10-20..26
+		{d(1993, 1, 1), d(1993, 2, 28), interval.Interval{Lo: 2245, Hi: 2251}},      // 1993-02-22..28
+	} {
+		cal, err := Evaluate(env, expr(t, "[n]/WEEKS:<:MONTHS"), tc.from, tc.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(cal.Flatten().Intervals(), tc.week) {
+			t.Fatalf("[n]/WEEKS:<:MONTHS over %v..%v = %v, missing the week %v", tc.from, tc.to, cal, tc.week)
 		}
 	}
 }

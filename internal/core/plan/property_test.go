@@ -287,7 +287,7 @@ func TestGenerateOpsMatchGenerateFull(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", op, err)
 			}
-			if got := calendar.ExpandWindow(p.Gran, pat.Overlapping(op.Win)); !got.Equal(want) {
+			if got := calendar.ExpandWindow(p.Gran, periodic.Patched{Base: pat}, op.Win); !got.Equal(want) {
 				t.Fatalf("%s:\n pattern      %v\n GenerateFull %v", op, got, want)
 			}
 		}
@@ -406,10 +406,10 @@ func FuzzGroupWalk(f *testing.F) {
 	})
 }
 
-// A grouping's flattened window is the lowered pattern's elements inside the
-// hull of y's window only when x holds every member of y's end groups: a
-// window of x cut short of them keeps the value a grouping, and the walk then
-// answers from what x holds.
+// A grouping's flattened value is the lowered pattern's elements over the
+// hull of y's elements only when x's window covers y's end elements, and so
+// every member of their groups: a window of x cut short of them keeps the
+// value a grouping, and the walk then answers from what x holds.
 func TestViewNeedsWholeGroups(t *testing.T) {
 	ch := chronology.MustNew(chronology.DefaultEpoch)
 	days, _ := symbolic.Basic(ch, chronology.Day, chronology.Day)
@@ -422,22 +422,22 @@ func TestViewNeedsWholeGroups(t *testing.T) {
 	if !ok {
 		t.Fatal("weekdays do not lower")
 	}
-	y := &regVal{win: weeks.Overlapping(interval.Interval{Lo: 100, Hi: 200}), gran: chronology.Day}
+	y := &regVal{px: periodic.Patched{Base: weeks}, win: interval.Interval{Lo: 100, Hi: 200}, gran: chronology.Day}
 	for _, tc := range []struct {
 		x    interval.Interval
 		view bool
 	}{{interval.Interval{Lo: 90, Hi: 210}, true}, {interval.Interval{Lo: 100, Hi: 200}, false}} {
-		x := &regVal{win: days.Overlapping(tc.x), gran: chronology.Day}
+		x := &regVal{px: periodic.Patched{Base: days}, win: tc.x, gran: chronology.Day}
 		v := &regVal{fe: &grouping{x: x, y: y, op: interval.During, strict: true}, sel: calendar.SelectList(1, 2, 3, 4, 5), grouped: true, gran: chronology.Day}
 		v.view(pat)
-		if (v.win.P != nil) != tc.view {
-			t.Fatalf("x over %v: view %v, want %v", tc.x, v.win.P != nil, tc.view)
+		if (v.px.Base != nil) != tc.view {
+			t.Fatalf("x over %v: view %v, want %v", tc.x, v.px.Base != nil, tc.view)
 		}
 		got, err := v.materialize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.win.P != nil && !calendar.ExpandWindow(chronology.Day, v.win).Equal(got.Flatten()) {
+		if v.px.Base != nil && !calendar.ExpandWindow(chronology.Day, v.px, v.win).Equal(got.Flatten()) {
 			t.Fatalf("x over %v: the view is not the flattened value", tc.x)
 		}
 	}
