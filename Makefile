@@ -158,14 +158,15 @@ loc:
 # and plan cache, the engine's plan-group tokens and PlanGroupStats, and the
 # executor's selectPattern went; Prepared.Values, Manager.WindowEvals and the
 # engine's planText came.
-# One periodic-minus-finite value lowered it by 10 (24 762 -> 24 752; 253
-# lines in, 263 out): the executor's pattern window (First/Last less an
+# One periodic-minus-finite value lowered it by 10 (24 762 -> 24 752; 241
+# lines in, 251 out): the executor's pattern window (First/Last less an
 # exception list, with Overlapping, Within, Holds, Expand and its group walk),
 # the cursor's not-an-element case and last index, and the executor's
 # point-list check went; the registers' Patched plus tick window,
 # Patched.PerGroup with the group members it shares with SelectPatched,
-# PatchSet's shared output lists and live-list loop, the one point-list
-# predicate and the before-grouping window fix came.
+# PatchSet's case of a list less points, the cover test of a point pattern,
+# the one point-list predicate and point-window cut, and the before-grouping
+# window fix came.
 LOC_BUDGET = 24752
 
 loc-check:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"calsys/internal/chronology"
+	"calsys/internal/core/calendar"
 	"calsys/internal/core/callang"
 	"calsys/internal/core/callang/symbolic"
 	"calsys/internal/core/interval"
@@ -280,4 +281,33 @@ func TestGroupCards(t *testing.T) {
 	if !ok || min != 28 || max != 31 {
 		t.Fatalf("days during months: got (%d, %d, %v), want (28, 31, true)", min, max, ok)
 	}
+}
+
+// The stored lists of one expression may share an array: here H appears
+// twice, and P and Q are runs of it. The outer difference takes out all four
+// points of H.
+func TestEvalPatchedSharedStoredLists(t *testing.T) {
+	ch := chronology.MustNew(chronology.DefaultEpoch)
+	const wd = "[1,2,3,4,5]/DAYS:during:WEEKS"
+	w, ok := symbolic.EvalPatched(ch, nil, expr(t, wd), chronology.Day, 1)
+	if !ok {
+		t.Fatal("weekdays do not lower")
+	}
+	win := offWin(0, 59)
+	first, last, _ := w.IndexRange(win)
+	c := w.Walk(first)
+	days := c.Next(make([]interval.Interval, last-first+1))
+	h := days[:4:4]
+	vals := map[string][]interval.Interval{"H": h, "P": h[:2], "Q": h[3:]}
+	stored := func(name string) (*calendar.Calendar, bool) {
+		ivs, ok := vals[name]
+		return calendar.Picked(chronology.Day, ivs), ok
+	}
+	x, ok := symbolic.EvalPatched(ch, stored, expr(t, "("+wd+" - (H - P)) - (H - Q)"), chronology.Day, 2)
+	if !ok {
+		t.Fatal("the difference does not lower")
+	}
+	first, last, _ = x.IndexRange(win)
+	c = x.Walk(first)
+	sameIntervals(t, c.Next(make([]interval.Interval, last-first+1)), days[4:], "weekdays less H")
 }

@@ -49,6 +49,13 @@ func before(ps []interval.Interval, t chronology.Tick) int {
 	return sort.Search(len(ps), func(i int) bool { return ps[i].Lo >= t })
 }
 
+// PointsIn cuts the ascending point list ps to the points starting within
+// the tick window.
+func PointsIn(ps []interval.Interval, win interval.Interval) []interval.Interval {
+	ps = ps[before(ps, win.Lo):]
+	return ps[:before(ps, chronology.NextTick(win.Hi))]
+}
+
 // firstAt returns p's first element index starting at or after tick t.
 func (p *Pattern) firstAt(t chronology.Tick) int64 {
 	return p.firstWithLoGE(chronology.OffsetFromTick(t))
@@ -147,8 +154,7 @@ func (p *Pattern) among(first, last int64, ps []interval.Interval) []interval.In
 	}
 	lo, _ := p.element(first)
 	hi, _ := p.element(last)
-	ps = ps[before(ps, chronology.TickFromOffset(lo)):]
-	return ps[:before(ps, chronology.TickFromOffset(hi+1))]
+	return PointsIn(ps, interval.Interval{Lo: chronology.TickFromOffset(lo), Hi: chronology.TickFromOffset(hi)})
 }
 
 // member returns member q of the run of p's elements first through last,
@@ -218,12 +224,18 @@ func (c *Cursor) Next(dst []interval.Interval) []interval.Interval {
 
 // covers reports whether an element of p covers tick t. Both element bounds
 // are monotone in the index, so the first element ending at or after t is the
-// one starting earliest among those that can.
+// one starting earliest among those that can; of a pattern of points, it is
+// a span of the cycle holding t.
 func (p *Pattern) covers(t chronology.Tick) bool {
 	if p == nil {
 		return false
 	}
 	x := chronology.OffsetFromTick(t)
+	if p.points {
+		rel := floorMod(x-p.phase, p.period)
+		i := sort.Search(len(p.spans), func(i int) bool { return p.spans[i].Lo >= rel })
+		return i < len(p.spans) && p.spans[i].Lo == rel
+	}
 	lo, _ := p.element(p.firstWithHiGE(x))
 	return lo <= x
 }
@@ -243,42 +255,40 @@ func PatchSet(x, y Patched, op byte, base *Pattern) (Patched, bool) {
 	if !pointList(base) || !pointList(x.Base) || op == '+' && !pointList(y.Base) {
 		return Patched{}, false
 	}
-	out := Patched{Base: base}
-	lists := [4][]interval.Interval{x.Removed, x.Added, y.Removed, y.Added}
-	var next, live [4]int // each list's next point; the lists with points
-	n, room := 0, 0
-	for j, l := range &lists {
-		if len(l) > 0 {
-			live[n], n, room = j, n+1, room+len(l)
-		}
-	}
-	for {
-		// The next exception tick of any operand.
-		t, k := chronology.Tick(math.MaxInt64), -1
-		for _, j := range live[:n] {
-			if next[j] < len(lists[j]) && lists[j][next[j]].Lo <= t {
-				t, k = lists[j][next[j]].Lo, j
+	if op == '-' && x.Plain() && y.Base == nil && len(y.Removed) == 0 && base == x.Base {
+		// x less points: those of them that are its elements.
+		rm := make([]interval.Interval, 0, len(y.Added))
+		for _, pt := range y.Added {
+			if base.covers(pt.Lo) {
+				rm = append(rm, pt)
 			}
 		}
-		if k < 0 {
+		return Patched{Base: base, Removed: rm}, true
+	}
+	out := Patched{Base: base}
+	lists := [4][]interval.Interval{x.Removed, x.Added, y.Removed, y.Added}
+	for {
+		// The next exception tick of any operand.
+		t, any := chronology.Tick(math.MaxInt64), false
+		for _, l := range lists {
+			if len(l) > 0 && l[0].Lo <= t {
+				t, any = l[0].Lo, true
+			}
+		}
+		if !any {
 			return out, true
 		}
-		src, i := lists[k], next[k] // a list holding t, as src[i]
 		// An operand holds t when it adds it, not when it removes it, and
 		// else when its base covers it.
 		var at [4]bool
-		for _, j := range live[:n] {
-			if at[j] = next[j] < len(lists[j]) && lists[j][next[j]].Lo == t; at[j] {
-				next[j]++
+		for k, l := range lists {
+			if at[k] = len(l) > 0 && l[0].Lo == t; at[k] {
+				lists[k] = l[1:]
 			}
 		}
-		bx := x.Base.covers(t)
-		inx := at[1] || !at[0] && bx
+		inx := at[1] || !at[0] && x.Base.covers(t)
 		iny := at[3] || !at[2] && y.Base.covers(t)
-		in := bx
-		if base != x.Base {
-			in = base.covers(t)
-		}
+		in := base.covers(t)
 		want := inx && iny
 		switch op {
 		case '+':
@@ -286,32 +296,20 @@ func PatchSet(x, y Patched, op byte, base *Pattern) (Patched, bool) {
 		case '-':
 			want = inx && !iny
 		}
+		pt := interval.Interval{Lo: t, Hi: t}
 		switch {
 		case in && !want:
-			out.Removed = push(out.Removed, src, i, room)
+			out.Removed = append(out.Removed, pt)
 		case !in && want:
-			out.Added = push(out.Added, src, i, room)
+			out.Added = append(out.Added, pt)
 		}
 	}
 }
 
-// push appends src[i] to the point list out, which room bounds. While out is
-// a run of consecutive points of src it shares src's array: a list that an
-// operand holds whole costs nothing, and any other one array.
-func push(out, src []interval.Interval, i, room int) []interval.Interval {
-	if n := len(out); n == 0 || i > 0 && &out[n-1] == &src[i-1] {
-		return src[i-n : i+1 : i+1]
-	}
-	if len(out) == cap(out) { // shared: copy
-		out = append(make([]interval.Interval, 0, room), out...)
-	}
-	return append(out, src[i])
-}
-
 // members returns what the group of y under op holds besides its run of
-// base elements first through last: gone, the points of rm (cut from Removed)
-// among the run, and in, the points of add (cut from Added) related to y,
-// appended to in. Both group walks, SelectPatched and PerGroup, read a
+// base elements first through last: gone, the points of rm (Removed or a cut
+// of it) among the run, and in, the points of add (a cut of Added) related to
+// y, appended to in. Both group walks, SelectPatched and PerGroup, read a
 // group's members off these and pick with member.
 func (x Patched) members(first, last int64, y interval.Interval, op interval.ListOp, rm, add, in []interval.Interval) (gone, _ []interval.Interval) {
 	for _, pt := range add {
@@ -428,9 +426,13 @@ func (x Patched) PerGroup(win interval.Interval, ny int, ys func(int) interval.I
 			for len(rest) > 0 && rest[0].Lo < from {
 				rest = rest[1:]
 			}
-			to := chronology.NextTick(min(y.Hi, win.Hi))
-			add := x.Added[before(x.Added, from):]
-			gone, in = x.members(first, last, y, op, rest[:before(rest, to)], add[:before(add, to)], in[:0])
+			to := min(y.Hi, win.Hi)
+			k := 0 // the removed points from..to: a scan, as they are few
+			for k < len(rest) && rest[k].Lo <= to {
+				k++
+			}
+			add := PointsIn(x.Added, interval.Interval{Lo: from, Hi: to})
+			gone, in = x.members(first, last, y, op, rest[:k], add, in[:0])
 		}
 		n = max(last-first+1, 0) - int64(len(gone)) + int64(len(in))
 		var pos []int

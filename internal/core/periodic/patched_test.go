@@ -117,3 +117,74 @@ func expand(x Patched, win interval.Interval) []interval.Interval {
 	c := x.Walk(first)
 	return c.Next(make([]interval.Interval, last-first+1))
 }
+
+// PatchSet over operands whose lists share one array — a stored list and
+// runs of it, and results of earlier PatchSets over them — decides every tick
+// as the point sets do, starting with (days − (h − p)) − (h − q).
+func TestPatchSetAliasedLists(t *testing.T) {
+	days, _ := New(7, 0, []Span{{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4}}) // ticks 1–5, 8–12, …
+	h := points(1, 2, 3, 4)
+	hp, _ := PatchSet(Patched{Added: h}, Patched{Added: h[:2]}, '-', nil)
+	hq, _ := PatchSet(Patched{Added: h}, Patched{Added: h[3:]}, '-', nil)
+	dhp, _ := PatchSet(Patched{Base: days}, hp, '-', days)
+	if x, ok := PatchSet(dhp, hq, '-', days); !ok || !slices.Equal(x.Removed, h) || len(x.Added) > 0 {
+		t.Fatalf("(days − (h − p)) − (h − q): removed %v, added %v, want removed %v", x.Removed, x.Added, h)
+	}
+
+	win := interval.Interval{Lo: 1, Hi: 30}
+	rng := rand.New(rand.NewSource(1))
+	for it := 0; it < 500; it++ {
+		var h []interval.Interval
+		for tk := chronology.Tick(1); tk <= 30; tk++ {
+			if rng.Intn(3) == 0 {
+				h = append(h, interval.Interval{Lo: tk, Hi: tk})
+			}
+		}
+		// Values and their sets over win: days, and runs of h, all in h's array.
+		vals := []Patched{{Base: days}, {Added: h}}
+		for k := 0; k < 3 && len(h) > 0; k++ {
+			i := rng.Intn(len(h))
+			vals = append(vals, Patched{Added: h[i : i+1+rng.Intn(len(h)-i)]})
+		}
+		sets := make([]map[chronology.Tick]bool, len(vals))
+		for i, v := range vals {
+			sets[i] = map[chronology.Tick]bool{}
+			for _, pt := range expand(v, win) {
+				sets[i][pt.Lo] = true
+			}
+		}
+		for k := 0; k < 12; k++ {
+			i, j := rng.Intn(len(vals)), rng.Intn(len(vals))
+			op := "+-&"[rng.Intn(3)]
+			in := func(x, y bool) bool {
+				switch op {
+				case '+':
+					return x || y
+				case '-':
+					return x && !y
+				}
+				return x && y
+			}
+			var base *Pattern
+			if in(vals[i].Base != nil, vals[j].Base != nil) {
+				base = days
+			}
+			x, ok := PatchSet(vals[i], vals[j], op, base)
+			if !ok {
+				t.Fatalf("%v %c %v: not ok", vals[i], op, vals[j])
+			}
+			want := map[chronology.Tick]bool{}
+			var wantPts []interval.Interval
+			for tk := chronology.Tick(1); tk <= 30; tk++ {
+				if in(sets[i][tk], sets[j][tk]) {
+					want[tk] = true
+					wantPts = append(wantPts, interval.Interval{Lo: tk, Hi: tk})
+				}
+			}
+			if got := expand(x, win); !slices.Equal(got, wantPts) {
+				t.Fatalf("%v %c %v = %v, want %v", vals[i], op, vals[j], got, wantPts)
+			}
+			vals, sets = append(vals, x), append(sets, want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"calsys/internal/chronology"
@@ -280,8 +279,7 @@ func (p *Plan) execVal(env *Env, st *execState, op Op, getVal func(Reg) (*regVal
 		if pts := bc.Flatten().Intervals(); periodic.AscendingPoints(pts) {
 			// Points outside a's window take out none of its elements, which
 			// are points inside it.
-			pts = pts[sort.Search(len(pts), func(i int) bool { return pts[i].Lo >= a.win.Lo }):]
-			pts = pts[:sort.Search(len(pts), func(i int) bool { return pts[i].Lo > a.win.Hi })]
+			pts = periodic.PointsIn(pts, a.win)
 			if px, ok := periodic.PatchSet(a.px, periodic.Patched{Added: pts}, '-', a.px.Base); ok {
 				return &regVal{px: px, win: a.win, gran: p.Gran}, nil
 			}
