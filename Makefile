@@ -167,7 +167,12 @@ loc:
 # PatchSet's case of a list less points, the cover test of a point pattern,
 # the one point-list predicate and point-window cut, and the before-grouping
 # window fix came.
-LOC_BUDGET = 24752
+# The element lattice raised it by 59 (24 752 -> 24 811; 154 lines in, 95
+# out): the /expand encoder's pooled buffer and its per-element copy of the
+# element text went; the pooled element lattice with its restore, the walk
+# the lattice and append loops share, CivilCursor.PutInMonth (the inlined
+# in-month case of Put) and the plan compiler's presized op list came.
+LOC_BUDGET = 24811
 
 loc-check:
 	@n=$$($(MAKE) -s loc); \
@@ -216,8 +221,8 @@ race:
 	$(GO) test -race ./internal/store/... ./internal/rules/... ./internal/core/plan/... \
 		./internal/core/callang/symbolic/... ./internal/core/matcache/... ./internal/core/calendar/... ./internal/core/interval/... \
 		./internal/caldb/... ./internal/serve/...
-	$(GO) test -race -count=10 -run 'TestContentKeyABARace|TestNextAfterHorizonPerCall|TestStaleFlightNotShared|TestMemoConcurrentLowerings' \
-		./internal/caldb/ ./internal/core/matcache/ ./internal/core/callang/symbolic/
+	$(GO) test -race -count=10 -run 'TestContentKeyABARace|TestNextAfterHorizonPerCall|TestStaleFlightNotShared|TestMemoConcurrentLowerings|TestExpandLatticeConcurrent' \
+		./internal/caldb/ ./internal/core/matcache/ ./internal/core/callang/symbolic/ ./internal/serve/
 
 # Crash-recovery fault injection: the seeded kill-and-recover suites, run
 # three times under the race detector. Set CHAOS_ARTIFACTS to a directory to

@@ -221,6 +221,16 @@ func (c *CivilCursor) Put(dst []byte, z int64) bool {
 		c.prefix = c.prefix&(1<<40-1) | ('0'+m/10)<<40 | ('0'+m%10)<<48 | '-'<<56
 		c.n = uint64(DaysInMonth(c.y, c.m))
 	}
+	return c.PutInMonth(dst, z)
+}
+
+// PutInMonth is Put for a day of the remembered month, small enough to be
+// inlined at the call; for any other day it writes nothing and reports false.
+func (c *CivilCursor) PutInMonth(dst []byte, z int64) bool {
+	d := uint64(z - c.z0)
+	if d >= c.n {
+		return false
+	}
 	dst[9], dst[8] = byte('0'+(d+1)%10), byte('0'+(d+1)/10)
 	binary.LittleEndian.PutUint64(dst, c.prefix)
 	return true

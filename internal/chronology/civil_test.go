@@ -369,6 +369,18 @@ func checkCursor(t *testing.T, cur *CivilCursor, z int64) {
 	t.Helper()
 	civ := CivilFromRata(z)
 	want := string(AppendCivil(nil, civ))
+	// PutInMonth, before the cursor has seen z: Put's bytes for a day of the
+	// remembered month, else nothing, and the cursor left as it was.
+	before, in := *cur, []byte("??????????!")
+	if ok := cur.PutInMonth(in, z); *cur != before {
+		t.Fatalf("PutInMonth(%d) (%s) moved the cursor from %+v to %+v", z, want, before, *cur)
+	} else if ok && string(in) != want+"!" {
+		t.Fatalf("PutInMonth(%d) wrote %q, want %q", z, in, want+"!")
+	} else if !ok && string(in) != "??????????!" {
+		t.Fatalf("PutInMonth(%d) refused %s and still wrote %q", z, want, in)
+	} else if inMonth := before.n != 0 && before.y == civ.Year && before.m == civ.Month; ok != inMonth {
+		t.Fatalf("PutInMonth(%d) (%s) reports %v for a cursor at %d-%02d", z, want, ok, before.y, before.m)
+	}
 	if got := string(cur.Append([]byte("x"), z)); got != "x"+want {
 		t.Fatalf("Append(%d) = %q, want %q", z, got, "x"+want)
 	}

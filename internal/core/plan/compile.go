@@ -62,10 +62,13 @@ func Compile(env *Env, e callang.Expr, _ Unused, gran chronology.Granularity, wi
 	if err := win.Check(); err != nil {
 		return nil, fmt.Errorf("plan: base window: %w", err)
 	}
+	// The op list and the CSE table are sized once: a node emits one op or none.
+	nodes := 0
+	callang.Walk(e, func(callang.Expr) { nodes++ })
 	c := &compiler{
 		env:  env,
-		plan: &Plan{Gran: gran, Window: win},
-		cse:  map[opKey]Reg{},
+		plan: &Plan{Gran: gran, Window: win, Ops: make([]Op, 0, nodes)},
+		cse:  make(map[opKey]Reg, nodes),
 		base: win,
 	}
 	r, err := c.compile(e, win)

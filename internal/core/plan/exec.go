@@ -158,7 +158,8 @@ func whole(e callang.Expr, member bool) bool {
 	return false
 }
 
-// execState carries the derivation stack across the plans of one script run.
+// execState carries the derivation stack across the plans of one script run;
+// nil is the empty stack.
 type execState struct {
 	depth int
 	// deriving is the stack of opaque derivations currently being evaluated,
@@ -169,11 +170,9 @@ type execState struct {
 // maxDerivedDepth bounds nested opaque-derivation evaluation.
 const maxDerivedDepth = 16
 
-func newExecState() *execState { return &execState{} }
-
 // Exec runs the plan and returns the result calendar.
 func (p *Plan) Exec(env *Env, _ Unused) (*calendar.Calendar, error) {
-	return p.exec(env, newExecState())
+	return p.exec(env, nil)
 }
 
 func (p *Plan) exec(env *Env, st *execState) (*calendar.Calendar, error) {
@@ -340,6 +339,9 @@ func (p *Plan) execOp(env *Env, st *execState, op Op, get func(Reg) (*calendar.C
 		}
 		return conv, nil
 	case OpDerived:
+		if st == nil { // a run that reaches no derivation allocates no stack
+			st = new(execState)
+		}
 		for _, active := range st.deriving {
 			if strings.EqualFold(active, op.Name) {
 				return nil, fmt.Errorf("derivation cycle: %s",

@@ -43,7 +43,7 @@ func RunScript(env *Env, s *callang.Script, from, to chronology.Civil) (Value, e
 	if err != nil {
 		return Value{}, err
 	}
-	return runScriptAt(env, s, gran, win, newExecState())
+	return runScriptAt(env, s, gran, win, nil)
 }
 
 // runScript evaluates a script on behalf of an OpDerived node: the caller's

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"calsys"
@@ -20,21 +21,32 @@ import (
 // time, and the most formatting a vanished client can still cost.
 const expandFlushBytes = 64 << 10
 
-// expandBufs recycles the encoders' buffers, sized so that the element that
-// crosses the flush mark still fits.
-var expandBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, expandFlushBytes+1<<10)
-	return &b
+// A lattice is a pooled /expand body buffer: a latticeHead-byte region the
+// header is right-aligned into, then latticeSlots copies of the element text,
+// so that an element costs its two dates. A body overwrites that template only
+// at the first comma and after the last element, and puts both back.
+type lattice struct {
+	b   [latticeHead + latticeSlots*len(element)]byte
+	run [128]interval.Interval // a pattern's elements, formed by index a run at a time
+}
+
+// A full lattice, ⌈expandFlushBytes / len(element)⌉ elements, is one flush of
+// at least expandFlushBytes. A header longer than latticeHead is appended.
+const latticeHead, latticeSlots = 1 << 10, (expandFlushBytes + len(element) - 1) / len(element)
+
+var lattices = sync.Pool{New: func() any {
+	lat := new(lattice)
+	copy(lat.b[latticeHead:], strings.Repeat(element, latticeSlots))
+	return lat
 }}
 
 // expandEncoder streams the success body of POST /expand: the indented JSON
 // object {expr, granularity, count, intervals: [{start, end}, …]} that
-// encoding/json printed for it before, byte for byte, appended into one
-// pooled buffer straight from the result's ticks.
+// encoding/json printed for it before, byte for byte, formatted straight from
+// the result's ticks.
 type expandEncoder struct {
 	ctx context.Context
 	w   io.Writer
-	buf []byte
 
 	ch *chronology.Chronology
 	g  chronology.Granularity
@@ -45,7 +57,6 @@ type expandEncoder struct {
 	fromDay, toDay int64
 
 	cur     chronology.CivilCursor // the month of the last date written
-	sep     bool                   // an element has been written: the next one follows a comma
 	flushed bool                   // a flush has gone out, and with it the status
 	size    int                    // the body's length when known before its end, else 0
 }
@@ -67,50 +78,40 @@ type expandSource struct {
 // 200, with a Content-Length when the body's length is known (see flush).
 func encodeExpand(ctx context.Context, w io.Writer, ch *chronology.Chronology,
 	expr string, src expandSource, from, to chronology.Civil) error {
-	bp := expandBufs.Get().(*[]byte)
-	e := expandEncoder{ctx: ctx, w: w, buf: (*bp)[:0], ch: ch, g: src.g}
-	defer func() {
-		// A long expr can have grown the buffer; the pool keeps the bounded ones.
-		if cap(e.buf) <= 2*expandFlushBytes {
-			*bp = e.buf
-			expandBufs.Put(bp)
-		}
-	}()
+	e := expandEncoder{ctx: ctx, w: w, ch: ch, g: src.g}
 	e.fromDay, e.toDay = from.Rata(), to.Rata()
 	e.win.Lo = ch.TickAt(e.g, ch.EpochSecondsOf(from))
 	e.win.Hi = ch.TickAt(e.g, ch.EpochSecondsOf(to)+chronology.SecondsPerDay-1)
 
-	// The one value of the body that needs escaping (HTML-safe, as before) is
-	// left to encoding/json; a string always marshals.
+	lat := lattices.Get().(*lattice)
+	defer lattices.Put(lat)
+	// The header is put together at the front of the head region; an append
+	// past its end moves to the heap and leaves the template alone. The one
+	// value of the body that needs escaping (HTML-safe, as before) is left to
+	// encoding/json; a string always marshals.
 	exprJSON, _ := json.Marshal(expr)
-	e.buf = append(e.buf, "{\n  \"expr\": "...)
-	e.buf = append(e.buf, exprJSON...)
-	e.buf = append(e.buf, ",\n  \"granularity\": \""...)
-	e.buf = append(e.buf, e.g.String()...)
-	e.buf = append(e.buf, "\",\n  \"count\": "...)
+	head := append(lat.b[:0:latticeHead], "{\n  \"expr\": "...)
+	head = append(head, exprJSON...)
+	head = append(head, ",\n  \"granularity\": \""...)
+	head = append(head, e.g.String()...)
+	head = append(head, "\",\n  \"count\": "...)
 	// count precedes the intervals on the wire and depends on the clipping.
 	n := e.count(src)
-	e.buf = strconv.AppendInt(e.buf, int64(n), 10)
+	head = strconv.AppendInt(head, int64(n), 10)
 	if n == 0 {
-		e.buf = append(e.buf, noIntervals...)
-		return e.flush(true)
+		return e.flush(append(head, noIntervals...), true)
+	}
+	head = append(head, openIntervals...)
+	if from.Year < 0 || to.Year > 9999 {
+		return e.appendIntervals(append(make([]byte, 0, expandFlushBytes+1<<10), head...), lat, src)
 	}
 	// Inside the years 0..9999 every date is ten bytes wide, so every element
 	// is too, and the count fixes the body's length before a byte of it goes.
-	if from.Year >= 0 && to.Year <= 9999 {
-		e.size = len(e.buf) + len(openIntervals) + n*len(element) - 1 + len(closeIntervals)
+	e.size = len(head) + n*len(element) - 1 + len(closeIntervals)
+	if len(head) > latticeHead {
+		return e.appendIntervals(head, lat, src)
 	}
-	e.buf = append(e.buf, openIntervals...)
-	if err := e.intervals(src); err != nil {
-		return err
-	}
-	e.buf = append(e.buf, closeIntervals...)
-	return e.flush(true)
-}
-
-// inWindow is the clipping test in tick space.
-func (e *expandEncoder) inWindow(lo, hi chronology.Tick) bool {
-	return hi >= e.win.Lo && lo <= e.win.Hi
+	return e.latticeIntervals(lat, head, src)
 }
 
 // count returns how many leaf intervals fall in the window: a pattern's
@@ -131,7 +132,7 @@ func (e *expandEncoder) count(src expandSource) int {
 	n := 0
 	src.cal.Leaves(func(run []calsys.Interval) bool {
 		for _, iv := range run {
-			if e.inWindow(iv.Lo, iv.Hi) {
+			if e.inWindow(iv) {
 				n++
 			}
 		}
@@ -148,72 +149,116 @@ const elementStart, elementEnd, dateLen = 24, 51, 10
 // The body's text after the count: around the elements, or with none.
 const openIntervals, closeIntervals, noIntervals = ",\n  \"intervals\": [", "\n  ]\n}\n", ",\n  \"intervals\": []\n}\n"
 
-// intervals appends one element per leaf interval in the window (a pattern's
-// formed by index into a fixed run), flushing whenever the buffer passes
-// expandFlushBytes. It works in rata days: an element is one copy of the
-// constant text whose two dates the cursor then overwrites. The buffer is a
-// local for a leaf run: no write barrier.
-func (e *expandEncoder) intervals(src expandSource) (err error) {
-	put := func(run []calsys.Interval) bool {
-		buf := e.buf
+// walk hands put the leaf intervals of a non-empty source run by run (a
+// pattern's formed by index into lat.run) until put reports false.
+func (e *expandEncoder) walk(src expandSource, lat *lattice, put func([]calsys.Interval) bool) {
+	if src.cal != nil {
+		src.cal.Leaves(put)
+		return
+	}
+	first, last, _ := src.pat.IndexRange(e.win)
+	c := src.pat.Walk(first)
+	for n := last - first + 1; n > 0; n -= int64(len(lat.run)) {
+		if !put(c.Next(lat.run[:min(n, int64(len(lat.run)))])) {
+			return
+		}
+	}
+}
+
+// inWindow is the clipping test in tick space.
+func (e *expandEncoder) inWindow(iv interval.Interval) bool {
+	return iv.Hi >= e.win.Lo && iv.Lo <= e.win.Hi
+}
+
+// latticeIntervals writes the elements after a header that fits the head
+// region and ends where slot 0 begins, its '[' over that slot's comma. Each
+// element is two dates put into the next slot; a full lattice is one flush,
+// and the closing text goes over the slot after the last element.
+func (e *expandEncoder) latticeIntervals(lat *lattice, head []byte, src expandSource) (err error) {
+	from, k := latticeHead+1-len(head), 0 // the batch's first byte and its element count
+	copy(lat.b[from:], head)
+	defer func() { // on every way out, the template back: slot 0's comma, the start of slot k
+		lat.b[latticeHead] = element[0]
+		copy(lat.b[latticeHead+k*len(element):], element[:len(closeIntervals)])
+	}()
+	e.walk(src, lat, func(run []calsys.Interval) bool {
 		for _, iv := range run {
-			if !e.inWindow(iv.Lo, iv.Hi) {
+			if !e.inWindow(iv) {
 				continue
 			}
 			start, end := e.ch.DaySpan(e.g, iv.Lo, iv.Hi)
 			start, end = max(start, e.fromDay), min(end, e.toDay)
-			text := element
-			if !e.sep {
-				e.sep, text = true, element[1:]
-			}
-			buf = append(buf, text...)
-			at := len(buf) - len(element)
-			if !e.cur.Put(buf[at+elementStart:], start) || !e.cur.Put(buf[at+elementEnd:], end) {
-				// A wider date: the element is put together piece by piece.
-				buf = e.cur.Append(buf[:at+elementStart], start)
-				buf = append(buf, element[elementStart+dateLen:elementEnd]...)
-				buf = e.cur.Append(buf, end)
-				buf = append(buf, element[elementEnd+dateLen:]...)
-			}
-			if len(buf) >= expandFlushBytes {
-				e.buf = buf
-				if err = e.flush(false); err != nil {
+			// Every date of the window is ten bytes wide: Put cannot refuse.
+			at := latticeHead + k*len(element)
+			s, t := lat.b[at+elementStart:at+elementStart+dateLen], lat.b[at+elementEnd:at+elementEnd+dateLen]
+			_ = e.cur.PutInMonth(s, start) || e.cur.Put(s, start)
+			_ = e.cur.PutInMonth(t, end) || e.cur.Put(t, end)
+			if k++; k == latticeSlots {
+				if err = e.flush(lat.b[from:], false); err != nil {
 					return false
 				}
-				buf = e.buf
+				lat.b[latticeHead] = element[0]
+				from, k = latticeHead, 0
 			}
 		}
-		e.buf = buf
 		return true
-	}
-	if src.cal != nil {
-		src.cal.Leaves(put)
+	})
+	if err != nil {
 		return err
 	}
-	var run [128]interval.Interval
-	first, last, _ := src.pat.IndexRange(e.win)
-	c := src.pat.Walk(first)
-	for n := last - first + 1; n > 0 && err == nil; n -= int64(len(run)) {
-		put(c.Next(run[:min(n, int64(len(run)))]))
-	}
-	return err
+	at := latticeHead + k*len(element)
+	copy(lat.b[at:], closeIntervals)
+	return e.flush(lat.b[from:at+len(closeIntervals)], true)
 }
 
-// flush hands the buffered bytes to the writer unless the client is gone;
-// last marks the end of the body. The first flush declares the body's length
-// when it is known, from the count or because the whole body is in it, and
-// net/http then frames no chunks. The first flush goes out with the header,
-// in two write(2)s once it is past net/http's 4 KB connection buffer; each
-// later one is one write(2), where a chunk takes two and a chunked body's
-// terminator a third. A body of unknown length (dates outside 0..9999 over
-// several flushes) stays chunked.
-func (e *expandEncoder) flush(last bool) error {
+// appendIntervals appends the elements to buf, the header in a buffer of the
+// body's own, flushing whenever it passes expandFlushBytes: for dates not all
+// ten bytes wide (years outside 0..9999), or a header too long for a lattice.
+func (e *expandEncoder) appendIntervals(buf []byte, lat *lattice, src expandSource) (err error) {
+	sep := 1 // the first element leaves its comma out
+	e.walk(src, lat, func(run []calsys.Interval) bool {
+		for _, iv := range run {
+			if !e.inWindow(iv) {
+				continue
+			}
+			start, end := e.ch.DaySpan(e.g, iv.Lo, iv.Hi)
+			start, end = max(start, e.fromDay), min(end, e.toDay)
+			buf = append(buf, element[sep:elementStart]...)
+			buf = e.cur.Append(buf, start)
+			buf = append(buf, element[elementStart+dateLen:elementEnd]...)
+			buf = e.cur.Append(buf, end)
+			buf = append(buf, element[elementEnd+dateLen:]...)
+			sep = 0
+			if len(buf) >= expandFlushBytes {
+				if err = e.flush(buf, false); err != nil {
+					return false
+				}
+				buf = buf[:0]
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	return e.flush(append(buf, closeIntervals...), true)
+}
+
+// flush hands p to the writer unless the client is gone; last marks the end
+// of the body. The first flush declares the body's length when it is known,
+// from the count or because the whole body is in it, and net/http then frames
+// no chunks. The first flush goes out with the header, in two write(2)s once
+// it is past net/http's 4 KB connection buffer; each later one is one
+// write(2), where a chunk takes two and a chunked body's terminator a third.
+// A body of unknown length (dates outside 0..9999 over several flushes) stays
+// chunked.
+func (e *expandEncoder) flush(p []byte, last bool) error {
 	if err := e.ctx.Err(); err != nil {
 		return err
 	}
 	if rw, ok := e.w.(http.ResponseWriter); !e.flushed && ok {
 		if last {
-			e.size = len(e.buf)
+			e.size = len(p)
 		}
 		if e.size > 0 {
 			rw.Header().Set("Content-Length", strconv.Itoa(e.size))
@@ -221,7 +266,6 @@ func (e *expandEncoder) flush(last bool) error {
 		rw.WriteHeader(http.StatusOK)
 	}
 	e.flushed = true
-	_, err := e.w.Write(e.buf)
-	e.buf = e.buf[:0]
+	_, err := e.w.Write(p)
 	return err
 }

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -612,4 +613,145 @@ func TestExpandWritesPerFlush(t *testing.T) {
 			t.Errorf("to %s: %d bytes in at most %d flushes took %d writes, want at most %d", to, len(raw), k, writes, k+1)
 		}
 	}
+}
+
+// flushWriter is a ResponseWriter that keeps the length of each Write: the
+// encoder's flushes.
+type flushWriter struct {
+	discardWriter
+	sizes []int
+}
+
+func (w *flushWriter) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return len(p), nil
+}
+
+// latticeWindow is one /expand request of the lattice tests with the body
+// encoding/json prints for it.
+type latticeWindow struct {
+	name, expr, from, to string
+	body                 string // the request
+	want                 []byte
+}
+
+// latticeWindows returns requests that take each of the encoder's ways: a
+// pattern over seven flushes, a slab over three, an empty result, a header
+// longer than the lattice's head region, and dates past 9999 streamed
+// chunked.
+func latticeWindows(t testing.TB) []latticeWindow {
+	t.Helper()
+	sys := calsys.MustOpen()
+	ws := []latticeWindow{
+		{name: "pattern-bulk", expr: "DAYS:during:WEEKS", from: "1990-01-01", to: "2005-12-31"},
+		{name: "slab-flushes", expr: "DAYS:during:caloperate(WEEKS, 1)", from: "1990-01-01", to: "1995-12-31"},
+		{name: "one-flush", expr: "[1,3,5]/DAYS:during:WEEKS", from: "1993-02-11", to: "1994-05-30"},
+		{name: "empty", expr: "[1]/DAYS:during:MONTHS", from: "1993-01-02", to: "1993-01-31"},
+		{name: "long-header", expr: "DAYS:during:WEEKS /* " + strings.Repeat("<&>", latticeHead/3) + " */", from: "1990-01-01", to: "1992-06-30"},
+		{name: "past-9999", expr: "DAYS:during:WEEKS", from: "9998-01-01", to: "10001-12-31"},
+	}
+	for i := range ws {
+		w := &ws[i]
+		from, _ := chronology.ParseCivil(w.from)
+		to, _ := chronology.ParseCivil(w.to)
+		cal, err := sys.EvalCalendar(w.expr, from, to)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		w.want = marshalExpand(sys.Chron(), w.expr, cal, from, to)
+		body, _ := json.Marshal(map[string]string{"expr": w.expr, "from": w.from, "to": w.to})
+		w.body = string(body)
+	}
+	return ws
+}
+
+// checkLatticeWindows serves every window in full and holds each body to
+// encoding/json's: a lattice that went back to the pool with a template byte
+// out of place shows up in the first body that sends that slot.
+func checkLatticeWindows(t testing.TB, h http.Handler, newReq func(string) *http.Request, ws []latticeWindow, after string) {
+	for _, w := range ws {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, newReq(w.body))
+		if got := rec.Body.Bytes(); rec.Code != http.StatusOK || !bytes.Equal(got, w.want) {
+			at := 0
+			for at < min(len(got), len(w.want)) && got[at] == w.want[at] {
+				at++
+			}
+			t.Errorf("after %s, %s: %d, the body differs from encoding/json at byte %d of %d\n got: %.120q\nwant: %.120q",
+				after, w.name, rec.Code, at, len(w.want), got[at:], w.want[at:])
+		}
+	}
+}
+
+// TestExpandLatticeRestored ends a body early in every way it can — a Write
+// that fails at each of its flushes, a context cancelled at each (at the last
+// one the body ends normally), an empty result, a header longer than the
+// head region — and then requires the next expand of every shape served from
+// the same pool to be byte-identical to encoding/json's: each way out puts
+// the lattice's template bytes back before it returns to the pool.
+func TestExpandLatticeRestored(t *testing.T) {
+	h, newReq := expandInProcess(t)
+	ws := latticeWindows(t)
+	checkLatticeWindows(t, h, newReq, ws, "nothing")
+	for _, w := range ws {
+		full := &flushWriter{discardWriter: discardWriter{header: http.Header{}}}
+		h.ServeHTTP(full, newReq(w.body))
+		if full.status != http.StatusOK {
+			t.Fatalf("%s: status %d", w.name, full.status)
+		}
+		before := 0 // the bytes of the flushes before flush i
+		for i, size := range full.sizes {
+			for _, cancels := range []bool{false, true} {
+				ctx, cancel := context.WithCancel(context.Background())
+				hw := &hangupWriter{header: http.Header{}, limit: before}
+				if cancels {
+					hw.cancel = cancel
+				}
+				h.ServeHTTP(hw, newReq(w.body).WithContext(ctx))
+				cancel()
+				if !hw.gone {
+					t.Fatalf("%s: the writer never hung up at flush %d", w.name, i)
+				}
+				checkLatticeWindows(t, h, newReq, ws, fmt.Sprintf("%s hung up at flush %d (cancel %v)", w.name, i, cancels))
+			}
+			before += size
+		}
+	}
+}
+
+// TestExpandLatticeConcurrent serves mixed windows from eight goroutines at
+// once through one pool, a third of them to clients that hang up at a random
+// byte (by a failed Write or a cancelled context), and holds every body read
+// whole to encoding/json's.
+func TestExpandLatticeConcurrent(t *testing.T) {
+	h, newReq := expandInProcess(t)
+	ws := latticeWindows(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 24; i++ {
+				w := ws[rng.Intn(len(ws))]
+				if rng.Intn(3) == 0 {
+					ctx, cancel := context.WithCancel(context.Background())
+					hw := &hangupWriter{header: http.Header{}, limit: rng.Intn(len(w.want))}
+					if rng.Intn(2) == 0 {
+						hw.cancel = cancel
+					}
+					h.ServeHTTP(hw, newReq(w.body).WithContext(ctx))
+					cancel()
+					continue
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, newReq(w.body))
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), w.want) {
+					t.Errorf("goroutine %d, request %d, %s: %d, the body differs from encoding/json", seed, i, w.name, rec.Code)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
 }

@@ -5,8 +5,9 @@
 # the API with curl, asserting each response with jq: tenant -> stored days ->
 # derived calendar -> rule -> /next -> /expand -> one 4xx error envelope ->
 # drops. Then one bulk expand is read back whole (the streaming encoder's
-# multi-flush path over a real socket, its length declared up front) and
-# the server is SIGTERMed
+# multi-flush path over a real socket, its length declared up front), read
+# again by a client that hangs up mid-body, and read whole a third time,
+# which must equal the first; then the server is SIGTERMed
 # and must exit gracefully. Load is calbench's job: the script ends with a 2 s
 # serve_churn run (writes, invalidation, concurrent cold flights, every
 # response checked against the oracle; it boots its own calserved and exits
@@ -16,6 +17,9 @@
 #   calserved.log              server log
 #   bulk_expand.json           the 5.8 k-interval expand response
 #   bulk_expand.headers        its response headers
+#   bulk_expand.cut            the same expand cut off by its client mid-body
+#   bulk_expand_again.json     the same expand read whole after the hang-up
+#   bulk_expand_again.headers  its response headers
 #   calbench_serve_churn.json  calbench's result line for the load run
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -127,6 +131,33 @@ if [ -z "$DECLARED" ] || [ "$DECLARED" != "$RECEIVED" ]; then
     exit 1
 fi
 echo "serve-smoke: bulk expand OK ($(jq .count "$OUT/bulk_expand.json") intervals, $(wc -c <"$OUT/bulk_expand.json") bytes)"
+
+# The same request behind a client that hangs up mid-body (curl reads slowly,
+# so the server is still writing when head has its 100 000 bytes and closes
+# the pipe), then read whole a third time: the encoder's pooled buffer went
+# back to the pool after the cut-off body, and the third body must equal the
+# first byte for byte, with the same Content-Length.
+echo "serve-smoke: bulk expand cut off by its client at 100 000 bytes, then read whole again"
+{ curl -fs --limit-rate 200k -X POST "http://$ADDR/v1/tenants/bulk0/expand" -H "Authorization: Bearer $ADMIN_TOKEN" \
+    -d '{"expr":"DAYS:during:WEEKS","from":"1990-01-01","to":"2005-12-31"}' 2>/dev/null || true; } |
+    head -c 100000 >"$OUT/bulk_expand.cut"
+if ! cmp -s -n 100000 "$OUT/bulk_expand.cut" "$OUT/bulk_expand.json" || [ "$(wc -c <"$OUT/bulk_expand.cut" | tr -d ' ')" != 100000 ]; then
+    echo "serve-smoke: the cut-off bulk expand is not the first 100 000 bytes of the full one" >&2
+    exit 1
+fi
+curl -fsS -X POST "http://$ADDR/v1/tenants/bulk0/expand" -H "Authorization: Bearer $ADMIN_TOKEN" \
+    -D "$OUT/bulk_expand_again.headers" \
+    -d '{"expr":"DAYS:during:WEEKS","from":"1990-01-01","to":"2005-12-31"}' >"$OUT/bulk_expand_again.json"
+if ! cmp "$OUT/bulk_expand_again.json" "$OUT/bulk_expand.json" >&2; then
+    echo "serve-smoke: the bulk expand read after a hang-up differs from the first" >&2
+    exit 1
+fi
+AGAIN=$(tr -d '\r' <"$OUT/bulk_expand_again.headers" | awk 'tolower($1) == "content-length:" { print $2 }')
+if [ "$AGAIN" != "$DECLARED" ]; then
+    echo "serve-smoke: after a hang-up the bulk expand declared Content-Length '${AGAIN}', want $DECLARED" >&2
+    exit 1
+fi
+echo "serve-smoke: bulk expand after a hang-up OK (same $AGAIN bytes)"
 
 echo "serve-smoke: draining server (SIGTERM)"
 kill -TERM "$SERVER_PID"
